@@ -25,17 +25,11 @@ def latency_percentiles(
 
     Uses linear-interpolated order statistics (``np.percentile``), so the
     reported p50/p95/p99 are exact functions of the recorded sojourn times
-    — no binning or fitting.  An empty sample yields NaNs.
-
-    Accepts struct-of-arrays columns directly: an ``np.ndarray`` (e.g.
-    :meth:`~repro.sim.jobtable.RecordColumns.sojourn_s`) is used without
-    materializing a Python list, and all percentiles are taken in one
-    ``np.percentile`` call over the shared sort.
+    — no binning or fitting.  An empty sample yields NaNs.  Lists and
+    record columns (e.g. :meth:`~repro.sim.jobtable.RecordColumns.sojourn_s`)
+    take the same path: one float array, one ``np.percentile`` call.
     """
-    if isinstance(sojourn_times_s, np.ndarray):
-        values = sojourn_times_s.astype(float, copy=False)
-    else:
-        values = np.asarray(list(sojourn_times_s), dtype=float)
+    values = np.asarray(sojourn_times_s, dtype=float)
     if values.size == 0:
         return {f"p{q:g}": float("nan") for q in percentiles}
     points = np.percentile(values, list(percentiles))
@@ -43,24 +37,13 @@ def latency_percentiles(
 
 
 def deadline_miss_rate(sojourn_times_s: Sequence[float], deadline_s: float) -> float:
-    """Fraction of served jobs whose sojourn exceeded the deadline.
-
-    Accepts struct-of-arrays columns directly: an ``np.ndarray`` sample is
-    counted with one vectorized comparison instead of a Python loop.  The
-    two paths are exact equals — both divide an integer exceed count by the
-    integer sample size.
-    """
+    """Fraction of served jobs whose sojourn exceeded the deadline."""
     if deadline_s <= 0:
         raise ValueError(f"deadline_s must be positive, got {deadline_s}")
-    if isinstance(sojourn_times_s, np.ndarray):
-        if sojourn_times_s.size == 0:
-            return 0.0
-        exceeded = int(np.count_nonzero(sojourn_times_s > deadline_s))
-        return exceeded / sojourn_times_s.size
-    values = list(sojourn_times_s)
-    if not values:
+    values = np.asarray(sojourn_times_s, dtype=float)
+    if values.size == 0:
         return 0.0
-    return sum(1 for value in values if value > deadline_s) / len(values)
+    return int(np.count_nonzero(values > deadline_s)) / values.size
 
 
 def format_latency_summary_table(summaries, title: str | None = None) -> str:

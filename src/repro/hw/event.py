@@ -34,10 +34,9 @@ substrate of the fast scheduler engine (:mod:`repro.sim.engine`): the
 queue stores events as ``(time, packed subkey, payload)`` with the whole
 ``(priority, key, seq)`` tie-break packed into one integer
 (:func:`pack_subkey`), supports a vectorized bulk preload of statically
-known events (arrival traces) consumed through a cursor, and offers three
-interchangeable policies — ``"sorted"`` (reverse-sorted list, the fastest
-at scheduler depths), ``"heap"`` and ``"calendar"`` — that produce the
-*identical* total event order.  The ring is an allocation-free multi-lane
+known events (arrival traces) consumed through a cursor, and keeps
+dynamically pushed events in a binary heap merged against that lane in
+one total event order.  The ring is an allocation-free multi-lane
 FIFO over preallocated index arrays: pushes and pops move integer links
 instead of allocating per-request grant objects, which is what keeps the
 per-event cost flat from 4 to 10k streams.
@@ -46,7 +45,6 @@ per-event cost flat from 4 to 10k streams.
 from __future__ import annotations
 
 import heapq
-from bisect import insort
 from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -623,31 +621,21 @@ class ArrayEventQueue:
     (:meth:`preload`) and consumed through a cursor, never entering the
     dynamic structure at all.
 
-    Three policies share the identical total order ``(time, subkey)``:
-
-    * ``"sorted"`` — a reverse-sorted list; push is a binary-search
-      insert, pop is ``list.pop()`` from the end.  At event-scheduler
-      depths (tens to a few thousand pending events) this beats a binary
-      heap by ~2× because the pop is allocation- and sift-free.
-    * ``"heap"`` — a classic binary heap; O(log n) either way, the
-      safest at very large depths.
-    * ``"calendar"`` — a bucketed calendar queue (one reverse-sorted
-      list per time bucket plus a heap of nonempty bucket keys); pushes
-      into the near future are O(bucket size).
-
-    The scheduler engine fuses the ``"sorted"`` policy's internals into
-    its dispatch loop; the class itself is the reference semantics the
-    property tests pin all three policies against.
+    Dynamically pushed events live in a binary heap of ``(time, subkey,
+    payload)`` tuples (the ``"heap"`` policy, the only one), merged at
+    pop time against the static lane in the one total order ``(time,
+    subkey)``.  The scheduler engine constructs the queue for its static
+    lane and fuses the heap into its dispatch loop (``heappush`` /
+    ``heappop`` on ``_entries`` directly); the class itself is the
+    reference semantics the property tests pin against
+    :class:`EventLoop`.
     """
 
-    POLICIES = ("sorted", "heap", "calendar")
+    POLICIES = ("heap",)
 
     __slots__ = (
         "policy",
         "_entries",
-        "_buckets",
-        "_bucket_keys",
-        "_width",
         "_lane_t",
         "_lane_sub",
         "_lane_payload",
@@ -658,23 +646,12 @@ class ArrayEventQueue:
         "_last",
     )
 
-    def __init__(
-        self,
-        policy: str = "sorted",
-        bucket_width_s: float = 1e-3,
-        sanitize: bool | None = None,
-    ):
+    def __init__(self, policy: str = "heap", sanitize: bool | None = None):
         if policy not in self.POLICIES:
             raise ValueError(f"unknown policy {policy!r}; expected one of {self.POLICIES}")
-        if bucket_width_s <= 0:
-            raise ValueError(f"bucket_width_s must be positive, got {bucket_width_s}")
         self.policy = policy
-        #: "sorted": descending (-t, -sub, payload); "heap": heapified
-        #: ascending (t, sub, payload) tuples.
+        #: heapified ascending ``(t, sub, payload)`` tuples
         self._entries: list = []
-        self._buckets: dict[int, list] = {}
-        self._bucket_keys: list[int] = []
-        self._width = float(bucket_width_s)
         self._lane_t: list[float] = []
         self._lane_sub: list[int] = []
         self._lane_payload: list[int] = []
@@ -686,12 +663,7 @@ class ArrayEventQueue:
         self._last = (float("-inf"), -(1 << 62))
 
     def __len__(self) -> int:
-        dynamic = (
-            sum(len(bucket) for bucket in self._buckets.values())
-            if self.policy == "calendar"
-            else len(self._entries)
-        )
-        return dynamic + len(self._lane_t) - self._lane_pos
+        return len(self._entries) + len(self._lane_t) - self._lane_pos
 
     # ------------------------------------------------------------------ #
     # static lane
@@ -718,92 +690,40 @@ class ArrayEventQueue:
         self._lane_payload = payloads[order].tolist()
         self._lane_pos = 0
 
-    # ------------------------------------------------------------------ #
-    # dynamic structure
-    # ------------------------------------------------------------------ #
     def push(self, time_s: float, sub: int, payload: int = 0) -> None:
         """Enqueue one event; ``sub`` is a :func:`pack_subkey` value."""
-        policy = self.policy
-        if policy == "sorted":
-            insort(self._entries, (-time_s, -sub, payload))
-        elif policy == "heap":
-            heapq.heappush(self._entries, (time_s, sub, payload))
-        else:
-            key = int(time_s / self._width)
-            bucket = self._buckets.get(key)
-            if bucket is None:
-                self._buckets[key] = [(-time_s, -sub, payload)]
-                heapq.heappush(self._bucket_keys, key)
-            else:
-                insort(bucket, (-time_s, -sub, payload))
-
-    def _dynamic_peek(self) -> tuple[float, int] | None:
-        policy = self.policy
-        if policy == "sorted":
-            if not self._entries:
-                return None
-            top = self._entries[-1]
-            return (-top[0], -top[1])
-        if policy == "heap":
-            if not self._entries:
-                return None
-            top = self._entries[0]
-            return (top[0], top[1])
-        while self._bucket_keys:
-            key = self._bucket_keys[0]
-            bucket = self._buckets.get(key)
-            if bucket:
-                top = bucket[-1]
-                return (-top[0], -top[1])
-            heapq.heappop(self._bucket_keys)  # drained or duplicate key
-            self._buckets.pop(key, None)
-        return None
-
-    def _dynamic_pop(self) -> tuple[float, int, int]:
-        policy = self.policy
-        if policy == "sorted":
-            neg_t, neg_sub, payload = self._entries.pop()
-            return (-neg_t, -neg_sub, payload)
-        if policy == "heap":
-            return heapq.heappop(self._entries)
-        key = self._bucket_keys[0]
-        neg_t, neg_sub, payload = self._buckets[key].pop()
-        return (-neg_t, -neg_sub, payload)
+        heapq.heappush(self._entries, (time_s, sub, payload))
 
     # ------------------------------------------------------------------ #
-    # merged view
+    # merged view (the static lane wins exact ties)
     # ------------------------------------------------------------------ #
     def peek(self) -> tuple[float, int] | None:
         """The next event's ``(time, subkey)`` without popping it."""
+        dynamic = self._entries[0][:2] if self._entries else None
         lane_pos = self._lane_pos
-        lane = None
         if lane_pos < len(self._lane_t):
             lane = (self._lane_t[lane_pos], self._lane_sub[lane_pos])
-        dynamic = self._dynamic_peek()
-        if lane is None:
-            return dynamic
-        if dynamic is None or lane <= dynamic:
-            return lane
+            if dynamic is None or lane <= dynamic:
+                return lane
         return dynamic
 
     def pop(self) -> tuple[float, int, int]:
         """Remove and return the next ``(time, subkey, payload)``."""
+        entries = self._entries
         lane_pos = self._lane_pos
-        lane_ready = lane_pos < len(self._lane_t)
-        dynamic = self._dynamic_peek()
-        if lane_ready:
+        if lane_pos < len(self._lane_t):
             lane_t = self._lane_t[lane_pos]
             lane_sub = self._lane_sub[lane_pos]
-            if dynamic is None or (lane_t, lane_sub) <= dynamic:
+            if not entries or (lane_t, lane_sub) <= entries[0][:2]:
                 self._lane_pos = lane_pos + 1
                 self.popped += 1
                 if self._sanitize:
                     self._check_order(lane_t, lane_sub, static=True)
                 return (lane_t, lane_sub, self._lane_payload[lane_pos])
-        if dynamic is None:
+        if not entries:
             raise IndexError("pop from an empty ArrayEventQueue")
         self.popped += 1
-        entry = self._dynamic_pop()
+        entry = heapq.heappop(entries)
         if self._sanitize:
             self._check_order(entry[0], entry[1], static=False)
         return entry

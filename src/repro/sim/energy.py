@@ -166,36 +166,23 @@ class EnergyReport:
 def _served_rows(result):
     """Yield ``(stream, kind_name)`` per served record, in sorted order.
 
-    Both engines sort records by ``(finish, stream, index)``; iterating
-    the column arrays (array engine) and the record list (reference)
-    visits the same jobs in the same order, so every accumulation here
-    is bit-identical across engines.
+    Both engines' record columns are sorted by ``(finish, stream,
+    index)`` and equal column by column, so every accumulation over this
+    sequence is bit-identical across them.
     """
-    columns = getattr(result, "columns", None)
-    if columns is not None:
-        for stream, kind, dropped in zip(
-            columns.stream.tolist(),
-            columns.kind.tolist(),
-            columns.dropped.tolist(),
-            strict=True,
-        ):
-            if not dropped:
-                yield stream, KIND_NAMES[kind]
-        return
-    for record in result.records:
-        if not record.dropped:
-            yield record.stream_index, record.kind
+    columns = result.columns
+    served = ~columns.dropped
+    for stream, kind in zip(
+        columns.stream[served].tolist(), columns.kind[served].tolist(), strict=True
+    ):
+        yield stream, KIND_NAMES[kind]
 
 
 def _window_s(result) -> float:
     """Last activity instant of the run (dropped jobs included: a drop
     decision is still an event inside the window)."""
-    columns = getattr(result, "columns", None)
-    if columns is not None:
-        if columns.finish.size == 0:
-            return 0.0
-        return float(columns.finish.max())
-    return max((record.finish_s for record in result.records), default=0.0)
+    finish = result.columns.finish
+    return float(finish.max()) if finish.size else 0.0
 
 
 def bank_occupancy_integral(

@@ -95,13 +95,14 @@ import numpy as np
 from repro.devtools.sanitizer import sanitize_enabled
 from repro.hw.event import Timeline
 from repro.hw.interconnect import FREE_INTERCONNECT, InterconnectLink, InterconnectSpec
-from repro.sim.batched import BatchLatencyModel, StreamProfile, _broadcast_per_stream
+from repro.sim.batched import BatchLatencyModel, StreamProfile
+from repro.sim.jobtable import KIND_FRAME, KIND_QUESTION, RecordColumns
 from repro.sim.scheduler import (
     DEFAULT_PERCENTILES,
     FRAME_JOB,
     QUESTION_JOB,
-    JobRecord,
     LatencySummary,
+    RecordViews,
     ScheduleResult,
     SchedulerConfig,
     ServingScheduler,
@@ -392,6 +393,10 @@ class DeviceRun:
     stream_indices: list[int]
     #: the device's own :class:`ScheduleResult` (``None`` for an idle device)
     schedule: ScheduleResult | None
+    #: the schedule's record columns in fleet terms — global stream
+    #: indices, original frame indices, re-homed jobs' arrivals restored
+    #: to the upload times (``None`` for an idle device)
+    columns: RecordColumns | None = None
 
     @property
     def num_streams(self) -> int:
@@ -420,15 +425,17 @@ class _RoutingPlan:
     predicted_sheds: int = 0
 
 
-class FleetResult:
+class FleetResult(RecordViews):
     """Everything one fleet run produced.
 
     Per-device :class:`ScheduleResult`\\ s stay accessible verbatim under
-    :attr:`devices`; the fleet-level views (:attr:`records`,
-    :meth:`fleet_summary`, :attr:`timeline`) merge them with migrated
-    sessions' sojourns measured from their *original* arrivals.  With one
-    device those views delegate to the device result unchanged — the M=1
-    bit-exactness guarantee.
+    :attr:`devices`; the fleet-level record views and statistics
+    (:attr:`records`, :meth:`fleet_summary`, :attr:`served`, … — the same
+    :class:`~repro.sim.scheduler.RecordViews` a single scheduler run
+    exposes) read :attr:`columns`, the devices' record columns merged
+    with migrated sessions' sojourns measured from their *original*
+    arrivals.  With one device :attr:`columns` *is* the device's own
+    store — the M=1 bit-exactness guarantee.
     """
 
     def __init__(
@@ -441,7 +448,6 @@ class FleetResult:
         stream_devices: list[int],
         migrations: list[MigrationRecord],
         interconnect: InterconnectLink,
-        adjusted_records: dict[int, list[JobRecord]],
         predicted_sheds: int = 0,
     ):
         self.system = system
@@ -458,10 +464,15 @@ class FleetResult:
         #: jobs the router predicted would be shed and credited back —
         #: compare against :attr:`dropped` to audit the estimator
         self.predicted_sheds = predicted_sheds
-        #: device index → records remapped to global stream indices with
-        #: re-homed jobs' arrivals restored (identity for one device)
-        self._adjusted = adjusted_records
-        self._records: list[JobRecord] | None = None
+        #: every device's :attr:`DeviceRun.columns` as one sorted store
+        #: (re-homed jobs' sojourns include their migration delay)
+        self.columns = (
+            devices[0].columns
+            if len(devices) == 1
+            else RecordColumns.merged(
+                [run.columns for run in devices if run.schedule is not None]
+            )
+        )
 
     # ------------------------------------------------------------------ #
     # fleet-level views
@@ -509,26 +520,6 @@ class FleetResult:
         )
 
     @property
-    def records(self) -> list[JobRecord]:
-        """All devices' records merged, sorted by (finish, stream, index).
-
-        Stream indices are global; re-homed jobs' frame/question arrivals
-        are the original upload times (their sojourns include the
-        migration delay).  With one device this is the device's record
-        list unchanged.
-        """
-        if self._records is None:
-            if len(self.devices) == 1 and self.devices[0].schedule is not None:
-                self._records = self.devices[0].schedule.records
-            else:
-                merged: list[JobRecord] = []
-                for run in self.devices:
-                    merged.extend(self._adjusted.get(run.device, ()))
-                merged.sort(key=lambda r: (r.finish_s, r.stream_index, r.job_index))
-                self._records = merged
-        return self._records
-
-    @property
     def timeline(self) -> Timeline:
         """All devices' timelines; resources prefixed ``d<i>:`` when M>1."""
         if len(self.devices) == 1:
@@ -543,51 +534,25 @@ class FleetResult:
                 merged.tasks.append(replace(task, resource=prefix + task.resource))
         return merged
 
-    def fleet_summary(
-        self, percentiles: Sequence[float] = DEFAULT_PERCENTILES, kind: str | None = None
-    ) -> LatencySummary:
-        """Sojourn distribution over the whole fleet's served jobs."""
-        if len(self.devices) == 1 and self.devices[0].schedule is not None:
-            return self.devices[0].schedule.fleet_summary(percentiles, kind)
-        records = self.records
-        if kind is not None:
-            records = [r for r in records if r.kind == kind]
-        return _summarize("fleet", records, percentiles)
-
     def device_summaries(
         self, percentiles: Sequence[float] = DEFAULT_PERCENTILES
     ) -> list[LatencySummary]:
-        """One device-observed sojourn summary per device (idle → empty)."""
+        """One device-observed sojourn summary per device (idle → empty).
+
+        Each is taken over the device's *own* sorted columns, not over a
+        selection of the fleet-wide merge (the float-order rule of
+        :func:`~repro.sim.scheduler._summarize`).
+        """
         summaries = []
         for run in self.devices:
-            scope = f"device {run.device}"
-            if run.schedule is None:
-                summaries.append(_summarize(scope, [], percentiles))
-            elif len(self.devices) == 1:
-                summaries.append(
-                    replace(run.schedule.fleet_summary(percentiles), scope=scope)
-                )
+            if run.schedule is None:  # idle device: an empty selection
+                columns, rows = self.columns, np.arange(0)
             else:
-                summaries.append(
-                    _summarize(scope, self._adjusted.get(run.device, []), percentiles)
-                )
+                columns, rows = run.columns, np.arange(len(run.columns))
+            summaries.append(
+                _summarize(f"device {run.device}", columns, rows, percentiles)
+            )
         return summaries
-
-    @property
-    def served(self) -> int:
-        return sum(1 for r in self.records if not r.dropped)
-
-    @property
-    def dropped(self) -> int:
-        return sum(1 for r in self.records if r.dropped)
-
-    @property
-    def makespan_s(self) -> float:
-        """First (original) arrival to last finish across served jobs."""
-        served = [r for r in self.records if not r.dropped]
-        if not served:
-            return 0.0
-        return max(r.finish_s for r in served) - min(r.arrival_s for r in served)
 
     def energy(self, model=None, window_s: float | None = None, sanitize=None):
         """Fleet-wide per-resource energy rollup.
@@ -709,48 +674,32 @@ class FleetScheduler:
         interconnect and its re-homed jobs' arrivals clamp to the
         transfer finish.
         """
-        profiles = list(profiles)
-        if not profiles:
-            raise ValueError("the fleet needs at least one stream profile")
+        profiles, traces, q_arrivals, q_tokens, answers = (
+            self.scheduler._validated_arguments(
+                profiles, frame_arrivals, question_arrivals, question_tokens, answer_tokens
+            )
+        )
         num_streams = len(profiles)
         fleet = self.fleet
         num_devices = fleet.num_devices
-        traces = ServingScheduler._validated_traces(frame_arrivals, num_streams)
-        if question_arrivals is None:
-            q_arrivals: list[float | None] = [None] * num_streams
-        else:
-            q_arrivals = list(question_arrivals)
-            if len(q_arrivals) != num_streams:
-                raise ValueError(
-                    f"expected one question arrival per stream ({num_streams}), "
-                    f"got {len(q_arrivals)}"
-                )
-        if question_tokens is None or isinstance(question_tokens, int):
-            q_tokens: list[int | None] = [question_tokens] * num_streams  # type: ignore[list-item]
-        else:
-            q_tokens = _broadcast_per_stream(
-                question_tokens, num_streams, "question_tokens", allow_none_entries=True
-            )
-        answers = self.plane._per_stream_counts(
-            answer_tokens, 0, num_streams, "answer_tokens"
-        )
         homes = self._validated_homes(home_devices, profiles)
 
         plan = self._route(system, profiles, traces, q_arrivals, answers, homes)
 
         # ---------------- per-device runs (original order) ------------- #
         runs: list[DeviceRun] = []
-        adjusted: dict[int, list[JobRecord]] = {}
         if num_devices == 1 and not plan.migrations:
             schedule = self.scheduler.run(
                 system,
                 profiles,
                 traces,
                 question_arrivals=q_arrivals,
-                question_tokens=question_tokens,
-                answer_tokens=answer_tokens,
+                question_tokens=q_tokens,
+                answer_tokens=answers,
             )
-            runs.append(DeviceRun(0, list(range(num_streams)), schedule))
+            runs.append(
+                DeviceRun(0, list(range(num_streams)), schedule, schedule.columns)
+            )
         else:
             # per device: global stream → original indices of its frames
             members: list[dict[int, np.ndarray]] = [{} for _ in range(num_devices)]
@@ -772,15 +721,22 @@ class FleetScheduler:
                 if not streams_d:
                     runs.append(DeviceRun(device.index, [], None))
                     continue
-                frame_maps = [by_stream[s] for s in streams_d]
+                frame_maps = []
                 sub_traces = []
                 sub_q: list[float | None] = []
                 sub_answers: list[int] = []
                 sub_qtok: list[int | None] = []
-                for s, idxs in zip(streams_d, frame_maps):
-                    sub_traces.append(
-                        np.maximum(traces[s][idxs], plan.frame_ready[s][idxs])
-                    )
+                for s in streams_d:
+                    idxs = by_stream[s]
+                    release = np.maximum(traces[s][idxs], plan.frame_ready[s][idxs])
+                    # a sweep can hand a session's older unstarted frames
+                    # back to a device that already ran later ones, so
+                    # release order is not always frame order: the device
+                    # sees the frames as they are released (stable — the
+                    # identity whenever the clamped arrivals are monotone)
+                    order = np.argsort(release, kind="stable")
+                    frame_maps.append(idxs[order])
+                    sub_traces.append(release[order])
                     has_q = plan.question_device[s] == device.index
                     if has_q:
                         at = q_arrivals[s]
@@ -796,13 +752,13 @@ class FleetScheduler:
                     [profiles[s] for s in streams_d],
                     sub_traces,
                     question_arrivals=sub_q,
-                    question_tokens=sub_qtok if question_tokens is not None else None,
+                    question_tokens=sub_qtok,
                     answer_tokens=sub_answers,
                 )
-                runs.append(DeviceRun(device.index, streams_d, schedule))
-                adjusted[device.index] = self._globalized_records(
-                    schedule, streams_d, frame_maps, traces, q_arrivals
+                columns = self._globalized_columns(
+                    schedule.columns, streams_d, frame_maps, traces, q_arrivals
                 )
+                runs.append(DeviceRun(device.index, streams_d, schedule, columns))
 
         if sanitize_enabled():
             plan.link.assert_conserved()
@@ -822,7 +778,6 @@ class FleetScheduler:
             stream_devices=stream_devices,
             migrations=plan.migrations,
             interconnect=plan.link,
-            adjusted_records=adjusted,
             predicted_sheds=plan.predicted_sheds,
         )
 
@@ -1276,49 +1231,42 @@ class FleetScheduler:
     # record adjustment
     # ------------------------------------------------------------------ #
     @staticmethod
-    def _globalized_records(
-        schedule: ScheduleResult,
+    def _globalized_columns(
+        columns: RecordColumns,
         streams_d: list[int],
         frame_maps: list[np.ndarray],
         traces: list[np.ndarray],
         q_arrivals: list[float | None],
-    ) -> list[JobRecord]:
-        """Device records remapped to global streams, arrivals restored.
+    ) -> RecordColumns:
+        """A device's record columns in fleet terms, arrivals restored.
 
         A re-homed job buffered at the router until its session's shards
-        landed; the device saw a clamped arrival (and, for a stolen
+        landed; the device saw a clamped arrival (and, for a re-homed
         session's frames, a compacted local job index), but the user
         uploaded at the original times — fleet sojourns (and deadline
-        misses) are measured from those, with frame indices mapped back
-        to the original trace positions.  Generation jobs chain off
-        finish times and are never clamped.
+        misses, which :class:`RecordColumns` re-derives) are measured
+        from those, with frame indices mapped back to the original trace
+        positions.  Generation jobs chain off finish times and are never
+        clamped.  Row order is untouched: the result stays in the
+        device's own sorted order.
         """
-        out: list[JobRecord] = []
-        for record in schedule.records:
-            local = record.stream_index
-            s = streams_d[local]
-            arrival = record.arrival_s
-            job_index = record.job_index
-            if record.kind == FRAME_JOB:
-                job_index = int(frame_maps[local][record.job_index])
-                arrival = float(traces[s][job_index])
-            elif record.kind == QUESTION_JOB:
-                arrival = float(q_arrivals[s])
-            unchanged = arrival == record.arrival_s  # simlint: exact — identity pass-through gate
-            if s == local and unchanged and job_index == record.job_index:
-                out.append(record)
-                continue
-            missed = record.deadline_missed
-            deadline = schedule.config.deadline_s
-            if not record.dropped and deadline is not None:
-                missed = record.finish_s - arrival > deadline
-            out.append(
-                replace(
-                    record,
-                    stream_index=s,
-                    job_index=job_index,
-                    arrival_s=arrival,
-                    deadline_missed=missed,
-                )
-            )
-        return out
+        local = columns.stream
+        frames = columns.kind == KIND_FRAME
+        questions = columns.kind == KIND_QUESTION
+        # position of (local stream, local frame index) in the flat maps
+        sizes = [frame_map.size for frame_map in frame_maps]
+        flat = (np.cumsum(sizes) - sizes)[local[frames]] + columns.index[frames]
+        index = columns.index.copy()
+        index[frames] = np.concatenate(frame_maps)[flat]
+        arrival = columns.arrival.copy()
+        arrival[frames] = np.concatenate(
+            [traces[s][frame_map] for s, frame_map in zip(streams_d, frame_maps, strict=True)]
+        )[flat]
+        arrival[questions] = [
+            float(q_arrivals[streams_d[stream]]) for stream in local[questions].tolist()
+        ]
+        return columns.replaced(
+            stream=np.asarray(streams_d, dtype=np.int64)[local],
+            index=index,
+            arrival=arrival,
+        )

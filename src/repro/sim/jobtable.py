@@ -13,11 +13,10 @@ preallocated parallel columns:
   budgets), plus preallocated record columns the engine fills by integer
   index, plus a compact timeline log of ``(job, resource code, start,
   duration)`` tuples;
-* :class:`RecordColumns` — the run's finished record set as sorted numpy
-  columns, from which the dataclass views (``JobRecord`` lists, the
-  :class:`~repro.hw.event.Timeline`) are reconstructed *lazily* for API
-  compatibility while percentile/miss/drop statistics are computed
-  directly on the arrays.
+* :class:`RecordColumns` — a finished record set as sorted numpy columns:
+  the one store behind every result (either engine's, or a fleet's
+  merge), on which percentile/miss/drop statistics are computed directly
+  and from which ``JobRecord`` lists are materialized *lazily* as views.
 
 Bit-compatibility contract: records sort by ``(finish_s, stream_index,
 job_index)`` with a *stable* sort (``np.lexsort``), matching the reference
@@ -189,21 +188,19 @@ class JobTable:
         pcie = np.asarray(self.rec_pcie[:m], dtype=float)
         dre = np.asarray(self.rec_dre[:m], dtype=float)
         cwait = np.asarray(self.rec_cwait[:m], dtype=float)
-        stream = self.stream[job] if m else np.zeros(0, dtype=np.int64)
-        index = self.index[job] if m else np.zeros(0, dtype=np.int64)
         if self._sanitize and m:
             self._san_check_columns(
                 job, arrival, start, finish, dropped, admission, pcie, dre, cwait
             )
         # stable sort == the reference loop's sorted(records, key=...) over
         # its insertion-ordered list
-        order = np.lexsort((index, stream, finish))
+        order = np.lexsort((self.index[job], self.stream[job], finish))
         job = job[order]
         return RecordColumns(
-            stream=self.stream[job] if m else stream,
-            session=self.session[job] if m else np.zeros(0, dtype=np.int64),
-            kind=self.kind[job] if m else np.zeros(0, dtype=np.int64),
-            index=self.index[job] if m else index,
+            stream=self.stream[job],
+            session=self.session[job],
+            kind=self.kind[job],
+            index=self.index[job],
             arrival=arrival[order],
             start=start[order],
             finish=finish[order],
@@ -288,9 +285,16 @@ class JobTable:
 
 
 class RecordColumns:
-    """One run's job records as sorted parallel numpy columns."""
+    """One run's job records as sorted parallel numpy columns.
 
-    __slots__ = (
+    The only stored representation of a run's records: the array engine
+    finalizes into one, the reference loop's record list converts into
+    one on first use, and a fleet merges its devices' columns into one.
+    ``JobRecord`` lists are views materialized from it on demand.
+    """
+
+    #: the stored columns (``missed`` is derived from them and ``deadline_s``)
+    FIELDS = (
         "stream",
         "session",
         "kind",
@@ -299,59 +303,52 @@ class RecordColumns:
         "start",
         "finish",
         "dropped",
-        "missed",
         "admission",
         "pcie_wait",
         "dre_wait",
         "compute_wait",
     )
 
-    def __init__(
-        self,
-        *,
-        stream,
-        session,
-        kind,
-        index,
-        arrival,
-        start,
-        finish,
-        dropped,
-        admission,
-        pcie_wait,
-        dre_wait,
-        compute_wait,
-        deadline_s,
-    ):
-        self.stream = stream
-        self.session = session
-        self.kind = kind
-        self.index = index
-        self.arrival = arrival
-        self.start = start
-        self.finish = finish
-        self.dropped = dropped
-        self.admission = admission
-        self.pcie_wait = pcie_wait
-        self.dre_wait = dre_wait
-        self.compute_wait = compute_wait
+    __slots__ = (*FIELDS, "missed", "deadline_s")
+
+    def __init__(self, *, deadline_s: float | None, **columns):
+        if columns.keys() != set(self.FIELDS):
+            raise TypeError(
+                f"expected exactly the columns {self.FIELDS}, got {sorted(columns)}"
+            )
+        for name in self.FIELDS:
+            setattr(self, name, columns[name])
+        self.deadline_s = deadline_s
         if deadline_s is None:
-            self.missed = np.zeros(len(finish), dtype=bool)
+            self.missed = np.zeros(len(self.finish), dtype=bool)
         else:
             # the reference loop's per-record ``finish - arrival > deadline``
-            self.missed = ~dropped & ((finish - arrival) > deadline_s)
+            self.missed = ~self.dropped & ((self.finish - self.arrival) > deadline_s)
 
     def __len__(self) -> int:
         return len(self.finish)
 
-    def mask(self, stream_index: int | None = None, kind_code: int | None = None):
-        """Boolean selector over the records (dropped included)."""
-        selected = np.ones(len(self.finish), dtype=bool)
-        if stream_index is not None:
-            selected &= self.stream == stream_index
-        if kind_code is not None:
-            selected &= self.kind == kind_code
-        return selected
+    def replaced(self, **columns) -> "RecordColumns":
+        """A copy with some columns swapped (``missed`` is recomputed)."""
+        kept = {name: getattr(self, name) for name in self.FIELDS}
+        return RecordColumns(deadline_s=self.deadline_s, **{**kept, **columns})
+
+    @classmethod
+    def merged(cls, parts: "list[RecordColumns]") -> "RecordColumns":
+        """``parts`` concatenated in order and re-sorted as one run.
+
+        The stable ``(finish, stream, index)`` sort every record set uses
+        (module docstring), so ties keep the order of ``parts``.
+        """
+        columns = {
+            name: np.concatenate([getattr(part, name) for part in parts])
+            for name in cls.FIELDS
+        }
+        order = np.lexsort((columns["index"], columns["stream"], columns["finish"]))
+        return cls(
+            deadline_s=parts[0].deadline_s,
+            **{name: column[order] for name, column in columns.items()},
+        )
 
     def sojourn_s(self):
         """Per-record arrival-to-finish latency column."""

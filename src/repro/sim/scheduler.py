@@ -77,10 +77,7 @@ from repro.sim.jobtable import (
     ADM_DEFER,
     ADM_EVICT,
     ADMISSION_NAMES,
-    KIND_FRAME,
-    KIND_GENERATION,
     KIND_NAMES,
-    KIND_QUESTION,
     RecordColumns,
 )
 from repro.sim.pipeline import FRAME_STAGE, GENERATION_STAGE
@@ -90,13 +87,10 @@ FRAME_JOB = "frame"
 QUESTION_JOB = "question"
 GENERATION_JOB = "generation"
 
-#: kind string → integer code of the struct-of-arrays engine
-#: (:mod:`repro.sim.jobtable` owns the reverse map ``KIND_NAMES``).
-_KIND_CODES = {
-    FRAME_JOB: KIND_FRAME,
-    QUESTION_JOB: KIND_QUESTION,
-    GENERATION_JOB: KIND_GENERATION,
-}
+#: public kind / admission strings → the integer codes of the record
+#: columns (:mod:`repro.sim.jobtable` owns the code → string tuples)
+_KIND_CODES = {name: code for code, name in enumerate(KIND_NAMES)}
+_ADMISSION_CODES = {name: code for code, name in enumerate(ADMISSION_NAMES)}
 
 #: Scheduler engines: ``"array"`` is the struct-of-arrays fast path
 #: (:mod:`repro.sim.engine`), ``"reference"`` the original closure-driven
@@ -281,40 +275,6 @@ class LatencySummary:
         return self.percentile_ms(99)
 
 
-def _summarize(
-    scope: str,
-    records: list[JobRecord],
-    percentiles: Sequence[float],
-    stream_index: int | None = None,
-    session_id: int | None = None,
-) -> LatencySummary:
-    served = [r for r in records if not r.dropped]
-    sojourns = np.asarray([r.sojourn_s for r in served], dtype=float)
-    if sojourns.size:
-        pct = {
-            f"p{q:g}": float(np.percentile(sojourns, q)) * 1e3 for q in percentiles
-        }
-        mean_ms = float(sojourns.mean()) * 1e3
-        max_ms = float(sojourns.max()) * 1e3
-    else:
-        pct = {f"p{q:g}": float("nan") for q in percentiles}
-        mean_ms = max_ms = float("nan")
-    missed = sum(1 for r in served if r.deadline_missed)
-    return LatencySummary(
-        scope=scope,
-        jobs=len(records),
-        served=len(served),
-        dropped=len(records) - len(served),
-        percentiles_ms=pct,
-        mean_ms=mean_ms,
-        max_ms=max_ms,
-        deadline_miss_rate=missed / len(served) if served else 0.0,
-        drop_rate=(len(records) - len(served)) / len(records) if records else 0.0,
-        stream_index=stream_index,
-        session_id=session_id,
-    )
-
-
 def _records_from_columns(columns: RecordColumns) -> list[JobRecord]:
     """Materialize the dataclass record view of one run's sorted columns."""
     stream = columns.stream.tolist()
@@ -350,25 +310,59 @@ def _records_from_columns(columns: RecordColumns) -> list[JobRecord]:
     ]
 
 
-def _summarize_columns(
+def _columns_from_records(
+    records: list[JobRecord], deadline_s: float | None
+) -> RecordColumns:
+    """The column store of a sorted record list (the reference loop's output).
+
+    ``missed`` is not copied: :class:`RecordColumns` re-derives it with the
+    same ``finish - arrival > deadline`` comparison the loop applied.
+    """
+    return RecordColumns(
+        stream=np.array([r.stream_index for r in records], dtype=np.int64),
+        session=np.array([r.session_id for r in records], dtype=np.int64),
+        kind=np.array([_KIND_CODES[r.kind] for r in records], dtype=np.int64),
+        index=np.array([r.job_index for r in records], dtype=np.int64),
+        arrival=np.array([r.arrival_s for r in records], dtype=float),
+        start=np.array([r.start_s for r in records], dtype=float),
+        finish=np.array([r.finish_s for r in records], dtype=float),
+        dropped=np.array([r.dropped for r in records], dtype=bool),
+        admission=np.array(
+            [_ADMISSION_CODES[r.admission] for r in records], dtype=np.int64
+        ),
+        pcie_wait=np.array([r.pcie_wait_s for r in records], dtype=float),
+        dre_wait=np.array([r.dre_wait_s for r in records], dtype=float),
+        compute_wait=np.array([r.compute_wait_s for r in records], dtype=float),
+        deadline_s=deadline_s,
+    )
+
+
+def _summarize(
     scope: str,
     columns: RecordColumns,
-    selected: np.ndarray,
+    rows: np.ndarray,
     percentiles: Sequence[float],
     stream_index: int | None = None,
     session_id: int | None = None,
 ) -> LatencySummary:
-    """:func:`_summarize` evaluated directly on the record columns.
+    """Sojourn-time distribution of the records at index array ``rows``.
 
-    The served sojourn array holds the same float64 values in the same
-    (sorted-record) order as the record-list path builds, so every
-    percentile, mean and rate matches it bit for bit.
+    The one summariser behind every stream, device and fleet summary.
+
+    **Float-order rule.**  ``np.mean`` is order-sensitive, so the served
+    sojourns are always taken in *sorted-record order* — ``rows`` must be
+    ascending positions in ``columns``, themselves sorted by ``(finish,
+    stream, index)``.  A mask or a stable group-by of the sorted columns
+    preserves that order; re-sorting, or selecting one device's rows out
+    of a fleet-wide merge, does not — a per-device summary is computed on
+    that device's own sorted columns.  Any refactor that keeps the value
+    sequence keeps every percentile, mean and rate bit for bit.
     """
-    total = int(selected.sum())
-    served_mask = selected & ~columns.dropped
-    served = int(served_mask.sum())
-    sojourns = (columns.finish - columns.arrival)[served_mask]
-    if sojourns.size:
+    total = len(rows)
+    served_rows = rows[~columns.dropped[rows]]
+    served = len(served_rows)
+    sojourns = columns.finish[served_rows] - columns.arrival[served_rows]
+    if served:
         pct = {
             f"p{q:g}": float(np.percentile(sojourns, q)) * 1e3 for q in percentiles
         }
@@ -377,7 +371,7 @@ def _summarize_columns(
     else:
         pct = {f"p{q:g}": float("nan") for q in percentiles}
         mean_ms = max_ms = float("nan")
-    missed = int((columns.missed & served_mask).sum())
+    missed = int(columns.missed[served_rows].sum())
     return LatencySummary(
         scope=scope,
         jobs=total,
@@ -393,16 +387,101 @@ def _summarize_columns(
     )
 
 
-class ScheduleResult:
+class RecordViews:
+    """Record views and statistics over a ``columns`` attribute.
+
+    :class:`~repro.sim.jobtable.RecordColumns` is the only stored form of
+    a run's job records; :class:`ScheduleResult` and
+    :class:`repro.sim.fleet.FleetResult` both inherit every figure from
+    here, computed on the columns, and hand out :class:`JobRecord` lists
+    as a lazily materialized, cached view.
+    """
+
+    columns: RecordColumns
+    _records: list[JobRecord] | None = None
+
+    @property
+    def records(self) -> list[JobRecord]:
+        """The run's :class:`JobRecord` list, sorted by (finish, stream, index)."""
+        if self._records is None:
+            self._records = _records_from_columns(self.columns)
+        return self._records
+
+    def jobs(
+        self, stream_index: int | None = None, kind: str | None = None
+    ) -> list[JobRecord]:
+        """Records filtered by stream and/or job kind (dropped included)."""
+        return [
+            r
+            for r in self.records
+            if (stream_index is None or r.stream_index == stream_index)
+            and (kind is None or r.kind == kind)
+        ]
+
+    def _rows(self, stream_index: int | None, kind: str | None) -> np.ndarray:
+        """Positions of the selected records (dropped included), ascending."""
+        columns = self.columns
+        selected = np.ones(len(columns), dtype=bool)
+        if stream_index is not None:
+            selected &= columns.stream == stream_index
+        if kind is not None:
+            selected &= columns.kind == _KIND_CODES[kind]
+        return np.flatnonzero(selected)
+
+    def sojourn_times_s(
+        self, stream_index: int | None = None, kind: str | None = None
+    ) -> list[float]:
+        """Served jobs' arrival-to-finish latencies."""
+        columns = self.columns
+        rows = self._rows(stream_index, kind)
+        rows = rows[~columns.dropped[rows]]
+        return (columns.finish[rows] - columns.arrival[rows]).tolist()
+
+    @property
+    def served(self) -> int:
+        return len(self.columns) - self.dropped
+
+    @property
+    def dropped(self) -> int:
+        return int(self.columns.dropped.sum())
+
+    @property
+    def deferred(self) -> int:
+        """Jobs shed by the residency-aware admission controller."""
+        return int((self.columns.admission == ADM_DEFER).sum())
+
+    @property
+    def evict_admissions(self) -> int:
+        """Jobs admitted only after cold-shard eviction promoted their stream."""
+        return int((self.columns.admission == ADM_EVICT).sum())
+
+    @property
+    def makespan_s(self) -> float:
+        """First arrival to last finish across served jobs."""
+        columns = self.columns
+        served = ~columns.dropped
+        if not served.any():
+            return 0.0
+        return float(columns.finish[served].max() - columns.arrival[served].min())
+
+    def fleet_summary(
+        self, percentiles: Sequence[float] = DEFAULT_PERCENTILES, kind: str | None = None
+    ) -> LatencySummary:
+        """Sojourn-time distribution over every stream's served jobs."""
+        return _summarize("fleet", self.columns, self._rows(None, kind), percentiles)
+
+
+class ScheduleResult(RecordViews):
     """Everything one scheduler run produced.
 
-    Both engines build one.  The reference loop passes fully materialized
-    ``records`` and ``timeline``; the array engine passes the run's
+    Both engines build one: the array engine passes the run's
     :class:`~repro.sim.jobtable.RecordColumns` plus the compact timeline
-    log, from which the dataclass views are reconstructed *lazily* on
-    first access while every statistic is computed directly on the
-    columns.  The two paths agree bit for bit — the engine-equivalence
-    tests pin it.
+    log, the reference loop its sorted ``records`` and full ``timeline``.
+    Either way :attr:`columns` is the store every statistic reads — built
+    from the reference loop's list on first access, so that loop's own
+    cost stays the gate normaliser — and the dataclass views are
+    reconstructed lazily.  The engine-equivalence tests pin the two
+    engines' columns equal, column by column.
     """
 
     def __init__(
@@ -435,21 +514,18 @@ class ScheduleResult:
         self.bank_occupancy_trajectory = (
             [] if bank_occupancy_trajectory is None else bank_occupancy_trajectory
         )
-        #: sorted record columns (array engine only; None on the reference path)
-        self.columns = columns
-        self._records = records
+        self._columns = columns
+        self._records = [] if records is None and columns is None else records
         self._timeline = timeline
         self._table = table
         self._timesliced = timesliced
-        if records is None and columns is None:
-            self._records = []
 
     @property
-    def records(self) -> list[JobRecord]:
-        """The run's :class:`JobRecord` list, sorted by (finish, stream, index)."""
-        if self._records is None:
-            self._records = _records_from_columns(self.columns)
-        return self._records
+    def columns(self) -> RecordColumns:
+        """The run's sorted record columns (the store behind every view)."""
+        if self._columns is None:
+            self._columns = _columns_from_records(self._records, self.config.deadline_s)
+        return self._columns
 
     @property
     def timeline(self) -> Timeline:
@@ -461,120 +537,34 @@ class ScheduleResult:
                 self._timeline = self._table.build_timeline(self._timesliced)
         return self._timeline
 
-    def jobs(
-        self, stream_index: int | None = None, kind: str | None = None
-    ) -> list[JobRecord]:
-        """Records filtered by stream and/or job kind (dropped included)."""
-        return [
-            r
-            for r in self.records
-            if (stream_index is None or r.stream_index == stream_index)
-            and (kind is None or r.kind == kind)
-        ]
-
-    def sojourn_times_s(
-        self, stream_index: int | None = None, kind: str | None = None
-    ) -> list[float]:
-        """Served jobs' arrival-to-finish latencies."""
-        columns = self.columns
-        if columns is not None:
-            kind_code = None if kind is None else _KIND_CODES[kind]
-            selected = columns.mask(stream_index, kind_code) & ~columns.dropped
-            return (columns.finish - columns.arrival)[selected].tolist()
-        return [
-            r.sojourn_s
-            for r in self.jobs(stream_index, kind)
-            if not r.dropped
-        ]
-
-    @property
-    def served(self) -> int:
-        if self.columns is not None:
-            return int((~self.columns.dropped).sum())
-        return sum(1 for r in self.records if not r.dropped)
-
-    @property
-    def dropped(self) -> int:
-        if self.columns is not None:
-            return int(self.columns.dropped.sum())
-        return sum(1 for r in self.records if r.dropped)
-
-    @property
-    def deferred(self) -> int:
-        """Jobs shed by the residency-aware admission controller."""
-        if self.columns is not None:
-            return int((self.columns.admission == ADM_DEFER).sum())
-        return sum(1 for r in self.records if r.admission == DEFER)
-
-    @property
-    def evict_admissions(self) -> int:
-        """Jobs admitted only after cold-shard eviction promoted their stream."""
-        if self.columns is not None:
-            return int((self.columns.admission == ADM_EVICT).sum())
-        return sum(1 for r in self.records if r.admission == EVICT)
-
-    @property
-    def makespan_s(self) -> float:
-        """First arrival to last finish across served jobs."""
-        columns = self.columns
-        if columns is not None:
-            served = ~columns.dropped
-            if not served.any():
-                return 0.0
-            return float(columns.finish[served].max() - columns.arrival[served].min())
-        served = [r for r in self.records if not r.dropped]
-        if not served:
-            return 0.0
-        return max(r.finish_s for r in served) - min(r.arrival_s for r in served)
-
     def stream_summaries(
         self, percentiles: Sequence[float] = DEFAULT_PERCENTILES, kind: str | None = None
     ) -> list[LatencySummary]:
         """One sojourn-time distribution summary per stream."""
         columns = self.columns
+        # group once: a stable sort by stream keeps each stream's rows in
+        # sorted-record order (the float-order rule of ``_summarize``)
+        rows = self._rows(None, kind)
+        streams = columns.stream[rows]
+        order = np.argsort(streams, kind="stable")
+        rows = rows[order]
+        bounds = np.searchsorted(
+            streams[order], np.arange(self.num_streams + 1)
+        ).tolist()
         summaries = []
-        if columns is not None:
-            kind_code = None if kind is None else _KIND_CODES[kind]
-            for stream in range(self.num_streams):
-                selected = columns.mask(stream, kind_code)
-                hits = np.nonzero(selected)[0]
-                session_id = int(columns.session[hits[0]]) if hits.size else None
-                summaries.append(
-                    _summarize_columns(
-                        f"stream {stream}",
-                        columns,
-                        selected,
-                        percentiles,
-                        stream_index=stream,
-                        session_id=session_id,
-                    )
-                )
-            return summaries
         for stream in range(self.num_streams):
-            records = self.jobs(stream, kind)
-            session_id = records[0].session_id if records else None
+            group = rows[bounds[stream] : bounds[stream + 1]]
             summaries.append(
                 _summarize(
                     f"stream {stream}",
-                    records,
+                    columns,
+                    group,
                     percentiles,
                     stream_index=stream,
-                    session_id=session_id,
+                    session_id=int(columns.session[group[0]]) if group.size else None,
                 )
             )
         return summaries
-
-    def fleet_summary(
-        self, percentiles: Sequence[float] = DEFAULT_PERCENTILES, kind: str | None = None
-    ) -> LatencySummary:
-        """Sojourn-time distribution over every stream's served jobs."""
-        columns = self.columns
-        if columns is not None:
-            kind_code = None if kind is None else _KIND_CODES[kind]
-            return _summarize_columns(
-                "fleet", columns, columns.mask(None, kind_code), percentiles
-            )
-        return _summarize("fleet", self.jobs(kind=kind), percentiles)
 
     def energy(self, model=None, window_s: float | None = None):
         """Per-resource busy/idle energy of this run.
@@ -788,34 +778,29 @@ class ServingScheduler:
             )
         return traces
 
-    # ------------------------------------------------------------------ #
-    # the run
-    # ------------------------------------------------------------------ #
-    def run(
+    def _validated_arguments(
         self,
-        system: SystemConfig,
-        profiles: Sequence[StreamProfile],
-        frame_arrivals: Sequence[Sequence[float]],
-        question_arrivals: Sequence[float | None] | None = None,
-        question_tokens: int | Sequence[int | None] | None = None,
-        answer_tokens: int | Sequence[int] | None = None,
-    ) -> ScheduleResult:
-        """Simulate a fleet's serving run and return its full schedule.
+        profiles,
+        frame_arrivals,
+        question_arrivals,
+        question_tokens,
+        answer_tokens,
+    ) -> tuple[list, list, list, list, list]:
+        """Validate and broadcast one run's per-stream arguments.
 
-        ``frame_arrivals[i]`` is stream ``i``'s frame arrival-time trace
-        (:mod:`repro.sim.arrivals` generates these; the profiles'
-        ``arrival_offset_s`` is ignored — the traces carry the phases).
-        ``question_arrivals[i]`` (optional, ``None`` entry = no question)
-        schedules one question prefill per stream; a stream's
-        ``answer_tokens`` generation jobs chain autoregressively after its
-        question completes, interleaving with any queued frames.
+        Returns ``(profiles, traces, question_arrivals, question_tokens,
+        answer_tokens)``, each a per-stream list.
+
+        The API boundary of :meth:`run` *and* of
+        :meth:`repro.sim.fleet.FleetScheduler.run`, so hostile input is
+        judged the same whatever the device count; every ``ValueError``
+        names the caller's (global) stream index.
         """
         profiles = list(profiles)
         if not profiles:
-            raise ValueError("the scheduler needs at least one stream profile")
+            raise ValueError("a run needs at least one stream profile")
         num_streams = len(profiles)
         traces = self._validated_traces(frame_arrivals, num_streams)
-
         if question_arrivals is None:
             question_arrivals = [None] * num_streams
         else:
@@ -848,6 +833,36 @@ class ServingScheduler:
                 raise ValueError(
                     f"stream {stream} has answer_tokens but no question arrival"
                 )
+        return profiles, traces, question_arrivals, q_tokens, answers
+
+    # ------------------------------------------------------------------ #
+    # the run
+    # ------------------------------------------------------------------ #
+    def run(
+        self,
+        system: SystemConfig,
+        profiles: Sequence[StreamProfile],
+        frame_arrivals: Sequence[Sequence[float]],
+        question_arrivals: Sequence[float | None] | None = None,
+        question_tokens: int | Sequence[int | None] | None = None,
+        answer_tokens: int | Sequence[int] | None = None,
+    ) -> ScheduleResult:
+        """Simulate a fleet's serving run and return its full schedule.
+
+        ``frame_arrivals[i]`` is stream ``i``'s frame arrival-time trace
+        (:mod:`repro.sim.arrivals` generates these; the profiles'
+        ``arrival_offset_s`` is ignored — the traces carry the phases).
+        ``question_arrivals[i]`` (optional, ``None`` entry = no question)
+        schedules one question prefill per stream; a stream's
+        ``answer_tokens`` generation jobs chain autoregressively after its
+        question completes, interleaving with any queued frames.
+        """
+        profiles, traces, question_arrivals, q_tokens, answers = (
+            self._validated_arguments(
+                profiles, frame_arrivals, question_arrivals, question_tokens, answer_tokens
+            )
+        )
+        num_streams = len(profiles)
 
         base = self.plane.base
         device = base.device_for(system)

@@ -82,3 +82,33 @@ def small_benchmark() -> CoinBenchmark:
 def rng() -> np.random.Generator:
     """Deterministic RNG for tests that need random data."""
     return np.random.default_rng(1234)
+
+
+@pytest.fixture(scope="session")
+def assert_summary_matches_records():
+    """Oracle for ``LatencySummary`` rows: plain numpy over ``JobRecord`` lists.
+
+    Shares no code with the column summariser it checks
+    (:func:`repro.sim.scheduler._summarize`).
+    """
+
+    def check(summary, records):
+        """``summary`` is exactly numpy over ``records`` (in their given order)."""
+        served = [r for r in records if not r.dropped]
+        assert summary.jobs == len(records)
+        assert summary.served == len(served)
+        assert summary.dropped == len(records) - len(served)
+        if not served:
+            assert np.isnan(summary.mean_ms) and np.isnan(summary.max_ms)
+            assert all(np.isnan(value) for value in summary.percentiles_ms.values())
+            assert summary.deadline_miss_rate == 0.0
+            return
+        sojourns = np.asarray([r.sojourn_s for r in served])
+        for q in (50.0, 95.0, 99.0):
+            assert summary.percentile_ms(q) == float(np.percentile(sojourns, q)) * 1e3
+        assert summary.mean_ms == float(np.mean(sojourns)) * 1e3
+        assert summary.max_ms == float(np.max(sojourns)) * 1e3
+        missed = sum(1 for r in served if r.deadline_missed)
+        assert summary.deadline_miss_rate == missed / len(served)
+
+    return check

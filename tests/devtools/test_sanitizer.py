@@ -120,7 +120,7 @@ class TestEventOrder:
             queue.pop()
 
     def test_array_queue_clean_run_passes(self):
-        queue = ArrayEventQueue("sorted", sanitize=True)
+        queue = ArrayEventQueue("heap", sanitize=True)
         queue.preload([0.5, 1.5], [1, 1], [0, 0])
         queue.push(1.0, 2)
         popped = [queue.pop()[0] for _ in range(3)]

@@ -2,13 +2,14 @@
 
 The array scheduler engine rests on three primitives added for it:
 :func:`repro.hw.event.pack_subkey` (one-integer tie-breaking),
-:class:`repro.hw.event.ArrayEventQueue` (static lane + dynamic structure
-in three policies sharing one total order) and
+:class:`repro.hw.event.ArrayEventQueue` (static lane + dynamic heap merged
+in one total order) and
 :class:`repro.hw.event.IndexRing` (allocation-free FIFO lanes).  These
 tests pin the corners the engine's correctness rests on: same-timestamp
 priority/key ties, the lane-vs-dynamic merge rule at exact ties,
-zero-gap events, and hypothesis equivalence of the sorted / heap /
-calendar policies against each other and against the EventLoop heap.
+zero-gap events, and hypothesis equivalence of every policy in
+``ArrayEventQueue.POLICIES`` against the sorted order and against the
+EventLoop heap.
 """
 
 from __future__ import annotations
@@ -134,14 +135,13 @@ class TestArrayEventQueueEdgeCases:
         with pytest.raises(IndexError):
             ArrayEventQueue().pop()
 
-    def test_unknown_policy_and_bad_bucket_width_rejected(self):
+    @pytest.mark.parametrize("policy", ["fifo", "sorted", "calendar"])
+    def test_unknown_policy_rejected(self, policy):
         with pytest.raises(ValueError):
-            ArrayEventQueue("fifo")
-        with pytest.raises(ValueError):
-            ArrayEventQueue("calendar", bucket_width_s=0.0)
+            ArrayEventQueue(policy)
 
     def test_peek_matches_pop(self):
-        queue = ArrayEventQueue("calendar", bucket_width_s=0.5)
+        queue = ArrayEventQueue()
         queue.preload([0.25, 2.0], [1, 2], [10, 20])
         queue.push(0.25, 0, 30)
         while True:
@@ -154,7 +154,7 @@ class TestArrayEventQueueEdgeCases:
 
 
 class TestPolicyEquivalence:
-    """All three policies (and the EventLoop heap) share one total order."""
+    """Every policy (and the EventLoop heap) shares one total order."""
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -179,13 +179,13 @@ class TestPolicyEquivalence:
         dynamic = stamped[preload_split:]
         drains = []
         for policy in ArrayEventQueue.POLICIES:
-            queue = ArrayEventQueue(policy, bucket_width_s=0.3)
+            queue = ArrayEventQueue(policy)
             if static:
                 queue.preload(*(list(column) for column in zip(*static, strict=True)))
             for time_s, sub, payload in dynamic:
                 queue.push(time_s, sub, payload)
             drains.append(_drain(queue))
-        assert drains[0] == drains[1] == drains[2]
+        assert all(drain == drains[0] for drain in drains)
         # and the drain is sorted by (time, subkey)
         keys = [(t, sub) for t, sub, _ in drains[0]]
         assert keys == sorted(keys)
@@ -210,7 +210,7 @@ class TestPolicyEquivalence:
                 key=(rank,),
             )
         loop.run()
-        queue = ArrayEventQueue("sorted")
+        queue = ArrayEventQueue()
         for seq, (time_tick, priority, rank) in enumerate(events):
             queue.push(time_tick / 4.0, pack_subkey(priority, rank, seq), seq)
         assert [payload for _, _, payload in _drain(queue)] == fired

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from repro.hw.memory.sharding import ShardedKVHierarchy
 from repro.sim.arrivals import BurstyArrivals, PoissonArrivals, rate_for_load
 from repro.sim.batched import BatchLatencyModel, StreamProfile
+from repro.sim.jobtable import RecordColumns
 from repro.sim.scheduler import SchedulerConfig, ServingScheduler
 from repro.sim.systems import edge_systems, server_systems
 from repro.sim.workload import default_llm_workload
@@ -69,6 +70,12 @@ def assert_runs_identical(reference, array):
     assert len(arr_records) == len(ref_records)
     for ref_record, arr_record in zip(ref_records, arr_records, strict=True):
         assert arr_record == ref_record
+    # one record store: both engines expose it, equal column by column
+    for name in (*RecordColumns.FIELDS, "missed"):
+        ref_column = getattr(reference.columns, name)
+        arr_column = getattr(array.columns, name)
+        assert arr_column.dtype == ref_column.dtype, name
+        assert np.array_equal(arr_column, ref_column), name
     assert array.timeline.tasks == reference.timeline.tasks
     assert array.bank_occupancy_trajectory == reference.bank_occupancy_trajectory
     assert_summaries_equal(array.fleet_summary(), reference.fleet_summary())
@@ -244,7 +251,6 @@ class TestLatencyColumnEquivalence:
             plane, SchedulerConfig(deadline_s=2.0 * solo)
         ).run(system, profiles, traces)
         columns = result.columns
-        assert columns is not None
         served = ~columns.dropped
         column_sojourns = columns.sojourn_s()[served]
         list_sojourns = [r.sojourn_s for r in result.records if not r.dropped]

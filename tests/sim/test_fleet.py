@@ -50,7 +50,14 @@ from repro.sim.fleet import (
     FleetScheduler,
     validate_router_policy,
 )
-from repro.sim.scheduler import FRAME_JOB, SchedulerConfig, ServingScheduler
+from repro.sim.jobtable import ADMISSION_NAMES, KIND_NAMES
+from repro.sim.scheduler import (
+    FRAME_JOB,
+    GENERATION_JOB,
+    QUESTION_JOB,
+    SchedulerConfig,
+    ServingScheduler,
+)
 from repro.sim.systems import edge_systems
 from repro.sim.workload import default_llm_workload
 
@@ -265,6 +272,38 @@ class TestValidation:
         fleet = FleetScheduler(BatchLatencyModel(), SchedulerConfig(), FleetConfig())
         with pytest.raises(ValueError, match="at least one stream"):
             fleet.run(edge["V-Rex8"], [], [])
+
+    # hostile question/answer arguments are judged by one normaliser, so
+    # the verdict (and the global stream it names) cannot depend on the
+    # device count — M=2 used to accept both silently
+    @pytest.mark.parametrize("num_devices", [1, 2])
+    def test_negative_question_arrival_rejected(self, edge, num_devices):
+        fleet = FleetScheduler(
+            BatchLatencyModel(), SchedulerConfig(), FleetConfig(num_devices=num_devices)
+        )
+        traces = [[0.0, 0.1]] * 4
+        with pytest.raises(ValueError, match="question arrival of stream 2"):
+            fleet.run(
+                edge["V-Rex8"],
+                _profiles([10_000] * 4),
+                traces,
+                question_arrivals=[0.2, 0.2, -1.0, 0.2],
+            )
+
+    @pytest.mark.parametrize("num_devices", [1, 2])
+    def test_answer_tokens_without_question_rejected(self, edge, num_devices):
+        fleet = FleetScheduler(
+            BatchLatencyModel(), SchedulerConfig(), FleetConfig(num_devices=num_devices)
+        )
+        traces = [[0.0, 0.1]] * 4
+        with pytest.raises(ValueError, match="stream 3 has answer_tokens but no question"):
+            fleet.run(
+                edge["V-Rex8"],
+                _profiles([10_000] * 4),
+                traces,
+                question_arrivals=[0.2, 0.2, 0.2, None],
+                answer_tokens=[1, 1, 1, 2],
+            )
 
 
 class TestRouting:
@@ -873,6 +912,206 @@ class TestRebalancing:
         inert = run(rebalance_interval_s=0.5, rebalance_hysteresis_s=math.inf)
         assert inert.rebalance_count == 0
         assert inert.records == base.records
+
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_sweep_returning_older_frames_completes(self, edge, seed):
+        """A sweep may hand a session's *older* unstarted frames back to a
+        device that already ran one of its later frames; the device's
+        sub-trace is then not monotone in frame order and the run used to
+        die with "arrival trace of stream k must be nondecreasing"."""
+        plane = BatchLatencyModel()
+        system = edge["V-Rex8"]
+        sessions, frames, answer_tokens = 64, 20, 4
+        profiles = _profiles([40_000] * sessions)
+        solo = plane.frame_step(system, profiles[:1]).streams[0].total_s
+        traces = BurstyArrivals.for_mean_rate(
+            rate_for_load(1.3 * 4, solo, sessions)
+        ).generate(sessions, frames, seed=seed)
+        result = FleetScheduler(
+            plane,
+            SchedulerConfig(deadline_s=3.0 * solo, max_queue_depth=8),
+            FleetConfig(
+                num_devices=4,
+                router="kv_residency",
+                interconnect=PCIE5_SWITCH,
+                migrate_backlog_s=2.0 * solo,
+                work_stealing=True,
+                steal_backlog_s=2.0 * solo,
+                rebalance_interval_s=10.0 * solo,
+                rebalance_hysteresis_s=solo,
+            ),
+        ).run(
+            system,
+            profiles,
+            traces,
+            question_arrivals=[float(trace[-1]) for trace in traces],
+            answer_tokens=answer_tokens,
+            home_devices={session: 0 for session in range(sessions // 2)},
+        )
+        assert result.rebalance_count > 0
+        # every job has exactly one record: all frames and questions, and
+        # the whole answer chain of every question that was served
+        keys = [(r.stream_index, r.kind, r.job_index) for r in result.records]
+        assert len(set(keys)) == len(keys)
+        expected = {(s, FRAME_JOB, i) for s in range(sessions) for i in range(frames)}
+        expected |= {(s, QUESTION_JOB, 0) for s in range(sessions)}
+        for record in result.jobs(kind=QUESTION_JOB):
+            if not record.dropped:
+                expected |= {
+                    (record.stream_index, GENERATION_JOB, i)
+                    for i in range(answer_tokens)
+                }
+        assert set(keys) == expected
+        assert result.interconnect_bytes == sum(
+            migration.num_bytes for migration in result.migrations
+        )
+
+
+class TestRecordStore:
+    """`FleetResult.columns` is the store; `records` is a faithful view."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        num_devices=st.sampled_from([1, 2, 4]),
+        router=st.sampled_from(ROUTER_POLICIES),
+        stealing=st.booleans(),
+        engine=st.sampled_from(["array", "reference"]),
+        num_streams=st.integers(min_value=1, max_value=6),
+        frames=st.integers(min_value=0, max_value=6),
+        load=st.floats(min_value=0.5, max_value=2.5),
+        homed=st.booleans(),
+    )
+    def test_records_are_complete_sorted_and_match_columns(
+        self,
+        edge,
+        seed,
+        num_devices,
+        router,
+        stealing,
+        engine,
+        num_streams,
+        frames,
+        load,
+        homed,
+    ):
+        plane = BatchLatencyModel()
+        system = edge["V-Rex8"]
+        profiles = _profiles([40_000] * num_streams)
+        solo = plane.frame_step(system, profiles[:1]).streams[0].total_s
+        traces = BurstyArrivals.for_mean_rate(
+            rate_for_load(load * num_devices, solo, num_streams)
+        ).generate(num_streams, frames, seed=seed)
+        # every other stream asks a question just after its last frame
+        question_arrivals = [
+            (float(trace[-1]) if len(trace) else 0.0) + 0.01 if stream % 2 == 0 else None
+            for stream, trace in enumerate(traces)
+        ]
+        answer_tokens = [2 if at is not None else 0 for at in question_arrivals]
+        deadline = 2.0 * solo
+        result = FleetScheduler(
+            plane,
+            SchedulerConfig(deadline_s=deadline, max_queue_depth=2),
+            FleetConfig(
+                num_devices=num_devices,
+                router=router,
+                interconnect=PCIE5_SWITCH,
+                migrate_backlog_s=solo,
+                work_stealing=stealing,
+                steal_backlog_s=solo,
+            ),
+            engine=engine,
+        ).run(
+            system,
+            profiles,
+            traces,
+            question_arrivals=question_arrivals,
+            answer_tokens=answer_tokens,
+            home_devices={p.session_id: 0 for p in profiles} if homed else None,
+        )
+        records = result.records
+        # arrivals are the original upload times, whatever was clamped
+        for record in records:
+            if record.kind == FRAME_JOB:
+                assert record.arrival_s == traces[record.stream_index][record.job_index]
+            elif record.kind == QUESTION_JOB:
+                assert record.arrival_s == question_arrivals[record.stream_index]
+            assert record.deadline_missed == (
+                not record.dropped and record.finish_s - record.arrival_s > deadline
+            )
+        # keys unique and complete
+        keys = [(r.stream_index, r.kind, r.job_index) for r in records]
+        assert len(set(keys)) == len(keys)
+        expected = {
+            (s, FRAME_JOB, i) for s in range(num_streams) for i in range(frames)
+        }
+        for stream, at in enumerate(question_arrivals):
+            if at is not None:
+                expected.add((stream, QUESTION_JOB, 0))
+        for record in records:
+            if record.kind == QUESTION_JOB and not record.dropped:
+                expected |= {(record.stream_index, GENERATION_JOB, i) for i in range(2)}
+        assert set(keys) == expected
+        # sorted by (finish, stream, index)
+        order = [(r.finish_s, r.stream_index, r.job_index) for r in records]
+        assert order == sorted(order)
+        # columns <-> records, field for field
+        columns = result.columns
+        assert len(columns) == len(records)
+        view = {
+            "stream_index": columns.stream.tolist(),
+            "session_id": columns.session.tolist(),
+            "kind": [KIND_NAMES[code] for code in columns.kind.tolist()],
+            "job_index": columns.index.tolist(),
+            "arrival_s": columns.arrival.tolist(),
+            "start_s": columns.start.tolist(),
+            "finish_s": columns.finish.tolist(),
+            "dropped": columns.dropped.tolist(),
+            "deadline_missed": columns.missed.tolist(),
+            "pcie_wait_s": columns.pcie_wait.tolist(),
+            "dre_wait_s": columns.dre_wait.tolist(),
+            "compute_wait_s": columns.compute_wait.tolist(),
+            "admission": [ADMISSION_NAMES[code] for code in columns.admission.tolist()],
+        }
+        for field, column in view.items():
+            assert [getattr(record, field) for record in records] == column, field
+        assert result.served + result.dropped == len(records)
+
+    def test_device_summaries_are_exact_order_statistics(
+        self, edge, assert_summary_matches_records
+    ):
+        """Per-device figures are plain numpy over that device's records.
+
+        Round-robin over the free interconnect never clamps an arrival, so
+        each device's own schedule records are the oracle (they share no
+        code with the column summariser)."""
+        plane = BatchLatencyModel()
+        system = edge["V-Rex8"]
+        profiles = _profiles([40_000, 30_000, 20_000, 10_000, 25_000])
+        solo = plane.frame_step(system, profiles[:1]).streams[0].total_s
+        traces = PoissonArrivals(rate_hz=rate_for_load(2.4, solo, 5)).generate(
+            5, 10, seed=5
+        )
+        result = FleetScheduler(
+            plane,
+            SchedulerConfig(deadline_s=1.5 * solo, max_queue_depth=1),
+            FleetConfig(num_devices=3),
+        ).run(system, profiles, traces)
+        summaries = result.device_summaries()
+        assert [summary.scope for summary in summaries] == [
+            "device 0",
+            "device 1",
+            "device 2",
+        ]
+        assert result.dropped > 0
+        for run, summary in zip(result.devices, summaries, strict=True):
+            assert_summary_matches_records(summary, run.schedule.records)
+        # an idle device summarises to the empty sample
+        idle = FleetScheduler(
+            plane, SchedulerConfig(), FleetConfig(num_devices=2)
+        ).run(system, profiles[:1], traces[:1])
+        assert_summary_matches_records(idle.device_summaries()[1], [])
 
 
 class TestGoldenSteal:
