@@ -5,6 +5,7 @@ from repro.hw.memory.hierarchy import FetchResult, HierarchicalKVManager
 from repro.hw.memory.pcie import PCIE3_X4, PCIE4_X16, PCIeConfig, PCIeLink
 from repro.hw.memory.sharding import (
     EvictionRecord,
+    PromotionPlan,
     ShardedKVHierarchy,
     ShardSplit,
     partition_by_cluster,
@@ -25,6 +26,7 @@ __all__ = [
     "PCIE4_X16",
     "PCIeConfig",
     "PCIeLink",
+    "PromotionPlan",
     "SSDConfig",
     "SSDModel",
     "ShardSplit",

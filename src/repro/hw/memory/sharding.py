@@ -24,9 +24,9 @@ Three tiers are modelled:
 Banks enforce per-bank capacity budgets.  Registration fills banks
 first-come-first-served; **cold-shard eviction** demotes the
 least-recently-used sessions' per-bank shards when a later promotion needs
-the space.  All tie-breaking is keyed on session id, so shard placement —
-and every admission decision derived from it — is a function of the fleet,
-never of the caller's listing order.
+the space.  Recency is the order of registrations and touches, so shard
+placement — and every admission decision derived from it — is a function
+of the fleet and its fetch history, never of the caller's listing order.
 
 The degenerate configuration (``num_banks=1`` with the default unbounded
 budget) keeps every session fully warm in one bank; the fetch makespan of
@@ -40,6 +40,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -71,6 +72,22 @@ class EvictionRecord:
     bytes: float
 
 
+@dataclass(frozen=True)
+class PromotionPlan:
+    """A priced, not yet applied promotion of one session's cold shards.
+
+    ``steps`` holds one ``(bank, gain_bytes, victims)`` entry per bank that
+    gains bytes, ``victims`` being the ``(session_id, bytes)`` demotions
+    that make the room, least-recently-used first.  A plan is only valid
+    for the occupancy it was made against (``occupancy_version``).
+    """
+
+    session_id: int
+    promoted_bytes: float
+    steps: tuple[tuple[int, float, tuple[tuple[int, float], ...]], ...]
+    occupancy_version: int
+
+
 #: Relative slack under which a shard's cold remainder is *zero*: summing
 #: per-bank float shares can miss the exact total by a few ulps, and a
 #: 1e-16-fraction "cold" share must not price a whole fixed-latency SSD leg.
@@ -90,7 +107,6 @@ class _SessionShards:
     are computed, never their values.
     """
 
-    session_id: int
     hot_bytes: float
     offchip_bytes: float  # offloaded KV + HC tables (warm + cold)
     home_bytes: np.ndarray  # cluster-wise home distribution across banks
@@ -183,8 +199,10 @@ class ShardedKVHierarchy:
         bank_budget_bytes: float = math.inf,
         sanitize: bool | None = None,
     ):
-        if num_banks < 1:
-            raise ValueError(f"num_banks must be at least 1, got {num_banks}")
+        if not isinstance(num_banks, Integral) or num_banks < 1:
+            raise ValueError(
+                f"num_banks must be an integer of at least 1, got {num_banks!r}"
+            )
         if not bank_budget_bytes > 0:
             raise ValueError(
                 f"bank_budget_bytes must be positive, got {bank_budget_bytes}"
@@ -194,10 +212,10 @@ class ShardedKVHierarchy:
         self._sanitize = _resolve_sanitize(sanitize)
         #: hot-byte snapshot at registration; the hot tier must never move
         self._hot_at_register: dict[int, float] = {}
+        #: kept least-recently-used first: ``register`` appends, ``touch``
+        #: moves to the end, so eviction walks it instead of sorting
         self._shards: dict[int, _SessionShards] = {}
         self._occupancy = np.zeros(self.num_banks)
-        self._clock = 0
-        self._last_used: dict[int, int] = {}
         self.evictions: list[EvictionRecord] = []
         #: bumped on every occupancy mutation (registration, promotion,
         #: demotion) — lets pollers skip re-reading unchanged occupancy
@@ -222,8 +240,15 @@ class ShardedKVHierarchy:
         """
         if session_id in self._shards:
             raise ValueError(f"session {session_id} is already registered")
-        if offloaded_bytes < 0 or hot_bytes < 0 or hc_table_bytes < 0:
-            raise ValueError("shard byte counts must be non-negative")
+        for name, count in (
+            ("offloaded_bytes", offloaded_bytes),
+            ("hot_bytes", hot_bytes),
+            ("hc_table_bytes", hc_table_bytes),
+        ):
+            if not 0 <= count < math.inf:  # also rejects nan
+                raise ValueError(
+                    f"{name} must be finite and non-negative, got {count}"
+                )
         offchip = offloaded_bytes + hc_table_bytes
         home = (
             partition_by_cluster(num_clusters, self.num_banks, offchip)
@@ -235,14 +260,11 @@ class ShardedKVHierarchy:
         self._occupancy += warm
         self.occupancy_version += 1
         self._shards[session_id] = _SessionShards(
-            session_id=session_id,
             hot_bytes=float(hot_bytes),
             offchip_bytes=float(offchip),
             home_bytes=home,
             warm_bytes=warm,
         )
-        self._last_used[session_id] = self._clock
-        self._clock += 1
         if self._sanitize:
             self._hot_at_register[session_id] = float(hot_bytes)
             self.sanity_check()
@@ -338,73 +360,87 @@ class ShardedKVHierarchy:
     # ------------------------------------------------------------------ #
     def touch(self, session_id: int) -> None:
         """Mark a session most-recently-used (eviction prefers older ones)."""
-        self._shard(session_id)
-        self._last_used[session_id] = self._clock
-        self._clock += 1
+        shard = self._shard(session_id)
+        del self._shards[session_id]
+        self._shards[session_id] = shard
 
-    def _victims(self, bank: int, exclude: set[int]) -> list[_SessionShards]:
-        """Evictable shards of one bank, least-recently-used first."""
-        candidates = [
-            shard
-            for sid, shard in self._shards.items()
-            if sid not in exclude and shard.warm_bytes[bank] > 0
-        ]
-        candidates.sort(key=lambda s: (self._last_used[s.session_id], s.session_id))
-        return candidates
+    def plan_promotion(
+        self, session_id: int, protected: Iterable[int] = ()
+    ) -> PromotionPlan:
+        """Price pulling a session's cold shards back into their home banks.
 
-    def promote(
-        self,
-        session_id: int,
-        protected: Iterable[int] = (),
-        dry_run: bool = False,
-    ) -> float:
-        """Pull a session's cold shards back into their home banks.
-
-        Demotes the least-recently-used unprotected sessions' shards
-        (whole per-bank shards at a time — the cluster-contiguous layout
-        is rebuilt per shard, not per token) until the promotion fits or
-        no victims remain; whatever still does not fit stays cold.
-        Returns the promoted byte count; ``dry_run`` prices the promotion
-        without mutating anything (the admission controller's "would
-        eviction make this stream warm?" probe).  Hot bytes are never
-        touched: demotion only ever moves warm bank bytes to the cold
-        tier.
+        Pure: nothing is mutated.  Per bank, the plan demotes the
+        least-recently-used unprotected sessions' shards (whole per-bank
+        shards at a time — the cluster-contiguous layout is rebuilt per
+        shard, not per token) until the promotion fits or no victims
+        remain; whatever still does not fit stays cold.  Hot bytes are
+        never touched: demotion only ever moves warm bank bytes to the
+        cold tier.  The admission controller's "would eviction make this
+        stream warm?" probe; :meth:`apply_promotion` carries the plan out.
         """
         shard = self._shard(session_id)
         exclude = set(protected) | {session_id}
         promoted = 0.0
+        steps = []
         for bank in range(self.num_banks):
             need = shard.home_bytes[bank] - shard.warm_bytes[bank]
             if need <= shard.home_bytes[bank] * _COLD_SNAP_REL:
                 continue  # home-warm within float slack: nothing to promote
             headroom = self.bank_budget_bytes - self._occupancy[bank]
             freed = 0.0
-            victims: list[tuple[_SessionShards, float]] = []
-            for victim in self._victims(bank, exclude):
+            victims: list[tuple[int, float]] = []
+            for sid, victim in self._shards.items():
                 if headroom + freed >= need:
                     break
-                victims.append((victim, float(victim.warm_bytes[bank])))
-                freed += float(victim.warm_bytes[bank])
+                if sid in exclude:
+                    continue
+                bytes_out = float(victim.warm_bytes[bank])
+                if bytes_out > 0:
+                    victims.append((sid, bytes_out))
+                    freed += bytes_out
             gain = min(need, headroom + freed)
             if gain <= 0:
                 continue
             promoted += gain
-            if dry_run:
-                continue
+            steps.append((bank, float(gain), tuple(victims)))
+        return PromotionPlan(
+            session_id, float(promoted), tuple(steps), self.occupancy_version
+        )
+
+    def apply_promotion(self, plan: PromotionPlan) -> float:
+        """Carry out a plan made against the current occupancy.
+
+        Banks are independent (a step reads and writes only its own bank's
+        occupancy and warm bytes), so applying the steps after planning
+        them all is the same float sequence as planning and applying bank
+        by bank.  Returns the promoted byte count.
+        """
+        if self._sanitize and plan.occupancy_version != self.occupancy_version:
+            raise SanitizerError(
+                SHARD_CONSERVATION,
+                f"stale promotion plan for session {plan.session_id}: planned at "
+                f"occupancy version {plan.occupancy_version}, applied at "
+                f"{self.occupancy_version}",
+            )
+        shard = self._shards[plan.session_id]
+        for bank, gain, victims in plan.steps:
             self.occupancy_version += 1
-            for victim, bytes_out in victims:
+            for sid, bytes_out in victims:
+                victim = self._shards[sid]
                 victim.warm_bytes[bank] = 0.0
                 victim.invalidate()
                 self._occupancy[bank] -= bytes_out
-                self.evictions.append(
-                    EvictionRecord(victim.session_id, bank, bytes_out)
-                )
+                self.evictions.append(EvictionRecord(sid, bank, bytes_out))
             shard.warm_bytes[bank] += gain
             shard.invalidate()
             self._occupancy[bank] += gain
-        if self._sanitize and not dry_run:
+        if self._sanitize:
             self.sanity_check()
-        return promoted
+        return plan.promoted_bytes
+
+    def promote(self, session_id: int, protected: Iterable[int] = ()) -> float:
+        """Plan and apply a promotion in one step; returns the promoted bytes."""
+        return self.apply_promotion(self.plan_promotion(session_id, protected))
 
     def commit_fetch(
         self, session_id: int, protected: Iterable[int] = ()

@@ -62,6 +62,8 @@ from repro.sim.batched import PRIO_ARRIVAL, PRIO_COMPLETE, PRIO_ISSUE, PRIO_LINK
 from repro.sim.jobtable import (
     ADM_BACKLOG,
     ADM_DEFER,
+    ADM_EVICT,
+    KIND_NAMES,
     JobTable,
     TL_COMPUTE,
     TL_DRE,
@@ -70,11 +72,11 @@ from repro.sim.jobtable import (
 )
 from repro.sim.energy import EnergyInputs
 from repro.sim.scheduler import (
-    FRAME_JOB,
-    GENERATION_JOB,
-    QUESTION_JOB,
+    DEFER,
+    EVICT,
     ScheduleResult,
     _RunContext,
+    admission_decision,
 )
 
 #: Event-type codes packed into the low payload bits (``payload >> 3`` is
@@ -112,14 +114,8 @@ def run_array(ctx: _RunContext) -> ScheduleResult:
     priced = ctx.priced
     timesliced = cfg.compute == "timesliced"
     quantum = cfg.quantum_s
-    deadline = cfg.deadline_s
     max_depth = cfg.max_queue_depth
-    drop_late = cfg.drop_late
-    residency = ctx.residency_admission
-    energy_admission = ctx.energy_admission
-    baseline_w = ctx.baseline_w
-    io_w = ctx.io_w
-    energy_budget = cfg.energy_budget_j_per_token
+    admission_rule = cfg.admission != "backlog"
 
     # sanitizer state: the engine inlines its queue/ring internals, so the
     # order and lifecycle checks are inlined here too (one predictable
@@ -150,12 +146,8 @@ def run_array(ctx: _RunContext) -> ScheduleResult:
     st_fbytes: list = []
     st_warm: list = []
     st_cold: list = []
-    st_solo_warm: list = []
-    st_solo_cold: list = []
-    st_tokens: list = []
-    st_solo: list = []
     for stage_map in priced:
-        for kind_name in (FRAME_JOB, QUESTION_JOB, GENERATION_JOB):
+        for kind_name in KIND_NAMES:
             stage = stage_map[kind_name]
             st_active.append(stage.active)
             st_on_dre.append(stage.on_dre)
@@ -167,10 +159,6 @@ def run_array(ctx: _RunContext) -> ScheduleResult:
             st_fbytes.append(stage.fetch_bytes_layer)
             st_warm.append(_memoized(stage.warm_time_s))
             st_cold.append(_memoized(stage.cold_time_s))
-            st_solo_warm.append(stage.solo_warm_s)
-            st_solo_cold.append(stage.solo_cold_s)
-            st_tokens.append(stage.tokens)
-            st_solo.append(stage.solo_s)
 
     # packed subkey bases: rank of (session_id, stream) in the run's sorted
     # key set makes integer subkey order == the EventLoop's tuple order
@@ -406,65 +394,18 @@ def run_array(ctx: _RunContext) -> ScheduleResult:
     j_csub = [0.0] * num_jobs  # timesliced compute submit time
 
     # ------------------------------------------------------------------ #
-    # admission / slot lifecycle (mirrors the reference closures)
+    # admission / slot lifecycle (the rule itself is the scheduler's
+    # ``admission_decision``; only the queue-state reads live here)
     # ------------------------------------------------------------------ #
-    def residency_decision(job: int, s: int) -> int:
-        b = s * 3 + kinds[job]
-        if not st_active[b] or st_fbytes[b] <= 0.0:
-            return 0
-        session = session_ids[s]
-        backlog_jobs = ring_depth[s] + (1 if slot_busy[s] else 0)
-        compute_backlog = 0.0
+    def compute_backlog() -> float:
+        """Unserved work on the preemptive server (ready queue, then running)."""
+        backlog = 0.0
         if timesliced:
             for p in ps_ring.items(0):
-                compute_backlog += psub_work[p] - psub_served[p]
+                backlog += psub_work[p] - psub_served[p]
             if ps_running >= 0:
-                compute_backlog += psub_work[ps_running] - psub_served[ps_running]
-        cold_frac = memory.cold_fraction(session)
-        solo_warm = st_solo_warm[b]
-        own = solo_warm + cold_frac * (st_solo_cold[b] - solo_warm)
-        estimate = backlog_jobs * solo_warm + compute_backlog + own
-        if estimate <= deadline:
-            return 0
-        if cold_frac > 0.0:
-            warm_estimate = (backlog_jobs + 1) * solo_warm + compute_backlog
-            if warm_estimate > deadline:
-                return ADM_DEFER  # not even a full promotion would save it
-            protected = busy_set.copy()
-            protected.discard(session)
-            cold = memory.cold_bytes(session)
-            promotable = memory.promote(session, protected=protected, dry_run=True)
-            if promotable >= cold * (1.0 - 1e-9):
-                memory.promote(session, protected=protected)
-                note_occupancy()
-                return 1  # ADM_EVICT
-        return ADM_DEFER
-
-    def energy_decision(job: int, s: int) -> int:
-        """Admit / defer one arriving job against the J/token budget.
-
-        Mirrors the reference ``energy_decision`` float op for float op:
-        device baseline power over the estimated sojourn (stream backlog
-        priced at the solo latency, plus the shared compute backlog in
-        timesliced mode, plus the job's own solo latency) and full-load
-        IO power over the fetch, divided by the job's useful tokens.
-        """
-        b = s * 3 + kinds[job]
-        if not st_active[b] or st_tokens[b] <= 0:
-            return 0
-        backlog_jobs = ring_depth[s] + (1 if slot_busy[s] else 0)
-        compute_backlog = 0.0
-        if timesliced:
-            for p in ps_ring.items(0):
-                compute_backlog += psub_work[p] - psub_served[p]
-            if ps_running >= 0:
-                compute_backlog += psub_work[ps_running] - psub_served[ps_running]
-        solo = st_solo[b]
-        sojourn = backlog_jobs * solo + compute_backlog + solo
-        marginal = (baseline_w * sojourn + io_w * st_fetch[b]) / st_tokens[b]
-        if marginal > energy_budget:
-            return ADM_DEFER
-        return 0
+                backlog += psub_work[ps_running] - psub_served[ps_running]
+        return backlog
 
     # ring internals inlined into the per-event closures: a push or pop is
     # two list stores, no method call
@@ -473,51 +414,43 @@ def run_array(ctx: _RunContext) -> ScheduleResult:
     ring_tail = ring._tail
     ring_depth = ring._depth
 
-    def submit(job: int, t: float) -> None:
+    def shed(job: int, t: float, code: int) -> None:
+        """Record a job dropped at admission (it arrives and ends at ``t``)."""
         nonlocal n_rec
+        if sanitize:
+            table.san_record(job)
+        i = n_rec
+        rec_job[i] = job
+        rec_arrival[i] = t
+        rec_start[i] = t
+        rec_finish[i] = t
+        rec_dropped[i] = True
+        rec_admission[i] = code
+        n_rec = i + 1
+
+    def submit(job: int, t: float) -> None:
         if sanitize:
             table.san_submit(job)
         s = streams[job]
         busy = slot_busy[s]
         if busy and max_depth is not None and ring_depth[s] >= max_depth:
-            if sanitize:
-                table.san_record(job)
-            i = n_rec
-            rec_job[i] = job
-            rec_arrival[i] = t
-            rec_start[i] = t
-            rec_finish[i] = t
-            rec_dropped[i] = True
-            rec_admission[i] = ADM_BACKLOG
-            n_rec = i + 1
+            shed(job, t, ADM_BACKLOG)
             return
-        if residency:
-            decision = residency_decision(job, s)
-            if decision == ADM_DEFER:
-                if sanitize:
-                    table.san_record(job)
-                i = n_rec
-                rec_job[i] = job
-                rec_arrival[i] = t
-                rec_start[i] = t
-                rec_finish[i] = t
-                rec_dropped[i] = True
-                rec_admission[i] = ADM_DEFER
-                n_rec = i + 1
+        if admission_rule:
+            decision = admission_decision(
+                ctx,
+                priced[s][KIND_NAMES[kinds[job]]],
+                session_ids[s],
+                ring_depth[s] + (1 if busy else 0),
+                compute_backlog(),
+                busy_set,
+            )
+            if decision == DEFER:
+                shed(job, t, ADM_DEFER)
                 return
-            j_adm[job] = decision
-        elif energy_admission and energy_decision(job, s) == ADM_DEFER:
-            if sanitize:
-                table.san_record(job)
-            i = n_rec
-            rec_job[i] = job
-            rec_arrival[i] = t
-            rec_start[i] = t
-            rec_finish[i] = t
-            rec_dropped[i] = True
-            rec_admission[i] = ADM_DEFER
-            n_rec = i + 1
-            return
+            if decision == EVICT:
+                j_adm[job] = ADM_EVICT
+                note_occupancy()
         if busy:
             tail = ring_tail[s]
             if tail < 0:
@@ -548,23 +481,10 @@ def run_array(ctx: _RunContext) -> ScheduleResult:
                 busy_set.discard(session_ids[s])
 
     def begin(job: int, t: float) -> None:
-        nonlocal seq, n_rec
+        nonlocal seq
         if sanitize:
             table.san_begin(job)
         j_start[job] = t
-        if drop_late and t - arrival[job] > deadline:
-            if sanitize:
-                table.san_record(job)
-            i = n_rec
-            rec_job[i] = job
-            rec_arrival[i] = arrival[job]
-            rec_start[i] = t
-            rec_finish[i] = t
-            rec_dropped[i] = True
-            rec_admission[i] = j_adm[job]
-            n_rec = i + 1
-            release(streams[job], t)
-            return
         b = streams[job] * 3 + kinds[job]
         if not st_active[b]:
             finish(job, t)
@@ -660,9 +580,7 @@ def run_array(ctx: _RunContext) -> ScheduleResult:
                     memory.touch(session)
                     fetch = fc_fetch[b]
                 else:
-                    protected = busy_set.copy()
-                    protected.discard(session)
-                    split = memory.commit_fetch(session, protected=protected)
+                    split = memory.commit_fetch(session, protected=busy_set)
                     note_occupancy()
                     fetch = (
                         sharded_fetch_makespan(
@@ -793,42 +711,7 @@ def run_array(ctx: _RunContext) -> ScheduleResult:
             seq += 1
 
         elif code == C_FINISH:
-            # finish() inlined: the hottest branch, one event per completed job
-            if sanitize:
-                table.san_record(job)
-            i = n_rec
-            rec_job[i] = job
-            rec_arrival[i] = arrival[job]
-            rec_start[i] = j_start[job]
-            rec_finish[i] = now
-            rec_admission[i] = j_adm[job]
-            rec_pcie[i] = j_pcie[job]
-            rec_dre[i] = j_dre[job]
-            rec_cwait[i] = j_cwait[job]
-            n_rec = i + 1
-            s = streams[job]
-            head = ring_head[s]
-            if head >= 0:
-                nxt = ring_next[head]
-                ring_head[s] = nxt
-                if nxt < 0:
-                    ring_tail[s] = -1
-                ring_depth[s] -= 1
-                begin(head, now)
-            else:
-                slot_busy[s] = 0
-                if track_busy:
-                    busy_set.discard(session_ids[s])
-            kind = kinds[job]
-            if kind == 1:  # question → first generation token
-                if answers[s] > 0:
-                    chained = gen_base[s]
-                    arrival[chained] = now
-                    submit(chained, now)
-            elif kind == 2 and indices[job] < answers[s] - 1:
-                chained = job + 1
-                arrival[chained] = now
-                submit(chained, now)
+            finish(job, now)
 
         elif code == C_SLICE:
             p = job  # preemptive sub-job index
@@ -884,7 +767,7 @@ def run_array(ctx: _RunContext) -> ScheduleResult:
 
     queue._lane_pos = lane_i
     table.num_records = n_rec
-    columns = table.finalize(deadline)
+    columns = table.finalize(cfg.deadline_s)
     return ScheduleResult(
         system=ctx.system.name,
         config=cfg,

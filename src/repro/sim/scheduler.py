@@ -30,9 +30,8 @@ misses), not a single makespan.
   offset, no admission control) the scheduler reproduces the contended
   batched step *bit for bit*;
 * **admission control** drops frames when a stream's backlog exceeds
-  ``max_queue_depth`` (upload throttling) or, with ``drop_late``, when a
-  frame's deadline already passed before it reached the head of its
-  stream's queue;
+  ``max_queue_depth`` (upload throttling), or when the residency / energy
+  policy's one rule (:func:`admission_decision`) defers them;
 * every run records a full :class:`repro.hw.event.Timeline` (per-stream
   compute lanes plus the shared ``dre`` and ``pcie`` resources) and a
   :class:`JobRecord` per job, from which :class:`ScheduleResult` reports
@@ -42,7 +41,7 @@ misses), not a single makespan.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,9 +144,7 @@ class SchedulerConfig:
 
     ``deadline_s`` is the per-job latency budget measured from arrival;
     ``max_queue_depth`` bounds a stream's backlog (arrivals beyond it are
-    dropped at admission); ``drop_late`` additionally drops a job whose
-    deadline has already passed when it reaches the head of its stream's
-    queue (no point serving a frame the user has scrolled past).
+    dropped at admission).
 
     ``compute`` picks the compute-contention policy: ``"private"`` prices
     the LXE/GPU as free per-stream engines (the optimistic floor), while
@@ -179,7 +176,6 @@ class SchedulerConfig:
 
     deadline_s: float | None = None
     max_queue_depth: int | None = None
-    drop_late: bool = False
     compute: str = "private"
     quantum_s: float = DEFAULT_QUANTUM_S
     admission: str = "backlog"
@@ -192,8 +188,6 @@ class SchedulerConfig:
             raise ValueError(
                 f"max_queue_depth must be non-negative, got {self.max_queue_depth}"
             )
-        if self.drop_late and self.deadline_s is None:
-            raise ValueError("drop_late requires a deadline_s")
         validate_compute_policy(self.compute)
         validate_quantum(self.quantum_s)
         validate_admission_policy(self.admission)
@@ -699,12 +693,71 @@ class _RunContext:
     num_layers: int
     memory: ShardedKVHierarchy | None
     priced: list[dict[str, _PricedStage]]
-    residency_admission: bool
-    #: energy-admission inputs: the policy flag and the run-constant
-    #: baseline / IO power rates its marginal-J/token estimate charges
-    energy_admission: bool = False
+    #: run-constant baseline / IO power rates the energy policy's
+    #: marginal-J/token estimate charges
     baseline_w: float = 0.0
     io_w: float = 0.0
+
+
+def admission_decision(
+    ctx: _RunContext,
+    stage: _PricedStage,
+    session: int,
+    backlog_jobs: int,
+    compute_backlog_s: float,
+    protected: Iterable[int],
+) -> str:
+    """Admit, evict-then-admit or defer one arriving job: the one rule.
+
+    Both engines call this from ``submit`` under ``admission="residency"``
+    or ``"energy"`` with their own reads of the queue state:
+    ``backlog_jobs`` is the stream's own backlog (queued plus in flight),
+    ``compute_backlog_s`` the shared compute backlog the job would join
+    (timesliced policy only, else 0) and ``protected`` the sessions with a
+    job in flight, whose shards are not eviction victims.
+
+    **Residency.**  The estimate couples the stream's backlog (each queued
+    job priced at the warm solo latency), the compute backlog and the
+    job's own latency at the session's *current* shard residency.  If it
+    busts the deadline but a full promotion — evicting colder unprotected
+    shards — would bring it under, the promotion is planned once, applied,
+    and the answer is ``EVICT``; otherwise ``DEFER`` (shed).
+
+    **Energy.**  The marginal-energy estimate charges the device baseline
+    over the sojourn the job would see — backlog priced at the solo
+    latency, the compute backlog, plus the job's own solo latency — and
+    the full-load IO power over its fetch, per useful token, and defers
+    above ``energy_budget_j_per_token``.
+
+    A job with nothing to estimate (inactive stage; no off-chip fetch
+    bytes, resp. no tokens) always admits.
+    """
+    cfg = ctx.config
+    if not stage.active:
+        return ADMIT
+    if cfg.admission == "energy":
+        if stage.tokens <= 0:
+            return ADMIT
+        sojourn = backlog_jobs * stage.solo_s + compute_backlog_s + stage.solo_s
+        marginal = (ctx.baseline_w * sojourn + ctx.io_w * stage.fetch_s) / stage.tokens
+        return DEFER if marginal > cfg.energy_budget_j_per_token else ADMIT
+    if stage.fetch_bytes_layer <= 0:
+        return ADMIT
+    memory = ctx.memory
+    cold_frac = memory.cold_fraction(session)
+    own = stage.solo_warm_s + cold_frac * (stage.solo_cold_s - stage.solo_warm_s)
+    estimate = backlog_jobs * stage.solo_warm_s + compute_backlog_s + own
+    if estimate <= cfg.deadline_s:
+        return ADMIT
+    if cold_frac > 0.0:
+        warm_estimate = (backlog_jobs + 1) * stage.solo_warm_s + compute_backlog_s
+        if warm_estimate > cfg.deadline_s:
+            return DEFER  # not even a full promotion would save it
+        plan = memory.plan_promotion(session, protected)
+        if plan.promoted_bytes >= memory.cold_bytes(session) * (1.0 - 1e-9):
+            memory.apply_promotion(plan)
+            return EVICT
+    return DEFER
 
 
 class ServingScheduler:
@@ -872,13 +925,11 @@ class ServingScheduler:
         frame_overlaps = system.policy.overlap_fetch  # FRAME_STAGE rule
 
         memory = self.plane._memory_for(system, profiles)
-        residency_admission = self.config.admission == "residency"
-        if residency_admission and memory is None:
+        if self.config.admission == "residency" and memory is None:
             raise ValueError(
                 "admission='residency' requires a BatchLatencyModel built with "
                 "a memory plane (ShardedKVHierarchy)"
             )
-        energy_admission = self.config.admission == "energy"
         spec = system.device
         if spec.kind == "vrex":
             breakdown = base.energy.vrex_system_power(spec.num_cores)
@@ -913,8 +964,6 @@ class ServingScheduler:
             num_layers=num_layers,
             memory=memory,
             priced=priced,
-            residency_admission=residency_admission,
-            energy_admission=energy_admission,
             baseline_w=baseline_w,
             io_w=io_w,
         )
@@ -1052,10 +1101,7 @@ class ServingScheduler:
         num_layers = ctx.num_layers
         memory = ctx.memory
         priced = ctx.priced
-        residency_admission = ctx.residency_admission
-        energy_admission = ctx.energy_admission
-        baseline_w = ctx.baseline_w
-        io_w = ctx.io_w
+        admission_rule = cfg.admission != "backlog"
         num_streams = len(profiles)
 
         loop = EventLoop()
@@ -1089,13 +1135,16 @@ class ServingScheduler:
         if memory is not None:
             note_occupancy()  # registration-time state at t=0
 
-        def busy_sessions(excluding: int) -> set[int]:
-            """Sessions with a job in flight (their shards are not victims)."""
-            return {
+        def busy_sessions(excluding: int) -> Iterator[int]:
+            """Sessions with a job in flight (their shards are not victims).
+
+            Lazy: the memory plane only walks it when a promotion is planned.
+            """
+            return (
                 profiles[stream].session_id
                 for stream in range(num_streams)
                 if stream != excluding and slots[stream].busy
-            }
+            )
 
         def record(job: _Job, finish_s: float, dropped: bool) -> None:
             sojourn = finish_s - job.arrival_s
@@ -1121,72 +1170,6 @@ class ServingScheduler:
                 )
             )
 
-        def residency_decision(job: _Job) -> str:
-            """Admit / evict / defer one arriving job against its deadline.
-
-            The estimate couples three terms: the stream's own backlog
-            (each queued job priced at the warm solo latency), the shared
-            compute backlog the job would join (timesliced policy only),
-            and the job's own latency at the session's *current* shard
-            residency.  If the estimate busts the deadline but a full
-            promotion — evicting colder unprotected shards — would bring
-            it under, the controller evicts and admits; otherwise it
-            defers (sheds) the job.
-            """
-            stage = priced[job.stream][job.kind]
-            if not stage.active or stage.fetch_bytes_layer <= 0:
-                return ADMIT
-            session = profiles[job.stream].session_id
-            slot = slots[job.stream]
-            backlog_jobs = slot.queue_depth + (1 if slot.busy else 0)
-            compute_backlog = (
-                compute_server.backlog_s() if compute_server is not None else 0.0
-            )
-            cold_frac = memory.cold_fraction(session)
-            own = stage.solo_warm_s + cold_frac * (stage.solo_cold_s - stage.solo_warm_s)
-            estimate = backlog_jobs * stage.solo_warm_s + compute_backlog + own
-            if estimate <= cfg.deadline_s:
-                return ADMIT
-            if cold_frac > 0.0:
-                warm_estimate = (
-                    (backlog_jobs + 1) * stage.solo_warm_s + compute_backlog
-                )
-                if warm_estimate > cfg.deadline_s:
-                    return DEFER  # not even a full promotion would save it
-                protected = busy_sessions(excluding=job.stream)
-                cold = memory.cold_bytes(session)
-                promotable = memory.promote(session, protected=protected, dry_run=True)
-                if promotable >= cold * (1.0 - 1e-9):
-                    memory.promote(session, protected=protected)
-                    note_occupancy()
-                    return EVICT
-            return DEFER
-
-        def energy_decision(job: _Job) -> str:
-            """Admit or defer one arriving job against the J/token budget.
-
-            The marginal-energy estimate charges the device baseline over
-            the sojourn the job would see — the stream's backlog priced
-            at the solo latency, the shared compute backlog (timesliced
-            policy only), plus the job's own solo latency — and the
-            full-load IO power over its fetch, per useful token.  A
-            zero-token job (inactive stage) carries no estimate and
-            always admits.
-            """
-            stage = priced[job.stream][job.kind]
-            if not stage.active or stage.tokens <= 0:
-                return ADMIT
-            slot = slots[job.stream]
-            backlog_jobs = slot.queue_depth + (1 if slot.busy else 0)
-            compute_backlog = (
-                compute_server.backlog_s() if compute_server is not None else 0.0
-            )
-            sojourn = backlog_jobs * stage.solo_s + compute_backlog + stage.solo_s
-            marginal = (baseline_w * sojourn + io_w * stage.fetch_s) / stage.tokens
-            if marginal > cfg.energy_budget_j_per_token:
-                return DEFER
-            return ADMIT
-
         def submit(job: _Job) -> None:
             slot = slots[job.stream]
             if (
@@ -1197,29 +1180,24 @@ class ServingScheduler:
                 job.admission = BACKLOG_DROP
                 record(job, job.arrival_s, dropped=True)
                 return
-            if residency_admission:
-                decision = residency_decision(job)
-                if decision == DEFER:
-                    job.admission = DEFER
+            if admission_rule:
+                job.admission = admission_decision(
+                    ctx,
+                    priced[job.stream][job.kind],
+                    profiles[job.stream].session_id,
+                    slot.queue_depth + (1 if slot.busy else 0),
+                    compute_server.backlog_s() if compute_server is not None else 0.0,
+                    busy_sessions(excluding=job.stream),
+                )
+                if job.admission == DEFER:
                     record(job, job.arrival_s, dropped=True)
                     return
-                job.admission = decision
-            elif energy_admission and energy_decision(job) == DEFER:
-                job.admission = DEFER
-                record(job, job.arrival_s, dropped=True)
-                return
+                if job.admission == EVICT:
+                    note_occupancy()
             slot.acquire(loop.now_s, lambda grant, job=job: begin(job, grant.start_s))
 
         def begin(job: _Job, start_s: float) -> None:
             job.start_s = start_s
-            if (
-                cfg.drop_late
-                and cfg.deadline_s is not None
-                and start_s - job.arrival_s > cfg.deadline_s
-            ):
-                record(job, start_s, dropped=True)
-                slots[job.stream].release(start_s)
-                return
             stage = priced[job.stream][job.kind]
             if not stage.active:
                 finish(job, start_s)

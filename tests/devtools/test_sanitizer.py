@@ -430,6 +430,16 @@ class TestShardConservation:
         with expect(SHARD_CONSERVATION):
             plane.register(1, offloaded_bytes=1024.0)
 
+    def test_stale_promotion_plan_detected(self):
+        plane = ShardedKVHierarchy(num_banks=1, bank_budget_bytes=GIB, sanitize=True)
+        plane.register(0, offloaded_bytes=0.75 * GIB)
+        plane.register(1, offloaded_bytes=0.75 * GIB)  # 0.5 GiB left cold
+        plan = plane.plan_promotion(1)
+        assert plane.apply_promotion(plan) == 0.5 * GIB  # fresh plan: fine
+        plane.commit_fetch(0)  # occupancy moved since the plan was made
+        with expect(SHARD_CONSERVATION):
+            plane.apply_promotion(plan)
+
 
 class TestSanitizedRunEquivalence:
     """REPRO_SANITIZE=1 must not change a single bit of any run."""

@@ -10,6 +10,9 @@ point values (they run under the dev/ci hypothesis profiles registered in
   is exactly the sum of warm shards, and no bank exceeds its budget;
 * **hot tokens are sacred** — bank eviction only ever moves warm shards to
   the cold tier; device-DRAM-resident (hot) bytes never change;
+* **one eviction plan** — ``plan_promotion`` is pure, ``apply_promotion``
+  does what the plan says, and victims leave in least-recently-used order
+  (checked against a brute-force last-use-clock oracle);
 * **bank parallelism only helps** — for cluster-aligned layouts (bank
   count divides the cluster count) the fetch makespan is monotone
   non-increasing in the number of banks, and the single-bank split prices
@@ -31,6 +34,8 @@ from hypothesis import strategies as st
 from repro.hw.dre.kvmu import KVFetchWork, KVMUModel
 from repro.hw.memory.pcie import PCIE3_X4, PCIE4_X16, PCIeLink
 from repro.hw.memory.sharding import (
+    _COLD_SNAP_REL,
+    EvictionRecord,
     ShardedKVHierarchy,
     ShardSplit,
     partition_by_cluster,
@@ -167,6 +172,141 @@ class TestShardConservation:
         assert hierarchy.cold_bytes(0) == 0.0
         assert hierarchy.residency(0) == 1.0
         assert hierarchy.evictions == []
+
+
+class _LastUseOracle:
+    """The memory plane's former eviction semantics, kept alive as a test oracle.
+
+    Tracks an explicit last-use clock beside the hierarchy and derives each
+    promotion's demotions by brute force: every bank's warm unprotected
+    sessions sorted by ``(last_used, session_id)``, taken until the
+    promotion fits.  The plane itself no longer has a clock — it keeps
+    its sessions in use order — so agreement here is the proof that the
+    kept order *is* this sort order.
+    """
+
+    def __init__(self, hierarchy: ShardedKVHierarchy, specs):
+        self.hierarchy = hierarchy
+        self.clock = 0
+        self.last_used: dict[int, int] = {}
+        self.home = {}
+        for session_id, (offloaded, _hot, clusters, hc) in enumerate(specs):
+            offchip = offloaded + hc
+            self.home[session_id] = (
+                partition_by_cluster(clusters, hierarchy.num_banks, offchip)
+                if offchip > 0
+                else np.zeros(hierarchy.num_banks)
+            )
+            self.use(session_id)  # registration counts as a use
+
+    def use(self, session_id: int) -> None:
+        self.last_used[session_id] = self.clock
+        self.clock += 1
+
+    def expected_evictions(self, session_id, protected) -> list[EvictionRecord]:
+        hierarchy = self.hierarchy
+        exclude = set(protected) | {session_id}
+        warm = {sid: hierarchy.warm_bytes(sid) for sid in hierarchy.session_ids}
+        occupancy = hierarchy.bank_occupancy_bytes()
+        expected = []
+        for bank in range(hierarchy.num_banks):
+            home = self.home[session_id][bank]
+            need = home - warm[session_id][bank]
+            if need <= home * _COLD_SNAP_REL:
+                continue
+            headroom = hierarchy.bank_budget_bytes - occupancy[bank]
+            candidates = sorted(
+                (sid for sid in warm if sid not in exclude and warm[sid][bank] > 0),
+                key=lambda sid: (self.last_used[sid], sid),
+            )
+            freed = 0.0
+            victims = []
+            for sid in candidates:
+                if headroom + freed >= need:
+                    break
+                victims.append(EvictionRecord(sid, bank, float(warm[sid][bank])))
+                freed += float(warm[sid][bank])
+            if min(need, headroom + freed) > 0:
+                expected.extend(victims)
+        return expected
+
+
+class TestOneEvictionPlan:
+    @given(
+        num_banks=st.integers(min_value=1, max_value=4),
+        # banks hold a few mean-sized shards: promotions need several victims
+        budget_shards=st.floats(min_value=0.5, max_value=4.0),
+        specs=st.lists(
+            st.tuples(
+                st.floats(min_value=1e6, max_value=1e9),  # offloaded
+                st.just(0.0),  # hot
+                st.integers(min_value=1, max_value=64),  # clusters
+                st.floats(min_value=0.0, max_value=1e6),  # hc tables
+            ),
+            min_size=3,
+            max_size=6,
+        ),
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(["touch", "promote", "commit"]),
+                st.integers(0, 5),
+                st.frozensets(st.integers(0, 5), max_size=2),
+            ),
+            min_size=8,
+            max_size=30,
+        ),
+    )
+    def test_plans_are_pure_and_victims_leave_in_lru_order(
+        self, num_banks, budget_shards, specs, ops
+    ):
+        mean_shard = sum(spec[0] + spec[3] for spec in specs) / (len(specs) * num_banks)
+        hierarchy = _build((num_banks, budget_shards * mean_shard), specs)
+        oracle = _LastUseOracle(hierarchy, specs)
+        sessions = range(len(specs))
+        for op, index, protected in ops:
+            session = index % len(specs)
+            if op == "touch":
+                hierarchy.touch(session)
+                oracle.use(session)
+                continue
+            if op == "commit":
+                oracle.use(session)  # commit_fetch touches, then promotes
+                cold = hierarchy.fetch_split(session).cold_fraction > 0.0
+                expected = (
+                    oracle.expected_evictions(session, protected) if cold else []
+                )
+                already = len(hierarchy.evictions)
+                hierarchy.commit_fetch(session, protected=protected)
+                assert hierarchy.evictions[already:] == expected
+                continue
+            expected = oracle.expected_evictions(session, protected)
+            version = hierarchy.occupancy_version
+            occupancy = hierarchy.bank_occupancy_bytes()
+            warm = [hierarchy.warm_bytes(sid) for sid in sessions]
+            already = len(hierarchy.evictions)
+
+            plan = hierarchy.plan_promotion(session, protected)
+            # planning mutates nothing
+            assert hierarchy.occupancy_version == version
+            assert len(hierarchy.evictions) == already
+            assert np.array_equal(hierarchy.bank_occupancy_bytes(), occupancy)
+            for sid in sessions:
+                assert np.array_equal(hierarchy.warm_bytes(sid), warm[sid])
+            # the plan names the oracle's victims, in the oracle's order
+            planned = [
+                EvictionRecord(sid, bank, bytes_out)
+                for bank, _gain, victims in plan.steps
+                for sid, bytes_out in victims
+            ]
+            assert planned == expected
+            assert plan.promoted_bytes == sum(gain for _, gain, _ in plan.steps)
+
+            # applying does exactly what was planned
+            assert hierarchy.apply_promotion(plan) == plan.promoted_bytes
+            assert hierarchy.evictions[already:] == expected
+            gained = hierarchy.warm_bytes(session).sum() - warm[session].sum()
+            assert gained == pytest.approx(plan.promoted_bytes, rel=1e-9, abs=1e-3)
+            hierarchy.sanity_check()
 
 
 class TestShardedFetchMakespan:

@@ -169,9 +169,12 @@ class TestEngineEquivalenceProperty:
 class TestEngineEquivalenceMemoryPlane:
     """Sharded-memory runs (backlog and residency admission) match too."""
 
+    @pytest.mark.parametrize("compute", ["private", "timesliced"])
     @pytest.mark.parametrize("admission", ["backlog", "residency"])
     @pytest.mark.parametrize("num_banks", [1, 2])
-    def test_memory_configs_match(self, server, admission, num_banks):
+    def test_memory_configs_match(self, server, admission, num_banks, compute):
+        """``timesliced`` pins residency admission's shared-compute-backlog
+        term: each engine reads it from its own preemptive server."""
         system = server["V-Rex48"]
         profiles = [
             StreamProfile(kv_len=40_000, session_id=index) for index in range(4)
@@ -191,7 +194,10 @@ class TestEngineEquivalenceMemoryPlane:
                 rate_for_load(1.3, solo, len(profiles))
             ).generate(len(profiles), 8, seed=17)
             config = SchedulerConfig(
-                deadline_s=2.0 * solo, max_queue_depth=2, admission=admission
+                deadline_s=2.0 * solo,
+                max_queue_depth=2,
+                admission=admission,
+                compute=compute,
             )
             results.append(
                 ServingScheduler(plane, config, engine=engine).run(

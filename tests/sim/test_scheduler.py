@@ -458,19 +458,6 @@ class TestAdmissionControl:
         result = scheduler.run(system, _fleet([40_000]), [[0.0] * 6])
         assert result.dropped == 0
 
-    def test_drop_late_sheds_hopeless_backlog(self, plane, edge):
-        system = edge["V-Rex8"]
-        profiles = _fleet([40_000])
-        solo = plane.frame_step(system, profiles).streams[0].total_s
-        config = SchedulerConfig(deadline_s=1.5 * solo, drop_late=True)
-        scheduler = ServingScheduler(plane, config)
-        result = scheduler.run(system, profiles, [[0.0] * 5])
-        assert result.dropped > 0
-        # served frames were all admitted within their deadline budget
-        for record in result.records:
-            if not record.dropped:
-                assert record.queue_wait_s <= config.deadline_s + 1e-12
-
     def test_deadline_miss_rate_counts_exactly(self, plane, edge):
         system = edge["V-Rex8"]
         profiles = _fleet([40_000])
@@ -487,8 +474,6 @@ class TestAdmissionControl:
             SchedulerConfig(deadline_s=0.0)
         with pytest.raises(ValueError):
             SchedulerConfig(max_queue_depth=-1)
-        with pytest.raises(ValueError):
-            SchedulerConfig(drop_late=True)
 
     def test_compute_policy_validation(self):
         with pytest.raises(ValueError, match="compute policy"):

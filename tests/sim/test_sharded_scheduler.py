@@ -17,9 +17,11 @@ Two pins, mirroring how PRs 3–4 kept each new plane a verified superset:
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
-from repro.hw.memory.sharding import ShardedKVHierarchy
+from repro.hw.memory.sharding import EvictionRecord, ShardedKVHierarchy
 from repro.sim.arrivals import BurstyArrivals, PoissonArrivals, rate_for_load
 from repro.sim.batched import BatchLatencyModel, StreamProfile
 from repro.sim.scheduler import (
@@ -28,6 +30,8 @@ from repro.sim.scheduler import (
     EVICT,
     SchedulerConfig,
     ServingScheduler,
+    _PricedStage,
+    admission_decision,
 )
 from repro.sim.systems import edge_systems, server_systems
 from repro.sim.workload import default_llm_workload
@@ -316,11 +320,164 @@ class TestResidencyAdmissionValidation:
     def test_memory_plane_validation(self):
         with pytest.raises(ValueError, match="num_banks"):
             ShardedKVHierarchy(num_banks=0)
+        with pytest.raises(ValueError, match="num_banks"):
+            ShardedKVHierarchy(num_banks=2.5)  # was silently truncated to 2
         with pytest.raises(ValueError, match="bank_budget_bytes"):
             ShardedKVHierarchy(bank_budget_bytes=0.0)
-        hierarchy = ShardedKVHierarchy(num_banks=2)
+        hierarchy = ShardedKVHierarchy(num_banks=2, bank_budget_bytes=1e9)
+        # non-finite byte counts would poison cold_fraction / bank occupancy
+        with pytest.raises(ValueError, match="offloaded_bytes"):
+            hierarchy.register(1, offloaded_bytes=float("nan"), num_clusters=4)
+        with pytest.raises(ValueError, match="offloaded_bytes"):
+            hierarchy.register(1, offloaded_bytes=float("inf"), num_clusters=4)
+        with pytest.raises(ValueError, match="hot_bytes"):
+            hierarchy.register(1, 100.0, hot_bytes=float("nan"))
+        with pytest.raises(ValueError, match="hc_table_bytes"):
+            hierarchy.register(1, 100.0, hc_table_bytes=float("inf"))
+        assert hierarchy.session_ids == []  # rejected before any state moved
         hierarchy.register(0, 100.0)
         with pytest.raises(ValueError, match="already registered"):
             hierarchy.register(0, 50.0)
         with pytest.raises(KeyError, match="not registered"):
             hierarchy.fetch_split(99)
+
+
+class TestAdmissionDecisionOracle:
+    """Hand-computed boundaries of the one admission rule.
+
+    Both engines call :func:`admission_decision`, so there is no second
+    implementation left to diff it against: these cases are its oracle.
+
+    The plane: two banks of 150 bytes.  Session 0 registers 200 bytes
+    (home and warm ``[100, 100]``); session 1 registers 200 bytes into the
+    50 bytes of headroom left per bank (warm ``[50, 50]``, 100 bytes cold,
+    cold fraction 0.5).  The stage costs 1 s warm and 3 s cold, so session
+    1's own latency is ``1 + 0.5 * (3 - 1) = 2`` s; with one job of stream
+    backlog and 0.25 s of compute backlog the estimate is ``1 * 1 + 0.25 +
+    2 = 3.25`` s and the fully-promoted estimate ``(1 + 1) * 1 + 0.25 =
+    2.25`` s.
+    """
+
+    BACKLOG_JOBS = 1
+    COMPUTE_BACKLOG_S = 0.25
+
+    @staticmethod
+    def _memory() -> ShardedKVHierarchy:
+        memory = ShardedKVHierarchy(num_banks=2, bank_budget_bytes=150.0)
+        memory.register(0, 200.0, num_clusters=2)
+        memory.register(1, 200.0, num_clusters=2)
+        assert memory.cold_fraction(0) == 0.0
+        assert memory.cold_fraction(1) == 0.5
+        return memory
+
+    @staticmethod
+    def _stage(**overrides) -> _PricedStage:
+        fields = dict(
+            active=True,
+            on_dre=True,
+            overlaps=True,
+            vision_s=0.0,
+            compute_s=0.5,
+            prediction_s=0.1,
+            fetch_s=0.5,
+            fetch_bytes_layer=1.0,
+            solo_warm_s=1.0,
+            solo_cold_s=3.0,
+            tokens=10,
+            solo_s=2.0,
+        )
+        fields.update(overrides)
+        return _PricedStage(**fields)
+
+    def _decide(self, memory, deadline_s, session=1, protected=(), stage=None):
+        ctx = SimpleNamespace(
+            config=SchedulerConfig(deadline_s=deadline_s, admission="residency"),
+            memory=memory,
+        )
+        return admission_decision(
+            ctx,
+            stage or self._stage(),
+            session,
+            self.BACKLOG_JOBS,
+            self.COMPUTE_BACKLOG_S,
+            protected,
+        )
+
+    def test_admits_at_the_estimate_boundary_without_touching_memory(self):
+        memory = self._memory()
+        version = memory.occupancy_version
+        assert self._decide(memory, deadline_s=3.25) == ADMIT
+        assert memory.occupancy_version == version
+        assert memory.evictions == []
+
+    @pytest.mark.parametrize("deadline_s", [3.0, 2.25])
+    def test_evicts_when_a_full_promotion_meets_the_deadline(self, deadline_s):
+        """Busted estimate, warm estimate within (or exactly at) the deadline."""
+        memory = self._memory()
+        assert self._decide(memory, deadline_s=deadline_s) == EVICT
+        # the planned promotion was applied: session 0 lost both shards
+        assert memory.evictions == [
+            EvictionRecord(0, 0, 100.0),
+            EvictionRecord(0, 1, 100.0),
+        ]
+        assert memory.cold_fraction(1) == 0.0
+        assert memory.cold_fraction(0) == 1.0
+        assert memory.bank_occupancy_bytes().tolist() == [100.0, 100.0]
+
+    def test_defers_when_even_the_warm_estimate_busts(self):
+        memory = self._memory()
+        version = memory.occupancy_version
+        assert self._decide(memory, deadline_s=2.0) == DEFER
+        assert memory.occupancy_version == version  # never priced a promotion
+        assert memory.evictions == []
+
+    def test_defers_when_the_promotion_falls_short(self):
+        """The only victim is protected: 0 of the 100 cold bytes promotable."""
+        memory = self._memory()
+        version = memory.occupancy_version
+        assert self._decide(memory, deadline_s=3.0, protected={0}) == DEFER
+        assert memory.occupancy_version == version  # planned, never applied
+        assert memory.evictions == []
+        assert memory.cold_fraction(1) == 0.5
+
+    def test_defers_a_fully_warm_session_that_still_busts(self):
+        """Session 0: estimate 1 + 0.25 + 1 = 2.25 s, nothing to promote."""
+        memory = self._memory()
+        assert self._decide(memory, deadline_s=2.25, session=0) == ADMIT
+        assert self._decide(memory, deadline_s=2.0, session=0) == DEFER
+        assert memory.evictions == []
+
+    @pytest.mark.parametrize(
+        "overrides", [{"active": False}, {"fetch_bytes_layer": 0.0}]
+    )
+    def test_nothing_to_estimate_always_admits(self, overrides):
+        memory = self._memory()
+        stage = self._stage(**overrides)
+        assert self._decide(memory, deadline_s=1e-9, stage=stage) == ADMIT
+
+    def test_energy_budget_boundary(self):
+        """sojourn = 1 * 2 + 0.25 + 2 = 4.25 s;
+        marginal = (4 W * 4.25 s + 2 W * 0.5 s) / 10 tokens = 1.8 J/token."""
+
+        def decide(budget, **overrides):
+            ctx = SimpleNamespace(
+                config=SchedulerConfig(
+                    admission="energy", energy_budget_j_per_token=budget
+                ),
+                memory=None,
+                baseline_w=4.0,
+                io_w=2.0,
+            )
+            return admission_decision(
+                ctx,
+                self._stage(**overrides),
+                1,
+                self.BACKLOG_JOBS,
+                self.COMPUTE_BACKLOG_S,
+                (),
+            )
+
+        assert decide(1.8) == ADMIT  # at the budget: not over it
+        assert decide(1.79) == DEFER
+        assert decide(1e-9, tokens=0) == ADMIT
+        assert decide(1e-9, active=False) == ADMIT
