@@ -3,14 +3,16 @@
 Public surface:
 
 * :class:`repro.core.resv.ReSVRetriever` — hash-bit key clustering +
-  WiCSum thresholding.
+  WiCSum thresholding, on the lane-batched kernels
+  :class:`repro.core.clustering.HashClusterLanes` and
+  :func:`repro.core.wicsum.wicsum_lanes` (one lane per KV head).
 * :class:`repro.core.retrieval_base.KVRetriever` — the interface attention
   layers consult.
 * :mod:`repro.core.baselines` — FlexGen / InfiniGen / InfiniGenP / ReKV /
   Oaken comparison points.
 """
 
-from repro.core.clustering import ClusterEntry, HashClusterTable
+from repro.core.clustering import ClusterEntry, HashClusterLanes, HashClusterTable
 from repro.core.hashbit import (
     HashBitEncoder,
     cosine_similarity_matrix,
@@ -31,6 +33,7 @@ from repro.core.retrieval_base import (
 from repro.core.wicsum import (
     WiCSumResult,
     importance_scores,
+    wicsum_lanes,
     wicsum_select,
     wicsum_select_early_exit,
 )
@@ -41,6 +44,7 @@ __all__ = [
     "ClusterEntry",
     "FullRetriever",
     "HashBitEncoder",
+    "HashClusterLanes",
     "HashClusterTable",
     "KVRetriever",
     "ReSVRetriever",
@@ -58,6 +62,7 @@ __all__ = [
     "unpack_bits",
     "unpack_bits_u64",
     "words_for_bits",
+    "wicsum_lanes",
     "wicsum_select",
     "wicsum_select_early_exit",
 ]

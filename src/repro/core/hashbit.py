@@ -88,12 +88,13 @@ def words_for_bits(n_bits: int) -> int:
 
 
 if hasattr(np, "bitwise_count"):  # numpy >= 2.0: native popcount
-    _popcount_u64 = np.bitwise_count
+    popcount_u64 = np.bitwise_count
 else:  # numpy 1.x fallback: byte-wise table lookup
 
     _POPCOUNT8 = np.array([bin(value).count("1") for value in range(256)], dtype=np.uint8)
 
-    def _popcount_u64(words: np.ndarray) -> np.ndarray:
+    def popcount_u64(words: np.ndarray) -> np.ndarray:
+        """Set bits of every uint64 word (same shape as ``words``)."""
         as_bytes = np.ascontiguousarray(words)[..., None].view(np.uint8)
         return _POPCOUNT8[as_bytes].sum(axis=-1, dtype=np.uint64)
 
@@ -109,13 +110,11 @@ def pack_bits_u64(bits: np.ndarray) -> np.ndarray:
     """
     bits = np.asarray(bits, dtype=bool)
     n_bits = bits.shape[-1]
-    pad = (-n_bits) % 64
-    if pad:
-        bits = np.concatenate(
-            [bits, np.zeros(bits.shape[:-1] + (pad,), dtype=bool)], axis=-1
-        )
-    packed8 = np.packbits(bits, axis=-1, bitorder="little")
-    return packed8.view(np.uint64).reshape(bits.shape[:-1] + (words_for_bits(n_bits),))
+    if n_bits % 64:
+        padded = np.zeros(bits.shape[:-1] + (64 * words_for_bits(n_bits),), dtype=bool)
+        padded[..., :n_bits] = bits
+        bits = padded
+    return np.packbits(bits, axis=-1, bitorder="little").view(np.uint64)
 
 
 def unpack_bits_u64(packed: np.ndarray, n_bits: int) -> np.ndarray:
@@ -136,7 +135,7 @@ def packed_hamming(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     a = np.asarray(a, dtype=np.uint64)
     b = np.asarray(b, dtype=np.uint64)
-    return _popcount_u64(a ^ b).sum(axis=-1, dtype=np.int64)
+    return popcount_u64(a ^ b).sum(axis=-1, dtype=np.int64)
 
 
 def unpack_bits(packed: np.ndarray, n_bits: int) -> np.ndarray:

@@ -27,14 +27,15 @@ a :class:`RetrievalEngineStats` per instance, which the performance plane
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import pairwise
 
 import numpy as np
 
 from repro.config import ReSVConfig
-from repro.core.clustering import HashClusterTable
-from repro.core.hashbit import HashBitEncoder, pack_bits_u64
+from repro.core.clustering import HashClusterLanes, HashClusterTable
+from repro.core.hashbit import HashBitEncoder
 from repro.core.retrieval_base import KVRetriever, Selection
-from repro.core.wicsum import importance_scores, wicsum_select, wicsum_select_early_exit
+from repro.core.wicsum import NUM_BUCKETS, importance_scores, wicsum_lanes
 from repro.model.kvcache import LayerKVCache
 
 
@@ -94,14 +95,6 @@ class TableOccupancy:
         return self.num_tokens / self.num_clusters
 
 
-@dataclass
-class ReSVLayerState:
-    """Per-layer state: one HC table per KV head."""
-
-    tables: list[HashClusterTable]
-    observed_tokens: int = 0
-
-
 class ReSVRetriever(KVRetriever):
     """Training-free dynamic KV cache retrieval (hash clustering + WiCSum)."""
 
@@ -128,18 +121,16 @@ class ReSVRetriever(KVRetriever):
             head_dim, self.config.n_hyperplanes, seed=self.config.seed
         )
         self.stats = RetrievalEngineStats()
-        self._layers: list[ReSVLayerState] = []
+        self._layers: list[HashClusterLanes] = []
         self._init_state()
 
     def _init_state(self) -> None:
+        """One lane store per decoder layer, one lane per KV head."""
+        # Clustering disabled (ablation): every token is its own cluster.
+        threshold = self.config.hamming_threshold if self.config.enable_clustering else -1
         self._layers = [
-            ReSVLayerState(
-                tables=[
-                    HashClusterTable(
-                        self.head_dim, self.config.n_hyperplanes, self.config.hamming_threshold
-                    )
-                    for _ in range(self.num_kv_heads)
-                ]
+            HashClusterLanes(
+                self.num_kv_heads, self.head_dim, self.config.n_hyperplanes, threshold
             )
             for _ in range(self.num_layers)
         ]
@@ -180,78 +171,65 @@ class ReSVRetriever(KVRetriever):
         """Cluster the new keys of one chunk into the layer's HC tables."""
         del frame_id, positions
         keys = np.asarray(keys, dtype=np.float64)
-        state = self._layers[layer]
-        new_tokens = keys.shape[1]
-        token_indices = np.arange(state.observed_tokens, state.observed_tokens + new_tokens)
-        # Encode and pack every KV head's signatures in one batched pass.
-        hash_bits = self.encoder.encode(keys)
-        packed = pack_bits_u64(hash_bits)
-        for kv_head in range(self.num_kv_heads):
-            table = state.tables[kv_head]
-            if not self.config.enable_clustering:
-                # Clustering disabled (ablation): every token is its own cluster.
-                table.hamming_threshold = -1
-            table.update(
-                keys[kv_head], hash_bits[kv_head], token_indices, packed_bits=packed[kv_head]
-            )
-        state.observed_tokens += new_tokens
+        store = self._layers[layer]
+        # Token ids are cache positions: the layer has seen num_tokens so far.
+        token_indices = np.arange(store.num_tokens, store.num_tokens + keys.shape[1])
+        store.update(keys, self.encoder.encode(keys), token_indices)
 
     def select(self, layer: int, queries: np.ndarray, cache: LayerKVCache) -> Selection:
         """Pick past tokens for light attention via WiCSum over cluster scores."""
         queries = np.asarray(queries, dtype=np.float64)
         cache_length = len(cache)
+        lanes = self.num_kv_heads
         if cache_length == 0:
-            return Selection.empty(self.num_kv_heads)
+            return Selection.empty(lanes)
 
-        state = self._layers[layer]
-        num_heads = queries.shape[0]
-        group_size = num_heads // self.num_kv_heads
-        per_head_indices: list[np.ndarray] = []
-        clusters_considered = 0
-        sorted_elements = 0
-        total_elements = 0
-
-        for kv_head in range(self.num_kv_heads):
-            table = state.tables[kv_head]
-            if table.num_clusters == 0:
-                # No signatures observed yet for this head: fall back to the
-                # full cache.  The recent-window union and cluster
-                # bookkeeping below still apply, keeping the fallback
-                # consistent with the normal path.
-                token_indices = np.arange(cache_length, dtype=np.int64)
+        store = self._layers[layer]
+        clusters_considered = sorted_elements = total_elements = 0
+        if store.num_tokens == 0:
+            # No signatures observed yet: fall back to the full cache.  The
+            # recent-window union and bookkeeping below still apply, keeping
+            # the fallback consistent with the normal path.
+            fetch = np.ones((lanes, cache_length), dtype=bool)
+        else:
+            live = store.live
+            clusters_considered = int(live.sum())
+            if self.config.enable_wicsum:
+                # One score row per (query head of the lane's GQA group, chunk token).
+                rows = queries.reshape(lanes, -1, self.head_dim)
+                representatives = store.key_clusters()
+                raw_scores = np.full(
+                    (lanes, rows.shape[1], representatives.shape[1]), -np.inf
+                )
+                for lane, k in enumerate(live.tolist()):
+                    raw_scores[lane, :, :k] = rows[lane] @ representatives[lane, :k].T
+                kept, sorted_elements = wicsum_lanes(
+                    importance_scores(raw_scores, self.head_dim),
+                    store.token_counts(),
+                    live,
+                    self.config.wicsum_ratio,
+                    NUM_BUCKETS if self.use_early_exit else None,
+                )
+                wanted = kept.any(axis=1)
+                total_elements = rows.shape[1] * clusters_considered
             else:
-                group = queries[kv_head * group_size : (kv_head + 1) * group_size]
-                rows = group.reshape(-1, self.head_dim)
-                raw_scores = rows @ table.key_clusters().T
-                scores = importance_scores(raw_scores, self.head_dim)
-                token_counts = table.token_counts()
-                if not self.config.enable_wicsum:
-                    selected_clusters = np.arange(table.num_clusters, dtype=np.int64)
-                else:
-                    select_fn = (
-                        wicsum_select_early_exit if self.use_early_exit else wicsum_select
-                    )
-                    result = select_fn(scores, token_counts, self.config.wicsum_ratio)
-                    selected_clusters = result.selected_clusters
-                    sorted_elements += result.sorted_elements
-                    total_elements += result.total_elements
-
-                clusters_considered += table.num_clusters
-                token_indices = table.tokens_of(selected_clusters)
-                # The HC table also contains the current chunk's tokens (they
-                # are clustered on arrival, before the chunk is appended to
-                # the cache); selection must only return tokens already
-                # resident in the offloaded cache.
-                token_indices = token_indices[token_indices < cache_length]
-            if self.config.recent_window > 0:
-                recent_start = max(0, cache_length - self.config.recent_window)
-                recent = np.arange(recent_start, cache_length, dtype=np.int64)
-                token_indices = np.union1d(token_indices, recent)
-            per_head_indices.append(token_indices.astype(np.int64))
+                wanted = np.arange(int(live.max())) < live[:, None]
+            # observe_keys numbers tokens by cache position, so a table's
+            # insertion order is its token ids.  The HC table also contains
+            # the current chunk's tokens (they are clustered on arrival,
+            # before the chunk is appended to the cache); selection must only
+            # return tokens already resident in the offloaded cache.
+            resident = min(store.num_tokens, cache_length)
+            fetch = np.zeros((lanes, cache_length), dtype=bool)
+            fetch[:, :resident] = store.members(wanted)[:, :resident]
+        if self.config.recent_window > 0:
+            fetch[:, max(0, cache_length - self.config.recent_window) :] = True
+        lane_of, token_indices = np.nonzero(fetch)
+        bounds = np.searchsorted(lane_of, np.arange(lanes + 1)).tolist()
 
         self.stats.record_select(sorted_elements, total_elements, clusters_considered)
         return Selection(
-            per_kv_head_indices=per_head_indices,
+            per_kv_head_indices=[token_indices[start:stop] for start, stop in pairwise(bounds)],
             num_clusters_considered=clusters_considered,
         )
 
@@ -260,39 +238,36 @@ class ReSVRetriever(KVRetriever):
     # ------------------------------------------------------------------ #
     def table(self, layer: int, kv_head: int) -> HashClusterTable:
         """Access a specific HC table (used by tests and the KVMU mapping)."""
-        return self._layers[layer].tables[kv_head]
+        return self._layers[layer].table(kv_head)
+
+    def _tables(self) -> list[HashClusterTable]:
+        return [
+            store.table(lane) for store in self._layers for lane in range(self.num_kv_heads)
+        ]
 
     def occupancy(self) -> TableOccupancy:
         """Aggregate table occupancy snapshot across all layers and heads."""
         snapshot = TableOccupancy()
-        for state in self._layers:
-            for table in state.tables:
-                snapshot.num_tables += 1
-                snapshot.num_clusters += table.num_clusters
-                snapshot.num_tokens += table.num_tokens
-                snapshot.table_bytes += table.memory_overhead_bytes()
+        for table in self._tables():
+            snapshot.num_tables += 1
+            snapshot.num_clusters += table.num_clusters
+            snapshot.num_tokens += table.num_tokens
+            snapshot.table_bytes += table.memory_overhead_bytes()
         return snapshot
 
     def mean_tokens_per_cluster(self) -> float:
         """Average cluster occupancy across all layers and heads."""
         values = [
-            table.mean_tokens_per_cluster()
-            for state in self._layers
-            for table in state.tables
-            if table.num_clusters > 0
+            table.mean_tokens_per_cluster() for table in self._tables() if table.num_clusters > 0
         ]
         return float(np.mean(values)) if values else 0.0
 
     def hc_table_overhead_ratio(self, kv_bytes_per_token_per_layer_head: int) -> float:
         """HC table size relative to the full KV cache it indexes."""
-        table_bytes = sum(
-            table.memory_overhead_bytes()
-            for state in self._layers
-            for table in state.tables
-        )
+        table_bytes = sum(table.memory_overhead_bytes() for table in self._tables())
         cache_bytes = sum(
-            state.observed_tokens * kv_bytes_per_token_per_layer_head * self.num_kv_heads
-            for state in self._layers
+            store.num_tokens * kv_bytes_per_token_per_layer_head * self.num_kv_heads
+            for store in self._layers
         )
         if cache_bytes == 0:
             return 0.0

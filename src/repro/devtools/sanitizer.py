@@ -35,7 +35,13 @@ golden run, a sweep.  Checks threaded through the stack:
   asserts every energy report's per-resource rows are non-negative,
   bounded by their power x window ceiling, and sum to the reported
   total (a row bypassing the accounting surfaces here, not as a wrong
-  $/1M-queries figure downstream).
+  $/1M-queries figure downstream);
+* **table conservation** — :class:`~repro.core.clustering.HashClusterLanes`
+  asserts after every update that each lane's live cluster counts sum to
+  the tokens observed, that dead slots hold no counts, votes or key sums,
+  and that every live signature is the packed majority of its votes
+  (armed from the environment only: the store takes no ``sanitize=``
+  flag).
 
 Violations raise :class:`SanitizerError` — a structured error carrying a
 machine-readable check code and the tail of the event trace leading up
@@ -60,6 +66,7 @@ RESOURCE_BALANCE = "resource-balance"
 JOB_STATE = "job-state"
 SHARD_CONSERVATION = "shard-conservation"
 ENERGY_CONSERVATION = "energy-conservation"
+TABLE_CONSERVATION = "table-conservation"
 
 #: Events retained in a trace tail attached to errors.
 TRACE_TAIL = 16

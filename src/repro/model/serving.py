@@ -20,6 +20,7 @@ what the performance plane consumes for batched latency estimates.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 
@@ -170,7 +171,7 @@ class SessionBatch:
         """Process frames in global arrival order (arrival-aware stepping).
 
         ``streams[i]`` holds stream ``i``'s frames and ``arrivals[i]`` the
-        matching nondecreasing arrival times — the traces
+        matching finite, nondecreasing arrival times — the traces
         :mod:`repro.sim.arrivals` generates.  Instead of the round-robin
         tick of :meth:`run_streams`, frames are prefilled one at a time in
         nondecreasing arrival time (ties broken by stream index), the
@@ -197,6 +198,8 @@ class SessionBatch:
                     f"stream {stream_index} has {len(frames)} frames but "
                     f"{len(times)} arrival times"
                 )
+            if not all(math.isfinite(time) for time in times):
+                raise ValueError(f"arrival trace of stream {stream_index} must be finite")
             if any(later < earlier for earlier, later in zip(times, times[1:], strict=False)):
                 raise ValueError(
                     f"arrival trace of stream {stream_index} must be nondecreasing"

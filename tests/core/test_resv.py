@@ -71,6 +71,9 @@ class TestReSVRetriever:
         retriever = ReSVRetriever(
             2, 2, 8, ReSVConfig(n_hyperplanes=16, hamming_threshold=4, enable_clustering=False)
         )
+        # resolved where the layer store is built, not on the first observe_keys
+        assert retriever.table(0, 0).hamming_threshold == -1
+        assert retriever.spawn().table(1, 1).hamming_threshold == -1
         total = _fill_cache(cache, retriever, rng, chunks=3)
         assert retriever.table(0, 0).num_clusters == total
 

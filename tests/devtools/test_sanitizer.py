@@ -13,6 +13,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.clustering import HashClusterLanes
+from repro.core.hashbit import HashBitEncoder
 from repro.devtools.sanitizer import (
     ENV_VAR,
     EVENT_ORDER,
@@ -21,6 +23,7 @@ from repro.devtools.sanitizer import (
     RESOURCE_BALANCE,
     RING_DISCIPLINE,
     SHARD_CONSERVATION,
+    TABLE_CONSERVATION,
     SanitizerError,
     arm,
     arm_from_argv,
@@ -439,6 +442,50 @@ class TestShardConservation:
         plane.commit_fetch(0)  # occupancy moved since the plan was made
         with expect(SHARD_CONSERVATION):
             plane.apply_promotion(plan)
+
+
+class TestTableConservation:
+    """The lane store arms itself from the environment (no ``sanitize=`` flag)."""
+
+    @pytest.fixture
+    def store(self, monkeypatch):
+        monkeypatch.setenv(ENV_VAR, "1")
+        store = HashClusterLanes(lanes=3, head_dim=8, n_bits=32, hamming_threshold=7)
+        self.feed(store)  # checked after every update
+        return store
+
+    @staticmethod
+    def feed(store, chunks=3):
+        rng = np.random.default_rng(store.num_tokens)
+        encoder = HashBitEncoder(store.head_dim, store.n_bits, seed=0)
+        for _ in range(chunks):
+            keys = rng.normal(size=(store.lanes, 5, store.head_dim))
+            ids = np.arange(store.num_tokens, store.num_tokens + 5)
+            store.update(keys, encoder.encode(keys), ids)
+
+    def test_clean_updates_pass_and_unarmed_store_skips_checks(self, store, monkeypatch):
+        store.sanity_check()
+        monkeypatch.delenv(ENV_VAR)
+        unarmed = HashClusterLanes(lanes=1, head_dim=8, n_bits=32, hamming_threshold=7)
+        self.feed(unarmed, chunks=1)
+        unarmed._counts[0, 0] += 1
+        self.feed(unarmed, chunks=1)  # corrupted, but nobody is looking
+
+    def test_lost_token_detected_on_next_update(self, store):
+        store._counts[1, 0] -= 1  # a token counted in no cluster
+        with expect(TABLE_CONSERVATION):
+            self.feed(store, chunks=1)
+
+    @pytest.mark.parametrize("state", ["_counts", "_votes", "_key_sums"])
+    def test_dead_slot_state_detected(self, store, state):
+        getattr(store, state)[0, store.live[0] :] = 1  # a scatter past the live count
+        with pytest.raises(SanitizerError, match="dead cluster slot"):
+            store.sanity_check()
+
+    def test_stale_signature_detected(self, store):
+        store._signatures[2, 0] ^= np.uint64(1)  # a majority refresh that never happened
+        with expect(TABLE_CONSERVATION):
+            store.sanity_check()
 
 
 class TestSanitizedRunEquivalence:

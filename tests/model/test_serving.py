@@ -257,6 +257,28 @@ class TestSessionBatch:
         with pytest.raises(ValueError):
             batch.run_arrivals([frames, frames], [[1.0, 0.0], [0.0, 1.0]])
 
+    @pytest.mark.parametrize(
+        "arrivals",
+        [
+            [[0.0, float("nan"), 0.5], [0.1, 0.2, 0.3]],
+            [[0.0, 0.2, 0.5], [0.1, float("inf"), float("inf")]],
+            [[float("-inf"), 0.2, 0.5], [0.1, 0.2, 0.3]],
+        ],
+        ids=["nan", "inf", "-inf"],
+    )
+    def test_run_arrivals_rejects_non_finite_times(
+        self, tiny_model, tiny_model_config, rng, arrivals
+    ):
+        """NaN compares false both ways, so it slipped past the nondecreasing check."""
+        batch = SessionBatch(
+            tiny_model, retriever=_resv_for(tiny_model_config), num_sessions=2
+        )
+        frames = _frames(rng, 3, 4, tiny_model_config.hidden_dim)
+        with pytest.raises(ValueError, match="stream [01] must be finite"):
+            batch.run_arrivals([frames, frames], arrivals)
+        # rejected before any frame is processed
+        assert all(report.frames_processed == 0 for report in batch.reports())
+
     def test_baseline_retrievers_spawn_per_session(self, tiny_model, rng):
         batch = SessionBatch(tiny_model, retriever=make_rekv(), num_sessions=2)
         retrievers = [session.retriever for session in batch.sessions]
