@@ -1,7 +1,8 @@
 """Benchmark harness configuration.
 
 Each benchmark regenerates one table or figure of the paper via the
-corresponding driver in ``repro.experiments`` (see DESIGN.md for the
-experiment index) and reports its wall-clock cost through pytest-benchmark.
+corresponding driver in ``repro.experiments`` (the README section
+"Experiments, ablations and substitutions" is the index) and reports its
+wall-clock cost through pytest-benchmark.
 Run with ``pytest benchmarks/ --benchmark-only``.
 """

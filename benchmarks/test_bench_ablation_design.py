@@ -1,4 +1,5 @@
-"""Ablation benchmarks for the design choices called out in DESIGN.md.
+"""Ablation benchmarks for the design choices listed in the README section
+"Experiments, ablations and substitutions".
 
 These are not paper figures; they quantify the cost/benefit of individual
 mechanisms: early-exit sorting in the WTU, cluster-wise memory mapping in

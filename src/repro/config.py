@@ -12,7 +12,45 @@ and energy experiments) without touching any other code.
 from __future__ import annotations
 
 import dataclasses
+import math
+import operator
 from dataclasses import dataclass, field
+
+
+def require_number(
+    name: str,
+    value,
+    minimum: float = 0,
+    *,
+    exclusive: bool = False,
+    finite: bool = False,
+    integer: bool = False,
+):
+    """Return ``value``, or raise a ``ValueError`` naming the argument.
+
+    The one range check behind the simulator's configuration objects.
+    ``value`` must be ``>= minimum`` (``> minimum`` when ``exclusive``);
+    NaN satisfies no comparison, so it is rejected everywhere.  ``inf``
+    passes unless ``finite`` — several knobs give it a meaning (a quantum
+    of ``inf`` is FCFS, a backlog patience of ``inf`` never migrates).
+    ``integer`` additionally demands a true integer (a count of 2.5
+    devices is a caller bug, not something to truncate).
+    """
+    if integer:
+        try:
+            operator.index(value)
+        except TypeError:
+            raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    in_range = value > minimum if exclusive else value >= minimum
+    if not in_range or (finite and not math.isfinite(value)):
+        if minimum == 0:
+            bound = "positive" if exclusive else "non-negative"
+        else:
+            bound = f"{'greater than' if exclusive else 'at least'} {minimum}"
+        raise ValueError(
+            f"{name} must be {'finite and ' if finite else ''}{bound}, got {value}"
+        )
+    return value
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,8 @@ Each module exposes a ``run(...)`` function returning a structured result
 (dataclass or dict) and a ``main()`` entry point that prints the same rows
 or series the paper reports.  The benchmark harness under ``benchmarks/``
 wraps these drivers with pytest-benchmark so every figure/table can be
-regenerated with a single command (see DESIGN.md for the index).
+regenerated with a single command (the index is the README section
+"Experiments, ablations and substitutions").
 """
 
 from repro.experiments import (  # noqa: F401

@@ -51,6 +51,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.config import require_number
 from repro.devtools.sanitizer import (
     EVENT_ORDER,
     LANE_ORDER,
@@ -441,8 +442,7 @@ class PreemptiveResource:
         record: bool = True,
         sanitize: bool | None = None,
     ):
-        if quantum_s <= 0:
-            raise ValueError(f"quantum_s must be positive, got {quantum_s}")
+        require_number("quantum_s", quantum_s, exclusive=True)
         self.loop = loop
         self.name = name
         self.quantum_s = float(quantum_s)

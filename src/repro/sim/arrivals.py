@@ -28,12 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-
-def _validate_fleet(num_streams: int, frames_per_stream: int) -> None:
-    if num_streams < 1:
-        raise ValueError(f"num_streams must be at least 1, got {num_streams}")
-    if frames_per_stream < 0:
-        raise ValueError(f"frames_per_stream must be non-negative, got {frames_per_stream}")
+from repro.config import require_number
 
 
 def rate_for_load(load_factor: float, service_s: float, num_streams: int = 1) -> float:
@@ -44,12 +39,9 @@ def rate_for_load(load_factor: float, service_s: float, num_streams: int = 1) ->
     returned rate present ``load_factor / service_s`` frames per second in
     aggregate.
     """
-    if load_factor <= 0:
-        raise ValueError(f"load_factor must be positive, got {load_factor}")
-    if service_s <= 0:
-        raise ValueError(f"service_s must be positive, got {service_s}")
-    if num_streams < 1:
-        raise ValueError(f"num_streams must be at least 1, got {num_streams}")
+    require_number("load_factor", load_factor, exclusive=True, finite=True)
+    require_number("service_s", service_s, exclusive=True, finite=True)
+    require_number("num_streams", num_streams, 1, integer=True)
     return load_factor / (service_s * num_streams)
 
 
@@ -64,7 +56,8 @@ class ArrivalProcess:
         self, num_streams: int, frames_per_stream: int, seed: int = 0
     ) -> list[np.ndarray]:
         """One nondecreasing arrival-time array per stream."""
-        _validate_fleet(num_streams, frames_per_stream)
+        require_number("num_streams", num_streams, 1, integer=True)
+        require_number("frames_per_stream", frames_per_stream, integer=True)
         traces = []
         for stream in range(num_streams):
             rng = np.random.default_rng((int(seed), stream))
@@ -118,12 +111,9 @@ class DeterministicArrivals(ArrivalProcess):
     start_s: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.period_s < 0:
-            raise ValueError(f"period_s must be non-negative, got {self.period_s}")
-        if self.spacing_s < 0:
-            raise ValueError(f"spacing_s must be non-negative, got {self.spacing_s}")
-        if self.start_s < 0:
-            raise ValueError(f"start_s must be non-negative, got {self.start_s}")
+        require_number("period_s", self.period_s, finite=True)
+        require_number("spacing_s", self.spacing_s, finite=True)
+        require_number("start_s", self.start_s, finite=True)
 
     def _stream_times(
         self, rng: np.random.Generator, frames: int, stream: int
@@ -147,10 +137,8 @@ class PoissonArrivals(ArrivalProcess):
     start_s: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.rate_hz <= 0:
-            raise ValueError(f"rate_hz must be positive, got {self.rate_hz}")
-        if self.start_s < 0:
-            raise ValueError(f"start_s must be non-negative, got {self.start_s}")
+        require_number("rate_hz", self.rate_hz, exclusive=True, finite=True)
+        require_number("start_s", self.start_s, finite=True)
 
     def _stream_times(
         self, rng: np.random.Generator, frames: int, stream: int
@@ -180,16 +168,10 @@ class BurstyArrivals(ArrivalProcess):
     start_s: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.burst_rate_hz <= 0:
-            raise ValueError(f"burst_rate_hz must be positive, got {self.burst_rate_hz}")
-        if self.mean_burst_frames < 1:
-            raise ValueError(
-                f"mean_burst_frames must be at least 1, got {self.mean_burst_frames}"
-            )
-        if self.mean_idle_s < 0:
-            raise ValueError(f"mean_idle_s must be non-negative, got {self.mean_idle_s}")
-        if self.start_s < 0:
-            raise ValueError(f"start_s must be non-negative, got {self.start_s}")
+        require_number("burst_rate_hz", self.burst_rate_hz, exclusive=True, finite=True)
+        require_number("mean_burst_frames", self.mean_burst_frames, 1, finite=True)
+        require_number("mean_idle_s", self.mean_idle_s, finite=True)
+        require_number("start_s", self.start_s, finite=True)
 
     def _stream_times(
         self, rng: np.random.Generator, frames: int, stream: int
@@ -235,14 +217,8 @@ class BurstyArrivals(ArrivalProcess):
         delivers ``rate_hz`` on average — the apples-to-apples comparison
         the load sweeps need.
         """
-        if rate_hz <= 0:
-            raise ValueError(f"rate_hz must be positive, got {rate_hz}")
-        if burstiness <= 1:
-            raise ValueError(f"burstiness must exceed 1, got {burstiness}")
-        if mean_burst_frames < 1:
-            raise ValueError(
-                f"mean_burst_frames must be at least 1, got {mean_burst_frames}"
-            )
+        require_number("rate_hz", rate_hz, exclusive=True, finite=True)
+        require_number("burstiness", burstiness, 1, exclusive=True, finite=True)
         burst_rate = burstiness * rate_hz
         idle_s = mean_burst_frames / rate_hz - (mean_burst_frames - 1.0) / burst_rate
         return cls(

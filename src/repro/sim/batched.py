@@ -65,6 +65,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.config import require_number
 from repro.hw.accelerator import VRexAccelerator
 from repro.hw.compute import KernelCost
 from repro.hw.dre.kvmu import KVFetchWork
@@ -122,10 +123,8 @@ def validate_compute_policy(compute: str) -> str:
 
 
 def validate_quantum(quantum_s: float) -> float:
-    """Return ``quantum_s`` as a float or raise if it is not positive."""
-    if quantum_s <= 0:
-        raise ValueError(f"quantum_s must be positive, got {quantum_s}")
-    return float(quantum_s)
+    """Return ``quantum_s`` as a float or raise if it is not positive (or NaN)."""
+    return float(require_number("quantum_s", quantum_s, exclusive=True))
 
 
 @dataclass(frozen=True)
@@ -168,6 +167,9 @@ class StreamProfile:
     generation_ratio: float | None = None
     arrival_offset_s: float = 0.0
     session_id: int = 0
+
+    def __post_init__(self) -> None:
+        require_number("kv_len", self.kv_len)
 
     def ratio_override(self, stage: str) -> float | None:
         """Measured retrieval-ratio override for a stage (``None`` = policy)."""

@@ -92,6 +92,7 @@ from itertools import count
 
 import numpy as np
 
+from repro.config import require_number
 from repro.devtools.sanitizer import sanitize_enabled
 from repro.hw.event import Timeline
 from repro.hw.interconnect import FREE_INTERCONNECT, InterconnectLink, InterconnectSpec
@@ -168,27 +169,12 @@ class FleetConfig:
     rebalance_hysteresis_s: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.num_devices < 1:
-            raise ValueError(f"num_devices must be at least 1, got {self.num_devices}")
+        require_number("num_devices", self.num_devices, 1, integer=True)
         validate_router_policy(self.router)
-        if self.migrate_backlog_s < 0:
-            raise ValueError(
-                f"migrate_backlog_s must be non-negative, got {self.migrate_backlog_s}"
-            )
-        if self.steal_backlog_s < 0:
-            raise ValueError(
-                f"steal_backlog_s must be non-negative, got {self.steal_backlog_s}"
-            )
-        if not self.rebalance_interval_s > 0:
-            raise ValueError(
-                "rebalance_interval_s must be positive (inf disables sweeps), "
-                f"got {self.rebalance_interval_s}"
-            )
-        if self.rebalance_hysteresis_s < 0:
-            raise ValueError(
-                "rebalance_hysteresis_s must be non-negative, "
-                f"got {self.rebalance_hysteresis_s}"
-            )
+        require_number("migrate_backlog_s", self.migrate_backlog_s)
+        require_number("steal_backlog_s", self.steal_backlog_s)
+        require_number("rebalance_interval_s", self.rebalance_interval_s, exclusive=True)
+        require_number("rebalance_hysteresis_s", self.rebalance_hysteresis_s)
 
 
 @dataclass(frozen=True)

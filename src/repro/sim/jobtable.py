@@ -18,11 +18,11 @@ preallocated parallel columns:
   merge), on which percentile/miss/drop statistics are computed directly
   and from which ``JobRecord`` lists are materialized *lazily* as views.
 
-Bit-compatibility contract: records sort by ``(finish_s, stream_index,
-job_index)`` with a *stable* sort (``np.lexsort``), matching the reference
-loop's ``sorted`` call over its insertion-ordered record list, and the
-deadline-miss flag is the same ``finish - arrival > deadline`` float
-comparison the reference applies per record.
+Bit-compatibility contract: both engines emit records in the same
+insertion order and every record set sorts by ``(finish_s, stream_index,
+job_index)`` with a *stable* sort (``np.lexsort``), so ties keep that
+order; the deadline-miss flag is derived in one place
+(:class:`RecordColumns`) as ``finish - arrival > deadline`` on served jobs.
 """
 
 from __future__ import annotations
@@ -192,8 +192,7 @@ class JobTable:
             self._san_check_columns(
                 job, arrival, start, finish, dropped, admission, pcie, dre, cwait
             )
-        # stable sort == the reference loop's sorted(records, key=...) over
-        # its insertion-ordered list
+        # stable: ties keep the engine's record (insertion) order
         order = np.lexsort((self.index[job], self.stream[job], finish))
         job = job[order]
         return RecordColumns(
@@ -288,8 +287,8 @@ class RecordColumns:
     """One run's job records as sorted parallel numpy columns.
 
     The only stored representation of a run's records: the array engine
-    finalizes into one, the reference loop's record list converts into
-    one on first use, and a fleet merges its devices' columns into one.
+    finalizes into one, the reference loop converts its record rows into
+    one as the run ends, and a fleet merges its devices' columns into one.
     ``JobRecord`` lists are views materialized from it on demand.
     """
 
@@ -309,6 +308,9 @@ class RecordColumns:
         "compute_wait",
     )
 
+    #: dtype of each ``FIELDS`` column, in order
+    _DTYPES = (np.int64,) * 4 + (float,) * 3 + (bool, np.int64) + (float,) * 3
+
     __slots__ = (*FIELDS, "missed", "deadline_s")
 
     def __init__(self, *, deadline_s: float | None, **columns):
@@ -322,7 +324,6 @@ class RecordColumns:
         if deadline_s is None:
             self.missed = np.zeros(len(self.finish), dtype=bool)
         else:
-            # the reference loop's per-record ``finish - arrival > deadline``
             self.missed = ~self.dropped & ((self.finish - self.arrival) > deadline_s)
 
     def __len__(self) -> int:
@@ -332,6 +333,16 @@ class RecordColumns:
         """A copy with some columns swapped (``missed`` is recomputed)."""
         kept = {name: getattr(self, name) for name in self.FIELDS}
         return RecordColumns(deadline_s=self.deadline_s, **{**kept, **columns})
+
+    @classmethod
+    def from_rows(cls, rows: list[tuple], deadline_s: float | None) -> "RecordColumns":
+        """Sorted columns of ``FIELDS``-ordered row tuples in record order."""
+        fields = zip(cls.FIELDS, cls._DTYPES, strict=True)
+        columns = {
+            name: np.array([row[position] for row in rows], dtype=dtype)
+            for position, (name, dtype) in enumerate(fields)
+        }
+        return cls.merged([cls(deadline_s=deadline_s, **columns)])
 
     @classmethod
     def merged(cls, parts: "list[RecordColumns]") -> "RecordColumns":

@@ -46,6 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.config import require_number
 from repro.hw.accelerator import VRexAccelerator
 from repro.hw.event import (
     EventLoop,
@@ -182,12 +183,10 @@ class SchedulerConfig:
     energy_budget_j_per_token: float | None = None
 
     def __post_init__(self) -> None:
-        if self.deadline_s is not None and self.deadline_s <= 0:
-            raise ValueError(f"deadline_s must be positive, got {self.deadline_s}")
-        if self.max_queue_depth is not None and self.max_queue_depth < 0:
-            raise ValueError(
-                f"max_queue_depth must be non-negative, got {self.max_queue_depth}"
-            )
+        if self.deadline_s is not None:
+            require_number("deadline_s", self.deadline_s, exclusive=True)
+        if self.max_queue_depth is not None:
+            require_number("max_queue_depth", self.max_queue_depth, integer=True)
         validate_compute_policy(self.compute)
         validate_quantum(self.quantum_s)
         validate_admission_policy(self.admission)
@@ -197,13 +196,9 @@ class SchedulerConfig:
             raise ValueError(
                 "admission='energy' requires an energy_budget_j_per_token"
             )
-        if (
-            self.energy_budget_j_per_token is not None
-            and self.energy_budget_j_per_token <= 0
-        ):
-            raise ValueError(
-                "energy_budget_j_per_token must be positive, got "
-                f"{self.energy_budget_j_per_token}"
+        if self.energy_budget_j_per_token is not None:
+            require_number(
+                "energy_budget_j_per_token", self.energy_budget_j_per_token, exclusive=True
             )
 
 
@@ -302,33 +297,6 @@ def _records_from_columns(columns: RecordColumns) -> list[JobRecord]:
         )
         for i in range(len(stream))
     ]
-
-
-def _columns_from_records(
-    records: list[JobRecord], deadline_s: float | None
-) -> RecordColumns:
-    """The column store of a sorted record list (the reference loop's output).
-
-    ``missed`` is not copied: :class:`RecordColumns` re-derives it with the
-    same ``finish - arrival > deadline`` comparison the loop applied.
-    """
-    return RecordColumns(
-        stream=np.array([r.stream_index for r in records], dtype=np.int64),
-        session=np.array([r.session_id for r in records], dtype=np.int64),
-        kind=np.array([_KIND_CODES[r.kind] for r in records], dtype=np.int64),
-        index=np.array([r.job_index for r in records], dtype=np.int64),
-        arrival=np.array([r.arrival_s for r in records], dtype=float),
-        start=np.array([r.start_s for r in records], dtype=float),
-        finish=np.array([r.finish_s for r in records], dtype=float),
-        dropped=np.array([r.dropped for r in records], dtype=bool),
-        admission=np.array(
-            [_ADMISSION_CODES[r.admission] for r in records], dtype=np.int64
-        ),
-        pcie_wait=np.array([r.pcie_wait_s for r in records], dtype=float),
-        dre_wait=np.array([r.dre_wait_s for r in records], dtype=float),
-        compute_wait=np.array([r.compute_wait_s for r in records], dtype=float),
-        deadline_s=deadline_s,
-    )
 
 
 def _summarize(
@@ -468,14 +436,12 @@ class RecordViews:
 class ScheduleResult(RecordViews):
     """Everything one scheduler run produced.
 
-    Both engines build one: the array engine passes the run's
-    :class:`~repro.sim.jobtable.RecordColumns` plus the compact timeline
-    log, the reference loop its sorted ``records`` and full ``timeline``.
-    Either way :attr:`columns` is the store every statistic reads — built
-    from the reference loop's list on first access, so that loop's own
-    cost stays the gate normaliser — and the dataclass views are
-    reconstructed lazily.  The engine-equivalence tests pin the two
-    engines' columns equal, column by column.
+    Both engines hand over the run's sorted
+    :class:`~repro.sim.jobtable.RecordColumns` — the store every statistic
+    reads; the dataclass views are reconstructed lazily — plus the array
+    engine's compact timeline log (``table``) or the reference loop's full
+    ``timeline``.  The engine-equivalence tests pin the two engines'
+    columns equal, column by column.
     """
 
     def __init__(
@@ -483,13 +449,12 @@ class ScheduleResult(RecordViews):
         system: str,
         config: SchedulerConfig,
         num_streams: int,
-        records: list[JobRecord] | None = None,
+        columns: RecordColumns,
         timeline: Timeline | None = None,
         events_processed: int = 0,
         oom: bool = False,
         memory: ShardedKVHierarchy | None = None,
         bank_occupancy_trajectory: list[tuple[float, tuple[float, ...]]] | None = None,
-        columns: RecordColumns | None = None,
         table=None,
         timesliced: bool = False,
         energy_inputs=None,
@@ -508,18 +473,11 @@ class ScheduleResult(RecordViews):
         self.bank_occupancy_trajectory = (
             [] if bank_occupancy_trajectory is None else bank_occupancy_trajectory
         )
-        self._columns = columns
-        self._records = [] if records is None and columns is None else records
+        #: the run's sorted record columns (the store behind every view)
+        self.columns = columns
         self._timeline = timeline
         self._table = table
         self._timesliced = timesliced
-
-    @property
-    def columns(self) -> RecordColumns:
-        """The run's sorted record columns (the store behind every view)."""
-        if self._columns is None:
-            self._columns = _columns_from_records(self._records, self.config.deadline_s)
-        return self._columns
 
     @property
     def timeline(self) -> Timeline:
@@ -784,12 +742,10 @@ class ServingScheduler:
         self.config = config or SchedulerConfig()
         #: "array" (struct-of-arrays fast path) or "reference" (original loop)
         self.engine = validate_engine(engine)
-        #: per-instance priced-stage cache of the array engine, keyed by
-        #: ``(system, profiles, question tokens)`` — pricing is pure in those
-        #: inputs, so repeated runs (benchmark repeats, load sweeps over
-        #: arrival seeds) skip the dominant demand-pricing cost.  The
-        #: reference engine never reads it, keeping its cost profile the
-        #: honest pre-rewrite baseline.
+        #: per-instance priced-stage cache, keyed by ``(system, profiles,
+        #: question tokens)`` — pricing is pure in those inputs, so repeated
+        #: runs (benchmark repeats, load sweeps over arrival seeds) skip the
+        #: dominant demand-pricing cost
         self._price_cache: dict = {}
 
     # ------------------------------------------------------------------ #
@@ -990,25 +946,23 @@ class ServingScheduler:
         frame_overlaps: bool,
     ) -> list[dict[str, _PricedStage]]:
         base = self.plane.base
-        cache_key = None
-        if self.engine == "array":
-            # identity-keyed: StreamProfile/SystemConfig are mutable
-            # dataclasses (unhashable), but sweep and benchmark loops reuse
-            # the same objects run after run.  The cache entry keeps strong
-            # references to the keyed objects, so their ids stay valid for
-            # the entry's lifetime; an `is`-check guards against reuse.
-            cache_key = (
-                id(system),
-                tuple(id(profile) for profile in profiles),
-                tuple(q_tokens),
-            )
-            cached = self._price_cache.get(cache_key)
-            if cached is not None:
-                cached_system, cached_profiles, cached_priced = cached
-                if cached_system is system and all(
-                    a is b for a, b in zip(cached_profiles, profiles, strict=True)
-                ):
-                    return cached_priced
+        # identity-keyed: StreamProfile/SystemConfig are mutable dataclasses
+        # (unhashable), but sweep and benchmark loops reuse the same objects
+        # run after run.  The cache entry keeps strong references to the
+        # keyed objects, so their ids stay valid for the entry's lifetime;
+        # an `is`-check guards against reuse.
+        cache_key = (
+            id(system),
+            tuple(id(profile) for profile in profiles),
+            tuple(q_tokens),
+        )
+        cached = self._price_cache.get(cache_key)
+        if cached is not None:
+            cached_system, cached_profiles, cached_priced = cached
+            if cached_system is system and all(
+                a is b for a, b in zip(cached_profiles, profiles, strict=True)
+            ):
+                return cached_priced
 
         def price(profile: StreamProfile, q_len: int | None, stage: str, vision_s: float, overlaps: bool, vision_work=None) -> _PricedStage:
             demand = self.plane._stream_demand(system, profile, q_len, stage, memory=memory)
@@ -1080,10 +1034,9 @@ class ServingScheduler:
                 GENERATION_JOB: price(profile, 1, GENERATION_STAGE, 0.0, True),
             }
             priced.append(stages)
-        if cache_key is not None:
-            if len(self._price_cache) >= 32:
-                self._price_cache.clear()
-            self._price_cache[cache_key] = (system, list(profiles), priced)
+        if len(self._price_cache) >= 32:
+            self._price_cache.clear()
+        self._price_cache[cache_key] = (system, list(profiles), priced)
         return priced
 
     # ------------------------------------------------------------------ #
@@ -1124,7 +1077,7 @@ class ServingScheduler:
             for stream in range(num_streams)
         ]
         timeline = Timeline()
-        records: list[JobRecord] = []
+        rows: list[tuple] = []  # one per record, in RecordColumns.FIELDS order
         trajectory: list[tuple[float, tuple[float, ...]]] = []
 
         def note_occupancy() -> None:
@@ -1147,26 +1100,20 @@ class ServingScheduler:
             )
 
         def record(job: _Job, finish_s: float, dropped: bool) -> None:
-            sojourn = finish_s - job.arrival_s
-            records.append(
-                JobRecord(
-                    stream_index=job.stream,
-                    session_id=profiles[job.stream].session_id,
-                    kind=job.kind,
-                    job_index=job.index,
-                    arrival_s=job.arrival_s,
-                    start_s=job.start_s,
-                    finish_s=finish_s,
-                    dropped=dropped,
-                    deadline_missed=(
-                        not dropped
-                        and cfg.deadline_s is not None
-                        and sojourn > cfg.deadline_s
-                    ),
-                    pcie_wait_s=job.pcie_wait_s,
-                    dre_wait_s=job.dre_wait_s,
-                    compute_wait_s=job.compute_wait_s,
-                    admission=job.admission,
+            rows.append(
+                (
+                    job.stream,
+                    profiles[job.stream].session_id,
+                    _KIND_CODES[job.kind],
+                    job.index,
+                    job.arrival_s,
+                    job.start_s,
+                    finish_s,
+                    dropped,
+                    _ADMISSION_CODES[job.admission],
+                    job.pcie_wait_s,
+                    job.dre_wait_s,
+                    job.compute_wait_s,
                 )
             )
 
@@ -1382,11 +1329,11 @@ class ServingScheduler:
             if compute_server is not None:
                 compute_server.assert_drained()
 
-        result = ScheduleResult(
+        return ScheduleResult(
             system=system.name,
             config=cfg,
             num_streams=num_streams,
-            records=sorted(records, key=lambda r: (r.finish_s, r.stream_index, r.job_index)),
+            columns=RecordColumns.from_rows(rows, cfg.deadline_s),
             timeline=timeline,
             events_processed=loop.events_processed,
             oom=self.plane._batched_oom(system, profiles),
@@ -1399,4 +1346,3 @@ class ServingScheduler:
                 link_busy_s=link.busy_s(),
             ),
         )
-        return result

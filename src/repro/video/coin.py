@@ -16,7 +16,8 @@ back the probed step lies, how long the episode is, and how many turns are
 asked, which is what drives the per-task retrieval-ratio differences the
 paper reports.
 
-This is a documented substitution for the real COIN dataset (see DESIGN.md).
+This is a documented substitution for the real COIN dataset (README,
+"Experiments, ablations and substitutions").
 """
 
 from __future__ import annotations

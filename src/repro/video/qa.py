@@ -66,10 +66,11 @@ class MethodResult:
         return float(np.mean([e.generation_retrieval_ratio for e in self.episodes]))
 
 
-#: Calibrated substrate hyperparameters (see DESIGN.md): the identity bias
-#: and residual mixing weights are tuned so that the *vanilla* model answers
-#: roughly 90 % of synthetic COIN probes correctly, leaving headroom for
-#: retrieval methods to degrade it — mirroring the paper's Table II setup.
+#: Calibrated substrate hyperparameters (README, "Experiments, ablations and
+#: substitutions"): the identity bias and residual mixing weights are tuned
+#: so that the *vanilla* model answers roughly 90 % of synthetic COIN probes
+#: correctly, leaving headroom for retrieval methods to degrade it —
+#: mirroring the paper's Table II setup.
 QA_IDENTITY_BIAS = 2.5
 QA_ATTN_MIX = 0.2
 QA_FFN_MIX = 0.1
@@ -81,7 +82,8 @@ def default_qa_model_config(hidden_dim: int = 128, tokens_per_frame: int = 8) ->
     RoPE is disabled for the QA substrate: with untrained random weights the
     position rotation destroys long-range needle retrieval that a trained
     model would handle, and the accuracy experiments only compare retrieval
-    methods against each other (see DESIGN.md substitutions).
+    methods against each other (README, "Experiments, ablations and
+    substitutions").
     """
     return ModelConfig(
         name="qa-toy",

@@ -171,13 +171,15 @@ class TestEngineEquivalenceMemoryPlane:
 
     @pytest.mark.parametrize("compute", ["private", "timesliced"])
     @pytest.mark.parametrize("admission", ["backlog", "residency"])
-    @pytest.mark.parametrize("num_banks", [1, 2])
+    @pytest.mark.parametrize("num_banks", [1, 2, 4])
     def test_memory_configs_match(self, server, admission, num_banks, compute):
         """``timesliced`` pins residency admission's shared-compute-backlog
         term: each engine reads it from its own preemptive server."""
         system = server["V-Rex48"]
+        # four banks hold four sessions' shards; six keep the fleet memory-bound
         profiles = [
-            StreamProfile(kv_len=40_000, session_id=index) for index in range(4)
+            StreamProfile(kv_len=40_000, session_id=index)
+            for index in range(6 if num_banks == 4 else 4)
         ]
         budget = int(4.5 * 1024**3)
         solo = None
@@ -207,6 +209,7 @@ class TestEngineEquivalenceMemoryPlane:
         reference, array = results
         assert_runs_identical(reference, array)
         assert array.memory.evictions == reference.memory.evictions
+        assert array.memory.evictions  # bounded banks demoted something
 
     @pytest.mark.parametrize("compute", ["private", "timesliced"])
     def test_memory_timesliced_configs_match(self, server, compute):

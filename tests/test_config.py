@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
 import pytest
 
 from repro.config import (
@@ -11,9 +14,15 @@ from repro.config import (
     StreamingConfig,
     TopKConfig,
     llama3_8b_config,
+    require_number,
     toy_model_config,
     toy_vision_config,
 )
+from repro.hw.event import EventLoop, PreemptiveResource
+from repro.sim.arrivals import BurstyArrivals, PoissonArrivals
+from repro.sim.batched import BatchLatencyModel, StreamProfile
+from repro.sim.fleet import FleetConfig
+from repro.sim.scheduler import SchedulerConfig
 
 
 class TestModelConfig:
@@ -86,3 +95,75 @@ class TestAlgorithmConfigs:
     def test_vision_config_patches(self):
         cfg = toy_vision_config()
         assert cfg.num_patches == (cfg.image_size // cfg.patch_size) ** 2
+
+
+class TestRequireNumber:
+    """The one range check behind the simulator's configuration objects."""
+
+    def test_returns_the_value_in_range(self):
+        assert require_number("x", 0) == 0
+        assert require_number("x", 2.5, 1) == 2.5
+        assert require_number("x", math.inf, exclusive=True) == math.inf
+        assert require_number("x", np.int64(3), 1, integer=True) == 3
+
+    @pytest.mark.parametrize(
+        "kwargs, value, wording",
+        [
+            ({}, -1, "x must be non-negative, got -1"),
+            ({}, math.nan, "x must be non-negative, got nan"),
+            ({"exclusive": True}, 0.0, "x must be positive, got 0.0"),
+            ({"exclusive": True}, math.nan, "x must be positive, got nan"),
+            ({"minimum": 1}, 0, "x must be at least 1, got 0"),
+            ({"minimum": 1, "exclusive": True}, 1, "x must be greater than 1, got 1"),
+            ({"finite": True}, math.inf, "x must be finite and non-negative, got inf"),
+            ({"integer": True}, 2.5, "x must be an integer, got 2.5"),
+            ({"integer": True}, 2.0, "x must be an integer, got 2.0"),
+        ],
+    )
+    def test_out_of_range_names_the_argument(self, kwargs, value, wording):
+        with pytest.raises(ValueError, match=f"^{wording}$"):
+            require_number("x", value, **kwargs)
+
+    # Regression (ISSUE 18): every input below used to construct.  NaN slid
+    # through ``value <= 0`` guards (every comparison with NaN is false), and a
+    # NaN quantum then hung ``ServingScheduler.run`` and ``frame_step``; a NaN
+    # deadline silently disabled every deadline; ``PoissonArrivals(rate_hz=nan
+    # | inf)`` emitted all-NaN / all-zero traces; ``kv_len=-5`` priced as 92 ms.
+    @pytest.mark.parametrize(
+        "construct, argument",
+        [
+            (lambda: SchedulerConfig(compute="timesliced", quantum_s=math.nan), "quantum_s"),
+            (lambda: BatchLatencyModel(compute="timesliced", quantum_s=math.nan), "quantum_s"),
+            (lambda: PreemptiveResource(EventLoop(), quantum_s=math.nan), "quantum_s"),
+            (lambda: SchedulerConfig(deadline_s=math.nan), "deadline_s"),
+            (
+                lambda: SchedulerConfig(
+                    admission="energy", energy_budget_j_per_token=math.nan
+                ),
+                "energy_budget_j_per_token",
+            ),
+            (lambda: SchedulerConfig(max_queue_depth=2.5), "max_queue_depth"),
+            (lambda: FleetConfig(migrate_backlog_s=math.nan), "migrate_backlog_s"),
+            (lambda: FleetConfig(steal_backlog_s=math.nan), "steal_backlog_s"),
+            (lambda: FleetConfig(rebalance_hysteresis_s=math.nan), "rebalance_hysteresis_s"),
+            (lambda: FleetConfig(num_devices=2.5), "num_devices"),
+            (lambda: PoissonArrivals(rate_hz=math.nan), "rate_hz"),
+            (lambda: PoissonArrivals(rate_hz=math.inf), "rate_hz"),
+            (lambda: BurstyArrivals.for_mean_rate(math.nan), "rate_hz"),
+            (lambda: StreamProfile(kv_len=-5), "kv_len"),
+            (lambda: StreamProfile(kv_len=math.nan), "kv_len"),
+        ],
+    )
+    def test_hostile_inputs_rejected_at_construction(self, construct, argument):
+        with pytest.raises(ValueError, match=f"^{argument} must be "):
+            construct()
+
+    def test_documented_inf_meanings_survive(self):
+        fleet = FleetConfig(
+            migrate_backlog_s=math.inf,  # never migrate
+            steal_backlog_s=math.inf,  # never steal
+            rebalance_interval_s=math.inf,  # no sweeps
+        )
+        assert fleet.migrate_backlog_s == math.inf
+        # an infinite quantum is FCFS: every job runs to completion
+        assert SchedulerConfig(compute="timesliced", quantum_s=math.inf).quantum_s == math.inf
