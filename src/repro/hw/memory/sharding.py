@@ -24,9 +24,11 @@ Three tiers are modelled:
 Banks enforce per-bank capacity budgets.  Registration fills banks
 first-come-first-served; **cold-shard eviction** demotes the
 least-recently-used sessions' per-bank shards when a later promotion needs
-the space.  Recency is the order of registrations and touches, so shard
-placement — and every admission decision derived from it — is a function
-of the fleet and its fetch history, never of the caller's listing order.
+the space.  Recency is a last-use stamp taken at registration and at every
+touch, so shard placement — and every admission decision derived from it —
+is a function of the fleet and its fetch history, never of the caller's
+listing order.  Each bank keeps a **resident index**: the sessions warm in
+it, stamp-ordered, so a promotion walks its victims, not the fleet.
 
 The degenerate configuration (``num_banks=1`` with the default unbounded
 budget) keeps every session fully warm in one bank; the fetch makespan of
@@ -38,12 +40,13 @@ the existing contended and time-sliced results exactly.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
+from repro.config import require_number
 from repro.devtools.sanitizer import SHARD_CONSERVATION, SanitizerError
 from repro.devtools.sanitizer import resolve as _resolve_sanitize
 
@@ -111,6 +114,7 @@ class _SessionShards:
     offchip_bytes: float  # offloaded KV + HC tables (warm + cold)
     home_bytes: np.ndarray  # cluster-wise home distribution across banks
     warm_bytes: np.ndarray  # currently held in banks (<= home_bytes)
+    last_use: int  # stamp of the registration or latest touch; unique
     _cold_cache: float | None = None
     _split_cache: "ShardSplit | None" = None
 
@@ -140,18 +144,15 @@ def partition_by_cluster(
     ``c % num_banks`` — the KVMU cluster-wise mapping extended across
     banks, so a cluster's contiguous layout is preserved inside its bank.
     """
-    if num_clusters < 1:
-        raise ValueError(f"num_clusters must be at least 1, got {num_clusters}")
-    counts = np.bincount(
-        np.arange(num_clusters, dtype=np.int64) % num_banks, minlength=num_banks
-    )
+    require_number("num_clusters", num_clusters, minimum=1, integer=True)
+    # clusters per bank under c -> c % num_banks, without listing the clusters
+    counts = num_clusters // num_banks + (np.arange(num_banks) < num_clusters % num_banks)
     # Telescoping split: bank shares are differences of prefix cuts, so they
     # sum to ``total_bytes`` *exactly* and the single-bank share IS the
     # total (the prefix fraction ends at exactly 1.0) — the bit-for-bit
     # anchor of the degenerate single-bank configuration.
     prefix = np.cumsum(counts) / num_clusters
-    cuts = prefix * total_bytes
-    return np.diff(np.concatenate([[0.0], cuts]))
+    return np.diff(prefix * total_bytes, prepend=0.0)
 
 
 def sharded_fetch_makespan(
@@ -199,22 +200,19 @@ class ShardedKVHierarchy:
         bank_budget_bytes: float = math.inf,
         sanitize: bool | None = None,
     ):
-        if not isinstance(num_banks, Integral) or num_banks < 1:
-            raise ValueError(
-                f"num_banks must be an integer of at least 1, got {num_banks!r}"
-            )
-        if not bank_budget_bytes > 0:
-            raise ValueError(
-                f"bank_budget_bytes must be positive, got {bank_budget_bytes}"
-            )
+        require_number("num_banks", num_banks, minimum=1, integer=True)
+        require_number("bank_budget_bytes", bank_budget_bytes, exclusive=True)
         self.num_banks = int(num_banks)
         self.bank_budget_bytes = float(bank_budget_bytes)
         self._sanitize = _resolve_sanitize(sanitize)
         #: hot-byte snapshot at registration; the hot tier must never move
         self._hot_at_register: dict[int, float] = {}
-        #: kept least-recently-used first: ``register`` appends, ``touch``
-        #: moves to the end, so eviction walks it instead of sorting
         self._shards: dict[int, _SessionShards] = {}
+        #: last-use stamps handed out so far; the stamp is the one encoding of recency
+        self._clock = 0
+        #: per-bank resident index: the ``(last_use, session_id, warm bytes)`` of every
+        #: session warm in the bank, least recently used first, for planning to walk
+        self._residents: list[list[tuple[int, int, float]]] = [[] for _ in range(self.num_banks)]
         self._occupancy = np.zeros(self.num_banks)
         self.evictions: list[EvictionRecord] = []
         #: bumped on every occupancy mutation (registration, promotion,
@@ -240,31 +238,26 @@ class ShardedKVHierarchy:
         """
         if session_id in self._shards:
             raise ValueError(f"session {session_id} is already registered")
-        for name, count in (
-            ("offloaded_bytes", offloaded_bytes),
-            ("hot_bytes", hot_bytes),
-            ("hc_table_bytes", hc_table_bytes),
-        ):
-            if not 0 <= count < math.inf:  # also rejects nan
-                raise ValueError(
-                    f"{name} must be finite and non-negative, got {count}"
-                )
+        require_number("offloaded_bytes", offloaded_bytes, finite=True)
+        require_number("hot_bytes", hot_bytes, finite=True)
+        require_number("hc_table_bytes", hc_table_bytes, finite=True)
         offchip = offloaded_bytes + hc_table_bytes
-        home = (
-            partition_by_cluster(num_clusters, self.num_banks, offchip)
-            if offchip > 0
-            else np.zeros(self.num_banks)
-        )
+        home = partition_by_cluster(num_clusters, self.num_banks, offchip)
         headroom = np.maximum(self.bank_budget_bytes - self._occupancy, 0.0)
         warm = np.minimum(home, headroom)
         self._occupancy += warm
         self.occupancy_version += 1
+        self._clock += 1
         self._shards[session_id] = _SessionShards(
             hot_bytes=float(hot_bytes),
             offchip_bytes=float(offchip),
             home_bytes=home,
             warm_bytes=warm,
+            last_use=self._clock,
         )
+        for residents, warm_in_bank in zip(self._residents, warm.tolist(), strict=True):
+            if warm_in_bank > 0:
+                residents.append((self._clock, session_id, warm_in_bank))
         if self._sanitize:
             self._hot_at_register[session_id] = float(hot_bytes)
             self.sanity_check()
@@ -361,8 +354,13 @@ class ShardedKVHierarchy:
     def touch(self, session_id: int) -> None:
         """Mark a session most-recently-used (eviction prefers older ones)."""
         shard = self._shard(session_id)
-        del self._shards[session_id]
-        self._shards[session_id] = shard
+        stale = (shard.last_use,)
+        self._clock += 1
+        shard.last_use = self._clock
+        for residents in self._residents:
+            at = bisect_left(residents, stale)
+            if at < len(residents) and residents[at][1] == session_id:
+                residents.append((self._clock, session_id, residents.pop(at)[2]))
 
     def plan_promotion(
         self, session_id: int, protected: Iterable[int] = ()
@@ -379,33 +377,34 @@ class ShardedKVHierarchy:
         stream warm?" probe; :meth:`apply_promotion` carries the plan out.
         """
         shard = self._shard(session_id)
-        exclude = set(protected) | {session_id}
+        home = shard.home_bytes.tolist()
+        warm = shard.warm_bytes.tolist()
+        occupancy = self._occupancy.tolist()
+        exclude: set[int] = set()
         promoted = 0.0
         steps = []
-        for bank in range(self.num_banks):
-            need = shard.home_bytes[bank] - shard.warm_bytes[bank]
-            if need <= shard.home_bytes[bank] * _COLD_SNAP_REL:
+        for bank, residents in enumerate(self._residents):
+            need = home[bank] - warm[bank]
+            if need <= home[bank] * _COLD_SNAP_REL:
                 continue  # home-warm within float slack: nothing to promote
-            headroom = self.bank_budget_bytes - self._occupancy[bank]
+            headroom = self.bank_budget_bytes - occupancy[bank]
             freed = 0.0
             victims: list[tuple[int, float]] = []
-            for sid, victim in self._shards.items():
-                if headroom + freed >= need:
-                    break
-                if sid in exclude:
-                    continue
-                bytes_out = float(victim.warm_bytes[bank])
-                if bytes_out > 0:
+            if headroom < need:
+                exclude = exclude or {session_id, *protected}  # built once, if ever
+                for _, sid, bytes_out in residents:
+                    if sid in exclude:
+                        continue
                     victims.append((sid, bytes_out))
                     freed += bytes_out
+                    if headroom + freed >= need:
+                        break
             gain = min(need, headroom + freed)
             if gain <= 0:
                 continue
             promoted += gain
-            steps.append((bank, float(gain), tuple(victims)))
-        return PromotionPlan(
-            session_id, float(promoted), tuple(steps), self.occupancy_version
-        )
+            steps.append((bank, gain, tuple(victims)))
+        return PromotionPlan(session_id, promoted, tuple(steps), self.occupancy_version)
 
     def apply_promotion(self, plan: PromotionPlan) -> float:
         """Carry out a plan made against the current occupancy.
@@ -425,15 +424,25 @@ class ShardedKVHierarchy:
         shard = self._shards[plan.session_id]
         for bank, gain, victims in plan.steps:
             self.occupancy_version += 1
+            residents = self._residents[bank]
             for sid, bytes_out in victims:
                 victim = self._shards[sid]
                 victim.warm_bytes[bank] = 0.0
                 victim.invalidate()
+                del residents[bisect_left(residents, (victim.last_use,))]
                 self._occupancy[bank] -= bytes_out
                 self.evictions.append(EvictionRecord(sid, bank, bytes_out))
             shard.warm_bytes[bank] += gain
             shard.invalidate()
             self._occupancy[bank] += gain
+            # an untouched session enters the bank at its own last-use
+            # position, between older and newer residents — not at the end
+            at = bisect_left(residents, (shard.last_use,))
+            entry = (shard.last_use, plan.session_id, float(shard.warm_bytes[bank]))
+            if at < len(residents) and residents[at][1] == plan.session_id:
+                residents[at] = entry
+            else:
+                residents.insert(at, entry)
         if self._sanitize:
             self.sanity_check()
         return plan.promoted_bytes
@@ -472,7 +481,9 @@ class ShardedKVHierarchy:
         * the hot tier is byte-for-byte what registration installed —
           eviction must never touch device DRAM;
         * bank occupancy equals the per-session warm sums (to float
-          accumulation slack) and respects the bank budget.
+          accumulation slack) and respects the bank budget;
+        * every bank's resident index lists exactly the sessions warm in it,
+          with their exact warm bytes, in last-use order.
 
         Raises :class:`~repro.devtools.sanitizer.SanitizerError` with code
         ``shard-conservation`` on the first violated invariant.
@@ -526,6 +537,18 @@ class ShardedKVHierarchy:
                 f"bank {bank} occupancy {self._occupancy[bank]} exceeds budget "
                 f"{self.bank_budget_bytes}",
             )
+        for bank, residents in enumerate(self._residents):
+            warm_in_bank = sorted(
+                (shard.last_use, sid, float(shard.warm_bytes[bank]))
+                for sid, shard in self._shards.items()
+                if shard.warm_bytes[bank] > 0
+            )
+            if residents != warm_in_bank:
+                raise SanitizerError(
+                    SHARD_CONSERVATION,
+                    f"bank {bank} resident index {residents} is not its warm shards "
+                    f"as (last_use, session, bytes) in last-use order {warm_in_bank}",
+                )
 
     # ------------------------------------------------------------------ #
     # lifecycle

@@ -252,16 +252,6 @@ def run_array(ctx: _RunContext) -> ScheduleResult:
     dre_busy = 0.0
     link_busy = 0.0
 
-    # per-(stream, kind) sharded-fetch cache: a fully-warm fetch's split —
-    # and hence its priced makespan — stays valid until *any* occupancy
-    # mutation (registration, promotion, demotion) bumps
-    # ``memory.occupancy_version``; between mutations the engine skips
-    # ``commit_fetch`` entirely and only refreshes the session's LRU
-    # position (the one side effect a fully-warm commit has).  Cold
-    # fetches promote (they mutate state), so they are never cached.
-    fc_version = [-1] * (3 * num_streams)
-    fc_fetch = [0.0] * (3 * num_streams)
-
     # record columns and the compact timeline log
     rec_job = table.rec_job
     rec_arrival = table.rec_arrival
@@ -572,25 +562,10 @@ def run_array(ctx: _RunContext) -> ScheduleResult:
             b = s * 3 + kinds[job]
             # per-job fetch re-priced at the session's current residency
             if memory is not None and st_fbytes[b] > 0.0:
-                session = session_ids[s]
-                if fc_version[b] == memory.occupancy_version:
-                    # warm-split cache hit: same split object, same memoized
-                    # pricers, hence bit-identical fetch seconds; only the
-                    # LRU touch a fully-warm commit_fetch applies remains
-                    memory.touch(session)
-                    fetch = fc_fetch[b]
-                else:
-                    split = memory.commit_fetch(session, protected=busy_set)
-                    note_occupancy()
-                    fetch = (
-                        sharded_fetch_makespan(
-                            st_fbytes[b], split, st_warm[b], st_cold[b]
-                        )
-                        * num_layers
-                    )
-                    if split.cold_fraction == 0.0:  # simlint: exact — warm splits carry a literal 0.0
-                        fc_version[b] = memory.occupancy_version
-                        fc_fetch[b] = fetch
+                split = memory.commit_fetch(session_ids[s], protected=busy_set)
+                note_occupancy()
+                fetch = sharded_fetch_makespan(st_fbytes[b], split, st_warm[b], st_cold[b])
+                fetch *= num_layers
             else:
                 fetch = st_fetch[b]
             vision_s = st_vision[b]

@@ -433,6 +433,29 @@ class TestShardConservation:
         with expect(SHARD_CONSERVATION):
             plane.register(1, offloaded_bytes=1024.0)
 
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            pytest.param(lambda index: index.pop(), id="resident-dropped"),
+            pytest.param(lambda index: index.append((9, 7, 1024.0)), id="evicted-kept"),
+            pytest.param(
+                lambda index: index.__setitem__(0, (*index[0][:2], 1.0)), id="stale-bytes"
+            ),
+            pytest.param(lambda index: index.reverse(), id="out-of-last-use-order"),
+        ],
+    )
+    def test_resident_index_corruption_detected(self, corrupt):
+        """Each bank's index must be its warm shards: members, bytes, order."""
+        plane = ShardedKVHierarchy(num_banks=2, bank_budget_bytes=GIB, sanitize=True)
+        plane.register(0, offloaded_bytes=0.5 * GIB, num_clusters=4)
+        plane.register(1, offloaded_bytes=0.5 * GIB, num_clusters=4)
+        plane.sanity_check()
+        corrupt(plane._residents[1])
+        with expect(SHARD_CONSERVATION):
+            plane.sanity_check()
+        with expect(SHARD_CONSERVATION):  # and unprompted, after the next mutation
+            plane.register(2, offloaded_bytes=1024.0)
+
     def test_stale_promotion_plan_detected(self):
         plane = ShardedKVHierarchy(num_banks=1, bank_budget_bytes=GIB, sanitize=True)
         plane.register(0, offloaded_bytes=0.75 * GIB)

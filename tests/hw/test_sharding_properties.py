@@ -12,7 +12,9 @@ point values (they run under the dev/ci hypothesis profiles registered in
   the cold tier; device-DRAM-resident (hot) bytes never change;
 * **one eviction plan** — ``plan_promotion`` is pure, ``apply_promotion``
   does what the plan says, and victims leave in least-recently-used order
-  (checked against a brute-force last-use-clock oracle);
+  (checked against a brute-force last-use-clock oracle that scans every
+  session — the plane itself walks a per-bank resident index, whose cost
+  must not grow with the sessions that are cold in the bank);
 * **bank parallelism only helps** — for cluster-aligned layouts (bank
   count divides the cluster count) the fetch makespan is monotone
   non-increasing in the number of banks, and the single-bank split prices
@@ -25,6 +27,7 @@ point values (they run under the dev/ci hypothesis profiles registered in
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -174,15 +177,40 @@ class TestShardConservation:
         assert hierarchy.evictions == []
 
 
-class _LastUseOracle:
-    """The memory plane's former eviction semantics, kept alive as a test oracle.
+class TestClusterPartition:
+    @pytest.mark.parametrize("num_banks", [1, 2, 3, 4, 8])
+    @pytest.mark.parametrize("num_clusters", [1, 3, 4, 5, 17, 5_000, 12_345])
+    def test_closed_form_counts_are_the_listed_clusters_counts(
+        self, num_clusters, num_banks
+    ):
+        """``c -> c % num_banks`` counted per bank without listing the clusters.
 
-    Tracks an explicit last-use clock beside the hierarchy and derives each
+        The reference lists every cluster and bins it; the shares derived
+        from either count vector must be the same floats, bit for bit.
+        """
+        counts = np.bincount(np.arange(num_clusters) % num_banks, minlength=num_banks)
+        prefix = np.cumsum(counts) / num_clusters
+        for total_bytes in (float(num_clusters), 4.0 * GiB + 7.0):
+            listed = np.diff(np.concatenate([[0.0], prefix * total_bytes]))
+            shares = partition_by_cluster(num_clusters, num_banks, total_bytes)
+            assert shares.tobytes() == listed.tobytes()
+            assert shares.sum() == total_bytes
+        # at one byte per cluster the shares are the counts themselves
+        per_cluster = partition_by_cluster(num_clusters, num_banks, float(num_clusters))
+        assert np.array_equal(np.rint(per_cluster), counts)
+
+
+class _LastUseOracle:
+    """The memory plane's eviction semantics as a global scan, kept as a test oracle.
+
+    Tracks its own last-use clock beside the hierarchy and derives each
     promotion's demotions by brute force: every bank's warm unprotected
     sessions sorted by ``(last_used, session_id)``, taken until the
-    promotion fits.  The plane itself no longer has a clock — it keeps
-    its sessions in use order — so agreement here is the proof that the
-    kept order *is* this sort order.
+    promotion fits.  The plane never scans its sessions — each bank keeps
+    an index of its residents in last-use order — so agreement here is
+    the proof that the index *is* this scan: same members, same bytes,
+    same order, including a session promoted without a touch, which must
+    be filed between older and newer residents rather than at the end.
     """
 
     def __init__(self, hierarchy: ShardedKVHierarchy, specs):
@@ -233,9 +261,10 @@ class _LastUseOracle:
 
 class TestOneEvictionPlan:
     @given(
-        num_banks=st.integers(min_value=1, max_value=4),
-        # banks hold a few mean-sized shards: promotions need several victims
-        budget_shards=st.floats(min_value=0.5, max_value=4.0),
+        num_banks=st.integers(min_value=1, max_value=8),
+        # banks hold several mean-sized shards: promotions need several
+        # victims, and a promoted-but-untouched session lands mid-bank
+        budget_shards=st.floats(min_value=0.5, max_value=8.0),
         specs=st.lists(
             st.tuples(
                 st.floats(min_value=1e6, max_value=1e9),  # offloaded
@@ -244,16 +273,16 @@ class TestOneEvictionPlan:
                 st.floats(min_value=0.0, max_value=1e6),  # hc tables
             ),
             min_size=3,
-            max_size=6,
+            max_size=24,
         ),
         ops=st.lists(
             st.tuples(
                 st.sampled_from(["touch", "promote", "commit"]),
-                st.integers(0, 5),
-                st.frozensets(st.integers(0, 5), max_size=2),
+                st.integers(0, 23),
+                st.frozensets(st.integers(0, 23), max_size=3),
             ),
             min_size=8,
-            max_size=30,
+            max_size=40,
         ),
     )
     def test_plans_are_pure_and_victims_leave_in_lru_order(
@@ -307,6 +336,83 @@ class TestOneEvictionPlan:
             gained = hierarchy.warm_bytes(session).sum() - warm[session].sum()
             assert gained == pytest.approx(plan.promoted_bytes, rel=1e-9, abs=1e-3)
             hierarchy.sanity_check()
+
+    def test_untouched_promotion_is_filed_between_older_and_newer_residents(self):
+        """The admission path: a session promoted *before* it is touched.
+
+        Two banks of 500 bytes; every session homes half its bytes in each.
+        Sessions 0-4 (100 bytes a bank) fill both banks, session 5 registers
+        cold behind them and sessions 3 and 4 are touched afterwards, so in
+        last-use order 5 sits after 0, 1, 2 and before 3, 4.  Promoting 5
+        with 0 and 1 protected evicts 2 and must file 5 *between* the two
+        older residents and the two newer ones — an index that appended it
+        would evict it last, one that kept 2 would evict it again.
+        """
+        specs = [(200.0, 0.0, 2, 0.0)] * 6 + [(1000.0, 0.0, 2, 0.0)]
+        hierarchy = _build((2, 500.0), specs)
+        oracle = _LastUseOracle(hierarchy, specs)
+        for session in (3, 4):
+            hierarchy.touch(session)
+            oracle.use(session)
+        assert hierarchy.residency(5) == 0.0 and hierarchy.residency(6) == 0.0
+
+        expected = oracle.expected_evictions(5, protected={0, 1})
+        assert expected == [EvictionRecord(2, 0, 100.0), EvictionRecord(2, 1, 100.0)]
+        assert hierarchy.promote(5, protected={0, 1}) == 200.0
+        assert hierarchy.evictions == expected
+
+        # session 6 needs both banks whole: everyone leaves, oldest use first
+        expected = oracle.expected_evictions(6, protected=())
+        assert [(e.session_id, e.bank) for e in expected] == [
+            (session, bank) for bank in (0, 1) for session in (0, 1, 5, 3, 4)
+        ]
+        plan = hierarchy.plan_promotion(6)
+        assert [
+            EvictionRecord(sid, bank, bytes_out)
+            for bank, _gain, victims in plan.steps
+            for sid, bytes_out in victims
+        ] == expected
+        assert hierarchy.apply_promotion(plan) == 1000.0
+        hierarchy.sanity_check()
+
+    def test_planning_cost_does_not_scale_with_cold_sessions(self):
+        """A plan walks the bank's residents, not every registered session.
+
+        Eight sessions fill four banks; 2 000 more register fully cold
+        behind them and the residents are touched afterwards, so a scan in
+        last-use order would pass every cold session before reaching the
+        first victim.  The plan must name the same victims as on the
+        eight-session plane and take about as long (a scan is two orders
+        of magnitude over; the 5x margin is for timer noise).
+        """
+
+        def plane(cold_sessions: int) -> ShardedKVHierarchy:
+            hierarchy = ShardedKVHierarchy(num_banks=4, bank_budget_bytes=800.0)
+            for session in range(8):
+                hierarchy.register(session, 400.0, num_clusters=4)
+            for session in range(9, 9 + cold_sessions):
+                hierarchy.register(session, 400.0, num_clusters=4)
+            hierarchy.register(8, 1200.0, num_clusters=4)  # the promoted one
+            for session in range(8):
+                hierarchy.touch(session)
+            return hierarchy
+
+        def best_plan_s(hierarchy: ShardedKVHierarchy) -> float:
+            best = math.inf
+            for _ in range(7):
+                start = time.perf_counter()  # simlint: ignore[SIM002] — host cost is the claim
+                for _ in range(200):
+                    hierarchy.plan_promotion(8, protected=(0,))
+                elapsed = time.perf_counter() - start  # simlint: ignore[SIM002] — as above
+                best = min(best, elapsed)
+            return best
+
+        small, large = plane(0), plane(2_000)
+        assert large.residency(2_008) == 0.0
+        steps = small.plan_promotion(8, protected=(0,)).steps
+        assert [[sid for sid, _ in victims] for _, _, victims in steps] == [[1, 2, 3]] * 4
+        assert large.plan_promotion(8, protected=(0,)).steps == steps
+        assert best_plan_s(large) <= 5.0 * best_plan_s(small)
 
 
 class TestShardedFetchMakespan:

@@ -17,11 +17,16 @@ Two pins, mirroring how PRs 3–4 kept each new plane a verified superset:
 
 from __future__ import annotations
 
+import hashlib
 from types import SimpleNamespace
 
 import pytest
 
-from repro.hw.memory.sharding import EvictionRecord, ShardedKVHierarchy
+from repro.hw.memory.sharding import (
+    EvictionRecord,
+    ShardedKVHierarchy,
+    partition_by_cluster,
+)
 from repro.sim.arrivals import BurstyArrivals, PoissonArrivals, rate_for_load
 from repro.sim.batched import BatchLatencyModel, StreamProfile
 from repro.sim.scheduler import (
@@ -290,6 +295,73 @@ class TestMemoryBoundGolden:
                 assert not record.dropped
 
 
+class TestEvictionSequencePin:
+    """Every demotion of one residency/timesliced run, in order, on both engines.
+
+    24 sessions x 20 frames at 40k tokens on V-Rex48, four banks sized so a
+    third of the shards fit: the admission controller promotes sessions it
+    has not touched yet (153 evict-admissions), so each promotion files a
+    session *inside* its banks' last-use order and later victims depend on
+    where.  The digests cover the full ``(session_id, bank, bytes)`` list
+    and the occupancy trajectory; they were recorded on the global-scan
+    memory plane (the commit before the per-bank resident index) and must
+    never be re-recorded by a change that claims to keep eviction order.
+    """
+
+    EVICTIONS = 570
+    EVICTIONS_SHA256 = "d7e3d4cdcb1664c004cf2b29471985e1db12bacf6870e4562cba28111236bf67"
+    FIRST_EVICTIONS = [
+        (0, 0, 993940361.4890666),
+        (0, 1, 993940361.4890666),
+        (8, 2, 7582113.245867729),
+        (0, 2, 990764833.1775999),
+        (8, 3, 7582113.245867729),
+        (0, 3, 990764833.1775999),
+    ]
+    TRAJECTORY_SHA256 = "453c2f78a51e5e0d79c4ca060dadb6e0acbfd1574531228295d1651ce6beabfa"
+    LAST_OCCUPANCY = (
+        0.13856768204021178,
+        (6957582530.423468, 6957582530.423468, 7926118665.420799, 7926118665.420799),
+    )
+
+    @pytest.mark.parametrize("engine", ["array", "reference"])
+    def test_eviction_sequence_and_trajectory(self, server, engine):
+        system = server["V-Rex48"]
+        profiles = [StreamProfile(kv_len=40_000, session_id=index) for index in range(24)]
+        pricing = BatchLatencyModel()
+        solo = pricing.frame_step(system, profiles[:1]).streams[0].total_s
+        offloaded = pricing.session_shard_bytes(system, profiles[0]).offloaded_bytes
+        plane = BatchLatencyModel(
+            memory=ShardedKVHierarchy(
+                num_banks=4, bank_budget_bytes=offloaded * len(profiles) / (3.0 * 4)
+            )
+        )
+        traces = BurstyArrivals.for_mean_rate(
+            rate_for_load(1.2, solo, len(profiles))
+        ).generate(len(profiles), 20, seed=19)
+        config = SchedulerConfig(
+            deadline_s=2.0 * solo,
+            max_queue_depth=3,
+            compute="timesliced",
+            admission="residency",
+        )
+        result = ServingScheduler(plane, config, engine=engine).run(
+            system, profiles, traces
+        )
+        evictions = [(e.session_id, e.bank, e.bytes) for e in result.memory.evictions]
+        assert (result.served, result.deferred, result.evict_admissions) == (460, 20, 153)
+        assert len(evictions) == self.EVICTIONS
+        assert evictions[:6] == self.FIRST_EVICTIONS
+        assert _sha256(evictions) == self.EVICTIONS_SHA256
+        assert result.bank_occupancy_trajectory[-1] == self.LAST_OCCUPANCY
+        assert _sha256(result.bank_occupancy_trajectory) == self.TRAJECTORY_SHA256
+
+
+def _sha256(value) -> str:
+    """Digest of a value's ``repr`` (floats print round-trip exact)."""
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
 class TestResidencyAdmissionValidation:
     def test_residency_requires_deadline(self):
         with pytest.raises(ValueError, match="deadline"):
@@ -334,6 +406,13 @@ class TestResidencyAdmissionValidation:
             hierarchy.register(1, 100.0, hot_bytes=float("nan"))
         with pytest.raises(ValueError, match="hc_table_bytes"):
             hierarchy.register(1, 100.0, hc_table_bytes=float("inf"))
+        # a fractional cluster count used to install home shares summing to
+        # more than the session's bytes (2.5 clusters on 4 banks: 120 of 100)
+        for clusters in (2.5, 0, float("nan")):
+            with pytest.raises(ValueError, match="num_clusters"):
+                hierarchy.register(1, 100.0, num_clusters=clusters)
+            with pytest.raises(ValueError, match="num_clusters"):
+                partition_by_cluster(clusters, 4, 100.0)
         assert hierarchy.session_ids == []  # rejected before any state moved
         hierarchy.register(0, 100.0)
         with pytest.raises(ValueError, match="already registered"):
