@@ -22,6 +22,7 @@ def require_number(
     value,
     minimum: float = 0,
     *,
+    maximum: float | None = None,
     exclusive: bool = False,
     finite: bool = False,
     integer: bool = False,
@@ -29,10 +30,12 @@ def require_number(
     """Return ``value``, or raise a ``ValueError`` naming the argument.
 
     The one range check behind the simulator's configuration objects.
-    ``value`` must be ``>= minimum`` (``> minimum`` when ``exclusive``);
-    NaN satisfies no comparison, so it is rejected everywhere.  ``inf``
-    passes unless ``finite`` — several knobs give it a meaning (a quantum
-    of ``inf`` is FCFS, a backlog patience of ``inf`` never migrates).
+    ``value`` must be ``>= minimum`` (``> minimum`` when ``exclusive``)
+    and, when ``maximum`` is given, ``<= maximum`` (a ratio lies in
+    ``[0, 1]``); NaN satisfies no comparison, so it is rejected
+    everywhere.  ``inf`` passes unless ``finite`` — several knobs give it
+    a meaning (a quantum of ``inf`` is FCFS, a backlog patience of ``inf``
+    never migrates).
     ``integer`` additionally demands a true integer (a count of 2.5
     devices is a caller bug, not something to truncate).
     """
@@ -42,8 +45,12 @@ def require_number(
         except TypeError:
             raise ValueError(f"{name} must be an integer, got {value!r}") from None
     in_range = value > minimum if exclusive else value >= minimum
+    if maximum is not None:
+        in_range = in_range and value <= maximum
     if not in_range or (finite and not math.isfinite(value)):
-        if minimum == 0:
+        if maximum is not None:
+            bound = f"in {'(' if exclusive else '['}{minimum}, {maximum}]"
+        elif minimum == 0:
             bound = "positive" if exclusive else "non-negative"
         else:
             bound = f"{'greater than' if exclusive else 'at least'} {minimum}"

@@ -6,7 +6,8 @@ Two enforcement layers for the contracts everything else relies on:
   repo-specific rules (seeded RNG only, no wall-clock in simulation code,
   no unordered iteration feeding event order, no float equality in
   sim/hw modules, event pushes through ``pack_subkey``/``PRIO_*``,
-  NaN-aware comparisons in analysis code).  Run it with
+  NaN-aware comparisons in analysis code, no identity-keyed caches in
+  sim/hw modules).  Run it with
   ``python -m repro.devtools.simlint src tests``.
 * :mod:`repro.devtools.sanitizer` — the runtime sanitizer substrate
   (``REPRO_SANITIZE=1``): event-order, resource-balance, job-state and

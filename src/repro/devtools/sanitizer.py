@@ -41,7 +41,13 @@ golden run, a sweep.  Checks threaded through the stack:
   the tokens observed, that dead slots hold no counts, votes or key sums,
   and that every live signature is the packed majority of its votes
   (armed from the environment only: the store takes no ``sanitize=``
-  flag).
+  flag);
+* **price table** — :class:`~repro.sim.batched.BatchLatencyModel`
+  re-derives every demand-table hit with the scalar code a miss runs and
+  compares the two field by field, so an input added to the derivation
+  but forgotten in the table key fails at the first hit, not as a
+  drifting golden (armed from the environment only, read once when the
+  plane is built).
 
 Violations raise :class:`SanitizerError` — a structured error carrying a
 machine-readable check code and the tail of the event trace leading up
@@ -67,6 +73,7 @@ JOB_STATE = "job-state"
 SHARD_CONSERVATION = "shard-conservation"
 ENERGY_CONSERVATION = "energy-conservation"
 TABLE_CONSERVATION = "table-conservation"
+PRICE_TABLE = "price-table"
 
 #: Events retained in a trace tail attached to errors.
 TRACE_TAIL = 16

@@ -36,6 +36,10 @@ SIM006    No NaN-unaware comparisons in ``analysis`` modules: comparing
           against ``np.nan``/``math.nan``/``float("nan")`` with ``==`` or
           an ordering operator is always wrong (NaN compares false);
           use ``np.isnan``/``math.isnan``.
+SIM007    No call to the ``id`` builtin in ``sim``/``hw`` library modules:
+          the identity of a mutable value is not a cache key (an object
+          edited in place keeps its identity, a collected one hands it
+          to a stranger); key caches on the values the result depends on.
 ========  ==============================================================
 
 Suppression syntax (checked per physical line via ``tokenize``, so
@@ -94,6 +98,10 @@ RULES: dict[str, tuple[str, str]] = {
     "SIM006": (
         "NaN-unaware comparison (NaN compares false)",
         "use np.isnan/math.isnan (or nan-aware aggregation) instead",
+    ),
+    "SIM007": (
+        "call to the id builtin (the identity of a mutable value is not a cache key)",
+        "key on the values the result depends on",
     ),
 }
 
@@ -367,7 +375,7 @@ class _Linter(ast.NodeVisitor):
             )
         )
 
-    # -- SIM001 / SIM002 / SIM005 (calls) ------------------------------ #
+    # -- SIM001 / SIM002 / SIM005 / SIM007 (calls) --------------------- #
     def visit_Call(self, node: ast.Call) -> None:
         name = _dotted_name(node.func)
         if name:
@@ -375,6 +383,8 @@ class _Linter(ast.NodeVisitor):
             self._check_wallclock(node, name)
         if self.scope.in_simhw:
             self._check_event_push(node, name)
+            if name == "id":
+                self.report("SIM007", node, "")
         self.generic_visit(node)
 
     def _check_rng(self, node: ast.Call, name: str) -> None:

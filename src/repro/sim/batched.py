@@ -60,12 +60,14 @@ its session's current residency.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass, field, fields
+from functools import partial
 
 import numpy as np
 
 from repro.config import require_number
+from repro.devtools.sanitizer import PRICE_TABLE, SanitizerError, sanitize_enabled
 from repro.hw.accelerator import VRexAccelerator
 from repro.hw.compute import KernelCost
 from repro.hw.dre.kvmu import KVFetchWork
@@ -76,11 +78,7 @@ from repro.hw.event import (
     ResourceQueue,
 )
 from repro.hw.memory.pcie import PCIeLinkQueue
-from repro.hw.memory.sharding import (
-    ShardedKVHierarchy,
-    ShardSplit,
-    sharded_fetch_makespan,
-)
+from repro.hw.memory.sharding import ShardedKVHierarchy, sharded_fetch_makespan
 from repro.sim.pipeline import (
     FRAME_STAGE,
     GENERATION_STAGE,
@@ -169,7 +167,11 @@ class StreamProfile:
     session_id: int = 0
 
     def __post_init__(self) -> None:
-        require_number("kv_len", self.kv_len)
+        require_number("kv_len", self.kv_len, integer=True)
+        for name in ("frame_ratio", "generation_ratio"):
+            ratio = getattr(self, name)
+            if ratio is not None:
+                require_number(name, ratio, maximum=1)
 
     def ratio_override(self, stage: str) -> float | None:
         """Measured retrieval-ratio override for a stage (``None`` = policy)."""
@@ -403,25 +405,56 @@ class StreamScenarioEstimate:
 # ---------------------------------------------------------------------- #
 # internal per-stream demand assembly
 # ---------------------------------------------------------------------- #
-@dataclass
-class _StreamDemand:
-    """Per-layer resource demands of one stream (batch-1 granularity)."""
+#: Entries the demand table holds before it is cleared and refilled (checked
+#: on a miss only): ~0.7 KB each, so a long-lived plane pricing ever-new
+#: cache lengths stays within a few tens of MB.
+_DEMAND_TABLE_ENTRIES = 1 << 16
 
-    profile: StreamProfile
-    q_len: int
-    active: bool
-    compute_cost: KernelCost = field(default_factory=lambda: KernelCost(0.0, 0.0))
-    parts: PredictionParts | None = None
+
+def _channel_fetch_time_s(device, locality: float, num_bytes: float, from_ssd: bool) -> float:
+    """Single-channel fetch time: the KVMU on V-Rex, a plain DMA on a GPU."""
+    if isinstance(device, VRexAccelerator):
+        return device.fetch_time_s(KVFetchWork(num_bytes, locality, from_ssd=from_ssd))
+    return device.fetch_time_s(num_bytes, from_ssd=from_ssd, sequential_fraction=locality)
+
+
+@dataclass(frozen=True, slots=True)
+class _DemandEntry:
+    """Per-layer resource demands of one stream (batch-1 granularity).
+
+    One immutable row of :class:`BatchLatencyModel`'s demand table: the part
+    of a stream's demand that does not depend on the memory plane's live
+    residency, and nothing of the profile it was derived from.
+    """
+
+    compute_cost: KernelCost
+    parts: PredictionParts | None
+    compute_layer_s: float  # device.dense_time_s(compute_cost)
+    prediction_layer_s: float  # base._price_prediction_parts(system, parts)
     fetch_bytes: float = 0.0
-    fetch_service_s: float = 0.0  # full per-layer fetch (incl. link/SSD latency)
+    fetch_service_s: float = 0.0  # single-channel fetch (incl. link/SSD latency)
     pcie_occupancy_s: float = 0.0  # bytes-on-the-wire time, no request latency
     ssd_occupancy_s: float = 0.0  # SSD media time, no access latency
-    # memory-aware pricing: one-channel warm/cold per-layer fetch pricers and
-    # the shard split the demand was priced at (None without a memory plane)
-    fetch_warm_time_s: Callable[[float], float] | None = None
-    fetch_cold_time_s: Callable[[float], float] | None = None
-    fetch_split: ShardSplit | None = None
-    fetch_cold_service_s: float = 0.0  # per-layer fetch if served fully cold
+    # the one-channel fetch pricer behind warm_time_s/cold_time_s (None when
+    # the stream fetches nothing): KVMU chunk bytes on V-Rex, the sequential
+    # fraction on a GPU
+    fetch_device: object = None
+    fetch_locality: float = 0.0
+    from_ssd: bool = False
+
+    @property
+    def on_dre(self) -> bool:
+        return self.parts is not None and self.parts.on_dre
+
+    def warm_time_s(self, num_bytes: float) -> float:
+        """One channel's fetch of ``num_bytes`` from the offload target."""
+        return _channel_fetch_time_s(
+            self.fetch_device, self.fetch_locality, num_bytes, self.from_ssd
+        )
+
+    def cold_time_s(self, num_bytes: float) -> float:
+        """One channel's fetch of ``num_bytes`` demoted to the SSD tier."""
+        return _channel_fetch_time_s(self.fetch_device, self.fetch_locality, num_bytes, True)
 
 
 def contended_issue_timing(
@@ -787,6 +820,33 @@ def timesliced_issue(
     )
 
 
+def _contended_result(
+    system: SystemConfig,
+    stage: str,
+    rows: list[StreamStepResult],
+    oom: bool,
+    compute_server: PreemptiveResource | None = None,
+) -> BatchStepResult:
+    """Fleet-level result of a contended step (``compute_server``: timesliced)."""
+    keys = ("vision", "llm_compute", "kv_prediction", "kv_fetch")
+    keys += ("kv_prediction_raw", "kv_fetch_raw", "pcie_wait", "dre_wait")
+    breakdown = {key: sum(row.breakdown.get(key, 0.0) for row in rows) for key in keys}
+    if compute_server is not None:
+        breakdown["compute_wait"] = sum(row.compute_wait_s for row in rows)
+        breakdown["compute_busy"] = compute_server.busy_s()
+    finishes = [row.arrival_offset_s + row.total_s for row in rows]
+    return BatchStepResult(
+        system=system.name,
+        stage=stage,
+        contention=True,
+        total_s=max(finishes) - min(row.arrival_offset_s for row in rows),
+        streams=rows,
+        breakdown=breakdown,
+        oom=oom,
+        compute="private" if compute_server is None else "timesliced",
+    )
+
+
 class BatchLatencyModel:
     """Prices whole fleets of heterogeneous streams on one system.
 
@@ -813,6 +873,11 @@ class BatchLatencyModel:
         #: shards into a fresh hierarchy with the same bank layout, so
         #: repeated runs stay deterministic.
         self.memory = memory
+        #: the demand table: per system, the residency-independent demands
+        #: keyed by the profile *values* they were derived from
+        self._demands: dict[SystemConfig, dict[tuple, _DemandEntry]] = {}
+        self._num_demands = 0
+        self._sanitize = sanitize_enabled()
 
     # ------------------------------------------------------------------ #
     # public steps
@@ -1009,95 +1074,122 @@ class BatchLatencyModel:
             )
         return memory
 
-    def _stream_demand(
-        self,
-        system: SystemConfig,
-        profile: StreamProfile,
-        q_len: int | None,
-        stage: str,
-        memory: ShardedKVHierarchy | None = None,
-    ) -> _StreamDemand:
-        """Assemble one stream's per-layer demands (mirrors ``LatencyModel._step``)."""
+    def _derive_demand(
+        self, system: SystemConfig, profile: StreamProfile, q_len: int, stage: str
+    ) -> _DemandEntry:
+        """Derive one stream's per-layer demands (mirrors ``LatencyModel._step``).
+
+        The one derivation behind the demand table: run on a miss and, under
+        the sanitizer, again on every hit.  Every profile field it reads is
+        part of the key :meth:`_stream_demands` builds.
+        """
         base = self.base
-        active = q_len is not None and q_len > 0
-        demand = _StreamDemand(profile=profile, q_len=q_len or 0, active=active)
-        if not active:
-            return demand
+        device = base.device_for(system)
         ratio = profile.ratio_override(stage)
         selected = base._selected_tokens(system, profile.kv_len, stage, ratio=ratio)
-        demand.compute_cost = base.llm.layer_cost(q_len, selected, 1)
-        demand.parts = base._prediction_parts(
+        compute_cost = base.llm.layer_cost(q_len, selected, 1)
+        parts = base._prediction_parts(
             system, q_len, profile.kv_len, stage, measured=profile.measured
         )
+        compute_layer_s = device.dense_time_s(compute_cost)
+        prediction_layer_s = base._price_prediction_parts(system, parts)
         per_layer_bytes = base._fetch_bytes_per_layer(
             system, profile.kv_len, stage, 1, ratio=ratio
         )
         if per_layer_bytes <= 0:
-            return demand
-        demand.fetch_bytes = per_layer_bytes
-        device = base.device_for(system)
+            return _DemandEntry(compute_cost, parts, compute_layer_s, prediction_layer_s)
         from_ssd = system.device.offload_target == "ssd"
         if isinstance(device, VRexAccelerator):
-            contiguous = base._contiguous_bytes(system, profile.measured)
-            work = KVFetchWork(
-                total_bytes=per_layer_bytes,
-                mean_contiguous_bytes=contiguous,
-                from_ssd=from_ssd,
+            locality = base._contiguous_bytes(system, profile.measured)
+            efficiency = device.kvmu.link_efficiency(
+                KVFetchWork(per_layer_bytes, locality, from_ssd=from_ssd)
             )
-            efficiency = device.kvmu.link_efficiency(work)
-
-            def warm_time_s(num_bytes: float) -> float:
-                return device.fetch_time_s(
-                    KVFetchWork(num_bytes, contiguous, from_ssd=from_ssd)
-                )
-
-            def cold_time_s(num_bytes: float) -> float:
-                return device.fetch_time_s(
-                    KVFetchWork(num_bytes, contiguous, from_ssd=True)
-                )
-
-            demand.pcie_occupancy_s = device.link.occupancy_s(per_layer_bytes, efficiency)
-            if from_ssd:
-                demand.ssd_occupancy_s = device.ssd.read_occupancy_s(
-                    per_layer_bytes, device.kvmu.ssd_sequential_fraction()
-                )
+            ssd_sequential = device.kvmu.ssd_sequential_fraction()
         else:
             effective_ratio = system.policy.ratio(stage) if ratio is None else ratio
-            sequential = gpu_sequential_fraction(effective_ratio)
+            locality = ssd_sequential = gpu_sequential_fraction(effective_ratio)
+            efficiency = system.device.pcie_efficiency
+        return _DemandEntry(
+            compute_cost,
+            parts,
+            compute_layer_s,
+            prediction_layer_s,
+            fetch_bytes=per_layer_bytes,
+            fetch_service_s=_channel_fetch_time_s(device, locality, per_layer_bytes, from_ssd),
+            pcie_occupancy_s=device.link.occupancy_s(per_layer_bytes, efficiency),
+            ssd_occupancy_s=device.ssd.read_occupancy_s(per_layer_bytes, ssd_sequential)
+            if from_ssd
+            else 0.0,
+            fetch_device=device,
+            fetch_locality=locality,
+            from_ssd=from_ssd,
+        )
 
-            def warm_time_s(num_bytes: float) -> float:
-                return device.fetch_time_s(
-                    num_bytes, from_ssd=from_ssd, sequential_fraction=sequential
-                )
+    def _stream_demands(
+        self,
+        system: SystemConfig,
+        profiles: Sequence[StreamProfile],
+        q_lens: Sequence[int | None],
+        stage: str,
+        memory: ShardedKVHierarchy | None,
+    ) -> list[tuple[_DemandEntry | None, float]]:
+        """Per stream: its demand-table entry and per-layer fetch service.
 
-            def cold_time_s(num_bytes: float) -> float:
-                return device.fetch_time_s(
-                    num_bytes, from_ssd=True, sequential_fraction=sequential
-                )
-
-            demand.pcie_occupancy_s = device.link.occupancy_s(
-                per_layer_bytes, system.device.pcie_efficiency
+        The entry is ``None`` for a stream that skips the step.  Its key is
+        read from the profile at every call and never stored on it, so a
+        profile edited in place simply looks up another entry.  Only the
+        fetch service depends on the memory plane: the fetch fans out over
+        the banks holding the session's warm shards while the demoted
+        remainder streams from the SSD tier (a fully-warm single-bank split
+        reproduces the entry's single-channel price bit for bit).
+        """
+        table = self._demands.get(system)
+        if table is None:
+            table = self._demands[system] = {}
+        demands: list[tuple[_DemandEntry | None, float]] = []
+        for profile, q_len in zip(profiles, q_lens, strict=True):
+            if q_len is None or q_len <= 0:
+                demands.append((None, 0.0))
+                continue
+            measured = profile.measured
+            key = (
+                profile.kv_len,
+                q_len,
+                stage,
+                profile.ratio_override(stage),
+                measured.sort_fraction,
+                measured.avg_tokens_per_cluster,
             )
-            if from_ssd:
-                demand.ssd_occupancy_s = device.ssd.read_occupancy_s(
-                    per_layer_bytes, sequential
+            entry = table.get(key)
+            if entry is None:
+                entry = self._derive_demand(system, profile, q_len, stage)
+                if self._num_demands >= _DEMAND_TABLE_ENTRIES:
+                    self._demands.clear()
+                    table.clear()
+                    self._demands[system] = table
+                    self._num_demands = 0
+                table[key] = entry
+                self._num_demands += 1
+            elif self._sanitize:
+                fresh = self._derive_demand(system, profile, q_len, stage)
+                for slot in fields(_DemandEntry):
+                    if getattr(entry, slot.name) != getattr(fresh, slot.name):
+                        raise SanitizerError(
+                            PRICE_TABLE,
+                            f"demand-table hit for {system.name} {key} holds "
+                            f"{slot.name}={getattr(entry, slot.name)!r}, a fresh "
+                            f"derivation gives {getattr(fresh, slot.name)!r}",
+                        )
+            fetch_layer_s = entry.fetch_service_s
+            if memory is not None and entry.fetch_bytes > 0:
+                fetch_layer_s = sharded_fetch_makespan(
+                    entry.fetch_bytes,
+                    memory.fetch_split(profile.session_id),
+                    entry.warm_time_s,
+                    entry.cold_time_s,
                 )
-        demand.fetch_warm_time_s = warm_time_s
-        demand.fetch_cold_time_s = cold_time_s
-        if memory is None:
-            demand.fetch_service_s = warm_time_s(per_layer_bytes)
-        else:
-            # Residency-aware pricing: the fetch fans out over the banks
-            # holding the session's warm shards, the demoted remainder
-            # streams from the SSD tier.  A fully-warm single-bank split
-            # reproduces the single-channel price bit for bit.
-            split = memory.fetch_split(profile.session_id)
-            demand.fetch_split = split
-            demand.fetch_service_s = sharded_fetch_makespan(
-                per_layer_bytes, split, warm_time_s, cold_time_s
-            )
-            demand.fetch_cold_service_s = cold_time_s(per_layer_bytes)
-        return demand
+            demands.append((entry, fetch_layer_s))
+        return demands
 
     def _batched_oom(self, system: SystemConfig, profiles: Sequence[StreamProfile]) -> bool:
         """Fleet working set vs device memory, per-stream budgets applied."""
@@ -1124,17 +1216,15 @@ class BatchLatencyModel:
         if not profiles:
             raise ValueError("a batched step needs at least one stream profile")
         memory = self._memory_for(system, profiles)
-        demands = [
-            self._stream_demand(system, profile, q_len, stage, memory=memory)
-            for profile, q_len in zip(profiles, q_lens, strict=True)
-        ]
+        demands = self._stream_demands(system, profiles, q_lens, stage, memory)
         oom = self._batched_oom(system, profiles)
         if contention and compute == "timesliced":
-            result = self._timesliced_step(system, demands, stage, include_vision, oom)
+            step = self._timesliced_step
         elif contention:
-            result = self._contended_step(system, demands, stage, include_vision, oom)
+            step = self._contended_step
         else:
-            result = self._aggregated_step(system, demands, stage, include_vision, oom)
+            step = self._aggregated_step
+        result = step(system, profiles, demands, stage, include_vision, oom)
         if memory is not None:
             result.bank_occupancy_bytes = tuple(
                 float(b) for b in memory.bank_occupancy_bytes()
@@ -1147,7 +1237,8 @@ class BatchLatencyModel:
     def _aggregated_step(
         self,
         system: SystemConfig,
-        demands: list[_StreamDemand],
+        profiles: Sequence[StreamProfile],
+        demands: list[tuple[_DemandEntry | None, float]],
         stage: str,
         include_vision: bool,
         oom: bool,
@@ -1155,7 +1246,7 @@ class BatchLatencyModel:
         base = self.base
         device = base.device_for(system)
         num_layers = base.llm.model.num_layers
-        active = [demand for demand in demands if demand.active]
+        active = [entry for entry, _ in demands if entry is not None]
 
         compute_layer = 0.0
         prediction_layer = 0.0
@@ -1169,16 +1260,16 @@ class BatchLatencyModel:
             # streams).
             weight_bytes = base.llm.weight_bytes_per_layer()
             aggregate_cost = KernelCost(
-                sum(demand.compute_cost.flops for demand in active),
+                sum(entry.compute_cost.flops for entry in active),
                 weight_bytes
-                + sum(demand.compute_cost.dram_bytes - weight_bytes for demand in active),
+                + sum(entry.compute_cost.dram_bytes - weight_bytes for entry in active),
             )
             compute_layer = device.dense_time_s(aggregate_cost)
 
             # KV prediction: the matrix pieces batch on the dense/irregular
             # engine, the data-dependent work is linear per stream, and the
             # fixed selection overhead is paid once per batched invocation.
-            parts_list = [demand.parts for demand in active if demand.parts is not None]
+            parts_list = [entry.parts for entry in active if entry.parts is not None]
             if parts_list:
                 dense_cost = KernelCost(sum(parts.dense_flops for parts in parts_list))
                 if parts_list[0].engine == "dense":
@@ -1195,15 +1286,15 @@ class BatchLatencyModel:
             # KV fetch: one merged transfer per layer — the link request
             # latency (and SSD access latency) is paid once, each stream's
             # bytes move at that stream's achievable efficiency.
-            total_bytes = sum(demand.fetch_bytes for demand in active)
+            total_bytes = sum(entry.fetch_bytes for entry in active)
             if total_bytes > 0:
                 link = device.link
                 pcie_time = link.config.latency_us * 1e-6 + sum(
-                    demand.pcie_occupancy_s for demand in active
+                    entry.pcie_occupancy_s for entry in active
                 )
                 if system.device.offload_target == "ssd":
                     ssd_time = device.ssd.config.read_latency_us * 1e-6 + sum(
-                        demand.ssd_occupancy_s for demand in active
+                        entry.ssd_occupancy_s for entry in active
                     )
                     fetch_layer = max(pcie_time, ssd_time)
                 else:
@@ -1228,40 +1319,42 @@ class BatchLatencyModel:
         vision_each = (
             base._vision_time(system, 1)[0] if include_vision else 0.0
         )
-        per_stream_prediction = [
-            base._price_prediction_parts(system, demand.parts) if demand.active else 0.0
-            for demand in demands
-        ]
-        prediction_total = sum(per_stream_prediction)
+        prediction_total = sum(
+            0.0 if entry is None else entry.prediction_layer_s for entry, _ in demands
+        )
         streams = []
-        for index, demand in enumerate(demands):
-            stream_compute = device.dense_time_s(demand.compute_cost) if demand.active else 0.0
-            stream_prediction = per_stream_prediction[index]
+        for profile, (entry, stream_fetch) in zip(profiles, demands, strict=True):
+            if entry is None:
+                stream_compute = stream_prediction = stream_bytes = 0.0
+            else:
+                stream_compute = entry.compute_layer_s
+                stream_prediction = entry.prediction_layer_s
+                stream_bytes = entry.fetch_bytes
             # the fleet's exposed prediction/fetch are attributed to streams
             # proportionally to their demands (shares sum to the fleet value)
-            fetch_share = demand.fetch_bytes / total_bytes if total_bytes > 0 else 0.0
+            fetch_share = stream_bytes / total_bytes if total_bytes > 0 else 0.0
             prediction_share = (
                 stream_prediction / prediction_total if prediction_total > 0 else 0.0
             )
             streams.append(
                 StreamStepResult(
-                    session_id=demand.profile.session_id,
-                    kv_len=demand.profile.kv_len,
-                    arrival_offset_s=demand.profile.arrival_offset_s,
+                    session_id=profile.session_id,
+                    kv_len=profile.kv_len,
+                    arrival_offset_s=profile.arrival_offset_s,
                     # the batch completes together; every stream observes the
                     # fleet latency, its breakdown carries its own demands
-                    total_s=total if demand.active else 0.0,
+                    total_s=total if entry is not None else 0.0,
                     breakdown={
-                        "vision": vision_each if demand.active else 0.0,
+                        "vision": vision_each if entry is not None else 0.0,
                         "llm_compute": stream_compute * num_layers,
                         "kv_prediction": exposed_prediction * num_layers * prediction_share,
                         "kv_fetch": exposed_fetch * num_layers * fetch_share,
                         "kv_prediction_raw": stream_prediction * num_layers,
-                        "kv_fetch_raw": demand.fetch_service_s * num_layers,
+                        "kv_fetch_raw": stream_fetch * num_layers,
                         "pcie_wait": 0.0,
                         "dre_wait": 0.0,
                     },
-                    fetch_bytes=demand.fetch_bytes * num_layers,
+                    fetch_bytes=stream_bytes * num_layers,
                 )
             )
         return BatchStepResult(
@@ -1280,7 +1373,8 @@ class BatchLatencyModel:
     def _contended_step(
         self,
         system: SystemConfig,
-        demands: list[_StreamDemand],
+        profiles: Sequence[StreamProfile],
+        demands: list[tuple[_DemandEntry | None, float]],
         stage: str,
         include_vision: bool,
         oom: bool,
@@ -1306,22 +1400,22 @@ class BatchLatencyModel:
         for index in sorted(
             range(len(demands)),
             key=lambda i: (
-                demands[i].profile.arrival_offset_s + vision_each,
-                demands[i].profile.session_id,
+                profiles[i].arrival_offset_s + vision_each,
+                profiles[i].session_id,
                 i,
             ),
         ):
-            demand = demands[index]
-            if not demand.active:
+            entry, fetch_layer_s = demands[index]
+            if entry is None:
                 continue
             timings[index] = contended_issue_timing(
                 is_vrex=is_vrex,
                 overlaps=overlaps,
-                on_dre=demand.parts is not None and demand.parts.on_dre,
-                start_s=demand.profile.arrival_offset_s + vision_each,
-                compute_s=device.dense_time_s(demand.compute_cost) * num_layers,
-                prediction_s=base._price_prediction_parts(system, demand.parts) * num_layers,
-                fetch_s=demand.fetch_service_s * num_layers,
+                on_dre=entry.on_dre,
+                start_s=profiles[index].arrival_offset_s + vision_each,
+                compute_s=entry.compute_layer_s * num_layers,
+                prediction_s=entry.prediction_layer_s * num_layers,
+                fetch_s=fetch_layer_s * num_layers,
                 dre_queue=dre_queue,
             )
 
@@ -1333,7 +1427,7 @@ class BatchLatencyModel:
         transfers: dict[int, object] = {}
         for index in sorted(
             (i for i, timing in enumerate(timings) if timing is not None and timing["fetch_s"] > 0),
-            key=lambda i: (timings[i]["request"], demands[i].profile.session_id, i),
+            key=lambda i: (timings[i]["request"], profiles[i].session_id, i),
         ):
             transfers[index] = link_queue.enqueue(
                 timings[index]["request"], timings[index]["fetch_s"]
@@ -1341,18 +1435,12 @@ class BatchLatencyModel:
 
         # Phase 3 — assemble per-stream results under the overlap rules.
         rows: list[StreamStepResult] = []
-        for index, demand in enumerate(demands):
-            profile = demand.profile
+        for index, profile in enumerate(profiles):
             timing = timings[index]
             if timing is None:
                 rows.append(_inactive_stream_row(profile))
                 continue
-            compute_s = timing["compute_s"]
-            prediction_s = timing["prediction_s"]
-            fetch_s = timing["fetch_s"]
-            dre_wait = timing["dre_wait"]
             transfer = transfers.get(index)
-            pcie_wait = transfer.wait_s if transfer is not None else 0.0
             latency, exposed_prediction, exposed_fetch = contended_exposure(
                 is_vrex=is_vrex, overlaps=overlaps, timing=timing, transfer=transfer
             )
@@ -1364,41 +1452,19 @@ class BatchLatencyModel:
                     total_s=vision_each + latency,
                     breakdown={
                         "vision": vision_each,
-                        "llm_compute": compute_s,
+                        "llm_compute": timing["compute_s"],
                         "kv_prediction": exposed_prediction,
                         "kv_fetch": exposed_fetch,
-                        "kv_prediction_raw": prediction_s,
-                        "kv_fetch_raw": fetch_s,
-                        "pcie_wait": pcie_wait,
-                        "dre_wait": dre_wait,
+                        "kv_prediction_raw": timing["prediction_s"],
+                        "kv_fetch_raw": timing["fetch_s"],
+                        "pcie_wait": transfer.wait_s if transfer is not None else 0.0,
+                        "dre_wait": timing["dre_wait"],
                     },
-                    fetch_bytes=demand.fetch_bytes * num_layers,
+                    fetch_bytes=demands[index][0].fetch_bytes * num_layers,
                 )
             )
 
-        streams = rows
-        arrivals = [stream.arrival_offset_s for stream in streams]
-        finishes = [stream.arrival_offset_s + stream.total_s for stream in streams]
-        makespan = max(finishes) - min(arrivals) if streams else 0.0
-        breakdown = {
-            "vision": sum(s.breakdown["vision"] for s in streams),
-            "llm_compute": sum(s.breakdown["llm_compute"] for s in streams),
-            "kv_prediction": sum(s.breakdown["kv_prediction"] for s in streams),
-            "kv_fetch": sum(s.breakdown["kv_fetch"] for s in streams),
-            "kv_prediction_raw": sum(s.breakdown["kv_prediction_raw"] for s in streams),
-            "kv_fetch_raw": sum(s.breakdown["kv_fetch_raw"] for s in streams),
-            "pcie_wait": sum(s.pcie_wait_s for s in streams),
-            "dre_wait": sum(s.dre_wait_s for s in streams),
-        }
-        return BatchStepResult(
-            system=system.name,
-            stage=stage,
-            contention=True,
-            total_s=makespan,
-            streams=streams,
-            breakdown=breakdown,
-            oom=oom,
-        )
+        return _contended_result(system, stage, rows, oom)
 
     # ------------------------------------------------------------------ #
     # timesliced mode: contention plus a shared round-robin compute server
@@ -1406,7 +1472,8 @@ class BatchLatencyModel:
     def _timesliced_step(
         self,
         system: SystemConfig,
-        demands: list[_StreamDemand],
+        profiles: Sequence[StreamProfile],
+        demands: list[tuple[_DemandEntry | None, float]],
         stage: str,
         include_vision: bool,
         oom: bool,
@@ -1432,47 +1499,34 @@ class BatchLatencyModel:
         )
         outcomes: list[TimeslicedOutcome | None] = [None] * len(demands)
 
-        for index, demand in enumerate(demands):
-            if not demand.active:
+        for index, (profile, (entry, fetch_layer_s)) in enumerate(
+            zip(profiles, demands, strict=True)
+        ):
+            if entry is None:
                 continue
-            key = (demand.profile.session_id, index)
-            start_s = demand.profile.arrival_offset_s + vision_each
-            compute_s = device.dense_time_s(demand.compute_cost) * num_layers
-            prediction_s = base._price_prediction_parts(system, demand.parts) * num_layers
-            fetch_s = demand.fetch_service_s * num_layers
-            on_dre = demand.parts is not None and demand.parts.on_dre
-
-            def issue(
-                compute_s=compute_s,
-                prediction_s=prediction_s,
-                fetch_s=fetch_s,
-                on_dre=on_dre,
+            key = (profile.session_id, index)
+            issue = partial(
+                timesliced_issue,
+                loop,
+                compute_server,
+                dre_queue,
+                link_queue,
+                is_vrex=is_vrex,
+                overlaps=overlaps,
+                on_dre=entry.on_dre,
+                compute_s=entry.compute_layer_s * num_layers,
+                prediction_s=entry.prediction_layer_s * num_layers,
+                fetch_s=fetch_layer_s * num_layers,
                 key=key,
-                index=index,
-            ):
-                timesliced_issue(
-                    loop,
-                    compute_server,
-                    dre_queue,
-                    link_queue,
-                    is_vrex=is_vrex,
-                    overlaps=overlaps,
-                    on_dre=on_dre,
-                    compute_s=compute_s,
-                    prediction_s=prediction_s,
-                    fetch_s=fetch_s,
-                    key=key,
-                    on_finish=lambda outcome, index=index: outcomes.__setitem__(
-                        index, outcome
-                    ),
-                )
-
-            loop.schedule(start_s, issue, priority=PRIO_ISSUE, key=key)
+                on_finish=partial(outcomes.__setitem__, index),
+            )
+            loop.schedule(
+                profile.arrival_offset_s + vision_each, issue, priority=PRIO_ISSUE, key=key
+            )
         loop.run()
 
         rows: list[StreamStepResult] = []
-        for index, demand in enumerate(demands):
-            profile = demand.profile
+        for index, profile in enumerate(profiles):
             outcome = outcomes[index]
             if outcome is None:
                 rows.append(_inactive_stream_row(profile))
@@ -1494,32 +1548,8 @@ class BatchLatencyModel:
                         "dre_wait": outcome.dre_wait_s,
                         "compute_wait": outcome.compute_wait_s,
                     },
-                    fetch_bytes=demand.fetch_bytes * num_layers,
+                    fetch_bytes=demands[index][0].fetch_bytes * num_layers,
                 )
             )
 
-        arrivals = [row.arrival_offset_s for row in rows]
-        finishes = [row.arrival_offset_s + row.total_s for row in rows]
-        makespan = max(finishes) - min(arrivals) if rows else 0.0
-        breakdown = {
-            "vision": sum(s.breakdown["vision"] for s in rows),
-            "llm_compute": sum(s.breakdown["llm_compute"] for s in rows),
-            "kv_prediction": sum(s.breakdown["kv_prediction"] for s in rows),
-            "kv_fetch": sum(s.breakdown["kv_fetch"] for s in rows),
-            "kv_prediction_raw": sum(s.breakdown["kv_prediction_raw"] for s in rows),
-            "kv_fetch_raw": sum(s.breakdown["kv_fetch_raw"] for s in rows),
-            "pcie_wait": sum(s.pcie_wait_s for s in rows),
-            "dre_wait": sum(s.dre_wait_s for s in rows),
-            "compute_wait": sum(s.compute_wait_s for s in rows),
-            "compute_busy": compute_server.busy_s(),
-        }
-        return BatchStepResult(
-            system=system.name,
-            stage=stage,
-            contention=True,
-            total_s=makespan,
-            streams=rows,
-            breakdown=breakdown,
-            oom=oom,
-            compute="timesliced",
-        )
+        return _contended_result(system, stage, rows, oom, compute_server)

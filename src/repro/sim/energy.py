@@ -37,6 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from repro.config import require_number
 from repro.devtools.sanitizer import ENERGY_CONSERVATION, SanitizerError, resolve
 from repro.hw.energy import EnergyModel
 from repro.sim.jobtable import KIND_NAMES
@@ -226,8 +227,7 @@ def schedule_energy(
     model = model or EnergyModel()
     device = inputs.device
     window = _window_s(result) if window_s is None else float(window_s)
-    if window < 0:
-        raise ValueError(f"window_s must be non-negative, got {window}")
+    require_number("window_s", window)
 
     served = 0
     tokens = 0.0

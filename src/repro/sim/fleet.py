@@ -606,10 +606,10 @@ class FleetResult(RecordViews):
 class FleetScheduler:
     """Routes sessions onto a fleet of M independent serving devices.
 
-    Wraps one :class:`~repro.sim.scheduler.ServingScheduler` (so repeated
-    runs share its priced-stage cache) and instantiates each device's
-    resources from the same plane — every device prices identically to a
-    single-device run over its assigned sessions.
+    Wraps one :class:`~repro.sim.scheduler.ServingScheduler` and builds
+    each device's resources from its plane: every device prices like a
+    single-device run over its sessions, and the router's solo estimates
+    and every device run read that plane's one demand table.
     """
 
     def __init__(
@@ -621,9 +621,6 @@ class FleetScheduler:
     ):
         self.fleet = fleet or FleetConfig()
         self.scheduler = ServingScheduler(plane, config, engine=engine)
-        #: per-stream solo-work estimator cache, identity-keyed like the
-        #: scheduler's price cache (sweeps reuse profile objects run to run)
-        self._estimate_cache: dict = {}
 
     @property
     def plane(self) -> BatchLatencyModel:
@@ -837,6 +834,16 @@ class FleetScheduler:
                 entries.insert(pos, (float(at), QUESTION_JOB, 0))
             stream_jobs.append(entries)
         remaining_jobs = sum(len(entries) for entries in stream_jobs)
+        # each routed stream's estimated solo work per job, priced once per
+        # run: questions and generation tokens are charged at the frame rate
+        # — the router needs a consistent load ranking across devices, not
+        # an exact latency; the per-device schedulers price exactly
+        solo_s = [
+            self.plane.frame_step(system, [profile]).streams[0].total_s
+            if need_estimates and jobs
+            else 0.0
+            for profile, jobs in zip(profiles, stream_jobs, strict=True)
+        ]
 
         seq = count()
         heap: list[tuple] = []
@@ -1041,7 +1048,7 @@ class FleetScheduler:
                     plan.question_device[s] = d
                     plan.question_ready[s] = ready
                 if need_estimates:
-                    solo = self._solo_estimate_s(system, profile)
+                    solo = solo_s[s]
                     work = solo * (1 + answers[s]) if kind == QUESTION_JOB else solo
                     device = devices[d]
                     if self._predicted_shed(config, device, session, work, now_s):
@@ -1159,23 +1166,6 @@ class FleetScheduler:
                 return home
         # least_loaded (and the kv_residency/homeless fallbacks)
         return min(devices, key=lambda d: (d.backlog_s(t), d.index)).index
-
-    def _solo_estimate_s(self, system: SystemConfig, profile: StreamProfile) -> float:
-        """Estimated solo work of one frame job of this stream.
-
-        Questions and generation tokens are charged at the frame rate —
-        the router needs a consistent load ranking across devices, not an
-        exact latency; the per-device schedulers price exactly.
-        """
-        key = (id(system), id(profile))
-        cached = self._estimate_cache.get(key)
-        if cached is not None and cached[0] is system and cached[1] is profile:
-            return cached[2]
-        solo = self.plane.frame_step(system, [profile]).streams[0].total_s
-        if len(self._estimate_cache) >= 4096:
-            self._estimate_cache.clear()
-        self._estimate_cache[key] = (system, profile, solo)
-        return solo
 
     @staticmethod
     def _predicted_shed(

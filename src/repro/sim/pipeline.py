@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.config import StreamingConfig
+from repro.config import StreamingConfig, require_number
 from repro.hw.accelerator import VRexAccelerator
 from repro.hw.compute import KernelCost
 from repro.hw.dre.hcu import HCUWork
@@ -107,6 +107,12 @@ class MeasuredRetrieval:
 
     sort_fraction: float = EARLY_EXIT_SORT_FRACTION
     avg_tokens_per_cluster: float = float(AVG_TOKENS_PER_CLUSTER)
+
+    def __post_init__(self) -> None:
+        require_number("sort_fraction", self.sort_fraction, maximum=1)
+        require_number(
+            "avg_tokens_per_cluster", self.avg_tokens_per_cluster, exclusive=True, finite=True
+        )
 
     @classmethod
     def from_session_report(cls, report) -> "MeasuredRetrieval":

@@ -17,9 +17,9 @@ misses), not a single makespan.
   (:class:`repro.hw.event.ReleasableResource` — a frame holds the stream
   until its finish time emerges from the shared queues, later frames wait
   behind it);
-* each job's demands are priced once per stream and stage via
-  :meth:`BatchLatencyModel._stream_demand` — exactly the pricing the
-  contended batched plane uses;
+* each job's demands are read once per stream and stage from the plane's
+  demand table (:meth:`BatchLatencyModel._stream_demands`) — exactly the
+  pricing the contended batched plane uses;
 * ReSV prediction jobs serialize FCFS on the shared DRE and KV-fetch
   transfers on the shared PCIe link
   (:class:`repro.hw.memory.pcie.PCIeLinkQueue`), through the *same*
@@ -723,7 +723,10 @@ class ServingScheduler:
 
     Wraps a :class:`BatchLatencyModel` for demand pricing; the scheduler
     itself owns only the event-time mechanics (stream slots, shared-queue
-    FCFS order, deadlines, admission control).  When the plane carries a
+    FCFS order, deadlines, admission control) and keeps no prices between
+    runs — every run reads the plane's value-keyed demand table, so
+    schedulers sharing a plane share its warm entries and a profile edited
+    in place is simply priced at its new values.  When the plane carries a
     memory plane (:class:`~repro.hw.memory.sharding.ShardedKVHierarchy`),
     each run partitions the fleet's KV shards across its banks, re-prices
     every job's fetch at the session's *current* residency, and — under
@@ -742,11 +745,6 @@ class ServingScheduler:
         self.config = config or SchedulerConfig()
         #: "array" (struct-of-arrays fast path) or "reference" (original loop)
         self.engine = validate_engine(engine)
-        #: per-instance priced-stage cache, keyed by ``(system, profiles,
-        #: question tokens)`` — pricing is pure in those inputs, so repeated
-        #: runs (benchmark repeats, load sweeps over arrival seeds) skip the
-        #: dominant demand-pricing cost
-        self._price_cache: dict = {}
 
     # ------------------------------------------------------------------ #
     # validation helpers
@@ -900,7 +898,6 @@ class ServingScheduler:
             profiles,
             q_tokens,
             memory,
-            device,
             is_vrex,
             num_layers,
             vision_each,
@@ -938,106 +935,81 @@ class ServingScheduler:
         profiles: list[StreamProfile],
         q_tokens: list[int | None],
         memory: ShardedKVHierarchy | None,
-        device,
         is_vrex: bool,
         num_layers: int,
         vision_each: float,
         vision_cost,
         frame_overlaps: bool,
     ) -> list[dict[str, _PricedStage]]:
-        base = self.plane.base
-        # identity-keyed: StreamProfile/SystemConfig are mutable dataclasses
-        # (unhashable), but sweep and benchmark loops reuse the same objects
-        # run after run.  The cache entry keeps strong references to the
-        # keyed objects, so their ids stay valid for the entry's lifetime;
-        # an `is`-check guards against reuse.
-        cache_key = (
-            id(system),
-            tuple(id(profile) for profile in profiles),
-            tuple(q_tokens),
-        )
-        cached = self._price_cache.get(cache_key)
-        if cached is not None:
-            cached_system, cached_profiles, cached_priced = cached
-            if cached_system is system and all(
-                a is b for a, b in zip(cached_profiles, profiles, strict=True)
-            ):
-                return cached_priced
+        plane = self.plane
 
-        def price(profile: StreamProfile, q_len: int | None, stage: str, vision_s: float, overlaps: bool, vision_work=None) -> _PricedStage:
-            demand = self.plane._stream_demand(system, profile, q_len, stage, memory=memory)
-            if not demand.active:
-                return _PricedStage(False, False, overlaps, 0.0, 0.0, 0.0, 0.0)
-            compute_s = device.dense_time_s(demand.compute_cost) * num_layers
-            prediction_s = base._price_prediction_parts(system, demand.parts) * num_layers
-            flops = demand.compute_cost.flops * num_layers
-            dram_bytes = demand.compute_cost.dram_bytes * num_layers
-            if vision_work is not None:
-                flops += vision_work.flops
-                dram_bytes += vision_work.dram_bytes
-            priced_stage = _PricedStage(
-                active=True,
-                on_dre=demand.parts is not None and demand.parts.on_dre,
-                overlaps=overlaps,
-                vision_s=vision_s,
-                compute_s=compute_s,
-                prediction_s=prediction_s,
-                fetch_s=demand.fetch_service_s * num_layers,
-                tokens=int(q_len),
-                flops=flops,
-                dram_bytes=dram_bytes,
-            )
-            priced_stage.solo_s = _solo_latency(
-                is_vrex,
-                overlaps,
-                vision_s,
-                compute_s,
-                prediction_s,
-                priced_stage.fetch_s,
-            )
-            if memory is not None and demand.fetch_bytes > 0:
-                priced_stage.fetch_bytes_layer = demand.fetch_bytes
-                priced_stage.warm_time_s = demand.fetch_warm_time_s
-                priced_stage.cold_time_s = demand.fetch_cold_time_s
-                warm_fetch = (
-                    sharded_fetch_makespan(
-                        demand.fetch_bytes,
-                        memory.home_split(profile.session_id),
-                        demand.fetch_warm_time_s,
-                        demand.fetch_cold_time_s,
+        def price(q_lens, stage: str, vision_s: float, overlaps: bool, vision_work=None) -> list[_PricedStage]:
+            """One job kind's priced stage per stream, off the plane's demand table."""
+            demands = plane._stream_demands(system, profiles, q_lens, stage, memory)
+            stages = []
+            for profile, (entry, fetch_layer), q_len in zip(profiles, demands, q_lens, strict=True):
+                if entry is None:
+                    stages.append(_PricedStage(False, False, overlaps, 0.0, 0.0, 0.0, 0.0))
+                    continue
+                compute_s = entry.compute_layer_s * num_layers
+                prediction_s = entry.prediction_layer_s * num_layers
+                flops = entry.compute_cost.flops * num_layers
+                dram_bytes = entry.compute_cost.dram_bytes * num_layers
+                if vision_work is not None:
+                    flops += vision_work.flops
+                    dram_bytes += vision_work.dram_bytes
+                priced_stage = _PricedStage(
+                    active=True,
+                    on_dre=entry.on_dre,
+                    overlaps=overlaps,
+                    vision_s=vision_s,
+                    compute_s=compute_s,
+                    prediction_s=prediction_s,
+                    fetch_s=fetch_layer * num_layers,
+                    tokens=int(q_len),
+                    flops=flops,
+                    dram_bytes=dram_bytes,
+                )
+                priced_stage.solo_s = _solo_latency(
+                    is_vrex, overlaps, vision_s, compute_s, prediction_s, priced_stage.fetch_s
+                )
+                if memory is not None and entry.fetch_bytes > 0:
+                    priced_stage.fetch_bytes_layer = entry.fetch_bytes
+                    priced_stage.warm_time_s = entry.warm_time_s
+                    priced_stage.cold_time_s = entry.cold_time_s
+                    warm_fetch = (
+                        sharded_fetch_makespan(
+                            entry.fetch_bytes,
+                            memory.home_split(profile.session_id),
+                            entry.warm_time_s,
+                            entry.cold_time_s,
+                        )
+                        * num_layers
                     )
-                    * num_layers
-                )
-                cold_fetch = demand.fetch_cold_service_s * num_layers
-                priced_stage.solo_warm_s = _solo_latency(
-                    is_vrex, overlaps, vision_s, compute_s, prediction_s, warm_fetch
-                )
-                priced_stage.solo_cold_s = _solo_latency(
-                    is_vrex, overlaps, vision_s, compute_s, prediction_s, cold_fetch
-                )
-            return priced_stage
+                    cold_fetch = entry.cold_time_s(entry.fetch_bytes) * num_layers
+                    priced_stage.solo_warm_s = _solo_latency(
+                        is_vrex, overlaps, vision_s, compute_s, prediction_s, warm_fetch
+                    )
+                    priced_stage.solo_cold_s = _solo_latency(
+                        is_vrex, overlaps, vision_s, compute_s, prediction_s, cold_fetch
+                    )
+                stages.append(priced_stage)
+            return stages
 
-        priced: list[dict[str, _PricedStage]] = []
-        for stream, profile in enumerate(profiles):
-            stages = {
-                FRAME_JOB: price(
-                    profile,
-                    base.llm.model.tokens_per_frame,
-                    FRAME_STAGE,
-                    vision_each,
-                    frame_overlaps,
-                    vision_work=vision_cost,
-                ),
-                QUESTION_JOB: price(
-                    profile, q_tokens[stream], FRAME_STAGE, 0.0, frame_overlaps
-                ),
-                GENERATION_JOB: price(profile, 1, GENERATION_STAGE, 0.0, True),
-            }
-            priced.append(stages)
-        if len(self._price_cache) >= 32:
-            self._price_cache.clear()
-        self._price_cache[cache_key] = (system, list(profiles), priced)
-        return priced
+        num_streams = len(profiles)
+        frames = price(
+            [plane.base.llm.model.tokens_per_frame] * num_streams,
+            FRAME_STAGE,
+            vision_each,
+            frame_overlaps,
+            vision_work=vision_cost,
+        )
+        questions = price(q_tokens, FRAME_STAGE, 0.0, frame_overlaps)
+        generations = price([1] * num_streams, GENERATION_STAGE, 0.0, True)
+        return [
+            {FRAME_JOB: frame, QUESTION_JOB: question, GENERATION_JOB: generation}
+            for frame, question, generation in zip(frames, questions, generations, strict=True)
+        ]
 
     # ------------------------------------------------------------------ #
     # the reference engine (executable spec of the event mechanics)

@@ -20,6 +20,7 @@ from repro.devtools.sanitizer import (
     EVENT_ORDER,
     JOB_STATE,
     LANE_ORDER,
+    PRICE_TABLE,
     RESOURCE_BALANCE,
     RING_DISCIPLINE,
     SHARD_CONSERVATION,
@@ -509,6 +510,48 @@ class TestTableConservation:
         store._signatures[2, 0] ^= np.uint64(1)  # a majority refresh that never happened
         with expect(TABLE_CONSERVATION):
             store.sanity_check()
+
+
+class TestPriceTable:
+    """A demand-table hit must equal a fresh derivation (armed at plane construction)."""
+
+    @staticmethod
+    def steps(plane):
+        from repro.sim.batched import StreamProfile
+        from repro.sim.systems import edge_systems
+        from repro.sim.workload import default_llm_workload
+
+        system = edge_systems(default_llm_workload().model_bytes())["V-Rex8"]
+        profiles = [StreamProfile(kv_len=20_000 + 5_000 * (i % 2), session_id=i) for i in range(4)]
+        return [
+            plane.frame_step(system, profiles),
+            plane.frame_step(system, profiles, contention=False),
+            plane.generation_step(system, profiles, compute="timesliced"),
+        ]
+
+    def test_armed_and_unarmed_planes_price_identically(self, monkeypatch):
+        from repro.sim.batched import BatchLatencyModel
+
+        monkeypatch.delenv(ENV_VAR, raising=False)
+        plain = self.steps(BatchLatencyModel())
+        monkeypatch.setenv(ENV_VAR, "1")
+        assert self.steps(BatchLatencyModel()) == plain  # every hit cross-checked
+
+    def test_corrupted_entry_detected_at_the_next_hit(self, monkeypatch):
+        from repro.sim.batched import BatchLatencyModel
+
+        monkeypatch.setenv(ENV_VAR, "1")
+        armed = BatchLatencyModel()
+        monkeypatch.delenv(ENV_VAR)
+        unarmed = BatchLatencyModel()  # the switch is read once, at construction
+        for plane in (armed, unarmed):
+            self.steps(plane)
+            (table,) = plane._demands.values()
+            # the table went stale: as if the derivation read an input the key omits
+            object.__setattr__(next(iter(table.values())), "compute_layer_s", 0.0)
+        self.steps(unarmed)  # corrupted, but nobody is looking
+        with expect(PRICE_TABLE):
+            self.steps(armed)
 
 
 class TestSanitizedRunEquivalence:

@@ -217,6 +217,30 @@ class TestSIM006:
 # --------------------------------------------------------------------- #
 # file-wide suppressions, syntax errors, CLI
 # --------------------------------------------------------------------- #
+# --------------------------------------------------------------------- #
+# SIM007 — identity keys
+# --------------------------------------------------------------------- #
+class TestSIM007:
+    def test_id_call_fires_in_sim_and_hw(self):
+        source = "key = (id(system), tuple(id(p) for p in profiles))\n"
+        assert codes(source, SIM_PATH) == ["SIM007", "SIM007"]
+        assert codes("cache[id(profile)] = priced\n", HW_PATH) == ["SIM007"]
+
+    def test_location_and_message(self):
+        (finding,) = lint("x = 1\nkey = id(profile)\n")
+        assert (finding.line, finding.col) == (2, 7)
+        assert "cache key" in finding.message
+
+    def test_other_scopes_and_other_names_are_clean(self):
+        for path in (NEUTRAL_PATH, TEST_PATH, BENCH_PATH, ANALYSIS_PATH):
+            assert codes("key = id(profile)\n", path) == []
+        # attributes and arguments named ``id`` are not the builtin
+        assert codes("key = profile.id()\nrow = table.get(id=3)\nsid = session_id(p)\n") == []
+
+    def test_suppressed(self):
+        assert codes("key = id(profile)  # simlint: ignore[SIM007]\n") == []
+
+
 class TestSuppressionsAndCLI:
     def test_skip_file(self):
         source = "# simlint: skip-file\nimport numpy as np\nnp.random.seed(1)\n"
@@ -264,5 +288,5 @@ class TestSuppressionsAndCLI:
         capsys.readouterr()
         assert main(["--rules"]) == 0
         out = capsys.readouterr().out
-        for code in ("SIM001", "SIM002", "SIM003", "SIM004", "SIM005", "SIM006"):
+        for code in ("SIM001", "SIM002", "SIM003", "SIM004", "SIM005", "SIM006", "SIM007"):
             assert code in out

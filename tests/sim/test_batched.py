@@ -318,3 +318,103 @@ class TestScenarioEstimates:
         assert estimates[0].frames == 10 and estimates[1].frames == 20
         assert estimates[1].generation_s == 0.0
         assert estimates[1].vision_s == pytest.approx(2.0 * estimates[0].vision_s, rel=1e-6)
+
+
+class _Counter:
+    """Counts calls through to a wrapped callable (no timing anywhere)."""
+
+    def __init__(self, wrapped):
+        self.wrapped = wrapped
+        self.calls = 0
+
+    def __call__(self, *args, **kwargs):
+        self.calls += 1
+        return self.wrapped(*args, **kwargs)
+
+
+class TestDemandTable:
+    """The cost of pricing follows distinct profile values, not calls."""
+
+    STEP_MODES = (
+        {"contention": True},
+        {"contention": False},
+        {"contention": True, "compute": "timesliced"},
+    )
+
+    @pytest.fixture(autouse=True)
+    def unarmed(self, monkeypatch):
+        # under REPRO_SANITIZE=1 every hit is re-derived on purpose
+        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+
+    def test_each_distinct_value_is_derived_exactly_once(self, edge, monkeypatch):
+        from repro.sim.scheduler import ServingScheduler
+
+        system = edge["V-Rex8"]
+        kv_lens = [10_000 + 5_000 * index for index in range(8)] * 2
+        profiles = [
+            StreamProfile(kv_len=kv_len, session_id=index) for index, kv_len in enumerate(kv_lens)
+        ]
+        plane = BatchLatencyModel()
+        derivations = _Counter(plane.base.llm.layer_cost)
+        monkeypatch.setattr(plane.base.llm, "layer_cost", derivations)
+        for mode in self.STEP_MODES:
+            plane.frame_step(system, profiles, **mode)
+            plane.question_step(system, profiles, **mode)
+            plane.generation_step(system, profiles, **mode)
+            plane.scenario_estimates(system, profiles, **mode)
+        # 8 values x {frame at 10 tokens, question at 25, generation at 1},
+        # not one per stream per step (16 streams x 6 steps x 3 modes)
+        assert derivations.calls == 24
+
+        traces = [[0.0, 0.5]] * len(profiles)
+        for _ in range(2):  # a second scheduler on the same plane derives nothing
+            ServingScheduler(plane).run(
+                system, profiles, traces, question_arrivals=[1.0] * 16, answer_tokens=1
+            )
+        assert derivations.calls == 24
+
+    def test_all_distinct_fleet_prices_one_fetch_per_fetching_demand(self, edge, monkeypatch):
+        """The bypass case: a miss prices nothing an uncached derivation would not.
+
+        Without a memory plane only the single-channel fetch is priced — no
+        eager cold-tier (SSD) price rides along on the miss path.
+        """
+        system = edge["V-Rex8"]
+        profiles = [
+            StreamProfile(kv_len=10_000 + 777 * index, session_id=index) for index in range(64)
+        ]
+        plane = BatchLatencyModel()
+        device = plane.base.device_for(system)
+        fetches = _Counter(device.fetch_time_s)
+        monkeypatch.setattr(device, "fetch_time_s", fetches)
+        steps = [
+            plane.frame_step(system, profiles),
+            plane.question_step(system, profiles),
+            plane.generation_step(system, profiles),
+        ]
+        fetching = sum(row.fetch_bytes > 0 for step in steps for row in step.streams)
+        assert fetching > 64
+        assert fetches.calls == fetching
+
+    def test_results_survive_the_table_filling_past_its_bound(self, edge, monkeypatch):
+        from repro.sim import batched
+
+        system = edge["V-Rex8"]
+        profiles = [
+            StreamProfile(kv_len=10_000 + 3_000 * index, session_id=index) for index in range(16)
+        ]
+
+        def priced(plane):
+            return [
+                step(system, fleet)
+                for fleet in (profiles, profiles[::2], profiles)
+                for step in (plane.frame_step, plane.question_step, plane.generation_step)
+            ]
+
+        expected = priced(BatchLatencyModel())
+        monkeypatch.setattr(batched, "_DEMAND_TABLE_ENTRIES", 5)
+        bounded = BatchLatencyModel()
+        assert priced(bounded) == expected
+        assert priced(bounded) == expected  # ... and again, on what survived the clears
+        assert 0 < bounded._num_demands <= 5
+        assert sum(len(table) for table in bounded._demands.values()) == bounded._num_demands

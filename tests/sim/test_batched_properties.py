@@ -36,14 +36,24 @@ compute server (``compute="timesliced"``) the bracket closes positively:
   (round-robin is work-conserving, so the compute busy period itself is
   exactly quantum-invariant — see ``tests/hw/test_event.py`` for the
   processor-sharing convergence of the bare server).
+
+**History independence** (:class:`TestWarmTableIsInvisible`): the plane
+memoizes per-stream demands in a value-keyed table, and nothing it priced
+before — other fleets, the same fleet in another order or under another
+mode — may show in a later result: a warm plane's ``BatchStepResult`` (and
+a scheduler run on it) equals a fresh plane's field for field, in every
+step mode, with and without a memory plane.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.hw.memory.sharding import ShardedKVHierarchy
 from repro.sim.batched import BatchLatencyModel, StreamProfile, staggered_arrivals
 from repro.sim.pipeline import MeasuredRetrieval
 from repro.sim.systems import edge_systems
@@ -360,3 +370,114 @@ class TestSchedulerPropertyBridge:
         # round, so the ordering only holds up to that re-slicing slack.
         slack = len(profiles) * num_frames * QUANTUM_S
         assert private.makespan_s <= timesliced.makespan_s * (1 + 1e-9) + slack
+
+
+GiB = 1024**3
+STEP_MODES = {
+    "aggregated": {"contention": False},
+    "contended": {"contention": True, "compute": "private"},
+    "timesliced": {"contention": True, "compute": "timesliced"},
+}
+
+
+class TestWarmTableIsInvisible:
+    """What a plane priced before never shows in what it prices next."""
+
+    @staticmethod
+    def _plane(bank_budget_bytes):
+        memory = (
+            None
+            if bank_budget_bytes is None
+            else ShardedKVHierarchy(num_banks=2, bank_budget_bytes=bank_budget_bytes)
+        )
+        return BatchLatencyModel(quantum_s=QUANTUM_S, memory=memory)
+
+    @staticmethod
+    def _near_copies(profiles):
+        """The fleet again, one calibration field changed at a time.
+
+        Each copy collides with the real fleet's table entries unless that
+        field is part of the key.
+        """
+
+        def measured(profile, **changes):
+            return dataclasses.replace(profile.measured, **changes)
+
+        edits = (
+            lambda p: {"kv_len": p.kv_len + 1},
+            lambda p: {"frame_ratio": 0.5},
+            lambda p: {"generation_ratio": 0.5},
+            lambda p: {"measured": measured(p, sort_fraction=(p.measured.sort_fraction + 0.5) % 1.0)},
+            lambda p: {
+                "measured": measured(
+                    p, avg_tokens_per_cluster=p.measured.avg_tokens_per_cluster + 1.0
+                )
+            },
+        )
+        return [
+            [dataclasses.replace(profile, **edit(profile)) for profile in profiles]
+            for edit in edits
+        ]
+
+    @staticmethod
+    def _steps(plane, system, profiles, mode, backwards=False):
+        """Frame, question and generation results, priced in either order."""
+        # the first stream skips the question (a ``None`` entry), the second
+        # asks a one-token question (generation's ``q_len``, the other stage)
+        question_tokens = [None, 1] + [20 + index for index in range(2, len(profiles))]
+        kwargs = STEP_MODES[mode]
+        steps = [
+            lambda: plane.frame_step(system, profiles, **kwargs),
+            lambda: plane.question_step(
+                system, profiles, question_tokens=question_tokens, **kwargs
+            ),
+            lambda: plane.generation_step(system, profiles, **kwargs),
+        ]
+        results = [step() for step in (steps[::-1] if backwards else steps)]
+        return results[::-1] if backwards else results
+
+    @settings(max_examples=20)
+    @given(
+        system_name=systems,
+        profiles=fleets(min_size=2, max_size=4, aligned=False),
+        others=fleets(min_size=2, max_size=4),
+        mode=st.sampled_from(sorted(STEP_MODES)),
+        bank_budget_bytes=st.sampled_from((None, float("inf"), 4.0 * GiB, 0.5 * GiB)),
+        engine=st.sampled_from(("array", "reference")),
+    )
+    def test_warm_plane_equals_fresh_plane(
+        self, system_name, profiles, others, mode, bank_budget_bytes, engine
+    ):
+        from repro.sim.scheduler import SchedulerConfig, ServingScheduler
+
+        system = EDGE[system_name]
+        expected = self._steps(self._plane(bank_budget_bytes), system, profiles, mode)
+        # one history per near copy (priced together, one copy's entries
+        # would mask another's collisions) ...
+        for decoys in self._near_copies(profiles):
+            warm = self._plane(bank_budget_bytes)
+            self._steps(warm, system, decoys, mode, backwards=True)
+            assert self._steps(warm, system, profiles, mode) == expected
+        # ... and one of other fleets, the other modes and the other order
+        warm = self._plane(bank_budget_bytes)
+        for other_mode in sorted(STEP_MODES):
+            self._steps(warm, system, others, other_mode)
+            if other_mode != mode:
+                self._steps(warm, system, profiles, other_mode, backwards=True)
+        self._steps(warm, system, profiles[::-1], mode, backwards=True)
+        assert self._steps(warm, system, profiles, mode) == expected
+
+        config = SchedulerConfig(compute=STEP_MODES[mode].get("compute", "private"))
+        traces = [[profile.arrival_offset_s + 0.2 * frame for frame in range(3)] for profile in profiles]
+        arguments = {
+            "question_arrivals": [trace[-1] for trace in traces],
+            "question_tokens": [None] + [20] * (len(profiles) - 1),
+            "answer_tokens": [0] + [2] * (len(profiles) - 1),
+        }
+        on_warm = ServingScheduler(warm, config, engine=engine).run(
+            system, profiles, traces, **arguments
+        )
+        on_fresh = ServingScheduler(self._plane(bank_budget_bytes), config, engine=engine).run(
+            system, profiles, traces, **arguments
+        )
+        assert on_warm.records == on_fresh.records

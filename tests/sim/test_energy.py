@@ -457,8 +457,9 @@ class TestConservationSanitizer:
 
     def test_window_override_must_cover_the_run(self, edge):
         result = _contended_run(edge["V-Rex8"], "array")
-        with pytest.raises(ValueError, match="non-negative"):
-            result.energy(window_s=-1.0)
+        for hostile in (-1.0, float("nan")):  # NaN slid through ``window < 0``
+            with pytest.raises(ValueError, match="^window_s must be non-negative"):
+                result.energy(window_s=hostile)
 
     def test_missing_inputs_fail_loud(self, edge):
         result = _contended_run(edge["V-Rex8"], "array")

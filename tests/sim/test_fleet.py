@@ -306,6 +306,27 @@ class TestValidation:
             )
 
 
+class TestProfileEditedInPlace:
+    """Regression (ISSUE 22): the router's solo estimates and the device runs
+    price a profile's current values — the fleet's identity-keyed estimate
+    cache (and the scheduler's price cache under it) used to keep the old."""
+
+    def test_rerun_after_swapping_kv_lens_equals_a_fresh_fleet(self, edge):
+        system = edge["V-Rex8"]
+        profiles = _profiles([10_000, 60_000, 10_000, 60_000])
+        solo = BatchLatencyModel().frame_step(system, profiles[1:2]).streams[0].total_s
+        traces = PoissonArrivals(rate_hz=rate_for_load(1.5, solo, 4)).generate(4, 8, seed=3)
+        fleet_config = FleetConfig(num_devices=2, router="least_loaded")
+        reused = FleetScheduler(fleet=fleet_config)
+        before = reused.run(system, profiles, traces)
+        profiles[0].kv_len, profiles[1].kv_len = profiles[1].kv_len, profiles[0].kv_len
+        after = reused.run(system, profiles, traces)
+        fresh = FleetScheduler(fleet=fleet_config).run(system, profiles, traces)
+        assert after.records == fresh.records
+        assert after.stream_devices == fresh.stream_devices
+        assert after.records != before.records  # the swap is not a no-op
+
+
 class TestRouting:
     def _workload(self, edge, num_streams=8, frames=6, seed=0, load=1.2):
         plane = BatchLatencyModel()

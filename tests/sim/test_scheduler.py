@@ -12,6 +12,7 @@ from repro.sim.arrivals import (
     rate_for_load,
 )
 from repro.sim.batched import BatchLatencyModel, StreamProfile, staggered_arrivals
+from repro.sim.pipeline import LatencyModel, MeasuredRetrieval
 from repro.sim.scheduler import (
     FRAME_JOB,
     GENERATION_JOB,
@@ -19,7 +20,7 @@ from repro.sim.scheduler import (
     SchedulerConfig,
     ServingScheduler,
 )
-from repro.sim.systems import edge_systems, server_systems
+from repro.sim.systems import ablation_systems, edge_systems, server_systems
 from repro.sim.workload import default_llm_workload
 
 REL_TOL = 1e-9
@@ -219,6 +220,68 @@ class TestEventDynamics:
         pcie_tasks = result.timeline.tasks_on("pcie")
         for earlier, later in zip(pcie_tasks, pcie_tasks[1:], strict=False):
             assert later.start_s >= earlier.end_s - 1e-12
+
+
+def _set_kv_len(profile):
+    profile.kv_len = 60_000
+
+
+def _set_occupancy(profile):
+    profile.measured.avg_tokens_per_cluster = 8.0
+
+
+def _set_frame_ratio(profile):
+    profile.frame_ratio = 0.9
+
+
+class TestProfileEditedInPlace:
+    """Prices follow a profile's *values*, never its identity.
+
+    Regression (ISSUE 22): ``StreamProfile`` is a mutable dataclass, and the
+    scheduler's identity-keyed price cache kept serving the 20 000-token
+    prices after ``profile.kv_len = 60_000`` (fleet p50 97.3 ms against a
+    fresh scheduler's 726.1 ms).
+    """
+
+    @pytest.mark.parametrize("engine", ["array", "reference"])
+    @pytest.mark.parametrize("edit", [_set_kv_len, _set_occupancy, _set_frame_ratio])
+    def test_rerun_after_an_edit_equals_a_fresh_scheduler(self, model_bytes, engine, edit):
+        # ReSV on the GPU exposes its prediction, so every edit moves a record
+        system = ablation_systems(model_bytes)["AGX + ReSV"]
+        profiles = _fleet([20_000, 20_000])
+        traces = [np.arange(6) * 0.5, np.arange(6) * 0.5 + 0.1]
+        arguments = {"question_arrivals": [3.0, 3.1], "answer_tokens": 2}
+        reused = ServingScheduler(BatchLatencyModel(), engine=engine)
+        before = reused.run(system, profiles, traces, **arguments)
+        for profile in profiles:
+            edit(profile)
+        after = reused.run(system, profiles, traces, **arguments)
+        fresh = ServingScheduler(BatchLatencyModel(), engine=engine).run(
+            system, profiles, traces, **arguments
+        )
+        assert after.records == fresh.records
+        assert after.fleet_summary() == fresh.fleet_summary()
+        assert after.records != before.records  # the edit is not a no-op
+
+    def test_base_calibration_after_a_warm_step_changes_no_batched_result(self, edge):
+        """The plane always prices at ``profile.measured``, never ``base.measured``."""
+        system = edge["V-Rex8"]
+        profiles = _fleet([20_000, 45_000])
+        measured = MeasuredRetrieval(sort_fraction=0.4, avg_tokens_per_cluster=8.0)
+
+        def steps(plane):
+            return [
+                step(system, profiles)
+                for step in (plane.frame_step, plane.question_step, plane.generation_step)
+            ]
+
+        plane = BatchLatencyModel()
+        warm = steps(plane)
+        plane.base.calibrate(measured)
+        assert steps(plane) == warm
+        # ... and a plane calibrated before it priced anything agrees: the
+        # warm table is not hiding a dependence on ``base.measured``
+        assert steps(BatchLatencyModel(LatencyModel(measured=measured))) == warm
 
 
 class TestQuestionsAndGeneration:

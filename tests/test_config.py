@@ -22,6 +22,7 @@ from repro.hw.event import EventLoop, PreemptiveResource
 from repro.sim.arrivals import BurstyArrivals, PoissonArrivals
 from repro.sim.batched import BatchLatencyModel, StreamProfile
 from repro.sim.fleet import FleetConfig
+from repro.sim.pipeline import MeasuredRetrieval
 from repro.sim.scheduler import SchedulerConfig
 
 
@@ -105,6 +106,7 @@ class TestRequireNumber:
         assert require_number("x", 2.5, 1) == 2.5
         assert require_number("x", math.inf, exclusive=True) == math.inf
         assert require_number("x", np.int64(3), 1, integer=True) == 3
+        assert require_number("x", 1.0, maximum=1) == 1.0
 
     @pytest.mark.parametrize(
         "kwargs, value, wording",
@@ -118,6 +120,9 @@ class TestRequireNumber:
             ({"finite": True}, math.inf, "x must be finite and non-negative, got inf"),
             ({"integer": True}, 2.5, "x must be an integer, got 2.5"),
             ({"integer": True}, 2.0, "x must be an integer, got 2.0"),
+            ({"maximum": 1}, 7.0, r"x must be in \[0, 1\], got 7.0"),
+            ({"maximum": 1}, math.nan, r"x must be in \[0, 1\], got nan"),
+            ({"maximum": 1}, -0.5, r"x must be in \[0, 1\], got -0.5"),
         ],
     )
     def test_out_of_range_names_the_argument(self, kwargs, value, wording):
@@ -152,11 +157,35 @@ class TestRequireNumber:
             (lambda: BurstyArrivals.for_mean_rate(math.nan), "rate_hz"),
             (lambda: StreamProfile(kv_len=-5), "kv_len"),
             (lambda: StreamProfile(kv_len=math.nan), "kv_len"),
+            # ISSUE 22: the calibration fields became demand-table keys.  These
+            # used to price a frame from a negative token count (77 ms), fetch
+            # seven caches (5.0 s), or die deep in pricing on an integer
+            # conversion / ZeroDivisionError; a NaN key would never hit.
+            (lambda: StreamProfile(kv_len=2.5), "kv_len"),
+            (lambda: StreamProfile(kv_len=40_000, frame_ratio=-0.5), "frame_ratio"),
+            (lambda: StreamProfile(kv_len=40_000, frame_ratio=7.0), "frame_ratio"),
+            (lambda: StreamProfile(kv_len=40_000, frame_ratio=math.nan), "frame_ratio"),
+            (lambda: StreamProfile(kv_len=40_000, generation_ratio=1.5), "generation_ratio"),
+            (lambda: StreamProfile(kv_len=40_000, generation_ratio=math.nan), "generation_ratio"),
+            (lambda: MeasuredRetrieval(avg_tokens_per_cluster=0.0), "avg_tokens_per_cluster"),
+            (lambda: MeasuredRetrieval(avg_tokens_per_cluster=math.nan), "avg_tokens_per_cluster"),
+            (lambda: MeasuredRetrieval(avg_tokens_per_cluster=math.inf), "avg_tokens_per_cluster"),
+            (lambda: MeasuredRetrieval(sort_fraction=-0.1), "sort_fraction"),
+            (lambda: MeasuredRetrieval(sort_fraction=1.5), "sort_fraction"),
+            (lambda: MeasuredRetrieval(sort_fraction=math.nan), "sort_fraction"),
         ],
     )
     def test_hostile_inputs_rejected_at_construction(self, construct, argument):
         with pytest.raises(ValueError, match=f"^{argument} must be "):
             construct()
+
+    def test_legitimate_calibration_edges_survive(self):
+        # a measured ratio or sort fraction of exactly 0.0 is real data, a
+        # ratio of 1.0 is FlexGen's, and numpy integers are integers
+        profile = StreamProfile(kv_len=np.int64(40_000), frame_ratio=0.0, generation_ratio=1.0)
+        assert profile.ratio_override("frame") == 0.0
+        assert MeasuredRetrieval(sort_fraction=0.0).sort_fraction == 0.0
+        assert MeasuredRetrieval(sort_fraction=1.0, avg_tokens_per_cluster=0.5)
 
     def test_documented_inf_meanings_survive(self):
         fleet = FleetConfig(
