@@ -16,7 +16,8 @@ golden run, a sweep.  Checks threaded through the stack:
   and lane bounds and that an index is never pushed while still queued
   (the corruption mode its allocation-free design is exposed to);
 * **resource balance** — :class:`~repro.hw.event.ReleasableResource`,
-  :class:`~repro.hw.event.PreemptiveResource` and
+  :class:`~repro.hw.event.RoundRobinCore` (one drain check under
+  :class:`~repro.hw.event.PreemptiveResource` and the array engine) and
   :class:`~repro.hw.event.ResourceQueue` (hence
   :class:`~repro.hw.memory.pcie.PCIeLinkQueue`) assert non-negative
   waits/holds, FCFS arrival order, and — via ``assert_drained()`` at end

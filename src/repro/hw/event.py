@@ -23,11 +23,9 @@ DRE and PCIe queues).
 
 :class:`PreemptiveResource` is the time-sliced compute server the
 ``compute="timesliced"`` serving mode contends on: a round-robin single
-server with a configurable scheduling quantum.  Jobs join a FIFO ready
-queue, the head job runs for ``min(quantum_s, remaining)``, then requeues
-at the tail if unfinished; as ``quantum_s`` shrinks the schedule converges
-to ideal processor sharing, and because the server is work-conserving the
-time it drains a backlog is independent of the quantum.
+server with a configurable scheduling quantum.  Its state and transitions
+are :class:`RoundRobinCore`, which the array engine calls directly: one
+server under both engines, queued per decision rather than per quantum.
 
 :class:`ArrayEventQueue` and :class:`IndexRing` are the array-backed
 substrate of the fast scheduler engine (:mod:`repro.sim.engine`): the
@@ -73,6 +71,8 @@ SUBKEY_RANK_SHIFT = SUBKEY_SEQ_BITS
 SUBKEY_PRIO_SHIFT = SUBKEY_SEQ_BITS + SUBKEY_RANK_BITS
 MAX_SUBKEY_SEQ = 1 << SUBKEY_SEQ_BITS
 MAX_SUBKEY_RANK = 1 << SUBKEY_RANK_BITS
+
+_INF = float("inf")
 
 
 def pack_subkey(priority: int, key_rank: int, seq: int) -> int:
@@ -205,7 +205,10 @@ class EventLoop:
         self._heap: list[tuple[float, int, tuple, int, Callable[[], None]]] = []
         self._seq = 0
         self.now_s = 0.0
+        #: logical count: events fired plus those resolved in place
+        #: (:meth:`fast_forward`)
         self.events_processed = 0
+        self._until_s: float | None = None
         self._sanitize = _resolve_sanitize(sanitize)
         self._trace = EventTrace() if self._sanitize else None
 
@@ -234,6 +237,7 @@ class EventLoop:
         time (pending later events stay queued).
         """
         fired = 0
+        self._until_s = until_s
         while self._heap:
             if until_s is not None and self._heap[0][0] > until_s:
                 break
@@ -252,6 +256,30 @@ class EventLoop:
             fired += 1
             self.events_processed += 1
         return fired
+
+    def horizon_s(self) -> float:
+        """Strict bound on the times at which only the firing event's owner acts.
+
+        The earlier of the earliest queued event and the ``until_s`` of the
+        running :meth:`run` (an empty heap is not an open horizon).  What
+        falls *at* the bound is the queue's to order, so the owner schedules
+        it.  Only meaningful inside a callback.
+        """
+        horizon = self._heap[0][0] if self._heap else _INF
+        until_s = self._until_s
+        if until_s is not None and until_s < horizon:
+            return until_s
+        return horizon
+
+    def fast_forward(self, first_s: float, last_s: float, events: int) -> None:
+        """Account ``events`` their owner resolved in place, all before
+        :meth:`horizon_s`: the clock and the logical count move as if they had
+        fired, and a sanitized loop keeps one compact trace entry for the run.
+        """
+        self.now_s = last_s
+        self.events_processed += events
+        if self._sanitize:
+            self._trace.note((first_s, last_s, f"{events} slices fast-forwarded"))
 
 
 @dataclass
@@ -373,19 +401,200 @@ class ReleasableResource:
                 )
 
 
+class RoundRobinCore:
+    """The round-robin time-sliced server as array state: no queue, no callbacks.
+
+    ``work`` / ``served`` / ``first_start`` columns indexed by job id, the
+    FIFO ``ready`` ring of ids, the ``running`` id (``-1`` when idle) and
+    the busy-time accounting, advanced by the caller at slice boundaries.
+    Both scheduler engines drive this one class — :class:`PreemptiveResource`
+    from :class:`EventLoop` callbacks, :func:`repro.sim.engine.run_array`
+    from its fused dispatch loop — and queue **one event per decision**:
+    the slice end that :meth:`dispatch` or :meth:`slice_ended` returns.
+
+    A run of quantum expiries that nothing outside the server can observe
+    is resolved inside :meth:`slice_ended` with the float updates a
+    slice-per-event schedule performs, in its order.  The step is scalar by
+    specification: ``work - served <= quantum`` decides the completing
+    slice and its length, so ``served`` after *k* slices must be *k*
+    sequential ``+= quantum`` adds, not a closed form.
+    """
+
+    __slots__ = (
+        "quantum_s", "work", "served", "first_start", "ready", "running",
+        "busy_s", "completed_work_s", "submitted", "completed",
+    )
+
+    def __init__(self, quantum_s: float):
+        self.quantum_s = quantum_s
+        self.work: list[float] = []
+        self.served: list[float] = []
+        self.first_start: list[float | None] = []
+        self.ready: deque[int] = deque()
+        self.running = -1
+        #: busy integral: service seconds granted so far, accumulated at
+        #: slice ends (never rescanned — O(1) per poll)
+        self.busy_s = 0.0
+        #: sum of completed jobs' work (the grant side of busy-time conservation)
+        self.completed_work_s = 0.0
+        self.submitted = 0
+        self.completed = 0
+
+    def submit(self, work_s: float, started_s: float | None = None) -> int:
+        """Queue a job of positive, finite ``work_s``; returns its id.
+
+        The caller dispatches it if the server is idle (``running < 0``).
+        A zero-work job passes ``started_s``: it is complete at that
+        instant and never occupies the server.
+        """
+        index = len(self.work)
+        self.work.append(work_s)
+        self.served.append(0.0)
+        self.first_start.append(started_s)
+        self.submitted += 1
+        if started_s is None:
+            self.ready.append(index)
+        else:
+            self.completed += 1
+        return index
+
+    def dispatch(self, now: float) -> float:
+        """Start the head of the ready ring at ``now``; returns its slice end."""
+        index = self.running = self.ready.popleft()
+        if self.first_start[index] is None:
+            self.first_start[index] = now
+        remaining = self.work[index] - self.served[index]
+        return now + (self.quantum_s if self.quantum_s <= remaining else remaining)
+
+    def slice_ended(self, now: float, horizon_s: float):
+        """The running slice ended at ``now`` → ``(finished, now, next_end_s, skipped)``.
+
+        On a job's last slice ``finished`` is its id and the next head (if
+        any) already runs — dispatch precedes the caller's completion
+        callback, which may therefore submit follow-up work — with
+        ``next_end_s`` its slice end, or ``None`` if the server went idle.
+        Otherwise ``finished`` is ``-1`` and the ring rotated.  While the
+        new head is not on its last slice and its slice ends *strictly
+        before* ``horizon_s`` — the earliest instant anything outside the
+        server can act, so the ring is fixed until then — that expiry is
+        taken here too: ``skipped`` counts them and ``now`` is the last
+        one's time.  A slice ending at the horizon, and every last slice,
+        is left for the caller to queue, which keeps tie order and
+        completion callbacks where a slice-per-event schedule has them.
+        """
+        index = self.running
+        work = self.work
+        served = self.served
+        ready = self.ready
+        quantum = self.quantum_s
+        remaining = work[index] - served[index]
+        if remaining <= quantum:
+            self.busy_s += remaining
+            served[index] = work[index]  # exact: no accumulated float error
+            self.completed += 1
+            self.completed_work_s += work[index]
+            if ready:
+                return index, now, self.dispatch(now), 0
+            self.running = -1
+            return index, now, None, 0
+        first_start = self.first_start
+        busy = self.busy_s
+        skipped = 0
+        while True:
+            busy += quantum
+            served[index] += quantum
+            ready.append(index)
+            index = ready.popleft()
+            if first_start[index] is None:
+                first_start[index] = now
+            remaining = work[index] - served[index]
+            if remaining <= quantum:
+                end = now + remaining
+                break
+            end = now + quantum
+            if end >= horizon_s:
+                break
+            now = end
+            skipped += 1
+        self.busy_s = busy
+        self.running = index
+        return -1, now, end, skipped
+
+    def backlog_s(self) -> float:
+        """Unserved work in the system: the ready ring, then the running job.
+
+        Progress inside the current slice is not counted (``served`` moves
+        at slice ends): an exact function of the slices ended so far.
+        """
+        work = self.work
+        served = self.served
+        total = 0.0
+        for index in self.ready:
+            total += work[index] - served[index]
+        if self.running >= 0:
+            total += work[self.running] - served[self.running]
+        return total
+
+    def assert_drained(self, label: str, trace: EventTrace | None = None) -> None:
+        """Sanitizer check: all submitted work was served to completion.
+
+        Raises :class:`~repro.devtools.sanitizer.SanitizerError` if a job
+        is still running or ready, a submitted job never completed, the
+        slice-granted busy integral does not telescope to the completed
+        jobs' work (up to float-accumulation slack), or some job's
+        ``served`` is not its ``work`` exactly.
+        """
+        if self.running >= 0 or self.ready:
+            problem = (
+                f"not drained: running={'yes' if self.running >= 0 else 'no'}, "
+                f"{len(self.ready)} job(s) still ready"
+            )
+        elif self.completed != self.submitted:
+            problem = (
+                f"{self.submitted} job(s) submitted but only {self.completed} "
+                "completed with empty queues"
+            )
+        elif abs(self.busy_s - self.completed_work_s) > 1e-9 * max(self.completed_work_s, 1.0):
+            problem = (
+                f"busy-time conservation violated — granted {self.busy_s} s of "
+                f"slices but completed {self.completed_work_s} s of work"
+            )
+        elif self.served != self.work:  # simlint: exact — assigned at completion
+            index = next(i for i, w in enumerate(self.work) if self.served[i] != w)
+            problem = (
+                f"job {index} served {self.served[index]} of {self.work[index]} "
+                "work with empty queues"
+            )
+        else:
+            return
+        raise SanitizerError(RESOURCE_BALANCE, f"{label}: {problem}", trace)
+
+
 class PreemptiveJob:
-    """One job of a :class:`PreemptiveResource` (round-robin time slices)."""
+    """One job of a :class:`PreemptiveResource` (round-robin time slices).
 
-    __slots__ = ("key", "arrival_s", "work_s", "served_s", "first_start_s", "finish_s", "_callback")
+    ``served_s`` (moves at slice ends) and ``first_start_s`` (``None``
+    until the first slice) read the server core's columns, the one copy.
+    """
 
-    def __init__(self, key: tuple, arrival_s: float, work_s: float, callback):
+    __slots__ = ("key", "arrival_s", "work_s", "finish_s", "_callback", "_core", "_index")
+
+    def __init__(self, core: RoundRobinCore, index: int, key: tuple, arrival_s: float, callback):
         self.key = key
         self.arrival_s = arrival_s
-        self.work_s = work_s
-        self.served_s = 0.0
-        self.first_start_s: float | None = None
+        self.work_s = core.work[index]
         self.finish_s: float | None = None
         self._callback = callback
+        self._core = core
+        self._index = index
+
+    @property
+    def served_s(self) -> float:
+        return self._core.served[self._index]
+
+    @property
+    def first_start_s(self) -> float | None:
+        return self._core.first_start[self._index]
 
     @property
     def done(self) -> bool:
@@ -425,12 +634,18 @@ class PreemptiveResource:
     jobs, converging to ideal processor sharing as ``quantum_s → 0`` and to
     non-preemptive FCFS as ``quantum_s → ∞``.
 
-    Slice events fire on the owning :class:`EventLoop` at the resource's
-    ``priority`` with the running job's ``key``, so schedules stay
-    deterministic functions of the submitted job set.  Zero-work jobs
-    complete immediately without occupying the server.  Completion
-    callbacks run *after* the next job has been dispatched, so a callback
-    may submit follow-up work without double-dispatching the server.
+    This is the :class:`RoundRobinCore` bound to an :class:`EventLoop`: it
+    keeps the jobs' keys and completion callbacks and schedules the core's
+    slice ends at the resource's ``priority`` with the running job's
+    ``key``, so schedules stay deterministic functions of the submitted job
+    set.  The loop queues **one event per decision** — a completion, or a
+    quantum expiry something else could interleave with; the expiries in
+    between are resolved inside the core and only counted, so
+    ``loop.events_processed`` stays the per-quantum logical count.
+    Zero-work jobs complete immediately without occupying the server.
+    Completion callbacks run *after* the next job has been dispatched, so a
+    callback may submit follow-up work without double-dispatching the
+    server.
     """
 
     def __init__(
@@ -449,123 +664,69 @@ class PreemptiveResource:
         self._priority = priority
         self.record = record
         self._sanitize = _resolve_sanitize(sanitize)
-        self._ready: deque[PreemptiveJob] = deque()
-        self._running: PreemptiveJob | None = None
+        self._core = RoundRobinCore(self.quantum_s)
+        #: jobs running or ready, by core id
+        self._inflight: dict[int, PreemptiveJob] = {}
         self.jobs: list[PreemptiveJob] = []
-        #: busy integral: service seconds granted so far, accumulated at
-        #: slice ends (never rescanned — O(1) per ``busy_s`` poll)
-        self._busy_s = 0.0
-        #: sum of completed jobs' ``work_s`` (the grant side of the
-        #: busy-time-conservation sanitizer check)
-        self._completed_work_s = 0.0
-        self._submitted = 0
-        self._completed = 0
-        self._max_slowdown = 1.0
 
     @property
     def busy(self) -> bool:
-        return self._running is not None
+        return self._core.running >= 0
 
     @property
     def queue_depth(self) -> int:
         """Jobs ready behind the currently running slice."""
-        return len(self._ready)
+        return len(self._core.ready)
 
     def submit(
         self, work_s: float, callback: Callable[[PreemptiveJob], None] | None = None, key: tuple = ()
     ) -> PreemptiveJob:
         """Admit a job at the loop's current time; ``callback(job)`` on completion."""
-        if work_s < 0:
-            raise ValueError(f"work_s must be non-negative, got {work_s}")
-        job = PreemptiveJob(key, self.loop.now_s, float(work_s), callback)
-        self._submitted += 1
+        # one comparison rejects negative, inf and nan work: ``remaining <=
+        # quantum`` is never true of the last two, so either rotates forever
+        if not 0.0 <= work_s < _INF:
+            raise ValueError(f"work_s must be finite and non-negative, got {work_s}")
+        work_s = float(work_s)
+        core = self._core
+        now = self.loop.now_s
+        instant = work_s == 0.0  # simlint: exact — zero-work sentinel, no arithmetic behind it
+        index = core.submit(work_s, now if instant else None)
+        job = PreemptiveJob(core, index, key, now, callback)
         if self.record:
             self.jobs.append(job)
-        if job.work_s == 0.0:  # simlint: exact — zero-work sentinel, no arithmetic behind it
-            job.first_start_s = job.finish_s = self.loop.now_s
-            self._completed += 1
+        if instant:
+            job.finish_s = now
             if callback is not None:
                 callback(job)
             return job
-        self._ready.append(job)
-        if self._running is None:
-            self._dispatch()
+        self._inflight[index] = job
+        if core.running < 0:
+            self.loop.schedule(
+                core.dispatch(now), self._slice_ended, priority=self._priority, key=key
+            )
         return job
 
     def busy_s(self) -> float:
         """Total service time delivered so far (the slice-granted integral).
 
-        Maintained incrementally at slice ends — a poll is O(1) no matter
-        how many jobs the server has ever seen, so routers and admission
-        policies may read it per decision.  It equals the per-job rescan
-        ``sum(job.served_s)`` up to float re-association (slices of
-        concurrent jobs accumulate in grant order, the rescan in
-        submission order); the property suite pins the two together.
+        An accumulator, O(1) per poll, so routers and admission policies
+        may read it per decision.  It equals the per-job rescan
+        ``sum(job.served_s)`` up to float re-association (slices accumulate
+        in grant order, the rescan in submission order); the property suite
+        pins the two together.
         """
-        return self._busy_s
+        return self._core.busy_s
 
     def backlog_s(self) -> float:
-        """Unserved work currently in the system (running plus ready queue).
-
-        The residency-aware admission controller reads this as "the compute
-        backlog a newly admitted stream would join"; progress inside the
-        current slice is not counted (served time updates at slice ends),
-        which keeps the quantity an exact function of fired events.
-        """
-        total = sum(job.work_s - job.served_s for job in self._ready)
-        if self._running is not None:
-            total += self._running.work_s - self._running.served_s
-        return total
-
-    def max_slowdown(self) -> float:
-        """Largest completed-job slowdown (1.0 when nothing finished).
-
-        Maintained as a running maximum at completion time, so it works
-        with ``record=False`` and never rescans the job history.
-        """
-        return self._max_slowdown
+        """Unserved work in the system — the compute backlog a newly admitted
+        stream would join (:meth:`RoundRobinCore.backlog_s`)."""
+        return self._core.backlog_s()
 
     def assert_drained(self) -> None:
-        """Sanitizer check: all submitted work was served to completion.
-
-        Raises :class:`~repro.devtools.sanitizer.SanitizerError` if a job
-        is still running or ready, a submitted job never completed, the
-        busy-time-conservation invariant is violated (the slice-granted
-        busy integral must telescope to the sum of completed jobs' work,
-        up to float-accumulation slack), or — with ``record=True`` — a
-        completed job's record is inconsistent (``served != work``
-        exactly, or a non-causal ``arrival <= first_start <= finish``
-        ordering).
-        """
-        if self._running is not None or self._ready:
-            raise SanitizerError(
-                RESOURCE_BALANCE,
-                f"preemptive resource {self.name!r} not drained: "
-                f"running={'yes' if self._running else 'no'}, "
-                f"{len(self._ready)} job(s) still ready",
-            )
-        if self._completed != self._submitted:
-            raise SanitizerError(
-                RESOURCE_BALANCE,
-                f"preemptive resource {self.name!r}: {self._submitted} job(s) "
-                f"submitted but only {self._completed} completed with empty queues",
-            )
-        slack = 1e-9 * max(self._completed_work_s, 1.0)
-        if abs(self._busy_s - self._completed_work_s) > slack:
-            raise SanitizerError(
-                RESOURCE_BALANCE,
-                f"preemptive resource {self.name!r}: busy-time conservation "
-                f"violated — granted {self._busy_s} s of slices but completed "
-                f"{self._completed_work_s} s of work",
-            )
+        """Sanitizer check: :meth:`RoundRobinCore.assert_drained`, plus a causal
+        ``arrival <= first_start <= finish`` on every retained job."""
+        self._core.assert_drained(f"preemptive resource {self.name!r}")
         for job in self.jobs:
-            # simlint: exact — _yield_slice assigns served_s = work_s at completion
-            if not job.done or job.served_s != job.work_s:
-                raise SanitizerError(
-                    RESOURCE_BALANCE,
-                    f"preemptive resource {self.name!r}: job {job.key!r} "
-                    f"served {job.served_s} of {job.work_s} work with empty queues",
-                )
             if not (job.arrival_s <= job.first_start_s <= job.finish_s):
                 raise SanitizerError(
                     RESOURCE_BALANCE,
@@ -574,38 +735,29 @@ class PreemptiveResource:
                     f"first_start={job.first_start_s}, finish={job.finish_s})",
                 )
 
-    def _dispatch(self) -> None:
-        job = self._ready.popleft()
-        now = self.loop.now_s
-        if job.first_start_s is None:
-            job.first_start_s = now
-        self._running = job
-        slice_s = min(self.quantum_s, job.work_s - job.served_s)
-        self.loop.schedule(now + slice_s, self._yield_slice, priority=self._priority, key=job.key)
-
-    def _yield_slice(self) -> None:
-        job = self._running
-        assert job is not None
-        self._running = None
-        remaining = job.work_s - job.served_s
-        if remaining <= self.quantum_s:
-            self._busy_s += remaining
-            job.served_s = job.work_s  # exact: no accumulated float error
-            job.finish_s = self.loop.now_s
-            self._completed += 1
-            self._completed_work_s += job.work_s
-            slowdown = job.slowdown
-            if slowdown > self._max_slowdown:
-                self._max_slowdown = slowdown
-            if self._ready:
-                self._dispatch()
+    def _slice_ended(self) -> None:
+        # The horizon is read as the slice event fires, never at dispatch:
+        # a callback may submit and only then schedule its own next event.
+        # Here everything earlier is queued and nothing else runs before the
+        # loop's next pop, so the core's state needs no advance-on-read.
+        loop = self.loop
+        core = self._core
+        fired_s = loop.now_s
+        finished, now, next_end_s, skipped = core.slice_ended(fired_s, loop.horizon_s())
+        if skipped:
+            loop.fast_forward(fired_s + self.quantum_s, now, skipped)
+        if next_end_s is not None:
+            loop.schedule(
+                next_end_s,
+                self._slice_ended,
+                priority=self._priority,
+                key=self._inflight[core.running].key,
+            )
+        if finished >= 0:
+            job = self._inflight.pop(finished)
+            job.finish_s = now
             if job._callback is not None:
                 job._callback(job)
-        else:
-            self._busy_s += self.quantum_s
-            job.served_s += self.quantum_s
-            self._ready.append(job)
-            self._dispatch()
 
 
 class ArrayEventQueue:
@@ -751,11 +903,10 @@ class IndexRing:
     """An allocation-free multi-lane FIFO over preallocated index arrays.
 
     Replaces the per-request ``deque`` + grant-object churn of
-    :class:`ReleasableResource` (stream pipeline slots) and the ready
-    deque of :class:`PreemptiveResource` in the array engine: each lane
-    is a linked list threaded through one shared ``next`` array, so a
-    push or pop moves two integers and allocates nothing.  An index may
-    be re-pushed after it was popped (round-robin requeue); pushing an
+    :class:`ReleasableResource` (stream pipeline slots) in the array
+    engine: each lane is a linked list threaded through one shared
+    ``next`` array, so a push or pop moves two integers and allocates
+    nothing.  An index may be re-pushed after it was popped; pushing an
     index that is still queued corrupts the lane — callers own that
     invariant, exactly as they own not double-releasing a resource.
     """
@@ -821,13 +972,6 @@ class IndexRing:
     def depth(self, lane: int) -> int:
         """Indices currently queued on ``lane``."""
         return self._depth[lane]
-
-    def items(self, lane: int):
-        """Yield the lane's queued indices head-to-tail (FIFO order)."""
-        index = self._head[lane]
-        while index >= 0:
-            yield index
-            index = self._next[index]
 
 
 @dataclass(frozen=True)

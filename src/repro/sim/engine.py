@@ -18,8 +18,11 @@ one of those with integers moving through preallocated structures:
 * job bookkeeping is the :class:`~repro.sim.jobtable.JobTable`'s
   preallocated columns, filled by integer index in the reference loop's
   record-insertion order;
-* stream pipeline slots and the preemptive ready queue are lanes of one
+* stream pipeline slots are lanes of one
   :class:`~repro.hw.event.IndexRing` — a push or pop moves two integers;
+* the time-sliced compute server is the :class:`~repro.hw.event.RoundRobinCore`
+  that ``PreemptiveResource`` wraps, called directly: one ``C_SLICE`` heap
+  entry per decision, the quantum expiries in between only counted;
 * the shared DRE and PCIe link are each a single ``free_at`` float (the
   whole mutable state of a work-conserving FCFS server), with the
   warm/cold fetch pricers memoized per ``(stage, bytes)`` — the sharded
@@ -29,12 +32,13 @@ one of those with integers moving through preallocated structures:
 float operations in the identical order: DRE/link starts are
 ``max(arrival, free_at)``, exposures inline
 :func:`~repro.sim.batched.contended_exposure`'s exact expressions, the
-time-sliced state machine mirrors ``_TimeslicedStage`` transition for
-transition (including dispatch-before-callback at slice ends), and every
-event's ``seq`` is consumed at the same point the reference loop's
-``EventLoop.schedule`` would consume it — so both engines produce the
-same event order, the same records, the same timelines and the same
-event counts.  The engine-equivalence tests pin this on random fleets.
+time-sliced stage machine mirrors ``_TimeslicedStage`` transition for
+transition, the server under it is the reference loop's own core (so
+both skip the same quantum expiries), and every queued event's ``seq`` is
+consumed at the same point the reference loop's ``EventLoop.schedule``
+would consume it — so both engines produce the same event order, the
+same records, the same timelines and the same (logical) event counts.
+The engine-equivalence tests pin this on random fleets.
 
 ``seq`` arithmetic uses raw integer adds against per-stream packed bases;
 a single run is limited to ``2**28`` scheduled events (the
@@ -56,7 +60,7 @@ from repro.devtools.sanitizer import (
     SanitizerError,
     sanitize_enabled,
 )
-from repro.hw.event import ArrayEventQueue, IndexRing, pack_subkey
+from repro.hw.event import ArrayEventQueue, IndexRing, RoundRobinCore, pack_subkey
 from repro.hw.memory.sharding import sharded_fetch_makespan
 from repro.sim.batched import PRIO_ARRIVAL, PRIO_COMPLETE, PRIO_ISSUE, PRIO_LINK
 from repro.sim.jobtable import (
@@ -80,7 +84,7 @@ from repro.sim.scheduler import (
 )
 
 #: Event-type codes packed into the low payload bits (``payload >> 3`` is
-#: the job id, or the preemptive-sub-job id for ``C_SLICE``).
+#: the job id; ``C_SLICE`` carries none — the server core knows who runs).
 C_ISSUE, C_LINK, C_FINISH, C_SLICE, C_TSLINK = 0, 1, 2, 3, 4
 
 
@@ -235,14 +239,11 @@ def run_array(ctx: _RunContext) -> ScheduleResult:
     track_busy = memory is not None
     busy_set: set[int] = set()
 
-    # preemptive compute server (timesliced mode): sub-jobs as parallel
-    # lists, the ready queue as lane 0 of its own ring
-    psub_job: list[int] = []
-    psub_kind: list[int] = []  # 0 = prediction, 1 = compute
-    psub_work: list[float] = []
-    psub_served: list[float] = []
-    ps_ring = IndexRing(max(1, 2 * num_jobs), 1) if timesliced else None
-    ps_running = -1
+    # preemptive compute server (timesliced mode): the shared core, plus
+    # per server-job id its owning job and what it computes
+    # (``job << 1 | kind``, kind 0 = prediction, 1 = compute)
+    server = RoundRobinCore(quantum)
+    server_owner: list[int] = []
 
     # shared FCFS servers: their whole mutable state is one float each,
     # plus a busy-seconds accumulator feeding the energy plane (added in
@@ -299,27 +300,19 @@ def run_array(ctx: _RunContext) -> ScheduleResult:
         note_occupancy()  # registration-time state at t=0
 
     # ------------------------------------------------------------------ #
-    # preemptive server (mirrors PreemptiveResource transition for
-    # transition, including dispatch-before-callback at slice ends)
+    # preemptive server: the core's transitions, one heap entry per
+    # decision, keyed by the running job's stream like the reference loop
     # ------------------------------------------------------------------ #
-    def ps_dispatch() -> None:
-        nonlocal ps_running, seq
-        p = ps_ring.pop(0)
-        ps_running = p
-        remaining = psub_work[p] - psub_served[p]
-        slice_s = quantum if quantum <= remaining else remaining
-        s = streams[psub_job[p]]
-        heappush(entries, (now + slice_s, base_complete[s] + seq, (p << 3) | C_SLICE))
-        seq += 1
-
-    def ps_submit(job: int, kind_flag: int, work_s: float) -> None:
-        psub_job.append(job)
-        psub_kind.append(kind_flag)
-        psub_work.append(work_s)
-        psub_served.append(0.0)
-        ps_ring.push(0, len(psub_job) - 1)
-        if ps_running < 0:
-            ps_dispatch()
+    def server_submit(job: int, kind_flag: int, work_s: float) -> None:
+        nonlocal seq
+        server_owner.append((job << 1) | kind_flag)
+        server.submit(work_s)
+        if server.running < 0:  # idle, so the ring holds only this job
+            heappush(
+                entries,
+                (server.dispatch(now), base_complete[streams[job]] + seq, C_SLICE),
+            )
+            seq += 1
 
     # ------------------------------------------------------------------ #
     # timesliced stage machine (mirrors batched._TimeslicedStage)
@@ -328,7 +321,7 @@ def run_array(ctx: _RunContext) -> ScheduleResult:
         j_csub[job] = now
         compute_s = st_compute[b]
         if compute_s > 0.0:
-            ps_submit(job, 1, compute_s)
+            server_submit(job, 1, compute_s)
         else:
             j_cfin[job] = now
             ts_compute_resolved(job, b)
@@ -387,16 +380,6 @@ def run_array(ctx: _RunContext) -> ScheduleResult:
     # admission / slot lifecycle (the rule itself is the scheduler's
     # ``admission_decision``; only the queue-state reads live here)
     # ------------------------------------------------------------------ #
-    def compute_backlog() -> float:
-        """Unserved work on the preemptive server (ready queue, then running)."""
-        backlog = 0.0
-        if timesliced:
-            for p in ps_ring.items(0):
-                backlog += psub_work[p] - psub_served[p]
-            if ps_running >= 0:
-                backlog += psub_work[ps_running] - psub_served[ps_running]
-        return backlog
-
     # ring internals inlined into the per-event closures: a push or pop is
     # two list stores, no method call
     ring_next = ring._next
@@ -432,7 +415,7 @@ def run_array(ctx: _RunContext) -> ScheduleResult:
                 priced[s][KIND_NAMES[kinds[job]]],
                 session_ids[s],
                 ring_depth[s] + (1 if busy else 0),
-                compute_backlog(),
+                server.backlog_s(),
                 busy_set,
             )
             if decision == DEFER:
@@ -515,6 +498,8 @@ def run_array(ctx: _RunContext) -> ScheduleResult:
     # ------------------------------------------------------------------ #
     # dispatch loop
     # ------------------------------------------------------------------ #
+    server_slice_ended = server.slice_ended
+    inf = float("inf")
     while True:
         if lane_i < lane_n:
             if entries:
@@ -600,7 +585,7 @@ def run_array(ctx: _RunContext) -> ScheduleResult:
                         j_chain[job] = pend
                     ts_maybe_finish(job, b)
                 elif prediction_s > 0.0:
-                    ps_submit(job, 0, prediction_s)
+                    server_submit(job, 0, prediction_s)
                 else:
                     j_pend[job] = now
                     ts_after_prediction(job, b)
@@ -689,25 +674,30 @@ def run_array(ctx: _RunContext) -> ScheduleResult:
             finish(job, now)
 
         elif code == C_SLICE:
-            p = job  # preemptive sub-job index
-            ps_running = -1
-            remaining = psub_work[p] - psub_served[p]
-            if remaining <= quantum:
-                psub_served[p] = psub_work[p]
-                if ps_ring.depth(0) > 0:
-                    ps_dispatch()
-                owner = psub_job[p]
+            # the ring is fixed until the next queued event or arrival, so
+            # the core may take the quantum expiries strictly before it
+            horizon = entries[0][0] if entries else inf
+            if lane_i < lane_n and lane_t[lane_i] < horizon:
+                horizon = lane_t[lane_i]
+            finished, last, next_end, skipped = server_slice_ended(now, horizon)
+            if next_end is not None:
+                s = streams[server_owner[server.running] >> 1]
+                heappush(entries, (next_end, base_complete[s] + seq, C_SLICE))
+                seq += 1
+            if finished >= 0:
+                tag = server_owner[finished]
+                owner = tag >> 1
                 b = streams[owner] * 3 + kinds[owner]
-                if psub_kind[p] == 0:
-                    j_pend[owner] = now
-                    ts_after_prediction(owner, b)
-                else:
+                if tag & 1:
                     j_cfin[owner] = now
                     ts_compute_resolved(owner, b)
-            else:
-                psub_served[p] = psub_served[p] + quantum
-                ps_ring.push(0, p)
-                ps_dispatch()
+                else:
+                    j_pend[owner] = now
+                    ts_after_prediction(owner, b)
+            elif skipped:
+                events += skipped
+                if sanitize:
+                    trace.note((now + quantum, last, f"{skipped} slices fast-forwarded"))
 
         else:  # C_TSLINK: timesliced link grant
             fetch = j_fetch[job]
@@ -723,7 +713,7 @@ def run_array(ctx: _RunContext) -> ScheduleResult:
 
     if sanitize:
         # end-of-run drain: no slot still held, no job still queued on a
-        # ring lane, no preemptive sub-job running or ready
+        # ring lane, the preemptive server's work served and conserved
         if any(slot_busy) or any(d != 0 for d in ring_depth):
             held = [s for s in range(num_streams) if slot_busy[s] or ring_depth[s]]
             raise SanitizerError(
@@ -732,13 +722,7 @@ def run_array(ctx: _RunContext) -> ScheduleResult:
                 f"(acquires not balanced by releases)",
                 trace,
             )
-        if timesliced and (ps_running >= 0 or ps_ring.depth(0) > 0):
-            raise SanitizerError(
-                RESOURCE_BALANCE,
-                f"run ended with the preemptive server undrained "
-                f"(running={ps_running}, ready={ps_ring.depth(0)})",
-                trace,
-            )
+        server.assert_drained("array engine's preemptive server", trace)
 
     queue._lane_pos = lane_i
     table.num_records = n_rec

@@ -20,6 +20,7 @@ from repro.devtools.differential import (
     diff_records,
 )
 from repro.hw.interconnect import PCIE5_SWITCH
+from repro.hw.memory.sharding import ShardedKVHierarchy
 from repro.sim.arrivals import BurstyArrivals, rate_for_load
 from repro.sim.batched import BatchLatencyModel, StreamProfile
 from repro.sim.fleet import FleetConfig, FleetScheduler
@@ -71,21 +72,32 @@ class TestAssertEnginesAgree:
         assert results["array"].steal_count > 0
         assert results["array"].records == results["reference"].records
 
-    def test_scheduler_run_agrees_across_engines(self, edge, monkeypatch):
+    @pytest.mark.parametrize("timesliced_memory", [False, True])
+    def test_scheduler_run_agrees_across_engines(self, edge, monkeypatch, timesliced_memory):
+        """``timesliced_memory`` runs the shared round-robin core under both
+        engines, with residency admission reading its backlog."""
         monkeypatch.setenv("REPRO_SANITIZE", "1")
-        plane = BatchLatencyModel()
         system = edge["V-Rex8"]
         profiles = [StreamProfile(kv_len=30_000, session_id=i) for i in range(4)]
-        solo = plane.frame_step(system, profiles[:1]).streams[0].total_s
+        knobs = {}
+        memory = None
+        if timesliced_memory:
+            knobs = {"compute": "timesliced", "quantum_s": 1e-3, "admission": "residency"}
+            memory = ShardedKVHierarchy(num_banks=2, bank_budget_bytes=int(0.5 * 1024**3))
+        solo = BatchLatencyModel().frame_step(system, profiles[:1]).streams[0].total_s
         traces = BurstyArrivals.for_mean_rate(
             rate_for_load(1.4, solo, 4)
         ).generate(4, 6, seed=7)
-        config = SchedulerConfig(deadline_s=2.0 * solo, max_queue_depth=3)
-        assert_engines_agree(
-            lambda engine: ServingScheduler(plane, config, engine=engine).run(
-                system, profiles, traces
-            )
+        config = SchedulerConfig(deadline_s=2.0 * solo, max_queue_depth=3, **knobs)
+        results = assert_engines_agree(
+            lambda engine: ServingScheduler(
+                BatchLatencyModel(memory=memory), config, engine=engine
+            ).run(system, profiles, traces)
         )
+        if timesliced_memory:
+            # rotation runs were resolved in place, and banks were contended
+            assert results["array"].events_processed > 4 * len(results["array"].records)
+            assert results["array"].memory.evictions
 
     def test_refuses_to_run_unsanitized(self, edge, monkeypatch):
         monkeypatch.delenv("REPRO_SANITIZE", raising=False)

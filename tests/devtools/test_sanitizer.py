@@ -216,7 +216,7 @@ class TestResourceBalance:
         server = PreemptiveResource(loop, quantum_s=1e-3, sanitize=True)
         job = server.submit(0.005)
         loop.run()
-        job.served_s = 0.004  # bookkeeping corrupted after the fact
+        server._core.served[job._index] = 0.004  # bookkeeping corrupted after the fact
         with expect(RESOURCE_BALANCE):
             server.assert_drained()
 
@@ -226,7 +226,7 @@ class TestResourceBalance:
         server.submit(0.005)
         server.submit(0.003)
         loop.run()
-        server._busy_s += 1e-6  # a slice grant bypassed the integral
+        server._core.busy_s += 1e-6  # a slice grant bypassed the integral
         with expect(RESOURCE_BALANCE):
             server.assert_drained()
 
@@ -236,7 +236,7 @@ class TestResourceBalance:
         server.submit(0.005)
         loop.run()
         server.assert_drained()  # conservation holds with no job history
-        server._completed_work_s += 1e-6
+        server._core.completed_work_s += 1e-6
         with expect(RESOURCE_BALANCE):
             server.assert_drained()
 
@@ -245,9 +245,50 @@ class TestResourceBalance:
         server = PreemptiveResource(loop, quantum_s=1e-3, record=False, sanitize=True)
         server.submit(0.005)
         loop.run()
-        server._completed -= 1  # a completion bypassed the counter
+        server._core.completed -= 1  # a completion bypassed the counter
         with expect(RESOURCE_BALANCE):
             server.assert_drained()
+
+    def test_fast_forwarded_slices_leave_one_trace_entry(self):
+        loop = EventLoop(sanitize=True)
+        server = PreemptiveResource(loop, quantum_s=1 / 64, sanitize=True)
+        server.submit(0.5, key=(0,))
+        server.submit(0.5, key=(1,))
+        loop.run(until_s=10.5 / 64)
+        # the slice at 1/64 fired from the queue; 2/64 .. 10/64 were taken in place
+        assert loop._trace.tail()[-1] == (2 / 64, 10 / 64, "9 slices fast-forwarded")
+        loop.run()
+        server.assert_drained()
+
+    def test_array_engine_served_corruption_detected(self, monkeypatch):
+        """The array engine's end-of-run check is the core's: a ``served``
+        cell corrupted mid-run breaks busy-time conservation."""
+        from repro.hw.event import RoundRobinCore
+        from repro.sim import engine
+        from repro.sim.arrivals import PoissonArrivals
+        from repro.sim.batched import BatchLatencyModel, StreamProfile
+        from repro.sim.scheduler import SchedulerConfig, ServingScheduler
+        from repro.sim.systems import edge_systems
+        from repro.sim.workload import default_llm_workload
+
+        class SkippingAhead(RoundRobinCore):
+            def dispatch(self, now):
+                if self.submitted == 3 and self.served[2] == 0.0:
+                    self.served[2] = 0.5 * self.work[2]  # work granted by nobody
+                return super().dispatch(now)
+
+        system = edge_systems(default_llm_workload().model_bytes())["V-Rex8"]
+        profiles = [StreamProfile(kv_len=20_000, session_id=i) for i in range(3)]
+        traces = PoissonArrivals(rate_hz=6.0).generate(3, 4, seed=11)
+        config = SchedulerConfig(compute="timesliced", quantum_s=1e-3)
+        monkeypatch.setenv(ENV_VAR, "1")
+        scheduler = ServingScheduler(BatchLatencyModel(), config, engine="array")
+        scheduler.run(system, profiles, traces)  # the honest core drains clean
+        monkeypatch.setattr(engine, "RoundRobinCore", SkippingAhead)
+        with pytest.raises(SanitizerError, match="busy-time conservation") as info:
+            scheduler.run(system, profiles, traces)
+        assert info.value.code == RESOURCE_BALANCE
+        assert any("fast-forwarded" in str(entry) for entry in info.value.trace)
 
 
 class TestInterconnectConservation:

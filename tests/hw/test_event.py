@@ -7,10 +7,17 @@ strict misuse errors on :class:`ReleasableResource`.  The
 :class:`PreemptiveResource` tests pin the round-robin server's contract:
 work conservation (quantum-invariant drain time), exact completion
 accounting, the ``n * w + (n - 1) * q`` sojourn bound, and convergence to
-ideal processor sharing as the quantum shrinks.
+ideal processor sharing as the quantum shrinks.  ``TestCoreAgainstSliceSpec``
+holds the slice-per-event implementation the server used to be as an
+executable spec and requires the array-state core to match it bit for
+bit.
 """
 
 from __future__ import annotations
+
+import math
+from collections import deque
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -154,6 +161,16 @@ class TestPreemptiveResource:
         with pytest.raises(ValueError):
             server.submit(-0.1)
 
+    @pytest.mark.parametrize("work_s", [math.nan, math.inf])
+    def test_non_finite_work_rejected(self, work_s):
+        """``remaining <= quantum`` is never true of inf or nan work: both
+        used to spin the loop forever; now nothing is queued at all."""
+        loop = EventLoop()
+        server = PreemptiveResource(loop)
+        with pytest.raises(ValueError, match="work_s"):
+            server.submit(work_s)
+        assert not server.busy and len(loop) == 0
+
     def test_round_robin_interleaves_aligned_jobs(self):
         loop = EventLoop()
         server = PreemptiveResource(loop, quantum_s=1.0)
@@ -207,7 +224,7 @@ class TestPreemptiveResource:
         for job in jobs:
             bound = n * job.work_s + (n - 1) * quantum_s
             assert job.sojourn_s <= bound + 1e-12
-        assert server.max_slowdown() >= 1.0
+        assert max(job.slowdown for job in server.jobs) >= 1.0 - 1e-12
 
     @given(
         works=st.lists(
@@ -291,11 +308,6 @@ class TestPreemptiveAccounting:
         rescan = sum(job.served_s for job in server.jobs)
         assert server.busy_s() == pytest.approx(rescan, rel=1e-9)
         assert server.busy_s() == pytest.approx(sum(works), rel=1e-9)
-        # the running max is floored at 1.0: a lone job's slowdown can
-        # round to 0.999... while the resource reports the logical minimum
-        assert server.max_slowdown() == max(
-            1.0, max(job.slowdown for job in jobs)
-        )
         server.assert_drained()
 
     def test_record_false_runs_identically_and_retains_nothing(self):
@@ -308,7 +320,7 @@ class TestPreemptiveAccounting:
             assert b.first_start_s == a.first_start_s
             assert b.served_s == a.served_s
         assert bare.busy_s() == recorded.busy_s()
-        assert bare.max_slowdown() == recorded.max_slowdown()
+        assert max(j.slowdown for j in jobs_bare) == max(j.slowdown for j in jobs_rec)
         assert len(recorded.jobs) == len(works)
         assert bare.jobs == []  # record=False retains no per-job history
         bare.assert_drained()  # accumulator checks still run without records
@@ -322,3 +334,198 @@ class TestPreemptiveAccounting:
         assert server.busy_s() == pytest.approx(2.0)
         loop.run()
         assert server.busy_s() == pytest.approx(2.5)
+
+
+class SlicePerEventServer:
+    """Executable spec: the round-robin server with every quantum expiry
+    fired as its own loop event (what ``PreemptiveResource`` was before the
+    array-state core resolved rotation runs in place)."""
+
+    def __init__(self, loop, quantum_s, priority=0):
+        self.loop, self.quantum_s, self.priority = loop, quantum_s, priority
+        self.ready, self.running, self.busy = deque(), None, 0.0
+
+    def submit(self, work_s, callback=None, key=()):
+        job = SimpleNamespace(key=key, work_s=work_s, served_s=0.0, callback=callback)
+        job.first_start_s = job.finish_s = None
+        if work_s == 0.0:
+            job.first_start_s = job.finish_s = self.loop.now_s
+            if callback is not None:
+                callback(job)
+            return job
+        self.ready.append(job)
+        if self.running is None:
+            self._dispatch()
+        return job
+
+    def _dispatch(self):
+        job = self.running = self.ready.popleft()
+        if job.first_start_s is None:
+            job.first_start_s = self.loop.now_s
+        slice_s = min(self.quantum_s, job.work_s - job.served_s)
+        self.loop.schedule(
+            self.loop.now_s + slice_s, self._expire, priority=self.priority, key=job.key
+        )
+
+    def _expire(self):
+        job, self.running = self.running, None
+        remaining = job.work_s - job.served_s
+        if remaining <= self.quantum_s:
+            self.busy += remaining
+            job.served_s, job.finish_s = job.work_s, self.loop.now_s
+            if self.ready:
+                self._dispatch()
+            if job.callback is not None:
+                job.callback(job)
+        else:
+            self.busy += self.quantum_s
+            job.served_s += self.quantum_s
+            self.ready.append(job)
+            self._dispatch()
+
+    def busy_s(self):
+        return self.busy
+
+    @property
+    def queue_depth(self):
+        return len(self.ready)
+
+    def backlog_s(self):
+        total = 0.0
+        for job in self.ready:
+            total += job.work_s - job.served_s
+        if self.running is not None:
+            total += self.running.work_s - self.running.served_s
+        return total
+
+
+SERVER_PRIORITY = 1
+
+# works are multiples of 1/64 and quanta powers of two so that slice ends,
+# arrivals and chunk boundaries collide exactly (the tie cases), plus free
+# floats so that the accumulated rounding is exercised too
+_grid = st.integers(0, 40).map(lambda n: n / 64)
+_work = st.one_of(_grid, st.floats(min_value=0.0, max_value=0.6, allow_nan=False))
+_time = st.one_of(_grid, st.floats(min_value=0.0, max_value=0.8, allow_nan=False))
+_key = st.tuples(st.integers(0, 3))
+_job = st.tuples(_time, _work, _key, st.integers(0, 2), st.none() | _work)
+_tie = st.tuples(st.integers(0, 10_000), st.integers(0, 2), _key, st.none() | _work)
+
+
+def _play(make_server, quantum_s, jobs, ties, chunks, expiries=None):
+    """Drive one scenario; returns everything observable, in order.
+
+    ``jobs`` are ``(arrival, work, key, priority, follow-up work)`` submit
+    events; a follow-up is submitted from the completion callback.  ``ties``
+    are ``(expiry ordinal, priority, key, work)`` external events placed
+    exactly at a quantum-expiry time of the bare scenario (``expiries``,
+    taken from a first pass of the spec), below, at and above the server's
+    ``(priority, key)``; they poll the server and may submit.  ``chunks``
+    are ``run(until_s=...)`` boundaries, polled after every chunk.
+    """
+    loop = EventLoop()
+    server = make_server(loop, quantum_s)
+    submitted, completions, polls = [], [], []
+
+    def poll(tag):
+        polls.append(
+            (tag, loop.now_s, server.busy_s(), server.backlog_s(), server.queue_depth)
+        )
+
+    def submit(work_s, key, follow_up=None):
+        ordinal = len(submitted)
+        submitted.append(None)
+
+        def done(job):
+            completions.append(ordinal)
+            if follow_up is not None:
+                submit(follow_up, key)
+
+        submitted[ordinal] = server.submit(work_s, done, key)
+
+    for arrival, work_s, key, priority, follow_up in jobs:
+        loop.schedule(
+            arrival,
+            lambda work_s=work_s, key=key, follow_up=follow_up: submit(work_s, key, follow_up),
+            priority=priority,
+            key=key,
+        )
+    boundaries = list(chunks)
+    if expiries:
+        for ordinal, priority, key, work_s in ties:
+            at = expiries[ordinal % len(expiries)]
+
+            def tie(work_s=work_s, key=key):
+                poll("tie")
+                if work_s is not None:
+                    submit(work_s, key)
+
+            loop.schedule(at, tie, priority=priority, key=key)
+        # also stop a chunk exactly on an expiry: the boundary is inclusive
+        boundaries += [expiries[ordinal % len(expiries)] for ordinal, *_ in ties[:2]]
+    fired = 0
+    for until_s in sorted(boundaries):
+        fired += loop.run(until_s=until_s)
+        poll("chunk")
+    fired += loop.run()
+    poll("end")
+    per_job = [(j.first_start_s, j.finish_s, j.served_s) for j in submitted]
+    return (per_job, completions, polls, loop.events_processed), fired
+
+
+class TestCoreAgainstSliceSpec:
+    @given(
+        quantum_s=st.sampled_from([1 / 64, 1 / 32, 1 / 256])
+        | st.floats(min_value=1e-3, max_value=0.05, allow_nan=False),
+        jobs=st.lists(_job, min_size=1, max_size=6),
+        ties=st.lists(_tie, max_size=4),
+        chunks=st.lists(_time, max_size=4),
+        record=st.booleans(),
+    )
+    def test_bit_for_bit_against_slice_per_event_spec(
+        self, quantum_s, jobs, ties, chunks, record
+    ):
+        def spec(loop, quantum_s):
+            return SlicePerEventServer(loop, quantum_s, SERVER_PRIORITY)
+
+        expiries = []
+
+        def logging_spec(loop, quantum_s):
+            server = spec(loop, quantum_s)
+            expire = server._expire
+
+            def logged():
+                expiries.append(loop.now_s)
+                expire()
+
+            server._expire = logged
+            return server
+
+        def real(loop, quantum_s):
+            return PreemptiveResource(
+                loop, quantum_s=quantum_s, priority=SERVER_PRIORITY, record=record
+            )
+
+        _play(logging_spec, quantum_s, jobs, (), ())
+        expected, spec_fired = _play(spec, quantum_s, jobs, ties, chunks, expiries)
+        observed, real_fired = _play(real, quantum_s, jobs, ties, chunks, expiries)
+        assert observed == expected  # no tolerance anywhere
+        assert spec_fired == expected[-1]  # the spec fires every logical event
+        assert real_fired <= spec_fired
+
+    def test_run_until_stops_mid_rotation(self):
+        """An empty heap is not an open horizon: ``until_s`` bounds the run."""
+        loop = EventLoop()
+        server = PreemptiveResource(loop, quantum_s=1 / 64)
+        a = server.submit(1.0, key=(0,))
+        b = server.submit(1.0, key=(1,))
+        assert loop.run(until_s=10.5 / 64) == 1  # one queued event, ten slices
+        assert loop.now_s == 10 / 64 and loop.events_processed == 10
+        assert (a.served_s, b.served_s) == (5 / 64, 5 / 64)
+        assert server.busy_s() == 10 / 64 and server.backlog_s() == 2.0 - 10 / 64
+        # a slice ending exactly at the boundary still fires (as a queued event)
+        assert loop.run(until_s=12 / 64) == 2
+        assert loop.now_s == 12 / 64 and loop.events_processed == 12
+        loop.run()
+        assert (a.finish_s, b.finish_s) == (2.0 - 1 / 64, 2.0)
+        assert loop.events_processed == 128

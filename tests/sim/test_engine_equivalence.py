@@ -7,6 +7,8 @@ for every configuration the scheduler accepts.  These tests drive both
 engines over hypothesis-generated fleets and over the memory-plane
 configurations, comparing full outputs with ``==`` (the records and
 timeline tasks are frozen dataclasses, so equality is field-exact).
+``TestCostFollowsDecisions`` counts what the shared round-robin core
+saves both engines: queue traffic per decision, not per quantum.
 """
 
 from __future__ import annotations
@@ -241,6 +243,70 @@ class TestEngineEquivalenceMemoryPlane:
             system, profiles, traces
         )
         assert_runs_identical(reference, array)
+
+
+class TestCostFollowsDecisions:
+    """Queue traffic is per decision; ``events_processed`` stays per quantum.
+
+    Counted, never timed: at the parent commit every quantum expiry was a
+    queued event, so the real and logical counts were equal.
+    """
+
+    @staticmethod
+    def _timesliced_frame_step(system, quantum_s, monkeypatch):
+        from repro.hw.event import EventLoop
+
+        counts = []
+        run = EventLoop.run
+
+        def counted_run(self, until_s=None):
+            fired = run(self, until_s)
+            counts.append((fired, self.events_processed))
+            return fired
+
+        monkeypatch.setattr(EventLoop, "run", counted_run)
+        plane = BatchLatencyModel(compute="timesliced", quantum_s=quantum_s)
+        plane.frame_step(system, _fleet([40_000] * 16))
+        monkeypatch.setattr(EventLoop, "run", run)
+        ((fired, logical),) = counts
+        return fired, logical
+
+    def test_plane_step_fires_a_handful_of_events_per_stream(self, edge, monkeypatch):
+        system = edge["V-Rex8"]
+        fired, logical = self._timesliced_frame_step(system, 1e-3, monkeypatch)
+        assert fired <= 6 * 16
+        assert logical > 1000
+        fired_half, logical_half = self._timesliced_frame_step(system, 0.5e-3, monkeypatch)
+        assert 1.8 < logical_half / logical < 2.2
+        assert abs(fired_half - fired) <= 16  # only tie cases may move
+
+    def test_array_engine_pushes_fewer_entries_than_logical_events(
+        self, server, monkeypatch
+    ):
+        from repro.sim import engine
+
+        system = server["V-Rex48"]
+        profiles = _fleet([30_000, 35_000, 40_000])
+        plane = BatchLatencyModel(
+            memory=ShardedKVHierarchy(num_banks=2, bank_budget_bytes=int(4.0 * 1024**3))
+        )
+        solo = plane.frame_step(system, profiles[:1]).streams[0].total_s
+        traces = PoissonArrivals(rate_hz=rate_for_load(1.1, solo, 3)).generate(3, 6, seed=3)
+        pushes = []
+        heappush = engine.heappush
+
+        def counted_push(heap, entry):
+            pushes.append(entry)
+            heappush(heap, entry)
+
+        monkeypatch.setattr(engine, "heappush", counted_push)
+        config = SchedulerConfig(compute="timesliced", quantum_s=1e-3)
+        result = ServingScheduler(plane, config, engine="array").run(system, profiles, traces)
+        slices = sum(1 for entry in pushes if entry[2] & 7 == engine.C_SLICE)
+        assert slices > 0
+        # arrivals never touch the heap; everything else is one push per event
+        arrivals = sum(map(len, traces))
+        assert len(pushes) + arrivals < result.events_processed
 
 
 class TestLatencyColumnEquivalence:

@@ -140,6 +140,11 @@ class TestRequireNumber:
             (lambda: SchedulerConfig(compute="timesliced", quantum_s=math.nan), "quantum_s"),
             (lambda: BatchLatencyModel(compute="timesliced", quantum_s=math.nan), "quantum_s"),
             (lambda: PreemptiveResource(EventLoop(), quantum_s=math.nan), "quantum_s"),
+            # ISSUE 23: ``remaining <= quantum`` is never true of nan or inf
+            # work, so each of these used to spin the event loop forever.
+            (lambda: PreemptiveResource(EventLoop()).submit(math.nan), "work_s"),
+            (lambda: PreemptiveResource(EventLoop()).submit(math.inf), "work_s"),
+            (lambda: PreemptiveResource(EventLoop()).submit(-1e-9), "work_s"),
             (lambda: SchedulerConfig(deadline_s=math.nan), "deadline_s"),
             (
                 lambda: SchedulerConfig(
