@@ -60,6 +60,17 @@ def require_number(
     return value
 
 
+def require_choice(name: str, value, choices: tuple):
+    """Return ``value``, or raise a ``ValueError`` listing the ``choices``.
+
+    The one membership check behind the simulator's named policies, modes
+    and engines.
+    """
+    if value not in choices:
+        raise ValueError(f"unknown {name} {value!r}; expected one of {choices}")
+    return value
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     """Dimensions of the streaming video LLM backbone.

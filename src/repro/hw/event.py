@@ -1055,28 +1055,6 @@ class Timeline:
                 total += max(0.0, min(a.end_s, b.end_s) - max(a.start_s, b.start_s))
         return total
 
-    def bandwidth_trace(
-        self, resolution: int = 200, resource: str | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Aggregate bandwidth usage over time.
-
-        Returns ``(times_s, bandwidth_gbps)`` sampled at ``resolution``
-        points across the makespan; tasks may be filtered by resource.
-        """
-        if resolution <= 1:
-            raise ValueError("resolution must exceed 1")
-        makespan = self.makespan_s
-        times = np.linspace(0.0, makespan, resolution) if makespan > 0 else np.zeros(resolution)
-        usage = np.zeros(resolution)
-        for task in self.tasks:
-            if resource is not None and task.resource != resource:
-                continue
-            if task.bandwidth_gbps <= 0 or task.duration_s <= 0:
-                continue
-            mask = (times >= task.start_s) & (times < task.end_s)
-            usage[mask] += task.bandwidth_gbps
-        return times, usage
-
     def per_task_trace(self, resolution: int = 200) -> dict[str, np.ndarray]:
         """Bandwidth trace per task name (for stacked reporting)."""
         makespan = self.makespan_s

@@ -44,6 +44,14 @@ shared link.
     bracket the shared-compute schedule from below while remaining exact
     in their own regimes.
 
+  Both policies are one step (:meth:`BatchLatencyModel._contended_step`)
+  around two scheduling cores: two sorted FCFS passes resolving each
+  stream into a :class:`ContendedTiming`
+  (:func:`contended_issue_timing` / :func:`contended_exposure`), or an
+  :class:`~repro.hw.event.EventLoop` replay in which each stream's
+  :class:`_TimeslicedStage` is its own resolved outcome.  The scheduler's
+  reference engine issues jobs through the same three names.
+
 Orthogonally to the contention/compute axes, passing a
 :class:`repro.hw.memory.sharding.ShardedKVHierarchy` as ``memory`` turns
 on the **memory-aware step mode**: every step partitions the fleet's
@@ -63,10 +71,11 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
-from repro.config import require_number
+from repro.config import require_choice, require_number
 from repro.devtools.sanitizer import PRICE_TABLE, SanitizerError, sanitize_enabled
 from repro.hw.accelerator import VRexAccelerator
 from repro.hw.compute import KernelCost
@@ -113,16 +122,7 @@ HC_SIGNATURE_BYTES = 8
 
 def validate_compute_policy(compute: str) -> str:
     """Return ``compute`` or raise for a policy the planes don't implement."""
-    if compute not in COMPUTE_POLICIES:
-        raise ValueError(
-            f"unknown compute policy {compute!r}; expected one of {COMPUTE_POLICIES}"
-        )
-    return compute
-
-
-def validate_quantum(quantum_s: float) -> float:
-    """Return ``quantum_s`` as a float or raise if it is not positive (or NaN)."""
-    return float(require_number("quantum_s", quantum_s, exclusive=True))
+    return require_choice("compute policy", compute, COMPUTE_POLICIES)
 
 
 @dataclass(frozen=True)
@@ -314,6 +314,20 @@ class StreamStepResult:
         return self.breakdown.get("compute_wait", 0.0)
 
 
+#: Breakdown keys every row of a contended step carries and the fleet sums
+#: (timesliced rows add ``compute_wait``, their fleet total ``compute_busy``).
+_CONTENDED_KEYS = (
+    "vision",
+    "llm_compute",
+    "kv_prediction",
+    "kv_fetch",
+    "kv_prediction_raw",
+    "kv_fetch_raw",
+    "pcie_wait",
+    "dre_wait",
+)
+
+
 def _inactive_stream_row(profile: StreamProfile) -> StreamStepResult:
     """Zero-demand placeholder row for a stream that skips the step."""
     return StreamStepResult(
@@ -321,17 +335,7 @@ def _inactive_stream_row(profile: StreamProfile) -> StreamStepResult:
         kv_len=profile.kv_len,
         arrival_offset_s=profile.arrival_offset_s,
         total_s=0.0,
-        breakdown={
-            "vision": 0.0,
-            "llm_compute": 0.0,
-            "kv_prediction": 0.0,
-            "kv_fetch": 0.0,
-            "kv_prediction_raw": 0.0,
-            "kv_fetch_raw": 0.0,
-            "pcie_wait": 0.0,
-            "dre_wait": 0.0,
-            "compute_wait": 0.0,
-        },
+        breakdown=dict.fromkeys(_CONTENDED_KEYS + ("compute_wait",), 0.0),
     )
 
 
@@ -365,12 +369,6 @@ class BatchStepResult:
         if self.total_s <= 0 or self.oom:
             return 0.0
         return self.batch / self.total_s
-
-    @property
-    def mean_stream_total_s(self) -> float:
-        if not self.streams:
-            return 0.0
-        return sum(stream.total_s for stream in self.streams) / len(self.streams)
 
     @property
     def mean_exposed_fetch_s(self) -> float:
@@ -457,6 +455,18 @@ class _DemandEntry:
         return _channel_fetch_time_s(self.fetch_device, self.fetch_locality, num_bytes, True)
 
 
+class ContendedTiming(NamedTuple):
+    """What :func:`contended_issue_timing` resolved for one stream."""
+
+    start_s: float
+    compute_s: float
+    prediction_s: float
+    prediction_end_s: float  # after any DRE queueing
+    fetch_s: float
+    request_s: float  # when the stream requests the shared PCIe link
+    dre_wait_s: float
+
+
 def contended_issue_timing(
     *,
     is_vrex: bool,
@@ -467,13 +477,13 @@ def contended_issue_timing(
     prediction_s: float,
     fetch_s: float,
     dre_queue: ResourceQueue,
-) -> dict:
+) -> ContendedTiming:
     """Phase-1 timing of one stream's contended step (through the DRE).
 
-    Returns the timing dict the contended plane and the event-driven
-    scheduler share: prediction end (after any DRE queueing), the time the
-    stream requests the shared PCIe link, and the DRE wait.  ``start_s`` is
-    when the stream's LLM phase begins (arrival plus vision); the DRE is
+    Returns the timing the contended plane and the event-driven scheduler
+    share: prediction end (after any DRE queueing), the time the stream
+    requests the shared PCIe link, and the DRE wait.  ``start_s`` is when
+    the stream's LLM phase begins (arrival plus vision); the DRE is
     requested at that instant, so enqueueing streams in nondecreasing
     ``start_s`` order IS the DRE's FCFS order.
     """
@@ -499,125 +509,46 @@ def contended_issue_timing(
         # only after its compute finishes.
         prediction_end = start_s + prediction_s
         request = start_s + prediction_s + compute_s
-    return {
-        "start": start_s,
-        "compute_s": compute_s,
-        "prediction_s": prediction_s,
-        "prediction_end": prediction_end,
-        "fetch_s": fetch_s,
-        "request": request,
-        "dre_wait": dre_wait,
-    }
+    return ContendedTiming(
+        start_s, compute_s, prediction_s, prediction_end, fetch_s, request, dre_wait
+    )
 
 
 def contended_exposure(
-    *, is_vrex: bool, overlaps: bool, timing: dict, transfer
+    *, is_vrex: bool, overlaps: bool, timing: ContendedTiming, transfer
 ) -> tuple[float, float, float]:
     """Phase-3 of a contended step: per-stream latency under the overlap rules.
 
     ``transfer`` is the stream's :class:`~repro.hw.event.QueuedService` on
     the shared link (``None`` when the stream fetched nothing).  Returns
     ``(latency_s, exposed_prediction_s, exposed_fetch_s)`` where the
-    latency is measured from ``timing["start"]``.  Shared by
+    latency is measured from ``timing.start_s``.  Shared by
     :meth:`BatchLatencyModel._contended_step` and the event-driven
     scheduler so the two agree to the last bit.
     """
-    start = timing["start"]
-    compute_s = timing["compute_s"]
-    prediction_s = timing["prediction_s"]
-    fetch_end = transfer.finish_s if transfer is not None else timing["request"]
+    start = timing.start_s
+    compute_s = timing.compute_s
+    prediction_s = timing.prediction_s
+    fetch_end = transfer.finish_s if transfer is not None else timing.request_s
     if is_vrex:
         # Prediction and fetch (with their waits) overlap this stream's own
         # compute (Fig. 5 iii); only the excess beyond compute is exposed.
-        hidden_end = fetch_end if transfer is not None else timing["prediction_end"]
+        hidden_end = fetch_end if transfer is not None else timing.prediction_end_s
         hidden = hidden_end - start
-        prediction_effective = timing["prediction_end"] - start
+        prediction_effective = timing.prediction_end_s - start
         latency = max(compute_s, hidden)
         exposed_prediction = max(0.0, min(prediction_effective, hidden - compute_s))
         exposed_fetch = max(0.0, hidden - compute_s - exposed_prediction)
     elif overlaps:
-        fetch_effective = fetch_end - timing["request"] if transfer is not None else 0.0
+        fetch_effective = fetch_end - timing.request_s if transfer is not None else 0.0
         latency = prediction_s + max(compute_s, fetch_effective)
         exposed_prediction = prediction_s
         exposed_fetch = max(0.0, fetch_effective - compute_s)
     else:
-        exposed_fetch = fetch_end - timing["request"] if transfer is not None else 0.0
+        exposed_fetch = fetch_end - timing.request_s if transfer is not None else 0.0
         latency = prediction_s + compute_s + exposed_fetch
         exposed_prediction = prediction_s
     return latency, exposed_prediction, exposed_fetch
-
-
-@dataclass(frozen=True)
-class TimeslicedOutcome:
-    """Resolved timing of one stream's stage on the shared servers.
-
-    The time-sliced analogue of the ``contended_issue_timing`` /
-    ``contended_exposure`` pair: absolute times of the stage's compute job
-    on the shared round-robin server, its prediction, and its fetch
-    transfer, from which the exposed breakdown is derived.  Shared by
-    :meth:`BatchLatencyModel._timesliced_step` and the event-driven
-    scheduler so the two agree to the last bit.
-    """
-
-    is_vrex: bool
-    overlaps: bool
-    start_s: float
-    compute_s: float
-    prediction_s: float
-    fetch_s: float
-    compute_submit_s: float
-    compute_finish_s: float
-    prediction_end_s: float
-    dre_wait_s: float
-    transfer: QueuedService | None
-    finish_s: float
-
-    @property
-    def latency_s(self) -> float:
-        """Stage latency measured from ``start_s`` (excludes vision)."""
-        return self.finish_s - self.start_s
-
-    @property
-    def compute_wait_s(self) -> float:
-        """Queueing plus preemption gaps the shared compute server inflicted."""
-        if self.compute_s <= 0:
-            return 0.0
-        return self.compute_finish_s - self.compute_submit_s - self.compute_s
-
-    @property
-    def pcie_wait_s(self) -> float:
-        return self.transfer.wait_s if self.transfer is not None else 0.0
-
-    @property
-    def exposed_prediction_s(self) -> float:
-        """Prediction span not hidden behind this stream's compute.
-
-        Spans include shared-server queueing, mirroring how the contended
-        plane's exposure charges PCIe waits to the fetch that suffers them.
-        """
-        if self.is_vrex:
-            busy = self.compute_finish_s - self.start_s
-            hidden = self._hidden_end_s - self.start_s
-            prediction_span = self.prediction_end_s - self.start_s
-            return max(0.0, min(prediction_span, hidden - busy))
-        return self.prediction_end_s - self.start_s
-
-    @property
-    def exposed_fetch_s(self) -> float:
-        """Fetch span (with link waits) not hidden behind compute."""
-        if self.is_vrex:
-            busy = self.compute_finish_s - self.start_s
-            hidden = self._hidden_end_s - self.start_s
-            return max(0.0, hidden - busy - self.exposed_prediction_s)
-        if self.transfer is None:
-            return 0.0
-        return max(0.0, self.transfer.finish_s - self.compute_finish_s)
-
-    @property
-    def _hidden_end_s(self) -> float:
-        return (
-            self.transfer.finish_s if self.transfer is not None else self.prediction_end_s
-        )
 
 
 class _TimeslicedStage:
@@ -638,9 +569,13 @@ class _TimeslicedStage:
     * **serial (FlexGen)** — prediction, then compute, both on the shared
       GPU; the link is requested only when the compute job completes.
 
-    ``on_finish(outcome)`` fires as soon as every end time is known; the
-    outcome's ``finish_s`` may lie in the future (the caller schedules its
-    completion event), exactly like the analytic contended helpers.
+    ``on_finish(stage)`` fires as soon as every end time is known, handing
+    over the stage itself as its resolved outcome — the time-sliced
+    analogue of the ``contended_issue_timing`` / ``contended_exposure``
+    pair, shared by :meth:`BatchLatencyModel._contended_step` and the
+    event-driven scheduler so the two agree to the last bit.  ``finish_s``
+    may lie in the future (the caller schedules its completion event),
+    exactly like the analytic contended helpers.
     """
 
     def __init__(
@@ -677,6 +612,7 @@ class _TimeslicedStage:
         self.dre_wait_s = 0.0
         self.transfer: QueuedService | None = None
         self._chain_end_s: float | None = None
+        self.finish_s: float | None = None
         self._on_finish = on_finish
         self._begin()
 
@@ -764,87 +700,58 @@ class _TimeslicedStage:
     def _maybe_finish(self) -> None:
         if self.compute_finish_s is None or self._chain_end_s is None:
             return
-        finish = max(self.compute_finish_s, self._chain_end_s)
-        self._on_finish(
-            TimeslicedOutcome(
-                is_vrex=self.is_vrex,
-                overlaps=self.overlaps,
-                start_s=self.start_s,
-                compute_s=self.compute_s,
-                prediction_s=self.prediction_s,
-                fetch_s=self.fetch_s,
-                compute_submit_s=self.compute_submit_s,
-                compute_finish_s=self.compute_finish_s,
-                prediction_end_s=self.prediction_end_s,
-                dre_wait_s=self.dre_wait_s,
-                transfer=self.transfer,
-                finish_s=finish,
-            )
+        self.finish_s = max(self.compute_finish_s, self._chain_end_s)
+        self._on_finish(self)
+
+    # ------------------------------------------------------------------ #
+    # the resolved outcome (valid once ``on_finish`` has fired)
+    # ------------------------------------------------------------------ #
+    @property
+    def latency_s(self) -> float:
+        """Stage latency measured from ``start_s`` (excludes vision)."""
+        return self.finish_s - self.start_s
+
+    @property
+    def compute_wait_s(self) -> float:
+        """Queueing plus preemption gaps the shared compute server inflicted."""
+        if self.compute_s <= 0:
+            return 0.0
+        return self.compute_finish_s - self.compute_submit_s - self.compute_s
+
+    @property
+    def pcie_wait_s(self) -> float:
+        return self.transfer.wait_s if self.transfer is not None else 0.0
+
+    @property
+    def exposed_prediction_s(self) -> float:
+        """Prediction span not hidden behind this stream's compute.
+
+        Spans include shared-server queueing, mirroring how the contended
+        plane's exposure charges PCIe waits to the fetch that suffers them.
+        """
+        if self.is_vrex:
+            busy = self.compute_finish_s - self.start_s
+            hidden = self._hidden_end_s - self.start_s
+            prediction_span = self.prediction_end_s - self.start_s
+            return max(0.0, min(prediction_span, hidden - busy))
+        return self.prediction_end_s - self.start_s
+
+    @property
+    def exposed_fetch_s(self) -> float:
+        """Fetch span (with link waits) not hidden behind compute."""
+        if self.is_vrex:
+            busy = self.compute_finish_s - self.start_s
+            hidden = self._hidden_end_s - self.start_s
+            return max(0.0, hidden - busy - self.exposed_prediction_s)
+        if self.transfer is None:
+            return 0.0
+        return max(0.0, self.transfer.finish_s - self.compute_finish_s)
+
+    @property
+    def _hidden_end_s(self) -> float:
+        return (
+            self.transfer.finish_s if self.transfer is not None else self.prediction_end_s
         )
-
-
-def timesliced_issue(
-    loop: EventLoop,
-    compute_server: PreemptiveResource,
-    dre_queue: ResourceQueue,
-    link_queue: PCIeLinkQueue,
-    *,
-    is_vrex: bool,
-    overlaps: bool,
-    on_dre: bool,
-    compute_s: float,
-    prediction_s: float,
-    fetch_s: float,
-    key: tuple,
-    on_finish,
-) -> None:
-    """Thread one stream's stage through the shared compute/DRE/link servers.
-
-    The time-sliced counterpart of ``contended_issue_timing``: must be
-    called inside an event at the stage's start instant; ``on_finish``
-    receives the :class:`TimeslicedOutcome` once every end time is known.
-    """
-    _TimeslicedStage(
-        loop,
-        compute_server,
-        dre_queue,
-        link_queue,
-        is_vrex=is_vrex,
-        overlaps=overlaps,
-        on_dre=on_dre,
-        compute_s=compute_s,
-        prediction_s=prediction_s,
-        fetch_s=fetch_s,
-        key=key,
-        on_finish=on_finish,
-    )
-
-
-def _contended_result(
-    system: SystemConfig,
-    stage: str,
-    rows: list[StreamStepResult],
-    oom: bool,
-    compute_server: PreemptiveResource | None = None,
-) -> BatchStepResult:
-    """Fleet-level result of a contended step (``compute_server``: timesliced)."""
-    keys = ("vision", "llm_compute", "kv_prediction", "kv_fetch")
-    keys += ("kv_prediction_raw", "kv_fetch_raw", "pcie_wait", "dre_wait")
-    breakdown = {key: sum(row.breakdown.get(key, 0.0) for row in rows) for key in keys}
-    if compute_server is not None:
-        breakdown["compute_wait"] = sum(row.compute_wait_s for row in rows)
-        breakdown["compute_busy"] = compute_server.busy_s()
-    finishes = [row.arrival_offset_s + row.total_s for row in rows]
-    return BatchStepResult(
-        system=system.name,
-        stage=stage,
-        contention=True,
-        total_s=max(finishes) - min(row.arrival_offset_s for row in rows),
-        streams=rows,
-        breakdown=breakdown,
-        oom=oom,
-        compute="private" if compute_server is None else "timesliced",
-    )
 
 
 class BatchLatencyModel:
@@ -866,7 +773,7 @@ class BatchLatencyModel:
         self.base = base or LatencyModel()
         self.contention = contention
         self.compute = validate_compute_policy(compute)
-        self.quantum_s = validate_quantum(quantum_s)
+        self.quantum_s = float(require_number("quantum_s", quantum_s, exclusive=True))
         #: bank configuration of the memory-aware mode (``None`` prices
         #: fetches on the classic single-channel offload target).  The
         #: instance is a *template*: every step/run partitions the fleet's
@@ -1218,13 +1125,14 @@ class BatchLatencyModel:
         memory = self._memory_for(system, profiles)
         demands = self._stream_demands(system, profiles, q_lens, stage, memory)
         oom = self._batched_oom(system, profiles)
-        if contention and compute == "timesliced":
-            step = self._timesliced_step
-        elif contention:
-            step = self._contended_step
+        if contention:
+            result = self._contended_step(
+                system, profiles, demands, stage, include_vision, oom, compute == "timesliced"
+            )
         else:
-            step = self._aggregated_step
-        result = step(system, profiles, demands, stage, include_vision, oom)
+            result = self._aggregated_step(
+                system, profiles, demands, stage, include_vision, oom
+            )
         if memory is not None:
             result.bank_occupancy_bytes = tuple(
                 float(b) for b in memory.bank_occupancy_bytes()
@@ -1368,7 +1276,8 @@ class BatchLatencyModel:
         )
 
     # ------------------------------------------------------------------ #
-    # contention mode: FCFS queueing on the shared PCIe link and DRE
+    # contention mode: FCFS queueing on the shared PCIe link and DRE, with
+    # compute private per stream or time-sliced on one round-robin server
     # ------------------------------------------------------------------ #
     def _contended_step(
         self,
@@ -1378,178 +1287,156 @@ class BatchLatencyModel:
         stage: str,
         include_vision: bool,
         oom: bool,
+        timesliced: bool,
     ) -> BatchStepResult:
         base = self.base
         device = base.device_for(system)
         num_layers = base.llm.model.num_layers
-        policy = system.policy
         is_vrex = isinstance(device, VRexAccelerator)
-        overlaps = policy.overlap_fetch or stage == GENERATION_STAGE
+        overlaps = system.policy.overlap_fetch or stage == GENERATION_STAGE
         vision_each = base._vision_time(system, 1)[0] if include_vision else 0.0
-
-        # Phase 1 — per-stream timing up to the link request.  DRE
-        # prediction jobs are issued the moment a stream's LLM phase starts,
-        # so serving them in *start-time* order (arrival plus vision, the
-        # same float the event loop keys on) IS the DRE's FCFS order.
-        # Simultaneous requests tie-break on session id, keeping the
-        # schedule a function of the fleet rather than the list order and
-        # bit-identical to the event-driven scheduler even when float
-        # addition collapses two nearly-equal offsets onto one instant.
         dre_queue = ResourceQueue(name="dre")
-        timings: list[dict | None] = [None] * len(demands)
-        for index in sorted(
-            range(len(demands)),
-            key=lambda i: (
-                profiles[i].arrival_offset_s + vision_each,
-                profiles[i].session_id,
-                i,
-            ),
-        ):
-            entry, fetch_layer_s = demands[index]
-            if entry is None:
-                continue
-            timings[index] = contended_issue_timing(
-                is_vrex=is_vrex,
-                overlaps=overlaps,
-                on_dre=entry.on_dre,
-                start_s=profiles[index].arrival_offset_s + vision_each,
-                compute_s=entry.compute_layer_s * num_layers,
-                prediction_s=entry.prediction_layer_s * num_layers,
-                fetch_s=fetch_layer_s * num_layers,
-                dre_queue=dre_queue,
-            )
-
-        # Phase 2 — the shared link serves transfers FCFS in *request-time*
-        # order (which differs from arrival order when per-stream prediction
-        # or compute times differ), so the schedule is independent of the
-        # profile list order.
         link_queue = PCIeLinkQueue(device.link)
-        transfers: dict[int, object] = {}
-        for index in sorted(
-            (i for i, timing in enumerate(timings) if timing is not None and timing["fetch_s"] > 0),
-            key=lambda i: (timings[i]["request"], profiles[i].session_id, i),
-        ):
-            transfers[index] = link_queue.enqueue(
-                timings[index]["request"], timings[index]["fetch_s"]
-            )
 
-        # Phase 3 — assemble per-stream results under the overlap rules.
+        # One issue per active stream, led by the order simultaneous work is
+        # served in: start time (arrival plus vision, the same float the
+        # event loop keys on), then session id, then list position — so the
+        # schedule is a function of the fleet rather than the list order,
+        # and bit-identical to the event-driven scheduler even when float
+        # addition collapses two nearly-equal offsets onto one instant.
+        issues = [
+            (
+                profile.arrival_offset_s + vision_each,
+                profile.session_id,
+                index,
+                entry.on_dre,
+                entry.compute_layer_s * num_layers,
+                entry.prediction_layer_s * num_layers,
+                fetch_layer_s * num_layers,
+            )
+            for index, (profile, (entry, fetch_layer_s)) in enumerate(
+                zip(profiles, demands, strict=True)
+            )
+            if entry is not None
+        ]
+        # per active stream: its ContendedTiming (private compute) or its
+        # resolved _TimeslicedStage, which carries the same demand fields
+        resolved: list[ContendedTiming | _TimeslicedStage | None] = [None] * len(profiles)
+        transfers: dict[int, QueuedService] = {}
+        compute_server = None
+        if timesliced:
+            # Replay the scheduler's event structure for one frame per
+            # stream: issue events keyed by ``(session_id, index)`` submit
+            # each stream's stage to the shared servers, so an aligned
+            # single-step scheduler run reproduces this mode bit for bit
+            # (the same stage machine prices both).
+            loop = EventLoop()
+            compute_server = PreemptiveResource(
+                loop, "compute", quantum_s=self.quantum_s, priority=PRIO_COMPLETE
+            )
+            for start_s, session_id, index, on_dre, compute_s, prediction_s, fetch_s in issues:
+                key = (session_id, index)
+                begin = partial(
+                    _TimeslicedStage,
+                    loop,
+                    compute_server,
+                    dre_queue,
+                    link_queue,
+                    is_vrex=is_vrex,
+                    overlaps=overlaps,
+                    on_dre=on_dre,
+                    compute_s=compute_s,
+                    prediction_s=prediction_s,
+                    fetch_s=fetch_s,
+                    key=key,
+                    on_finish=partial(resolved.__setitem__, index),
+                )
+                loop.schedule(start_s, begin, priority=PRIO_ISSUE, key=key)
+            loop.run()
+        else:
+            # Phase 1 — per-stream timing up to the link request.  DRE
+            # prediction jobs are issued the moment a stream's LLM phase
+            # starts, so serving them in start-time order IS the DRE's FCFS
+            # order.
+            requests = []
+            for start_s, session_id, index, on_dre, compute_s, prediction_s, fetch_s in sorted(
+                issues
+            ):
+                timing = resolved[index] = contended_issue_timing(
+                    is_vrex=is_vrex,
+                    overlaps=overlaps,
+                    on_dre=on_dre,
+                    start_s=start_s,
+                    compute_s=compute_s,
+                    prediction_s=prediction_s,
+                    fetch_s=fetch_s,
+                    dre_queue=dre_queue,
+                )
+                if fetch_s > 0:
+                    requests.append((timing.request_s, session_id, index))
+            # Phase 2 — the shared link serves transfers FCFS in
+            # *request-time* order (which differs from arrival order when
+            # per-stream prediction or compute times differ).
+            for request_s, _, index in sorted(requests):
+                transfers[index] = link_queue.enqueue(request_s, resolved[index].fetch_s)
+
+        # Phase 3 — per-stream results under the overlap rules; the fleet
+        # makespan spans the streams that took part in the step.
         rows: list[StreamStepResult] = []
+        arrivals: list[float] = []
+        finishes: list[float] = []
         for index, profile in enumerate(profiles):
-            timing = timings[index]
+            timing = resolved[index]
             if timing is None:
                 rows.append(_inactive_stream_row(profile))
                 continue
-            transfer = transfers.get(index)
-            latency, exposed_prediction, exposed_fetch = contended_exposure(
-                is_vrex=is_vrex, overlaps=overlaps, timing=timing, transfer=transfer
-            )
+            if timesliced:
+                transfer = timing.transfer
+                latency = timing.latency_s
+                exposed_prediction = timing.exposed_prediction_s
+                exposed_fetch = timing.exposed_fetch_s
+            else:
+                transfer = transfers.get(index)
+                latency, exposed_prediction, exposed_fetch = contended_exposure(
+                    is_vrex=is_vrex, overlaps=overlaps, timing=timing, transfer=transfer
+                )
+            breakdown = {
+                "vision": vision_each,
+                "llm_compute": timing.compute_s,
+                "kv_prediction": exposed_prediction,
+                "kv_fetch": exposed_fetch,
+                "kv_prediction_raw": timing.prediction_s,
+                "kv_fetch_raw": timing.fetch_s,
+                "pcie_wait": transfer.wait_s if transfer is not None else 0.0,
+                "dre_wait": timing.dre_wait_s,
+            }
+            if timesliced:
+                breakdown["compute_wait"] = timing.compute_wait_s
+            total_s = vision_each + latency
             rows.append(
                 StreamStepResult(
                     session_id=profile.session_id,
                     kv_len=profile.kv_len,
                     arrival_offset_s=profile.arrival_offset_s,
-                    total_s=vision_each + latency,
-                    breakdown={
-                        "vision": vision_each,
-                        "llm_compute": timing["compute_s"],
-                        "kv_prediction": exposed_prediction,
-                        "kv_fetch": exposed_fetch,
-                        "kv_prediction_raw": timing["prediction_s"],
-                        "kv_fetch_raw": timing["fetch_s"],
-                        "pcie_wait": transfer.wait_s if transfer is not None else 0.0,
-                        "dre_wait": timing["dre_wait"],
-                    },
+                    total_s=total_s,
+                    breakdown=breakdown,
                     fetch_bytes=demands[index][0].fetch_bytes * num_layers,
                 )
             )
+            arrivals.append(profile.arrival_offset_s)
+            finishes.append(profile.arrival_offset_s + total_s)
 
-        return _contended_result(system, stage, rows, oom)
-
-    # ------------------------------------------------------------------ #
-    # timesliced mode: contention plus a shared round-robin compute server
-    # ------------------------------------------------------------------ #
-    def _timesliced_step(
-        self,
-        system: SystemConfig,
-        profiles: Sequence[StreamProfile],
-        demands: list[tuple[_DemandEntry | None, float]],
-        stage: str,
-        include_vision: bool,
-        oom: bool,
-    ) -> BatchStepResult:
-        base = self.base
-        device = base.device_for(system)
-        num_layers = base.llm.model.num_layers
-        policy = system.policy
-        is_vrex = isinstance(device, VRexAccelerator)
-        overlaps = policy.overlap_fetch or stage == GENERATION_STAGE
-        vision_each = base._vision_time(system, 1)[0] if include_vision else 0.0
-
-        # The step replays the scheduler's event structure for one aligned
-        # (or offset) frame per stream: issue events keyed by
-        # ``(session_id, index)`` submit each stream's stage to the shared
-        # servers, so an aligned single-step scheduler run reproduces this
-        # mode bit for bit (the same code path prices both).
-        loop = EventLoop()
-        dre_queue = ResourceQueue(name="dre")
-        link_queue = PCIeLinkQueue(device.link)
-        compute_server = PreemptiveResource(
-            loop, "compute", quantum_s=self.quantum_s, priority=PRIO_COMPLETE
+        fleet = {key: sum(row.breakdown[key] for row in rows) for key in _CONTENDED_KEYS}
+        if timesliced:
+            fleet["compute_wait"] = sum(row.compute_wait_s for row in rows)
+            fleet["compute_busy"] = compute_server.busy_s()
+        return BatchStepResult(
+            system=system.name,
+            stage=stage,
+            contention=True,
+            total_s=max(finishes) - min(arrivals) if finishes else 0.0,
+            streams=rows,
+            breakdown=fleet,
+            oom=oom,
+            compute="timesliced" if timesliced else "private",
         )
-        outcomes: list[TimeslicedOutcome | None] = [None] * len(demands)
-
-        for index, (profile, (entry, fetch_layer_s)) in enumerate(
-            zip(profiles, demands, strict=True)
-        ):
-            if entry is None:
-                continue
-            key = (profile.session_id, index)
-            issue = partial(
-                timesliced_issue,
-                loop,
-                compute_server,
-                dre_queue,
-                link_queue,
-                is_vrex=is_vrex,
-                overlaps=overlaps,
-                on_dre=entry.on_dre,
-                compute_s=entry.compute_layer_s * num_layers,
-                prediction_s=entry.prediction_layer_s * num_layers,
-                fetch_s=fetch_layer_s * num_layers,
-                key=key,
-                on_finish=partial(outcomes.__setitem__, index),
-            )
-            loop.schedule(
-                profile.arrival_offset_s + vision_each, issue, priority=PRIO_ISSUE, key=key
-            )
-        loop.run()
-
-        rows: list[StreamStepResult] = []
-        for index, profile in enumerate(profiles):
-            outcome = outcomes[index]
-            if outcome is None:
-                rows.append(_inactive_stream_row(profile))
-                continue
-            rows.append(
-                StreamStepResult(
-                    session_id=profile.session_id,
-                    kv_len=profile.kv_len,
-                    arrival_offset_s=profile.arrival_offset_s,
-                    total_s=vision_each + outcome.latency_s,
-                    breakdown={
-                        "vision": vision_each,
-                        "llm_compute": outcome.compute_s,
-                        "kv_prediction": outcome.exposed_prediction_s,
-                        "kv_fetch": outcome.exposed_fetch_s,
-                        "kv_prediction_raw": outcome.prediction_s,
-                        "kv_fetch_raw": outcome.fetch_s,
-                        "pcie_wait": outcome.pcie_wait_s,
-                        "dre_wait": outcome.dre_wait_s,
-                        "compute_wait": outcome.compute_wait_s,
-                    },
-                    fetch_bytes=demands[index][0].fetch_bytes * num_layers,
-                )
-            )
-
-        return _contended_result(system, stage, rows, oom, compute_server)

@@ -92,7 +92,7 @@ from itertools import count
 
 import numpy as np
 
-from repro.config import require_number
+from repro.config import require_choice, require_number
 from repro.devtools.sanitizer import sanitize_enabled
 from repro.hw.event import Timeline
 from repro.hw.interconnect import FREE_INTERCONNECT, InterconnectLink, InterconnectSpec
@@ -130,11 +130,7 @@ _EV_SWEEP = 2
 
 def validate_router_policy(router: str) -> str:
     """Return ``router`` or raise for a policy the fleet lacks."""
-    if router not in ROUTER_POLICIES:
-        raise ValueError(
-            f"unknown router policy {router!r}; expected one of {ROUTER_POLICIES}"
-        )
-    return router
+    return require_choice("router policy", router, ROUTER_POLICIES)
 
 
 @dataclass(frozen=True)
@@ -203,11 +199,6 @@ class MigrationRecord:
     def wait_s(self) -> float:
         """Queueing delay behind earlier migrations on the link."""
         return self.start_s - self.decision_s
-
-    @property
-    def delay_s(self) -> float:
-        """Arrival clamp the migrated session's re-homed jobs suffered."""
-        return self.finish_s - self.decision_s
 
 
 class _EstimatedJob:

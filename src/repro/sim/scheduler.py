@@ -24,11 +24,12 @@ misses), not a single makespan.
   transfers on the shared PCIe link
   (:class:`repro.hw.memory.pcie.PCIeLinkQueue`), through the *same*
   :func:`repro.sim.batched.contended_issue_timing` /
-  :func:`repro.sim.batched.contended_exposure` helpers as
+  :func:`repro.sim.batched.contended_exposure` helpers (private compute)
+  and the same ``_TimeslicedStage`` machine (time-sliced compute) as
   :meth:`BatchLatencyModel._contended_step` — so in the degenerate
   configuration (every stream's single frame arrives at its profile
   offset, no admission control) the scheduler reproduces the contended
-  batched step *bit for bit*;
+  batched step *bit for bit* under either compute policy;
 * **admission control** drops frames when a stream's backlog exceeds
   ``max_queue_depth`` (upload throttling), or when the residency / energy
   policy's one rule (:func:`admission_decision`) defers them;
@@ -46,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.config import require_number
+from repro.config import require_choice, require_number
 from repro.hw.accelerator import VRexAccelerator
 from repro.hw.event import (
     EventLoop,
@@ -64,13 +65,13 @@ from repro.sim.batched import (
     PRIO_ISSUE,
     PRIO_LINK,
     BatchLatencyModel,
+    ContendedTiming,
     StreamProfile,
     _broadcast_per_stream,
+    _TimeslicedStage,
     contended_exposure,
     contended_issue_timing,
-    timesliced_issue,
     validate_compute_policy,
-    validate_quantum,
 )
 from repro.sim.energy import EnergyInputs
 from repro.sim.jobtable import (
@@ -101,19 +102,8 @@ ENGINES = ("array", "reference")
 
 def validate_engine(engine: str) -> str:
     """Return ``engine`` or raise for an engine the scheduler lacks."""
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-    return engine
+    return require_choice("engine", engine, ENGINES)
 
-#: Event priorities at equal times: completions release stream slots before
-#: new arrivals are admitted; all phase-1 issues (DRE/compute submissions)
-#: precede phase-2 link requests, mirroring the batched plane's phase order
-#: (the values are shared with :mod:`repro.sim.batched` so both planes
-#: produce identical schedules).
-_PRIO_COMPLETE = PRIO_COMPLETE
-_PRIO_ARRIVAL = PRIO_ARRIVAL
-_PRIO_ISSUE = PRIO_ISSUE
-_PRIO_LINK = PRIO_LINK
 
 DEFAULT_PERCENTILES = (50.0, 95.0, 99.0)
 
@@ -132,11 +122,7 @@ ADMIT, EVICT, BACKLOG_DROP, DEFER = "admit", "evict", "backlog", "defer"
 
 def validate_admission_policy(admission: str) -> str:
     """Return ``admission`` or raise for a policy the scheduler lacks."""
-    if admission not in ADMISSION_POLICIES:
-        raise ValueError(
-            f"unknown admission policy {admission!r}; expected one of {ADMISSION_POLICIES}"
-        )
-    return admission
+    return require_choice("admission policy", admission, ADMISSION_POLICIES)
 
 
 @dataclass(frozen=True)
@@ -188,7 +174,7 @@ class SchedulerConfig:
         if self.max_queue_depth is not None:
             require_number("max_queue_depth", self.max_queue_depth, integer=True)
         validate_compute_policy(self.compute)
-        validate_quantum(self.quantum_s)
+        require_number("quantum_s", self.quantum_s, exclusive=True)
         validate_admission_policy(self.admission)
         if self.admission == "residency" and self.deadline_s is None:
             raise ValueError("admission='residency' requires a deadline_s")
@@ -598,7 +584,7 @@ class _Job:
         self.index = index
         self.arrival_s = arrival_s
         self.start_s = arrival_s
-        self.timing: dict | None = None
+        self.timing: ContendedTiming | None = None
         self.pcie_wait_s = 0.0
         self.dre_wait_s = 0.0
         self.compute_wait_s = 0.0
@@ -1038,7 +1024,7 @@ class ServingScheduler:
                 loop,
                 "compute",
                 quantum_s=cfg.quantum_s,
-                priority=_PRIO_COMPLETE,
+                priority=PRIO_COMPLETE,
                 record=False,
             )
             if timesliced
@@ -1124,7 +1110,7 @@ class ServingScheduler:
             loop.schedule(
                 start_s + stage.vision_s,
                 lambda job=job: issue(job),
-                priority=_PRIO_ISSUE,
+                priority=PRIO_ISSUE,
                 key=job.key,
             )
 
@@ -1152,14 +1138,17 @@ class ServingScheduler:
                 * num_layers
             )
 
+        def job_name(job: _Job) -> str:
+            return f"s{profiles[job.stream].session_id}/{job.kind}{job.index}"
+
         def issue(job: _Job) -> None:
             stage = priced[job.stream][job.kind]
             fetch_s = job_fetch_s(job)
+            name = job_name(job)
+            if stage.vision_s > 0:
+                timeline.add(name, f"vision:s{job.stream}", job.start_s, stage.vision_s)
             if timesliced:
-                name = f"s{profiles[job.stream].session_id}/{job.kind}{job.index}"
-                if stage.vision_s > 0:
-                    timeline.add(name, f"vision:s{job.stream}", job.start_s, stage.vision_s)
-                timesliced_issue(
+                _TimeslicedStage(
                     loop,
                     compute_server,
                     dre,
@@ -1171,10 +1160,10 @@ class ServingScheduler:
                     prediction_s=stage.prediction_s,
                     fetch_s=fetch_s,
                     key=job.key,
-                    on_finish=lambda outcome, job=job: resolve_timesliced(job, outcome),
+                    on_finish=lambda resolved, job=job: resolve_timesliced(job, resolved),
                 )
                 return
-            timing = contended_issue_timing(
+            timing = job.timing = contended_issue_timing(
                 is_vrex=is_vrex,
                 overlaps=stage.overlaps,
                 on_dre=stage.on_dre,
@@ -1184,79 +1173,71 @@ class ServingScheduler:
                 fetch_s=fetch_s,
                 dre_queue=dre,
             )
-            job.timing = timing
-            job.dre_wait_s = timing["dre_wait"]
-            name = f"s{profiles[job.stream].session_id}/{job.kind}{job.index}"
-            if stage.vision_s > 0:
-                timeline.add(name, f"vision:s{job.stream}", job.start_s, stage.vision_s)
+            job.dre_wait_s = timing.dre_wait_s
             if stage.compute_s > 0:
-                timeline.add(name, f"compute:s{job.stream}", timing["start"], stage.compute_s)
+                timeline.add(name, f"compute:s{job.stream}", timing.start_s, stage.compute_s)
             if stage.on_dre and stage.prediction_s > 0:
                 timeline.add(
-                    name, "dre", timing["start"] + timing["dre_wait"], stage.prediction_s
+                    name, "dre", timing.start_s + timing.dre_wait_s, stage.prediction_s
                 )
             if stage.fetch_s > 0:
                 loop.schedule(
-                    timing["request"],
+                    timing.request_s,
                     lambda job=job: request_link(job),
-                    priority=_PRIO_LINK,
+                    priority=PRIO_LINK,
                     key=job.key,
                 )
             else:
                 resolve(job, None)
 
-        def resolve_timesliced(job: _Job, outcome) -> None:
-            job.pcie_wait_s = outcome.pcie_wait_s
-            job.dre_wait_s = outcome.dre_wait_s
-            job.compute_wait_s = outcome.compute_wait_s
-            name = f"s{profiles[job.stream].session_id}/{job.kind}{job.index}"
-            if outcome.compute_s > 0:
+        def resolve_timesliced(job: _Job, resolved: _TimeslicedStage) -> None:
+            job.pcie_wait_s = resolved.pcie_wait_s
+            job.dre_wait_s = resolved.dre_wait_s
+            job.compute_wait_s = resolved.compute_wait_s
+            name = job_name(job)
+            if resolved.compute_s > 0:
                 # One span on the shared lane per job; the round-robin slices
                 # of concurrent jobs interleave inside their spans.
                 timeline.add(
                     name,
                     "compute",
-                    outcome.compute_submit_s,
-                    outcome.compute_finish_s - outcome.compute_submit_s,
+                    resolved.compute_submit_s,
+                    resolved.compute_finish_s - resolved.compute_submit_s,
                 )
-            if priced[job.stream][job.kind].on_dre and outcome.prediction_s > 0:
+            if resolved.on_dre and resolved.prediction_s > 0:
                 timeline.add(
                     name,
                     "dre",
-                    outcome.prediction_end_s - outcome.prediction_s,
-                    outcome.prediction_s,
+                    resolved.prediction_end_s - resolved.prediction_s,
+                    resolved.prediction_s,
                 )
-            if outcome.transfer is not None:
+            if resolved.transfer is not None:
                 timeline.add(
-                    name, "pcie", outcome.transfer.start_s, outcome.transfer.service_s
+                    name, "pcie", resolved.transfer.start_s, resolved.transfer.service_s
                 )
-            loop.schedule(
-                outcome.finish_s,
-                lambda job=job, finish_s=outcome.finish_s: finish(job, finish_s),
-                priority=_PRIO_COMPLETE,
-                key=job.key,
-            )
+            schedule_finish(job, resolved.finish_s)
 
         def request_link(job: _Job) -> None:
-            transfer = link.enqueue(loop.now_s, job.timing["fetch_s"])
+            transfer = link.enqueue(loop.now_s, job.timing.fetch_s)
             job.pcie_wait_s = transfer.wait_s
-            name = f"s{profiles[job.stream].session_id}/{job.kind}{job.index}"
-            timeline.add(name, "pcie", transfer.start_s, transfer.service_s)
+            timeline.add(job_name(job), "pcie", transfer.start_s, transfer.service_s)
             resolve(job, transfer)
 
         def resolve(job: _Job, transfer) -> None:
-            stage = priced[job.stream][job.kind]
             latency, _, _ = contended_exposure(
                 is_vrex=is_vrex,
-                overlaps=stage.overlaps,
+                overlaps=priced[job.stream][job.kind].overlaps,
                 timing=job.timing,
                 transfer=transfer,
             )
-            finish_s = job.timing["start"] + latency
+            schedule_finish(job, job.timing.start_s + latency)
+
+        def schedule_finish(job: _Job, finish_s: float) -> None:
+            """Both compute policies end a job the same way: one completion event."""
             loop.schedule(
                 finish_s,
-                lambda job=job, finish_s=finish_s: finish(job, finish_s),
-                priority=_PRIO_COMPLETE,
+                lambda: finish(job, finish_s),
+                priority=PRIO_COMPLETE,
                 key=job.key,
             )
 
@@ -1279,7 +1260,7 @@ class ServingScheduler:
                 loop.schedule(
                     float(arrival),
                     lambda job=job: submit(job),
-                    priority=_PRIO_ARRIVAL,
+                    priority=PRIO_ARRIVAL,
                     key=key,
                 )
             at = question_arrivals[stream]
@@ -1288,7 +1269,7 @@ class ServingScheduler:
                 loop.schedule(
                     float(at),
                     lambda job=job: submit(job),
-                    priority=_PRIO_ARRIVAL,
+                    priority=PRIO_ARRIVAL,
                     key=key,
                 )
         loop.run()

@@ -107,14 +107,6 @@ class TransformerWorkload:
         dram_bytes = self.weight_bytes_per_layer() + kv_read_bytes + activation_bytes
         return KernelCost(flops=flops, dram_bytes=dram_bytes)
 
-    def chunk_cost(self, q_len: int, attended_tokens: int, batch: int = 1) -> KernelCost:
-        """Dense compute cost of the whole backbone for one chunk."""
-        layer = self.layer_cost(q_len, attended_tokens, batch)
-        return KernelCost(
-            flops=layer.flops * self.model.num_layers,
-            dram_bytes=layer.dram_bytes * self.model.num_layers,
-        )
-
     # ------------------------------------------------------------------ #
     # KV prediction costs (the retrieval algorithms' selection work)
     # ------------------------------------------------------------------ #

@@ -631,16 +631,6 @@ class TestTimeline:
         timeline.add("pred", "dre", 1.5, 1.0)
         assert timeline.overlap_s("pred", "attn") == pytest.approx(1.0)
 
-    def test_bandwidth_trace_sums_concurrent_tasks(self):
-        timeline = Timeline()
-        timeline.add("a", "dram", 0.0, 1.0, bandwidth_gbps=10.0)
-        timeline.add("b", "dram", 0.5, 1.0, bandwidth_gbps=5.0)
-        times, usage = timeline.bandwidth_trace(resolution=100)
-        assert usage.max() == pytest.approx(15.0)
-        assert times[-1] == pytest.approx(1.5)
-
     def test_invalid_task(self):
         with pytest.raises(ValueError):
             Timeline().add("a", "x", -1.0, 1.0)
-        with pytest.raises(ValueError):
-            Timeline().bandwidth_trace(resolution=1)

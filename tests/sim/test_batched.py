@@ -2,12 +2,20 @@
 
 from __future__ import annotations
 
+import random
+from functools import partial
+
 import pytest
 
+from repro.hw.event import EventLoop, PreemptiveResource, ResourceQueue
+from repro.hw.memory.pcie import PCIE4_X16, PCIeLink, PCIeLinkQueue
 from repro.model.serving import SessionReport
 from repro.sim.batched import (
+    PRIO_COMPLETE,
+    PRIO_ISSUE,
     BatchLatencyModel,
     StreamProfile,
+    _TimeslicedStage,
     aligned_arrivals,
     profiles_from_reports,
     staggered_arrivals,
@@ -254,6 +262,72 @@ class TestContention:
         )
         assert fleet.total_s >= solo.total_s
         assert fleet.batch == 4
+
+
+#: (finish_s, latency_s, compute_wait_s, pcie_wait_s, exposed_prediction_s,
+#: exposed_fetch_s) per stream, as the ``TimeslicedOutcome`` record the stage
+#: used to copy itself into reported them for the seeded trio below.
+_STAGE_OUTCOMES = {
+    "vrex": (
+        (0.0419259974341174, 0.0419259974341174, 0.025616508596371938, 0.0, 0.0, 0.0),
+        (0.05990620438920948, 0.05990620438920948, 0.025925997434117394, 0.0, 0.017338955202597754, 0.0),
+        (0.1376991676022176, 0.1356991676022176, 0.02000000000000002, 0.026895280723702605, 0.031010923665506875, 0.07507173534033879),
+    ),
+    "gpu_overlap": (
+        (0.07557817285211861, 0.07557817285211861, 0.02698402449066056, 0.0, 0.03228465952371259, 0.0),
+        (0.07526868401437316, 0.07526868401437316, 0.027978448073695657, 0.0, 0.030648984188183168, 0.0),
+        (0.1460634922666882, 0.1440634922666882, 0.020000000000000014, 0.034259605388173194, 0.03201092366550689, 0.08243606000480937),
+    ),
+    "flexgen": (
+        (0.07557817285211861, 0.07557817285211861, 0.02698402449066056, 0.0, 0.03228465952371259, 0.0),
+        (0.17904194034038384, 0.17904194034038384, 0.027978448073695657, 0.06615171146051378, 0.030648984188183168, 0.10377325632601068),
+        (0.14142039547488694, 0.13942039547488694, 0.020000000000000014, 0.0, 0.03201092366550689, 0.07779296321300812),
+    ),
+}
+
+
+class TestTimeslicedStageIsItsOwnOutcome:
+    @pytest.mark.parametrize(
+        "name, is_vrex, overlaps",
+        [("vrex", True, True), ("gpu_overlap", False, True), ("flexgen", False, False)],
+    )
+    def test_on_finish_receives_the_resolved_stage(self, name, is_vrex, overlaps):
+        rng = random.Random(11)
+        loop = EventLoop()
+        server = PreemptiveResource(loop, "compute", quantum_s=1e-3, priority=PRIO_COMPLETE)
+        dre = ResourceQueue("dre")
+        link = PCIeLinkQueue(PCIeLink(PCIE4_X16))
+        resolved = [None] * 3
+        for index in range(3):
+            key = (index, index)
+            begin = partial(
+                _TimeslicedStage,
+                loop,
+                server,
+                dre,
+                link,
+                is_vrex=is_vrex,
+                overlaps=overlaps,
+                on_dre=is_vrex,
+                compute_s=rng.uniform(0.005, 0.03),
+                prediction_s=rng.uniform(0.001, 0.02),
+                fetch_s=rng.uniform(0.02, 0.05) * index,
+                key=key,
+                on_finish=partial(resolved.__setitem__, index),
+            )
+            loop.schedule(0.002 * (index // 2), begin, priority=PRIO_ISSUE, key=key)
+        loop.run()
+        for stage, pinned in zip(resolved, _STAGE_OUTCOMES[name], strict=True):
+            assert isinstance(stage, _TimeslicedStage)
+            assert stage.finish_s == max(stage.compute_finish_s, stage._chain_end_s)
+            assert (
+                stage.finish_s,
+                stage.latency_s,
+                stage.compute_wait_s,
+                stage.pcie_wait_s,
+                stage.exposed_prediction_s,
+                stage.exposed_fetch_s,
+            ) == pytest.approx(pinned, rel=1e-12, abs=1e-15)
 
 
 class TestProfiles:

@@ -172,6 +172,61 @@ class TestContentionInvariants:
                 row.exposed_fetch_s, abs=1e-12
             )
 
+    @given(
+        system_name=systems,
+        profiles=fleets(aligned=False),
+        skipped_offsets=st.lists(
+            st.floats(min_value=0.0, max_value=10.0, allow_nan=False),
+            min_size=1,
+            max_size=3,
+        ),
+        compute=st.sampled_from(("private", "timesliced")),
+    )
+    def test_streams_that_skip_the_step_are_invisible(
+        self, system_name, profiles, skipped_offsets, compute
+    ):
+        """Appending skipped streams moves no active row and no makespan.
+
+        A stream with ``question_tokens=None`` takes no part in the step,
+        so neither its presence nor its arrival offset (earlier or later
+        than every active stream) may show in the result.
+        """
+        system = EDGE[system_name]
+        tokens = [20 + index for index in range(len(profiles))]
+        skipped = [
+            StreamProfile(kv_len=5_000, arrival_offset_s=offset, session_id=100 + index)
+            for index, offset in enumerate(skipped_offsets)
+        ]
+        alone = TIMESLICED.question_step(
+            system, profiles, question_tokens=tokens, compute=compute
+        )
+        padded = TIMESLICED.question_step(
+            system,
+            profiles + skipped,
+            question_tokens=tokens + [None] * len(skipped),
+            compute=compute,
+        )
+        assert padded.total_s == alone.total_s
+        assert padded.streams[: len(profiles)] == alone.streams
+        assert padded.breakdown == alone.breakdown
+        assert all(row.total_s == 0.0 for row in padded.streams[len(profiles) :])
+        first = min(profile.arrival_offset_s for profile in profiles)
+        assert alone.total_s == max(
+            row.arrival_offset_s + row.total_s for row in alone.streams
+        ) - first
+
+    @pytest.mark.parametrize("compute", ("private", "timesliced"))
+    def test_a_step_nobody_takes_part_in_has_no_makespan(self, compute):
+        profiles = [
+            StreamProfile(kv_len=5_000, arrival_offset_s=offset, session_id=index)
+            for index, offset in enumerate((0.0, 5.0))
+        ]
+        step = PLANE.question_step(
+            EDGE["V-Rex8"], profiles, question_tokens=[None, None], compute=compute
+        )
+        assert step.total_s == 0.0
+        assert all(row.total_s == 0.0 for row in step.streams)
+
 
 class TestTimeslicedBracket:
     """The shared-compute mode closes the bracket the private policy left open."""

@@ -14,6 +14,7 @@ from repro.config import (
     StreamingConfig,
     TopKConfig,
     llama3_8b_config,
+    require_choice,
     require_number,
     toy_model_config,
     toy_vision_config,
@@ -23,7 +24,7 @@ from repro.sim.arrivals import BurstyArrivals, PoissonArrivals
 from repro.sim.batched import BatchLatencyModel, StreamProfile
 from repro.sim.fleet import FleetConfig
 from repro.sim.pipeline import MeasuredRetrieval
-from repro.sim.scheduler import SchedulerConfig
+from repro.sim.scheduler import SchedulerConfig, ServingScheduler
 
 
 class TestModelConfig:
@@ -201,3 +202,28 @@ class TestRequireNumber:
         assert fleet.migrate_backlog_s == math.inf
         # an infinite quantum is FCFS: every job runs to completion
         assert SchedulerConfig(compute="timesliced", quantum_s=math.inf).quantum_s == math.inf
+
+
+class TestRequireChoice:
+    """The one membership check behind the named policies, modes and engines."""
+
+    def test_returns_the_value_or_lists_the_choices(self):
+        assert require_choice("mode", "a", ("a", "b")) == "a"
+        with pytest.raises(
+            ValueError, match=r"^unknown mode 'c'; expected one of \('a', 'b'\)$"
+        ):
+            require_choice("mode", "c", ("a", "b"))
+
+    @pytest.mark.parametrize(
+        "construct, wording",
+        [
+            (lambda: SchedulerConfig(compute="shared"), "unknown compute policy 'shared'"),
+            (lambda: BatchLatencyModel(compute="shared"), "unknown compute policy 'shared'"),
+            (lambda: SchedulerConfig(admission="vip"), "unknown admission policy 'vip'"),
+            (lambda: ServingScheduler(engine="gpu"), "unknown engine 'gpu'"),
+            (lambda: FleetConfig(router="random"), "unknown router policy 'random'"),
+        ],
+    )
+    def test_every_named_choice_is_judged_by_it(self, construct, wording):
+        with pytest.raises(ValueError, match=f"^{wording}; expected one of "):
+            construct()
