@@ -9,7 +9,7 @@ End-to-end walkthrough of the fleet plane:
    4-device fleets under round-robin routing and watch the p99 sojourn
    collapse toward the solo-latency floor (the M=1 row is bit-identical
    to the plain ``ServingScheduler`` run — the fleet guarantee);
-3. home every session on device 0 and rebalance across a PCIe5-switch
+3. home every session on device 0 and spread it across a PCIe5-switch
    interconnect: the router ships each migrated session's KV shard
    footprint (hot window + offloaded shards + HC-table signatures) across
    the link, and the session's frames buffer until its shards land;
@@ -80,13 +80,13 @@ def main(num_streams: int = 12) -> None:
         )
     )
 
-    # Rebalancing a loaded device: everyone lives on device 0; moving a
+    # Draining a loaded device: everyone lives on device 0; moving a
     # session means shipping its shard bytes across the interconnect.
     homes = {profile.session_id: 0 for profile in profiles}
     # Patience is measured against the home's *live* backlog (work still
     # queued right now), so "eager" means a fraction of one solo frame
     # sequence, not multiples of a whole session.
-    rebalanced = []
+    homed = []
     for router, patience_s, stealing in (
         ("round_robin", float("inf"), False),
         ("kv_residency", float("inf"), False),
@@ -104,15 +104,15 @@ def main(num_streams: int = 12) -> None:
                 work_stealing=stealing,
             ),
         )
-        rebalanced.append(fleet.run(system, profiles, traces, home_devices=homes))
+        homed.append(fleet.run(system, profiles, traces, home_devices=homes))
     print()
     print(
         format_fleet_table(
-            rebalanced,
-            title="Rebalancing sessions homed on device 0 (PCIe5-switch interconnect)",
+            homed,
+            title="Moving sessions homed on device 0 (PCIe5-switch interconnect)",
         )
     )
-    stubborn, eager, stolen = rebalanced[1], rebalanced[2], rebalanced[3]
+    stubborn, eager, stolen = homed[1], homed[2], homed[3]
     print(
         f"\nkv_residency patience: infinite ships {stubborn.interconnect_bytes / 1e9:.1f} GB "
         f"(p99 {stubborn.fleet_summary().p99_ms:.0f} ms), "

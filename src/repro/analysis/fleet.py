@@ -39,7 +39,6 @@ def fleet_rollup(result, percentiles=DEFAULT_PERCENTILES) -> dict[str, float]:
         "migrations": result.migration_count,
         "placement_migrations": result.placement_migration_count,
         "steals": result.steal_count,
-        "rebalances": result.rebalance_count,
         "jobs_moved": result.jobs_moved,
         "predicted_sheds": result.predicted_sheds,
         "interconnect_bytes": result.interconnect_bytes,
@@ -83,7 +82,6 @@ def format_fleet_table(results, title: str | None = None) -> str:
         "miss %",
         "migrations",
         "steals",
-        "rebal",
         "GB moved",
         "imbalance",
     ]
@@ -101,7 +99,6 @@ def format_fleet_table(results, title: str | None = None) -> str:
                 f"{100.0 * rollup['deadline_miss_rate']:.1f}",
                 int(rollup["migrations"]),
                 int(rollup["steals"]),
-                int(rollup["rebalances"]),
                 f"{rollup['interconnect_bytes'] / 1e9:.2f}",
                 "nan" if math.isnan(rollup["imbalance"]) else f"{rollup['imbalance']:.2f}",
             ]

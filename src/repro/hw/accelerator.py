@@ -7,7 +7,7 @@ from repro.hw.dre.hcu import HCUModel, HCUWork
 from repro.hw.dre.kvmu import KVFetchWork, KVMUModel
 from repro.hw.dre.wtu import WTUModel, WTUWork
 from repro.hw.gpu import pcie_config_for
-from repro.hw.memory.pcie import PCIeLink, PCIeLinkQueue
+from repro.hw.memory.pcie import PCIeLink
 from repro.hw.memory.ssd import SSDModel
 from repro.hw.specs import DeviceSpec, VRexCoreConfig
 
@@ -61,23 +61,6 @@ class VRexAccelerator:
     def fetch_time_s(self, work: KVFetchWork) -> float:
         """KVMU-managed fetch of selected KV entries."""
         return self.kvmu.fetch_time_s(work)
-
-    def fetch_pcie_time_s(self, work: KVFetchWork) -> float:
-        """PCIe stage of a KVMU fetch (for stage-wise batched accounting)."""
-        return self.kvmu.pcie_time_s(work)
-
-    def fetch_ssd_time_s(self, work: KVFetchWork) -> float:
-        """SSD stage of a KVMU fetch (zero on CPU-memory offload targets)."""
-        return self.kvmu.ssd_time_s(work)
-
-    def new_fetch_queue(self) -> PCIeLinkQueue:
-        """A fresh FCFS queue over this instance's PCIe link.
-
-        Concurrent streams' KVMU fetches serialize on the one link; the
-        batched performance plane (and a future serving scheduler) pushes
-        per-stream transfers through this queue to expose their waits.
-        """
-        return PCIeLinkQueue(self.link)
 
     def offload_time_s(self, num_bytes: float) -> float:
         """Streaming write-out of evicted KV entries (hidden behind compute)."""

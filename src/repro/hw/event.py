@@ -123,22 +123,14 @@ class ResourceQueue:
     exclusively for its service time.  Zero-service requests pass through
     without occupying the server.
 
-    ``record=False`` disables the ``served`` retention list — the queue
-    state is then the ``_free_at`` float plus the O(1) busy accumulator,
-    so per-request cost is a single max/add with no list growth.
-    Long-running callers that only consume the returned
-    :class:`QueuedService` (the serving scheduler charges waits per job
-    and never reads ``served``) should disable retention; ``busy_s``
-    works either way.
+    The queue keeps no per-request history: its state is the ``_free_at``
+    float plus the O(1) busy accumulator, so each request costs a single
+    max/add.  Callers consume the returned :class:`QueuedService`.
     """
 
-    def __init__(
-        self, name: str = "resource", record: bool = True, sanitize: bool | None = None
-    ):
+    def __init__(self, name: str = "resource", sanitize: bool | None = None):
         self.name = name
-        self.record = record
         self._free_at = 0.0
-        self.served: list[QueuedService] = []
         self._busy_total_s = 0.0
         self._sanitize = _resolve_sanitize(sanitize)
         self._last_arrival = float("-inf")
@@ -147,13 +139,6 @@ class ResourceQueue:
     def free_at_s(self) -> float:
         """Time at which the server next becomes idle."""
         return self._free_at
-
-    def reset(self) -> None:
-        """Forget all served requests and free the server."""
-        self._free_at = 0.0
-        self.served = []
-        self._busy_total_s = 0.0
-        self._last_arrival = float("-inf")
 
     def enqueue(self, arrival_s: float, service_s: float) -> QueuedService:
         """Admit one request; returns its scheduled service interval."""
@@ -168,24 +153,19 @@ class ResourceQueue:
                 )
             self._last_arrival = arrival_s
         if service_s == 0:
-            request = QueuedService(arrival_s, arrival_s, 0.0)
-            if self.record:
-                self.served.append(request)
-            return request
+            return QueuedService(arrival_s, arrival_s, 0.0)
         start = max(arrival_s, self._free_at)
         request = QueuedService(arrival_s, start, service_s)
         self._free_at = request.finish_s
         self._busy_total_s += service_s
-        if self.record:
-            self.served.append(request)
         return request
 
     def busy_s(self) -> float:
         """Total service time the resource has delivered, O(1).
 
-        Maintained as a running accumulator in ``enqueue`` (grant order),
-        so it is exact — bit-identical to summing ``served`` in order —
-        and available under ``record=False`` too.
+        A running accumulator in ``enqueue`` (grant order), so it is exact
+        — bit-identical to summing the returned services' ``service_s``
+        in order.
         """
         return self._busy_total_s
 

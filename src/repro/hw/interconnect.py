@@ -133,9 +133,10 @@ class InterconnectLink(ResourceQueue):
     Each migration holds the link for its full transfer time; migrations
     decided while the link is busy queue behind it.  ``total_bytes`` and
     ``busy_s()`` are O(1) accumulators (a router may poll them per
-    decision); with ``record=True`` every transfer is retained and
-    :meth:`assert_conserved` pins the accumulators to the retained list
-    bit for bit (both sides accumulate left-to-right in ship order).
+    decision); with ``record=True`` (the default) every transfer is
+    retained in :attr:`transfers` and :meth:`assert_conserved` pins the
+    accumulators to that list bit for bit (both sides accumulate
+    left-to-right in ship order).
     """
 
     def __init__(
@@ -144,8 +145,9 @@ class InterconnectLink(ResourceQueue):
         record: bool = True,
         sanitize: bool | None = None,
     ):
-        super().__init__(name=f"interconnect:{spec.name}", record=record, sanitize=sanitize)
+        super().__init__(name=f"interconnect:{spec.name}", sanitize=sanitize)
         self.spec = spec
+        self.record = record
         self.transfers: list[ShardTransfer] = []
         self.total_bytes = 0.0
         self.num_transfers = 0

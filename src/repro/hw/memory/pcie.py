@@ -9,15 +9,15 @@ by making fetches contiguous.
 
 When several streams share the link, their transfers serialize:
 :class:`PCIeLinkQueue` wraps a link in a FCFS queue so the batched
-performance plane (and a future serving scheduler) can expose the queueing
-delay concurrent aligned fetches suffer.
+performance plane and the serving scheduler can expose the queueing delay
+concurrent aligned fetches suffer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.hw.event import QueuedService, ResourceQueue
+from repro.hw.event import ResourceQueue
 
 
 @dataclass(frozen=True)
@@ -98,12 +98,6 @@ class PCIeLinkQueue(ResourceQueue):
     the batched performance plane charges to aligned frame arrivals.
     """
 
-    def __init__(self, link: PCIeLink, record: bool = True, sanitize: bool | None = None):
-        super().__init__(name=link.config.name, record=record, sanitize=sanitize)
+    def __init__(self, link: PCIeLink, sanitize: bool | None = None):
+        super().__init__(name=link.config.name, sanitize=sanitize)
         self.link = link
-
-    def enqueue_transfer(
-        self, arrival_s: float, num_bytes: float, efficiency: float | None = None
-    ) -> QueuedService:
-        """Admit a transfer of ``num_bytes`` at the given link efficiency."""
-        return self.enqueue(arrival_s, self.link.transfer_time_s(num_bytes, efficiency))

@@ -12,7 +12,8 @@ shared link.
 
 :class:`BatchLatencyModel` consumes per-stream :class:`StreamProfile` rows
 (built from :class:`repro.model.serving.SessionReport` via
-:func:`profiles_from_reports`) and prices a serving step in two modes:
+:func:`profiles_from_reports`) and prices a serving step in two modes,
+chosen per call (every step method takes ``contention`` and ``compute``):
 
 * **batched / no contention** (``contention=False``) — per-stream demands
   are aggregated at the kernel-cost level (weights read once, fixed
@@ -760,19 +761,18 @@ class BatchLatencyModel:
     Wraps a (optionally calibrated) :class:`LatencyModel`; the wrapped
     model's workload, streaming defaults and device cache are reused, its
     global ``measured`` calibration is superseded by each stream's profile.
+    Every step takes its ``contention`` mode and ``compute`` policy per
+    call; the plane itself holds only the time-slicing ``quantum_s`` and
+    the ``memory`` template.
     """
 
     def __init__(
         self,
         base: LatencyModel | None = None,
-        contention: bool = True,
-        compute: str = "private",
         quantum_s: float = DEFAULT_QUANTUM_S,
         memory: ShardedKVHierarchy | None = None,
     ):
         self.base = base or LatencyModel()
-        self.contention = contention
-        self.compute = validate_compute_policy(compute)
         self.quantum_s = float(require_number("quantum_s", quantum_s, exclusive=True))
         #: bank configuration of the memory-aware mode (``None`` prices
         #: fetches on the classic single-channel offload target).  The
@@ -793,8 +793,8 @@ class BatchLatencyModel:
         self,
         system: SystemConfig,
         profiles: Sequence[StreamProfile],
-        contention: bool | None = None,
-        compute: str | None = None,
+        contention: bool = True,
+        compute: str = "private",
     ) -> BatchStepResult:
         """One serving tick: every stream prefills one incoming frame."""
         q_len = self.base.llm.model.tokens_per_frame
@@ -804,8 +804,8 @@ class BatchLatencyModel:
             q_lens=[q_len] * len(profiles),
             stage=FRAME_STAGE,
             include_vision=True,
-            contention=self._mode(contention),
-            compute=self._compute_mode(compute),
+            contention=contention,
+            compute=compute,
         )
 
     def question_step(
@@ -813,8 +813,8 @@ class BatchLatencyModel:
         system: SystemConfig,
         profiles: Sequence[StreamProfile],
         question_tokens: int | Sequence[int | None] | None = None,
-        contention: bool | None = None,
-        compute: str | None = None,
+        contention: bool = True,
+        compute: str = "private",
     ) -> BatchStepResult:
         """Question prefill; per-stream token counts, ``None`` skips a stream."""
         if question_tokens is None:
@@ -829,16 +829,16 @@ class BatchLatencyModel:
             q_lens=q_lens,
             stage=FRAME_STAGE,
             include_vision=False,
-            contention=self._mode(contention),
-            compute=self._compute_mode(compute),
+            contention=contention,
+            compute=compute,
         )
 
     def generation_step(
         self,
         system: SystemConfig,
         profiles: Sequence[StreamProfile],
-        contention: bool | None = None,
-        compute: str | None = None,
+        contention: bool = True,
+        compute: str = "private",
     ) -> BatchStepResult:
         """Time per output token while every stream decodes concurrently."""
         return self._batched_step(
@@ -847,8 +847,8 @@ class BatchLatencyModel:
             q_lens=[1] * len(profiles),
             stage=GENERATION_STAGE,
             include_vision=False,
-            contention=self._mode(contention),
-            compute=self._compute_mode(compute),
+            contention=contention,
+            compute=compute,
         )
 
     def scenario_estimates(
@@ -857,8 +857,8 @@ class BatchLatencyModel:
         profiles: Sequence[StreamProfile],
         frames: int | Sequence[int] | None = None,
         answer_tokens: int | Sequence[int] | None = None,
-        contention: bool | None = None,
-        compute: str | None = None,
+        contention: bool = True,
+        compute: str = "private",
     ) -> list[StreamScenarioEstimate]:
         """Per-stream end-to-end estimates at the current fleet composition.
 
@@ -874,11 +874,9 @@ class BatchLatencyModel:
         answers_per_stream = self._per_stream_counts(
             answer_tokens, self.base.streaming.answer_tokens, len(profiles), "answer_tokens"
         )
-        mode = self._mode(contention)
-        policy = self._compute_mode(compute)
-        frame = self.frame_step(system, profiles, contention=mode, compute=policy)
-        question = self.question_step(system, profiles, contention=mode, compute=policy)
-        generation = self.generation_step(system, profiles, contention=mode, compute=policy)
+        frame = self.frame_step(system, profiles, contention=contention, compute=compute)
+        question = self.question_step(system, profiles, contention=contention, compute=compute)
+        generation = self.generation_step(system, profiles, contention=contention, compute=compute)
         estimates = []
         for index, profile in enumerate(profiles):
             frame_row = frame.streams[index]
@@ -901,12 +899,6 @@ class BatchLatencyModel:
     # ------------------------------------------------------------------ #
     # internals
     # ------------------------------------------------------------------ #
-    def _mode(self, contention: bool | None) -> bool:
-        return self.contention if contention is None else contention
-
-    def _compute_mode(self, compute: str | None) -> str:
-        return self.compute if compute is None else validate_compute_policy(compute)
-
     @staticmethod
     def _per_stream_counts(value, default: int, num_streams: int, name: str) -> list[int]:
         if value is None:
@@ -1118,8 +1110,10 @@ class BatchLatencyModel:
         stage: str,
         include_vision: bool,
         contention: bool,
-        compute: str = "private",
+        compute: str,
     ) -> BatchStepResult:
+        require_choice("contention", contention, (False, True))
+        validate_compute_policy(compute)
         if not profiles:
             raise ValueError("a batched step needs at least one stream profile")
         memory = self._memory_for(system, profiles)

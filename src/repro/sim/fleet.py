@@ -8,7 +8,7 @@ exactly as a single-device run would build) — joined by a priced
 inter-device link (:class:`~repro.hw.interconnect.InterconnectLink`), with
 a front-end router that *places* each session on a device as its first
 job arrives and — when enabled — re-homes sessions mid-run by work
-stealing and periodic rebalancing sweeps.
+stealing.
 
 **Routing policies.**  The router processes job arrivals in event order
 (ties broken by the schedulers' ``(session_id, stream)`` event key) and
@@ -54,14 +54,8 @@ nowhere to steal from: one device has no distinct victim, a session
 mid-transfer is never re-stolen, and symmetric backlogs never exceed a
 strictly-positive threshold gap.
 
-**Rebalancing sweeps.**  With a finite ``rebalance_interval_s``, the
-router additionally sweeps every ``rebalance_interval_s`` seconds and
-re-homes any session whose current device's backlog exceeds the
-least-loaded device's by more than ``rebalance_hysteresis_s`` — the
-periodic, hysteresis-damped complement to the purely reactive steal path.
-
 **Migration pricing.**  A session placed *off* its home device — at
-placement, by a steal, or by a sweep — must ship its whole shard
+placement or by a steal — must ship its whole shard
 footprint — hot window, offloaded KV shards, HC-table signatures, the
 exact bytes :meth:`BatchLatencyModel.session_shard_bytes` says
 registration installs — across the interconnect, FCFS behind other
@@ -77,8 +71,8 @@ routes every session to device 0 with no migration, no clamping, no RNG
 draw and no work estimation — the one device run *is* a plain
 :class:`~repro.sim.scheduler.ServingScheduler` run, bit for bit (records,
 timeline, summaries, event count), under both engines and regardless of
-the steal/rebalance knobs (with one device there is never a distinct
-victim).  The fleet equivalence suite pins it.
+the steal knobs (with one device there is never a distinct victim).  The
+fleet equivalence suite pins it.
 """
 
 from __future__ import annotations
@@ -114,18 +108,16 @@ from repro.sim.systems import SystemConfig
 #: Session-placement policies of the fleet router.
 ROUTER_POLICIES = ("round_robin", "least_loaded", "power_of_two", "kv_residency")
 
-#: :attr:`MigrationRecord.reason` values: shipped at first placement, by a
-#: work steal, or by a rebalancing sweep.
+#: :attr:`MigrationRecord.reason` values: shipped at first placement or by
+#: a work steal.
 MIGRATE_PLACEMENT = "placement"
 MIGRATE_STEAL = "steal"
-MIGRATE_REBALANCE = "rebalance"
-MIGRATION_REASONS = (MIGRATE_PLACEMENT, MIGRATE_STEAL, MIGRATE_REBALANCE)
+MIGRATION_REASONS = (MIGRATE_PLACEMENT, MIGRATE_STEAL)
 
 # routing-pass event types, in same-timestamp processing order: job
-# arrivals route first, then idle devices steal, then the sweep runs
+# arrivals route first, then idle devices steal
 _EV_JOB = 0
 _EV_IDLE = 1
-_EV_SWEEP = 2
 
 
 def validate_router_policy(router: str) -> str:
@@ -147,11 +139,9 @@ class FleetConfig:
     estimated backlog drains to zero pulls the deepest-queued session
     from the most-backlogged device, but only while that victim's backlog
     exceeds ``steal_backlog_s`` (raise it to damp stealing; ``inf``
-    disables it as surely as ``work_stealing=False``).  A finite
-    ``rebalance_interval_s`` arms periodic sweeps that re-home any
-    session whose current-vs-best backlog gap exceeds
-    ``rebalance_hysteresis_s``.  Both paths pay the full shard transfer
-    per move and are structurally inert at ``num_devices == 1``.
+    disables it as surely as ``work_stealing=False``).  Every steal pays
+    the full shard transfer and stealing is structurally inert at
+    ``num_devices == 1``.
     """
 
     num_devices: int = 1
@@ -161,16 +151,14 @@ class FleetConfig:
     migrate_backlog_s: float = math.inf
     work_stealing: bool = False
     steal_backlog_s: float = 0.0
-    rebalance_interval_s: float = math.inf
-    rebalance_hysteresis_s: float = 0.0
 
     def __post_init__(self) -> None:
         require_number("num_devices", self.num_devices, 1, integer=True)
         validate_router_policy(self.router)
+        require_number("seed", self.seed, integer=True)
         require_number("migrate_backlog_s", self.migrate_backlog_s)
+        require_choice("work_stealing", self.work_stealing, (False, True))
         require_number("steal_backlog_s", self.steal_backlog_s)
-        require_number("rebalance_interval_s", self.rebalance_interval_s, exclusive=True)
-        require_number("rebalance_hysteresis_s", self.rebalance_hysteresis_s)
 
 
 @dataclass(frozen=True)
@@ -178,10 +166,10 @@ class MigrationRecord:
     """One session's shard footprint shipped between devices.
 
     ``reason`` says why (:data:`MIGRATION_REASONS`): placed off its home
-    at first arrival, pulled by an idle device's work steal, or re-homed
-    by a rebalancing sweep.  ``jobs_moved`` counts the queued job
-    estimates that re-homed with the shards — zero for placement
-    migrations, where the whole session moves before any job runs.
+    at first arrival, or pulled by an idle device's work steal.
+    ``jobs_moved`` counts the queued job estimates that re-homed with the
+    shards — zero for placement migrations, where the whole session moves
+    before any job runs.
     """
 
     session_id: int
@@ -317,15 +305,6 @@ class FleetDevice:
             if job.start_s > now_s:
                 totals[job.session] = totals.get(job.session, 0.0) + job.work_s
         return totals
-
-    def unstarted_s(self, session: int, now_s: float) -> float:
-        """Unstarted estimated work of one session at ``now_s``."""
-        self.advance(now_s)
-        total = 0.0
-        for job in self.queue:
-            if job.session == session and job.start_s > now_s:
-                total += job.work_s
-        return total
 
     def remove_unstarted(self, session: int, now_s: float) -> list[_EstimatedJob]:
         """Hand back the session's unstarted jobs; compact the server.
@@ -475,12 +454,15 @@ class FleetResult(RecordViews):
 
     @property
     def rebalance_count(self) -> int:
-        """Sessions re-homed by a rebalancing sweep."""
-        return sum(1 for m in self.migrations if m.reason == MIGRATE_REBALANCE)
+        """Always 0: the fleet has no rebalancing sweeps.
+
+        Kept only because the end-to-end harness reports it.
+        """
+        return 0
 
     @property
     def jobs_moved(self) -> int:
-        """Queued job estimates re-homed by steals and sweeps."""
+        """Queued job estimates re-homed by steals."""
         return sum(m.jobs_moved for m in self.migrations)
 
     @property
@@ -643,10 +625,9 @@ class FleetScheduler:
         ``home_devices`` maps session ids to the device already holding
         their shards (e.g. the previous run's :attr:`FleetResult.placement`);
         sessions without an entry are new — placing them anywhere is free.
-        A session re-homed off its shard-holding device (at placement, by
-        a steal, or by a sweep) ships its shard bytes across the
-        interconnect and its re-homed jobs' arrivals clamp to the
-        transfer finish.
+        A session re-homed off its shard-holding device (at placement or
+        by a steal) ships its shard bytes across the interconnect and its
+        re-homed jobs' arrivals clamp to the transfer finish.
         """
         profiles, traces, q_arrivals, q_tokens, answers = (
             self.scheduler._validated_arguments(
@@ -703,11 +684,12 @@ class FleetScheduler:
                 for s in streams_d:
                     idxs = by_stream[s]
                     release = np.maximum(traces[s][idxs], plan.frame_ready[s][idxs])
-                    # a sweep can hand a session's older unstarted frames
-                    # back to a device that already ran later ones, so
-                    # release order is not always frame order: the device
-                    # sees the frames as they are released (stable — the
-                    # identity whenever the clamped arrivals are monotone)
+                    # a predicted-shed frame stays where it was routed, and
+                    # a steal can later hand the session's older queued
+                    # frames back to that device, so release order is not
+                    # always frame order: the device sees the frames as
+                    # they are released (stable — the identity whenever
+                    # the clamped arrivals are monotone)
                     order = np.argsort(release, kind="stable")
                     frame_maps.append(idxs[order])
                     sub_traces.append(release[order])
@@ -767,22 +749,20 @@ class FleetScheduler:
         answers: list[int],
         homes: dict[int, int],
     ) -> _RoutingPlan:
-        """Simulate the router: per-job placement, steals, sweeps.
+        """Simulate the router: per-job placement and steals.
 
-        A three-priority event loop over estimated time: job arrivals
-        route (and feed the device estimators), idle-device wakeups run
-        the steal check, and sweep ticks run the rebalancer.  Ties at one
-        timestamp process arrivals first, then steals by device index,
-        then the sweep — all deterministic.
+        A two-priority event loop over estimated time: job arrivals route
+        (and feed the device estimators), and idle-device wakeups run the
+        steal check.  Ties at one timestamp process arrivals first, then
+        steals by device index — all deterministic.
         """
         fleet = self.fleet
         config = self.config
         num_streams = len(profiles)
         num_devices = fleet.num_devices
         stealing = fleet.work_stealing and num_devices > 1
-        sweeping = num_devices > 1 and math.isfinite(fleet.rebalance_interval_s)
         need_estimates = num_devices > 1 and (
-            fleet.router != "round_robin" or stealing or sweeping
+            fleet.router != "round_robin" or stealing
         )
         rng = (
             np.random.default_rng(fleet.seed)
@@ -806,7 +786,6 @@ class FleetScheduler:
             question_ready=[0.0] * num_streams,
         )
         current = plan.current
-        profile_of = {profiles[s].session_id: profiles[s] for s in range(num_streams)}
         stream_of = {profiles[s].session_id: s for s in range(num_streams)}
         session_ready: dict[int, float] = {}
         last_move: dict[int, float] = {}
@@ -824,7 +803,6 @@ class FleetScheduler:
                 pos = int(np.searchsorted(traces[s], float(at), side="right"))
                 entries.insert(pos, (float(at), QUESTION_JOB, 0))
             stream_jobs.append(entries)
-        remaining_jobs = sum(len(entries) for entries in stream_jobs)
         # each routed stream's estimated solo work per job, priced once per
         # run: questions and generation tokens are charged at the frame rate
         # — the router needs a consistent load ranking across devices, not
@@ -850,92 +828,44 @@ class FleetScheduler:
                         (s, 0),
                     ),
                 )
-        if sweeping:
-            heappush(
-                heap,
-                (fleet.rebalance_interval_s, _EV_SWEEP, (), next(seq), None),
-            )
-
-        def movable(session: int, now_s: float) -> bool:
-            # a session mid-transfer is never re-stolen, and one move per
-            # session per timestamp (no same-instant ping-pong over a
-            # free interconnect)
-            if session_ready.get(session, 0.0) > now_s:
-                return False
-            moved = last_move.get(session)
-            return moved is None or moved < now_s
 
         def wake_idle(now_s: float) -> None:
             for dev in devices:
                 if dev.backlog_s(now_s) <= 0.0:
                     heappush(heap, (now_s, _EV_IDLE, (dev.index,), next(seq), dev.index))
 
-        def rehome(
-            session: int,
-            src: FleetDevice,
-            dst: FleetDevice,
-            now_s: float,
-            reason: str,
-        ) -> None:
-            stolen = src.remove_unstarted(session, now_s)
-            profile = profile_of[session]
-            shards = self.plane.session_shard_bytes(system, profile)
+        def ship(
+            s: int, src: int, dst: int, now_s: float, reason: str, jobs_moved: int = 0
+        ) -> float:
+            """Move stream ``s``'s session to ``dst``; returns when its shards land."""
+            session = profiles[s].session_id
+            num_bytes = self.plane.session_shard_bytes(system, profiles[s]).total_bytes
             transfer = link.ship(
                 now_s,
-                shards.total_bytes,
+                num_bytes,
                 session_id=session,
-                src_device=src.index,
-                dst_device=dst.index,
+                src_device=src,
+                dst_device=dst,
                 not_before_s=session_ready.get(session, 0.0),
             )
-            ready = transfer.finish_s
-            session_ready[session] = ready
-            current[session] = dst.index
+            session_ready[session] = transfer.finish_s
+            current[session] = dst
             last_move[session] = now_s
-            for job in stolen:
-                dst.add_job(session, job.stream, job.kind, job.index, ready, job.work_s)
-                if job.kind == FRAME_JOB:
-                    plan.frame_device[job.stream][job.index] = dst.index
-                    plan.frame_ready[job.stream][job.index] = ready
-                else:
-                    plan.question_device[job.stream] = dst.index
-                    plan.question_ready[job.stream] = ready
             migrations.append(
                 MigrationRecord(
                     session_id=session,
-                    stream_index=stream_of[session],
-                    src_device=src.index,
-                    dst_device=dst.index,
-                    num_bytes=shards.total_bytes,
+                    stream_index=s,
+                    src_device=src,
+                    dst_device=dst,
+                    num_bytes=num_bytes,
                     decision_s=now_s,
                     start_s=transfer.start_s,
                     finish_s=transfer.finish_s,
                     reason=reason,
-                    jobs_moved=len(stolen),
+                    jobs_moved=jobs_moved,
                 )
             )
-            if stealing:
-                heappush(
-                    heap,
-                    (
-                        max(src.busy_until_s, now_s),
-                        _EV_IDLE,
-                        (src.index,),
-                        next(seq),
-                        src.index,
-                    ),
-                )
-                heappush(
-                    heap,
-                    (
-                        max(dst.busy_until_s, now_s),
-                        _EV_IDLE,
-                        (dst.index,),
-                        next(seq),
-                        dst.index,
-                    ),
-                )
-                wake_idle(now_s)
+            return transfer.finish_s
 
         def try_steal(thief: FleetDevice, now_s: float) -> None:
             if thief.backlog_s(now_s) > 0.0:
@@ -953,40 +883,35 @@ class FleetScheduler:
             totals = victim.unstarted_by_session(now_s)
             best = None
             for session in sorted(totals):
-                if not movable(session, now_s):
+                # a session mid-transfer is never re-stolen, and one move per
+                # session per timestamp (no same-instant ping-pong over a
+                # free interconnect)
+                if session_ready.get(session, 0.0) > now_s:
+                    continue
+                if last_move.get(session, -math.inf) >= now_s:
                     continue
                 if best is None or totals[session] > totals[best]:
                     best = session
             if best is None:
                 return
-            rehome(best, victim, thief, now_s, MIGRATE_STEAL)
-
-        def sweep(now_s: float) -> None:
-            for session in sorted(current):
-                if not movable(session, now_s):
-                    continue
-                src = devices[current[session]]
-                if src.unstarted_s(session, now_s) <= 0.0:
-                    continue
-                best = min(devices, key=lambda dev: (dev.backlog_s(now_s), dev.index))
-                if best.index == src.index:
-                    continue
-                gap = src.backlog_s(now_s) - best.backlog_s(now_s)
-                if gap > fleet.rebalance_hysteresis_s:
-                    rehome(session, src, best, now_s, MIGRATE_REBALANCE)
-            if remaining_jobs > 0 or any(
-                dev.backlog_s(now_s) > 0.0 for dev in devices
-            ):
+            stolen = victim.remove_unstarted(best, now_s)
+            ready = ship(
+                stream_of[best], victim.index, thief.index, now_s, MIGRATE_STEAL, len(stolen)
+            )
+            for job in stolen:
+                thief.add_job(best, job.stream, job.kind, job.index, ready, job.work_s)
+                if job.kind == FRAME_JOB:
+                    plan.frame_device[job.stream][job.index] = thief.index
+                    plan.frame_ready[job.stream][job.index] = ready
+                else:
+                    plan.question_device[job.stream] = thief.index
+                    plan.question_ready[job.stream] = ready
+            for dev in (victim, thief):
                 heappush(
                     heap,
-                    (
-                        now_s + fleet.rebalance_interval_s,
-                        _EV_SWEEP,
-                        (),
-                        next(seq),
-                        None,
-                    ),
+                    (max(dev.busy_until_s, now_s), _EV_IDLE, (dev.index,), next(seq), dev.index),
                 )
+            wake_idle(now_s)
 
         while heap:
             now_s, etype, _key, _seq, payload = heappop(heap)
@@ -1006,30 +931,7 @@ class FleetScheduler:
                         rr_next += 1
                     current[session] = d
                     if home is not None and d != home:
-                        shards = self.plane.session_shard_bytes(system, profile)
-                        transfer = link.ship(
-                            arrival,
-                            shards.total_bytes,
-                            session_id=session,
-                            src_device=home,
-                            dst_device=d,
-                        )
-                        session_ready[session] = transfer.finish_s
-                        last_move[session] = arrival
-                        migrations.append(
-                            MigrationRecord(
-                                session_id=session,
-                                stream_index=s,
-                                src_device=home,
-                                dst_device=d,
-                                num_bytes=shards.total_bytes,
-                                decision_s=arrival,
-                                start_s=transfer.start_s,
-                                finish_s=transfer.finish_s,
-                                reason=MIGRATE_PLACEMENT,
-                                jobs_moved=0,
-                            )
-                        )
+                        ship(s, home, d, arrival, MIGRATE_PLACEMENT)
                 ready = session_ready.get(session, 0.0)
                 release = arrival if ready <= arrival else ready
                 if kind == FRAME_JOB:
@@ -1058,7 +960,6 @@ class FleetScheduler:
                                 ),
                             )
                             wake_idle(now_s)
-                remaining_jobs -= 1
                 cursor += 1
                 if cursor < len(stream_jobs[s]):
                     heappush(
@@ -1071,10 +972,8 @@ class FleetScheduler:
                             (s, cursor),
                         ),
                     )
-            elif etype == _EV_IDLE:
-                try_steal(devices[payload], now_s)
             else:
-                sweep(now_s)
+                try_steal(devices[payload], now_s)
 
         # idle sessions only need a home for their registration; they
         # consume round-robin slots after every arriving session, exactly

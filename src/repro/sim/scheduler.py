@@ -1016,8 +1016,8 @@ class ServingScheduler:
         num_streams = len(profiles)
 
         loop = EventLoop()
-        dre = ResourceQueue("dre", record=False)
-        link = PCIeLinkQueue(device.link, record=False)
+        dre = ResourceQueue("dre")
+        link = PCIeLinkQueue(device.link)
         timesliced = cfg.compute == "timesliced"
         compute_server = (
             PreemptiveResource(

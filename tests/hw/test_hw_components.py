@@ -481,18 +481,13 @@ class TestResourceQueues:
         with pytest.raises(ValueError):
             queue.enqueue(0.0, -1.0)
 
-    def test_reset(self):
-        queue = ResourceQueue()
-        queue.enqueue(0.0, 1.0)
-        queue.reset()
-        assert queue.free_at_s == 0.0 and queue.served == []
-
     def test_pcie_link_queue_serializes_transfers(self):
         link = PCIeLink(PCIE3_X4)
         queue = PCIeLinkQueue(link)
         service = link.transfer_time_s(1e9)
-        first = queue.enqueue_transfer(0.0, 1e9)
-        second = queue.enqueue_transfer(0.0, 1e9)
+        first = queue.enqueue(0.0, service)
+        second = queue.enqueue(0.0, service)
+        assert queue.name == PCIE3_X4.name and queue.link is link
         assert first.service_s == pytest.approx(service)
         assert second.wait_s == pytest.approx(service)
         assert second.sojourn_s == pytest.approx(2 * service)
@@ -519,16 +514,6 @@ class TestResourceQueues:
         total = ssd.read_time_s(1e8, sequential_fraction=0.5)
         occupancy = ssd.read_occupancy_s(1e8, sequential_fraction=0.5)
         assert total == pytest.approx(occupancy + ssd.config.read_latency_us * 1e-6)
-
-    def test_accelerator_fetch_queue(self):
-        device = VRexAccelerator(VREX8)
-        queue = device.new_fetch_queue()
-        assert isinstance(queue, PCIeLinkQueue)
-        assert queue.link is device.link
-        work = KVFetchWork(total_bytes=1e7, mean_contiguous_bytes=8192.0, from_ssd=True)
-        assert device.fetch_time_s(work) == pytest.approx(
-            max(device.fetch_pcie_time_s(work), device.fetch_ssd_time_s(work))
-        )
 
 
 class TestEventLoop:

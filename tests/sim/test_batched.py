@@ -155,6 +155,23 @@ class TestBatchedEquivalence:
 
 
 class TestContention:
+    @pytest.mark.parametrize(
+        "step", ["frame_step", "question_step", "generation_step", "scenario_estimates"]
+    )
+    def test_every_step_takes_its_modes_per_call(self, plane, edge, step):
+        """Each public step prices the mode it is called with and rejects a
+        truthy non-bool ``contention`` rather than reading it as "on"."""
+        profiles = [StreamProfile(kv_len=40_000, session_id=i) for i in range(4)]
+        price = getattr(plane, step)
+        with pytest.raises(ValueError, match="^unknown contention 'no'"):
+            price(edge["V-Rex8"], profiles, contention="no")
+        with pytest.raises(ValueError, match="^unknown compute policy 'shared'"):
+            price(edge["V-Rex8"], profiles, compute="shared")
+        if step != "scenario_estimates":
+            assert price(edge["V-Rex8"], profiles).contention is True
+            assert price(edge["V-Rex8"], profiles, contention=False).contention is False
+            assert price(edge["V-Rex8"], profiles, compute="timesliced").compute == "timesliced"
+
     def test_aligned_exposed_fetch_strictly_increases(self, plane, edge):
         """Acceptance: more aligned streams -> more exposed fetch on the edge."""
         system = edge["AGX + FlexGen"]

@@ -61,8 +61,8 @@ from repro.sim.workload import default_llm_workload
 
 PLANE = BatchLatencyModel()
 QUANTUM_S = 2e-3
-TIMESLICED = BatchLatencyModel(compute="timesliced", quantum_s=QUANTUM_S)
-FINE = BatchLatencyModel(compute="timesliced", quantum_s=QUANTUM_S / 4)
+TIMESLICED = BatchLatencyModel(quantum_s=QUANTUM_S)
+FINE = BatchLatencyModel(quantum_s=QUANTUM_S / 4)
 EDGE = edge_systems(default_llm_workload().model_bytes())
 SYSTEM_NAMES = ("V-Rex8", "AGX + FlexGen", "AGX + InfiniGen", "AGX + ReKV")
 

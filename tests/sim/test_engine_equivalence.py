@@ -265,8 +265,8 @@ class TestCostFollowsDecisions:
             return fired
 
         monkeypatch.setattr(EventLoop, "run", counted_run)
-        plane = BatchLatencyModel(compute="timesliced", quantum_s=quantum_s)
-        plane.frame_step(system, _fleet([40_000] * 16))
+        plane = BatchLatencyModel(quantum_s=quantum_s)
+        plane.frame_step(system, _fleet([40_000] * 16), compute="timesliced")
         monkeypatch.setattr(EventLoop, "run", run)
         ((fired, logical),) = counts
         return fired, logical

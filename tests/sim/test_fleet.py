@@ -6,8 +6,8 @@ verified superset:
 * **degenerate case** — a single-device fleet over the free interconnect
   reproduces a plain :class:`ServingScheduler` run *bit for bit* (records,
   timeline tasks, summaries, event count) across hypothesis-generated
-  workloads, admission configs, both engines AND the steal/rebalance
-  knobs (stealing must be provably inert with nowhere to steal from);
+  workloads, admission configs, both engines AND the steal knobs
+  (stealing must be provably inert with nowhere to steal from);
 * **backlog accounting** — :meth:`FleetDevice.backlog_s` is property-
   pinned against :meth:`PreemptiveResource.backlog_s` (remaining work in
   a work-conserving single server is discipline-invariant), and a
@@ -18,10 +18,12 @@ verified superset:
   with provably distinct candidates (M=2 reduces to ``least_loaded``
   exactly), and ``kv_residency`` never ships more shard bytes than a
   load-blind router on a residency-skewed population;
-* **work stealing / rebalancing** — no steal fires at steady state, an
-  infinite threshold is bit-inert, and a seeded imbalanced run strictly
-  improves p99 with stolen jobs accounted once each at their original
-  arrivals;
+* **work stealing** — no steal fires at steady state, an infinite
+  threshold is bit-inert, a seeded imbalanced run strictly improves p99
+  with stolen jobs accounted once each at their original arrivals, and a
+  property suite over steal-only fleets pins one record per job, shipped
+  bytes = migrated bytes, and every device's frame sub-trace already in
+  release order;
 * **golden fleet runs** — one seeded bursty M=4 one-shot run and one
   seeded steal run over a PCIe5-switch interconnect, pinned exactly
   (percentiles, migration counts, shipped bytes, placement) under both
@@ -42,7 +44,7 @@ from repro.hw.interconnect import FREE_INTERCONNECT, PCIE5_SWITCH, InterconnectS
 from repro.sim.arrivals import BurstyArrivals, PoissonArrivals, rate_for_load
 from repro.sim.batched import BatchLatencyModel, StreamProfile
 from repro.sim.fleet import (
-    MIGRATE_REBALANCE,
+    MIGRATE_PLACEMENT,
     MIGRATE_STEAL,
     ROUTER_POLICIES,
     FleetConfig,
@@ -125,7 +127,6 @@ class TestSingleDeviceBitExact:
         router=st.sampled_from(ROUTER_POLICIES),
         stealing=st.booleans(),
         steal_backlog=st.sampled_from([0.0, 0.5]),
-        rebalance_interval=st.sampled_from([None, 0.25]),
     )
     def test_single_device_matches_scheduler(
         self,
@@ -142,7 +143,6 @@ class TestSingleDeviceBitExact:
         router,
         stealing,
         steal_backlog,
-        rebalance_interval,
     ):
         plane = BatchLatencyModel()
         system = edge["V-Rex8"]
@@ -182,9 +182,6 @@ class TestSingleDeviceBitExact:
                 router=router,
                 work_stealing=stealing,
                 steal_backlog_s=steal_backlog,
-                rebalance_interval_s=(
-                    math.inf if rebalance_interval is None else rebalance_interval
-                ),
             ),
             engine=engine,
         ).run(system, profiles, traces, **kwargs)
@@ -242,15 +239,6 @@ class TestValidation:
     def test_negative_steal_threshold_rejected(self):
         with pytest.raises(ValueError, match="steal_backlog_s"):
             FleetConfig(steal_backlog_s=-0.1)
-
-    @pytest.mark.parametrize("interval", [0.0, -1.0, math.nan])
-    def test_bad_rebalance_interval_rejected(self, interval):
-        with pytest.raises(ValueError, match="rebalance_interval_s"):
-            FleetConfig(rebalance_interval_s=interval)
-
-    def test_negative_hysteresis_rejected(self):
-        with pytest.raises(ValueError, match="rebalance_hysteresis_s"):
-            FleetConfig(rebalance_hysteresis_s=-0.5)
 
     def test_home_for_unknown_session_rejected(self, edge):
         plane = BatchLatencyModel()
@@ -649,10 +637,9 @@ class TestGoldenFleet:
         assert result.makespan_s == pytest.approx(expected["makespan_s"], rel=1e-12)
         assert result.placement == expected["placement"]
         assert result.predicted_sheds == expected["predicted_sheds"]
-        # no stealing/rebalancing configured: every migration is placement
+        # no stealing configured: every migration is placement
         assert result.placement_migration_count == result.migration_count
         assert result.steal_count == 0
-        assert result.rebalance_count == 0
         # every task in the merged timeline is device-prefixed
         assert all(
             task.resource.partition(":")[0] in {"d0", "d1", "d2", "d3"}
@@ -778,7 +765,7 @@ class TestWorkStealing:
     def _imbalanced(self, edge, engine="array", **knobs):
         """All sessions homed on device 0 with infinite migration patience:
         the one-shot router never leaves home, so devices 1-3 start idle
-        and only stealing/rebalancing can use them."""
+        and only stealing can use them."""
         plane = BatchLatencyModel()
         system = edge["V-Rex8"]
         profiles = _profiles([40_000] * 8)
@@ -903,90 +890,172 @@ class TestWorkStealing:
         )
 
 
-class TestRebalancing:
-    def test_sweep_rehomes_overloaded_sessions(self, edge):
-        plane = BatchLatencyModel()
-        system = edge["V-Rex8"]
-        profiles = _profiles([40_000] * 8)
-        solo = plane.frame_step(system, profiles[:1]).streams[0].total_s
-        traces = PoissonArrivals(rate_hz=rate_for_load(1.2, solo, 8)).generate(
-            8, 6, seed=0
-        )
-        config = SchedulerConfig(deadline_s=3.0 * solo, max_queue_depth=8)
+def _steal_run(
+    edge,
+    seed,
+    num_devices,
+    router,
+    steal_x,
+    migrate_x,
+    depth,
+    priced,
+    num_streams,
+    frames,
+    load,
+    home_devices,
+    answer_tokens,
+):
+    """One steal-only fleet run, plus the routing plan its devices ran."""
+    plane = BatchLatencyModel()
+    system = edge["V-Rex8"]
+    rng = np.random.default_rng(seed)
+    profiles = _profiles([int(kv) for kv in rng.integers(10_000, 60_001, num_streams)])
+    solo = plane.frame_step(system, profiles[:1]).streams[0].total_s
+    traces = BurstyArrivals.for_mean_rate(
+        rate_for_load(load * num_devices, solo, num_streams)
+    ).generate(num_streams, frames, seed=seed)
+    question_arrivals = [float(trace[-1]) for trace in traces]
+    fleet = FleetScheduler(
+        plane,
+        SchedulerConfig(deadline_s=3.0 * solo, max_queue_depth=depth),
+        FleetConfig(
+            num_devices=num_devices,
+            router=router,
+            interconnect=PCIE5_SWITCH if priced else FREE_INTERCONNECT,
+            seed=seed,
+            migrate_backlog_s=migrate_x * solo,
+            work_stealing=True,
+            steal_backlog_s=steal_x * solo,
+        ),
+    )
+    result = fleet.run(
+        system,
+        profiles,
+        traces,
+        question_arrivals=question_arrivals,
+        answer_tokens=answer_tokens,
+        home_devices=home_devices,
+    )
+    profiles, traces, q_arrivals, _, answers = fleet.scheduler._validated_arguments(
+        profiles, traces, question_arrivals, None, answer_tokens
+    )
+    homes = fleet._validated_homes(home_devices, profiles)
+    plan = fleet._route(system, profiles, traces, q_arrivals, answers, homes)
+    return result, plan, traces
 
-        def run(**knobs):
-            fleet = FleetScheduler(
-                plane,
-                config,
-                FleetConfig(num_devices=4, router="least_loaded", **knobs),
-            )
-            return fleet.run(system, profiles, traces)
 
-        base = run()
-        swept = run(rebalance_interval_s=0.5)
-        assert swept.rebalance_count > 0
-        assert all(
-            migration.reason == MIGRATE_REBALANCE for migration in swept.migrations
-        )
-        assert swept.fleet_summary().p99_ms < base.fleet_summary().p99_ms
-        # infinite hysteresis arms the sweep but the gap test never passes
-        inert = run(rebalance_interval_s=0.5, rebalance_hysteresis_s=math.inf)
-        assert inert.rebalance_count == 0
-        assert inert.records == base.records
+def _device_releases(plan, traces, stream, device):
+    """``max(trace, frame_ready)`` of the frames routed to ``device``, in frame order."""
+    frames = np.nonzero(plan.frame_device[stream] == device)[0]
+    return np.maximum(traces[stream][frames], plan.frame_ready[stream][frames])
 
 
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_sweep_returning_older_frames_completes(self, edge, seed):
-        """A sweep may hand a session's *older* unstarted frames back to a
-        device that already ran one of its later frames; the device's
-        sub-trace is then not monotone in frame order and the run used to
-        die with "arrival trace of stream k must be nondecreasing"."""
-        plane = BatchLatencyModel()
-        system = edge["V-Rex8"]
-        sessions, frames, answer_tokens = 64, 20, 4
-        profiles = _profiles([40_000] * sessions)
-        solo = plane.frame_step(system, profiles[:1]).streams[0].total_s
-        traces = BurstyArrivals.for_mean_rate(
-            rate_for_load(1.3 * 4, solo, sessions)
-        ).generate(sessions, frames, seed=seed)
-        result = FleetScheduler(
-            plane,
-            SchedulerConfig(deadline_s=3.0 * solo, max_queue_depth=8),
-            FleetConfig(
-                num_devices=4,
-                router="kv_residency",
-                interconnect=PCIE5_SWITCH,
-                migrate_backlog_s=2.0 * solo,
-                work_stealing=True,
-                steal_backlog_s=2.0 * solo,
-                rebalance_interval_s=10.0 * solo,
-                rebalance_hysteresis_s=solo,
-            ),
-        ).run(
-            system,
-            profiles,
-            traces,
-            question_arrivals=[float(trace[-1]) for trace in traces],
-            answer_tokens=answer_tokens,
-            home_devices={session: 0 for session in range(sessions // 2)},
+def _assert_every_job_recorded_once(result, num_streams, frames, answer_tokens):
+    keys = [(r.stream_index, r.kind, r.job_index) for r in result.records]
+    assert len(set(keys)) == len(keys)
+    expected = {(s, FRAME_JOB, i) for s in range(num_streams) for i in range(frames)}
+    expected |= {(s, QUESTION_JOB, 0) for s in range(num_streams)}
+    for record in result.jobs(kind=QUESTION_JOB):
+        if not record.dropped:
+            expected |= {(record.stream_index, GENERATION_JOB, i) for i in range(answer_tokens)}
+    assert set(keys) == expected
+
+
+class TestStealProperties:
+    """Steal-only fleets over every router, threshold and home layout."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        num_devices=st.sampled_from([2, 3, 4]),
+        router=st.sampled_from(ROUTER_POLICIES),
+        steal_x=st.sampled_from([0.0, 0.5, 2.0]),
+        migrate_x=st.sampled_from([0.0, 1.0, 2.0, math.inf]),
+        depth=st.sampled_from([None, 1, 2, 8]),
+        priced=st.booleans(),
+        num_streams=st.integers(min_value=2, max_value=12),
+        frames=st.integers(min_value=1, max_value=10),
+        load=st.floats(min_value=0.8, max_value=2.5),
+        homes=st.lists(st.one_of(st.none(), st.integers(0, 3)), min_size=12, max_size=12),
+        answer_tokens=st.integers(min_value=0, max_value=3),
+    )
+    def test_steals_keep_jobs_bytes_and_release_order(
+        self, edge, seed, num_devices, router, homes, **knobs
+    ):
+        """One record per job; shipped bytes are the migrations' bytes, and
+        every re-home is a steal of queued work, never of a session whose
+        shards are still in flight; and, unless the router predicted a
+        shed, every device receives each session's frames in release order.
+
+        A predicted-shed frame stays on the device it was routed to while
+        the session's older queued frames can be stolen away and back, so
+        with sheds a device may release an older frame after a newer one
+        (see :meth:`test_steal_back_over_a_shed_frame_reorders_releases`).
+        """
+        num_streams = knobs["num_streams"]
+        home_devices = {
+            s: home % num_devices for s, home in enumerate(homes[:num_streams]) if home is not None
+        }
+        result, plan, traces = _steal_run(
+            edge, seed, num_devices, router, home_devices=home_devices, **knobs
         )
-        assert result.rebalance_count > 0
-        # every job has exactly one record: all frames and questions, and
-        # the whole answer chain of every question that was served
-        keys = [(r.stream_index, r.kind, r.job_index) for r in result.records]
-        assert len(set(keys)) == len(keys)
-        expected = {(s, FRAME_JOB, i) for s in range(sessions) for i in range(frames)}
-        expected |= {(s, QUESTION_JOB, 0) for s in range(sessions)}
-        for record in result.jobs(kind=QUESTION_JOB):
-            if not record.dropped:
-                expected |= {
-                    (record.stream_index, GENERATION_JOB, i)
-                    for i in range(answer_tokens)
-                }
-        assert set(keys) == expected
-        assert result.interconnect_bytes == sum(
-            migration.num_bytes for migration in result.migrations
+        _assert_every_job_recorded_once(
+            result, num_streams, knobs["frames"], knobs["answer_tokens"]
         )
+        assert result.interconnect_bytes == sum(m.num_bytes for m in result.migrations)
+        last = {}
+        for migration in result.migrations:
+            if migration.reason == MIGRATE_STEAL:
+                assert migration.jobs_moved >= 1
+            else:
+                assert migration.reason == MIGRATE_PLACEMENT and migration.jobs_moved == 0
+            previous = last.get(migration.session_id)
+            if previous is not None:
+                assert migration.decision_s >= previous.finish_s
+                assert migration.decision_s > previous.decision_s
+            last[migration.session_id] = migration
+        if plan.predicted_sheds == 0:
+            for s in range(num_streams):
+                for device in range(num_devices):
+                    releases = _device_releases(plan, traces, s, device)
+                    assert np.all(np.diff(releases) >= 0.0), (s, device)
+
+    def test_steal_back_over_a_shed_frame_reorders_releases(self, edge):
+        """Pinned counterexample to release order under steals alone.
+
+        Stream 0's frame 3 is predicted shed on device 0 and stays there;
+        device 1 steals frames 1-2, then device 0 steals frame 2 back
+        after frame 3's upload.  Device 0 thus releases frame 2 after
+        frame 3, and ``FleetScheduler.run`` must hand it the frames in
+        release order.
+        """
+        result, plan, traces = _steal_run(
+            edge,
+            seed=0,
+            num_devices=3,
+            router="round_robin",
+            steal_x=0.0,
+            migrate_x=0.0,
+            depth=2,
+            priced=False,
+            num_streams=2,
+            frames=4,
+            load=1.0,
+            home_devices={},
+            answer_tokens=0,
+        )
+        assert plan.predicted_sheds > 0
+        assert [(m.session_id, m.src_device, m.dst_device) for m in result.migrations] == [
+            (1, 1, 2),
+            (0, 0, 1),
+            (0, 1, 0),
+        ]
+        assert plan.frame_device[0].tolist() == [0, 1, 0, 0]
+        releases = _device_releases(plan, traces, 0, 0)
+        assert releases[1] > releases[2]  # frame 2 after frame 3
+        _assert_every_job_recorded_once(result, 2, 4, 0)
+        for record in result.jobs(kind=FRAME_JOB):
+            assert record.arrival_s == traces[record.stream_index][record.job_index]
 
 
 class TestRecordStore:

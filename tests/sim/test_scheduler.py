@@ -550,7 +550,9 @@ class TestAdmissionControl:
 
     def test_plane_compute_policy_validation(self, plane, edge):
         with pytest.raises(ValueError, match="compute policy"):
-            BatchLatencyModel(compute="roundrobin")
+            plane.question_step(
+                edge["V-Rex8"], [StreamProfile(kv_len=10_000)], compute="roundrobin"
+            )
         with pytest.raises(ValueError, match="quantum_s"):
             BatchLatencyModel(quantum_s=0.0)
         with pytest.raises(ValueError, match="compute policy"):

@@ -25,6 +25,16 @@ from repro.sim.batched import BatchLatencyModel, StreamProfile
 from repro.sim.fleet import FleetConfig
 from repro.sim.pipeline import MeasuredRetrieval
 from repro.sim.scheduler import SchedulerConfig, ServingScheduler
+from repro.sim.systems import edge_systems
+from repro.sim.workload import default_llm_workload
+
+
+def _vrex8():
+    return edge_systems(default_llm_workload().model_bytes())["V-Rex8"]
+
+
+def _one_stream():
+    return [StreamProfile(kv_len=10_000)]
 
 
 class TestModelConfig:
@@ -139,7 +149,7 @@ class TestRequireNumber:
         "construct, argument",
         [
             (lambda: SchedulerConfig(compute="timesliced", quantum_s=math.nan), "quantum_s"),
-            (lambda: BatchLatencyModel(compute="timesliced", quantum_s=math.nan), "quantum_s"),
+            (lambda: BatchLatencyModel(quantum_s=math.nan), "quantum_s"),
             (lambda: PreemptiveResource(EventLoop(), quantum_s=math.nan), "quantum_s"),
             # ISSUE 23: ``remaining <= quantum`` is never true of nan or inf
             # work, so each of these used to spin the event loop forever.
@@ -156,7 +166,11 @@ class TestRequireNumber:
             (lambda: SchedulerConfig(max_queue_depth=2.5), "max_queue_depth"),
             (lambda: FleetConfig(migrate_backlog_s=math.nan), "migrate_backlog_s"),
             (lambda: FleetConfig(steal_backlog_s=math.nan), "steal_backlog_s"),
-            (lambda: FleetConfig(rebalance_hysteresis_s=math.nan), "rebalance_hysteresis_s"),
+            # A seed numpy cannot take used to construct and then raise from
+            # SeedSequence inside run() (power_of_two with M >= 2 only).
+            (lambda: FleetConfig(seed=-1), "seed"),
+            (lambda: FleetConfig(seed=1.5), "seed"),
+            (lambda: FleetConfig(seed=math.nan), "seed"),
             (lambda: FleetConfig(num_devices=2.5), "num_devices"),
             (lambda: PoissonArrivals(rate_hz=math.nan), "rate_hz"),
             (lambda: PoissonArrivals(rate_hz=math.inf), "rate_hz"),
@@ -197,7 +211,6 @@ class TestRequireNumber:
         fleet = FleetConfig(
             migrate_backlog_s=math.inf,  # never migrate
             steal_backlog_s=math.inf,  # never steal
-            rebalance_interval_s=math.inf,  # no sweeps
         )
         assert fleet.migrate_backlog_s == math.inf
         # an infinite quantum is FCFS: every job runs to completion
@@ -218,7 +231,17 @@ class TestRequireChoice:
         "construct, wording",
         [
             (lambda: SchedulerConfig(compute="shared"), "unknown compute policy 'shared'"),
-            (lambda: BatchLatencyModel(compute="shared"), "unknown compute policy 'shared'"),
+            (
+                lambda: BatchLatencyModel().frame_step(_vrex8(), _one_stream(), compute="shared"),
+                "unknown compute policy 'shared'",
+            ),
+            # A truthy non-bool used to turn the flag on silently: "no"
+            # stole work, and "no" priced the contended mode.
+            (lambda: FleetConfig(work_stealing="no"), "unknown work_stealing 'no'"),
+            (
+                lambda: BatchLatencyModel().frame_step(_vrex8(), _one_stream(), contention="no"),
+                "unknown contention 'no'",
+            ),
             (lambda: SchedulerConfig(admission="vip"), "unknown admission policy 'vip'"),
             (lambda: ServingScheduler(engine="gpu"), "unknown engine 'gpu'"),
             (lambda: FleetConfig(router="random"), "unknown router policy 'random'"),
