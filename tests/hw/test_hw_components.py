@@ -492,6 +492,22 @@ class TestResourceQueues:
         assert second.wait_s == pytest.approx(service)
         assert second.sojourn_s == pytest.approx(2 * service)
 
+    def test_accelerator_fetch_queue(self):
+        """The device's KVMU fetches over the device's own link and SSD, so
+        concurrent fetches queued on that link serialize their PCIe stage."""
+        device = VRexAccelerator(VREX8)
+        assert device.kvmu.link is device.link and device.kvmu.ssd is device.ssd
+        work = KVFetchWork(total_bytes=1e7, mean_contiguous_bytes=8192.0, from_ssd=True)
+        pcie_s = device.kvmu.pcie_time_s(work)
+        assert device.fetch_time_s(work) == pytest.approx(
+            max(pcie_s, device.kvmu.ssd_time_s(work))
+        )
+        queue = PCIeLinkQueue(device.link)
+        queue.enqueue(0.0, pcie_s)
+        second = queue.enqueue(0.0, pcie_s)
+        assert second.wait_s == pytest.approx(pcie_s)
+        assert queue.busy_s() == pytest.approx(2 * pcie_s)
+
     def test_link_occupancy_plus_latency_is_transfer_time(self):
         link = PCIeLink(PCIE4_X16)
         total = link.transfer_time_s(5e8, efficiency=0.8)
