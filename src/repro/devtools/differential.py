@@ -13,7 +13,9 @@ mismatch points at the job and the field where the engines forked.
 Duck-typed over anything with a ``.records`` list of comparable entries
 (:class:`~repro.sim.scheduler.ScheduleResult`,
 :class:`~repro.sim.fleet.FleetResult`); ``events_processed`` is compared
-too when both sides expose it.
+too when both sides expose it, and when both carry a memory plane so are
+its eviction list and the bank-occupancy trajectory — two engines that
+demote different victims can still serve the same schedule.
 """
 
 from __future__ import annotations
@@ -90,6 +92,20 @@ def diff_records(first, second, limit: int = DIFF_LIMIT) -> list[str]:
     return diffs
 
 
+def _diff_entries(name: str, first, second, limit: int = DIFF_LIMIT) -> list[str]:
+    """Entry-level diff of two sequences compared with ``==``, empty when equal."""
+    diffs: list[str] = []
+    if len(first) != len(second):
+        diffs.append(f"{name} count: {len(first)} != {len(second)}")
+    for index, (a, b) in enumerate(zip(first, second, strict=False)):
+        if a != b:
+            diffs.append(f"{name}[{index}]: {a!r} != {b!r}")
+            if len(diffs) >= limit:
+                diffs.append(f"... ({name} diff truncated)")
+                break
+    return diffs
+
+
 def assert_engines_agree(
     run: Callable[[str], object],
     engines: tuple[str, ...] = ENGINES,
@@ -125,6 +141,17 @@ def assert_engines_agree(
         cand_events = getattr(candidate, "events_processed", None)
         if base_events is not None and base_events != cand_events:
             diffs.insert(0, f"events_processed: {base_events} != {cand_events}")
+        base_memory = getattr(baseline, "memory", None)
+        cand_memory = getattr(candidate, "memory", None)
+        if base_memory is not None and cand_memory is not None:
+            diffs += _diff_entries(
+                "memory.evictions", base_memory.evictions, cand_memory.evictions
+            )
+            diffs += _diff_entries(
+                "bank_occupancy_trajectory",
+                baseline.bank_occupancy_trajectory,
+                candidate.bank_occupancy_trajectory,
+            )
         if diffs:
             raise DifferentialError(
                 f"engines {baseline_name!r} and {engine!r} diverged",

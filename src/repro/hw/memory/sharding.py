@@ -96,24 +96,46 @@ class PromotionPlan:
 #: 1e-16-fraction "cold" share must not price a whole fixed-latency SSD leg.
 _COLD_SNAP_REL = 1e-12
 
+#: numpy's float64 sum is a left fold from zero below this many terms and
+#: pairwise (unrolled accumulators) from it on
+_PAIRWISE_MIN_TERMS = 8
+
+
+def _fold(values: list[float]) -> float:
+    """Sum per-bank bytes in numpy's float64 order, bit for bit.
+
+    Below eight terms a plain loop is numpy's order, without the array
+    round trip; from eight on the sum *is* numpy's.  Never the builtin
+    ``sum()``, which CPython 3.12 compensates.
+    """
+    if len(values) >= _PAIRWISE_MIN_TERMS:
+        return float(np.sum(values))
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
 
 @dataclass
 class _SessionShards:
     """Internal per-session shard state.
 
-    ``cold_bytes`` and the derived :class:`ShardSplit` are cached between
-    warm-byte mutations: steady-state fetches (everything warm, or a
-    stable cold remainder re-read by the admission controller) are the
-    scheduler's hot path, and the cache turns them into attribute reads.
-    The cached values are produced by the exact same expressions as the
-    uncached path, so invalidation only ever changes *when* the floats
-    are computed, never their values.
+    Per-bank bytes are plain ``list[float]``: every hot-path use is a
+    scalar read or write, and scalar float64 arithmetic is the same IEEE
+    operation in Python and numpy (sums keep numpy's order via
+    :func:`_fold`).  ``cold_bytes`` and the derived :class:`ShardSplit`
+    are cached between warm-byte mutations: steady-state fetches
+    (everything warm, or a stable cold remainder re-read by the admission
+    controller) are the scheduler's hot path, and the cache turns them
+    into attribute reads.  The cached values are produced by the exact
+    same expressions as the uncached path, so invalidation only ever
+    changes *when* the floats are computed, never their values.
     """
 
     hot_bytes: float
     offchip_bytes: float  # offloaded KV + HC tables (warm + cold)
-    home_bytes: np.ndarray  # cluster-wise home distribution across banks
-    warm_bytes: np.ndarray  # currently held in banks (<= home_bytes)
+    home_bytes: list[float]  # cluster-wise home distribution across banks
+    warm_bytes: list[float]  # currently held in banks (<= home_bytes)
     last_use: int  # stamp of the registration or latest touch; unique
     _cold_cache: float | None = None
     _split_cache: "ShardSplit | None" = None
@@ -128,7 +150,7 @@ class _SessionShards:
         """Bytes on the SSD tier, snapped to zero within float-sum slack."""
         cold = self._cold_cache
         if cold is None:
-            cold = self.offchip_bytes - float(self.warm_bytes.sum())
+            cold = self.offchip_bytes - _fold(self.warm_bytes)
             if cold <= self.offchip_bytes * _COLD_SNAP_REL:
                 cold = 0.0
             self._cold_cache = cold
@@ -213,7 +235,7 @@ class ShardedKVHierarchy:
         #: per-bank resident index: the ``(last_use, session_id, warm bytes)`` of every
         #: session warm in the bank, least recently used first, for planning to walk
         self._residents: list[list[tuple[int, int, float]]] = [[] for _ in range(self.num_banks)]
-        self._occupancy = np.zeros(self.num_banks)
+        self._occupancy = [0.0] * self.num_banks
         self.evictions: list[EvictionRecord] = []
         #: bumped on every occupancy mutation (registration, promotion,
         #: demotion) — lets pollers skip re-reading unchanged occupancy
@@ -242,12 +264,17 @@ class ShardedKVHierarchy:
         require_number("hot_bytes", hot_bytes, finite=True)
         require_number("hc_table_bytes", hc_table_bytes, finite=True)
         offchip = offloaded_bytes + hc_table_bytes
-        home = partition_by_cluster(num_clusters, self.num_banks, offchip)
-        headroom = np.maximum(self.bank_budget_bytes - self._occupancy, 0.0)
-        warm = np.minimum(home, headroom)
-        self._occupancy += warm
-        self.occupancy_version += 1
+        home = partition_by_cluster(num_clusters, self.num_banks, offchip).tolist()
+        occupancy = self._occupancy
         self._clock += 1
+        warm = []
+        for bank, (residents, home_in_bank) in enumerate(zip(self._residents, home, strict=True)):
+            warm_in_bank = min(home_in_bank, max(self.bank_budget_bytes - occupancy[bank], 0.0))
+            occupancy[bank] += warm_in_bank
+            warm.append(warm_in_bank)
+            if warm_in_bank > 0.0:
+                residents.append((self._clock, session_id, warm_in_bank))
+        self.occupancy_version += 1
         self._shards[session_id] = _SessionShards(
             hot_bytes=float(hot_bytes),
             offchip_bytes=float(offchip),
@@ -255,9 +282,6 @@ class ShardedKVHierarchy:
             warm_bytes=warm,
             last_use=self._clock,
         )
-        for residents, warm_in_bank in zip(self._residents, warm.tolist(), strict=True):
-            if warm_in_bank > 0:
-                residents.append((self._clock, session_id, warm_in_bank))
         if self._sanitize:
             self._hot_at_register[session_id] = float(hot_bytes)
             self.sanity_check()
@@ -287,7 +311,7 @@ class ShardedKVHierarchy:
 
     def warm_bytes(self, session_id: int) -> np.ndarray:
         """Per-bank warm bytes of one session (a copy)."""
-        return self._shard(session_id).warm_bytes.copy()
+        return np.array(self._shard(session_id).warm_bytes)
 
     def cold_bytes(self, session_id: int) -> float:
         """Bytes demoted to the SSD tier."""
@@ -301,11 +325,19 @@ class ShardedKVHierarchy:
         return 1.0 - shard.cold_bytes / shard.offchip_bytes
 
     def cold_fraction(self, session_id: int) -> float:
-        return 1.0 - self.residency(session_id)
+        """``1 - residency``, as that very expression (admission's hot read)."""
+        shard = self._shard(session_id)
+        if shard.offchip_bytes <= 0.0:
+            return 0.0
+        return 1.0 - (1.0 - shard.cold_bytes / shard.offchip_bytes)
 
     def bank_occupancy_bytes(self) -> np.ndarray:
         """Current warm bytes per bank (a copy)."""
-        return self._occupancy.copy()
+        return np.array(self._occupancy)
+
+    def occupancy_snapshot(self) -> tuple[float, ...]:
+        """Current warm bytes per bank as a tuple of floats (what trajectories record)."""
+        return tuple(self._occupancy)
 
     def fetch_split(self, session_id: int) -> ShardSplit:
         """Read-only tier split a fetch issued *now* would see.
@@ -320,16 +352,16 @@ class ShardedKVHierarchy:
         split = shard._split_cache
         if split is not None:
             return split
-        if shard.offchip_bytes <= 0:
+        offchip = shard.offchip_bytes
+        if offchip <= 0.0:
             shard._split_cache = _FULLY_WARM
             return _FULLY_WARM
-        fractions = shard.warm_bytes / shard.offchip_bytes
         split = ShardSplit(
-            warm_fractions=tuple(float(f) for f in fractions),
+            warm_fractions=tuple([warm / offchip for warm in shard.warm_bytes]),
             # derived from the byte-level remainder (snapped within float-sum
             # slack), never from 1 - sum(fractions): a fully-warm session
             # must not price a spurious 1e-16-fraction SSD leg
-            cold_fraction=shard.cold_bytes / shard.offchip_bytes,
+            cold_fraction=shard.cold_bytes / offchip,
         )
         shard._split_cache = split
         return split
@@ -341,11 +373,12 @@ class ShardedKVHierarchy:
         eviction made it warm?" with this split before deciding to evict.
         """
         shard = self._shard(session_id)
-        if shard.offchip_bytes <= 0:
+        offchip = shard.offchip_bytes
+        if offchip <= 0:
             return _FULLY_WARM
-        fractions = shard.home_bytes / shard.offchip_bytes
         return ShardSplit(
-            warm_fractions=tuple(float(f) for f in fractions), cold_fraction=0.0
+            warm_fractions=tuple([home / offchip for home in shard.home_bytes]),
+            cold_fraction=0.0,
         )
 
     # ------------------------------------------------------------------ #
@@ -357,10 +390,12 @@ class ShardedKVHierarchy:
         stale = (shard.last_use,)
         self._clock += 1
         shard.last_use = self._clock
-        for residents in self._residents:
-            at = bisect_left(residents, stale)
-            if at < len(residents) and residents[at][1] == session_id:
-                residents.append((self._clock, session_id, residents.pop(at)[2]))
+        # a session is in a bank's resident index iff it is warm there
+        # (``0.0``, not ``0``: comparing a float with an int is slower)
+        for residents, warm in zip(self._residents, shard.warm_bytes):
+            if warm > 0.0:
+                del residents[bisect_left(residents, stale)]
+                residents.append((self._clock, session_id, warm))
 
     def plan_promotion(
         self, session_id: int, protected: Iterable[int] = ()
@@ -377,9 +412,9 @@ class ShardedKVHierarchy:
         stream warm?" probe; :meth:`apply_promotion` carries the plan out.
         """
         shard = self._shard(session_id)
-        home = shard.home_bytes.tolist()
-        warm = shard.warm_bytes.tolist()
-        occupancy = self._occupancy.tolist()
+        home = shard.home_bytes
+        warm = shard.warm_bytes
+        occupancy = self._occupancy
         exclude: set[int] = set()
         promoted = 0.0
         steps = []
@@ -400,7 +435,7 @@ class ShardedKVHierarchy:
                     if headroom + freed >= need:
                         break
             gain = min(need, headroom + freed)
-            if gain <= 0:
+            if gain <= 0.0:
                 continue
             promoted += gain
             steps.append((bank, gain, tuple(victims)))
@@ -412,16 +447,18 @@ class ShardedKVHierarchy:
         Banks are independent (a step reads and writes only its own bank's
         occupancy and warm bytes), so applying the steps after planning
         them all is the same float sequence as planning and applying bank
-        by bank.  Returns the promoted byte count.
+        by bank.  Returns the promoted byte count.  A plan made against
+        another occupancy raises ``ValueError`` and mutates nothing: its
+        victims and gains no longer describe the banks.
         """
-        if self._sanitize and plan.occupancy_version != self.occupancy_version:
-            raise SanitizerError(
-                SHARD_CONSERVATION,
+        if plan.occupancy_version != self.occupancy_version:
+            raise ValueError(
                 f"stale promotion plan for session {plan.session_id}: planned at "
                 f"occupancy version {plan.occupancy_version}, applied at "
-                f"{self.occupancy_version}",
+                f"{self.occupancy_version}"
             )
         shard = self._shards[plan.session_id]
+        occupancy = self._occupancy
         for bank, gain, victims in plan.steps:
             self.occupancy_version += 1
             residents = self._residents[bank]
@@ -430,15 +467,15 @@ class ShardedKVHierarchy:
                 victim.warm_bytes[bank] = 0.0
                 victim.invalidate()
                 del residents[bisect_left(residents, (victim.last_use,))]
-                self._occupancy[bank] -= bytes_out
+                occupancy[bank] -= bytes_out
                 self.evictions.append(EvictionRecord(sid, bank, bytes_out))
             shard.warm_bytes[bank] += gain
             shard.invalidate()
-            self._occupancy[bank] += gain
+            occupancy[bank] += gain
             # an untouched session enters the bank at its own last-use
             # position, between older and newer residents — not at the end
             at = bisect_left(residents, (shard.last_use,))
-            entry = (shard.last_use, plan.session_id, float(shard.warm_bytes[bank]))
+            entry = (shard.last_use, plan.session_id, shard.warm_bytes[bank])
             if at < len(residents) and residents[at][1] == plan.session_id:
                 residents[at] = entry
             else:
@@ -491,7 +528,8 @@ class ShardedKVHierarchy:
         expected = np.zeros(self.num_banks)
         for sid in sorted(self._shards):
             shard = self._shards[sid]
-            warm = shard.warm_bytes
+            warm = np.array(shard.warm_bytes)
+            home = np.array(shard.home_bytes)
             atol = 1e-6 + 1e-9 * shard.offchip_bytes
             if (warm < 0).any():
                 raise SanitizerError(
@@ -499,12 +537,12 @@ class ShardedKVHierarchy:
                     f"session {sid}: negative warm bytes {warm.min()} "
                     f"in bank {int(warm.argmin())}",
                 )
-            if (warm > shard.home_bytes + atol).any():
-                bank = int((warm - shard.home_bytes).argmax())
+            if (warm > home + atol).any():
+                bank = int((warm - home).argmax())
                 raise SanitizerError(
                     SHARD_CONSERVATION,
                     f"session {sid}: bank {bank} holds {warm[bank]} warm bytes, "
-                    f"more than its home share {shard.home_bytes[bank]}",
+                    f"more than its home share {home[bank]}",
                 )
             warm_total = float(warm.sum())
             if warm_total > shard.offchip_bytes + atol:
@@ -522,24 +560,25 @@ class ShardedKVHierarchy:
                     f"{shard.hot_bytes} bytes (hot shards must never be evicted)",
                 )
             expected += warm
+        occupancy = np.array(self._occupancy)
         occ_atol = 1e-6 + 1e-9 * float(expected.max(initial=0.0))
-        if not np.allclose(self._occupancy, expected, rtol=1e-9, atol=occ_atol):
-            bank = int(np.abs(self._occupancy - expected).argmax())
+        if not np.allclose(occupancy, expected, rtol=1e-9, atol=occ_atol):
+            bank = int(np.abs(occupancy - expected).argmax())
             raise SanitizerError(
                 SHARD_CONSERVATION,
-                f"bank {bank} occupancy {self._occupancy[bank]} disagrees with "
+                f"bank {bank} occupancy {occupancy[bank]} disagrees with "
                 f"per-session warm sum {expected[bank]}",
             )
-        if (self._occupancy > self.bank_budget_bytes + occ_atol).any():
-            bank = int(self._occupancy.argmax())
+        if (occupancy > self.bank_budget_bytes + occ_atol).any():
+            bank = int(occupancy.argmax())
             raise SanitizerError(
                 SHARD_CONSERVATION,
-                f"bank {bank} occupancy {self._occupancy[bank]} exceeds budget "
+                f"bank {bank} occupancy {occupancy[bank]} exceeds budget "
                 f"{self.bank_budget_bytes}",
             )
         for bank, residents in enumerate(self._residents):
             warm_in_bank = sorted(
-                (shard.last_use, sid, float(shard.warm_bytes[bank]))
+                (shard.last_use, sid, shard.warm_bytes[bank])
                 for sid, shard in self._shards.items()
                 if shard.warm_bytes[bank] > 0
             )

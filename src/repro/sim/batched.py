@@ -1128,9 +1128,7 @@ class BatchLatencyModel:
                 system, profiles, demands, stage, include_vision, oom
             )
         if memory is not None:
-            result.bank_occupancy_bytes = tuple(
-                float(b) for b in memory.bank_occupancy_bytes()
-            )
+            result.bank_occupancy_bytes = memory.occupancy_snapshot()
         return result
 
     # ------------------------------------------------------------------ #

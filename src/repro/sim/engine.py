@@ -24,9 +24,11 @@ one of those with integers moving through preallocated structures:
   that ``PreemptiveResource`` wraps, called directly: one ``C_SLICE`` heap
   entry per decision, the quantum expiries in between only counted;
 * the shared DRE and PCIe link are each a single ``free_at`` float (the
-  whole mutable state of a work-conserving FCFS server), with the
-  warm/cold fetch pricers memoized per ``(stage, bytes)`` — the sharded
-  fetch re-pricing is the hot path of memory-bound runs.
+  whole mutable state of a work-conserving FCFS server);
+* a stage's sharded fetch is priced once per distinct residency split:
+  ``C_ISSUE`` keeps the stage's last split and its makespan and reuses it
+  while the split is value-equal — steady state in memory-bound runs,
+  whose splits rarely move between a stage's fetches.
 
 **Bit-exactness contract.**  The engine replays the reference loop's
 float operations in the identical order: DRE/link starts are
@@ -88,22 +90,6 @@ from repro.sim.scheduler import (
 C_ISSUE, C_LINK, C_FINISH, C_SLICE, C_TSLINK = 0, 1, 2, 3, 4
 
 
-def _memoized(pricer):
-    """Memoize a pure per-bytes fetch pricer (the sharded re-pricing hot path)."""
-    if pricer is None:
-        return None
-    cache: dict = {}
-
-    def priced_time(num_bytes, _pricer=pricer, _cache=cache):
-        t = _cache.get(num_bytes)
-        if t is None:
-            t = _pricer(num_bytes)
-            _cache[num_bytes] = t
-        return t
-
-    return priced_time
-
-
 def run_array(ctx: _RunContext) -> ScheduleResult:
     """Simulate one validated run on the array engine."""
     cfg = ctx.config
@@ -161,8 +147,11 @@ def run_array(ctx: _RunContext) -> ScheduleResult:
             st_pred.append(stage.prediction_s)
             st_fetch.append(stage.fetch_s)
             st_fbytes.append(stage.fetch_bytes_layer)
-            st_warm.append(_memoized(stage.warm_time_s))
-            st_cold.append(_memoized(stage.cold_time_s))
+            st_warm.append(stage.warm_time_s)
+            st_cold.append(stage.cold_time_s)
+    # per stage: the split its last sharded fetch saw, and that fetch's price
+    st_split: list = [None] * len(st_fbytes)
+    st_fetch_sharded = [0.0] * len(st_fbytes)
 
     # packed subkey bases: rank of (session_id, stream) in the run's sorted
     # key set makes integer subkey order == the EventLoop's tuple order
@@ -292,7 +281,7 @@ def run_array(ctx: _RunContext) -> ScheduleResult:
         if version == noted_version:
             return  # no occupancy mutation since the last poll
         noted_version = version
-        occupancy = tuple(float(b) for b in memory.bank_occupancy_bytes())
+        occupancy = memory.occupancy_snapshot()
         if not trajectory or trajectory[-1][1] != occupancy:
             trajectory.append((now, occupancy))
 
@@ -545,12 +534,18 @@ def run_array(ctx: _RunContext) -> ScheduleResult:
         if code == C_ISSUE:
             s = streams[job]
             b = s * 3 + kinds[job]
-            # per-job fetch re-priced at the session's current residency
+            # per-job fetch at the session's current residency, re-priced
+            # only when the split moved (equal fractions price equal fetches)
             if memory is not None and st_fbytes[b] > 0.0:
                 split = memory.commit_fetch(session_ids[s], protected=busy_set)
                 note_occupancy()
-                fetch = sharded_fetch_makespan(st_fbytes[b], split, st_warm[b], st_cold[b])
-                fetch *= num_layers
+                if split != st_split[b]:
+                    st_split[b] = split
+                    st_fetch_sharded[b] = (
+                        sharded_fetch_makespan(st_fbytes[b], split, st_warm[b], st_cold[b])
+                        * num_layers
+                    )
+                fetch = st_fetch_sharded[b]
             else:
                 fetch = st_fetch[b]
             vision_s = st_vision[b]

@@ -1039,7 +1039,7 @@ class ServingScheduler:
         trajectory: list[tuple[float, tuple[float, ...]]] = []
 
         def note_occupancy() -> None:
-            occupancy = tuple(float(b) for b in memory.bank_occupancy_bytes())
+            occupancy = memory.occupancy_snapshot()
             if not trajectory or trajectory[-1][1] != occupancy:
                 trajectory.append((loop.now_s, occupancy))
 

@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
 from repro.devtools.differential import (
+    DIFF_LIMIT,
     DifferentialError,
     assert_engines_agree,
     diff_records,
@@ -60,6 +62,25 @@ def _seeded_fleet_run(edge, engine: str):
         profiles,
         traces,
         home_devices={profile.session_id: 0 for profile in profiles},
+    )
+
+
+def _seeded_memory_run(edge, engine: str):
+    """Residency admission over two contended banks: 22 evictions."""
+    system = edge["V-Rex8"]
+    profiles = [StreamProfile(kv_len=30_000, session_id=i) for i in range(6)]
+    solo = BatchLatencyModel().frame_step(system, profiles[:1]).streams[0].total_s
+    traces = BurstyArrivals.for_mean_rate(rate_for_load(1.4, solo, 6)).generate(6, 8, seed=7)
+    config = SchedulerConfig(
+        deadline_s=2.0 * solo,
+        max_queue_depth=3,
+        compute="timesliced",
+        quantum_s=1e-3,
+        admission="residency",
+    )
+    memory = ShardedKVHierarchy(num_banks=2, bank_budget_bytes=int(0.5 * 1024**3))
+    return ServingScheduler(BatchLatencyModel(memory=memory), config, engine=engine).run(
+        system, profiles, traces
     )
 
 
@@ -126,6 +147,47 @@ class TestAssertEnginesAgree:
             assert_engines_agree(run)
         assert "record[2]" in str(excinfo.value)
         assert "finish_s" in str(excinfo.value)
+
+    @pytest.mark.parametrize("doctored", [1, None])
+    def test_doctored_evictions_raise_with_entry_diff(self, edge, monkeypatch, doctored):
+        """Same records, other victims: the memory plane is diffed too.
+
+        ``doctored`` entries get another session id (``None``: every entry,
+        and the diff is capped at ``DIFF_LIMIT`` lines).
+        """
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+
+        def other_victims(result):
+            evictions = result.memory.evictions
+            count = len(evictions) if doctored is None else doctored
+            assert len(evictions) > DIFF_LIMIT
+            return SimpleNamespace(
+                records=result.records,
+                events_processed=result.events_processed,
+                bank_occupancy_trajectory=result.bank_occupancy_trajectory,
+                memory=SimpleNamespace(
+                    evictions=[
+                        replace(eviction, session_id=eviction.session_id + 1)
+                        if index < count
+                        else eviction
+                        for index, eviction in enumerate(evictions)
+                    ]
+                ),
+            )
+
+        def run(engine):
+            result = _seeded_memory_run(edge, engine)
+            return other_victims(result) if engine == "array" else result
+
+        with pytest.raises(DifferentialError) as excinfo:
+            assert_engines_agree(run)
+        entries = [line for line in excinfo.value.diffs if line.startswith("memory.evictions[")]
+        assert entries[0].startswith("memory.evictions[0]: EvictionRecord(session_id=")
+        if doctored is None:
+            assert len(entries) == DIFF_LIMIT
+            assert excinfo.value.diffs[-1] == "... (memory.evictions diff truncated)"
+        else:
+            assert list(excinfo.value.diffs) == entries
 
 
 class TestDiffRecords:

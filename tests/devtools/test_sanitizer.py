@@ -499,14 +499,21 @@ class TestShardConservation:
             plane.register(2, offloaded_bytes=1024.0)
 
     def test_stale_promotion_plan_detected(self):
-        plane = ShardedKVHierarchy(num_banks=1, bank_budget_bytes=GIB, sanitize=True)
-        plane.register(0, offloaded_bytes=0.75 * GIB)
-        plane.register(1, offloaded_bytes=0.75 * GIB)  # 0.5 GiB left cold
-        plan = plane.plan_promotion(1)
-        assert plane.apply_promotion(plan) == 0.5 * GIB  # fresh plan: fine
-        plane.commit_fetch(0)  # occupancy moved since the plan was made
-        with expect(SHARD_CONSERVATION):
-            plane.apply_promotion(plan)
+        """A stale plan is an API error, raised armed or not, before any mutation."""
+        for armed in (True, False):
+            plane = ShardedKVHierarchy(num_banks=1, bank_budget_bytes=GIB, sanitize=armed)
+            plane.register(0, offloaded_bytes=0.75 * GIB)
+            plane.register(1, offloaded_bytes=0.75 * GIB)  # 0.5 GiB left cold
+            plan = plane.plan_promotion(1)
+            assert plane.apply_promotion(plan) == 0.5 * GIB  # fresh plan: fine
+            plane.commit_fetch(0)  # occupancy moved since the plan was made
+            version = plane.occupancy_version
+            with pytest.raises(
+                ValueError, match=rf"planned at occupancy version 2, applied at {version}"
+            ):
+                plane.apply_promotion(plan)
+            assert plane.occupancy_version == version
+            plane.sanity_check()
 
 
 class TestTableConservation:

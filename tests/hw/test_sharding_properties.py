@@ -21,7 +21,11 @@ point values (they run under the dev/ci hypothesis profiles registered in
   exactly like the unsharded KVMU fetch;
 * **admission is a function of the fleet** — the residency-aware
   admission controller's admit/defer/evict decisions (and the resulting
-  sojourns) are invariant under permutation of the profile listing order.
+  sojourns) are invariant under permutation of the profile listing order;
+* **numpy's float order** — the plane keeps its per-bank bytes as Python
+  floats, yet every derived tier view is bit-identical to numpy over the
+  public arrays, at every bank count (numpy sums pairwise from 8 terms);
+* **a stale plan is refused** — armed or not, before it mutates anything.
 """
 
 from __future__ import annotations
@@ -413,6 +417,101 @@ class TestOneEvictionPlan:
         assert [[sid for sid, _ in victims] for _, _, victims in steps] == [[1, 2, 3]] * 4
         assert large.plan_promotion(8, protected=(0,)).steps == steps
         assert best_plan_s(large) <= 5.0 * best_plan_s(small)
+
+    def test_reapplied_plan_is_refused_unarmed(self):
+        """Applying one plan twice must raise, not corrupt the plane.
+
+        One 1 GiB bank: sessions 0 and 1 hold 0.75 GiB each, session 2
+        0.5 GiB, so session 1 registers 0.5 GiB cold.  Re-applying its
+        promotion plan evicted the victim a second time (deleting session
+        1's own index entry) and promoted past home — session 1 at 1.25 GiB
+        warm of a 0.75 GiB home, the bank reporting 0.5 GiB — with nothing
+        raised until a later ``sanity_check``.
+        """
+        hierarchy = ShardedKVHierarchy(num_banks=1, bank_budget_bytes=GiB, sanitize=False)
+        hierarchy.register(0, 0.75 * GiB)
+        hierarchy.register(1, 0.75 * GiB)
+        hierarchy.register(2, 0.5 * GiB)
+        plan = hierarchy.plan_promotion(1)
+        assert hierarchy.apply_promotion(plan) == 0.5 * GiB
+        state = (
+            hierarchy.occupancy_version,
+            hierarchy.bank_occupancy_bytes().tolist(),
+            [hierarchy.warm_bytes(sid).tolist() for sid in range(3)],
+            list(hierarchy.evictions),
+        )
+        with pytest.raises(
+            ValueError,
+            match="stale promotion plan for session 1: planned at occupancy "
+            "version 3, applied at 4",
+        ):
+            hierarchy.apply_promotion(plan)
+        assert state == (
+            hierarchy.occupancy_version,
+            hierarchy.bank_occupancy_bytes().tolist(),
+            [hierarchy.warm_bytes(sid).tolist() for sid in range(3)],
+            list(hierarchy.evictions),
+        )
+        assert state[2] == [[0.0], [0.75 * GiB], [0.0]]
+        hierarchy.sanity_check()
+
+
+class TestNumpyFloatOrder:
+    @given(
+        num_banks=st.integers(min_value=1, max_value=12),
+        budget_shards=st.floats(min_value=0.3, max_value=4.0),
+        specs=st.lists(
+            st.tuples(
+                st.floats(min_value=1e6, max_value=1e9),  # offloaded
+                st.integers(min_value=1, max_value=64),  # clusters
+                st.floats(min_value=0.0, max_value=1e6),  # hc tables
+            ),
+            min_size=2,
+            max_size=10,
+        ),
+        ops=st.lists(
+            st.tuples(st.sampled_from(["register", "commit", "promote"]), st.integers(0, 9)),
+            max_size=30,
+        ),
+    )
+    def test_tier_views_equal_numpy_over_the_public_arrays(
+        self, num_banks, budget_shards, specs, ops
+    ):
+        """Python-float shard state, numpy's bits, at every bank count.
+
+        ``cold_bytes`` must be off-chip minus ``np.sum`` of the warm array
+        (snapped as the plane snaps) and the split's fractions the warm
+        array over off-chip, compared with ``==``: numpy sums left to
+        right below 8 terms and pairwise from 8, so a plain left fold at
+        every bank count disagrees from 8 banks on.
+        """
+        mean_shard = sum(spec[0] + spec[2] for spec in specs) / (len(specs) * num_banks)
+        hierarchy = ShardedKVHierarchy(
+            num_banks=num_banks, bank_budget_bytes=budget_shards * mean_shard
+        )
+        registered = 0
+        for op, index in [("register", 0), *ops]:
+            if op == "register":
+                if registered < len(specs):
+                    offloaded, clusters, hc = specs[registered]
+                    hierarchy.register(
+                        registered, offloaded, num_clusters=clusters, hc_table_bytes=hc
+                    )
+                    registered += 1
+            elif op == "commit":
+                hierarchy.commit_fetch(index % registered)
+            else:
+                hierarchy.promote(index % registered)
+            for session in range(registered):
+                warm = hierarchy.warm_bytes(session)
+                offchip = hierarchy.offchip_bytes(session)
+                cold = offchip - float(np.sum(warm))
+                if cold <= offchip * _COLD_SNAP_REL:
+                    cold = 0.0
+                assert hierarchy.cold_bytes(session) == cold
+                split = hierarchy.fetch_split(session)
+                assert split.warm_fractions == tuple((warm / offchip).tolist())
+                assert split.cold_fraction == cold / offchip
 
 
 class TestShardedFetchMakespan:

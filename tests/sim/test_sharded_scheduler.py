@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from repro.hw.memory.sharding import (
@@ -360,6 +361,81 @@ class TestEvictionSequencePin:
 def _sha256(value) -> str:
     """Digest of a value's ``repr`` (floats print round-trip exact)."""
     return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+class TestFetchPricedPerDistinctSplit:
+    """The array engine prices a stage's sharded fetch once per split value.
+
+    :class:`TestEvictionSequencePin`'s configuration on the array engine:
+    frame jobs only, so a stage is a session.  Counted, not timed: the
+    makespan is priced exactly when a fetch's split differs from that
+    session's previous fetch, not once per fetch.
+    """
+
+    def test_makespan_calls_follow_split_changes(self, server, monkeypatch):
+        import repro.sim.engine as engine
+
+        fetches = []
+        commit_fetch = ShardedKVHierarchy.commit_fetch
+
+        def recording_commit_fetch(self, session_id, protected=()):
+            split = commit_fetch(self, session_id, protected)
+            fetches.append((session_id, split))
+            return split
+
+        calls = 0
+        makespan = engine.sharded_fetch_makespan
+
+        def counting_makespan(*args):
+            nonlocal calls
+            calls += 1
+            return makespan(*args)
+
+        monkeypatch.setattr(ShardedKVHierarchy, "commit_fetch", recording_commit_fetch)
+        monkeypatch.setattr(engine, "sharded_fetch_makespan", counting_makespan)
+        system = server["V-Rex48"]
+        profiles = [StreamProfile(kv_len=40_000, session_id=index) for index in range(24)]
+        pricing = BatchLatencyModel()
+        solo = pricing.frame_step(system, profiles[:1]).streams[0].total_s
+        offloaded = pricing.session_shard_bytes(system, profiles[0]).offloaded_bytes
+        plane = BatchLatencyModel(
+            memory=ShardedKVHierarchy(
+                num_banks=4, bank_budget_bytes=offloaded * len(profiles) / (3.0 * 4)
+            )
+        )
+        traces = BurstyArrivals.for_mean_rate(
+            rate_for_load(1.2, solo, len(profiles))
+        ).generate(len(profiles), 20, seed=19)
+        config = SchedulerConfig(
+            deadline_s=2.0 * solo,
+            max_queue_depth=3,
+            compute="timesliced",
+            admission="residency",
+        )
+        result = ServingScheduler(plane, config, engine="array").run(
+            system, profiles, traces
+        )
+        assert (result.served, result.deferred, result.evict_admissions) == (460, 20, 153)
+
+        previous: dict = {}
+        changes = 0
+        for session, split in fetches:
+            changes += previous.get(session) != split
+            previous[session] = split
+        assert len(fetches) == result.served
+        assert changes < len(fetches)
+        assert calls == changes
+
+        # the public views are fresh float64 arrays, not the plane's state
+        memory = result.memory
+        occupancy = memory.occupancy_snapshot()
+        warm = memory.warm_bytes(0).tolist()
+        for view in (memory.bank_occupancy_bytes(), memory.warm_bytes(0)):
+            assert view.dtype == np.float64 and view.shape == (4,)
+            view[:] = -1.0
+        assert memory.occupancy_snapshot() == occupancy
+        assert memory.warm_bytes(0).tolist() == warm
+        memory.sanity_check()
 
 
 class TestResidencyAdmissionValidation:
