@@ -594,13 +594,6 @@ class PreemptiveJob:
             raise ValueError("job has not finished yet")
         return self.finish_s - self.arrival_s
 
-    @property
-    def slowdown(self) -> float:
-        """Sojourn relative to running alone (1.0 = no interference)."""
-        if self.work_s <= 0:
-            return 1.0
-        return self.sojourn_s / self.work_s
-
 
 class PreemptiveResource:
     """A round-robin time-sliced single server (preemptive compute).
@@ -829,16 +822,6 @@ class ArrayEventQueue:
     # ------------------------------------------------------------------ #
     # merged view (the static lane wins exact ties)
     # ------------------------------------------------------------------ #
-    def peek(self) -> tuple[float, int] | None:
-        """The next event's ``(time, subkey)`` without popping it."""
-        dynamic = self._entries[0][:2] if self._entries else None
-        lane_pos = self._lane_pos
-        if lane_pos < len(self._lane_t):
-            lane = (self._lane_t[lane_pos], self._lane_sub[lane_pos])
-            if dynamic is None or lane <= dynamic:
-                return lane
-        return dynamic
-
     def pop(self) -> tuple[float, int, int]:
         """Remove and return the next ``(time, subkey, payload)``."""
         entries = self._entries

@@ -28,12 +28,6 @@ class FetchResult:
     mean_contiguous_bytes: float
     num_transfers: int
 
-    @property
-    def hit_ratio(self) -> float:
-        if self.requested_tokens == 0:
-            return 1.0
-        return self.resident_tokens / self.requested_tokens
-
 
 @dataclass
 class HierarchicalKVManager:
@@ -113,12 +107,6 @@ class HierarchicalKVManager:
         self._offloaded_before += evicted
         return evicted
 
-    def is_resident(self, token_index: int) -> bool:
-        """Whether a token is currently held in device memory."""
-        if token_index < 0 or token_index >= self._num_tokens:
-            raise IndexError("token index out of range")
-        return token_index >= self._offloaded_before
-
     def fetch(self, token_indices: np.ndarray) -> FetchResult:
         """Resolve a retrieval request into resident hits and off-chip transfers."""
         token_indices = np.unique(np.asarray(token_indices, dtype=np.int64))
@@ -160,10 +148,6 @@ class HierarchicalKVManager:
         # Arrival-order layout: coalesce only consecutive indices.
         splits = np.nonzero(np.diff(offchip) > 1)[0] + 1
         return list(np.split(offchip, splits))
-
-    def device_bytes(self) -> float:
-        """Bytes of KV cache currently resident in device memory."""
-        return self.resident_tokens * self.bytes_per_token
 
     def offloaded_bytes(self) -> float:
         """Bytes of KV cache spilled to CPU memory or SSD."""

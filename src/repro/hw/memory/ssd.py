@@ -63,14 +63,6 @@ class SSDModel:
             return 0.0
         return self.config.read_latency_us * 1e-6 + occupancy
 
-    def write_time_s(self, num_bytes: float) -> float:
-        """Seconds to write ``num_bytes`` sequentially (streaming offload)."""
-        if num_bytes < 0:
-            raise ValueError("num_bytes must be non-negative")
-        if num_bytes == 0:
-            return 0.0
-        return num_bytes / (self.config.sequential_write_gbps * 1e9)
-
     def energy_j(self, busy_seconds: float, idle_seconds: float = 0.0) -> float:
         """Energy consumed while busy plus idle."""
         return busy_seconds * self.config.active_power_w + idle_seconds * self.config.idle_power_w

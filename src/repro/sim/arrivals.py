@@ -67,24 +67,6 @@ class ArrivalProcess:
             traces.append(times)
         return traces
 
-    def generate_flat(
-        self, num_streams: int, frames_per_stream: int, seed: int = 0
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The fleet's traces as flat ``(times, lengths)`` columns.
-
-        Returns the exact arrays :meth:`generate` would produce, already
-        concatenated stream-major: ``lengths[s]`` frames of stream ``s``
-        start at offset ``lengths[:s].sum()``.  This is the layout the
-        array-backed engine preloads as its arrival lane, so callers that
-        feed the engine directly avoid re-concatenating per-stream lists.
-        """
-        traces = self.generate(num_streams, frames_per_stream, seed)
-        lengths = np.array([len(trace) for trace in traces], dtype=np.int64)
-        if int(lengths.sum()) == 0:
-            return np.zeros(0, dtype=float), lengths
-        times = np.concatenate([trace for trace in traces if trace.size])
-        return times, lengths
-
     def _stream_times(
         self, rng: np.random.Generator, frames: int, stream: int
     ) -> np.ndarray:

@@ -49,9 +49,10 @@ chosen per call (every step method takes ``contention`` and ``compute``):
   around two scheduling cores: two sorted FCFS passes resolving each
   stream into a :class:`ContendedTiming`
   (:func:`contended_issue_timing` / :func:`contended_exposure`), or an
-  :class:`~repro.hw.event.EventLoop` replay in which each stream's
-  :class:`_TimeslicedStage` is its own resolved outcome.  The scheduler's
-  reference engine issues jobs through the same three names.
+  :class:`~repro.hw.event.EventLoop` replay of the :class:`StageCore`, the
+  one time-sliced stage machine, through :func:`stage_driver`.  The
+  scheduler's reference loop issues jobs through the same names, and its
+  array engine drives the same core from its heap codes.
 
 Orthogonally to the contention/compute axes, passing a
 :class:`repro.hw.memory.sharding.ShardedKVHierarchy` as ``memory`` turns
@@ -377,12 +378,6 @@ class BatchStepResult:
             return 0.0
         return sum(stream.exposed_fetch_s for stream in self.streams) / len(self.streams)
 
-    @property
-    def max_pcie_wait_s(self) -> float:
-        if not self.streams:
-            return 0.0
-        return max(stream.pcie_wait_s for stream in self.streams)
-
 
 @dataclass
 class StreamScenarioEstimate:
@@ -552,207 +547,225 @@ def contended_exposure(
     return latency, exposed_prediction, exposed_fetch
 
 
-class _TimeslicedStage:
-    """In-flight state machine of one stream's stage on the shared servers.
+#: Decisions a :class:`StageCore` transition hands its driver: bits the
+#: driver applies in ascending order.
+TS_DRE = 1  # grant the DRE the prediction now, then report prediction_done
+TS_PREDICT = 2  # serve the prediction on the shared server -> prediction_done
+TS_COMPUTE = 4  # serve the compute on the shared server -> compute_done
+TS_LINK = 8  # request the link at request_s[i] -> link_granted
+TS_FINISH = 16  # the stage is resolved and ends at finish_s[i] (never with another bit)
 
-    Construction must happen inside an event at the stage's start instant
-    (``loop.now_s`` is the start time).  The per-system sequencing mirrors
-    ``contended_issue_timing`` with the private compute replaced by jobs on
-    the shared :class:`~repro.hw.event.PreemptiveResource`:
 
-    * **V-Rex** — the dense compute job is submitted to the shared LXE at
-      the start; ReSV prediction queues on the DRE and the fetch it unlocks
-      requests the link at the prediction's end; the stage ends when both
-      the compute job and the fetch (or prediction) resolve.
+class StageCore:
+    """The time-sliced stage machine as array state: no queue, no callbacks.
+
+    A *stage* is one stream's job after vision — ReSV prediction, the KV
+    fetch on the shared link and the dense compute on the shared
+    round-robin server — sequenced per system class:
+
+    * **V-Rex** — the prediction runs on the shared DRE (in place when it
+      is not on the DRE) while the compute runs on the shared LXE from the
+      start; the fetch it unlocks requests the link at the prediction's end;
     * **overlapping GPU** — the prediction kernels occupy the shared GPU
-      first; at their completion the prefetch requests the link while the
-      dense compute job joins the shared server.
+      first; at their end the prefetch requests the link while the compute
+      joins the server;
     * **serial (FlexGen)** — prediction, then compute, both on the shared
-      GPU; the link is requested only when the compute job completes.
+      GPU; the link is requested only when the compute ends.
 
-    ``on_finish(stage)`` fires as soon as every end time is known, handing
-    over the stage itself as its resolved outcome — the time-sliced
-    analogue of the ``contended_issue_timing`` / ``contended_exposure``
-    pair, shared by :meth:`BatchLatencyModel._contended_step` and the
-    event-driven scheduler so the two agree to the last bit.  ``finish_s``
-    may lie in the future (the caller schedules its completion event),
-    exactly like the analytic contended helpers.
+    A stage finishes at ``max(compute finish, chain end)``, the chain being
+    the transfer (or, with nothing to fetch, the prediction — the compute on
+    serial systems).  The transitions fill the three waits; :meth:`resolved`
+    adds the latency and exposures — the time-sliced analogue of the
+    :func:`contended_issue_timing` / :func:`contended_exposure` pair.
+
+    Columns are indexed by a caller-chosen stage id: a stream, whose
+    pipeline slot keeps at most one stage in flight.  The four transitions
+    return the next decisions as ``TS_*`` bits; the drivers own the DRE and
+    link FCFS grants and the server, apply the bits in ascending order and
+    report back what they granted.  Two drivers consume the core:
+    :func:`stage_driver` on an :class:`EventLoop` (the plane's time-sliced
+    step and the scheduler's reference loop) and the array engine's heap
+    codes.  (``TS_COMPUTE`` before ``TS_LINK`` is a convention: a server
+    slice and a link request differ in priority, so their seqs never tie.)
     """
 
-    def __init__(
-        self,
-        loop: EventLoop,
-        compute_server: PreemptiveResource,
-        dre_queue: ResourceQueue,
-        link_queue: PCIeLinkQueue,
-        *,
-        is_vrex: bool,
-        overlaps: bool,
-        on_dre: bool,
-        compute_s: float,
-        prediction_s: float,
-        fetch_s: float,
-        key: tuple,
-        on_finish,
-    ):
-        self.loop = loop
-        self.compute_server = compute_server
-        self.dre_queue = dre_queue
-        self.link_queue = link_queue
+    __slots__ = (
+        "is_vrex",
+        # what each stage does ...
+        "serial", "compute_s", "prediction_s", "fetch_s",
+        # ... when (-1.0 marks a pending compute finish or chain end) ...
+        "start_s", "compute_submit_s", "compute_finish_s", "prediction_end_s",
+        "request_s", "transfer_start_s", "chain_end_s", "finish_s",
+        # ... and what it waited for
+        "dre_wait_s", "compute_wait_s", "pcie_wait_s",
+    )
+
+    def __init__(self, is_vrex: bool, capacity: int):
         self.is_vrex = is_vrex
-        self.overlaps = overlaps
-        self.on_dre = on_dre
-        self.compute_s = compute_s
-        self.prediction_s = prediction_s
-        self.fetch_s = fetch_s
-        self.key = key
-        self.start_s = loop.now_s
-        self.compute_submit_s = self.start_s
-        self.compute_finish_s: float | None = None
-        self.prediction_end_s: float | None = None
-        self.dre_wait_s = 0.0
-        self.transfer: QueuedService | None = None
-        self._chain_end_s: float | None = None
-        self.finish_s: float | None = None
-        self._on_finish = on_finish
-        self._begin()
+        # a stage's transitions write each column before its reads
+        for column in self.__slots__[1:]:
+            setattr(self, column, [0.0] * capacity)
 
-    # ------------------------------------------------------------------ #
-    def _begin(self) -> None:
-        start = self.start_s
+    def issued(
+        self, i: int, now: float, overlaps: bool, on_dre: bool,
+        compute_s: float, prediction_s: float, fetch_s: float,
+    ) -> int:
+        """Stage ``i`` starts at ``now`` (its job's arrival plus vision)."""
+        self.serial[i] = not (self.is_vrex or overlaps)
+        self.compute_s[i] = compute_s
+        self.prediction_s[i] = prediction_s
+        self.fetch_s[i] = fetch_s
+        self.start_s[i] = now
+        self.compute_finish_s[i] = -1.0
+        self.chain_end_s[i] = -1.0
+        self.pcie_wait_s[i] = 0.0
         if self.is_vrex:
-            # Compute on the shared LXE from the start; prediction on the
-            # DRE; the fetch requests the link when the prediction ends.
-            self._submit_compute()
-            if self.on_dre and self.prediction_s > 0:
-                served = self.dre_queue.enqueue(start, self.prediction_s)
-                self.dre_wait_s = served.wait_s
-                self.prediction_end_s = served.finish_s
-            else:
-                self.prediction_end_s = start + self.prediction_s
-            if self.fetch_s > 0:
-                self.loop.schedule(
-                    self.prediction_end_s,
-                    self._request_link,
-                    priority=PRIO_LINK,
-                    key=self.key,
-                )
-            else:
-                self._chain_end_s = self.prediction_end_s
-            self._maybe_finish()
-        elif self.prediction_s > 0:
-            # GPU: the prediction kernels occupy the shared engine first.
-            self.compute_server.submit(
-                self.prediction_s, self._prediction_done, key=self.key
-            )
-        else:
-            self.prediction_end_s = start
-            self._after_prediction()
+            if on_dre and prediction_s > 0.0:
+                return TS_DRE
+            return self.prediction_done(i, now, now + prediction_s)
+        if prediction_s > 0.0:
+            return TS_PREDICT
+        return self.prediction_done(i, now, now)
 
-    def _prediction_done(self, job) -> None:
-        self.prediction_end_s = job.finish_s
-        self._after_prediction()
+    def prediction_done(
+        self, i: int, now: float, end_s: float, dre_wait_s: float = 0.0
+    ) -> int:
+        """Stage ``i``'s prediction ends at ``end_s``; its compute is submitted at ``now``.
 
-    def _after_prediction(self) -> None:
-        if self.overlaps and self.fetch_s > 0:
-            # The prefetch overlaps the compute but must win the link first.
-            self.loop.schedule(
-                self.prediction_end_s,
-                self._request_link,
-                priority=PRIO_LINK,
-                key=self.key,
-            )
-        elif self.overlaps:
-            self._chain_end_s = self.prediction_end_s
-        self._submit_compute()
-
-    def _submit_compute(self) -> None:
-        self.compute_submit_s = self.loop.now_s
-        if self.compute_s > 0:
-            self.compute_server.submit(self.compute_s, self._compute_done, key=self.key)
-        else:
-            self.compute_finish_s = self.loop.now_s
-            self._compute_resolved()
-
-    def _compute_done(self, job) -> None:
-        self.compute_finish_s = job.finish_s
-        self._compute_resolved()
-
-    def _compute_resolved(self) -> None:
-        if not self.is_vrex and not self.overlaps:
-            # FlexGen-style serial prefill requests the link only after its
-            # compute finishes.
-            if self.fetch_s > 0:
-                self.loop.schedule(
-                    self.compute_finish_s,
-                    self._request_link,
-                    priority=PRIO_LINK,
-                    key=self.key,
-                )
-            else:
-                self._chain_end_s = self.compute_finish_s
-        self._maybe_finish()
-
-    def _request_link(self) -> None:
-        self.transfer = self.link_queue.enqueue(self.loop.now_s, self.fetch_s)
-        self._chain_end_s = self.transfer.finish_s
-        self._maybe_finish()
-
-    def _maybe_finish(self) -> None:
-        if self.compute_finish_s is None or self._chain_end_s is None:
-            return
-        self.finish_s = max(self.compute_finish_s, self._chain_end_s)
-        self._on_finish(self)
-
-    # ------------------------------------------------------------------ #
-    # the resolved outcome (valid once ``on_finish`` has fired)
-    # ------------------------------------------------------------------ #
-    @property
-    def latency_s(self) -> float:
-        """Stage latency measured from ``start_s`` (excludes vision)."""
-        return self.finish_s - self.start_s
-
-    @property
-    def compute_wait_s(self) -> float:
-        """Queueing plus preemption gaps the shared compute server inflicted."""
-        if self.compute_s <= 0:
-            return 0.0
-        return self.compute_finish_s - self.compute_submit_s - self.compute_s
-
-    @property
-    def pcie_wait_s(self) -> float:
-        return self.transfer.wait_s if self.transfer is not None else 0.0
-
-    @property
-    def exposed_prediction_s(self) -> float:
-        """Prediction span not hidden behind this stream's compute.
-
-        Spans include shared-server queueing, mirroring how the contended
-        plane's exposure charges PCIe waits to the fetch that suffers them.
+        On V-Rex this is reported at the start, ``end_s`` being when the DRE
+        (or the in-place prediction) will be done.
         """
-        if self.is_vrex:
-            busy = self.compute_finish_s - self.start_s
-            hidden = self._hidden_end_s - self.start_s
-            prediction_span = self.prediction_end_s - self.start_s
-            return max(0.0, min(prediction_span, hidden - busy))
-        return self.prediction_end_s - self.start_s
+        self.prediction_end_s[i] = end_s
+        self.dre_wait_s[i] = dre_wait_s
+        self.compute_submit_s[i] = now
+        decision = 0
+        if not self.serial[i]:
+            if self.fetch_s[i] > 0.0:
+                self.request_s[i] = end_s
+                decision = TS_LINK
+            else:
+                self.chain_end_s[i] = end_s
+        if self.compute_s[i] > 0.0:
+            return decision | TS_COMPUTE
+        return decision | self.compute_done(i, now)
 
-    @property
-    def exposed_fetch_s(self) -> float:
-        """Fetch span (with link waits) not hidden behind compute."""
-        if self.is_vrex:
-            busy = self.compute_finish_s - self.start_s
-            hidden = self._hidden_end_s - self.start_s
-            return max(0.0, hidden - busy - self.exposed_prediction_s)
-        if self.transfer is None:
-            return 0.0
-        return max(0.0, self.transfer.finish_s - self.compute_finish_s)
-
-    @property
-    def _hidden_end_s(self) -> float:
-        return (
-            self.transfer.finish_s if self.transfer is not None else self.prediction_end_s
+    def compute_done(self, i: int, now: float) -> int:
+        """Stage ``i``'s compute finished at ``now``."""
+        self.compute_finish_s[i] = now
+        compute_s = self.compute_s[i]
+        # queueing plus preemption gaps on the shared server
+        self.compute_wait_s[i] = (
+            now - self.compute_submit_s[i] - compute_s if compute_s > 0.0 else 0.0
         )
+        chain_end = self.chain_end_s[i]
+        if self.serial[i]:
+            if self.fetch_s[i] > 0.0:
+                self.request_s[i] = now
+                return TS_LINK
+            chain_end = self.chain_end_s[i] = now
+        if chain_end < 0.0:
+            return 0
+        self.finish_s[i] = now if now >= chain_end else chain_end
+        return TS_FINISH
+
+    def link_granted(self, i: int, start_s: float) -> int:
+        """Stage ``i``'s transfer holds the link from ``start_s``."""
+        self.transfer_start_s[i] = start_s
+        self.pcie_wait_s[i] = start_s - self.request_s[i]
+        chain_end = self.chain_end_s[i] = start_s + self.fetch_s[i]
+        compute_finish = self.compute_finish_s[i]
+        if compute_finish < 0.0:
+            return 0
+        self.finish_s[i] = compute_finish if compute_finish >= chain_end else chain_end
+        return TS_FINISH
+
+    def resolved(self, i: int) -> tuple[float, float, float, float, float]:
+        """``(latency_s, compute_wait_s, pcie_wait_s, exposed_prediction_s,
+        exposed_fetch_s)`` of resolved stage ``i``.
+
+        The latency is measured from ``start_s``.  Exposed spans include
+        shared-server and link queueing, the way the contended plane charges
+        a PCIe wait to the fetch that suffers it.
+        """
+        start = self.start_s[i]
+        compute_finish = self.compute_finish_s[i]
+        chain_end = self.chain_end_s[i]
+        prediction_span = self.prediction_end_s[i] - start
+        if self.is_vrex:
+            # prediction and fetch hide behind this stream's own compute
+            busy = compute_finish - start
+            hidden = chain_end - start
+            exposed_prediction = max(0.0, min(prediction_span, hidden - busy))
+            exposed_fetch = max(0.0, hidden - busy - exposed_prediction)
+        else:
+            exposed_prediction = prediction_span
+            fetched = self.fetch_s[i] > 0.0
+            exposed_fetch = max(0.0, chain_end - compute_finish) if fetched else 0.0
+        return (
+            self.finish_s[i] - start,
+            self.compute_wait_s[i],
+            self.pcie_wait_s[i],
+            exposed_prediction,
+            exposed_fetch,
+        )
+
+
+def stage_driver(
+    core: StageCore,
+    loop: EventLoop,
+    server: PreemptiveResource,
+    dre: ResourceQueue,
+    link: PCIeLinkQueue,
+    on_finish=None,
+):
+    """Drive a :class:`StageCore` with :class:`EventLoop` events; returns ``issue``.
+
+    ``issue(i, key, overlaps, on_dre, compute_s, prediction_s, fetch_s)``
+    starts stage ``i`` at the loop's current time, so call it from the
+    stage's issue event.  The driver grants the DRE and the link FCFS
+    through ``dre`` and ``link``, serves work on ``server`` (a
+    :class:`PreemptiveResource` on ``loop``) and requests the link at
+    ``PRIO_LINK``, everything keyed by ``key``.  ``on_finish(i)`` runs once
+    stage ``i`` is resolved; its ``finish_s`` may lie in the future.
+    """
+
+    def apply(i: int, key: tuple, decision: int) -> None:
+        if decision & TS_DRE:
+            now = loop.now_s
+            served = dre.enqueue(now, core.prediction_s[i])
+            decision = core.prediction_done(i, now, served.finish_s, served.wait_s)
+        if decision & TS_PREDICT:
+            server.submit(
+                core.prediction_s[i],
+                lambda job: apply(i, key, core.prediction_done(i, job.finish_s, job.finish_s)),
+                key=key,
+            )
+        elif decision & TS_COMPUTE:
+            server.submit(
+                core.compute_s[i],
+                lambda job: apply(i, key, core.compute_done(i, job.finish_s)),
+                key=key,
+            )
+        if decision & TS_LINK:
+            loop.schedule(
+                core.request_s[i],
+                lambda: apply(
+                    i,
+                    key,
+                    core.link_granted(i, link.enqueue(loop.now_s, core.fetch_s[i]).start_s),
+                ),
+                priority=PRIO_LINK,
+                key=key,
+            )
+        if decision & TS_FINISH and on_finish is not None:
+            on_finish(i)
+
+    def issue(i, key, overlaps, on_dre, compute_s, prediction_s, fetch_s) -> None:
+        apply(
+            i, key, core.issued(i, loop.now_s, overlaps, on_dre, compute_s, prediction_s, fetch_s)
+        )
+
+    return issue
 
 
 class BatchLatencyModel:
@@ -1114,6 +1127,11 @@ class BatchLatencyModel:
     ) -> BatchStepResult:
         require_choice("contention", contention, (False, True))
         validate_compute_policy(compute)
+        if not contention and compute != "private":
+            raise ValueError(
+                f"compute={compute!r} needs contention=True: contention=False prices "
+                "the aggregated step, which batches compute instead of sharing it"
+            )
         if not profiles:
             raise ValueError("a batched step needs at least one stream profile")
         memory = self._memory_for(system, profiles)
@@ -1311,38 +1329,23 @@ class BatchLatencyModel:
             )
             if entry is not None
         ]
-        # per active stream: its ContendedTiming (private compute) or its
-        # resolved _TimeslicedStage, which carries the same demand fields
-        resolved: list[ContendedTiming | _TimeslicedStage | None] = [None] * len(profiles)
+        timings: list[ContendedTiming | None] = [None] * len(profiles)
         transfers: dict[int, QueuedService] = {}
-        compute_server = None
         if timesliced:
             # Replay the scheduler's event structure for one frame per
-            # stream: issue events keyed by ``(session_id, index)`` submit
-            # each stream's stage to the shared servers, so an aligned
+            # stream: issue events keyed by ``(session_id, index)`` start
+            # each stream's stage on the shared servers, so an aligned
             # single-step scheduler run reproduces this mode bit for bit
-            # (the same stage machine prices both).
+            # (the same stage core and driver price both).
             loop = EventLoop()
             compute_server = PreemptiveResource(
                 loop, "compute", quantum_s=self.quantum_s, priority=PRIO_COMPLETE
             )
-            for start_s, session_id, index, on_dre, compute_s, prediction_s, fetch_s in issues:
+            stages = StageCore(is_vrex, len(profiles))
+            issue = stage_driver(stages, loop, compute_server, dre_queue, link_queue)
+            for start_s, session_id, index, *demand in issues:
                 key = (session_id, index)
-                begin = partial(
-                    _TimeslicedStage,
-                    loop,
-                    compute_server,
-                    dre_queue,
-                    link_queue,
-                    is_vrex=is_vrex,
-                    overlaps=overlaps,
-                    on_dre=on_dre,
-                    compute_s=compute_s,
-                    prediction_s=prediction_s,
-                    fetch_s=fetch_s,
-                    key=key,
-                    on_finish=partial(resolved.__setitem__, index),
-                )
+                begin = partial(issue, index, key, overlaps, *demand)
                 loop.schedule(start_s, begin, priority=PRIO_ISSUE, key=key)
             loop.run()
         else:
@@ -1354,7 +1357,7 @@ class BatchLatencyModel:
             for start_s, session_id, index, on_dre, compute_s, prediction_s, fetch_s in sorted(
                 issues
             ):
-                timing = resolved[index] = contended_issue_timing(
+                timing = timings[index] = contended_issue_timing(
                     is_vrex=is_vrex,
                     overlaps=overlaps,
                     on_dre=on_dre,
@@ -1370,7 +1373,7 @@ class BatchLatencyModel:
             # *request-time* order (which differs from arrival order when
             # per-stream prediction or compute times differ).
             for request_s, _, index in sorted(requests):
-                transfers[index] = link_queue.enqueue(request_s, resolved[index].fetch_s)
+                transfers[index] = link_queue.enqueue(request_s, timings[index].fetch_s)
 
         # Phase 3 — per-stream results under the overlap rules; the fleet
         # makespan spans the streams that took part in the step.
@@ -1378,32 +1381,41 @@ class BatchLatencyModel:
         arrivals: list[float] = []
         finishes: list[float] = []
         for index, profile in enumerate(profiles):
-            timing = resolved[index]
-            if timing is None:
+            entry = demands[index][0]
+            if entry is None:
                 rows.append(_inactive_stream_row(profile))
                 continue
             if timesliced:
-                transfer = timing.transfer
-                latency = timing.latency_s
-                exposed_prediction = timing.exposed_prediction_s
-                exposed_fetch = timing.exposed_fetch_s
+                latency, compute_wait, pcie_wait, exposed_prediction, exposed_fetch = (
+                    stages.resolved(index)
+                )
+                compute_s = stages.compute_s[index]
+                prediction_s = stages.prediction_s[index]
+                fetch_s = stages.fetch_s[index]
+                dre_wait = stages.dre_wait_s[index]
             else:
+                timing = timings[index]
                 transfer = transfers.get(index)
                 latency, exposed_prediction, exposed_fetch = contended_exposure(
                     is_vrex=is_vrex, overlaps=overlaps, timing=timing, transfer=transfer
                 )
+                pcie_wait = transfer.wait_s if transfer is not None else 0.0
+                compute_s = timing.compute_s
+                prediction_s = timing.prediction_s
+                fetch_s = timing.fetch_s
+                dre_wait = timing.dre_wait_s
             breakdown = {
                 "vision": vision_each,
-                "llm_compute": timing.compute_s,
+                "llm_compute": compute_s,
                 "kv_prediction": exposed_prediction,
                 "kv_fetch": exposed_fetch,
-                "kv_prediction_raw": timing.prediction_s,
-                "kv_fetch_raw": timing.fetch_s,
-                "pcie_wait": transfer.wait_s if transfer is not None else 0.0,
-                "dre_wait": timing.dre_wait_s,
+                "kv_prediction_raw": prediction_s,
+                "kv_fetch_raw": fetch_s,
+                "pcie_wait": pcie_wait,
+                "dre_wait": dre_wait,
             }
             if timesliced:
-                breakdown["compute_wait"] = timing.compute_wait_s
+                breakdown["compute_wait"] = compute_wait
             total_s = vision_each + latency
             rows.append(
                 StreamStepResult(
@@ -1412,7 +1424,7 @@ class BatchLatencyModel:
                     arrival_offset_s=profile.arrival_offset_s,
                     total_s=total_s,
                     breakdown=breakdown,
-                    fetch_bytes=demands[index][0].fetch_bytes * num_layers,
+                    fetch_bytes=entry.fetch_bytes * num_layers,
                 )
             )
             arrivals.append(profile.arrival_offset_s)

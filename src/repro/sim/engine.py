@@ -34,12 +34,14 @@ one of those with integers moving through preallocated structures:
 float operations in the identical order: DRE/link starts are
 ``max(arrival, free_at)``, exposures inline
 :func:`~repro.sim.batched.contended_exposure`'s exact expressions, the
-time-sliced stage machine mirrors ``_TimeslicedStage`` transition for
-transition, the server under it is the reference loop's own core (so
-both skip the same quantum expiries), and every queued event's ``seq`` is
-consumed at the same point the reference loop's ``EventLoop.schedule``
-would consume it — so both engines produce the same event order, the
-same records, the same timelines and the same (logical) event counts.
+time-sliced stages are the reference loop's own
+:class:`~repro.sim.batched.StageCore` (driven from heap codes instead of
+:class:`~repro.hw.event.EventLoop` callbacks), the server under them is
+the reference loop's own core (so both skip the same quantum expiries),
+and every queued event's ``seq`` is consumed at the same point the
+reference loop's ``EventLoop.schedule`` would consume it — so both
+engines produce the same event order, the same records, the same
+timelines and the same (logical) event counts.
 The engine-equivalence tests pin this on random fleets.
 
 ``seq`` arithmetic uses raw integer adds against per-stream packed bases;
@@ -64,7 +66,18 @@ from repro.devtools.sanitizer import (
 )
 from repro.hw.event import ArrayEventQueue, IndexRing, RoundRobinCore, pack_subkey
 from repro.hw.memory.sharding import sharded_fetch_makespan
-from repro.sim.batched import PRIO_ARRIVAL, PRIO_COMPLETE, PRIO_ISSUE, PRIO_LINK
+from repro.sim.batched import (
+    PRIO_ARRIVAL,
+    PRIO_COMPLETE,
+    PRIO_ISSUE,
+    PRIO_LINK,
+    TS_COMPUTE,
+    TS_DRE,
+    TS_FINISH,
+    TS_LINK,
+    TS_PREDICT,
+    StageCore,
+)
 from repro.sim.jobtable import (
     ADM_BACKLOG,
     ADM_DEFER,
@@ -214,13 +227,8 @@ def run_array(ctx: _RunContext) -> ScheduleResult:
     j_dre = [0.0] * num_jobs
     j_cwait = [0.0] * num_jobs
     j_fetch = [0.0] * num_jobs
-    j_tstart = [0.0] * num_jobs  # stage start (private + timesliced)
-    j_pend = [0.0] * num_jobs  # prediction end
+    j_tstart = [0.0] * num_jobs  # private stage start
     j_request = [0.0] * num_jobs  # private link-request time
-    j_cfin = [-1.0] * num_jobs  # timesliced compute finish (-1 = pending)
-    j_chain = [-1.0] * num_jobs  # timesliced fetch/prediction chain end
-    j_trs = [0.0] * num_jobs  # timesliced transfer start
-    j_trp = [False] * num_jobs  # timesliced transfer present
 
     # stream pipeline slots: lane s of one ring; busy flags replace holders
     ring = IndexRing(num_jobs, max(1, num_streams))
@@ -304,66 +312,43 @@ def run_array(ctx: _RunContext) -> ScheduleResult:
             seq += 1
 
     # ------------------------------------------------------------------ #
-    # timesliced stage machine (mirrors batched._TimeslicedStage)
+    # time-sliced stages: the stage core, by stream, driven from the heap
+    # codes (the DRE is granted at C_ISSUE, the link at C_TSLINK); the
+    # other decisions are applied here, in bit order
     # ------------------------------------------------------------------ #
-    def ts_submit_compute(job: int, b: int) -> None:
-        j_csub[job] = now
-        compute_s = st_compute[b]
-        if compute_s > 0.0:
-            server_submit(job, 1, compute_s)
-        else:
-            j_cfin[job] = now
-            ts_compute_resolved(job, b)
+    stages = StageCore(is_vrex, num_streams)
+    ts_issued = stages.issued
+    ts_prediction_done = stages.prediction_done
+    ts_compute_done = stages.compute_done
+    ts_link_granted = stages.link_granted
+    ts_compute = stages.compute_s
+    ts_prediction = stages.prediction_s
+    ts_fetch = stages.fetch_s
 
-    def ts_after_prediction(job: int, b: int) -> None:
+    def ts_apply(job: int, s: int, decision: int) -> None:
         nonlocal seq
-        if st_overlaps[b]:
-            if j_fetch[job] > 0.0:
-                s = streams[job]
-                heappush(
-                    entries,
-                    (j_pend[job], base_link[s] + seq, (job << 3) | C_TSLINK),
-                )
-                seq += 1
-            else:
-                j_chain[job] = j_pend[job]
-        ts_submit_compute(job, b)
-
-    def ts_compute_resolved(job: int, b: int) -> None:
-        nonlocal seq
-        if not is_vrex and not st_overlaps[b]:
-            if j_fetch[job] > 0.0:
-                s = streams[job]
-                heappush(
-                    entries,
-                    (j_cfin[job], base_link[s] + seq, (job << 3) | C_TSLINK),
-                )
-                seq += 1
-            else:
-                j_chain[job] = j_cfin[job]
-        ts_maybe_finish(job, b)
-
-    def ts_maybe_finish(job: int, b: int) -> None:
-        nonlocal seq
-        cfin = j_cfin[job]
-        chain = j_chain[job]
-        if cfin < 0.0 or chain < 0.0:
+        if decision == TS_FINISH:  # always alone: the stage asks for nothing more
+            j_cwait[job] = stages.compute_wait_s[s]
+            j_pcie[job] = stages.pcie_wait_s[s]
+            j_dre[job] = stages.dre_wait_s[s]
+            if ts_compute[s] > 0.0:
+                submit_s = stages.compute_submit_s[s]
+                tl_append((job, TL_COMPUTE, submit_s, stages.compute_finish_s[s] - submit_s))
+            prediction_s = ts_prediction[s]
+            if st_on_dre[s * 3 + kinds[job]] and prediction_s > 0.0:
+                tl_append((job, TL_DRE, stages.prediction_end_s[s] - prediction_s, prediction_s))
+            if ts_fetch[s] > 0.0:
+                tl_append((job, TL_PCIE, stages.transfer_start_s[s], ts_fetch[s]))
+            heappush(entries, (stages.finish_s[s], base_complete[s] + seq, (job << 3) | C_FINISH))
+            seq += 1
             return
-        compute_s = st_compute[b]
-        if compute_s > 0.0:
-            j_cwait[job] = cfin - j_csub[job] - compute_s
-            tl_append((job, TL_COMPUTE, j_csub[job], cfin - j_csub[job]))
-        prediction_s = st_pred[b]
-        if st_on_dre[b] and prediction_s > 0.0:
-            tl_append((job, TL_DRE, j_pend[job] - prediction_s, prediction_s))
-        if j_trp[job]:
-            tl_append((job, TL_PCIE, j_trs[job], j_fetch[job]))
-        finish_s = cfin if cfin >= chain else chain
-        s = streams[job]
-        heappush(entries, (finish_s, base_complete[s] + seq, (job << 3) | C_FINISH))
-        seq += 1
-
-    j_csub = [0.0] * num_jobs  # timesliced compute submit time
+        if decision & TS_PREDICT:
+            server_submit(job, 0, ts_prediction[s])
+        elif decision & TS_COMPUTE:
+            server_submit(job, 1, ts_compute[s])
+        if decision & TS_LINK:
+            heappush(entries, (stages.request_s[s], base_link[s] + seq, (job << 3) | C_TSLINK))
+            seq += 1
 
     # ------------------------------------------------------------------ #
     # admission / slot lifecycle (the rule itself is the scheduler's
@@ -552,38 +537,17 @@ def run_array(ctx: _RunContext) -> ScheduleResult:
             compute_s = st_compute[b]
             prediction_s = st_pred[b]
             if timesliced:
-                j_fetch[job] = fetch
                 if vision_s > 0.0:
                     tl_append((job, TL_VISION, j_start[job], vision_s))
-                j_tstart[job] = now
-                j_csub[job] = now
-                j_cfin[job] = -1.0
-                j_chain[job] = -1.0
-                if is_vrex:
-                    ts_submit_compute(job, b)
-                    if st_on_dre[b] and prediction_s > 0.0:
-                        served_at = now if now >= dre_free else dre_free
-                        j_dre[job] = served_at - now
-                        pend = served_at + prediction_s
-                        dre_free = pend
-                        dre_busy += prediction_s
-                    else:
-                        pend = now + prediction_s
-                    j_pend[job] = pend
-                    if fetch > 0.0:
-                        heappush(
-                            entries,
-                            (pend, base_link[s] + seq, (job << 3) | C_TSLINK),
-                        )
-                        seq += 1
-                    else:
-                        j_chain[job] = pend
-                    ts_maybe_finish(job, b)
-                elif prediction_s > 0.0:
-                    server_submit(job, 0, prediction_s)
-                else:
-                    j_pend[job] = now
-                    ts_after_prediction(job, b)
+                decision = ts_issued(
+                    s, now, st_overlaps[b], st_on_dre[b], compute_s, prediction_s, fetch
+                )
+                if decision & TS_DRE:
+                    served_at = now if now >= dre_free else dre_free
+                    dre_free = served_at + prediction_s
+                    dre_busy += prediction_s
+                    decision = ts_prediction_done(s, now, dre_free, served_at - now)
+                ts_apply(job, s, decision)
                 continue
             # private compute: inline contended_issue_timing
             if is_vrex:
@@ -682,29 +646,27 @@ def run_array(ctx: _RunContext) -> ScheduleResult:
             if finished >= 0:
                 tag = server_owner[finished]
                 owner = tag >> 1
-                b = streams[owner] * 3 + kinds[owner]
+                s = streams[owner]
                 if tag & 1:
-                    j_cfin[owner] = now
-                    ts_compute_resolved(owner, b)
+                    decision = ts_compute_done(s, now)
                 else:
-                    j_pend[owner] = now
-                    ts_after_prediction(owner, b)
+                    decision = ts_prediction_done(s, now, now)
+                if decision:
+                    ts_apply(owner, s, decision)
             elif skipped:
                 events += skipped
                 if sanitize:
                     trace.note((now + quantum, last, f"{skipped} slices fast-forwarded"))
 
         else:  # C_TSLINK: timesliced link grant
-            fetch = j_fetch[job]
+            s = streams[job]
+            fetch = ts_fetch[s]
             transfer_start = now if now >= link_free else link_free
-            fetch_end = transfer_start + fetch
-            link_free = fetch_end
+            link_free = transfer_start + fetch
             link_busy += fetch
-            j_pcie[job] = transfer_start - now
-            j_trp[job] = True
-            j_trs[job] = transfer_start
-            j_chain[job] = fetch_end
-            ts_maybe_finish(job, streams[job] * 3 + kinds[job])
+            decision = ts_link_granted(s, transfer_start)
+            if decision:
+                ts_apply(job, s, decision)
 
     if sanitize:
         # end-of-run drain: no slot still held, no job still queued on a

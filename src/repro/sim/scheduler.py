@@ -25,7 +25,8 @@ misses), not a single makespan.
   (:class:`repro.hw.memory.pcie.PCIeLinkQueue`), through the *same*
   :func:`repro.sim.batched.contended_issue_timing` /
   :func:`repro.sim.batched.contended_exposure` helpers (private compute)
-  and the same ``_TimeslicedStage`` machine (time-sliced compute) as
+  and the same :class:`repro.sim.batched.StageCore` machine under the
+  same :func:`repro.sim.batched.stage_driver` (time-sliced compute) as
   :meth:`BatchLatencyModel._contended_step` — so in the degenerate
   configuration (every stream's single frame arrives at its profile
   offset, no admission control) the scheduler reproduces the contended
@@ -66,11 +67,12 @@ from repro.sim.batched import (
     PRIO_LINK,
     BatchLatencyModel,
     ContendedTiming,
+    StageCore,
     StreamProfile,
     _broadcast_per_stream,
-    _TimeslicedStage,
     contended_exposure,
     contended_issue_timing,
+    stage_driver,
     validate_compute_policy,
 )
 from repro.sim.energy import EnergyInputs
@@ -211,11 +213,6 @@ class JobRecord:
     def sojourn_s(self) -> float:
         """Arrival-to-finish latency (the quantity percentiles report)."""
         return self.finish_s - self.arrival_s
-
-    @property
-    def queue_wait_s(self) -> float:
-        """Time spent waiting for the stream's own pipeline slot."""
-        return self.start_s - self.arrival_s
 
 
 @dataclass(frozen=True)
@@ -1034,6 +1031,9 @@ class ServingScheduler:
             ReleasableResource(f"stream{stream}", record=False)
             for stream in range(num_streams)
         ]
+        # time-sliced stages: the one stage core, by stream, and the job each holds
+        stages = StageCore(is_vrex, num_streams)
+        staged: list[_Job | None] = [None] * num_streams
         timeline = Timeline()
         rows: list[tuple] = []  # one per record, in RecordColumns.FIELDS order
         trajectory: list[tuple[float, tuple[float, ...]]] = []
@@ -1148,19 +1148,15 @@ class ServingScheduler:
             if stage.vision_s > 0:
                 timeline.add(name, f"vision:s{job.stream}", job.start_s, stage.vision_s)
             if timesliced:
-                _TimeslicedStage(
-                    loop,
-                    compute_server,
-                    dre,
-                    link,
-                    is_vrex=is_vrex,
-                    overlaps=stage.overlaps,
-                    on_dre=stage.on_dre,
-                    compute_s=stage.compute_s,
-                    prediction_s=stage.prediction_s,
-                    fetch_s=fetch_s,
-                    key=job.key,
-                    on_finish=lambda resolved, job=job: resolve_timesliced(job, resolved),
+                staged[job.stream] = job
+                issue_stage(
+                    job.stream,
+                    job.key,
+                    stage.overlaps,
+                    stage.on_dre,
+                    stage.compute_s,
+                    stage.prediction_s,
+                    fetch_s,
                 )
                 return
             timing = job.timing = contended_issue_timing(
@@ -1190,32 +1186,26 @@ class ServingScheduler:
             else:
                 resolve(job, None)
 
-        def resolve_timesliced(job: _Job, resolved: _TimeslicedStage) -> None:
-            job.pcie_wait_s = resolved.pcie_wait_s
-            job.dre_wait_s = resolved.dre_wait_s
-            job.compute_wait_s = resolved.compute_wait_s
+        def stage_resolved(stream: int) -> None:
+            job = staged[stream]
+            job.compute_wait_s = stages.compute_wait_s[stream]
+            job.pcie_wait_s = stages.pcie_wait_s[stream]
+            job.dre_wait_s = stages.dre_wait_s[stream]
             name = job_name(job)
-            if resolved.compute_s > 0:
+            submit_s = stages.compute_submit_s[stream]
+            if stages.compute_s[stream] > 0:
                 # One span on the shared lane per job; the round-robin slices
                 # of concurrent jobs interleave inside their spans.
-                timeline.add(
-                    name,
-                    "compute",
-                    resolved.compute_submit_s,
-                    resolved.compute_finish_s - resolved.compute_submit_s,
-                )
-            if resolved.on_dre and resolved.prediction_s > 0:
-                timeline.add(
-                    name,
-                    "dre",
-                    resolved.prediction_end_s - resolved.prediction_s,
-                    resolved.prediction_s,
-                )
-            if resolved.transfer is not None:
-                timeline.add(
-                    name, "pcie", resolved.transfer.start_s, resolved.transfer.service_s
-                )
-            schedule_finish(job, resolved.finish_s)
+                timeline.add(name, "compute", submit_s, stages.compute_finish_s[stream] - submit_s)
+            prediction_s = stages.prediction_s[stream]
+            if priced[stream][job.kind].on_dre and prediction_s > 0:
+                dre_start_s = stages.prediction_end_s[stream] - prediction_s
+                timeline.add(name, "dre", dre_start_s, prediction_s)
+            if stages.fetch_s[stream] > 0:
+                timeline.add(name, "pcie", stages.transfer_start_s[stream], stages.fetch_s[stream])
+            schedule_finish(job, stages.finish_s[stream])
+
+        issue_stage = stage_driver(stages, loop, compute_server, dre, link, stage_resolved)
 
         def request_link(job: _Job) -> None:
             transfer = link.enqueue(loop.now_s, job.timing.fetch_s)

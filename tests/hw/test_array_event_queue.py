@@ -140,16 +140,14 @@ class TestArrayEventQueueEdgeCases:
         with pytest.raises(ValueError):
             ArrayEventQueue(policy)
 
-    def test_peek_matches_pop(self):
+    def test_len_counts_down_to_the_last_pop(self):
         queue = ArrayEventQueue()
         queue.preload([0.25, 2.0], [1, 2], [10, 20])
         queue.push(0.25, 0, 30)
-        while True:
-            head = queue.peek()
-            if head is None:
-                break
-            time_s, sub, payload = queue.pop()
-            assert head == (time_s, sub)
+        popped = []
+        while len(queue):
+            popped.append(queue.pop())
+        assert popped == [(0.25, 0, 30), (0.25, 1, 10), (2.0, 2, 20)]
         assert queue.popped == 3
 
 

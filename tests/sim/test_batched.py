@@ -14,10 +14,11 @@ from repro.sim.batched import (
     PRIO_COMPLETE,
     PRIO_ISSUE,
     BatchLatencyModel,
+    StageCore,
     StreamProfile,
-    _TimeslicedStage,
     aligned_arrivals,
     profiles_from_reports,
+    stage_driver,
     staggered_arrivals,
 )
 from repro.sim.pipeline import LatencyModel, MeasuredRetrieval
@@ -172,6 +173,18 @@ class TestContention:
             assert price(edge["V-Rex8"], profiles, contention=False).contention is False
             assert price(edge["V-Rex8"], profiles, compute="timesliced").compute == "timesliced"
 
+    @pytest.mark.parametrize("step", ["frame_step", "question_step", "generation_step"])
+    def test_a_compute_policy_needs_contention(self, plane, edge, step):
+        """``contention=False`` prices no shared compute, so asking it for
+        time-sliced compute is refused rather than silently ignored."""
+        profiles = [StreamProfile(kv_len=40_000, session_id=i) for i in range(4)]
+        price = getattr(plane, step)
+        with pytest.raises(ValueError, match="compute='timesliced' needs contention=True"):
+            price(edge["V-Rex8"], profiles, contention=False, compute="timesliced")
+        assert price(edge["V-Rex8"], profiles, contention=False, compute="private").compute == (
+            "private"
+        )
+
     def test_aligned_exposed_fetch_strictly_increases(self, plane, edge):
         """Acceptance: more aligned streams -> more exposed fetch on the edge."""
         system = edge["AGX + FlexGen"]
@@ -203,14 +216,14 @@ class TestContention:
         )
         assert staggered.mean_exposed_fetch_s < aligned.mean_exposed_fetch_s
         # fully staggered streams see no queueing at all
-        assert staggered.max_pcie_wait_s == 0.0
-        assert aligned.max_pcie_wait_s > 0.0
+        assert max(stream.pcie_wait_s for stream in staggered.streams) == 0.0
+        assert max(stream.pcie_wait_s for stream in aligned.streams) > 0.0
 
     def test_vrex_queues_on_link_and_dre(self, plane, edge):
         step = plane.frame_step(
             edge["V-Rex8"], [StreamProfile(kv_len=40_000, session_id=i) for i in range(4)]
         )
-        assert step.max_pcie_wait_s > 0.0
+        assert max(stream.pcie_wait_s for stream in step.streams) > 0.0
         assert max(stream.dre_wait_s for stream in step.streams) > 0.0
         # FCFS: later aligned streams wait at least as long on the link
         waits = [stream.pcie_wait_s for stream in step.streams]
@@ -282,8 +295,8 @@ class TestContention:
 
 
 #: (finish_s, latency_s, compute_wait_s, pcie_wait_s, exposed_prediction_s,
-#: exposed_fetch_s) per stream, as the ``TimeslicedOutcome`` record the stage
-#: used to copy itself into reported them for the seeded trio below.
+#: exposed_fetch_s) per stream, as the time-sliced stage machine resolves
+#: them for the seeded trio below (pinned: any rewrite of it must keep them).
 _STAGE_OUTCOMES = {
     "vrex": (
         (0.0419259974341174, 0.0419259974341174, 0.025616508596371938, 0.0, 0.0, 0.0),
@@ -309,42 +322,35 @@ class TestTimeslicedStageIsItsOwnOutcome:
         [("vrex", True, True), ("gpu_overlap", False, True), ("flexgen", False, False)],
     )
     def test_on_finish_receives_the_resolved_stage(self, name, is_vrex, overlaps):
-        rng = random.Random(11)
+        rng = random.Random(11)  # simlint: ignore[SIM001] — the pins' seeded stream
         loop = EventLoop()
         server = PreemptiveResource(loop, "compute", quantum_s=1e-3, priority=PRIO_COMPLETE)
         dre = ResourceQueue("dre")
         link = PCIeLinkQueue(PCIeLink(PCIE4_X16))
-        resolved = [None] * 3
+        stages = StageCore(is_vrex, 3)
+        resolved = []
+        issue = stage_driver(stages, loop, server, dre, link, on_finish=resolved.append)
         for index in range(3):
             key = (index, index)
             begin = partial(
-                _TimeslicedStage,
-                loop,
-                server,
-                dre,
-                link,
-                is_vrex=is_vrex,
-                overlaps=overlaps,
-                on_dre=is_vrex,
-                compute_s=rng.uniform(0.005, 0.03),
-                prediction_s=rng.uniform(0.001, 0.02),
-                fetch_s=rng.uniform(0.02, 0.05) * index,
-                key=key,
-                on_finish=partial(resolved.__setitem__, index),
+                issue,
+                index,
+                key,
+                overlaps,
+                is_vrex,  # on_dre
+                rng.uniform(0.005, 0.03),  # compute_s
+                rng.uniform(0.001, 0.02),  # prediction_s
+                rng.uniform(0.02, 0.05) * index,  # fetch_s
             )
             loop.schedule(0.002 * (index // 2), begin, priority=PRIO_ISSUE, key=key)
         loop.run()
-        for stage, pinned in zip(resolved, _STAGE_OUTCOMES[name], strict=True):
-            assert isinstance(stage, _TimeslicedStage)
-            assert stage.finish_s == max(stage.compute_finish_s, stage._chain_end_s)
-            assert (
-                stage.finish_s,
-                stage.latency_s,
-                stage.compute_wait_s,
-                stage.pcie_wait_s,
-                stage.exposed_prediction_s,
-                stage.exposed_fetch_s,
-            ) == pytest.approx(pinned, rel=1e-12, abs=1e-15)
+        assert sorted(resolved) == [0, 1, 2]  # each stage resolved exactly once
+        for index, pinned in enumerate(_STAGE_OUTCOMES[name]):
+            finish_s = stages.finish_s[index]
+            assert finish_s == max(stages.compute_finish_s[index], stages.chain_end_s[index])
+            assert (finish_s, *stages.resolved(index)) == pytest.approx(
+                pinned, rel=1e-12, abs=1e-15
+            )
 
 
 class TestProfiles:

@@ -143,7 +143,9 @@ class TestContentionInvariants:
         aligned_waits = {s.session_id: s.pcie_wait_s for s in aligned.streams}
         for stream in staggered.streams:
             assert stream.pcie_wait_s <= aligned_waits[stream.session_id] + 1e-12
-        assert staggered.max_pcie_wait_s <= aligned.max_pcie_wait_s + 1e-12
+        assert max(s.pcie_wait_s for s in staggered.streams) <= max(
+            s.pcie_wait_s for s in aligned.streams
+        ) + 1e-12
         assert staggered.mean_exposed_fetch_s <= aligned.mean_exposed_fetch_s + 1e-12
 
     @given(
@@ -353,6 +355,92 @@ class TestTimeslicedBracket:
             assert other.total_s == pytest.approx(row.total_s, abs=1e-12)
             assert other.compute_wait_s == pytest.approx(row.compute_wait_s, abs=1e-12)
             assert other.pcie_wait_s == pytest.approx(row.pcie_wait_s, abs=1e-12)
+
+
+#: a stage's compute, prediction or fetch seconds: none, a few ulps of a
+#: millisecond, or anything up to 0.2 s
+stage_seconds = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=1e-15, max_value=1e-9),
+    st.floats(min_value=0.0, max_value=0.2),
+)
+
+
+class TestLoneStageHasOneLatency:
+    """One stage on idle servers: three definitions of its latency agree.
+
+    The time-sliced stage machine (run through the plane's time-sliced
+    step), the private path (``contended_issue_timing`` +
+    ``contended_exposure``) and the admission controller's closed form
+    (``scheduler._solo_latency``) each define what a lone stage costs.
+    Alone, nothing queues and the shared server runs the stage's own work
+    back to back, so all three must agree up to float rounding at the
+    stage's absolute time scale.
+    """
+
+    @given(
+        system_name=st.sampled_from(("V-Rex8", "AGX + InfiniGen", "AGX + FlexGen")),
+        on_dre=st.booleans(),
+        compute_s=stage_seconds,
+        prediction_s=stage_seconds,
+        fetch_s=stage_seconds,
+        quantum_s=st.sampled_from((1e-4, 1e-3, 1e-2, 1.0)),
+        start_s=st.floats(min_value=0.0, max_value=100.0),
+    )
+    def test_timesliced_private_and_closed_form_agree(
+        self, system_name, on_dre, compute_s, prediction_s, fetch_s, quantum_s, start_s
+    ):
+        from repro.hw.compute import KernelCost
+        from repro.hw.event import ResourceQueue
+        from repro.sim.batched import (
+            _DemandEntry,
+            contended_exposure,
+            contended_issue_timing,
+        )
+        from repro.sim.pipeline import FRAME_STAGE, PredictionParts
+        from repro.sim.scheduler import _solo_latency
+
+        system = EDGE[system_name]
+        is_vrex = system.device.kind == "vrex"
+        overlaps = system.policy.overlap_fetch
+        plane = BatchLatencyModel(quantum_s=quantum_s)
+        layers = plane.base.llm.model.num_layers
+        entry = _DemandEntry(
+            KernelCost(0.0),
+            PredictionParts("dense", 0.0, 0.0, 0.0, on_dre),
+            compute_s / layers,
+            prediction_s / layers,
+        )
+        profile = StreamProfile(kv_len=1_000, arrival_offset_s=start_s)
+        row = plane._contended_step(
+            system, [profile], [(entry, fetch_s / layers)], FRAME_STAGE, False, False, True
+        ).streams[0]
+        # the stage totals the machine saw (per-layer demand x layers)
+        compute, prediction, fetch = (
+            row.breakdown[key] for key in ("llm_compute", "kv_prediction_raw", "kv_fetch_raw")
+        )
+
+        timing = contended_issue_timing(
+            is_vrex=is_vrex,
+            overlaps=overlaps,
+            on_dre=on_dre,
+            start_s=start_s,
+            compute_s=compute,
+            prediction_s=prediction,
+            fetch_s=fetch,
+            dre_queue=ResourceQueue("dre"),
+        )
+        transfer = (
+            ResourceQueue("link").enqueue(timing.request_s, fetch) if fetch > 0 else None
+        )
+        private, _, _ = contended_exposure(
+            is_vrex=is_vrex, overlaps=overlaps, timing=timing, transfer=transfer
+        )
+        solo = _solo_latency(is_vrex, overlaps, 0.0, compute, prediction, fetch)
+
+        tolerance = 1e-12 * max(1.0, start_s + solo)
+        assert abs(row.total_s - solo) <= tolerance
+        assert abs(private - solo) <= tolerance
 
 
 class TestSchedulerPropertyBridge:

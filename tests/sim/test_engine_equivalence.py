@@ -343,20 +343,3 @@ class TestLatencyColumnEquivalence:
         empty = np.zeros(0, dtype=float)
         assert deadline_miss_rate(empty, 1.0) == 0.0
         assert all(np.isnan(v) for v in latency_percentiles(empty).values())
-
-
-class TestFlatArrivals:
-    """generate_flat returns generate()'s traces, concatenated stream-major."""
-
-    def test_flat_matches_per_stream_traces(self):
-        process = BurstyArrivals.for_mean_rate(4.0)
-        traces = process.generate(5, 7, seed=23)
-        times, lengths = process.generate_flat(5, 7, seed=23)
-        assert lengths.tolist() == [len(trace) for trace in traces]
-        np.testing.assert_array_equal(times, np.concatenate(traces))
-
-    def test_flat_empty_fleet(self):
-        process = PoissonArrivals(rate_hz=1.0)
-        times, lengths = process.generate_flat(3, 0, seed=0)
-        assert times.size == 0
-        assert lengths.tolist() == [0, 0, 0]

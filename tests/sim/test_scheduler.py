@@ -162,7 +162,7 @@ class TestEventDynamics:
         traces = [np.arange(4) * (2.0 * solo)]
         result = scheduler.run(system, profiles, traces)
         for record in result.jobs(kind=FRAME_JOB):
-            assert record.queue_wait_s == pytest.approx(0.0, abs=1e-15)
+            assert record.start_s - record.arrival_s == pytest.approx(0.0, abs=1e-15)
             assert record.sojourn_s == pytest.approx(solo, rel=REL_TOL)
 
     def test_deterministic_given_same_traces(self, scheduler, edge):
