@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import sys
 
+import numpy as np
+
 from repro.analysis import format_bank_occupancy_table, format_latency_summary_table
 from repro.hw.memory.sharding import ShardedKVHierarchy
 from repro.sim.arrivals import BurstyArrivals, rate_for_load
@@ -108,9 +110,7 @@ def main(num_streams: int = 6) -> None:
     plain = ServingScheduler(BatchLatencyModel(), config).run(
         system, profiles, traces
     )
-    exact = all(
-        a.sojourn_s == b.sojourn_s for a, b in zip(plain.records, sharded.records, strict=True)
-    )
+    exact = np.array_equal(plain.columns.sojourn_s(), sharded.columns.sojourn_s())
     print()
     print(
         f"Degenerate check (1 unbounded bank vs no memory plane): "

@@ -129,6 +129,6 @@ def format_schedule_record_table(records, title: str | None = None, limit: int =
             if record.dropped
             else ("late" if record.deadline_missed else "ok"),
         ]
-        for record in list(records)[:limit]
+        for record in records[:limit]
     ]
     return format_table(headers, rows, title=title)

@@ -10,7 +10,7 @@ record.  On divergence the error does not just say "a golden drifted":
 it carries a field-level diff of the first records that disagree, so the
 mismatch points at the job and the field where the engines forked.
 
-Duck-typed over anything with a ``.records`` list of comparable entries
+Duck-typed over anything with a ``.records`` sequence of comparable entries
 (:class:`~repro.sim.scheduler.ScheduleResult`,
 :class:`~repro.sim.fleet.FleetResult`); ``events_processed`` is compared
 too when both sides expose it, and when both carry a memory plane so are
@@ -42,27 +42,16 @@ class DifferentialError(AssertionError):
         super().__init__(message)
 
 
-def _record_fields(record) -> dict:
-    """A record's comparable fields (dataclass or attribute bag)."""
-    fields = getattr(record, "__dataclass_fields__", None)
-    if fields is not None:
-        return {name: getattr(record, name) for name in fields}
-    return {
-        name: getattr(record, name)
-        for name in dir(record)
-        if not name.startswith("_") and not callable(getattr(record, name))
-    }
-
-
 def diff_records(first, second, limit: int = DIFF_LIMIT) -> list[str]:
-    """Field-level diff of two record lists, empty when they agree.
+    """Field-level diff of two record sequences, empty when they agree.
 
     Records are compared pairwise in order (both engines emit records in
     completion order, so index ``i`` describes the same job on both
     sides); each diverging pair contributes one line naming the index,
-    the job and every field that disagrees.  Floats are compared exactly
-    — the two engines promise bit-identical schedules, not approximately
-    similar ones.
+    the job and every field (its instance ``__dict__``, so a dataclass or
+    attribute bag, never a ``__slots__`` class) that disagrees.  Floats
+    are compared exactly — the engines promise bit-identical schedules.
+    A ``RecordSequence`` is compared like a list, building rows as it goes.
     """
     diffs: list[str] = []
     if len(first) != len(second):
@@ -70,8 +59,7 @@ def diff_records(first, second, limit: int = DIFF_LIMIT) -> list[str]:
     for index, (a, b) in enumerate(zip(first, second, strict=False)):
         if a == b:
             continue
-        fields_a = _record_fields(a)
-        fields_b = _record_fields(b)
+        fields_a, fields_b = vars(a), vars(b)
         changed = sorted(
             name
             for name in fields_a.keys() | fields_b.keys()

@@ -37,6 +37,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.config import require_number
 from repro.devtools.sanitizer import ENERGY_CONSERVATION, SanitizerError, resolve
 from repro.hw.energy import EnergyModel
@@ -164,21 +166,6 @@ class EnergyReport:
         raise KeyError(name)
 
 
-def _served_rows(result):
-    """Yield ``(stream, kind_name)`` per served record, in sorted order.
-
-    Both engines' record columns are sorted by ``(finish, stream,
-    index)`` and equal column by column, so every accumulation over this
-    sequence is bit-identical across them.
-    """
-    columns = result.columns
-    served = ~columns.dropped
-    for stream, kind in zip(
-        columns.stream[served].tolist(), columns.kind[served].tolist(), strict=True
-    ):
-        yield stream, KIND_NAMES[kind]
-
-
 def _window_s(result) -> float:
     """Last activity instant of the run (dropped jobs included: a drop
     decision is still an event inside the window)."""
@@ -229,24 +216,21 @@ def schedule_energy(
     window = _window_s(result) if window_s is None else float(window_s)
     require_number("window_s", window)
 
-    served = 0
-    tokens = 0.0
-    flops = 0.0
-    dram_bytes = 0.0
-    lxe_busy = 0.0
-    priced = inputs.priced
-    for stream, kind in _served_rows(result):
-        stage = priced[stream][kind]
-        served += 1
-        if not stage.active:
-            continue
-        tokens += stage.tokens
-        flops += stage.flops
-        dram_bytes += stage.dram_bytes
-        busy = stage.vision_s + stage.compute_s
-        if not stage.on_dre:
-            busy += stage.prediction_s
-        lxe_busy += busy
+    # served jobs' (tokens, flops, DRAM bytes, LXE busy) in sorted record
+    # order, summed by a strict left fold (``np.add.accumulate``, not the
+    # pairwise ``np.sum``): equal columns give bit-identical sums
+    demands = []  # per (stream, kind code)
+    for stages in inputs.priced:
+        for kind in KIND_NAMES:
+            s = stages[kind]
+            busy = s.vision_s + s.compute_s + (0.0 if s.on_dre else s.prediction_s)
+            demands.append((s.tokens, s.flops, s.dram_bytes, busy) if s.active else (0,) * 4)
+    columns = result.columns
+    served_mask = ~columns.dropped
+    code = columns.stream[served_mask] * len(KIND_NAMES) + columns.kind[served_mask]
+    jobs = np.array(demands, dtype=float)[code]
+    totals = np.add.accumulate(np.vstack((np.zeros(4), jobs)))[-1]
+    tokens, flops, dram_bytes, lxe_busy = totals.tolist()
 
     rows: list[ResourceEnergy] = []
 
@@ -309,7 +293,7 @@ def schedule_energy(
         system=getattr(result, "system", device.name),
         window_s=window,
         resources=tuple(rows),
-        served=served,
+        served=len(jobs),
         tokens=tokens,
         flops=flops,
         dram_bytes=dram_bytes,

@@ -681,6 +681,7 @@ def run_array(ctx: _RunContext) -> ScheduleResult:
             )
         server.assert_drained("array engine's preemptive server", trace)
 
+    del begin  # break begin -> finish -> release -> begin: the run frees by refcount
     queue._lane_pos = lane_i
     table.num_records = n_rec
     columns = table.finalize(cfg.deadline_s)

@@ -502,16 +502,12 @@ class FleetResult(RecordViews):
         selection of the fleet-wide merge (the float-order rule of
         :func:`~repro.sim.scheduler._summarize`).
         """
-        summaries = []
-        for run in self.devices:
-            if run.schedule is None:  # idle device: an empty selection
-                columns, rows = self.columns, np.arange(0)
-            else:
-                columns, rows = run.columns, np.arange(len(run.columns))
-            summaries.append(
-                _summarize(f"device {run.device}", columns, rows, percentiles)
-            )
-        return summaries
+        parts = [run.columns for run in self.devices if run.schedule is not None]
+        sizes = [0 if run.schedule is None else len(run.columns) for run in self.devices]
+        bounds = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
+        columns = RecordColumns.concatenated(parts) if parts else self.columns
+        labels = [{"scope": f"device {run.device}"} for run in self.devices]
+        return _summarize(labels, columns, np.arange(bounds[-1]), bounds, percentiles)
 
     def energy(self, model=None, window_s: float | None = None, sanitize=None):
         """Fleet-wide per-resource energy rollup.

@@ -16,7 +16,7 @@ preallocated parallel columns:
 * :class:`RecordColumns` — a finished record set as sorted numpy columns:
   the one store behind every result (either engine's, or a fleet's
   merge), on which percentile/miss/drop statistics are computed directly
-  and from which ``JobRecord`` lists are materialized *lazily* as views.
+  and from which ``JobRecord`` rows are built *on access* (a view).
 
 Bit-compatibility contract: both engines emit records in the same
 insertion order and every record set sorts by ``(finish_s, stream_index,
@@ -289,7 +289,7 @@ class RecordColumns:
     The only stored representation of a run's records: the array engine
     finalizes into one, the reference loop converts its record rows into
     one as the run ends, and a fleet merges its devices' columns into one.
-    ``JobRecord`` lists are views materialized from it on demand.
+    ``JobRecord`` rows are built from it on access, never stored.
     """
 
     #: the stored columns (``missed`` is derived from them and ``deadline_s``)
@@ -344,6 +344,16 @@ class RecordColumns:
         }
         return cls.merged([cls(deadline_s=deadline_s, **columns)])
 
+    def take(self, rows) -> "RecordColumns":
+        """The records at ``rows`` (a slice or a position array), in that order."""
+        return self.replaced(**{name: getattr(self, name)[rows] for name in self.FIELDS})
+
+    @classmethod
+    def concatenated(cls, parts: "list[RecordColumns]") -> "RecordColumns":
+        """``parts`` end to end, each keeping its own record order."""
+        columns = {name: np.concatenate([getattr(p, name) for p in parts]) for name in cls.FIELDS}
+        return cls(deadline_s=parts[0].deadline_s, **columns)
+
     @classmethod
     def merged(cls, parts: "list[RecordColumns]") -> "RecordColumns":
         """``parts`` concatenated in order and re-sorted as one run.
@@ -351,15 +361,8 @@ class RecordColumns:
         The stable ``(finish, stream, index)`` sort every record set uses
         (module docstring), so ties keep the order of ``parts``.
         """
-        columns = {
-            name: np.concatenate([getattr(part, name) for part in parts])
-            for name in cls.FIELDS
-        }
-        order = np.lexsort((columns["index"], columns["stream"], columns["finish"]))
-        return cls(
-            deadline_s=parts[0].deadline_s,
-            **{name: column[order] for name, column in columns.items()},
-        )
+        whole = cls.concatenated(parts)
+        return whole.take(np.lexsort((whole.index, whole.stream, whole.finish)))
 
     def sojourn_s(self):
         """Per-record arrival-to-finish latency column."""

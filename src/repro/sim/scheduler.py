@@ -247,89 +247,132 @@ class LatencySummary:
         return self.percentile_ms(99)
 
 
-def _records_from_columns(columns: RecordColumns) -> list[JobRecord]:
-    """Materialize the dataclass record view of one run's sorted columns."""
-    stream = columns.stream.tolist()
-    session = columns.session.tolist()
-    kind = columns.kind.tolist()
-    index = columns.index.tolist()
-    arrival = columns.arrival.tolist()
-    start = columns.start.tolist()
-    finish = columns.finish.tolist()
-    dropped = columns.dropped.tolist()
-    missed = columns.missed.tolist()
-    pcie = columns.pcie_wait.tolist()
-    dre = columns.dre_wait.tolist()
-    cwait = columns.compute_wait.tolist()
-    admission = columns.admission.tolist()
-    return [
-        JobRecord(
-            stream_index=stream[i],
-            session_id=session[i],
-            kind=KIND_NAMES[kind[i]],
-            job_index=index[i],
-            arrival_s=arrival[i],
-            start_s=start[i],
-            finish_s=finish[i],
-            dropped=dropped[i],
-            deadline_missed=missed[i],
-            pcie_wait_s=pcie[i],
-            dre_wait_s=dre[i],
-            compute_wait_s=cwait[i],
-            admission=ADMISSION_NAMES[admission[i]],
-        )
-        for i in range(len(stream))
-    ]
+#: :class:`JobRecord`'s fields as record columns, in field order
+_ROW_COLUMNS = (
+    "stream", "session", "kind", "index", "arrival", "start", "finish",
+    "dropped", "missed", "pcie_wait", "dre_wait", "compute_wait", "admission",
+)  # fmt: skip
+
+
+@dataclass(frozen=True, eq=False)
+class RecordSequence(Sequence):
+    """A run's :class:`JobRecord` rows, built from its record columns on access.
+
+    Rows are built on access and never stored: each pass builds them
+    again (4 096 per batch), ``reversed()``/``index()`` slice thirteen
+    columns per row, and ``len`` or a slice (a sequence over the sliced
+    columns) builds none.  Equality follows a list of rows: sequences
+    compare their thirteen columns element-wise, a sequence and a
+    ``list`` compare row by row (either operand order), and a NaN field
+    never compares equal — not even in a sequence compared with itself.
+    """
+
+    columns: RecordColumns
+
+    def __len__(self) -> int:
+        return len(self.columns)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return RecordSequence(self.columns.take(key))
+        position = range(len(self))[key]  # negative indices, IndexError
+        return next(self._build(position, position + 1))
+
+    def __iter__(self) -> Iterator[JobRecord]:
+        for start in range(0, len(self), 4096):  # build rows a batch at a time
+            yield from self._build(start, start + 4096)
+
+    def _build(self, start: int, stop: int) -> Iterator[JobRecord]:
+        fields = [getattr(self.columns, name)[start:stop].tolist() for name in _ROW_COLUMNS]
+        fields[2] = map(KIND_NAMES.__getitem__, fields[2])
+        fields[12] = map(ADMISSION_NAMES.__getitem__, fields[12])
+        return map(JobRecord, *fields)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, RecordSequence):
+            a, b = self.columns, other.columns
+            return all(np.array_equal(getattr(a, n), getattr(b, n)) for n in _ROW_COLUMNS)
+        if isinstance(other, list):
+            return len(self) == len(other) and list(self) == other
+        return NotImplemented
 
 
 def _summarize(
-    scope: str,
+    labels: list[dict],
     columns: RecordColumns,
     rows: np.ndarray,
+    bounds: Sequence[int],
     percentiles: Sequence[float],
-    stream_index: int | None = None,
-    session_id: int | None = None,
-) -> LatencySummary:
-    """Sojourn-time distribution of the records at index array ``rows``.
+) -> list[LatencySummary]:
+    """Sojourn-time distribution of every group of records, in one pass.
 
-    The one summariser behind every stream, device and fleet summary.
+    The one summariser behind every stream, device and fleet summary:
+    group ``g`` is the records at positions ``rows[bounds[g]:bounds[g +
+    1]]``, labelled by ``labels[g]`` (``scope``, and a stream's ids).
+    Percentiles are ``np.percentile``'s ``linear`` rule vectorised over
+    the groups: each value-sorted group is read at ``(n - 1) * q / 100``
+    and blended with the next value as numpy's ``_lerp`` does (``a + d *
+    g``, or ``b - d * (1 - g)`` once ``g >= 0.5``).
 
-    **Float-order rule.**  ``np.mean`` is order-sensitive, so the served
-    sojourns are always taken in *sorted-record order* — ``rows`` must be
-    ascending positions in ``columns``, themselves sorted by ``(finish,
-    stream, index)``.  A mask or a stable group-by of the sorted columns
-    preserves that order; re-sorting, or selecting one device's rows out
-    of a fleet-wide merge, does not — a per-device summary is computed on
-    that device's own sorted columns.  Any refactor that keeps the value
-    sequence keeps every percentile, mean and rate bit for bit.
+    **Float-order rule.**  ``np.mean`` is order-sensitive, so each group's
+    mean (and max) reduces its served sojourns in *sorted-record order*:
+    a group's ``rows`` ascend, over columns sorted by ``(finish, stream,
+    index)``.  A mask or a stable group-by of the sorted columns keeps
+    that order; re-sorting, or selecting one device's rows out of a
+    fleet-wide merge, does not — a device's group is its own sorted
+    columns.  Any refactor that keeps the value sequence keeps every
+    figure bit for bit.
     """
-    total = len(rows)
-    served_rows = rows[~columns.dropped[rows]]
-    served = len(served_rows)
+    for q in percentiles:
+        require_number("percentiles", q, maximum=100)
+    served = ~columns.dropped[rows]
+    served_rows = rows[served]
+    # group g's served records are served_rows[starts[g]:starts[g + 1]]
+    starts = np.concatenate(([0], np.cumsum(served)))[bounds]
+    missed = np.concatenate(([0], np.cumsum(columns.missed[served_rows])))[starts]
     sojourns = columns.finish[served_rows] - columns.arrival[served_rows]
-    if served:
-        pct = {
-            f"p{q:g}": float(np.percentile(sojourns, q)) * 1e3 for q in percentiles
-        }
-        mean_ms = float(sojourns.mean()) * 1e3
-        max_ms = float(sojourns.max()) * 1e3
-    else:
-        pct = {f"p{q:g}": float("nan") for q in percentiles}
-        mean_ms = max_ms = float("nan")
-    missed = int(columns.missed[served_rows].sum())
-    return LatencySummary(
-        scope=scope,
-        jobs=total,
-        served=served,
-        dropped=total - served,
-        percentiles_ms=pct,
-        mean_ms=mean_ms,
-        max_ms=max_ms,
-        deadline_miss_rate=missed / served if served else 0.0,
-        drop_rate=(total - served) / total if total else 0.0,
-        stream_index=stream_index,
-        session_id=session_id,
-    )
+    counts = np.diff(starts)
+    full = counts > 0
+    first = starts[:-1][full]
+    ordered = sojourns.copy()  # each group's sojourns, sorted by value in place
+    means = []
+    for start, stop in zip(first.tolist(), starts[1:][full].tolist()):
+        means.append(sojourns[start:stop].mean())
+        ordered[start:stop].sort()
+    mean_ms, max_ms = np.full((2, len(counts)), np.nan)
+    mean_ms[full] = np.array(means) * 1e3
+    max_ms[full] = np.maximum.reduceat(sojourns, first) * 1e3
+
+    n, first = counts[full, None], first[:, None]
+    index = (n - 1) * (np.asarray(percentiles, dtype=float) / 100)
+    above = index >= n - 1  # numpy reads the last value there ...
+    lower = np.where(above, -1.0, np.floor(index))  # ... weighted from index -1
+    gamma = index - lower
+    a = ordered[first + np.where(above, n - 1, lower.astype(np.intp))]
+    b = ordered[first + np.where(above, n - 1, lower.astype(np.intp) + 1)]
+    value = np.where(gamma >= 0.5, b - (b - a) * (1 - gamma), a + (b - a) * gamma)
+    last = ordered[first + n - 1]  # numpy: a group holding a NaN reads NaN
+    pct_ms = np.full((len(counts), index.shape[1]), np.nan)
+    pct_ms[full] = np.where(np.isnan(last), last, value) * 1e3
+
+    keys = [f"p{q:g}" for q in percentiles]
+    return [
+        LatencySummary(
+            **label,
+            jobs=jobs,
+            served=count,
+            dropped=jobs - count,
+            percentiles_ms=dict(zip(keys, pct)),
+            mean_ms=mean,
+            max_ms=peak,
+            deadline_miss_rate=miss / count if count else 0.0,
+            drop_rate=(jobs - count) / jobs if jobs else 0.0,
+        )
+        for label, jobs, count, miss, pct, mean, peak in zip(
+            labels, np.diff(bounds).tolist(), counts.tolist(), np.diff(missed).tolist(),
+            pct_ms.tolist(), mean_ms.tolist(), max_ms.tolist(),
+        )  # fmt: skip
+    ]
 
 
 class RecordViews:
@@ -337,31 +380,24 @@ class RecordViews:
 
     :class:`~repro.sim.jobtable.RecordColumns` is the only stored form of
     a run's job records; :class:`ScheduleResult` and
-    :class:`repro.sim.fleet.FleetResult` both inherit every figure from
-    here, computed on the columns, and hand out :class:`JobRecord` lists
-    as a lazily materialized, cached view.
+    :class:`repro.sim.fleet.FleetResult` inherit every figure from here,
+    computed on the columns by one grouped summariser (:func:`_summarize`
+    and its float-order rule).  :attr:`records` is a
+    :class:`RecordSequence`: rows are built on access, never stored.
     """
 
     columns: RecordColumns
-    _records: list[JobRecord] | None = None
 
     @property
-    def records(self) -> list[JobRecord]:
-        """The run's :class:`JobRecord` list, sorted by (finish, stream, index)."""
-        if self._records is None:
-            self._records = _records_from_columns(self.columns)
-        return self._records
+    def records(self) -> RecordSequence:
+        """The run's :class:`JobRecord` rows, sorted by (finish, stream, index)."""
+        return RecordSequence(self.columns)
 
     def jobs(
         self, stream_index: int | None = None, kind: str | None = None
     ) -> list[JobRecord]:
         """Records filtered by stream and/or job kind (dropped included)."""
-        return [
-            r
-            for r in self.records
-            if (stream_index is None or r.stream_index == stream_index)
-            and (kind is None or r.kind == kind)
-        ]
+        return list(RecordSequence(self.columns.take(self._rows(stream_index, kind))))
 
     def _rows(self, stream_index: int | None, kind: str | None) -> np.ndarray:
         """Positions of the selected records (dropped included), ascending."""
@@ -370,7 +406,7 @@ class RecordViews:
         if stream_index is not None:
             selected &= columns.stream == stream_index
         if kind is not None:
-            selected &= columns.kind == _KIND_CODES[kind]
+            selected &= columns.kind == _KIND_CODES[require_choice("kind", kind, KIND_NAMES)]
         return np.flatnonzero(selected)
 
     def sojourn_times_s(
@@ -413,7 +449,8 @@ class RecordViews:
         self, percentiles: Sequence[float] = DEFAULT_PERCENTILES, kind: str | None = None
     ) -> LatencySummary:
         """Sojourn-time distribution over every stream's served jobs."""
-        return _summarize("fleet", self.columns, self._rows(None, kind), percentiles)
+        rows = self._rows(None, kind)
+        return _summarize([{"scope": "fleet"}], self.columns, rows, [0, len(rows)], percentiles)[0]
 
 
 class ScheduleResult(RecordViews):
@@ -421,7 +458,7 @@ class ScheduleResult(RecordViews):
 
     Both engines hand over the run's sorted
     :class:`~repro.sim.jobtable.RecordColumns` — the store every statistic
-    reads; the dataclass views are reconstructed lazily — plus the array
+    reads; dataclass rows are built on access — plus the array
     engine's compact timeline log (``table``) or the reference loop's full
     ``timeline``.  The engine-equivalence tests pin the two engines'
     columns equal, column by column.
@@ -476,30 +513,20 @@ class ScheduleResult(RecordViews):
         self, percentiles: Sequence[float] = DEFAULT_PERCENTILES, kind: str | None = None
     ) -> list[LatencySummary]:
         """One sojourn-time distribution summary per stream."""
-        columns = self.columns
         # group once: a stable sort by stream keeps each stream's rows in
-        # sorted-record order (the float-order rule of ``_summarize``)
+        # sorted-record order (the float-order rule of ``_summarize``);
+        # on 8- and 16-bit keys numpy's stable sort is a radix sort
         rows = self._rows(None, kind)
-        streams = columns.stream[rows]
+        streams = self.columns.stream[rows].astype(np.min_scalar_type(self.num_streams))
         order = np.argsort(streams, kind="stable")
         rows = rows[order]
-        bounds = np.searchsorted(
-            streams[order], np.arange(self.num_streams + 1)
-        ).tolist()
-        summaries = []
-        for stream in range(self.num_streams):
-            group = rows[bounds[stream] : bounds[stream + 1]]
-            summaries.append(
-                _summarize(
-                    f"stream {stream}",
-                    columns,
-                    group,
-                    percentiles,
-                    stream_index=stream,
-                    session_id=int(columns.session[group[0]]) if group.size else None,
-                )
-            )
-        return summaries
+        bounds = np.searchsorted(streams[order], np.arange(self.num_streams + 1)).tolist()
+        ids = self.columns.session[rows].tolist()
+        labels = [
+            {"scope": f"stream {s}", "stream_index": s, "session_id": ids[lo] if lo < hi else None}
+            for s, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
+        ]
+        return _summarize(labels, self.columns, rows, bounds, percentiles)
 
     def energy(self, model=None, window_s: float | None = None):
         """Per-resource busy/idle energy of this run.

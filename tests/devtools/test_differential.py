@@ -26,7 +26,7 @@ from repro.hw.memory.sharding import ShardedKVHierarchy
 from repro.sim.arrivals import BurstyArrivals, rate_for_load
 from repro.sim.batched import BatchLatencyModel, StreamProfile
 from repro.sim.fleet import FleetConfig, FleetScheduler
-from repro.sim.scheduler import SchedulerConfig, ServingScheduler
+from repro.sim.scheduler import RecordSequence, SchedulerConfig, ServingScheduler
 from repro.sim.systems import edge_systems
 from repro.sim.workload import default_llm_workload
 
@@ -206,3 +206,12 @@ class TestDiffRecords:
         diffs = diff_records(result.records, doctored, limit=3)
         assert diffs[-1] == "... (diff truncated)"
         assert len(diffs) == 4
+
+    def test_record_sequences_diff_like_lists(self, edge):
+        result = _seeded_fleet_run(edge, "array")
+        start = result.columns.start.copy()
+        start[[2, 5]] = -1.0
+        doctored = RecordSequence(result.columns.replaced(start=start))
+        diffs = diff_records(result.records, doctored)
+        assert diffs == diff_records(list(result.records), list(doctored))
+        assert [line.split(" ")[0] for line in diffs] == ["record[2]", "record[5]"]

@@ -160,6 +160,51 @@ class TestDegenerateAnchor:
             assert achieved_tflops <= ceiling * (1 + 1e-9)
 
 
+class TestDemandTotalsAreALeftFold:
+    """The report's demand totals are a per-record loop over served jobs.
+
+    ``schedule_energy`` gathers the demands from the record columns and
+    folds them with ``np.add.accumulate``; this loop over the record rows,
+    in sorted order, is the reference it must equal bit for bit.
+    """
+
+    @pytest.mark.parametrize("system_name", ["V-Rex8", "AGX + FlexGen"])
+    def test_totals_match_a_loop_over_served_records(self, edge, system_name):
+        profiles = _profiles([40_000, 20_000, 30_000])
+        traces = PoissonArrivals(rate_hz=40.0).generate(3, 6, seed=11)
+        result = ServingScheduler(BatchLatencyModel(), SchedulerConfig(max_queue_depth=2)).run(
+            edge[system_name],
+            profiles,
+            traces,
+            question_arrivals=[float(trace[-1]) + 1.0 for trace in traces],
+            answer_tokens=3,
+        )
+        served, tokens, flops, dram_bytes, lxe_busy = 0, 0.0, 0.0, 0.0, 0.0
+        for record in result.records:
+            if record.dropped:
+                continue
+            served += 1
+            stage = result.energy_inputs.priced[record.stream_index][record.kind]
+            if not stage.active:
+                continue
+            tokens += stage.tokens
+            flops += stage.flops
+            dram_bytes += stage.dram_bytes
+            busy = stage.vision_s + stage.compute_s
+            if not stage.on_dre:
+                busy += stage.prediction_s
+            lxe_busy += busy
+        report = result.energy()
+        assert result.dropped > 0 and {r.kind for r in result.records} == {
+            "frame", "question", "generation"
+        }
+        assert (report.served, report.tokens, report.flops, report.dram_bytes) == (
+            served, tokens, flops, dram_bytes
+        )
+        if system_name == "V-Rex8":
+            assert report.resource("lxe").busy_s == lxe_busy
+
+
 class TestEngineEquivalence:
     """Contended runs price identically under both engines."""
 
