@@ -92,6 +92,16 @@ def pack_subkey(priority: int, key_rank: int, seq: int) -> int:
     return (priority << SUBKEY_PRIO_SHIFT) | (key_rank << SUBKEY_RANK_SHIFT) | seq
 
 
+def fcfs_arrival(name: str, last_s: float, arrival_s: float) -> float:
+    """A sanitized FCFS server's arrival-order check; returns the new last arrival."""
+    if arrival_s < last_s:
+        raise SanitizerError(
+            RESOURCE_BALANCE,
+            f"resource {name!r}: FCFS arrival order violated ({arrival_s} after {last_s})",
+        )
+    return arrival_s
+
+
 @dataclass(frozen=True)
 class QueuedService:
     """One serviced request of a :class:`ResourceQueue`."""
@@ -145,13 +155,7 @@ class ResourceQueue:
         if service_s < 0:
             raise ValueError("service_s must be non-negative")
         if self._sanitize:
-            if arrival_s < self._last_arrival:
-                raise SanitizerError(
-                    RESOURCE_BALANCE,
-                    f"resource {self.name!r}: FCFS arrival order violated "
-                    f"({arrival_s} after {self._last_arrival})",
-                )
-            self._last_arrival = arrival_s
+            self._last_arrival = fcfs_arrival(self.name, self._last_arrival, arrival_s)
         if service_s == 0:
             return QueuedService(arrival_s, arrival_s, 0.0)
         start = max(arrival_s, self._free_at)

@@ -46,13 +46,14 @@ chosen per call (every step method takes ``contention`` and ``compute``):
     in their own regimes.
 
   Both policies are one step (:meth:`BatchLatencyModel._contended_step`)
-  around two scheduling cores: two sorted FCFS passes resolving each
-  stream into a :class:`ContendedTiming`
-  (:func:`contended_issue_timing` / :func:`contended_exposure`), or an
+  around two scheduling cores: plain-float FCFS passes over the DRE and
+  the link, each stream resolved by the one scalar rule
+  (:func:`contended_issue` / :func:`contended_latency`), or an
   :class:`~repro.hw.event.EventLoop` replay of the :class:`StageCore`, the
-  one time-sliced stage machine, through :func:`stage_driver`.  The
-  scheduler's reference loop issues jobs through the same names, and its
-  array engine drives the same core from its heap codes.
+  one time-sliced stage machine, through :class:`StageDriver`.  Each
+  driver owns its DRE and link grants: the scheduler's reference loop
+  calls the same rule and machine, and its array engine inlines the rule
+  and drives the same machine from its heap codes.
 
 Orthogonally to the contention/compute axes, passing a
 :class:`repro.hw.memory.sharding.ShardedKVHierarchy` as ``memory`` turns
@@ -70,10 +71,9 @@ its session's current residency.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, fields
 from functools import partial
-from typing import NamedTuple
 
 import numpy as np
 
@@ -85,8 +85,8 @@ from repro.hw.dre.kvmu import KVFetchWork
 from repro.hw.event import (
     EventLoop,
     PreemptiveResource,
-    QueuedService,
     ResourceQueue,
+    fcfs_arrival,
 )
 from repro.hw.memory.pcie import PCIeLinkQueue
 from repro.hw.memory.sharding import ShardedKVHierarchy, sharded_fetch_makespan
@@ -206,24 +206,30 @@ class StreamProfile:
 
 def _broadcast_per_stream(
     value, num_streams: int, name: str, allow_none_entries: bool = False
-):
-    """Broadcast a scalar (python or numpy int) or validate a per-stream list."""
-    if isinstance(value, (int, np.integer)):
-        return [int(value)] * num_streams
-    entries = list(value)
-    if len(entries) != num_streams:
+) -> list[int | None]:
+    """Broadcast a scalar count or validate a per-stream list of counts.
+
+    The one boundary check of the plane's and the scheduler's per-stream
+    counts: each is a non-negative ``int`` or ``np.integer``, never a
+    ``bool`` (zero is a count of zero), or — list entries only, where
+    ``allow_none_entries`` — ``None`` for a stream that skips the step.
+    """
+    scalar = isinstance(value, (int, np.integer)) or not isinstance(value, Iterable)
+    entries = [value] if scalar else list(value)
+    if not scalar and len(entries) != num_streams:
         raise ValueError(
             f"expected one {name} entry per stream ({num_streams}), got {len(entries)}"
         )
-    out: list[int | None] = []
-    for entry in entries:
-        if entry is None:
-            if not allow_none_entries:
-                raise ValueError(f"{name} entries must be integers, got None")
-            out.append(None)
-        else:
-            out.append(int(entry))
-    return out
+    counts: list[int | None] = []
+    for stream, entry in enumerate(entries):
+        if entry is None and allow_none_entries and not scalar:
+            counts.append(None)
+            continue
+        if isinstance(entry, bool) or not isinstance(entry, (int, np.integer)) or entry < 0:
+            where = name if scalar else f"{name} of stream {stream}"
+            raise ValueError(f"{where} must be a non-negative integer, got {entry!r}")
+        counts.append(int(entry))
+    return counts * num_streams if scalar else counts
 
 
 def aligned_arrivals(num_streams: int) -> list[float]:
@@ -451,97 +457,75 @@ class _DemandEntry:
         return _channel_fetch_time_s(self.fetch_device, self.fetch_locality, num_bytes, True)
 
 
-class ContendedTiming(NamedTuple):
-    """What :func:`contended_issue_timing` resolved for one stream."""
-
-    start_s: float
-    compute_s: float
-    prediction_s: float
-    prediction_end_s: float  # after any DRE queueing
-    fetch_s: float
-    request_s: float  # when the stream requests the shared PCIe link
-    dre_wait_s: float
-
-
-def contended_issue_timing(
-    *,
+def contended_issue(
     is_vrex: bool,
     overlaps: bool,
-    on_dre: bool,
     start_s: float,
+    served_s: float,
     compute_s: float,
     prediction_s: float,
-    fetch_s: float,
-    dre_queue: ResourceQueue,
-) -> ContendedTiming:
-    """Phase-1 timing of one stream's contended step (through the DRE).
+) -> tuple[float, float]:
+    """Phase 1 of one stream's private-compute contended step.
 
-    Returns the timing the contended plane and the event-driven scheduler
-    share: prediction end (after any DRE queueing), the time the stream
-    requests the shared PCIe link, and the DRE wait.  ``start_s`` is when
-    the stream's LLM phase begins (arrival plus vision); the DRE is
-    requested at that instant, so enqueueing streams in nondecreasing
-    ``start_s`` order IS the DRE's FCFS order.
+    ``start_s`` is when the stream's LLM phase begins (arrival plus
+    vision); the DRE is requested at that instant, so granting streams in
+    nondecreasing ``start_s`` order IS the DRE's FCFS order.  ``served_s``
+    is when the driver's DRE started the prediction (``start_s`` when the
+    prediction is not on the DRE).  Returns ``(prediction_end_s,
+    request_s)``: the prediction's end and when the stream requests the
+    shared PCIe link.
     """
-    dre_wait = 0.0
     if is_vrex:
         # Prediction runs on the shared DRE; the fetch it unlocks requests
         # the link when the prediction completes.
-        if on_dre and prediction_s > 0:
-            served = dre_queue.enqueue(start_s, prediction_s)
-            dre_wait = served.wait_s
-            prediction_end = served.finish_s
-        else:
-            prediction_end = start_s + prediction_s
-        request = prediction_end
-    elif overlaps:
-        # GPU: prediction kernels compete with the LLM kernels for the same
-        # SMs (serial per stream); the prefetch overlaps compute but must
-        # win the shared link first.
-        prediction_end = start_s + prediction_s
-        request = prediction_end
-    else:
-        # FlexGen-style serial load-then-compute prefill requests the link
-        # only after its compute finishes.
-        prediction_end = start_s + prediction_s
-        request = start_s + prediction_s + compute_s
-    return ContendedTiming(
-        start_s, compute_s, prediction_s, prediction_end, fetch_s, request, dre_wait
-    )
+        prediction_end = served_s + prediction_s
+        return prediction_end, prediction_end
+    # GPU: prediction kernels compete with the LLM kernels for the same SMs
+    # (serial per stream); the prefetch overlaps compute but must win the
+    # shared link first.
+    prediction_end = start_s + prediction_s
+    if overlaps:
+        return prediction_end, prediction_end
+    # FlexGen-style serial load-then-compute prefill requests the link only
+    # after its compute finishes.
+    return prediction_end, start_s + prediction_s + compute_s
 
 
-def contended_exposure(
-    *, is_vrex: bool, overlaps: bool, timing: ContendedTiming, transfer
+def contended_latency(
+    is_vrex: bool,
+    overlaps: bool,
+    start_s: float,
+    compute_s: float,
+    prediction_s: float,
+    prediction_end_s: float,
+    request_s: float,
+    fetch_end_s: float | None,
 ) -> tuple[float, float, float]:
-    """Phase-3 of a contended step: per-stream latency under the overlap rules.
+    """Phase 3 of one stream's private-compute contended step: the overlap rules.
 
-    ``transfer`` is the stream's :class:`~repro.hw.event.QueuedService` on
-    the shared link (``None`` when the stream fetched nothing).  Returns
-    ``(latency_s, exposed_prediction_s, exposed_fetch_s)`` where the
-    latency is measured from ``timing.start_s``.  Shared by
-    :meth:`BatchLatencyModel._contended_step` and the event-driven
-    scheduler so the two agree to the last bit.
+    ``fetch_end_s`` is when the stream's transfer left the shared link
+    (``None`` when it fetched nothing).  Returns ``(latency_s,
+    exposed_prediction_s, exposed_fetch_s)``, the latency measured from
+    ``start_s``.  The plane's step and the scheduler's reference loop both
+    call it, each with its own DRE and link grants, so the two agree to
+    the last bit.
     """
-    start = timing.start_s
-    compute_s = timing.compute_s
-    prediction_s = timing.prediction_s
-    fetch_end = transfer.finish_s if transfer is not None else timing.request_s
     if is_vrex:
         # Prediction and fetch (with their waits) overlap this stream's own
         # compute (Fig. 5 iii); only the excess beyond compute is exposed.
-        hidden_end = fetch_end if transfer is not None else timing.prediction_end_s
-        hidden = hidden_end - start
-        prediction_effective = timing.prediction_end_s - start
+        hidden_end = fetch_end_s if fetch_end_s is not None else prediction_end_s
+        hidden = hidden_end - start_s
+        prediction_effective = prediction_end_s - start_s
         latency = max(compute_s, hidden)
         exposed_prediction = max(0.0, min(prediction_effective, hidden - compute_s))
         exposed_fetch = max(0.0, hidden - compute_s - exposed_prediction)
     elif overlaps:
-        fetch_effective = fetch_end - timing.request_s if transfer is not None else 0.0
+        fetch_effective = fetch_end_s - request_s if fetch_end_s is not None else 0.0
         latency = prediction_s + max(compute_s, fetch_effective)
         exposed_prediction = prediction_s
         exposed_fetch = max(0.0, fetch_effective - compute_s)
     else:
-        exposed_fetch = fetch_end - timing.request_s if transfer is not None else 0.0
+        exposed_fetch = fetch_end_s - request_s if fetch_end_s is not None else 0.0
         latency = prediction_s + compute_s + exposed_fetch
         exposed_prediction = prediction_s
     return latency, exposed_prediction, exposed_fetch
@@ -576,14 +560,14 @@ class StageCore:
     the transfer (or, with nothing to fetch, the prediction — the compute on
     serial systems).  The transitions fill the three waits; :meth:`resolved`
     adds the latency and exposures — the time-sliced analogue of the
-    :func:`contended_issue_timing` / :func:`contended_exposure` pair.
+    :func:`contended_issue` / :func:`contended_latency` pair.
 
     Columns are indexed by a caller-chosen stage id: a stream, whose
     pipeline slot keeps at most one stage in flight.  The four transitions
     return the next decisions as ``TS_*`` bits; the drivers own the DRE and
     link FCFS grants and the server, apply the bits in ascending order and
     report back what they granted.  Two drivers consume the core:
-    :func:`stage_driver` on an :class:`EventLoop` (the plane's time-sliced
+    :class:`StageDriver` on an :class:`EventLoop` (the plane's time-sliced
     step and the scheduler's reference loop) and the array engine's heap
     codes.  (``TS_COMPUTE`` before ``TS_LINK`` is a convention: a server
     slice and a link request differ in priority, so their seqs never tie.)
@@ -710,46 +694,56 @@ class StageCore:
         )
 
 
-def stage_driver(
-    core: StageCore,
-    loop: EventLoop,
-    server: PreemptiveResource,
-    dre: ResourceQueue,
-    link: PCIeLinkQueue,
-    on_finish=None,
-):
-    """Drive a :class:`StageCore` with :class:`EventLoop` events; returns ``issue``.
+class StageDriver:
+    """Drives a :class:`StageCore` with :class:`EventLoop` events.
 
-    ``issue(i, key, overlaps, on_dre, compute_s, prediction_s, fetch_s)``
-    starts stage ``i`` at the loop's current time, so call it from the
-    stage's issue event.  The driver grants the DRE and the link FCFS
-    through ``dre`` and ``link``, serves work on ``server`` (a
+    :meth:`issue` starts stage ``i`` at the loop's current time, so call it
+    from the stage's issue event.  The driver grants the DRE and the link
+    FCFS through ``dre`` and ``link``, serves work on ``server`` (a
     :class:`PreemptiveResource` on ``loop``) and requests the link at
     ``PRIO_LINK``, everything keyed by ``key``.  ``on_finish(i)`` runs once
-    stage ``i`` is resolved; its ``finish_s`` may lie in the future.
+    stage ``i`` is resolved; its ``finish_s`` may lie in the future.  A
+    class, not self-calling closures, so a finished replay on a server that
+    keeps no job records is freed by refcount, not by the cyclic collector.
     """
 
-    def apply(i: int, key: tuple, decision: int) -> None:
+    __slots__ = ("core", "loop", "server", "dre", "link", "on_finish")
+
+    def __init__(
+        self, core: StageCore, loop: EventLoop, server: PreemptiveResource,
+        dre: ResourceQueue, link: PCIeLinkQueue, on_finish=None,
+    ):
+        self.core, self.loop, self.server = core, loop, server
+        self.dre, self.link, self.on_finish = dre, link, on_finish
+
+    def issue(self, i, key, overlaps, on_dre, compute_s, prediction_s, fetch_s) -> None:
+        now = self.loop.now_s
+        decision = self.core.issued(i, now, overlaps, on_dre, compute_s, prediction_s, fetch_s)
+        self.apply(i, key, decision)
+
+    def apply(self, i: int, key: tuple, decision: int) -> None:
+        core, loop = self.core, self.loop
         if decision & TS_DRE:
             now = loop.now_s
-            served = dre.enqueue(now, core.prediction_s[i])
+            served = self.dre.enqueue(now, core.prediction_s[i])
             decision = core.prediction_done(i, now, served.finish_s, served.wait_s)
         if decision & TS_PREDICT:
-            server.submit(
+            self.server.submit(
                 core.prediction_s[i],
-                lambda job: apply(i, key, core.prediction_done(i, job.finish_s, job.finish_s)),
+                lambda job: self.apply(i, key, core.prediction_done(i, job.finish_s, job.finish_s)),
                 key=key,
             )
         elif decision & TS_COMPUTE:
-            server.submit(
+            self.server.submit(
                 core.compute_s[i],
-                lambda job: apply(i, key, core.compute_done(i, job.finish_s)),
+                lambda job: self.apply(i, key, core.compute_done(i, job.finish_s)),
                 key=key,
             )
         if decision & TS_LINK:
+            link = self.link
             loop.schedule(
                 core.request_s[i],
-                lambda: apply(
+                lambda: self.apply(
                     i,
                     key,
                     core.link_granted(i, link.enqueue(loop.now_s, core.fetch_s[i]).start_s),
@@ -757,15 +751,8 @@ def stage_driver(
                 priority=PRIO_LINK,
                 key=key,
             )
-        if decision & TS_FINISH and on_finish is not None:
-            on_finish(i)
-
-    def issue(i, key, overlaps, on_dre, compute_s, prediction_s, fetch_s) -> None:
-        apply(
-            i, key, core.issued(i, loop.now_s, overlaps, on_dre, compute_s, prediction_s, fetch_s)
-        )
-
-    return issue
+        if decision & TS_FINISH and self.on_finish is not None:
+            self.on_finish(i)
 
 
 class BatchLatencyModel:
@@ -1105,14 +1092,18 @@ class BatchLatencyModel:
 
     def _batched_oom(self, system: SystemConfig, profiles: Sequence[StreamProfile]) -> bool:
         """Fleet working set vs device memory, per-stream budgets applied."""
-        base = self.base
+        llm = self.base.llm
+        # the same products as llm.kv_cache_bytes(kv_len, 1) * scale (x 1 is exact)
+        per_token = llm.kv_bytes_per_token()
+        scale = system.kv_bytes_scale
+        budget = system.kv_device_budget_bytes if system.kv_offloaded else None
         resident_cache = 0.0
         for profile in profiles:
-            per_stream = base.llm.kv_cache_bytes(profile.kv_len, 1) * system.kv_bytes_scale
-            if system.kv_offloaded:
-                per_stream = min(per_stream, system.kv_device_budget_bytes)
+            per_stream = per_token * profile.kv_len * scale
+            if budget is not None:
+                per_stream = min(per_stream, budget)
             resident_cache += per_stream
-        resident = base.llm.model_bytes() + resident_cache + system.activation_reserve_bytes
+        resident = llm.model_bytes() + resident_cache + system.activation_reserve_bytes
         return resident > system.device.memory_capacity_bytes
 
     def _batched_step(
@@ -1305,8 +1296,6 @@ class BatchLatencyModel:
         is_vrex = isinstance(device, VRexAccelerator)
         overlaps = system.policy.overlap_fetch or stage == GENERATION_STAGE
         vision_each = base._vision_time(system, 1)[0] if include_vision else 0.0
-        dre_queue = ResourceQueue(name="dre")
-        link_queue = PCIeLinkQueue(device.link)
 
         # One issue per active stream, led by the order simultaneous work is
         # served in: start time (arrival plus vision, the same float the
@@ -1329,8 +1318,6 @@ class BatchLatencyModel:
             )
             if entry is not None
         ]
-        timings: list[ContendedTiming | None] = [None] * len(profiles)
-        transfers: dict[int, QueuedService] = {}
         if timesliced:
             # Replay the scheduler's event structure for one frame per
             # stream: issue events keyed by ``(session_id, index)`` start
@@ -1339,41 +1326,52 @@ class BatchLatencyModel:
             # (the same stage core and driver price both).
             loop = EventLoop()
             compute_server = PreemptiveResource(
-                loop, "compute", quantum_s=self.quantum_s, priority=PRIO_COMPLETE
+                loop, "compute", quantum_s=self.quantum_s, priority=PRIO_COMPLETE, record=False
             )
             stages = StageCore(is_vrex, len(profiles))
-            issue = stage_driver(stages, loop, compute_server, dre_queue, link_queue)
+            issue = StageDriver(
+                stages, loop, compute_server, ResourceQueue("dre"), PCIeLinkQueue(device.link)
+            ).issue
             for start_s, session_id, index, *demand in issues:
                 key = (session_id, index)
                 begin = partial(issue, index, key, overlaps, *demand)
                 loop.schedule(start_s, begin, priority=PRIO_ISSUE, key=key)
             loop.run()
         else:
-            # Phase 1 — per-stream timing up to the link request.  DRE
-            # prediction jobs are issued the moment a stream's LLM phase
-            # starts, so serving them in start-time order IS the DRE's FCFS
-            # order.
+            # Phase 1 — the DRE grants prediction jobs FCFS the moment a
+            # stream's LLM phase starts, so start-time order IS its order.
+            sanitize = self._sanitize
+            dre_free = link_free = 0.0
+            dre_last = link_last = float("-inf")
+            issued: list[tuple | None] = [None] * len(profiles)
+            granted: list[float | None] = [None] * len(profiles)
             requests = []
             for start_s, session_id, index, on_dre, compute_s, prediction_s, fetch_s in sorted(
                 issues
             ):
-                timing = timings[index] = contended_issue_timing(
-                    is_vrex=is_vrex,
-                    overlaps=overlaps,
-                    on_dre=on_dre,
-                    start_s=start_s,
-                    compute_s=compute_s,
-                    prediction_s=prediction_s,
-                    fetch_s=fetch_s,
-                    dre_queue=dre_queue,
+                served_s = start_s
+                if is_vrex and on_dre and prediction_s > 0:
+                    if sanitize:
+                        dre_last = fcfs_arrival("dre", dre_last, start_s)
+                    served_s = start_s if start_s >= dre_free else dre_free
+                    dre_free = served_s + prediction_s
+                prediction_end_s, request_s = contended_issue(
+                    is_vrex, overlaps, start_s, served_s, compute_s, prediction_s
+                )
+                issued[index] = (
+                    start_s, compute_s, prediction_s, fetch_s,
+                    served_s - start_s, prediction_end_s, request_s,
                 )
                 if fetch_s > 0:
-                    requests.append((timing.request_s, session_id, index))
+                    requests.append((request_s, session_id, index, fetch_s))
             # Phase 2 — the shared link serves transfers FCFS in
             # *request-time* order (which differs from arrival order when
             # per-stream prediction or compute times differ).
-            for request_s, _, index in sorted(requests):
-                transfers[index] = link_queue.enqueue(request_s, timings[index].fetch_s)
+            for request_s, _, index, fetch_s in sorted(requests):
+                if sanitize:
+                    link_last = fcfs_arrival(device.link.config.name, link_last, request_s)
+                granted_s = granted[index] = request_s if request_s >= link_free else link_free
+                link_free = granted_s + fetch_s
 
         # Phase 3 — per-stream results under the overlap rules; the fleet
         # makespan spans the streams that took part in the step.
@@ -1394,16 +1392,18 @@ class BatchLatencyModel:
                 fetch_s = stages.fetch_s[index]
                 dre_wait = stages.dre_wait_s[index]
             else:
-                timing = timings[index]
-                transfer = transfers.get(index)
-                latency, exposed_prediction, exposed_fetch = contended_exposure(
-                    is_vrex=is_vrex, overlaps=overlaps, timing=timing, transfer=transfer
+                start_s, compute_s, prediction_s, fetch_s, dre_wait, prediction_end_s, request_s = (
+                    issued[index]
                 )
-                pcie_wait = transfer.wait_s if transfer is not None else 0.0
-                compute_s = timing.compute_s
-                prediction_s = timing.prediction_s
-                fetch_s = timing.fetch_s
-                dre_wait = timing.dre_wait_s
+                granted_s = granted[index]
+                if granted_s is None:
+                    pcie_wait, fetch_end_s = 0.0, None
+                else:
+                    pcie_wait, fetch_end_s = granted_s - request_s, granted_s + fetch_s
+                latency, exposed_prediction, exposed_fetch = contended_latency(
+                    is_vrex, overlaps, start_s, compute_s, prediction_s,
+                    prediction_end_s, request_s, fetch_end_s,
+                )
             breakdown = {
                 "vision": vision_each,
                 "llm_compute": compute_s,

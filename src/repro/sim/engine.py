@@ -32,8 +32,8 @@ one of those with integers moving through preallocated structures:
 
 **Bit-exactness contract.**  The engine replays the reference loop's
 float operations in the identical order: DRE/link starts are
-``max(arrival, free_at)``, exposures inline
-:func:`~repro.sim.batched.contended_exposure`'s exact expressions, the
+``max(arrival, free_at)``, issue and exposure inline ``contended_issue`` /
+``contended_latency``'s exact expressions (:mod:`repro.sim.batched`), the
 time-sliced stages are the reference loop's own
 :class:`~repro.sim.batched.StageCore` (driven from heap codes instead of
 :class:`~repro.hw.event.EventLoop` callbacks), the server under them is
@@ -549,7 +549,7 @@ def run_array(ctx: _RunContext) -> ScheduleResult:
                     decision = ts_prediction_done(s, now, dre_free, served_at - now)
                 ts_apply(job, s, decision)
                 continue
-            # private compute: inline contended_issue_timing
+            # private compute: the DRE grant, then inline contended_issue
             if is_vrex:
                 if st_on_dre[b] and prediction_s > 0.0:
                     served_at = now if now >= dre_free else dre_free
@@ -583,7 +583,7 @@ def run_array(ctx: _RunContext) -> ScheduleResult:
                 heappush(entries, (request, base_link[s] + seq, (job << 3) | C_LINK))
                 seq += 1
             else:
-                # inline contended_exposure with no transfer
+                # inline contended_latency with no transfer
                 if is_vrex:
                     hidden = pend - now
                     latency = compute_s if compute_s >= hidden else hidden
@@ -597,7 +597,7 @@ def run_array(ctx: _RunContext) -> ScheduleResult:
                 seq += 1
 
         elif code == C_LINK:
-            # private link grant: inline PCIeLinkQueue.enqueue + exposure
+            # private link grant: inline PCIeLinkQueue.enqueue + contended_latency
             fetch = j_fetch[job]
             if fetch == 0.0:  # simlint: exact — zero-byte sentinel, set literally
                 transfer_start = now

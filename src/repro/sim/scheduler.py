@@ -23,14 +23,16 @@ misses), not a single makespan.
 * ReSV prediction jobs serialize FCFS on the shared DRE and KV-fetch
   transfers on the shared PCIe link
   (:class:`repro.hw.memory.pcie.PCIeLinkQueue`), through the *same*
-  :func:`repro.sim.batched.contended_issue_timing` /
-  :func:`repro.sim.batched.contended_exposure` helpers (private compute)
+  :func:`repro.sim.batched.contended_issue` /
+  :func:`repro.sim.batched.contended_latency` rule (private compute)
   and the same :class:`repro.sim.batched.StageCore` machine under the
-  same :func:`repro.sim.batched.stage_driver` (time-sliced compute) as
+  same :class:`repro.sim.batched.StageDriver` (time-sliced compute) as
   :meth:`BatchLatencyModel._contended_step` — so in the degenerate
   configuration (every stream's single frame arrives at its profile
   offset, no admission control) the scheduler reproduces the contended
-  batched step *bit for bit* under either compute policy;
+  batched step *bit for bit* under private compute, and to one rounding
+  step under time-sliced compute (its ``finish - arrival`` against the
+  plane's ``vision + (finish - start)``);
 * **admission control** drops frames when a stream's backlog exceeds
   ``max_queue_depth`` (upload throttling), or when the residency / energy
   policy's one rule (:func:`admission_decision`) defers them;
@@ -66,13 +68,12 @@ from repro.sim.batched import (
     PRIO_ISSUE,
     PRIO_LINK,
     BatchLatencyModel,
-    ContendedTiming,
     StageCore,
+    StageDriver,
     StreamProfile,
     _broadcast_per_stream,
-    contended_exposure,
-    contended_issue_timing,
-    stage_driver,
+    contended_issue,
+    contended_latency,
     validate_compute_policy,
 )
 from repro.sim.energy import EnergyInputs
@@ -608,7 +609,8 @@ class _Job:
         self.index = index
         self.arrival_s = arrival_s
         self.start_s = arrival_s
-        self.timing: ContendedTiming | None = None
+        #: private compute: ``(start_s, prediction_end_s, request_s, fetch_s)``
+        self.timing: tuple[float, float, float, float] | None = None
         self.pcie_wait_s = 0.0
         self.dre_wait_s = 0.0
         self.compute_wait_s = 0.0
@@ -628,7 +630,7 @@ def _solo_latency(
     """A job's no-queueing latency under the system's overlap rules.
 
     The admission controller's estimate primitive: the same per-stream
-    overlap semantics as :func:`repro.sim.batched.contended_exposure`, but
+    overlap semantics as :func:`repro.sim.batched.contended_latency`, but
     with empty shared queues (waits are estimated separately from the
     backlog the job would join).
     """
@@ -844,8 +846,6 @@ class ServingScheduler:
             answer_tokens, 0, num_streams, "answer_tokens"
         )
         for stream, count in enumerate(answers):
-            if count < 0:
-                raise ValueError(f"answer_tokens of stream {stream} must be non-negative")
             if count > 0 and question_arrivals[stream] is None:
                 raise ValueError(
                     f"stream {stream} has answer_tokens but no question arrival"
@@ -1186,26 +1186,21 @@ class ServingScheduler:
                     fetch_s,
                 )
                 return
-            timing = job.timing = contended_issue_timing(
-                is_vrex=is_vrex,
-                overlaps=stage.overlaps,
-                on_dre=stage.on_dre,
-                start_s=loop.now_s,
-                compute_s=stage.compute_s,
-                prediction_s=stage.prediction_s,
-                fetch_s=fetch_s,
-                dre_queue=dre,
+            start_s = served_s = loop.now_s
+            if is_vrex and stage.on_dre and stage.prediction_s > 0:
+                served_s = dre.enqueue(start_s, stage.prediction_s).start_s
+            prediction_end_s, request_s = contended_issue(
+                is_vrex, stage.overlaps, start_s, served_s, stage.compute_s, stage.prediction_s
             )
-            job.dre_wait_s = timing.dre_wait_s
+            job.timing = (start_s, prediction_end_s, request_s, fetch_s)
+            job.dre_wait_s = served_s - start_s
             if stage.compute_s > 0:
-                timeline.add(name, f"compute:s{job.stream}", timing.start_s, stage.compute_s)
+                timeline.add(name, f"compute:s{job.stream}", start_s, stage.compute_s)
             if stage.on_dre and stage.prediction_s > 0:
-                timeline.add(
-                    name, "dre", timing.start_s + timing.dre_wait_s, stage.prediction_s
-                )
+                timeline.add(name, "dre", start_s + job.dre_wait_s, stage.prediction_s)
             if stage.fetch_s > 0:
                 loop.schedule(
-                    timing.request_s,
+                    request_s,
                     lambda job=job: request_link(job),
                     priority=PRIO_LINK,
                     key=job.key,
@@ -1232,22 +1227,22 @@ class ServingScheduler:
                 timeline.add(name, "pcie", stages.transfer_start_s[stream], stages.fetch_s[stream])
             schedule_finish(job, stages.finish_s[stream])
 
-        issue_stage = stage_driver(stages, loop, compute_server, dre, link, stage_resolved)
+        issue_stage = StageDriver(stages, loop, compute_server, dre, link, stage_resolved).issue
 
         def request_link(job: _Job) -> None:
-            transfer = link.enqueue(loop.now_s, job.timing.fetch_s)
+            transfer = link.enqueue(loop.now_s, job.timing[3])
             job.pcie_wait_s = transfer.wait_s
             timeline.add(job_name(job), "pcie", transfer.start_s, transfer.service_s)
-            resolve(job, transfer)
+            resolve(job, transfer.finish_s)
 
-        def resolve(job: _Job, transfer) -> None:
-            latency, _, _ = contended_exposure(
-                is_vrex=is_vrex,
-                overlaps=priced[job.stream][job.kind].overlaps,
-                timing=job.timing,
-                transfer=transfer,
+        def resolve(job: _Job, fetch_end_s: float | None) -> None:
+            stage = priced[job.stream][job.kind]
+            start_s, prediction_end_s, request_s, _ = job.timing
+            latency, _, _ = contended_latency(
+                is_vrex, stage.overlaps, start_s, stage.compute_s, stage.prediction_s,
+                prediction_end_s, request_s, fetch_end_s,
             )
-            schedule_finish(job, job.timing.start_s + latency)
+            schedule_finish(job, start_s + latency)
 
         def schedule_finish(job: _Job, finish_s: float) -> None:
             """Both compute policies end a job the same way: one completion event."""

@@ -15,10 +15,10 @@ from repro.sim.batched import (
     PRIO_ISSUE,
     BatchLatencyModel,
     StageCore,
+    StageDriver,
     StreamProfile,
     aligned_arrivals,
     profiles_from_reports,
-    stage_driver,
     staggered_arrivals,
 )
 from repro.sim.pipeline import LatencyModel, MeasuredRetrieval
@@ -153,6 +153,47 @@ class TestBatchedEquivalence:
             plane.question_step(
                 edge["V-Rex8"], [StreamProfile(kv_len=1_000)], question_tokens=[25, 25]
             )
+
+    @pytest.mark.parametrize(
+        "argument, value, message",
+        [
+            ("frames", -2, "^frames must be a non-negative integer, got -2"),
+            ("answer_tokens", -3, "^answer_tokens must be a non-negative integer"),
+            ("frames", 2.5, "^frames must be a non-negative integer, got 2.5"),
+            ("frames", True, "^frames must be a non-negative integer, got True"),
+            ("frames", [2.9, 1], "^frames of stream 0 must be a non-negative integer"),
+            ("frames", ["4", 1], "^frames of stream 0 must be a non-negative integer"),
+            ("frames", [True, 1], "^frames of stream 0 must be a non-negative integer"),
+            ("answer_tokens", [1, -1], "^answer_tokens of stream 1 must be a non-negative"),
+            ("frames", [None, 1], "^frames of stream 0 must be a non-negative integer"),
+        ],
+    )
+    def test_scenario_counts_rejected_at_the_boundary(
+        self, plane, edge, argument, value, message
+    ):
+        profiles = [StreamProfile(kv_len=1_000, session_id=i) for i in range(2)]
+        with pytest.raises(ValueError, match=message):
+            plane.scenario_estimates(edge["V-Rex8"], profiles, **{argument: value})
+
+    @pytest.mark.parametrize(
+        "tokens, message",
+        [
+            (-5, "^question_tokens must be a non-negative integer, got -5"),
+            ([25, -1], "^question_tokens of stream 1 must be a non-negative integer"),
+            ([25.0, None], "^question_tokens of stream 0 must be a non-negative integer"),
+            (False, "^question_tokens must be a non-negative integer, got False"),
+        ],
+    )
+    def test_question_tokens_rejected_at_the_boundary(self, plane, edge, tokens, message):
+        profiles = [StreamProfile(kv_len=1_000, session_id=i) for i in range(2)]
+        with pytest.raises(ValueError, match=message):
+            plane.question_step(edge["V-Rex8"], profiles, question_tokens=tokens)
+
+    def test_zero_question_tokens_prefill_nothing(self, plane, edge):
+        """The boundary check keeps zero a count: no question prefill, no error."""
+        profiles = [StreamProfile(kv_len=20_000, session_id=i) for i in range(2)]
+        step = plane.question_step(edge["V-Rex8"], profiles, question_tokens=[0, None])
+        assert [row.total_s for row in step.streams] == [0.0, 0.0]
 
 
 class TestContention:
@@ -329,7 +370,7 @@ class TestTimeslicedStageIsItsOwnOutcome:
         link = PCIeLinkQueue(PCIeLink(PCIE4_X16))
         stages = StageCore(is_vrex, 3)
         resolved = []
-        issue = stage_driver(stages, loop, server, dre, link, on_finish=resolved.append)
+        issue = StageDriver(stages, loop, server, dre, link, on_finish=resolved.append).issue
         for index in range(3):
             key = (index, index)
             begin = partial(

@@ -601,6 +601,20 @@ class TestInputValidation:
                 answer_tokens=-1,
             )
 
+    @pytest.mark.parametrize(
+        "counts, message",
+        [
+            ({"answer_tokens": [True]}, "^answer_tokens of stream 0 must be a non-negative"),
+            ({"answer_tokens": 1.5}, "^answer_tokens must be a non-negative integer"),
+            ({"question_tokens": [-4]}, "^question_tokens of stream 0 must be a non-negative"),
+        ],
+    )
+    def test_per_stream_counts_share_the_plane_boundary(self, scheduler, edge, counts, message):
+        with pytest.raises(ValueError, match=message):
+            scheduler.run(
+                edge["V-Rex8"], _fleet([10_000]), [[0.0]], question_arrivals=[0.0], **counts
+            )
+
     def test_empty_traces_yield_empty_result(self, scheduler, edge):
         result = scheduler.run(edge["V-Rex8"], _fleet([10_000]), [[]])
         assert result.records == []
