@@ -9,7 +9,6 @@ figure of the paper's evaluation.
 """
 
 from repro.config import (
-    ExperimentConfig,
     ModelConfig,
     ReSVConfig,
     StreamingConfig,
@@ -23,7 +22,6 @@ from repro.config import (
 __version__ = "1.0.0"
 
 __all__ = [
-    "ExperimentConfig",
     "ModelConfig",
     "ReSVConfig",
     "StreamingConfig",

@@ -7,7 +7,6 @@ from repro.analysis.breakdown import (
 )
 from repro.analysis.energy import (
     energy_rollup,
-    format_energy_headline,
     format_energy_table,
     resource_rows,
 )
@@ -22,19 +21,15 @@ from repro.analysis.latency import (
     format_bank_occupancy_table,
     format_latency_summary_table,
     format_schedule_record_table,
-    latency_percentiles,
 )
 from repro.analysis.metrics import (
     REAL_TIME_FPS,
-    efficiency_gain,
     fps_from_latency_ms,
-    geometric_mean,
-    is_real_time,
     pearson_correlation,
     speedup,
     speedup_range,
 )
-from repro.analysis.reporting import format_breakdown, format_series, format_table
+from repro.analysis.reporting import format_series, format_table
 from repro.analysis.sessions import (
     batch_summary,
     format_session_table,
@@ -47,13 +42,10 @@ __all__ = [
     "StageBreakdown",
     "batch_summary",
     "deadline_miss_rate",
-    "efficiency_gain",
     "energy_rollup",
     "fleet_rollup",
     "format_bank_occupancy_table",
-    "format_breakdown",
     "format_device_table",
-    "format_energy_headline",
     "format_energy_table",
     "format_fleet_table",
     "format_latency_summary_table",
@@ -63,9 +55,6 @@ __all__ = [
     "format_stream_latency_table",
     "format_table",
     "fps_from_latency_ms",
-    "geometric_mean",
-    "is_real_time",
-    "latency_percentiles",
     "pearson_correlation",
     "per_device_rows",
     "resource_rows",

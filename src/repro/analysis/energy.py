@@ -9,8 +9,6 @@ and effective GOPS/W — suitable for sweep tables and JSON dumps.
 
 from __future__ import annotations
 
-import math
-
 from repro.analysis.reporting import format_table
 
 
@@ -81,18 +79,3 @@ def format_energy_table(report, title: str | None = None) -> str:
         ]
     )
     return format_table(headers, rows, title=title)
-
-
-def format_energy_headline(report) -> str:
-    """One-line unit-cost summary of a report."""
-    j_token = report.j_per_token
-    j_query = report.j_per_query
-    usd = report.usd_per_1m_queries
-    token_txt = "inf" if math.isinf(j_token) else f"{j_token:.3f}"
-    query_txt = "inf" if math.isinf(j_query) else f"{j_query:.3f}"
-    usd_txt = "inf" if math.isinf(usd) else f"{usd:.4f}"
-    return (
-        f"{report.system}: {report.total_j:.2f} J over {report.window_s:.3f} s "
-        f"({report.served} served) — {token_txt} J/token, {query_txt} J/query, "
-        f"${usd_txt}/1M queries"
-    )

@@ -18,24 +18,6 @@ import numpy as np
 from repro.analysis.reporting import format_table
 
 
-def latency_percentiles(
-    sojourn_times_s: Sequence[float], percentiles: Sequence[float] = (50.0, 95.0, 99.0)
-) -> dict[str, float]:
-    """Exact percentiles (seconds) of a sojourn-time sample.
-
-    Uses linear-interpolated order statistics (``np.percentile``), so the
-    reported p50/p95/p99 are exact functions of the recorded sojourn times
-    — no binning or fitting.  An empty sample yields NaNs.  Lists and
-    record columns (e.g. :meth:`~repro.sim.jobtable.RecordColumns.sojourn_s`)
-    take the same path: one float array, one ``np.percentile`` call.
-    """
-    values = np.asarray(sojourn_times_s, dtype=float)
-    if values.size == 0:
-        return {f"p{q:g}": float("nan") for q in percentiles}
-    points = np.percentile(values, list(percentiles))
-    return {f"p{q:g}": float(point) for q, point in zip(percentiles, points, strict=True)}
-
-
 def deadline_miss_rate(sojourn_times_s: Sequence[float], deadline_s: float) -> float:
     """Fraction of served jobs whose sojourn exceeded the deadline."""
     if deadline_s <= 0:

@@ -15,11 +15,6 @@ def fps_from_latency_ms(latency_ms: float, batch: int = 1) -> float:
     return batch * 1000.0 / latency_ms
 
 
-def is_real_time(latency_ms: float, batch: int = 1, threshold_fps: float = REAL_TIME_FPS) -> bool:
-    """Whether a per-frame latency sustains real-time streaming."""
-    return fps_from_latency_ms(latency_ms, batch) >= threshold_fps
-
-
 def speedup(baseline_latency: float, optimized_latency: float) -> float:
     """Latency ratio baseline / optimized."""
     if optimized_latency <= 0:
@@ -33,28 +28,6 @@ def speedup_range(speedups: dict[int, float]) -> tuple[float, float]:
     if not values:
         return (0.0, 0.0)
     return (float(min(values)), float(max(values)))
-
-
-def efficiency_gain(
-    baseline_gops_w: dict[int, float], optimized_gops_w: dict[int, float]
-) -> dict[int, float]:
-    """Per-point energy-efficiency improvement factors."""
-    gains = {}
-    for kv_len in sorted(set(baseline_gops_w) & set(optimized_gops_w)):
-        base = baseline_gops_w[kv_len]
-        if base > 0:
-            gains[kv_len] = optimized_gops_w[kv_len] / base
-    return gains
-
-
-def geometric_mean(values) -> float:
-    """Geometric mean of positive values."""
-    values = np.asarray(list(values), dtype=np.float64)
-    if values.size == 0:
-        return 0.0
-    if np.any(values <= 0):
-        raise ValueError("geometric mean requires positive values")
-    return float(np.exp(np.mean(np.log(values))))
 
 
 def pearson_correlation(x, y) -> float:

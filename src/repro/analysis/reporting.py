@@ -33,19 +33,6 @@ def format_series(series: Mapping, name: str, unit: str = "") -> str:
     return f"{name}: " + ", ".join(parts)
 
 
-def format_breakdown(breakdown: Mapping[str, float], total: float | None = None) -> str:
-    """Render a latency/energy breakdown with percentages."""
-    if total is None:
-        total = sum(v for v in breakdown.values() if isinstance(v, (int, float)))
-    parts = []
-    for key, value in breakdown.items():
-        if total > 0:
-            parts.append(f"{key}={_fmt(value)} ({100.0 * value / total:.1f}%)")
-        else:
-            parts.append(f"{key}={_fmt(value)}")
-    return ", ".join(parts)
-
-
 def _fmt(value) -> str:
     """Human-friendly cell formatting."""
     if isinstance(value, bool):

@@ -14,7 +14,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 def require_number(
@@ -111,11 +111,6 @@ class ModelConfig:
     def head_dim(self) -> int:
         """Per-head embedding dimension."""
         return self.hidden_dim // self.num_heads
-
-    @property
-    def gqa_group_size(self) -> int:
-        """Number of query heads sharing one KV head."""
-        return self.num_heads // self.num_kv_heads
 
     def kv_bytes_per_token(self) -> int:
         """Bytes of KV cache stored for a single token across all layers."""
@@ -240,18 +235,4 @@ class StreamingConfig:
     batch_size: int = 1
 
     def replace(self, **changes) -> "StreamingConfig":
-        return dataclasses.replace(self, **changes)
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Bundle of everything an experiment driver needs."""
-
-    model: ModelConfig = field(default_factory=toy_model_config)
-    vision: VisionConfig = field(default_factory=toy_vision_config)
-    resv: ReSVConfig = field(default_factory=ReSVConfig)
-    streaming: StreamingConfig = field(default_factory=StreamingConfig)
-    seed: int = 0
-
-    def replace(self, **changes) -> "ExperimentConfig":
         return dataclasses.replace(self, **changes)

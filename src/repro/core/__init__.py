@@ -8,8 +8,8 @@ Public surface:
   :func:`repro.core.wicsum.wicsum_lanes` (one lane per KV head).
 * :class:`repro.core.retrieval_base.KVRetriever` — the interface attention
   layers consult.
-* :mod:`repro.core.baselines` — FlexGen / InfiniGen / InfiniGenP / ReKV /
-  Oaken comparison points.
+* :mod:`repro.core.baselines` — InfiniGen / InfiniGenP / ReKV comparison
+  points.
 """
 
 from repro.core.clustering import ClusterEntry, HashClusterLanes, HashClusterTable
@@ -17,16 +17,14 @@ from repro.core.hashbit import (
     HashBitEncoder,
     cosine_similarity_matrix,
     hamming_distance,
-    pack_bits,
+    pack_bits_u64,
     pairwise_hamming,
-    unpack_bits,
+    words_for_bits,
 )
-from repro.core.hashbit import pack_bits_u64, packed_hamming, unpack_bits_u64, words_for_bits
 from repro.core.resv import ReSVRetriever, RetrievalEngineStats, TableOccupancy
 from repro.core.retrieval_base import (
     FRAME_STAGE,
     GENERATION_STAGE,
-    FullRetriever,
     KVRetriever,
     Selection,
 )
@@ -42,7 +40,6 @@ __all__ = [
     "FRAME_STAGE",
     "GENERATION_STAGE",
     "ClusterEntry",
-    "FullRetriever",
     "HashBitEncoder",
     "HashClusterLanes",
     "HashClusterTable",
@@ -55,12 +52,8 @@ __all__ = [
     "cosine_similarity_matrix",
     "hamming_distance",
     "importance_scores",
-    "pack_bits",
     "pack_bits_u64",
-    "packed_hamming",
     "pairwise_hamming",
-    "unpack_bits",
-    "unpack_bits_u64",
     "words_for_bits",
     "wicsum_lanes",
     "wicsum_select",

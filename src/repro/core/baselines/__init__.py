@@ -1,34 +1,20 @@
 """Baseline KV cache management algorithms the paper compares against."""
 
-from repro.core.baselines.flexgen import FlexGenRetriever
 from repro.core.baselines.infinigen import (
     InfiniGenRetriever,
     make_infinigen,
     make_infinigen_p,
 )
-from repro.core.baselines.oaken import (
-    OakenKVStore,
-    QuantizedTensor,
-    dequantize,
-    quantization_error,
-    quantize,
-)
 from repro.core.baselines.rekv import ReKVRetriever, make_rekv
 from repro.core.baselines.topk import budget_from_ratio, token_importance, topk_indices
 
 __all__ = [
-    "FlexGenRetriever",
     "InfiniGenRetriever",
-    "OakenKVStore",
-    "QuantizedTensor",
     "ReKVRetriever",
     "budget_from_ratio",
-    "dequantize",
     "make_infinigen",
     "make_infinigen_p",
     "make_rekv",
-    "quantization_error",
-    "quantize",
     "token_importance",
     "topk_indices",
 ]

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.hashbit import pack_bits_u64, popcount_u64, unpack_bits_u64, words_for_bits
+from repro.core.hashbit import pack_bits_u64, popcount_u64, words_for_bits
 from repro.devtools.sanitizer import TABLE_CONSERVATION, SanitizerError
 from repro.devtools.sanitizer import resolve as _resolve_sanitize
 
@@ -52,20 +52,6 @@ class ClusterEntry:
     token_indices: list[int] = field(default_factory=list)
     key_sum: np.ndarray | None = None
     bit_votes: np.ndarray | None = None
-
-    @property
-    def token_count(self) -> int:
-        return len(self.token_indices)
-
-    @property
-    def key_cluster(self) -> np.ndarray:
-        """Representative key: mean of the member keys."""
-        return self.key_sum / max(self.token_count, 1)
-
-    @property
-    def hash_bits(self) -> np.ndarray:
-        """Representative signature: per-bit majority vote of members."""
-        return self.bit_votes * 2 >= self.token_count
 
 
 def _grown(array: np.ndarray, axis: int, needed: int) -> np.ndarray:
@@ -370,14 +356,6 @@ class HashClusterTable:
         """Member counts per cluster."""
         return self._store.token_counts()[self._lane, : self.num_clusters].copy()
 
-    def cluster_hash_bits(self) -> np.ndarray:
-        """Representative signatures, shape ``(num_clusters, n_bits)``."""
-        return unpack_bits_u64(self.packed_signatures(), self.n_bits)
-
-    def packed_signatures(self) -> np.ndarray:
-        """Packed uint64 representative signatures, shape ``(num_clusters, words)``."""
-        return self._store._signatures[self._lane, : self.num_clusters]
-
     def assignments(self) -> tuple[np.ndarray, np.ndarray]:
         """``(token_ids, cluster_index)`` pairs in insertion order."""
         n = self.num_tokens
@@ -392,12 +370,6 @@ class HashClusterTable:
         wanted = np.zeros(self.num_clusters, dtype=bool)
         wanted[cluster_indices] = True
         return np.unique(token_ids[wanted[assignments]])
-
-    def cluster_of_token(self, token_index: int) -> int:
-        """Return the cluster index that owns ``token_index`` (or -1)."""
-        token_ids, assignments = self.assignments()
-        seen = np.nonzero(token_ids == token_index)[0]
-        return int(assignments[seen[-1]]) if seen.size else -1
 
     def memory_overhead_bytes(self, key_bytes: int = 2) -> int:
         """Approximate HC-table storage: representative keys, signatures, counts, indices.

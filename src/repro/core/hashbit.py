@@ -76,12 +76,6 @@ def pairwise_hamming(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.count_nonzero(xor, axis=-1)
 
 
-def pack_bits(bits: np.ndarray) -> np.ndarray:
-    """Pack boolean signatures into uint8 words (hardware storage layout)."""
-    bits = np.asarray(bits, dtype=bool)
-    return np.packbits(bits, axis=-1)
-
-
 def words_for_bits(n_bits: int) -> int:
     """Number of uint64 words needed to store an ``n_bits`` signature."""
     return (n_bits + 63) // 64
@@ -115,33 +109,6 @@ def pack_bits_u64(bits: np.ndarray) -> np.ndarray:
         padded[..., :n_bits] = bits
         bits = padded
     return np.packbits(bits, axis=-1, bitorder="little").view(np.uint64)
-
-
-def unpack_bits_u64(packed: np.ndarray, n_bits: int) -> np.ndarray:
-    """Inverse of :func:`pack_bits_u64`, restoring an ``n_bits`` signature."""
-    packed = np.asarray(packed, dtype=np.uint64)
-    as_bytes = packed.view(np.uint8).reshape(packed.shape[:-1] + (packed.shape[-1] * 8,))
-    bits = np.unpackbits(as_bytes, axis=-1, bitorder="little")
-    return bits[..., :n_bits].astype(bool)
-
-
-def packed_hamming(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Hamming distance between packed uint64 signatures (XOR + popcount).
-
-    The word axis (last axis) is reduced; all leading axes broadcast, so
-    ``packed_hamming(table[None, :, :], new[:, None, :])`` yields the full
-    ``(new, clusters)`` distance matrix in one shot — the batched
-    XOR-and-popcount operation the HCU performs.
-    """
-    a = np.asarray(a, dtype=np.uint64)
-    b = np.asarray(b, dtype=np.uint64)
-    return popcount_u64(a ^ b).sum(axis=-1, dtype=np.int64)
-
-
-def unpack_bits(packed: np.ndarray, n_bits: int) -> np.ndarray:
-    """Inverse of :func:`pack_bits`, restoring an ``n_bits``-wide signature."""
-    unpacked = np.unpackbits(np.asarray(packed, dtype=np.uint8), axis=-1)
-    return unpacked[..., :n_bits].astype(bool)
 
 
 def cosine_similarity_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -261,14 +261,3 @@ class ReSVRetriever(KVRetriever):
             table.mean_tokens_per_cluster() for table in self._tables() if table.num_clusters > 0
         ]
         return float(np.mean(values)) if values else 0.0
-
-    def hc_table_overhead_ratio(self, kv_bytes_per_token_per_layer_head: int) -> float:
-        """HC table size relative to the full KV cache it indexes."""
-        table_bytes = sum(table.memory_overhead_bytes() for table in self._tables())
-        cache_bytes = sum(
-            store.num_tokens * kv_bytes_per_token_per_layer_head * self.num_kv_heads
-            for store in self._layers
-        )
-        if cache_bytes == 0:
-            return 0.0
-        return table_bytes / cache_bytes

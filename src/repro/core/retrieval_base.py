@@ -56,19 +56,6 @@ class Selection:
             per_kv_head_indices=[np.zeros((0,), dtype=np.int64) for _ in range(num_kv_heads)]
         )
 
-    def selected_counts(self) -> list[int]:
-        """Number of tokens selected per KV head."""
-        return [int(np.asarray(idx).size) for idx in self.per_kv_head_indices]
-
-    def mean_ratio(self, cache_length: int) -> float:
-        """Average fraction of the cache selected across KV heads."""
-        if cache_length == 0:
-            return 1.0
-        counts = self.selected_counts()
-        if not counts:
-            return 1.0
-        return float(np.mean(counts)) / cache_length
-
 
 class KVRetriever(abc.ABC):
     """Abstract base class for KV cache retrieval algorithms."""
@@ -111,23 +98,3 @@ class KVRetriever(abc.ABC):
         fresh = copy.deepcopy(self)
         fresh.reset()
         return fresh
-
-
-class FullRetriever(KVRetriever):
-    """Fetches the entire cache — functionally identical to no retrieval.
-
-    Useful as the FlexGen-style functional baseline (FlexGen offloads the
-    full cache and fetches all of it back) and for measuring the substrate's
-    reference outputs while still exercising the light-attention code path.
-    """
-
-    name = "full"
-
-    def observe_keys(
-        self, layer: int, keys: np.ndarray, positions: np.ndarray, frame_id: int
-    ) -> None:
-        del layer, keys, positions, frame_id
-
-    def select(self, layer: int, queries: np.ndarray, cache: LayerKVCache) -> Selection:
-        del layer, queries
-        return Selection.full(cache.num_kv_heads, len(cache))

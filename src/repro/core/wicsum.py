@@ -31,7 +31,6 @@ is unchanged, while every importance weight becomes non-negative.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -60,11 +59,6 @@ class WiCSumResult:
     selected_clusters: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     sorted_elements: int = 0
     total_elements: int = 0
-
-    @cached_property
-    def per_row_selected(self) -> list[np.ndarray]:
-        """Kept cluster indices of every score row (derived on first access)."""
-        return [np.nonzero(row)[0] for row in self.kept]
 
     @property
     def sort_fraction(self) -> float:

@@ -46,9 +46,6 @@ class Table02Result:
             np.mean([self.cells[(method, task)].generation_retrieval_ratio for task in self.tasks])
         )
 
-    def accuracy_drop_vs_vanilla(self, method: str) -> float:
-        return self.average_accuracy("VideoLLM-Online") - self.average_accuracy(method)
-
 
 def method_factories() -> dict[str, object]:
     """The Table II method line-up (name -> retriever factory or None)."""

@@ -24,7 +24,7 @@ from repro.hw.interconnect import (
     InterconnectSpec,
     ShardTransfer,
 )
-from repro.hw.roofline import RooflinePoint, attainable_tflops, ridge_point, roofline_curve
+from repro.hw.roofline import RooflinePoint, attainable_tflops
 from repro.hw.specs import (
     A100,
     AGX_ORIN,
@@ -67,8 +67,6 @@ __all__ = [
     "attainable_tflops",
     "core_area_power",
     "pcie_config_for",
-    "ridge_point",
-    "roofline_curve",
     "table_i_rows",
     "vrex_chip_area_mm2",
     "vrex_device",

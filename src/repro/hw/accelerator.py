@@ -66,10 +66,6 @@ class VRexAccelerator:
         """Streaming write-out of evicted KV entries (hidden behind compute)."""
         return self.kvmu.offload_time_s(num_bytes)
 
-    def fits_in_memory(self, num_bytes: float) -> bool:
-        """Whether a working set fits device DRAM."""
-        return num_bytes <= self.spec.memory_capacity_bytes
-
     def achieved_tflops(self, cost: KernelCost) -> float:
         """Achieved throughput on a dense kernel."""
         return self.lxe.achieved_tflops(cost)

@@ -15,10 +15,6 @@ class KernelCost:
     def __add__(self, other: "KernelCost") -> "KernelCost":
         return KernelCost(self.flops + other.flops, self.dram_bytes + other.dram_bytes)
 
-    def scale(self, factor: float) -> "KernelCost":
-        """Scale both FLOPs and bytes (e.g. by batch size)."""
-        return KernelCost(self.flops * factor, self.dram_bytes * factor)
-
     @property
     def operational_intensity(self) -> float:
         """FLOPs per DRAM byte."""

@@ -45,7 +45,3 @@ class HCUModel:
     def time_s(self, work: HCUWork) -> float:
         """Seconds to process one clustering invocation."""
         return self.cycles(work) / self.core.frequency_hz
-
-    def energy_j(self, work: HCUWork) -> float:
-        """Energy of one clustering invocation."""
-        return self.time_s(work) * self.power_w * self.num_cores

@@ -112,7 +112,3 @@ class KVMUModel:
         if num_bytes <= 0:
             return 0.0
         return self.link.transfer_time_s(num_bytes, efficiency=self.link.config.max_efficiency)
-
-    def energy_j(self, busy_seconds: float) -> float:
-        """KVMU control-logic energy (the link/SSD energy is modelled separately)."""
-        return busy_seconds * self.power_w

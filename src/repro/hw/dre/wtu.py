@@ -58,10 +58,6 @@ class WTUModel:
         """Seconds for one thresholding invocation."""
         return self.cycles(work) / self.core.frequency_hz
 
-    def energy_j(self, work: WTUWork) -> float:
-        """Energy of one thresholding invocation."""
-        return self.time_s(work) * self.power_w * self.num_cores
-
     def early_exit_speedup(self, work: WTUWork) -> float:
         """Speedup of early-exit sorting over a full sort for this work."""
         full = WTUWork(work.rows, work.clusters, sort_fraction=1.0, early_exit=False)

@@ -151,19 +151,6 @@ class EnergyModel:
             compute_w=cores_w, dram_w=dram_w, pcie_w=pcie_w, storage_w=storage_w
         )
 
-    def device_power_w(self, device: DeviceSpec) -> float:
-        """Average power of any device in the comparison.
-
-        V-Rex devices route through :meth:`vrex_system_power`, which
-        resolves DRAM power and lane count from the configured
-        :class:`VRexCoreConfig` overrides before falling back to the
-        ``num_cores`` thresholds — a non-default deployment no longer
-        silently gets the Table I defaults.
-        """
-        if device.kind == "vrex":
-            return self.vrex_system_power(device.num_cores).total_w
-        return device.power_w
-
     def inference_energy_j(
         self,
         device: DeviceSpec,

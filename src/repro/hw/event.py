@@ -297,14 +297,14 @@ class ReleasableResource:
     DRE and PCIe queues, and frames queued behind it start on release.
 
     All queue operations are O(1) per event — grants and releases touch
-    only the deque ends, never scan waiters.  ``record=False`` disables
-    the ``grants`` retention list, leaving the holder grant as the only
+    only the deque ends, never scan waiters.  The ``grants`` history is
+    kept only with ``record=True``; by default the holder grant is the only
     per-admission allocation (the serving scheduler reads grants solely
     through the acquire callback).
     """
 
     def __init__(
-        self, name: str = "resource", record: bool = True, sanitize: bool | None = None
+        self, name: str = "resource", record: bool = False, sanitize: bool | None = None
     ):
         self.name = name
         self.record = record
@@ -581,10 +581,6 @@ class PreemptiveJob:
         return self._core.first_start[self._index]
 
     @property
-    def done(self) -> bool:
-        return self.finish_s is not None
-
-    @property
     def wait_s(self) -> float:
         """Delay between arrival and the job's first time slice."""
         if self.first_start_s is None:
@@ -622,7 +618,7 @@ class PreemptiveResource:
     Zero-work jobs complete immediately without occupying the server.
     Completion callbacks run *after* the next job has been dispatched, so a
     callback may submit follow-up work without double-dispatching the
-    server.
+    server.  The ``jobs`` history is kept only with ``record=True``.
     """
 
     def __init__(
@@ -631,7 +627,7 @@ class PreemptiveResource:
         name: str = "compute",
         quantum_s: float = 1e-3,
         priority: int = 0,
-        record: bool = True,
+        record: bool = False,
         sanitize: bool | None = None,
     ):
         require_number("quantum_s", quantum_s, exclusive=True)
@@ -935,10 +931,6 @@ class IndexRing:
         if self._sanitize:
             self._queued[index] = -1
         return index
-
-    def depth(self, lane: int) -> int:
-        """Indices currently queued on ``lane``."""
-        return self._depth[lane]
 
 
 @dataclass(frozen=True)

@@ -74,10 +74,6 @@ class GPUDevice:
             return 0.0
         return self.link.transfer_time_s(num_bytes, efficiency=self.spec.pcie_efficiency)
 
-    def fits_in_memory(self, num_bytes: float) -> bool:
-        """Whether a working set fits the device memory (OOM check, Fig. 15)."""
-        return num_bytes <= self.spec.memory_capacity_bytes
-
     def achieved_tflops(self, cost: KernelCost) -> float:
         """Achieved throughput on a dense kernel."""
         return self.dense_engine.achieved_tflops(cost)

@@ -1,6 +1,5 @@
-"""Memory-system models: DRAM, SSD, PCIe, KV hierarchy, sharded banks."""
+"""Memory-system models: SSD, PCIe, KV hierarchy, sharded banks."""
 
-from repro.hw.memory.dram import DDR4_CPU, HBM2E, LPDDR5, DRAMConfig, DRAMModel
 from repro.hw.memory.hierarchy import FetchResult, HierarchicalKVManager
 from repro.hw.memory.pcie import PCIE3_X4, PCIE4_X16, PCIeConfig, PCIeLink
 from repro.hw.memory.sharding import (
@@ -14,14 +13,9 @@ from repro.hw.memory.sharding import (
 from repro.hw.memory.ssd import SSDConfig, SSDModel
 
 __all__ = [
-    "DDR4_CPU",
-    "DRAMConfig",
-    "DRAMModel",
     "EvictionRecord",
     "FetchResult",
-    "HBM2E",
     "HierarchicalKVManager",
-    "LPDDR5",
     "PCIE3_X4",
     "PCIE4_X16",
     "PCIeConfig",

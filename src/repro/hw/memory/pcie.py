@@ -84,10 +84,6 @@ class PCIeLink:
         """Link power under full load (paper: ~3 W per lane)."""
         return self.config.lanes * self.config.power_per_lane_w
 
-    def energy_j(self, busy_seconds: float, load_fraction: float = 1.0) -> float:
-        """Energy of the link being driven for ``busy_seconds``."""
-        return self.power_w() * busy_seconds * load_fraction
-
 
 class PCIeLinkQueue(ResourceQueue):
     """A shared PCIe link serving concurrent streams' transfers FCFS.

@@ -286,10 +286,6 @@ class ShardedKVHierarchy:
             self._hot_at_register[session_id] = float(hot_bytes)
             self.sanity_check()
 
-    @property
-    def session_ids(self) -> list[int]:
-        return sorted(self._shards)
-
     def _shard(self, session_id: int) -> _SessionShards:
         try:
             return self._shards[session_id]
@@ -317,15 +313,12 @@ class ShardedKVHierarchy:
         """Bytes demoted to the SSD tier."""
         return self._shard(session_id).cold_bytes
 
-    def residency(self, session_id: int) -> float:
-        """Warm fraction of a session's off-chip bytes (1.0 if nothing off-chip)."""
-        shard = self._shard(session_id)
-        if shard.offchip_bytes <= 0:
-            return 1.0
-        return 1.0 - shard.cold_bytes / shard.offchip_bytes
-
     def cold_fraction(self, session_id: int) -> float:
-        """``1 - residency``, as that very expression (admission's hot read)."""
+        """Cold share of a session's off-chip bytes (0.0 if nothing off-chip).
+
+        Written as ``1 - warm share`` so it rounds exactly as admission's
+        hot read always has.
+        """
         shard = self._shard(session_id)
         if shard.offchip_bytes <= 0.0:
             return 0.0

@@ -62,7 +62,3 @@ class SSDModel:
         if occupancy == 0.0 and num_bytes == 0:  # simlint: exact — zero-byte sentinel
             return 0.0
         return self.config.read_latency_us * 1e-6 + occupancy
-
-    def energy_j(self, busy_seconds: float, idle_seconds: float = 0.0) -> float:
-        """Energy consumed while busy plus idle."""
-        return busy_seconds * self.config.active_power_w + idle_seconds * self.config.idle_power_w

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class RooflinePoint:
@@ -33,23 +31,3 @@ def attainable_tflops(
         raise ValueError("operational_intensity must be non-negative")
     bandwidth_tflops = operational_intensity * memory_bandwidth_gbps * 1e9 / 1e12
     return min(peak_tflops, bandwidth_tflops)
-
-
-def roofline_curve(
-    peak_tflops: float,
-    memory_bandwidth_gbps: float,
-    intensities: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sampled roofline curve for plotting/reporting."""
-    if intensities is None:
-        intensities = np.logspace(-1, 3, 64)
-    intensities = np.asarray(intensities, dtype=np.float64)
-    ceiling = np.asarray(
-        [attainable_tflops(oi, peak_tflops, memory_bandwidth_gbps) for oi in intensities]
-    )
-    return intensities, ceiling
-
-
-def ridge_point(peak_tflops: float, memory_bandwidth_gbps: float) -> float:
-    """Operational intensity where the machine transitions to compute-bound."""
-    return peak_tflops * 1e12 / (memory_bandwidth_gbps * 1e9)

@@ -83,11 +83,6 @@ class DeviceSpec:
     def memory_capacity_bytes(self) -> float:
         return self.memory_capacity_gib * GiB
 
-    @property
-    def effective_tflops(self) -> float:
-        """Sustained dense-kernel throughput."""
-        return self.peak_tflops * self.dense_utilization
-
 
 def vrex_device(num_cores: int, core: VRexCoreConfig | None = None) -> DeviceSpec:
     """Build a V-Rex device spec from a core count (Table I edge/server rows)."""

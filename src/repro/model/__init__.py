@@ -22,7 +22,7 @@ from repro.model.attention import (
 from repro.model.decoder import DecoderLayer, FeedForward, RMSNorm
 from repro.model.kvcache import KVCache, LayerKVCache
 from repro.model.llm import LLMSessionState, StreamingVideoLLM
-from repro.model.rope import RotaryEmbedding, apply_rope
+from repro.model.rope import RotaryEmbedding
 from repro.model.serving import RetrievalSession, SessionBatch, SessionReport
 from repro.model.streaming import StreamingSession, StreamStats
 from repro.model.tokenizer import ToyTokenizer
@@ -46,7 +46,6 @@ __all__ = [
     "StreamingVideoLLM",
     "ToyTokenizer",
     "VisionTower",
-    "apply_rope",
     "repeat_kv",
     "scaled_dot_product_attention",
     "softmax",

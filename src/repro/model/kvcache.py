@@ -50,7 +50,6 @@ class LayerKVCache:
         self._length = 0
         self._keys = np.zeros((num_kv_heads, 0, head_dim), dtype=np.float64)
         self._values = np.zeros((num_kv_heads, 0, head_dim), dtype=np.float64)
-        self._positions = np.zeros((0,), dtype=np.int64)
         self._frame_ids = np.zeros((0,), dtype=np.int64)
 
     def __len__(self) -> int:
@@ -67,11 +66,6 @@ class LayerKVCache:
         return self._values[:, : self._length, :]
 
     @property
-    def positions(self) -> np.ndarray:
-        """Absolute positions of the cached tokens."""
-        return self._positions[: self._length]
-
-    @property
     def frame_ids(self) -> np.ndarray:
         """Frame index that produced each cached token (-1 for text tokens)."""
         return self._frame_ids[: self._length]
@@ -83,16 +77,13 @@ class LayerKVCache:
         new_capacity = max(needed, max(16, self._capacity * 2))
         new_keys = np.zeros((self.num_kv_heads, new_capacity, self.head_dim), dtype=np.float64)
         new_values = np.zeros_like(new_keys)
-        new_positions = np.zeros((new_capacity,), dtype=np.int64)
         new_frames = np.full((new_capacity,), -1, dtype=np.int64)
         if self._length:
             new_keys[:, : self._length] = self._keys[:, : self._length]
             new_values[:, : self._length] = self._values[:, : self._length]
-            new_positions[: self._length] = self._positions[: self._length]
             new_frames[: self._length] = self._frame_ids[: self._length]
         self._keys = new_keys
         self._values = new_values
-        self._positions = new_positions
         self._frame_ids = new_frames
         self._capacity = new_capacity
 
@@ -132,16 +123,8 @@ class LayerKVCache:
         end = self._length + new_tokens
         self._keys[:, self._length : end] = keys
         self._values[:, self._length : end] = values
-        self._positions[self._length : end] = positions
         self._frame_ids[self._length : end] = frame_id
         self._length = end
-
-    def gather(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Return ``(keys, values)`` restricted to the given token indices."""
-        indices = np.asarray(indices, dtype=np.int64)
-        if indices.size and (indices.min() < 0 or indices.max() >= self._length):
-            raise IndexError("gather indices out of range")
-        return self.keys[:, indices, :], self.values[:, indices, :]
 
     def memory_bytes(self) -> int:
         """Model-precision bytes used by this layer's cache (keys + values)."""
@@ -179,15 +162,3 @@ class KVCache:
     def memory_bytes(self) -> int:
         """Total KV cache size across all layers in model-precision bytes."""
         return sum(layer.memory_bytes() for layer in self.layers)
-
-    def frame_token_indices(self, frame_index: int) -> np.ndarray:
-        """Token indices (layer-agnostic) belonging to a given frame."""
-        if not self.layers:
-            return np.zeros((0,), dtype=np.int64)
-        return np.nonzero(self.layers[0].frame_ids == frame_index)[0]
-
-    def visual_token_indices(self) -> np.ndarray:
-        """Token indices belonging to any video frame."""
-        if not self.layers:
-            return np.zeros((0,), dtype=np.int64)
-        return np.nonzero(self.layers[0].frame_ids >= 0)[0]

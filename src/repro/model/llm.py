@@ -244,15 +244,3 @@ class StreamingVideoLLM:
     def kv_cache_bytes(self, state: LLMSessionState | None = None) -> int:
         """Current KV cache size of a session in model-precision bytes."""
         return self._resolve_state(state).cache.memory_bytes()
-
-    def parameter_bytes(self) -> int:
-        """Approximate parameter memory in model-precision bytes."""
-        cfg = self.config
-        per_layer = (
-            cfg.hidden_dim * cfg.hidden_dim  # W_q
-            + 2 * cfg.hidden_dim * cfg.num_kv_heads * cfg.head_dim  # W_k, W_v
-            + cfg.hidden_dim * cfg.hidden_dim  # W_o
-            + 3 * cfg.hidden_dim * cfg.ffn_dim  # SwiGLU
-        )
-        total = cfg.num_layers * per_layer + 2 * cfg.vocab_size * cfg.hidden_dim
-        return total * cfg.dtype_bytes

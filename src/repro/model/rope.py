@@ -66,8 +66,3 @@ class RotaryEmbedding:
         out[..., 0::2] = x_even * cos - x_odd * sin
         out[..., 1::2] = x_even * sin + x_odd * cos
         return out
-
-
-def apply_rope(x: np.ndarray, positions: np.ndarray, base: float = 10_000.0) -> np.ndarray:
-    """Convenience wrapper applying RoPE to ``x`` at the given positions."""
-    return RotaryEmbedding(x.shape[-1], base=base).rotate(x, positions)

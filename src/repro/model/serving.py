@@ -283,9 +283,3 @@ class SessionBatch:
     def reports(self) -> list[SessionReport]:
         """Per-stream statistics for every open session."""
         return [session.report() for session in self.sessions]
-
-    def total_cache_tokens(self) -> int:
-        return sum(session.cache_length for session in self.sessions)
-
-    def total_cache_bytes(self) -> int:
-        return sum(session.kv_cache_bytes() for session in self.sessions)

@@ -26,11 +26,6 @@ class ToyTokenizer:
         self.vocab_size = vocab_size
         self.special_tokens = dict(zip(_SPECIAL_TOKENS, range(len(_SPECIAL_TOKENS)), strict=True))
         self._word_space = vocab_size - len(_SPECIAL_TOKENS)
-        self._reverse: dict[int, str] = {}
-
-    @property
-    def pad_id(self) -> int:
-        return self.special_tokens["<pad>"]
 
     @property
     def bos_id(self) -> int:
@@ -43,9 +38,7 @@ class ToyTokenizer:
     def _word_id(self, word: str) -> int:
         digest = hashlib.sha256(word.lower().encode("utf-8")).digest()
         bucket = int.from_bytes(digest[:8], "big") % self._word_space
-        token_id = bucket + len(_SPECIAL_TOKENS)
-        self._reverse.setdefault(token_id, word.lower())
-        return token_id
+        return bucket + len(_SPECIAL_TOKENS)
 
     def encode(self, text: str, add_bos: bool = True, add_eos: bool = False) -> np.ndarray:
         """Encode a string into token ids."""
@@ -60,15 +53,3 @@ class ToyTokenizer:
         if add_eos:
             ids.append(self.eos_id)
         return np.asarray(ids, dtype=np.int64)
-
-    def decode(self, token_ids) -> str:
-        """Best-effort decoding back to a string."""
-        inverse_special = {v: k for k, v in self.special_tokens.items()}
-        words = []
-        for token_id in np.asarray(token_ids, dtype=np.int64):
-            token_id = int(token_id)
-            if token_id in inverse_special:
-                words.append(inverse_special[token_id])
-            else:
-                words.append(self._reverse.get(token_id, f"<unk:{token_id}>"))
-        return " ".join(words)

@@ -72,11 +72,6 @@ class ArrivalProcess:
     ) -> np.ndarray:
         raise NotImplementedError
 
-    @property
-    def mean_rate_hz(self) -> float:
-        """Long-run mean frame rate of one stream."""
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class DeterministicArrivals(ArrivalProcess):
@@ -104,12 +99,6 @@ class DeterministicArrivals(ArrivalProcess):
         phase = self.start_s + stream * self.spacing_s
         return phase + np.arange(frames, dtype=float) * self.period_s
 
-    @property
-    def mean_rate_hz(self) -> float:
-        if self.period_s <= 0:
-            return float("inf")
-        return 1.0 / self.period_s
-
 
 @dataclass(frozen=True)
 class PoissonArrivals(ArrivalProcess):
@@ -128,10 +117,6 @@ class PoissonArrivals(ArrivalProcess):
         del stream
         gaps = rng.exponential(scale=1.0 / self.rate_hz, size=frames)
         return self.start_s + np.cumsum(gaps)
-
-    @property
-    def mean_rate_hz(self) -> float:
-        return self.rate_hz
 
 
 @dataclass(frozen=True)
@@ -168,21 +153,12 @@ class BurstyArrivals(ArrivalProcess):
                 times.append(now)
                 # intra-burst gaps separate frames *within* a burst only; the
                 # last frame of a burst is followed by the idle gap, keeping
-                # the realized rate equal to ``mean_rate_hz``'s cycle model.
+                # the realized rate equal to the on-off cycle's mean rate.
                 if position + 1 < take:
                     now += float(rng.exponential(scale=1.0 / self.burst_rate_hz))
             if self.mean_idle_s > 0:
                 now += float(rng.exponential(scale=self.mean_idle_s))
         return np.asarray(times, dtype=float)
-
-    @property
-    def mean_rate_hz(self) -> float:
-        """Mean rate of the on-off cycle (burst duration + idle gap)."""
-        burst_span_s = (self.mean_burst_frames - 1.0) / self.burst_rate_hz
-        cycle_s = burst_span_s + self.mean_idle_s
-        if cycle_s <= 0:
-            return float("inf")
-        return self.mean_burst_frames / cycle_s
 
     @classmethod
     def for_mean_rate(

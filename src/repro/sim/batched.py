@@ -1326,7 +1326,7 @@ class BatchLatencyModel:
             # (the same stage core and driver price both).
             loop = EventLoop()
             compute_server = PreemptiveResource(
-                loop, "compute", quantum_s=self.quantum_s, priority=PRIO_COMPLETE, record=False
+                loop, "compute", quantum_s=self.quantum_s, priority=PRIO_COMPLETE
             )
             stages = StageCore(is_vrex, len(profiles))
             issue = StageDriver(

@@ -77,10 +77,6 @@ class ResourceEnergy:
     idle_j: float
 
     @property
-    def idle_s(self) -> float:
-        return max(0.0, self.window_s - self.busy_s)
-
-    @property
     def total_j(self) -> float:
         return self.busy_j + self.idle_j
 

@@ -57,6 +57,22 @@ def gpu_sequential_fraction(ratio: float) -> float:
     return 0.95 if ratio >= 0.999 else 0.5
 
 
+def overlap_latency(
+    is_vrex: bool, overlaps: bool, compute: float, prediction: float, fetch: float
+) -> float:
+    """Latency of compute, KV prediction and KV fetch under one overlap rule.
+
+    The pure core of :func:`overlap_rules`, shared with the scheduler's
+    no-queueing estimate, which applies it to whole-stage totals rather
+    than per-layer values.
+    """
+    if is_vrex:
+        return max(compute, prediction + fetch)
+    if overlaps:
+        return prediction + max(compute, fetch)
+    return prediction + compute + fetch
+
+
 def overlap_rules(
     system: SystemConfig,
     stage: str,
@@ -78,17 +94,16 @@ def overlap_rules(
       serial rule applies to the frame stage only.
     """
     overlaps = system.policy.overlap_fetch or stage == GENERATION_STAGE
-    if system.device.kind == "vrex":
+    is_vrex = system.device.kind == "vrex"
+    layer_latency = overlap_latency(is_vrex, overlaps, compute_layer, prediction_layer, fetch_layer)
+    if is_vrex:
         hidden = prediction_layer + fetch_layer
-        layer_latency = max(compute_layer, hidden)
         exposed_prediction = max(0.0, min(prediction_layer, hidden - compute_layer))
         exposed_fetch = max(0.0, hidden - compute_layer - exposed_prediction)
     elif overlaps:
-        layer_latency = prediction_layer + max(compute_layer, fetch_layer)
         exposed_prediction = prediction_layer
         exposed_fetch = max(0.0, fetch_layer - compute_layer)
     else:
-        layer_latency = prediction_layer + compute_layer + fetch_layer
         exposed_prediction = prediction_layer
         exposed_fetch = fetch_layer
     return layer_latency, exposed_prediction, exposed_fetch
@@ -99,7 +114,7 @@ class MeasuredRetrieval:
     """Functional-plane measurements that calibrate the performance plane.
 
     Defaults are the paper's published averages; a measured session (via
-    :meth:`from_session_report` or :meth:`from_retriever`) replaces them
+    :meth:`from_session_report`) replaces them
     with the stream's actual WiCSum sort fraction and cluster occupancy, so
     per-session latency estimates track what that stream really did instead
     of the single-stream ``last_*`` attributes the old API exposed.
@@ -127,21 +142,6 @@ class MeasuredRetrieval:
         return cls(
             sort_fraction=report.sort_fraction if has_sort_data else EARLY_EXIT_SORT_FRACTION,
             avg_tokens_per_cluster=report.mean_tokens_per_cluster
-            if has_clusters
-            else float(AVG_TOKENS_PER_CLUSTER),
-        )
-
-    @classmethod
-    def from_retriever(cls, retriever) -> "MeasuredRetrieval":
-        """Build from a live retriever exposing ``stats`` / ``occupancy()``."""
-        stats = getattr(retriever, "stats", None)
-        occupancy_fn = getattr(retriever, "occupancy", None)
-        has_sort_data = stats is not None and stats.total_elements > 0
-        occupancy = occupancy_fn() if occupancy_fn else None
-        has_clusters = occupancy is not None and occupancy.num_clusters > 0
-        return cls(
-            sort_fraction=stats.sort_fraction if has_sort_data else EARLY_EXIT_SORT_FRACTION,
-            avg_tokens_per_cluster=occupancy.mean_tokens_per_cluster
             if has_clusters
             else float(AVG_TOKENS_PER_CLUSTER),
         )
@@ -234,10 +234,6 @@ class LatencyModel:
         self.measured = measured or MeasuredRetrieval()
         self.energy = EnergyModel()
         self._devices: dict[str, object] = {}
-
-    def calibrate(self, measured: MeasuredRetrieval) -> None:
-        """Adopt functional-plane measurements (e.g. from a served session)."""
-        self.measured = measured
 
     # ------------------------------------------------------------------ #
     # device construction

@@ -45,6 +45,7 @@ misses), not a single makespan.
 
 from __future__ import annotations
 
+import numbers
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
@@ -84,7 +85,7 @@ from repro.sim.jobtable import (
     KIND_NAMES,
     RecordColumns,
 )
-from repro.sim.pipeline import FRAME_STAGE, GENERATION_STAGE
+from repro.sim.pipeline import FRAME_STAGE, GENERATION_STAGE, overlap_latency
 from repro.sim.systems import SystemConfig
 
 FRAME_JOB = "frame"
@@ -410,15 +411,6 @@ class RecordViews:
             selected &= columns.kind == _KIND_CODES[require_choice("kind", kind, KIND_NAMES)]
         return np.flatnonzero(selected)
 
-    def sojourn_times_s(
-        self, stream_index: int | None = None, kind: str | None = None
-    ) -> list[float]:
-        """Served jobs' arrival-to-finish latencies."""
-        columns = self.columns
-        rows = self._rows(stream_index, kind)
-        rows = rows[~columns.dropped[rows]]
-        return (columns.finish[rows] - columns.arrival[rows]).tolist()
-
     @property
     def served(self) -> int:
         return len(self.columns) - self.dropped
@@ -619,30 +611,6 @@ class _Job:
         self.admission = ADMIT
 
 
-def _solo_latency(
-    is_vrex: bool,
-    overlaps: bool,
-    vision_s: float,
-    compute_s: float,
-    prediction_s: float,
-    fetch_s: float,
-) -> float:
-    """A job's no-queueing latency under the system's overlap rules.
-
-    The admission controller's estimate primitive: the same per-stream
-    overlap semantics as :func:`repro.sim.batched.contended_latency`, but
-    with empty shared queues (waits are estimated separately from the
-    backlog the job would join).
-    """
-    if is_vrex:
-        latency = max(compute_s, prediction_s + fetch_s)
-    elif overlaps:
-        latency = prediction_s + max(compute_s, fetch_s)
-    else:
-        latency = prediction_s + compute_s + fetch_s
-    return vision_s + latency
-
-
 @dataclass
 class _RunContext:
     """One validated, fully priced scheduler run, ready for an engine.
@@ -779,21 +747,32 @@ class ServingScheduler:
         if not lengths.any():
             return traces
         flat = np.concatenate([trace for trace in traces if trace.size])
-        present = lengths > 0
+        present = np.flatnonzero(lengths)
         starts = np.concatenate([[0], np.cumsum(lengths[present])[:-1]])
-        if np.any(flat[starts] < 0):
-            bad = int(np.flatnonzero(present)[np.flatnonzero(flat[starts] < 0)[0]])
+
+        def first_stream(bad: np.ndarray) -> int:
+            """The stream holding the first flagged entry of ``flat``."""
+            position = int(np.flatnonzero(bad)[0])
+            return int(present[np.searchsorted(starts, position, "right") - 1])
+
+        # NaN fails every comparison below, so it must be caught first
+        finite = np.isfinite(flat)
+        if not finite.all():
             raise ValueError(
-                f"arrival trace of stream {bad} contains a negative time"
+                f"arrival trace of stream {first_stream(~finite)} contains a non-finite time"
+            )
+        negative = flat[starts] < 0  # nondecreasing below, so first times suffice
+        if negative.any():
+            raise ValueError(
+                f"arrival trace of stream {int(present[np.flatnonzero(negative)[0]])} "
+                "contains a negative time"
             )
         decreasing = np.zeros(flat.size, dtype=bool)
         decreasing[1:] = np.diff(flat) < 0
         decreasing[starts] = False  # stream boundaries are not steps
         if decreasing.any():
-            bad_pos = int(np.flatnonzero(decreasing)[0])
-            bad = int(np.flatnonzero(present)[np.searchsorted(starts, bad_pos, "right") - 1])
             raise ValueError(
-                f"arrival trace of stream {bad} must be nondecreasing"
+                f"arrival trace of stream {first_stream(decreasing)} must be nondecreasing"
             )
         return traces
 
@@ -830,10 +809,12 @@ class ServingScheduler:
                     f"got {len(question_arrivals)}"
                 )
             for stream, at in enumerate(question_arrivals):
-                if at is not None and at < 0:
-                    raise ValueError(
-                        f"question arrival of stream {stream} must be non-negative"
-                    )
+                if at is None:
+                    continue
+                name = f"question arrival of stream {stream}"
+                if isinstance(at, bool) or not isinstance(at, numbers.Real):
+                    raise ValueError(f"{name} must be a real number or None, got {at!r}")
+                require_number(name, at, finite=True)
         if question_tokens is None:
             q_tokens: list[int | None] = [
                 self.plane.base.streaming.question_tokens
@@ -980,8 +961,10 @@ class ServingScheduler:
                     flops=flops,
                     dram_bytes=dram_bytes,
                 )
-                priced_stage.solo_s = _solo_latency(
-                    is_vrex, overlaps, vision_s, compute_s, prediction_s, priced_stage.fetch_s
+                # the admission controller's no-queueing estimates: waits are
+                # estimated separately from the backlog the job would join
+                priced_stage.solo_s = vision_s + overlap_latency(
+                    is_vrex, overlaps, compute_s, prediction_s, priced_stage.fetch_s
                 )
                 if memory is not None and entry.fetch_bytes > 0:
                     priced_stage.fetch_bytes_layer = entry.fetch_bytes
@@ -997,11 +980,11 @@ class ServingScheduler:
                         * num_layers
                     )
                     cold_fetch = entry.cold_time_s(entry.fetch_bytes) * num_layers
-                    priced_stage.solo_warm_s = _solo_latency(
-                        is_vrex, overlaps, vision_s, compute_s, prediction_s, warm_fetch
+                    priced_stage.solo_warm_s = vision_s + overlap_latency(
+                        is_vrex, overlaps, compute_s, prediction_s, warm_fetch
                     )
-                    priced_stage.solo_cold_s = _solo_latency(
-                        is_vrex, overlaps, vision_s, compute_s, prediction_s, cold_fetch
+                    priced_stage.solo_cold_s = vision_s + overlap_latency(
+                        is_vrex, overlaps, compute_s, prediction_s, cold_fetch
                     )
                 stages.append(priced_stage)
             return stages
@@ -1044,20 +1027,11 @@ class ServingScheduler:
         link = PCIeLinkQueue(device.link)
         timesliced = cfg.compute == "timesliced"
         compute_server = (
-            PreemptiveResource(
-                loop,
-                "compute",
-                quantum_s=cfg.quantum_s,
-                priority=PRIO_COMPLETE,
-                record=False,
-            )
+            PreemptiveResource(loop, "compute", quantum_s=cfg.quantum_s, priority=PRIO_COMPLETE)
             if timesliced
             else None
         )
-        slots = [
-            ReleasableResource(f"stream{stream}", record=False)
-            for stream in range(num_streams)
-        ]
+        slots = [ReleasableResource(f"stream{stream}") for stream in range(num_streams)]
         # time-sliced stages: the one stage core, by stream, and the job each holds
         stages = StageCore(is_vrex, num_streams)
         staged: list[_Job | None] = [None] * num_streams

@@ -18,7 +18,6 @@ from repro.video.qa import (
 from repro.video.synthetic import (
     SyntheticVideoConfig,
     SyntheticVideoStream,
-    adjacent_frame_cosine,
     generate_raw_frames,
 )
 
@@ -33,7 +32,6 @@ __all__ = [
     "QAProbe",
     "SyntheticVideoConfig",
     "SyntheticVideoStream",
-    "adjacent_frame_cosine",
     "default_qa_model_config",
     "evaluate_episode",
     "evaluate_method",

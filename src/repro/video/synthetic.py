@@ -50,7 +50,6 @@ class SyntheticVideoStream:
         self.config = config
         self._rng = np.random.default_rng(config.seed)
         self._frames: list[np.ndarray] | None = None
-        self._scene_changes: list[int] = []
 
     def _generate(self) -> None:
         cfg = self.config
@@ -59,13 +58,11 @@ class SyntheticVideoStream:
         frames = []
         current = self._rng.normal(0.0, cfg.token_scale, size=(cfg.tokens_per_frame, cfg.hidden_dim))
         frames.append(current.copy())
-        self._scene_changes = [0]
-        for frame_index in range(1, cfg.num_frames):
+        for _ in range(1, cfg.num_frames):
             if self._rng.random() < cfg.scene_change_prob:
                 current = self._rng.normal(
                     0.0, cfg.token_scale, size=(cfg.tokens_per_frame, cfg.hidden_dim)
                 )
-                self._scene_changes.append(frame_index)
             else:
                 noise = self._rng.normal(
                     0.0, cfg.token_scale, size=(cfg.tokens_per_frame, cfg.hidden_dim)
@@ -74,24 +71,11 @@ class SyntheticVideoStream:
             frames.append(current.copy())
         self._frames = frames
 
-    @property
-    def scene_changes(self) -> list[int]:
-        """Frame indices at which a scene change occurred (includes frame 0)."""
-        if self._frames is None:
-            self._generate()
-        return list(self._scene_changes)
-
     def frames(self) -> list[np.ndarray]:
         """All frames as ``(tokens_per_frame, hidden_dim)`` arrays."""
         if self._frames is None:
             self._generate()
         return [frame.copy() for frame in self._frames]
-
-    def frame(self, index: int) -> np.ndarray:
-        """A single frame's visual-token embeddings."""
-        if self._frames is None:
-            self._generate()
-        return self._frames[index].copy()
 
     def __iter__(self) -> Iterator[np.ndarray]:
         return iter(self.frames())
@@ -129,13 +113,3 @@ def generate_raw_frames(
         cx = (cx + vx) % image_size
         cy = (cy + vy) % image_size
     return frames
-
-
-def adjacent_frame_cosine(frames: list[np.ndarray]) -> np.ndarray:
-    """Mean cosine similarity between corresponding tokens of adjacent frames."""
-    similarities = []
-    for prev, curr in zip(frames[:-1], frames[1:], strict=True):
-        prev_n = prev / np.maximum(np.linalg.norm(prev, axis=-1, keepdims=True), 1e-12)
-        curr_n = curr / np.maximum(np.linalg.norm(curr, axis=-1, keepdims=True), 1e-12)
-        similarities.append(float(np.mean(np.sum(prev_n * curr_n, axis=-1))))
-    return np.asarray(similarities)

@@ -10,18 +10,14 @@ from repro.analysis.latency import (
     deadline_miss_rate,
     format_latency_summary_table,
     format_schedule_record_table,
-    latency_percentiles,
 )
 from repro.analysis.metrics import (
-    efficiency_gain,
     fps_from_latency_ms,
-    geometric_mean,
-    is_real_time,
     pearson_correlation,
     speedup,
     speedup_range,
 )
-from repro.analysis.reporting import format_breakdown, format_series, format_table
+from repro.analysis.reporting import format_series, format_table
 from repro.sim.pipeline import LatencyModel
 from repro.sim.systems import edge_systems
 from repro.sim.workload import default_llm_workload
@@ -32,24 +28,12 @@ class TestMetrics:
         assert fps_from_latency_ms(100.0) == pytest.approx(10.0)
         assert fps_from_latency_ms(250.0, batch=4) == pytest.approx(16.0)
         assert fps_from_latency_ms(0.0) == 0.0
-        assert is_real_time(400.0)
-        assert not is_real_time(600.0)
 
     def test_speedup(self):
         assert speedup(10.0, 2.0) == 5.0
         assert speedup(10.0, 0.0) == float("inf")
         assert speedup_range({1: 2.0, 2: 8.0, 3: 4.0}) == (2.0, 8.0)
         assert speedup_range({}) == (0.0, 0.0)
-
-    def test_efficiency_gain(self):
-        gains = efficiency_gain({1: 10.0, 2: 20.0}, {1: 30.0, 2: 10.0})
-        assert gains == {1: 3.0, 2: 0.5}
-
-    def test_geometric_mean(self):
-        assert geometric_mean([2.0, 8.0]) == pytest.approx(4.0)
-        assert geometric_mean([]) == 0.0
-        with pytest.raises(ValueError):
-            geometric_mean([1.0, -1.0])
 
     def test_pearson_correlation(self):
         x = np.arange(10.0)
@@ -66,10 +50,8 @@ class TestReporting:
         assert "T" in text and "2.50" in text and "yes" in text
         assert len(text.splitlines()) == 5
 
-    def test_format_series_and_breakdown(self):
+    def test_format_series(self):
         assert "1K: 3" in format_series({"1K": 3}, "s").replace(".00", "")
-        text = format_breakdown({"a": 1.0, "b": 3.0})
-        assert "25.0%" in text and "75.0%" in text
 
 
 class TestBatchSummaryGating:
@@ -166,17 +148,6 @@ class TestBatchSummaryGating:
 
 
 class TestLatencyReporting:
-    def test_percentiles_are_exact_order_statistics(self):
-        values = [0.010, 0.020, 0.030, 0.040, 0.100]
-        percentiles = latency_percentiles(values, percentiles=(50.0, 95.0, 99.0))
-        for q, value in percentiles.items():
-            assert value == float(np.percentile(np.asarray(values), float(q[1:])))
-        assert percentiles["p50"] == pytest.approx(0.030)
-
-    def test_empty_sample_is_nan(self):
-        percentiles = latency_percentiles([])
-        assert all(np.isnan(value) for value in percentiles.values())
-
     def test_deadline_miss_rate(self):
         values = [0.01, 0.02, 0.03, 0.04]
         assert deadline_miss_rate(values, 0.025) == pytest.approx(0.5)

@@ -29,7 +29,7 @@ class TestHashClusterTable:
         assignments = table.update(keys, bits, np.array([0]))
         assert assignments.tolist() == [0]
         assert table.num_clusters == 1
-        assert table.clusters[0].token_count == 1
+        assert len(table.clusters[0].token_indices) == 1
 
     def test_identical_signatures_cluster_together(self, rng):
         table = _make_table()
@@ -38,7 +38,7 @@ class TestHashClusterTable:
         assignments = table.update(keys, bits, np.arange(3))
         assert len(set(assignments.tolist())) == 1
         assert table.num_clusters == 1
-        assert table.clusters[0].token_count == 3
+        assert len(table.clusters[0].token_indices) == 3
 
     def test_distant_signatures_form_separate_clusters(self, rng):
         table = _make_table(threshold=1)
@@ -75,15 +75,6 @@ class TestHashClusterTable:
         bits = np.array([[True] * 8, [False] * 8])
         table.update(keys, bits, np.array([4, 2]))
         np.testing.assert_array_equal(table.tokens_of([0, 1]), [2, 4])
-
-    def test_cluster_of_token(self, rng):
-        table = _make_table(threshold=0)
-        keys = rng.normal(size=(2, 8))
-        bits = np.array([[True] * 8, [False] * 8])
-        table.update(keys, bits, np.array([0, 1]))
-        assert table.cluster_of_token(0) == 0
-        assert table.cluster_of_token(1) == 1
-        assert table.cluster_of_token(99) == -1
 
     def test_incremental_updates_accumulate(self, rng):
         table = _make_table()

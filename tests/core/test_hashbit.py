@@ -12,9 +12,9 @@ from repro.core.hashbit import (
     HashBitEncoder,
     cosine_similarity_matrix,
     hamming_distance,
-    pack_bits,
+    pack_bits_u64,
     pairwise_hamming,
-    unpack_bits,
+    words_for_bits,
 )
 
 
@@ -118,13 +118,11 @@ class TestPackUnpack:
     )
     @settings(max_examples=50, deadline=None)
     def test_roundtrip(self, bits):
-        packed = pack_bits(bits)
-        restored = unpack_bits(packed, bits.shape[-1])
-        np.testing.assert_array_equal(restored, bits)
-
-    def test_packed_is_smaller(self, rng):
-        bits = rng.integers(0, 2, size=(10, 32)).astype(bool)
-        assert pack_bits(bits).nbytes < bits.nbytes
+        packed = pack_bits_u64(bits)
+        assert packed.shape == (bits.shape[0], words_for_bits(bits.shape[-1]))
+        as_bytes = packed.view(np.uint8)
+        restored = np.unpackbits(as_bytes, axis=-1, bitorder="little")[..., : bits.shape[-1]]
+        np.testing.assert_array_equal(restored.astype(bool), bits)
 
 
 class TestCosineSimilarity:

@@ -80,16 +80,15 @@ def _assert_lanes_equal_references(store, references):
         assert table.num_clusters == reference.num_clusters
         assert table.num_tokens == reference.num_tokens
         np.testing.assert_array_equal(table.token_counts(), reference.token_counts())
-        np.testing.assert_array_equal(table.cluster_hash_bits(), reference.cluster_hash_bits())
         np.testing.assert_array_equal(
-            table.packed_signatures(), pack_bits_u64(reference.cluster_hash_bits())
+            store._signatures[lane, : table.num_clusters],
+            pack_bits_u64(reference.cluster_hash_bits()),
         )
         # sums, then means: the same float additions in the same order
         key_sums = store._key_sums[lane, : table.num_clusters]
         for cluster, entry in enumerate(reference.clusters):
             np.testing.assert_array_equal(key_sums[cluster], entry.key_sum)
             np.testing.assert_array_equal(table.tokens_of([cluster]), entry.token_indices)
-            assert all(table.cluster_of_token(t) == cluster for t in entry.token_indices)
         np.testing.assert_array_equal(table.key_clusters(), reference.key_clusters())
         everything = np.arange(table.num_clusters)
         np.testing.assert_array_equal(

@@ -84,7 +84,7 @@ class TestReSVRetriever:
         )
         total = _fill_cache(cache, retriever, rng, chunks=8, chunk_size=8)
         selection = retriever.select(0, rng.normal(size=(4, 1, 8)), cache)
-        assert selection.mean_ratio(total) < 1.0
+        assert np.mean([idx.size for idx in selection.per_kv_head_indices]) < total
 
     def test_disable_wicsum_selects_all_clustered_tokens(self, cache, rng):
         retriever = ReSVRetriever(
@@ -149,12 +149,6 @@ class TestReSVRetriever:
     def test_mean_tokens_per_cluster_positive(self, retriever, cache, rng):
         _fill_cache(cache, retriever, rng)
         assert retriever.mean_tokens_per_cluster() >= 1.0
-
-    def test_hc_table_overhead_ratio(self, retriever, cache, rng):
-        _fill_cache(cache, retriever, rng, chunks=8)
-        per_layer_head_bytes = 2 * 8 * 2
-        ratio = retriever.hc_table_overhead_ratio(per_layer_head_bytes)
-        assert 0.0 < ratio < 1.0
 
     def test_query_relevance_drives_selection(self, cache, rng):
         """A query aligned with one cluster should select that cluster's tokens."""

@@ -30,21 +30,20 @@ class TestWiCSumReference:
         scores = np.array([[10.0, 1.0, 1.0, 1.0]])
         counts = np.array([1, 1, 1, 1])
         result = wicsum_select(scores, counts, threshold_ratio=0.5)
-        assert 0 in result.per_row_selected[0]
-        assert result.per_row_selected[0].size < 4
+        assert 0 in np.flatnonzero(result.kept[0])
+        assert np.flatnonzero(result.kept[0]).size < 4
 
     def test_ratio_one_selects_everything(self, rng):
         scores = np.abs(rng.normal(size=(3, 6))) + 0.1
         counts = rng.integers(1, 5, size=6)
         result = wicsum_select(scores, counts, threshold_ratio=1.0)
-        for selected in result.per_row_selected:
-            assert selected.size == 6
+        assert result.kept.all()
 
     def test_small_ratio_selects_few(self):
         scores = np.array([[100.0, 1.0, 1.0, 1.0, 1.0, 1.0]])
         counts = np.ones(6, dtype=int)
         result = wicsum_select(scores, counts, threshold_ratio=0.3)
-        assert result.per_row_selected[0].size == 1
+        assert np.flatnonzero(result.kept[0]).size == 1
 
     def test_token_counts_weight_selection(self):
         """A cluster with many tokens contributes more to the weighted sum."""
@@ -54,8 +53,8 @@ class TestWiCSumReference:
         # With the weight on cluster 1, reaching 50% of the weighted sum
         # requires including it; with the weight on cluster 0, the top
         # cluster alone suffices.
-        assert heavy_second.per_row_selected[0].size == 2
-        assert light_second.per_row_selected[0].size == 1
+        assert np.flatnonzero(heavy_second.kept[0]).size == 2
+        assert np.flatnonzero(light_second.kept[0]).size == 1
 
     def test_union_across_rows(self):
         scores = np.array([[10.0, 1.0], [1.0, 10.0]])
@@ -128,8 +127,7 @@ class TestEarlyExit:
         ref = wicsum_select(scores, counts, ratio)
         fast = wicsum_select_early_exit(scores, counts, ratio, num_buckets=8)
         np.testing.assert_array_equal(ref.selected_clusters, fast.selected_clusters)
-        for ref_row, fast_row in zip(ref.per_row_selected, fast.per_row_selected, strict=True):
-            np.testing.assert_array_equal(ref_row, fast_row)
+        np.testing.assert_array_equal(ref.kept, fast.kept)
 
     @given(
         clusters=st.integers(1, 32),
@@ -143,6 +141,6 @@ class TestEarlyExit:
         scores = importance_scores(rng.normal(size=(1, clusters)), head_dim=8)
         counts = rng.integers(1, 6, size=clusters)
         result = wicsum_select(scores, counts, ratio)
-        selected = result.per_row_selected[0]
+        selected = np.flatnonzero(result.kept[0])
         weighted = scores[0] * counts
         assert weighted[selected].sum() >= ratio * weighted.sum() - 1e-9

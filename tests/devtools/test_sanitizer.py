@@ -230,6 +230,25 @@ class TestResourceBalance:
         with expect(RESOURCE_BALANCE):
             server.assert_drained()
 
+    def test_recorded_job_history_is_checked_for_causality(self):
+        loop = EventLoop(sanitize=True)
+        server = PreemptiveResource(loop, quantum_s=1e-3, record=True, sanitize=True)
+        job = server.submit(0.005)
+        loop.run()
+        server.assert_drained()
+        server._core.first_start[job._index] = job.finish_s + 1.0  # started after it finished
+        with expect(RESOURCE_BALANCE):
+            server.assert_drained()
+
+    def test_recorded_grants_are_checked_for_negative_waits(self):
+        slot = ReleasableResource("stream0", record=True, sanitize=True)
+        slot.acquire(1.0, lambda grant: None)
+        slot.release(2.0)
+        slot.assert_drained()
+        slot.grants[0].arrival_s = 1.5  # granted before it was requested
+        with expect(RESOURCE_BALANCE):
+            slot.assert_drained()
+
     def test_preemptive_busy_conservation_checked_without_records(self):
         loop = EventLoop(sanitize=True)
         server = PreemptiveResource(loop, quantum_s=1e-3, record=False, sanitize=True)

@@ -65,7 +65,8 @@ class TestTable02:
             assert resv_gen <= result.average_generation_ratio(method) + 1e-6
 
     def test_resv_accuracy_close_to_vanilla(self, result):
-        assert abs(result.accuracy_drop_vs_vanilla("ReSV")) < 0.25
+        drop = result.average_accuracy("VideoLLM-Online") - result.average_accuracy("ReSV")
+        assert abs(drop) < 0.25
 
     def test_retrieval_ratios_in_paper_regime(self, result):
         assert 0.15 < result.average_frame_ratio("ReSV") < 0.55

@@ -110,12 +110,12 @@ class TestZeroDuration:
     def test_zero_work_preemptive_jobs_complete_instantly_while_busy(self):
         loop = EventLoop()
         server = PreemptiveResource(loop, quantum_s=0.5)
-        server.submit(2.0, key=(0,))
+        busy = server.submit(2.0, key=(0,))
         finished = []
         job = server.submit(0.0, callback=finished.append, key=(1,))
-        assert job.done and job.finish_s == 0.0 and finished == [job]
+        assert job.finish_s == 0.0 and finished == [job]
         loop.run()
-        assert server.jobs[0].finish_s == pytest.approx(2.0)
+        assert busy.finish_s == pytest.approx(2.0)
 
 
 class TestReleasableResourceErrors:
@@ -224,7 +224,7 @@ class TestPreemptiveResource:
         for job in jobs:
             bound = n * job.work_s + (n - 1) * quantum_s
             assert job.sojourn_s <= bound + 1e-12
-        assert max(job.sojourn_s / job.work_s for job in server.jobs) >= 1.0 - 1e-12
+        assert max(job.sojourn_s / job.work_s for job in jobs) >= 1.0 - 1e-12
 
     @given(
         works=st.lists(
@@ -262,6 +262,24 @@ class TestPreemptiveResource:
             if previous_bound is not None:
                 assert bound < previous_bound  # the guarantee tightens
             previous_bound = bound
+
+
+class TestHistoryIsOptIn:
+    def test_servers_keep_no_history_by_default(self):
+        loop = EventLoop()
+        server = PreemptiveResource(loop)
+        server.submit(0.003, key=(0,))
+        server.submit(0.0, key=(1,))
+        slot = ReleasableResource()
+        slot.acquire(0.0, lambda grant: None)
+        slot.acquire(0.5, lambda grant: None)
+        loop.run()
+        slot.release(1.0)
+        slot.release(2.0)
+        assert server.jobs == []
+        assert slot.grants == []
+        server.assert_drained()
+        slot.assert_drained()
 
 
 class TestPreemptiveAccounting:

@@ -15,11 +15,10 @@ from repro.hw.dre.wtu import WTUModel, WTUWork
 from repro.hw.energy import EnergyModel, core_area_power, vrex_chip_area_mm2
 from repro.hw.event import EventLoop, ReleasableResource, ResourceQueue, Timeline
 from repro.hw.gpu import GPUDevice, pcie_config_for
-from repro.hw.memory.dram import LPDDR5, DRAMModel
 from repro.hw.memory.hierarchy import HierarchicalKVManager
 from repro.hw.memory.pcie import PCIE3_X4, PCIE4_X16, PCIeLink, PCIeLinkQueue
 from repro.hw.memory.ssd import SSDModel
-from repro.hw.roofline import attainable_tflops, ridge_point, roofline_curve
+from repro.hw.roofline import attainable_tflops
 from repro.hw.specs import A100, AGX_ORIN, VREX8, VREX48, VRexCoreConfig, table_i_rows
 
 
@@ -67,11 +66,9 @@ class TestComputeEngine:
         cost = KernelCost(flops=1e9, dram_bytes=1e9)
         assert engine.time_s(cost) == pytest.approx(0.01)
 
-    def test_kernel_cost_add_and_scale(self):
+    def test_kernel_cost_add(self):
         total = KernelCost(1.0, 2.0) + KernelCost(3.0, 4.0)
         assert total.flops == 4.0 and total.dram_bytes == 6.0
-        scaled = total.scale(2)
-        assert scaled.flops == 8.0 and scaled.dram_bytes == 12.0
         assert KernelCost(10.0, 2.0).operational_intensity == 5.0
         assert KernelCost(10.0, 0.0).operational_intensity == float("inf")
 
@@ -88,23 +85,12 @@ class TestComputeEngine:
 
 
 class TestMemoryModels:
-    def test_dram_transfer_time_scales_with_bytes(self):
-        dram = DRAMModel(LPDDR5)
-        assert dram.transfer_time_s(2e9) > dram.transfer_time_s(1e9)
-        assert dram.transfer_time_s(0) == 0.0
-        assert dram.energy_j(1e9) == pytest.approx(4e-3)
-
-    def test_dram_efficiency_grows_with_access_size(self):
-        dram = DRAMModel(LPDDR5)
-        assert dram.access_efficiency(64) < dram.access_efficiency(2048)
-
     def test_ssd_sequential_faster_than_random(self):
         ssd = SSDModel()
         num_bytes = 1e9
         assert ssd.read_time_s(num_bytes, sequential_fraction=1.0) < ssd.read_time_s(
             num_bytes, sequential_fraction=0.0
         )
-        assert ssd.energy_j(1.0) > ssd.energy_j(0.5)
 
     def test_pcie_efficiency_saturates(self):
         link = PCIeLink(PCIE3_X4)
@@ -312,7 +298,6 @@ class TestDREUnits:
         small = HCUWork(new_tokens=10, num_clusters=100, n_bits=32, kv_heads=8)
         large = HCUWork(new_tokens=10, num_clusters=1000, n_bits=32, kv_heads=8)
         assert hcu.time_s(large) > hcu.time_s(small)
-        assert hcu.energy_j(small) > 0
 
     def test_hcu_more_cores_faster(self):
         work = HCUWork(10, 500, 32, 8)
@@ -354,11 +339,9 @@ class TestDevices:
         cost = KernelCost(flops=1e11, dram_bytes=1e8)
         assert gpu.irregular_time_s(cost) > gpu.dense_time_s(cost)
 
-    def test_gpu_fetch_and_oom(self):
+    def test_gpu_fetch(self):
         gpu = GPUDevice(AGX_ORIN)
         assert gpu.fetch_time_s(4e9) > 0.9
-        assert gpu.fits_in_memory(16e9)
-        assert not gpu.fits_in_memory(40e9)
 
     def test_vrex_accelerator_requires_vrex_spec(self):
         with pytest.raises(ValueError):
@@ -370,7 +353,6 @@ class TestDevices:
         assert pred < 1e-3
         fetch = accel.fetch_time_s(KVFetchWork(1e8, 128 * 1024, from_ssd=True))
         assert fetch > 0
-        assert accel.fits_in_memory(1e9)
 
 
 class TestEnergyAndRoofline:
@@ -403,10 +385,6 @@ class TestEnergyAndRoofline:
     def test_roofline(self):
         assert attainable_tflops(1000.0, 54.0, 204.8) == 54.0
         assert attainable_tflops(1.0, 54.0, 204.8) == pytest.approx(0.2048)
-        intensities, ceiling = roofline_curve(54.0, 204.8)
-        assert len(intensities) == len(ceiling)
-        assert ceiling.max() == pytest.approx(54.0)
-        assert ridge_point(54.0, 204.8) == pytest.approx(54e12 / 204.8e9)
 
 
 class TestEnergyModelFixes:
@@ -450,16 +428,14 @@ class TestEnergyModelFixes:
         """A non-default deployment's dram_w/pcie_lanes thread through to
         every power path instead of silently reverting to the Table I
         defaults keyed on core count."""
-        default = EnergyModel().device_power_w(VREX8)
+        default = EnergyModel().vrex_system_power(VREX8.num_cores).total_w
         tuned_model = EnergyModel(VRexCoreConfig(dram_w=10.0, pcie_lanes=8))
-        tuned = tuned_model.device_power_w(VREX8)
+        tuned = tuned_model.vrex_system_power(VREX8.num_cores).total_w
         # +5 W DRAM override, +4 lanes at 3 W/lane derated x0.5
         assert tuned == pytest.approx(default + 5.0 + 4 * 3.0 * 0.5)
         assert tuned_model.dram_static_w(8) == 10.0
         assert tuned_model.pcie_full_load_w(8) == pytest.approx(24.0)
         assert tuned_model.io_full_load_w(8) == pytest.approx(24.0 + 4.1)
-        # GPU devices keep their measured envelope regardless of overrides
-        assert tuned_model.device_power_w(AGX_ORIN) == AGX_ORIN.power_w
 
 
 class TestResourceQueues:
@@ -613,11 +589,12 @@ class TestReleasableResource:
         resource = ReleasableResource()
         with pytest.raises(ValueError):
             resource.release(0.0)
-        resource.acquire(1.0, lambda grant: None)
+        grants = []
+        resource.acquire(1.0, grants.append)
         with pytest.raises(ValueError):
             resource.release(0.5)
         with pytest.raises(ValueError):
-            resource.grants[0].hold_s  # noqa: B018 — not yet released
+            grants[0].hold_s  # noqa: B018 — not yet released
 
 
 class TestTimeline:

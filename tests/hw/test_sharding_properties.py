@@ -150,7 +150,7 @@ class TestShardConservation:
         _run_ops(hierarchy, ops, len(specs))
         assert hierarchy.evictions == []
         for session_id in range(len(specs)):
-            assert hierarchy.residency(session_id) == 1.0
+            assert hierarchy.cold_fraction(session_id) == 0.0
             split = hierarchy.fetch_split(session_id)
             assert split.cold_fraction == 0.0
 
@@ -177,7 +177,7 @@ class TestShardConservation:
         split = hierarchy.fetch_split(0)
         assert split.cold_fraction == 0.0
         assert hierarchy.cold_bytes(0) == 0.0
-        assert hierarchy.residency(0) == 1.0
+        assert hierarchy.cold_fraction(0) == 0.0
         assert hierarchy.evictions == []
 
 
@@ -238,7 +238,7 @@ class _LastUseOracle:
     def expected_evictions(self, session_id, protected) -> list[EvictionRecord]:
         hierarchy = self.hierarchy
         exclude = set(protected) | {session_id}
-        warm = {sid: hierarchy.warm_bytes(sid) for sid in hierarchy.session_ids}
+        warm = {sid: hierarchy.warm_bytes(sid) for sid in sorted(self.home)}
         occupancy = hierarchy.bank_occupancy_bytes()
         expected = []
         for bank in range(hierarchy.num_banks):
@@ -364,7 +364,7 @@ class TestOneEvictionPlan:
         for session in (3, 4):
             hierarchy.touch(session)
             oracle.use(session)
-        assert hierarchy.residency(5) == 0.0 and hierarchy.residency(6) == 0.0
+        assert hierarchy.cold_fraction(5) == 1.0 and hierarchy.cold_fraction(6) == 1.0
 
         expected = oracle.expected_evictions(5, protected={0, 1})
         assert expected == [EvictionRecord(2, 0, 100.0), EvictionRecord(2, 1, 100.0)]
@@ -418,7 +418,7 @@ class TestOneEvictionPlan:
             return best
 
         small, large = plane(0), plane(2_000)
-        assert large.residency(2_008) == 0.0
+        assert large.cold_fraction(2_008) == 1.0
         steps = small.plan_promotion(8, protected=(0,)).steps
         assert [[sid for sid, _ in victims] for _, _, victims in steps] == [[1, 2, 3]] * 4
         assert large.plan_promotion(8, protected=(0,)).steps == steps

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from oracles import FullRetriever
 
-from repro.core.retrieval_base import FullRetriever, Selection
+from repro.core.retrieval_base import Selection
 from repro.model.attention import (
     MultiHeadAttention,
     repeat_kv,
@@ -132,7 +133,6 @@ class TestMultiHeadAttention:
         cache_full = LayerKVCache(num_kv_heads=2, head_dim=4)
         cache_full._keys = cache._keys.copy()
         cache_full._values = cache._values.copy()
-        cache_full._positions = cache._positions.copy()
         cache_full._frame_ids = cache._frame_ids.copy()
         cache_full._length = cache._length
         cache_full._capacity = cache._capacity

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.model.kvcache import KVCache, LayerKVCache, TokenKind
-from repro.model.rope import RotaryEmbedding, apply_rope
+from repro.model.rope import RotaryEmbedding
 
 
 class TestRotaryEmbedding:
@@ -43,12 +43,6 @@ class TestRotaryEmbedding:
         with pytest.raises(ValueError):
             rope.rotate(rng.normal(size=(1, 4, 8)), np.arange(3))
 
-    def test_apply_rope_wrapper(self, rng):
-        x = rng.normal(size=(2, 3, 8))
-        np.testing.assert_allclose(
-            apply_rope(x, np.arange(3)), RotaryEmbedding(8).rotate(x, np.arange(3))
-        )
-
     def test_different_bases_differ(self, rng):
         x = rng.normal(size=(1, 4, 8))
         a = RotaryEmbedding(8, base=10_000).rotate(x, np.arange(1, 5))
@@ -77,20 +71,6 @@ class TestLayerKVCache:
         np.testing.assert_allclose(cache.keys[:, :2, :], first)
         assert len(cache) == 62
 
-    def test_gather(self, rng):
-        cache = LayerKVCache(num_kv_heads=2, head_dim=4)
-        keys = rng.normal(size=(2, 6, 4))
-        cache.append(keys, keys, np.arange(6))
-        gathered_k, gathered_v = cache.gather(np.array([1, 4]))
-        np.testing.assert_allclose(gathered_k, keys[:, [1, 4], :])
-        np.testing.assert_allclose(gathered_v, keys[:, [1, 4], :])
-
-    def test_gather_out_of_range(self, rng):
-        cache = LayerKVCache(num_kv_heads=1, head_dim=4)
-        cache.append(rng.normal(size=(1, 2, 4)), rng.normal(size=(1, 2, 4)), np.arange(2))
-        with pytest.raises(IndexError):
-            cache.gather(np.array([5]))
-
     def test_shape_validation(self, rng):
         cache = LayerKVCache(num_kv_heads=2, head_dim=4)
         with pytest.raises(ValueError):
@@ -115,7 +95,6 @@ class TestLayerKVCache:
             cache.append(data, data, np.arange(position, position + chunk))
             position += chunk
         assert len(cache) == sum(chunks)
-        assert cache.positions.tolist() == list(range(sum(chunks)))
 
 
 class TestKVCache:
@@ -133,7 +112,7 @@ class TestKVCache:
             cache.layer(layer).append(data, data, np.arange(3))
         assert cache.memory_bytes() == 2 * (2 * 1 * 3 * 4 * 2)
 
-    def test_frame_and_visual_token_indices(self, rng):
+    def test_record_block_metadata(self, rng):
         cache = KVCache(num_layers=1, num_kv_heads=1, head_dim=4)
         visual = rng.normal(size=(1, 4, 4))
         text = rng.normal(size=(1, 2, 4))
@@ -141,6 +120,4 @@ class TestKVCache:
         cache.layer(0).append(text, text, np.arange(4, 6), frame_id=-1)
         cache.record_block(0, TokenKind.VISUAL, 0, 4)
         cache.record_block(-1, TokenKind.TEXT, 4, 2)
-        np.testing.assert_array_equal(cache.frame_token_indices(0), np.arange(4))
-        np.testing.assert_array_equal(cache.visual_token_indices(), np.arange(4))
         assert len(cache.metadata) == 2

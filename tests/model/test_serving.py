@@ -142,8 +142,7 @@ class TestSessionBatch:
         batch.run_streams([_frames(rng, 5, 4, hidden), _frames(rng, 2, 4, hidden)])
         assert batch.sessions[0].stats.frames_processed == 5
         assert batch.sessions[1].stats.frames_processed == 2
-        assert batch.total_cache_tokens() == (5 + 2) * 4
-        assert batch.total_cache_bytes() > 0
+        assert sum(session.cache_length for session in batch.sessions) == (5 + 2) * 4
 
     def test_reports_and_generation(self, tiny_model, tiny_model_config, rng):
         hidden = tiny_model_config.hidden_dim
@@ -301,7 +300,7 @@ class TestAnalysisIntegration:
         reports = batch.reports()
         summary = batch_summary(reports)
         assert summary["num_sessions"] == 2
-        assert summary["total_cache_tokens"] == batch.total_cache_tokens()
+        assert summary["total_cache_tokens"] == (3 + 4) * 4
         assert 0.0 < summary["mean_frame_retrieval_ratio"] <= 1.0
         assert summary["mean_tokens_per_cluster"] > 0.0
         low, high = retrieval_ratio_spread(reports)
@@ -326,12 +325,8 @@ class TestAnalysisIntegration:
         measured = MeasuredRetrieval.from_session_report(report)
         assert measured.sort_fraction > 0.0
         assert measured.avg_tokens_per_cluster > 0.0
-        from_retriever = MeasuredRetrieval.from_retriever(session.retriever)
-        assert from_retriever.sort_fraction == pytest.approx(measured.sort_fraction)
 
         model = LatencyModel(measured=measured)
         assert model.measured is measured
         default_model = LatencyModel()
         assert default_model.measured.sort_fraction == EARLY_EXIT_SORT_FRACTION
-        default_model.calibrate(measured)
-        assert default_model.measured is measured

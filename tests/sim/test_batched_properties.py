@@ -372,7 +372,7 @@ class TestLoneStageHasOneLatency:
     The time-sliced stage machine (run through the plane's time-sliced
     step), the private path (``contended_issue`` + ``contended_latency``)
     and the admission controller's closed form
-    (``scheduler._solo_latency``) each define what a lone stage costs.
+    (``pipeline.overlap_latency``) each define what a lone stage costs.
     Alone, nothing queues and the shared server runs the stage's own work
     back to back, so all three must agree up to float rounding at the
     stage's absolute time scale.
@@ -392,8 +392,7 @@ class TestLoneStageHasOneLatency:
     ):
         from repro.hw.compute import KernelCost
         from repro.sim.batched import _DemandEntry, contended_issue, contended_latency
-        from repro.sim.pipeline import FRAME_STAGE, PredictionParts
-        from repro.sim.scheduler import _solo_latency
+        from repro.sim.pipeline import FRAME_STAGE, PredictionParts, overlap_latency
 
         system = EDGE[system_name]
         is_vrex = system.device.kind == "vrex"
@@ -423,7 +422,7 @@ class TestLoneStageHasOneLatency:
             is_vrex, overlaps, start_s, compute, prediction, prediction_end, request,
             request + fetch if fetch > 0 else None,
         )
-        solo = _solo_latency(is_vrex, overlaps, 0.0, compute, prediction, fetch)
+        solo = overlap_latency(is_vrex, overlaps, compute, prediction, fetch)
 
         tolerance = 1e-12 * max(1.0, start_s + solo)
         assert abs(row.total_s - solo) <= tolerance

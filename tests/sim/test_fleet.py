@@ -279,6 +279,34 @@ class TestValidation:
             )
 
     @pytest.mark.parametrize("num_devices", [1, 2])
+    @pytest.mark.parametrize(
+        "question, frame",
+        [
+            (math.inf, 0.1),
+            (math.nan, 0.1),
+            (True, 0.1),
+            ("1", 0.1),
+            (0.2, math.nan),
+            (0.2, math.inf),
+        ],
+        ids=[
+            "question-inf", "question-nan", "question-bool", "question-str", "frame-nan", "frame-inf"
+        ],
+    )
+    def test_non_finite_or_non_real_arrival_rejected(self, edge, num_devices, question, frame):
+        fleet = FleetScheduler(
+            BatchLatencyModel(), SchedulerConfig(), FleetConfig(num_devices=num_devices)
+        )
+        traces = [[0.0, 0.1], [0.0, 0.1], [0.0, frame], [0.0, 0.1]]
+        with pytest.raises(ValueError, match="stream 2"):
+            fleet.run(
+                edge["V-Rex8"],
+                _profiles([10_000] * 4),
+                traces,
+                question_arrivals=[0.2, 0.2, question, 0.2],
+            )
+
+    @pytest.mark.parametrize("num_devices", [1, 2])
     def test_answer_tokens_without_question_rejected(self, edge, num_devices):
         fleet = FleetScheduler(
             BatchLatencyModel(), SchedulerConfig(), FleetConfig(num_devices=num_devices)

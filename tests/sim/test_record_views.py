@@ -336,9 +336,8 @@ class TestBoundary:
             lambda r: r.jobs(kind="bogus"),
             lambda r: r.fleet_summary(kind="bogus"),
             lambda r: r.stream_summaries(kind="bogus"),
-            lambda r: r.sojourn_times_s(kind="bogus"),
         ],
-        ids=["jobs", "fleet_summary", "stream_summaries", "sojourn_times_s"],
+        ids=["jobs", "fleet_summary", "stream_summaries"],
     )
     def test_unknown_kind_raises_naming_the_argument(self, view):
         with pytest.raises(ValueError, match="unknown kind 'bogus'"):

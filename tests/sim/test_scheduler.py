@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -277,7 +279,7 @@ class TestProfileEditedInPlace:
 
         plane = BatchLatencyModel()
         warm = steps(plane)
-        plane.base.calibrate(measured)
+        plane.base.measured = measured
         assert steps(plane) == warm
         # ... and a plane calibrated before it priced anything agrees: the
         # warm table is not hiding a dependence on ``base.measured``
@@ -577,6 +579,25 @@ class TestInputValidation:
             scheduler.run(edge["V-Rex8"], _fleet([10_000]), [[-0.1]])
         with pytest.raises(ValueError):
             scheduler.run(edge["V-Rex8"], _fleet([10_000]), [[0.5, 0.1]])
+
+    @pytest.mark.parametrize("engine", ["array", "reference"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_frame_arrival_rejected(self, plane, edge, engine, bad):
+        scheduler = ServingScheduler(plane, engine=engine)
+        with pytest.raises(ValueError, match="arrival trace of stream 1 contains a non-finite"):
+            scheduler.run(edge["V-Rex8"], _fleet([1_000, 1_000]), [[0.0], [0.0, bad]])
+
+    @pytest.mark.parametrize(
+        "bad", [math.inf, math.nan, True, "1"], ids=["inf", "nan", "bool", "str"]
+    )
+    def test_non_real_or_non_finite_question_arrival_rejected(self, scheduler, edge, bad):
+        with pytest.raises(ValueError, match="question arrival of stream 1"):
+            scheduler.run(
+                edge["V-Rex8"],
+                _fleet([1_000, 1_000]),
+                [[0.0], [0.0]],
+                question_arrivals=[0.5, bad],
+            )
 
     def test_question_arrival_validation(self, scheduler, edge):
         with pytest.raises(ValueError):

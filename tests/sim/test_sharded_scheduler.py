@@ -489,7 +489,8 @@ class TestResidencyAdmissionValidation:
                 hierarchy.register(1, 100.0, num_clusters=clusters)
             with pytest.raises(ValueError, match="num_clusters"):
                 partition_by_cluster(clusters, 4, 100.0)
-        assert hierarchy.session_ids == []  # rejected before any state moved
+        with pytest.raises(KeyError):  # rejected before any state moved
+            hierarchy.hot_bytes(1)
         hierarchy.register(0, 100.0)
         with pytest.raises(ValueError, match="already registered"):
             hierarchy.register(0, 50.0)

@@ -85,7 +85,7 @@ class TestWorkloadAccounting:
     def test_config_dimensions(self):
         cfg = llama3_8b_config()
         assert cfg.head_dim == 128
-        assert cfg.gqa_group_size == 4
+        assert cfg.num_heads // cfg.num_kv_heads == 4
         assert cfg.kv_bytes_per_token() == 131072
 
 

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from repro.config import (
-    ExperimentConfig,
     ModelConfig,
     ReSVConfig,
     StreamingConfig,
@@ -41,7 +40,7 @@ class TestModelConfig:
     def test_toy_defaults(self):
         cfg = toy_model_config()
         assert cfg.head_dim * cfg.num_heads == cfg.hidden_dim
-        assert cfg.gqa_group_size == 1
+        assert cfg.num_heads // cfg.num_kv_heads == 1
 
     def test_llama3_dimensions(self):
         cfg = llama3_8b_config()
@@ -98,11 +97,6 @@ class TestAlgorithmConfigs:
         assert cfg.question_tokens == 25
         assert cfg.answer_tokens == 39
 
-    def test_experiment_bundle(self):
-        bundle = ExperimentConfig()
-        assert bundle.model.name == "toy"
-        assert bundle.vision == toy_vision_config()
-        assert bundle.replace(seed=5).seed == 5
 
     def test_vision_config_patches(self):
         cfg = toy_vision_config()
