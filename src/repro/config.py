@@ -37,13 +37,15 @@ def require_number(
     a meaning (a quantum of ``inf`` is FCFS, a backlog patience of ``inf``
     never migrates).
     ``integer`` additionally demands a true integer (a count of 2.5
-    devices is a caller bug, not something to truncate).
+    devices is a caller bug, not something to truncate), never a ``bool``.
     """
     if integer:
         try:
             operator.index(value)
         except TypeError:
             raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        if isinstance(value, bool):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     in_range = value > minimum if exclusive else value >= minimum
     if maximum is not None:
         in_range = in_range and value <= maximum

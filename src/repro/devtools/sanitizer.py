@@ -15,18 +15,21 @@ golden run, a sweep.  Checks threaded through the stack:
 * **ring discipline** — :class:`~repro.hw.event.IndexRing` asserts index
   and lane bounds and that an index is never pushed while still queued
   (the corruption mode its allocation-free design is exposed to);
-* **resource balance** — :class:`~repro.hw.event.ReleasableResource`,
-  :class:`~repro.hw.event.RoundRobinCore` (one drain check under
-  :class:`~repro.hw.event.PreemptiveResource` and the array engine) and
-  :class:`~repro.hw.event.ResourceQueue` (hence
+* **resource balance** — the scheduler's job lifecycle
+  (:func:`repro.sim.engine._job_lifecycle`, under both engines) asserts
+  at end of run that every stream slot drained (no job still holding or
+  queued on one); :class:`~repro.hw.event.RoundRobinCore` (one drain
+  check under :class:`~repro.hw.event.PreemptiveResource` and the array
+  engine) and :class:`~repro.hw.event.ResourceQueue` (hence
   :class:`~repro.hw.memory.pcie.PCIeLinkQueue`) assert non-negative
-  waits/holds, FCFS arrival order, and — via ``assert_drained()`` at end
-  of run — that every acquire was balanced by a release and every
-  submitted job completed with ``served == work`` exactly;
-* **job states** — :class:`~repro.sim.jobtable.JobTable` asserts every
-  record describes a legal job lifecycle (each job recorded at most
-  once, ``arrival <= start <= finish``, admission/kind codes in range,
-  drop flags consistent with admission outcomes);
+  waits, FCFS arrival order, and — via ``assert_drained()`` at end of
+  run — that every submitted job completed with ``served == work``
+  exactly;
+* **job states** — :class:`~repro.sim.jobtable.JobTable` walks every job
+  of either engine through pending → submitted → begun → recorded, and
+  asserts every record describes a legal job lifecycle (each job
+  recorded at most once, ``arrival <= start <= finish``, admission/kind
+  codes in range, drop flags consistent with admission outcomes);
 * **shard conservation** — :class:`~repro.hw.memory.sharding.ShardedKVHierarchy`
   asserts after every mutation that per-session shard bytes telescope
   exactly (warm + cold = off-chip, warm never exceeds home), that bank

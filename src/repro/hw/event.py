@@ -12,14 +12,11 @@ queue: the batched performance plane pushes concurrent streams' KV-fetch
 transfers and DRE prediction jobs through one, so aligned arrivals expose
 the queueing delay a shared PCIe link or DRE inflicts.
 
-:class:`EventLoop` and :class:`ReleasableResource` extend that substrate
-for the event-driven serving scheduler (:mod:`repro.sim.scheduler`): the
-loop fires callbacks in deterministic ``(time, priority, key, insertion)``
-order — the tie-breaking that keeps a schedule a function of the fleet
-rather than of the caller's list order — and a releasable resource is a
-FCFS server whose hold times are not known at request time (a stream's
-pipeline slot stays held until the job's finish emerges from the shared
-DRE and PCIe queues).
+:class:`EventLoop` extends that substrate for the event-driven serving
+scheduler's reference loop (:mod:`repro.sim.scheduler`): it fires
+callbacks in deterministic ``(time, priority, key, insertion)`` order —
+the tie-breaking that keeps a schedule a function of the fleet rather
+than of the caller's list order.
 
 :class:`PreemptiveResource` is the time-sliced compute server the
 ``compute="timesliced"`` serving mode contends on: a round-robin single
@@ -36,8 +33,8 @@ known events (arrival traces) consumed through a cursor, and keeps
 dynamically pushed events in a binary heap merged against that lane in
 one total event order.  The ring is an allocation-free multi-lane
 FIFO over preallocated index arrays: pushes and pops move integer links
-instead of allocating per-request grant objects, which is what keeps the
-per-event cost flat from 4 to 10k streams.
+and allocate nothing, which is what keeps the per-event cost flat from 4
+to 10k streams; the scheduler's stream pipeline slots are its lanes.
 """
 
 from __future__ import annotations
@@ -264,125 +261,6 @@ class EventLoop:
         self.events_processed += events
         if self._sanitize:
             self._trace.note((first_s, last_s, f"{events} slices fast-forwarded"))
-
-
-@dataclass
-class ResourceGrant:
-    """One admission of a :class:`ReleasableResource`."""
-
-    arrival_s: float
-    start_s: float
-    release_s: float | None = None
-
-    @property
-    def wait_s(self) -> float:
-        return self.start_s - self.arrival_s
-
-    @property
-    def hold_s(self) -> float:
-        if self.release_s is None:
-            raise ValueError("resource grant has not been released yet")
-        return self.release_s - self.start_s
-
-
-class ReleasableResource:
-    """A FCFS single-holder resource with open-ended hold times.
-
-    Unlike :class:`ResourceQueue`, the service time need not be known when
-    a request is admitted: ``acquire`` grants the resource (immediately if
-    idle, else when the current holder releases) by invoking the caller's
-    callback with the grant, and the holder later calls ``release``.
-    The serving scheduler models each stream's pipeline slot this way —
-    a frame holds its stream until its finish time emerges from the shared
-    DRE and PCIe queues, and frames queued behind it start on release.
-
-    All queue operations are O(1) per event — grants and releases touch
-    only the deque ends, never scan waiters.  The ``grants`` history is
-    kept only with ``record=True``; by default the holder grant is the only
-    per-admission allocation (the serving scheduler reads grants solely
-    through the acquire callback).
-    """
-
-    def __init__(
-        self, name: str = "resource", record: bool = False, sanitize: bool | None = None
-    ):
-        self.name = name
-        self.record = record
-        self._holder: ResourceGrant | None = None
-        self._waiters: deque[tuple[float, Callable[[ResourceGrant], None]]] = deque()
-        self.grants: list[ResourceGrant] = []
-        self._sanitize = _resolve_sanitize(sanitize)
-        self._acquires = 0
-        self._releases = 0
-
-    @property
-    def busy(self) -> bool:
-        return self._holder is not None
-
-    @property
-    def queue_depth(self) -> int:
-        """Requests waiting behind the current holder."""
-        return len(self._waiters)
-
-    def acquire(self, time_s: float, callback: Callable[[ResourceGrant], None]) -> None:
-        """Request the resource at ``time_s``; ``callback(grant)`` fires on grant."""
-        self._acquires += 1
-        if self._holder is None:
-            grant = ResourceGrant(arrival_s=time_s, start_s=time_s)
-            self._holder = grant
-            if self.record:
-                self.grants.append(grant)
-            callback(grant)
-        else:
-            self._waiters.append((time_s, callback))
-
-    def release(self, time_s: float) -> None:
-        """Release the resource; the next waiter (if any) is granted at ``time_s``."""
-        if self._holder is None:
-            raise ValueError(f"resource {self.name!r} is not held")
-        if time_s < self._holder.start_s:
-            raise ValueError("cannot release a resource before its grant started")
-        self._releases += 1
-        self._holder.release_s = time_s
-        self._holder = None
-        if self._waiters:
-            arrival_s, callback = self._waiters.popleft()
-            grant = ResourceGrant(arrival_s=arrival_s, start_s=time_s)
-            self._holder = grant
-            if self.record:
-                self.grants.append(grant)
-            callback(grant)
-
-    def assert_drained(self) -> None:
-        """Sanitizer check: every acquire was balanced by a release.
-
-        Raises :class:`~repro.devtools.sanitizer.SanitizerError` if the
-        resource is still held, waiters are still queued, or any retained
-        grant shows a negative wait or hold — a leaked or corrupted slot.
-        """
-        if self._holder is not None or self._waiters:
-            raise SanitizerError(
-                RESOURCE_BALANCE,
-                f"resource {self.name!r} not drained: "
-                f"holder={'yes' if self._holder else 'no'}, "
-                f"{len(self._waiters)} waiter(s), "
-                f"{self._acquires} acquire(s) vs {self._releases} release(s)",
-            )
-        if self._acquires != self._releases:
-            raise SanitizerError(
-                RESOURCE_BALANCE,
-                f"resource {self.name!r}: {self._acquires} acquire(s) vs "
-                f"{self._releases} release(s) with no holder or waiters",
-            )
-        for grant in self.grants:
-            if grant.wait_s < 0 or (
-                grant.release_s is not None and grant.hold_s < 0
-            ):
-                raise SanitizerError(
-                    RESOURCE_BALANCE,
-                    f"resource {self.name!r}: grant with negative wait/hold "
-                    f"({grant})",
-                )
 
 
 class RoundRobinCore:
@@ -642,15 +520,6 @@ class PreemptiveResource:
         self._inflight: dict[int, PreemptiveJob] = {}
         self.jobs: list[PreemptiveJob] = []
 
-    @property
-    def busy(self) -> bool:
-        return self._core.running >= 0
-
-    @property
-    def queue_depth(self) -> int:
-        """Jobs ready behind the currently running slice."""
-        return len(self._core.ready)
-
     def submit(
         self, work_s: float, callback: Callable[[PreemptiveJob], None] | None = None, key: tuple = ()
     ) -> PreemptiveJob:
@@ -865,11 +734,10 @@ class ArrayEventQueue:
 class IndexRing:
     """An allocation-free multi-lane FIFO over preallocated index arrays.
 
-    Replaces the per-request ``deque`` + grant-object churn of
-    :class:`ReleasableResource` (stream pipeline slots) in the array
-    engine: each lane is a linked list threaded through one shared
-    ``next`` array, so a push or pop moves two integers and allocates
-    nothing.  An index may be re-pushed after it was popped; pushing an
+    The scheduler's stream pipeline slots (one lane per stream, in the
+    job lifecycle both engines drive): each lane is a linked list
+    threaded through one shared ``next`` array, so a push or pop moves
+    two integers and allocates nothing.  An index may be re-pushed after it was popped; pushing an
     index that is still queued corrupts the lane — callers own that
     invariant, exactly as they own not double-releasing a resource.
     """

@@ -170,6 +170,8 @@ class StreamProfile:
 
     def __post_init__(self) -> None:
         require_number("kv_len", self.kv_len, integer=True)
+        require_number("session_id", self.session_id, integer=True)
+        require_number("arrival_offset_s", self.arrival_offset_s, finite=True)
         for name in ("frame_ratio", "generation_ratio"):
             ratio = getattr(self, name)
             if ratio is not None:

@@ -1,11 +1,17 @@
-"""Struct-of-arrays fast engine of the serving scheduler.
+"""The scheduler's job lifecycle, and its struct-of-arrays fast engine.
 
-This is the array-backed port of :meth:`ServingScheduler._run_reference`
-(:mod:`repro.sim.scheduler`), built for 1k–10k-stream fleets.  The
-reference loop spends its time allocating: one closure plus one heap tuple
-per event, a ``_Job`` per unit of work, a grant object per slot handoff, a
-frozen ``TimelineTask`` per resource interval.  The engine replaces every
-one of those with integers moving through preallocated structures:
+:func:`_job_lifecycle` is the one job lifecycle of the serving scheduler —
+submit (depth bound, admission, the stream's pipeline slot), shed, begin,
+finish (record, release, chain the next generation job) and the
+time-sliced stage bookkeeping — written once over the run's
+:class:`~repro.sim.jobtable.JobTable` ids.  Both engines drive it; each
+keeps only its event substrate.  The reference loop
+(``ServingScheduler._run_reference``, :mod:`repro.sim.scheduler`) drives
+it from :class:`~repro.hw.event.EventLoop` callbacks over
+``ResourceQueue`` / ``PCIeLinkQueue`` / ``PreemptiveResource``;
+:func:`run_array`, built for 1k–10k-stream fleets, replaces every
+per-event closure and server object with integers moving through
+preallocated structures:
 
 * events live in an :class:`~repro.hw.event.ArrayEventQueue` as
   ``(time, packed subkey, payload)`` — the whole ``(priority, key, seq)``
@@ -15,10 +21,7 @@ one of those with integers moving through preallocated structures:
   the statically known arrival events are bulk-sorted once
   (:meth:`~repro.hw.event.ArrayEventQueue.preload`) and consumed through
   a cursor, never touching the dynamic structure;
-* job bookkeeping is the :class:`~repro.sim.jobtable.JobTable`'s
-  preallocated columns, filled by integer index in the reference loop's
-  record-insertion order;
-* stream pipeline slots are lanes of one
+* stream pipeline slots (the lifecycle's) are lanes of one
   :class:`~repro.hw.event.IndexRing` — a push or pop moves two integers;
 * the time-sliced compute server is the :class:`~repro.hw.event.RoundRobinCore`
   that ``PreemptiveResource`` wraps, called directly: one ``C_SLICE`` heap
@@ -41,7 +44,8 @@ the reference loop's own core (so both skip the same quantum expiries),
 and every queued event's ``seq`` is consumed at the same point the
 reference loop's ``EventLoop.schedule`` would consume it — so both
 engines produce the same event order, the same records, the same
-timelines and the same (logical) event counts.
+timelines and the same (logical) event counts.  The lifecycle consumes
+no ``seq`` itself: it asks its engine to schedule a job's issue event.
 The engine-equivalence tests pin this on random fleets.
 
 ``seq`` arithmetic uses raw integer adds against per-stream packed bases;
@@ -103,6 +107,217 @@ from repro.sim.scheduler import (
 C_ISSUE, C_LINK, C_FINISH, C_SLICE, C_TSLINK = 0, 1, 2, 3, 4
 
 
+def _job_lifecycle(ctx: _RunContext, table: JobTable, server, stages: StageCore, schedule_issue):
+    """The one job lifecycle of a run, over ``table``'s job ids.
+
+    A submitted job passes the depth bound and the admission rule, then
+    takes its stream's pipeline slot — lane ``s`` of one
+    :class:`~repro.hw.event.IndexRing` plus a busy flag — or queues on it.
+    It begins once the slot is its own: an inactive stage finishes at
+    once, an active one is handed to the engine's one hook,
+    ``schedule_issue(job, t)``, at the end of its vision time.  Finishing
+    records it, passes the slot to the next queued job and chains the next
+    generation job by id.  ``server`` (anything with ``backlog_s()``) is the
+    compute backlog admission reads; ``stages`` is the engine's
+    time-sliced stage core.
+
+    Returns ``(submit, finish, resolved, fetch_split, close)``:
+    ``resolved(job, s)`` takes stage ``s``'s outcome for ``job`` (its three
+    waits, its compute/DRE/PCIe log entries) and returns the finish time
+    the engine schedules; ``fetch_split(s, t)`` commits stream ``s``'s
+    fetch on the memory plane and returns its residency split;
+    ``close(trace)`` checks the slots drained and returns the run's
+    ``(columns, occupancy trajectory)``.  ``close`` also drops ``begin``,
+    the one reference cycle the closures form (submit → begin → finish →
+    submit), so a finished run is freed by refcount, never by the cyclic
+    collector.
+    """
+    cfg = ctx.config
+    priced = ctx.priced
+    memory = ctx.memory
+    answers = ctx.answers
+    max_depth = cfg.max_queue_depth
+    admission_rule = cfg.admission != "backlog"
+    sanitize = sanitize_enabled()
+    session_ids = [profile.session_id for profile in ctx.profiles]
+    num_streams = len(session_ids)
+
+    streams = table.stream.tolist()
+    kinds = table.kind.tolist()
+    indices = table.index.tolist()
+    gen_base = table.gen_base
+    arrival = table.arrival
+    start = table.start
+    finish_at = table.finish
+    dropped = table.dropped
+    admission = table.admission
+    compute_wait = table.compute_wait
+    pcie_wait = table.pcie_wait
+    dre_wait = table.dre_wait
+    record = table.records.append
+    tl_append = table.timeline_log.append
+    # per-(stream, kind) stage columns, b = stream * 3 + kind
+    stage_list = [stage_map[kind] for stage_map in priced for kind in KIND_NAMES]
+    st_active = [stage.active for stage in stage_list]
+    st_vision = [stage.vision_s for stage in stage_list]
+    st_on_dre = [stage.on_dre for stage in stage_list]
+
+    # stream pipeline slots: lane s of one ring, whose internals the
+    # closures inline (a push or pop is two list stores); busy flags
+    # replace holders
+    ring = IndexRing(table.num_jobs, max(1, num_streams))
+    ring_next = ring._next
+    ring_head = ring._head
+    ring_tail = ring._tail
+    ring_depth = ring._depth
+    slot_busy = bytearray(num_streams)
+    track_busy = memory is not None
+    busy: set[int] = set()  # sessions with a job in flight: never eviction victims
+
+    trajectory: list[tuple[float, tuple[float, ...]]] = []
+    noted_version = -1
+
+    def note_occupancy(t: float) -> None:
+        nonlocal noted_version
+        version = memory.occupancy_version
+        if version == noted_version:
+            return  # no occupancy mutation since the last poll
+        noted_version = version
+        occupancy = memory.occupancy_snapshot()
+        if not trajectory or trajectory[-1][1] != occupancy:
+            trajectory.append((t, occupancy))
+
+    if memory is not None:
+        note_occupancy(0.0)  # registration-time state
+
+    def shed(job: int, t: float, code: int) -> None:
+        """Record a job dropped at admission (it arrives and ends at ``t``)."""
+        if sanitize:
+            table.san_record(job)
+        start[job] = t
+        finish_at[job] = t
+        dropped[job] = True
+        admission[job] = code
+        record(job)
+
+    def submit(job: int, t: float) -> None:
+        if sanitize:
+            table.san_submit(job)
+        s = streams[job]
+        held = slot_busy[s]
+        if held and max_depth is not None and ring_depth[s] >= max_depth:
+            shed(job, t, ADM_BACKLOG)
+            return
+        if admission_rule:
+            decision = admission_decision(
+                ctx,
+                priced[s][KIND_NAMES[kinds[job]]],
+                session_ids[s],
+                ring_depth[s] + (1 if held else 0),
+                server.backlog_s(),
+                busy,
+            )
+            if decision == DEFER:
+                shed(job, t, ADM_DEFER)
+                return
+            if decision == EVICT:
+                admission[job] = ADM_EVICT
+                note_occupancy(t)
+        if held:
+            tail = ring_tail[s]
+            if tail < 0:
+                ring_head[s] = job
+            else:
+                ring_next[tail] = job
+            ring_tail[s] = job
+            ring_next[job] = -1
+            ring_depth[s] += 1
+        else:
+            slot_busy[s] = 1
+            if track_busy:
+                busy.add(session_ids[s])
+            begin(job, t)
+
+    def release(s: int, t: float) -> None:
+        head = ring_head[s]
+        if head >= 0:
+            nxt = ring_next[head]
+            ring_head[s] = nxt
+            if nxt < 0:
+                ring_tail[s] = -1
+            ring_depth[s] -= 1
+            begin(head, t)
+        else:
+            slot_busy[s] = 0
+            if track_busy:
+                busy.discard(session_ids[s])
+
+    def begin(job: int, t: float) -> None:
+        if sanitize:
+            table.san_begin(job)
+        start[job] = t
+        b = streams[job] * 3 + kinds[job]
+        if not st_active[b]:
+            finish(job, t)
+            return
+        schedule_issue(job, t + st_vision[b])
+
+    def finish(job: int, t: float) -> None:
+        if sanitize:
+            table.san_record(job)
+        finish_at[job] = t
+        record(job)
+        s = streams[job]
+        release(s, t)
+        kind = kinds[job]
+        if kind == 1:  # question → first generation token
+            if answers[s] > 0:
+                chained = gen_base[s]
+                arrival[chained] = t
+                submit(chained, t)
+        elif kind == 2 and indices[job] < answers[s] - 1:
+            chained = job + 1
+            arrival[chained] = t
+            submit(chained, t)
+
+    def resolved(job: int, s: int) -> float:
+        compute_wait[job] = stages.compute_wait_s[s]
+        pcie_wait[job] = stages.pcie_wait_s[s]
+        dre_wait[job] = stages.dre_wait_s[s]
+        if stages.compute_s[s] > 0.0:
+            # one span on the shared lane per job; the round-robin slices of
+            # concurrent jobs interleave inside their spans
+            submit_s = stages.compute_submit_s[s]
+            tl_append((job, TL_COMPUTE, submit_s, stages.compute_finish_s[s] - submit_s))
+        prediction_s = stages.prediction_s[s]
+        if st_on_dre[s * 3 + kinds[job]] and prediction_s > 0.0:
+            tl_append((job, TL_DRE, stages.prediction_end_s[s] - prediction_s, prediction_s))
+        if stages.fetch_s[s] > 0.0:
+            tl_append((job, TL_PCIE, stages.transfer_start_s[s], stages.fetch_s[s]))
+        return stages.finish_s[s]
+
+    def fetch_split(s: int, t: float):
+        split = memory.commit_fetch(session_ids[s], protected=busy)
+        note_occupancy(t)
+        return split
+
+    def close(trace: EventTrace | None):
+        nonlocal begin
+        if sanitize and (any(slot_busy) or any(ring_depth)):
+            # end-of-run drain: no slot still held, no job still queued
+            undrained = [s for s in range(num_streams) if slot_busy[s] or ring_depth[s]]
+            raise SanitizerError(
+                RESOURCE_BALANCE,
+                f"run ended with undrained stream slots {undrained} "
+                f"(acquires not balanced by releases)",
+                trace,
+            )
+        begin = None
+        return table.finalize(cfg.deadline_s), trajectory
+
+    return submit, finish, resolved, fetch_split, close
+
+
 def run_array(ctx: _RunContext) -> ScheduleResult:
     """Simulate one validated run on the array engine."""
     cfg = ctx.config
@@ -110,36 +325,32 @@ def run_array(ctx: _RunContext) -> ScheduleResult:
     num_streams = len(profiles)
     traces = ctx.traces
     question_arrivals = ctx.question_arrivals
-    answers = list(ctx.answers)
     memory = ctx.memory
     is_vrex = ctx.is_vrex
     num_layers = ctx.num_layers
     priced = ctx.priced
     timesliced = cfg.compute == "timesliced"
     quantum = cfg.quantum_s
-    max_depth = cfg.max_queue_depth
-    admission_rule = cfg.admission != "backlog"
 
-    # sanitizer state: the engine inlines its queue/ring internals, so the
-    # order and lifecycle checks are inlined here too (one predictable
-    # branch per event when disabled)
+    # sanitizer state: the engine inlines its queue internals, so the order
+    # checks are inlined here too (one predictable branch per event when
+    # disabled)
     sanitize = sanitize_enabled()
     trace = EventTrace() if sanitize else None
     san_last = (float("-inf"), -(1 << 62))
 
     session_ids = [profile.session_id for profile in profiles]
-    table = JobTable(traces, question_arrivals, answers, session_ids, sanitize=sanitize)
+    table = JobTable(traces, question_arrivals, ctx.answers, session_ids, sanitize=sanitize)
     num_jobs = table.num_jobs
-    gen_base = table.gen_base
 
     # static per-job columns as plain lists (C-speed integer indexing)
     streams = table.stream.tolist()
     kinds = table.kind.tolist()
-    indices = table.index.tolist()
-    arrival = table.arrival  # mutated as generation chains materialize
+    j_start = table.start
+    j_pcie = table.pcie_wait
+    j_dre = table.dre_wait
 
     # flattened per-(stream, kind) stage columns, b = stream * 3 + kind
-    st_active: list = []
     st_on_dre: list = []
     st_overlaps: list = []
     st_vision: list = []
@@ -152,7 +363,6 @@ def run_array(ctx: _RunContext) -> ScheduleResult:
     for stage_map in priced:
         for kind_name in KIND_NAMES:
             stage = stage_map[kind_name]
-            st_active.append(stage.active)
             st_on_dre.append(stage.on_dre)
             st_overlaps.append(stage.overlaps)
             st_vision.append(stage.vision_s)
@@ -220,21 +430,10 @@ def run_array(ctx: _RunContext) -> ScheduleResult:
     lane_i = 0
     lane_n = len(lane_t)
 
-    # per-job dynamic state (defaults match a fresh reference _Job)
-    j_start = [0.0] * num_jobs
-    j_adm = [0] * num_jobs
-    j_pcie = [0.0] * num_jobs
-    j_dre = [0.0] * num_jobs
-    j_cwait = [0.0] * num_jobs
+    # per-job private-compute link timing
     j_fetch = [0.0] * num_jobs
     j_tstart = [0.0] * num_jobs  # private stage start
     j_request = [0.0] * num_jobs  # private link-request time
-
-    # stream pipeline slots: lane s of one ring; busy flags replace holders
-    ring = IndexRing(num_jobs, max(1, num_streams))
-    slot_busy = bytearray(num_streams)
-    track_busy = memory is not None
-    busy_set: set[int] = set()
 
     # preemptive compute server (timesliced mode): the shared core, plus
     # per server-job id its owning job and what it computes
@@ -250,20 +449,7 @@ def run_array(ctx: _RunContext) -> ScheduleResult:
     dre_busy = 0.0
     link_busy = 0.0
 
-    # record columns and the compact timeline log
-    rec_job = table.rec_job
-    rec_arrival = table.rec_arrival
-    rec_start = table.rec_start
-    rec_finish = table.rec_finish
-    rec_dropped = table.rec_dropped
-    rec_admission = table.rec_admission
-    rec_pcie = table.rec_pcie
-    rec_dre = table.rec_dre
-    rec_cwait = table.rec_cwait
-    n_rec = 0
     tl_append = table.timeline_log.append
-
-    trajectory: list[tuple[float, tuple[float, ...]]] = []
     now = 0.0
     events = 0
 
@@ -280,21 +466,6 @@ def run_array(ctx: _RunContext) -> ScheduleResult:
             )
         san_last = (t, sub)
         trace.note((t, sub, "lane" if static else "heap"))
-
-    noted_version = -1
-
-    def note_occupancy() -> None:
-        nonlocal noted_version
-        version = memory.occupancy_version
-        if version == noted_version:
-            return  # no occupancy mutation since the last poll
-        noted_version = version
-        occupancy = memory.occupancy_snapshot()
-        if not trajectory or trajectory[-1][1] != occupancy:
-            trajectory.append((now, occupancy))
-
-    if memory is not None:
-        note_occupancy()  # registration-time state at t=0
 
     # ------------------------------------------------------------------ #
     # preemptive server: the core's transitions, one heap entry per
@@ -328,18 +499,7 @@ def run_array(ctx: _RunContext) -> ScheduleResult:
     def ts_apply(job: int, s: int, decision: int) -> None:
         nonlocal seq
         if decision == TS_FINISH:  # always alone: the stage asks for nothing more
-            j_cwait[job] = stages.compute_wait_s[s]
-            j_pcie[job] = stages.pcie_wait_s[s]
-            j_dre[job] = stages.dre_wait_s[s]
-            if ts_compute[s] > 0.0:
-                submit_s = stages.compute_submit_s[s]
-                tl_append((job, TL_COMPUTE, submit_s, stages.compute_finish_s[s] - submit_s))
-            prediction_s = ts_prediction[s]
-            if st_on_dre[s * 3 + kinds[job]] and prediction_s > 0.0:
-                tl_append((job, TL_DRE, stages.prediction_end_s[s] - prediction_s, prediction_s))
-            if ts_fetch[s] > 0.0:
-                tl_append((job, TL_PCIE, stages.transfer_start_s[s], ts_fetch[s]))
-            heappush(entries, (stages.finish_s[s], base_complete[s] + seq, (job << 3) | C_FINISH))
+            heappush(entries, (resolved(job, s), base_complete[s] + seq, (job << 3) | C_FINISH))
             seq += 1
             return
         if decision & TS_PREDICT:
@@ -351,123 +511,16 @@ def run_array(ctx: _RunContext) -> ScheduleResult:
             seq += 1
 
     # ------------------------------------------------------------------ #
-    # admission / slot lifecycle (the rule itself is the scheduler's
-    # ``admission_decision``; only the queue-state reads live here)
+    # the job lifecycle; its one hook queues a job's issue event
     # ------------------------------------------------------------------ #
-    # ring internals inlined into the per-event closures: a push or pop is
-    # two list stores, no method call
-    ring_next = ring._next
-    ring_head = ring._head
-    ring_tail = ring._tail
-    ring_depth = ring._depth
-
-    def shed(job: int, t: float, code: int) -> None:
-        """Record a job dropped at admission (it arrives and ends at ``t``)."""
-        nonlocal n_rec
-        if sanitize:
-            table.san_record(job)
-        i = n_rec
-        rec_job[i] = job
-        rec_arrival[i] = t
-        rec_start[i] = t
-        rec_finish[i] = t
-        rec_dropped[i] = True
-        rec_admission[i] = code
-        n_rec = i + 1
-
-    def submit(job: int, t: float) -> None:
-        if sanitize:
-            table.san_submit(job)
-        s = streams[job]
-        busy = slot_busy[s]
-        if busy and max_depth is not None and ring_depth[s] >= max_depth:
-            shed(job, t, ADM_BACKLOG)
-            return
-        if admission_rule:
-            decision = admission_decision(
-                ctx,
-                priced[s][KIND_NAMES[kinds[job]]],
-                session_ids[s],
-                ring_depth[s] + (1 if busy else 0),
-                server.backlog_s(),
-                busy_set,
-            )
-            if decision == DEFER:
-                shed(job, t, ADM_DEFER)
-                return
-            if decision == EVICT:
-                j_adm[job] = ADM_EVICT
-                note_occupancy()
-        if busy:
-            tail = ring_tail[s]
-            if tail < 0:
-                ring_head[s] = job
-            else:
-                ring_next[tail] = job
-            ring_tail[s] = job
-            ring_next[job] = -1
-            ring_depth[s] += 1
-        else:
-            slot_busy[s] = 1
-            if track_busy:
-                busy_set.add(session_ids[s])
-            begin(job, t)
-
-    def release(s: int, t: float) -> None:
-        head = ring_head[s]
-        if head >= 0:
-            nxt = ring_next[head]
-            ring_head[s] = nxt
-            if nxt < 0:
-                ring_tail[s] = -1
-            ring_depth[s] -= 1
-            begin(head, t)
-        else:
-            slot_busy[s] = 0
-            if track_busy:
-                busy_set.discard(session_ids[s])
-
-    def begin(job: int, t: float) -> None:
+    def schedule_issue(job: int, t: float) -> None:
         nonlocal seq
-        if sanitize:
-            table.san_begin(job)
-        j_start[job] = t
-        b = streams[job] * 3 + kinds[job]
-        if not st_active[b]:
-            finish(job, t)
-            return
-        s = streams[job]
-        heappush(
-            entries, (t + st_vision[b], base_issue[s] + seq, (job << 3) | C_ISSUE)
-        )
+        heappush(entries, (t, base_issue[streams[job]] + seq, (job << 3) | C_ISSUE))
         seq += 1
 
-    def finish(job: int, t: float) -> None:
-        nonlocal n_rec
-        if sanitize:
-            table.san_record(job)
-        i = n_rec
-        rec_job[i] = job
-        rec_arrival[i] = arrival[job]
-        rec_start[i] = j_start[job]
-        rec_finish[i] = t
-        rec_admission[i] = j_adm[job]
-        rec_pcie[i] = j_pcie[job]
-        rec_dre[i] = j_dre[job]
-        rec_cwait[i] = j_cwait[job]
-        n_rec = i + 1
-        s = streams[job]
-        release(s, t)
-        kind = kinds[job]
-        if kind == 1:  # question → first generation token
-            if answers[s] > 0:
-                chained = gen_base[s]
-                arrival[chained] = t
-                submit(chained, t)
-        elif kind == 2 and indices[job] < answers[s] - 1:
-            chained = job + 1
-            arrival[chained] = t
-            submit(chained, t)
+    submit, finish, resolved, fetch_split, close = _job_lifecycle(
+        ctx, table, server, stages, schedule_issue
+    )
 
     # ------------------------------------------------------------------ #
     # dispatch loop
@@ -522,8 +575,7 @@ def run_array(ctx: _RunContext) -> ScheduleResult:
             # per-job fetch at the session's current residency, re-priced
             # only when the split moved (equal fractions price equal fetches)
             if memory is not None and st_fbytes[b] > 0.0:
-                split = memory.commit_fetch(session_ids[s], protected=busy_set)
-                note_occupancy()
+                split = fetch_split(s, now)
                 if split != st_split[b]:
                     st_split[b] = split
                     st_fetch_sharded[b] = (
@@ -669,22 +721,10 @@ def run_array(ctx: _RunContext) -> ScheduleResult:
                 ts_apply(job, s, decision)
 
     if sanitize:
-        # end-of-run drain: no slot still held, no job still queued on a
-        # ring lane, the preemptive server's work served and conserved
-        if any(slot_busy) or any(d != 0 for d in ring_depth):
-            held = [s for s in range(num_streams) if slot_busy[s] or ring_depth[s]]
-            raise SanitizerError(
-                RESOURCE_BALANCE,
-                f"run ended with undrained stream slots {held} "
-                f"(acquires not balanced by releases)",
-                trace,
-            )
+        # end-of-run drain: the preemptive server's work served and conserved
         server.assert_drained("array engine's preemptive server", trace)
-
-    del begin  # break begin -> finish -> release -> begin: the run frees by refcount
     queue._lane_pos = lane_i
-    table.num_records = n_rec
-    columns = table.finalize(cfg.deadline_s)
+    columns, trajectory = close(trace)
     return ScheduleResult(
         system=ctx.system.name,
         config=cfg,

@@ -79,7 +79,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, replace
 from heapq import heappop, heappush
 from itertools import count
@@ -999,8 +999,13 @@ class FleetScheduler:
     def _validated_homes(
         self, home_devices: dict[int, int] | None, profiles: list[StreamProfile]
     ) -> dict[int, int]:
-        if not home_devices:
+        if home_devices is None:
             return {}
+        if not isinstance(home_devices, Mapping):
+            raise ValueError(
+                "home_devices must map session ids to device indices, "
+                f"got {type(home_devices).__name__}"
+            )
         sessions = {profile.session_id for profile in profiles}
         num_devices = self.fleet.num_devices
         for session, device in home_devices.items():
@@ -1008,7 +1013,8 @@ class FleetScheduler:
                 raise ValueError(
                     f"home_devices names session {session}, which is not in the fleet"
                 )
-            if not 0 <= device < num_devices:
+            require_number(f"home_devices device of session {session}", device, integer=True)
+            if device >= num_devices:
                 raise ValueError(
                     f"home_devices places session {session} on device {device}; "
                     f"the fleet has {num_devices} device(s)"
@@ -1066,7 +1072,7 @@ class FleetScheduler:
         A job the device would shed never costs the device work, so
         charging it to the estimator is exactly the stale-backlog bug —
         the router predicts the shed and credits the work back instead.
-        Queue-depth drops mirror ``slot.busy and queue_depth >= max``
+        Queue-depth drops mirror the lifecycle's ``busy and depth >= max``
         (the session already has ``max_queue_depth + 1`` unfinished jobs
         here); residency deferrals mirror the deadline test coarsely,
         with the estimator's pending count standing in for the compute

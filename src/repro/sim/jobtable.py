@@ -1,28 +1,27 @@
-"""Struct-of-arrays job bookkeeping for the array scheduler engine.
+"""Struct-of-arrays job bookkeeping of a scheduler run.
 
-The reference scheduler (:mod:`repro.sim.scheduler`) allocates one mutable
-``_Job`` per unit of work, one frozen ``JobRecord`` per outcome and one
-frozen ``TimelineTask`` per resource interval — ~1 µs of allocation and
-``__init__`` validation per object, the dominant cost of a run once the
-event loop itself is array-backed.  This module replaces all three with
-preallocated parallel columns:
+Both scheduler engines (:mod:`repro.sim.scheduler`'s reference loop and
+:mod:`repro.sim.engine`'s array engine) name a unit of work by a dense
+integer id into one :class:`JobTable` and drive one job lifecycle over
+those ids (:func:`repro.sim.engine._job_lifecycle`).  There is no job
+object, no record row and no per-interval timeline object:
 
 * :class:`JobTable` — static per-job columns (stream, kind, index,
   session) built once per run with every potential job pre-enumerated
   (frames and questions from the traces, generation jobs from the answer
-  budgets), plus preallocated record columns the engine fills by integer
-  index, plus a compact timeline log of ``(job, resource code, start,
-  duration)`` tuples;
+  budgets), per-job outcome columns the lifecycle fills by id, the ids in
+  record order, and a compact timeline log of ``(job, resource code,
+  start, duration)`` tuples;
 * :class:`RecordColumns` — a finished record set as sorted numpy columns:
   the one store behind every result (either engine's, or a fleet's
   merge), on which percentile/miss/drop statistics are computed directly
   and from which ``JobRecord`` rows are built *on access* (a view).
 
-Bit-compatibility contract: both engines emit records in the same
-insertion order and every record set sorts by ``(finish_s, stream_index,
-job_index)`` with a *stable* sort (``np.lexsort``), so ties keep that
-order; the deadline-miss flag is derived in one place
-(:class:`RecordColumns`) as ``finish - arrival > deadline`` on served jobs.
+Bit-compatibility contract: both engines record jobs in the same order
+and every record set sorts by ``(finish_s, stream_index, job_index)``
+with a *stable* sort (``np.lexsort``), so ties keep that order; the
+deadline-miss flag is derived in one place (:class:`RecordColumns`) as
+``finish - arrival > deadline`` on served jobs.
 """
 
 from __future__ import annotations
@@ -55,9 +54,9 @@ class JobTable:
     """Preallocated per-job columns of one scheduler run.
 
     Every job the run *could* produce is enumerated up front in the
-    reference loop's scheduling order — per stream: its frames, then its
+    engines' arrival scheduling order — per stream: its frames, then its
     question, then its potential generation chain — so job ids are dense
-    integers and the record columns can be preallocated to the exact
+    integers and the outcome columns can be preallocated to the exact
     worst case.  Generation jobs only materialize if their question
     finishes; unrecorded ids simply never enter the record columns.
     """
@@ -123,22 +122,21 @@ class JobTable:
         #: time when their chain materializes)
         self.arrival = arrival.tolist()
 
-        # preallocated record columns, filled by integer index in the
-        # engine's record order (== the reference loop's insertion order)
+        # per-job outcome columns, written by the run's job lifecycle; a job
+        # is recorded at most once, so finalize gathers them in record order
         n = self.num_jobs
-        self.rec_job = [0] * n
-        self.rec_arrival = [0.0] * n
-        self.rec_start = [0.0] * n
-        self.rec_finish = [0.0] * n
-        self.rec_dropped = [False] * n
-        self.rec_admission = [0] * n
-        self.rec_pcie = [0.0] * n
-        self.rec_dre = [0.0] * n
-        self.rec_cwait = [0.0] * n
-        self.num_records = 0
+        self.start = [0.0] * n
+        self.finish = [0.0] * n
+        self.dropped = [False] * n
+        self.admission = [0] * n
+        self.pcie_wait = [0.0] * n
+        self.dre_wait = [0.0] * n
+        self.compute_wait = [0.0] * n
+        #: recorded job ids, in record order
+        self.records: list[int] = []
 
         #: compact timeline log: ``(job_id, resource code, start, duration)``
-        #: appended in the reference loop's ``Timeline.add`` order
+        #: in the order both engines append it
         self.timeline_log: list[tuple[int, int, float, float]] = []
 
         #: sanitizer-only per-job lifecycle state (``ST_*`` codes)
@@ -177,22 +175,22 @@ class JobTable:
 
     # ------------------------------------------------------------------ #
     def finalize(self, deadline_s: float | None) -> "RecordColumns":
-        """Freeze the record buffer into sorted :class:`RecordColumns`."""
-        m = self.num_records
-        job = np.asarray(self.rec_job[:m], dtype=np.int64)
-        arrival = np.asarray(self.rec_arrival[:m], dtype=float)
-        start = np.asarray(self.rec_start[:m], dtype=float)
-        finish = np.asarray(self.rec_finish[:m], dtype=float)
-        dropped = np.asarray(self.rec_dropped[:m], dtype=bool)
-        admission = np.asarray(self.rec_admission[:m], dtype=np.int64)
-        pcie = np.asarray(self.rec_pcie[:m], dtype=float)
-        dre = np.asarray(self.rec_dre[:m], dtype=float)
-        cwait = np.asarray(self.rec_cwait[:m], dtype=float)
-        if self._sanitize and m:
+        """Gather the recorded jobs' columns into sorted :class:`RecordColumns`."""
+        job = np.asarray(self.records, dtype=np.int64)
+        arrival, start, finish, pcie, dre, cwait = (
+            np.asarray(column, dtype=float)[job]
+            for column in (
+                self.arrival, self.start, self.finish,
+                self.pcie_wait, self.dre_wait, self.compute_wait,
+            )
+        )  # fmt: skip
+        dropped = np.asarray(self.dropped, dtype=bool)[job]
+        admission = np.asarray(self.admission, dtype=np.int64)[job]
+        if self._sanitize and len(job):
             self._san_check_columns(
                 job, arrival, start, finish, dropped, admission, pcie, dre, cwait
             )
-        # stable: ties keep the engine's record (insertion) order
+        # stable: ties keep the record order
         order = np.lexsort((self.index[job], self.stream[job], finish))
         job = job[order]
         return RecordColumns(
@@ -286,9 +284,9 @@ class JobTable:
 class RecordColumns:
     """One run's job records as sorted parallel numpy columns.
 
-    The only stored representation of a run's records: the array engine
-    finalizes into one, the reference loop converts its record rows into
-    one as the run ends, and a fleet merges its devices' columns into one.
+    The only stored representation of a run's records: either engine's
+    :class:`JobTable` finalizes into one, and a fleet merges its devices'
+    columns into one.
     ``JobRecord`` rows are built from it on access, never stored.
     """
 
@@ -307,9 +305,6 @@ class RecordColumns:
         "dre_wait",
         "compute_wait",
     )
-
-    #: dtype of each ``FIELDS`` column, in order
-    _DTYPES = (np.int64,) * 4 + (float,) * 3 + (bool, np.int64) + (float,) * 3
 
     __slots__ = (*FIELDS, "missed", "deadline_s")
 
@@ -333,16 +328,6 @@ class RecordColumns:
         """A copy with some columns swapped (``missed`` is recomputed)."""
         kept = {name: getattr(self, name) for name in self.FIELDS}
         return RecordColumns(deadline_s=self.deadline_s, **{**kept, **columns})
-
-    @classmethod
-    def from_rows(cls, rows: list[tuple], deadline_s: float | None) -> "RecordColumns":
-        """Sorted columns of ``FIELDS``-ordered row tuples in record order."""
-        fields = zip(cls.FIELDS, cls._DTYPES, strict=True)
-        columns = {
-            name: np.array([row[position] for row in rows], dtype=dtype)
-            for position, (name, dtype) in enumerate(fields)
-        }
-        return cls.merged([cls(deadline_s=deadline_s, **columns)])
 
     def take(self, rows) -> "RecordColumns":
         """The records at ``rows`` (a slice or a position array), in that order."""

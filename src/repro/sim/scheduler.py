@@ -12,11 +12,13 @@ misses), not a single makespan.
 :class:`ServingScheduler` replaces the lockstep step with an event loop
 (:class:`repro.hw.event.EventLoop`):
 
-* every stream's frames/questions/generation tokens are **jobs**; a
-  stream's jobs are serialized on its own pipeline slot
-  (:class:`repro.hw.event.ReleasableResource` — a frame holds the stream
-  until its finish time emerges from the shared queues, later frames wait
-  behind it);
+* every stream's frames/questions/generation tokens are **jobs** — dense
+  ids of one :class:`repro.sim.jobtable.JobTable` — and a stream's jobs
+  are serialized on its own pipeline slot (a frame holds the stream until
+  its finish time emerges from the shared queues, later frames wait
+  behind it); submit, admission, the slots, begin, finish and generation
+  chaining are one lifecycle both engines drive
+  (:func:`repro.sim.engine._job_lifecycle`);
 * each job's demands are read once per stream and stage from the plane's
   demand table (:meth:`BatchLatencyModel._stream_demands`) — exactly the
   pricing the contended batched plane uses;
@@ -36,11 +38,10 @@ misses), not a single makespan.
 * **admission control** drops frames when a stream's backlog exceeds
   ``max_queue_depth`` (upload throttling), or when the residency / energy
   policy's one rule (:func:`admission_decision`) defers them;
-* every run records a full :class:`repro.hw.event.Timeline` (per-stream
-  compute lanes plus the shared ``dre`` and ``pcie`` resources) and a
-  :class:`JobRecord` per job, from which :class:`ScheduleResult` reports
-  exact per-stream and fleet sojourn-time percentiles and deadline-miss
-  rates.
+* every run logs a full :class:`repro.hw.event.Timeline` (per-stream
+  compute lanes plus the shared ``dre`` and ``pcie`` resources) and
+  records every job, from which :class:`ScheduleResult` reports exact
+  per-stream and fleet sojourn-time percentiles and deadline-miss rates.
 """
 
 from __future__ import annotations
@@ -48,18 +49,13 @@ from __future__ import annotations
 import numbers
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from functools import cached_property, partial
 
 import numpy as np
 
 from repro.config import require_choice, require_number
 from repro.hw.accelerator import VRexAccelerator
-from repro.hw.event import (
-    EventLoop,
-    PreemptiveResource,
-    ReleasableResource,
-    ResourceQueue,
-    Timeline,
-)
+from repro.hw.event import EventLoop, PreemptiveResource, ResourceQueue, Timeline
 from repro.hw.memory.pcie import PCIeLinkQueue
 from repro.hw.memory.sharding import ShardedKVHierarchy, sharded_fetch_makespan
 from repro.sim.batched import (
@@ -82,7 +78,13 @@ from repro.sim.jobtable import (
     ADM_DEFER,
     ADM_EVICT,
     ADMISSION_NAMES,
+    KIND_GENERATION,
     KIND_NAMES,
+    TL_COMPUTE,
+    TL_DRE,
+    TL_PCIE,
+    TL_VISION,
+    JobTable,
     RecordColumns,
 )
 from repro.sim.pipeline import FRAME_STAGE, GENERATION_STAGE, overlap_latency
@@ -92,10 +94,9 @@ FRAME_JOB = "frame"
 QUESTION_JOB = "question"
 GENERATION_JOB = "generation"
 
-#: public kind / admission strings → the integer codes of the record
-#: columns (:mod:`repro.sim.jobtable` owns the code → string tuples)
+#: public kind strings → the integer codes of the record columns
+#: (:mod:`repro.sim.jobtable` owns the code → string tuples)
 _KIND_CODES = {name: code for code, name in enumerate(KIND_NAMES)}
-_ADMISSION_CODES = {name: code for code, name in enumerate(ADMISSION_NAMES)}
 
 #: Scheduler engines: ``"array"`` is the struct-of-arrays fast path
 #: (:mod:`repro.sim.engine`), ``"reference"`` the original closure-driven
@@ -451,10 +452,11 @@ class ScheduleResult(RecordViews):
 
     Both engines hand over the run's sorted
     :class:`~repro.sim.jobtable.RecordColumns` — the store every statistic
-    reads; dataclass rows are built on access — plus the array
-    engine's compact timeline log (``table``) or the reference loop's full
-    ``timeline``.  The engine-equivalence tests pin the two engines'
-    columns equal, column by column.
+    reads; dataclass rows are built on access — and the run's
+    :class:`~repro.sim.jobtable.JobTable`, whose compact log the
+    :attr:`timeline` is built from on first access.  The
+    engine-equivalence tests pin the two engines' columns equal, column
+    by column.
     """
 
     def __init__(
@@ -463,12 +465,11 @@ class ScheduleResult(RecordViews):
         config: SchedulerConfig,
         num_streams: int,
         columns: RecordColumns,
-        timeline: Timeline | None = None,
         events_processed: int = 0,
         oom: bool = False,
         memory: ShardedKVHierarchy | None = None,
         bank_occupancy_trajectory: list[tuple[float, tuple[float, ...]]] | None = None,
-        table=None,
+        table: JobTable | None = None,
         timesliced: bool = False,
         energy_inputs=None,
     ):
@@ -488,19 +489,13 @@ class ScheduleResult(RecordViews):
         )
         #: the run's sorted record columns (the store behind every view)
         self.columns = columns
-        self._timeline = timeline
         self._table = table
         self._timesliced = timesliced
 
-    @property
+    @cached_property
     def timeline(self) -> Timeline:
         """The run's full resource :class:`~repro.hw.event.Timeline`."""
-        if self._timeline is None:
-            if self._table is None:
-                self._timeline = Timeline()
-            else:
-                self._timeline = self._table.build_timeline(self._timesliced)
-        return self._timeline
+        return self._table.build_timeline(self._timesliced)
 
     def stream_summaries(
         self, percentiles: Sequence[float] = DEFAULT_PERCENTILES, kind: str | None = None
@@ -575,40 +570,6 @@ class _PricedStage:
     flops: float = 0.0
     dram_bytes: float = 0.0
     solo_s: float = 0.0
-
-
-class _Job:
-    """Mutable in-flight state of one unit of work."""
-
-    __slots__ = (
-        "stream",
-        "kind",
-        "index",
-        "arrival_s",
-        "start_s",
-        "timing",
-        "pcie_wait_s",
-        "dre_wait_s",
-        "compute_wait_s",
-        "remaining",
-        "key",
-        "admission",
-    )
-
-    def __init__(self, stream: int, kind: str, index: int, arrival_s: float, key: tuple):
-        self.stream = stream
-        self.kind = kind
-        self.index = index
-        self.arrival_s = arrival_s
-        self.start_s = arrival_s
-        #: private compute: ``(start_s, prediction_end_s, request_s, fetch_s)``
-        self.timing: tuple[float, float, float, float] | None = None
-        self.pcie_wait_s = 0.0
-        self.dre_wait_s = 0.0
-        self.compute_wait_s = 0.0
-        self.remaining = 0
-        self.key = key
-        self.admission = ADMIT
 
 
 @dataclass
@@ -1008,130 +969,61 @@ class ServingScheduler:
     # the reference engine (executable spec of the event mechanics)
     # ------------------------------------------------------------------ #
     def _run_reference(self, ctx: _RunContext) -> ScheduleResult:
+        from repro.sim.engine import _job_lifecycle  # deferred: the engine imports us
+
         cfg = ctx.config
         system = ctx.system
         profiles = ctx.profiles
-        traces = ctx.traces
-        question_arrivals = ctx.question_arrivals
-        answers = ctx.answers
-        device = ctx.device
         is_vrex = ctx.is_vrex
         num_layers = ctx.num_layers
         memory = ctx.memory
         priced = ctx.priced
-        admission_rule = cfg.admission != "backlog"
         num_streams = len(profiles)
 
         loop = EventLoop()
         dre = ResourceQueue("dre")
-        link = PCIeLinkQueue(device.link)
+        link = PCIeLinkQueue(ctx.device.link)
         timesliced = cfg.compute == "timesliced"
-        compute_server = (
-            PreemptiveResource(loop, "compute", quantum_s=cfg.quantum_s, priority=PRIO_COMPLETE)
-            if timesliced
-            else None
+        compute_server = PreemptiveResource(
+            loop, "compute", quantum_s=cfg.quantum_s, priority=PRIO_COMPLETE
         )
-        slots = [ReleasableResource(f"stream{stream}") for stream in range(num_streams)]
+        session_ids = [profile.session_id for profile in profiles]
+        table = JobTable(ctx.traces, ctx.question_arrivals, ctx.answers, session_ids)
+        streams = table.stream.tolist()
+        kinds = table.kind.tolist()
+        keys = [(session, stream) for stream, session in enumerate(session_ids)]
+        start = table.start
+        dre_wait = table.dre_wait
+        pcie_wait = table.pcie_wait
+        tl_append = table.timeline_log.append
+        # private compute, per job: (start_s, prediction_end_s, request_s, fetch_s)
+        timing: list[tuple[float, float, float, float] | None] = [None] * table.num_jobs
         # time-sliced stages: the one stage core, by stream, and the job each holds
         stages = StageCore(is_vrex, num_streams)
-        staged: list[_Job | None] = [None] * num_streams
-        timeline = Timeline()
-        rows: list[tuple] = []  # one per record, in RecordColumns.FIELDS order
-        trajectory: list[tuple[float, tuple[float, ...]]] = []
+        staged = [-1] * num_streams
 
-        def note_occupancy() -> None:
-            occupancy = memory.occupancy_snapshot()
-            if not trajectory or trajectory[-1][1] != occupancy:
-                trajectory.append((loop.now_s, occupancy))
+        def schedule_issue(job: int, t: float) -> None:
+            loop.schedule(t, partial(issue, job), priority=PRIO_ISSUE, key=keys[streams[job]])
 
-        if memory is not None:
-            note_occupancy()  # registration-time state at t=0
+        submit, finish, resolved, fetch_split, close = _job_lifecycle(
+            ctx, table, compute_server, stages, schedule_issue
+        )
 
-        def busy_sessions(excluding: int) -> Iterator[int]:
-            """Sessions with a job in flight (their shards are not victims).
+        def stage_of(job: int) -> _PricedStage:
+            return priced[streams[job]][KIND_NAMES[kinds[job]]]
 
-            Lazy: the memory plane only walks it when a promotion is planned.
-            """
-            return (
-                profiles[stream].session_id
-                for stream in range(num_streams)
-                if stream != excluding and slots[stream].busy
-            )
-
-        def record(job: _Job, finish_s: float, dropped: bool) -> None:
-            rows.append(
-                (
-                    job.stream,
-                    profiles[job.stream].session_id,
-                    _KIND_CODES[job.kind],
-                    job.index,
-                    job.arrival_s,
-                    job.start_s,
-                    finish_s,
-                    dropped,
-                    _ADMISSION_CODES[job.admission],
-                    job.pcie_wait_s,
-                    job.dre_wait_s,
-                    job.compute_wait_s,
-                )
-            )
-
-        def submit(job: _Job) -> None:
-            slot = slots[job.stream]
-            if (
-                cfg.max_queue_depth is not None
-                and slot.busy
-                and slot.queue_depth >= cfg.max_queue_depth
-            ):
-                job.admission = BACKLOG_DROP
-                record(job, job.arrival_s, dropped=True)
-                return
-            if admission_rule:
-                job.admission = admission_decision(
-                    ctx,
-                    priced[job.stream][job.kind],
-                    profiles[job.stream].session_id,
-                    slot.queue_depth + (1 if slot.busy else 0),
-                    compute_server.backlog_s() if compute_server is not None else 0.0,
-                    busy_sessions(excluding=job.stream),
-                )
-                if job.admission == DEFER:
-                    record(job, job.arrival_s, dropped=True)
-                    return
-                if job.admission == EVICT:
-                    note_occupancy()
-            slot.acquire(loop.now_s, lambda grant, job=job: begin(job, grant.start_s))
-
-        def begin(job: _Job, start_s: float) -> None:
-            job.start_s = start_s
-            stage = priced[job.stream][job.kind]
-            if not stage.active:
-                finish(job, start_s)
-                return
-            loop.schedule(
-                start_s + stage.vision_s,
-                lambda job=job: issue(job),
-                priority=PRIO_ISSUE,
-                key=job.key,
-            )
-
-        def job_fetch_s(job: _Job) -> float:
+        def job_fetch_s(job: int) -> float:
             """Fetch time of one job at its session's *current* residency.
 
-            Reads the split, commits the fetch (the session becomes
-            most-recently-used and its cold shards promote back into their
-            home banks), and prices the fan-out across banks plus the
-            cold SSD stream.  Without a memory plane this is the priced
-            stage fetch unchanged.
+            Commits the fetch (the session becomes most-recently-used and
+            its cold shards promote back into their home banks), and prices
+            the fan-out across banks plus the cold SSD stream.  Without a
+            memory plane this is the priced stage fetch unchanged.
             """
-            stage = priced[job.stream][job.kind]
+            stage = stage_of(job)
             if memory is None or stage.fetch_bytes_layer <= 0:
                 return stage.fetch_s
-            session = profiles[job.stream].session_id
-            split = memory.commit_fetch(
-                session, protected=busy_sessions(excluding=job.stream)
-            )
-            note_occupancy()
+            split = fetch_split(streams[job], loop.now_s)
             return (
                 sharded_fetch_makespan(
                     stage.fetch_bytes_layer, split, stage.warm_time_s, stage.cold_time_s
@@ -1139,20 +1031,17 @@ class ServingScheduler:
                 * num_layers
             )
 
-        def job_name(job: _Job) -> str:
-            return f"s{profiles[job.stream].session_id}/{job.kind}{job.index}"
-
-        def issue(job: _Job) -> None:
-            stage = priced[job.stream][job.kind]
+        def issue(job: int) -> None:
+            stage = stage_of(job)
+            stream = streams[job]
             fetch_s = job_fetch_s(job)
-            name = job_name(job)
             if stage.vision_s > 0:
-                timeline.add(name, f"vision:s{job.stream}", job.start_s, stage.vision_s)
+                tl_append((job, TL_VISION, start[job], stage.vision_s))
             if timesliced:
-                staged[job.stream] = job
+                staged[stream] = job
                 issue_stage(
-                    job.stream,
-                    job.key,
+                    stream,
+                    keys[stream],
                     stage.overlaps,
                     stage.on_dre,
                     stage.compute_s,
@@ -1166,118 +1055,74 @@ class ServingScheduler:
             prediction_end_s, request_s = contended_issue(
                 is_vrex, stage.overlaps, start_s, served_s, stage.compute_s, stage.prediction_s
             )
-            job.timing = (start_s, prediction_end_s, request_s, fetch_s)
-            job.dre_wait_s = served_s - start_s
+            timing[job] = (start_s, prediction_end_s, request_s, fetch_s)
+            dre_wait[job] = served_s - start_s
             if stage.compute_s > 0:
-                timeline.add(name, f"compute:s{job.stream}", start_s, stage.compute_s)
+                tl_append((job, TL_COMPUTE, start_s, stage.compute_s))
             if stage.on_dre and stage.prediction_s > 0:
-                timeline.add(name, "dre", start_s + job.dre_wait_s, stage.prediction_s)
+                tl_append((job, TL_DRE, start_s + dre_wait[job], stage.prediction_s))
             if stage.fetch_s > 0:
                 loop.schedule(
-                    request_s,
-                    lambda job=job: request_link(job),
-                    priority=PRIO_LINK,
-                    key=job.key,
+                    request_s, partial(request_link, job), priority=PRIO_LINK, key=keys[stream]
                 )
             else:
                 resolve(job, None)
 
         def stage_resolved(stream: int) -> None:
             job = staged[stream]
-            job.compute_wait_s = stages.compute_wait_s[stream]
-            job.pcie_wait_s = stages.pcie_wait_s[stream]
-            job.dre_wait_s = stages.dre_wait_s[stream]
-            name = job_name(job)
-            submit_s = stages.compute_submit_s[stream]
-            if stages.compute_s[stream] > 0:
-                # One span on the shared lane per job; the round-robin slices
-                # of concurrent jobs interleave inside their spans.
-                timeline.add(name, "compute", submit_s, stages.compute_finish_s[stream] - submit_s)
-            prediction_s = stages.prediction_s[stream]
-            if priced[stream][job.kind].on_dre and prediction_s > 0:
-                dre_start_s = stages.prediction_end_s[stream] - prediction_s
-                timeline.add(name, "dre", dre_start_s, prediction_s)
-            if stages.fetch_s[stream] > 0:
-                timeline.add(name, "pcie", stages.transfer_start_s[stream], stages.fetch_s[stream])
-            schedule_finish(job, stages.finish_s[stream])
+            schedule_finish(job, resolved(job, stream))
 
         issue_stage = StageDriver(stages, loop, compute_server, dre, link, stage_resolved).issue
 
-        def request_link(job: _Job) -> None:
-            transfer = link.enqueue(loop.now_s, job.timing[3])
-            job.pcie_wait_s = transfer.wait_s
-            timeline.add(job_name(job), "pcie", transfer.start_s, transfer.service_s)
+        def request_link(job: int) -> None:
+            transfer = link.enqueue(loop.now_s, timing[job][3])
+            pcie_wait[job] = transfer.wait_s
+            tl_append((job, TL_PCIE, transfer.start_s, transfer.service_s))
             resolve(job, transfer.finish_s)
 
-        def resolve(job: _Job, fetch_end_s: float | None) -> None:
-            stage = priced[job.stream][job.kind]
-            start_s, prediction_end_s, request_s, _ = job.timing
+        def resolve(job: int, fetch_end_s: float | None) -> None:
+            stage = stage_of(job)
+            start_s, prediction_end_s, request_s, _ = timing[job]
             latency, _, _ = contended_latency(
                 is_vrex, stage.overlaps, start_s, stage.compute_s, stage.prediction_s,
                 prediction_end_s, request_s, fetch_end_s,
             )
             schedule_finish(job, start_s + latency)
 
-        def schedule_finish(job: _Job, finish_s: float) -> None:
+        def schedule_finish(job: int, finish_s: float) -> None:
             """Both compute policies end a job the same way: one completion event."""
             loop.schedule(
                 finish_s,
-                lambda: finish(job, finish_s),
+                partial(finish, job, finish_s),
                 priority=PRIO_COMPLETE,
-                key=job.key,
+                key=keys[streams[job]],
             )
 
-        def finish(job: _Job, finish_s: float) -> None:
-            record(job, finish_s, dropped=False)
-            slots[job.stream].release(finish_s)
-            if job.kind == QUESTION_JOB and answers[job.stream] > 0:
-                chain = _Job(job.stream, GENERATION_JOB, 0, finish_s, job.key)
-                chain.remaining = answers[job.stream] - 1
-                submit(chain)
-            elif job.kind == GENERATION_JOB and job.remaining > 0:
-                chain = _Job(job.stream, GENERATION_JOB, job.index + 1, finish_s, job.key)
-                chain.remaining = job.remaining - 1
-                submit(chain)
-
-        for stream, trace in enumerate(traces):
-            key = (profiles[stream].session_id, stream)
-            for frame_index, arrival in enumerate(trace):
-                job = _Job(stream, FRAME_JOB, frame_index, float(arrival), key)
+        # arrivals in the table's id order: per stream, its frames, then its question
+        arrival = table.arrival
+        for job in range(table.num_jobs):
+            if kinds[job] != KIND_GENERATION:
+                at = arrival[job]
                 loop.schedule(
-                    float(arrival),
-                    lambda job=job: submit(job),
-                    priority=PRIO_ARRIVAL,
-                    key=key,
-                )
-            at = question_arrivals[stream]
-            if at is not None:
-                job = _Job(stream, QUESTION_JOB, 0, float(at), key)
-                loop.schedule(
-                    float(at),
-                    lambda job=job: submit(job),
-                    priority=PRIO_ARRIVAL,
-                    key=key,
+                    at, partial(submit, job, at), priority=PRIO_ARRIVAL, key=keys[streams[job]]
                 )
         loop.run()
 
         if loop._sanitize:
-            # end-of-run drain: every slot acquire was released and the
-            # preemptive server served every submitted job to completion
-            for slot in slots:
-                slot.assert_drained()
-            if compute_server is not None:
-                compute_server.assert_drained()
-
+            # end-of-run drain: the preemptive server served every job to completion
+            compute_server.assert_drained()
+        columns, trajectory = close(loop._trace)
         return ScheduleResult(
             system=system.name,
             config=cfg,
             num_streams=num_streams,
-            columns=RecordColumns.from_rows(rows, cfg.deadline_s),
-            timeline=timeline,
+            columns=columns,
             events_processed=loop.events_processed,
             oom=self.plane._batched_oom(system, profiles),
             memory=memory,
             bank_occupancy_trajectory=trajectory,
+            table=table,
+            timesliced=timesliced,
             energy_inputs=EnergyInputs(
                 device=system.device,
                 priced=priced,

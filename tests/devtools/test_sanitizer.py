@@ -36,7 +36,6 @@ from repro.hw.event import (
     EventLoop,
     IndexRing,
     PreemptiveResource,
-    ReleasableResource,
     ResourceQueue,
 )
 from repro.hw.interconnect import PCIE5_SWITCH, InterconnectLink
@@ -168,27 +167,67 @@ class TestRingDiscipline:
 
 
 class TestResourceBalance:
-    def test_leaked_releasable_resource(self):
-        slot = ReleasableResource("stream0", sanitize=True)
-        slot.acquire(0.0, lambda grant: None)
-        with expect(RESOURCE_BALANCE):
-            slot.assert_drained()
+    @staticmethod
+    def _run_with_lifecycle(monkeypatch, engine_name, wrap):
+        """One armed run; ``wrap(schedule_issue)`` returns a wrapper of the
+        lifecycle's ``finish`` and the issue hook the lifecycle gets."""
+        from repro.sim import engine
+        from repro.sim.arrivals import PoissonArrivals
+        from repro.sim.batched import BatchLatencyModel, StreamProfile
+        from repro.sim.scheduler import ServingScheduler
+        from repro.sim.systems import edge_systems
+        from repro.sim.workload import default_llm_workload
 
-    def test_balanced_resource_drains(self):
-        slot = ReleasableResource("stream0", sanitize=True)
-        slot.acquire(0.0, lambda grant: None)
-        slot.release(1.0)
-        slot.acquire(2.0, lambda grant: None)
-        slot.release(3.0)
-        slot.assert_drained()
+        lifecycle = engine._job_lifecycle
 
-    def test_stranded_waiter_detected(self):
-        slot = ReleasableResource("stream0", sanitize=True)
-        slot.acquire(0.0, lambda grant: None)
-        slot.acquire(0.5, lambda grant: None)  # waits behind the holder
-        slot.release(1.0)  # grants the waiter, which never releases
-        with expect(RESOURCE_BALANCE):
-            slot.assert_drained()
+        def wrapped(ctx, table, server, stages, schedule_issue):
+            finish_wrapper, hook = wrap(schedule_issue)
+            submit, finish, *rest = lifecycle(ctx, table, server, stages, hook)
+            return (submit, finish_wrapper(finish), *rest)
+
+        monkeypatch.setattr(engine, "_job_lifecycle", wrapped)
+        monkeypatch.setenv(ENV_VAR, "1")
+        system = edge_systems(default_llm_workload().model_bytes())["V-Rex8"]
+        profiles = [StreamProfile(kv_len=20_000, session_id=i) for i in range(2)]
+        traces = PoissonArrivals(rate_hz=6.0).generate(2, 3, seed=11)
+        ServingScheduler(BatchLatencyModel(), engine=engine_name).run(system, profiles, traces)
+
+    @pytest.mark.parametrize("engine_name", ["reference", "array"])
+    def test_leaked_stream_slot_detected(self, monkeypatch, engine_name):
+        """A job whose issue event is lost never releases its stream slot:
+        the lifecycle's end-of-run drain check names the stream."""
+        lost = []
+
+        def wrap(schedule_issue):
+            def hook(job, t):
+                if not lost:
+                    lost.append(job)  # swallowed: the job holds its slot forever
+                    return
+                schedule_issue(job, t)
+
+            return (lambda finish: finish), hook
+
+        with pytest.raises(SanitizerError, match="undrained stream slots") as info:
+            self._run_with_lifecycle(monkeypatch, engine_name, wrap)
+        assert info.value.code == RESOURCE_BALANCE
+
+    @pytest.mark.parametrize("engine_name", ["reference", "array"])
+    def test_double_finish_detected_on_both_engines(self, monkeypatch, engine_name):
+        """Both engines' lifecycles run the job-state machine: a job
+        finished twice fails at its second record."""
+
+        def wrap(schedule_issue):
+            def twice(finish):
+                def finish_twice(job, t):
+                    finish(job, t)
+                    finish(job, t)
+
+                return finish_twice
+
+            return twice, schedule_issue
+
+        with expect(JOB_STATE):
+            self._run_with_lifecycle(monkeypatch, engine_name, wrap)
 
     def test_fcfs_arrival_order_enforced(self):
         queue = ResourceQueue("dre", sanitize=True)
@@ -239,15 +278,6 @@ class TestResourceBalance:
         server._core.first_start[job._index] = job.finish_s + 1.0  # started after it finished
         with expect(RESOURCE_BALANCE):
             server.assert_drained()
-
-    def test_recorded_grants_are_checked_for_negative_waits(self):
-        slot = ReleasableResource("stream0", record=True, sanitize=True)
-        slot.acquire(1.0, lambda grant: None)
-        slot.release(2.0)
-        slot.assert_drained()
-        slot.grants[0].arrival_s = 1.5  # granted before it was requested
-        with expect(RESOURCE_BALANCE):
-            slot.assert_drained()
 
     def test_preemptive_busy_conservation_checked_without_records(self):
         loop = EventLoop(sanitize=True)
@@ -391,17 +421,15 @@ class TestJobState:
             admission=ADM_ADMIT, pcie=0.0, dre=0.0, cwait=0.0,
         )
         values.update(overrides)
-        i = table.num_records
-        table.rec_job[i] = job
-        table.rec_arrival[i] = values["arrival"]
-        table.rec_start[i] = values["start"]
-        table.rec_finish[i] = values["finish"]
-        table.rec_dropped[i] = values["dropped"]
-        table.rec_admission[i] = values["admission"]
-        table.rec_pcie[i] = values["pcie"]
-        table.rec_dre[i] = values["dre"]
-        table.rec_cwait[i] = values["cwait"]
-        table.num_records = i + 1
+        table.arrival[job] = values["arrival"]
+        table.start[job] = values["start"]
+        table.finish[job] = values["finish"]
+        table.dropped[job] = values["dropped"]
+        table.admission[job] = values["admission"]
+        table.pcie_wait[job] = values["pcie"]
+        table.dre_wait[job] = values["dre"]
+        table.compute_wait[job] = values["cwait"]
+        table.records.append(job)
 
     def test_finalize_accepts_legal_columns(self):
         table = _table()

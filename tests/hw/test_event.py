@@ -2,8 +2,8 @@
 
 The serving scheduler's correctness rests on a handful of precise loop
 semantics: deterministic ``(time, priority, key, insertion)`` tie-breaking,
-``run(until_s=...)`` boundary inclusivity, zero-duration pass-through, and
-strict misuse errors on :class:`ReleasableResource`.  The
+``run(until_s=...)`` boundary inclusivity and zero-duration
+pass-through.  The
 :class:`PreemptiveResource` tests pin the round-robin server's contract:
 work conservation (quantum-invariant drain time), exact completion
 accounting, the ``n * w + (n - 1) * q`` sojourn bound, and convergence to
@@ -27,7 +27,6 @@ from hypothesis import strategies as st
 from repro.hw.event import (
     EventLoop,
     PreemptiveResource,
-    ReleasableResource,
     ResourceQueue,
     Timeline,
 )
@@ -118,35 +117,6 @@ class TestZeroDuration:
         assert busy.finish_s == pytest.approx(2.0)
 
 
-class TestReleasableResourceErrors:
-    def test_release_before_acquire_raises(self):
-        resource = ReleasableResource()
-        with pytest.raises(ValueError):
-            resource.release(0.0)
-
-    def test_double_release_raises(self):
-        resource = ReleasableResource()
-        resource.acquire(0.0, lambda grant: None)
-        resource.release(1.0)
-        with pytest.raises(ValueError):
-            resource.release(2.0)
-
-    def test_release_before_grant_start_raises(self):
-        resource = ReleasableResource()
-        resource.acquire(1.0, lambda grant: None)
-        with pytest.raises(ValueError):
-            resource.release(0.5)
-
-    def test_release_hands_over_to_the_next_waiter(self):
-        resource = ReleasableResource()
-        grants = []
-        resource.acquire(0.0, grants.append)
-        resource.acquire(0.25, grants.append)
-        resource.release(1.0)
-        assert [g.start_s for g in grants] == [0.0, 1.0]
-        assert grants[1].wait_s == pytest.approx(0.75)
-
-
 class TestPreemptiveResource:
     def test_quantum_validation(self):
         loop = EventLoop()
@@ -169,7 +139,7 @@ class TestPreemptiveResource:
         server = PreemptiveResource(loop)
         with pytest.raises(ValueError, match="work_s"):
             server.submit(work_s)
-        assert not server.busy and len(loop) == 0
+        assert server._core.running < 0 and len(loop) == 0
 
     def test_round_robin_interleaves_aligned_jobs(self):
         loop = EventLoop()
@@ -270,16 +240,9 @@ class TestHistoryIsOptIn:
         server = PreemptiveResource(loop)
         server.submit(0.003, key=(0,))
         server.submit(0.0, key=(1,))
-        slot = ReleasableResource()
-        slot.acquire(0.0, lambda grant: None)
-        slot.acquire(0.5, lambda grant: None)
         loop.run()
-        slot.release(1.0)
-        slot.release(2.0)
         assert server.jobs == []
-        assert slot.grants == []
         server.assert_drained()
-        slot.assert_drained()
 
 
 class TestPreemptiveAccounting:
@@ -404,10 +367,6 @@ class SlicePerEventServer:
     def busy_s(self):
         return self.busy
 
-    @property
-    def queue_depth(self):
-        return len(self.ready)
-
     def backlog_s(self):
         total = 0.0
         for job in self.ready:
@@ -446,9 +405,9 @@ def _play(make_server, quantum_s, jobs, ties, chunks, expiries=None):
     submitted, completions, polls = [], [], []
 
     def poll(tag):
-        polls.append(
-            (tag, loop.now_s, server.busy_s(), server.backlog_s(), server.queue_depth)
-        )
+        # jobs ready behind the running slice: the spec's ring, or the real core's
+        depth = len(getattr(server, "_core", server).ready)
+        polls.append((tag, loop.now_s, server.busy_s(), server.backlog_s(), depth))
 
     def submit(work_s, key, follow_up=None):
         ordinal = len(submitted)

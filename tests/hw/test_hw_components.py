@@ -13,7 +13,7 @@ from repro.hw.dre.hcu import HCUModel, HCUWork
 from repro.hw.dre.kvmu import KVFetchWork, KVMUModel
 from repro.hw.dre.wtu import WTUModel, WTUWork
 from repro.hw.energy import EnergyModel, core_area_power, vrex_chip_area_mm2
-from repro.hw.event import EventLoop, ReleasableResource, ResourceQueue, Timeline
+from repro.hw.event import EventLoop, ResourceQueue, Timeline
 from repro.hw.gpu import GPUDevice, pcie_config_for
 from repro.hw.memory.hierarchy import HierarchicalKVManager
 from repro.hw.memory.pcie import PCIE3_X4, PCIE4_X16, PCIeLink, PCIeLinkQueue
@@ -558,43 +558,6 @@ class TestEventLoop:
         assert fired == [1] and len(loop) == 1
         loop.run()
         assert fired == [1, 3]
-
-
-class TestReleasableResource:
-    def test_immediate_grant_when_idle(self):
-        resource = ReleasableResource("slot")
-        grants = []
-        resource.acquire(1.0, grants.append)
-        assert resource.busy and grants[0].start_s == 1.0
-        assert grants[0].wait_s == 0.0
-        resource.release(3.0)
-        assert not resource.busy
-        assert grants[0].release_s == 3.0
-        assert grants[0].hold_s == pytest.approx(2.0)
-
-    def test_fcfs_waiters_granted_on_release(self):
-        resource = ReleasableResource()
-        grants = []
-        resource.acquire(0.0, grants.append)
-        resource.acquire(0.5, grants.append)
-        resource.acquire(1.0, grants.append)
-        assert len(grants) == 1 and resource.queue_depth == 2
-        resource.release(2.0)
-        assert len(grants) == 2 and grants[1].arrival_s == 0.5
-        assert grants[1].start_s == 2.0 and grants[1].wait_s == pytest.approx(1.5)
-        resource.release(5.0)
-        assert grants[2].start_s == 5.0 and resource.queue_depth == 0
-
-    def test_release_validation(self):
-        resource = ReleasableResource()
-        with pytest.raises(ValueError):
-            resource.release(0.0)
-        grants = []
-        resource.acquire(1.0, grants.append)
-        with pytest.raises(ValueError):
-            resource.release(0.5)
-        with pytest.raises(ValueError):
-            grants[0].hold_s  # noqa: B018 — not yet released
 
 
 class TestTimeline:

@@ -256,6 +256,23 @@ class TestValidation:
         with pytest.raises(ValueError, match="device"):
             fleet.run(edge["V-Rex8"], profiles, traces, home_devices={0: 5})
 
+    @pytest.mark.parametrize(
+        "homes, message",
+        [
+            ({0: 1.5}, "home_devices device of session 0 must be an integer, got 1.5"),
+            ({0: True}, "home_devices device of session 0 must be an integer, got True"),
+            ({0: -1}, "home_devices device of session 0 must be non-negative, got -1"),
+            ([1], "home_devices must map session ids to device indices, got list"),
+            ((), "home_devices must map session ids to device indices, got tuple"),
+        ],
+    )
+    def test_malformed_home_devices_rejected(self, edge, homes, message):
+        """Each of these used to fail deep in routing (a ``TypeError`` or an
+        ``AttributeError``) or, for ``True``, place the session on device 1."""
+        fleet = FleetScheduler(BatchLatencyModel(), SchedulerConfig(), FleetConfig(num_devices=2))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            fleet.run(edge["V-Rex8"], _profiles([10_000]), [[0.0]], home_devices=homes)
+
     def test_empty_fleet_rejected(self, edge):
         fleet = FleetScheduler(BatchLatencyModel(), SchedulerConfig(), FleetConfig())
         with pytest.raises(ValueError, match="at least one stream"):

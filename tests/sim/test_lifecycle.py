@@ -1,0 +1,120 @@
+"""The one job lifecycle both scheduler engines drive.
+
+* **Slot law** (:class:`TestSlotLaw`): a stream's pipeline slot is a FCFS
+  single holder, so on random fleets, under both engines and both compute
+  policies, each stream's served records sorted by start satisfy
+  ``start == max(arrival, previous served finish)`` *exactly* — a start is
+  a copied float (the submit time or the releasing job's finish), never a
+  computed one — served jobs start in arrival order (the slot's FIFO)
+  and one stream's served intervals never overlap.
+* **No cyclic garbage** (:class:`TestNoCyclicGarbage`): a finished run,
+  single-device or fleet, is freed by reference counting alone; the
+  cyclic collector finds nothing once its result is dropped.
+"""
+
+from __future__ import annotations
+
+import gc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.sim.arrivals import BurstyArrivals, PoissonArrivals, rate_for_load
+from repro.sim.batched import BatchLatencyModel, StreamProfile
+from repro.sim.fleet import FleetConfig, FleetScheduler
+from repro.sim.scheduler import SchedulerConfig, ServingScheduler
+from repro.sim.systems import edge_systems
+from repro.sim.workload import default_llm_workload
+
+
+@pytest.fixture(scope="module")
+def system():
+    return edge_systems(default_llm_workload().model_bytes())["V-Rex8"]
+
+
+class TestSlotLaw:
+    @settings(deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        num_streams=st.integers(min_value=1, max_value=5),
+        frames=st.integers(min_value=0, max_value=6),
+        load=st.floats(min_value=0.3, max_value=2.5),
+        bursty=st.booleans(),
+        engine=st.sampled_from(["reference", "array"]),
+        compute=st.sampled_from(["private", "timesliced"]),
+        depth=st.sampled_from([None, 1, 2]),
+        question_tokens=st.sampled_from([None, 0, 32]),
+        answer_tokens=st.integers(min_value=0, max_value=3),
+    )
+    def test_starts_are_fcfs_handoffs(
+        self, system, seed, num_streams, frames, load, bursty, engine, compute,
+        depth, question_tokens, answer_tokens,
+    ):  # fmt: skip
+        plane = BatchLatencyModel()
+        rng = np.random.default_rng(seed)
+        profiles = [
+            StreamProfile(kv_len=int(rng.integers(5_000, 45_000)), session_id=index)
+            for index in range(num_streams)
+        ]
+        solo = plane.frame_step(system, profiles[:1]).streams[0].total_s
+        rate = rate_for_load(load, solo, num_streams)
+        process = BurstyArrivals.for_mean_rate(rate) if bursty else PoissonArrivals(rate_hz=rate)
+        traces = process.generate(num_streams, frames, seed=seed)
+        # questions land mid-trace, so generation chains interleave with
+        # queued frames; a None / 0-token question is an inactive stage
+        questions = [float(rng.uniform(0.0, 1.0)) for _ in range(num_streams)]
+        config = SchedulerConfig(max_queue_depth=depth, compute=compute, quantum_s=1e-3)
+        result = ServingScheduler(plane, config, engine=engine).run(
+            system,
+            profiles,
+            traces,
+            question_arrivals=questions,
+            question_tokens=[question_tokens] * num_streams,
+            answer_tokens=answer_tokens,
+        )
+        columns = result.columns
+        for stream in range(num_streams):
+            served = np.flatnonzero((columns.stream == stream) & ~columns.dropped)
+            served = served[np.lexsort((columns.finish[served], columns.start[served]))]
+            previous_arrival = previous_finish = -np.inf
+            for row in served.tolist():
+                start, arrival = columns.start[row], columns.arrival[row]
+                assert start == max(arrival, previous_finish)
+                assert start >= previous_finish  # no overlap on the stream's slot
+                assert arrival >= previous_arrival  # FIFO: submit time is arrival
+                previous_arrival, previous_finish = arrival, columns.finish[row]
+
+
+class TestNoCyclicGarbage:
+    @pytest.mark.parametrize("engine", ["reference", "array"])
+    @pytest.mark.parametrize("compute", ["private", "timesliced"])
+    @pytest.mark.parametrize("devices", [None, 2], ids=["serving", "fleet2"])
+    def test_run_leaves_no_cycles(self, system, engine, compute, devices):
+        plane = BatchLatencyModel()
+        profiles = [StreamProfile(kv_len=10_000 + 3_000 * i, session_id=i) for i in range(8)]
+        solo = plane.frame_step(system, profiles[:1]).streams[0].total_s
+        traces = PoissonArrivals(rate_hz=rate_for_load(1.2, solo, 8)).generate(8, 8, seed=1)
+        config = SchedulerConfig(compute=compute, deadline_s=2 * solo, max_queue_depth=2)
+        if devices is None:
+            scheduler = ServingScheduler(plane, config, engine=engine)
+        else:
+            fleet = FleetConfig(num_devices=devices)
+            scheduler = FleetScheduler(plane, config, fleet, engine=engine)
+
+        def run():
+            return scheduler.run(
+                system, profiles, traces, question_arrivals=[1.0] * 8, answer_tokens=2
+            )
+
+        run()  # warm the plane's demand table and every lazy import
+        gc.collect()
+        gc.disable()
+        try:
+            result = run()
+            assert result.served
+            del result
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

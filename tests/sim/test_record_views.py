@@ -39,6 +39,19 @@ from repro.sim.scheduler import (
 
 SOJOURNS = (0.0, 0.25, 0.5, 1.5)  # a small pool, so ties are common
 
+#: dtype of each ``RecordColumns.FIELDS`` column, in order
+_DTYPES = (np.int64,) * 4 + (float,) * 3 + (bool, np.int64) + (float,) * 3
+
+
+def _columns_from_rows(rows: list[tuple], deadline_s: float | None) -> RecordColumns:
+    """Sorted columns of ``FIELDS``-ordered row tuples in record order."""
+    fields = zip(RecordColumns.FIELDS, _DTYPES, strict=True)
+    columns = {
+        name: np.array([row[position] for row in rows], dtype=dtype)
+        for position, (name, dtype) in enumerate(fields)
+    }
+    return RecordColumns.merged([RecordColumns(deadline_s=deadline_s, **columns)])
+
 
 @st.composite
 def record_columns(draw, max_streams: int = 5, max_jobs: int = 7):
@@ -68,7 +81,7 @@ def record_columns(draw, max_streams: int = 5, max_jobs: int = 7):
                 )
             )
     deadline = draw(st.none() | st.sampled_from(SOJOURNS[1:]))
-    return num_streams, RecordColumns.from_rows(rows, deadline)
+    return num_streams, _columns_from_rows(rows, deadline)
 
 
 percentile_sets = st.lists(
@@ -173,7 +186,7 @@ class TestGroupedSummaries:
         everywhere fails here.
         """
         sojourns = [0.1, 0.7, 0.2, 1.3]
-        columns = RecordColumns.from_rows(
+        columns = _columns_from_rows(
             [(0, 0, 0, i, 1.0, 1.0, 1.0 + s, False, 0, 0.0, 0.0, 0.0)
              for i, s in enumerate(sojourns)],
             None,
@@ -229,7 +242,7 @@ class TestRecordSequence:
 
     def test_iteration_crosses_row_batches(self):
         count = 10_000  # more than one batch of rows
-        columns = RecordColumns.from_rows(
+        columns = _columns_from_rows(
             [(i % 7, i % 7, i % 3, i, 0.0, 0.0, float(i), i % 5 == 0, i % 4, 0.0, 0.0, 0.0)
              for i in range(count)],
             deadline_s=1000.0,
@@ -298,7 +311,7 @@ class TestRecordSequence:
 
 
 def _run(dropped: list[bool]) -> ScheduleResult:
-    columns = RecordColumns.from_rows(
+    columns = _columns_from_rows(
         [(0, 0, 0, i, 0.0, 0.0, 1.0 + i, gone, 2 if gone else 0, 0.0, 0.0, 0.0)
          for i, gone in enumerate(dropped)],
         deadline_s=None,

@@ -125,6 +125,8 @@ class TestRequireNumber:
             ({"finite": True}, math.inf, "x must be finite and non-negative, got inf"),
             ({"integer": True}, 2.5, "x must be an integer, got 2.5"),
             ({"integer": True}, 2.0, "x must be an integer, got 2.0"),
+            ({"integer": True}, True, "x must be an integer, got True"),
+            ({"integer": True}, False, "x must be an integer, got False"),
             ({"maximum": 1}, 7.0, r"x must be in \[0, 1\], got 7.0"),
             ({"maximum": 1}, math.nan, r"x must be in \[0, 1\], got nan"),
             ({"maximum": 1}, -0.5, r"x must be in \[0, 1\], got -0.5"),
@@ -187,6 +189,19 @@ class TestRequireNumber:
             (lambda: MeasuredRetrieval(sort_fraction=-0.1), "sort_fraction"),
             (lambda: MeasuredRetrieval(sort_fraction=1.5), "sort_fraction"),
             (lambda: MeasuredRetrieval(sort_fraction=math.nan), "sort_fraction"),
+            # ``bool`` is an ``int`` subclass: each of these used to construct
+            (lambda: SchedulerConfig(max_queue_depth=True), "max_queue_depth"),
+            (lambda: FleetConfig(num_devices=True), "num_devices"),
+            (lambda: FleetConfig(seed=True), "seed"),
+            (lambda: StreamProfile(kv_len=True), "kv_len"),
+            # a fractional session id used to run and report as its int64
+            # truncation; a NaN arrival offset made the contended step NaN
+            (lambda: StreamProfile(kv_len=1000, session_id=1.5), "session_id"),
+            (lambda: StreamProfile(kv_len=1000, session_id=-1), "session_id"),
+            (lambda: StreamProfile(kv_len=1000, session_id=True), "session_id"),
+            (lambda: StreamProfile(kv_len=1000, arrival_offset_s=math.nan), "arrival_offset_s"),
+            (lambda: StreamProfile(kv_len=1000, arrival_offset_s=math.inf), "arrival_offset_s"),
+            (lambda: StreamProfile(kv_len=1000, arrival_offset_s=-0.5), "arrival_offset_s"),
         ],
     )
     def test_hostile_inputs_rejected_at_construction(self, construct, argument):
