@@ -40,6 +40,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hw.event import EventLoop, PreemptiveResource
+from repro.hw.memory.sharding import ShardedKVHierarchy
 from repro.hw.interconnect import FREE_INTERCONNECT, PCIE5_SWITCH, InterconnectSpec
 from repro.sim.arrivals import BurstyArrivals, PoissonArrivals, rate_for_load
 from repro.sim.batched import BatchLatencyModel, StreamProfile
@@ -1295,3 +1296,185 @@ class TestGoldenSteal:
             expected["one_shot_p99_ms"], rel=1e-12
         )
         assert summary.p99_ms < one_shot.fleet_summary().p99_ms
+
+
+def _pinned_fleet(case: int):
+    """One seeded fleet of the pinned-plan grid: its scheduler and run arguments.
+
+    ``case`` crosses router × M ∈ {2, 3, 4} × stealing × backlog/residency
+    admission; depth, link pricing, homes, patience, the steal threshold,
+    shuffled session ids and (every third case) integer-grid arrivals, where
+    many arrivals tie, come from a per-case RNG.
+    """
+    rng = np.random.default_rng(7_000 + case)
+    router = ROUTER_POLICIES[case % 4]
+    num_devices = (2, 3, 4)[case // 4 % 3]
+    stealing = bool(case // 12 % 2)
+    residency = bool(case // 24 % 2)
+    depth = (None, 1, 2, 8)[int(rng.integers(4))]
+    priced = bool(rng.integers(2))
+    grid = case % 3 == 0
+    num_streams = int(rng.integers(2, 25))
+    system = edge_systems(default_llm_workload().model_bytes())["V-Rex8"]
+    plane = (
+        BatchLatencyModel(memory=ShardedKVHierarchy(num_banks=2, bank_budget_bytes=4.5 * 2**30))
+        if residency
+        else BatchLatencyModel()
+    )
+    sessions = rng.permutation(num_streams) * 3 + 1
+    profiles = [
+        StreamProfile(kv_len=int(rng.integers(10_000, 60_001)), session_id=int(session))
+        for session in sessions
+    ]
+    solo = plane.frame_step(system, [StreamProfile(kv_len=30_000)]).streams[0].total_s
+    load = float(rng.uniform(0.8, 2.5)) * num_devices
+    traces, questions, answers = [], [], []
+    for _ in range(num_streams):
+        frames = int(rng.integers(0, 9))
+        if grid:
+            trace = np.sort(rng.integers(0, 2 * frames + 1, size=frames)) * solo
+        else:
+            trace = np.cumsum(rng.exponential(num_streams * solo / load, size=frames))
+        traces.append(trace)
+        pick = int(rng.integers(4))
+        if pick == 0 or (pick == 1 and not frames):
+            questions.append(None)
+            answers.append(0)
+            continue
+        at = float(trace[-1]) if pick == 1 else float(rng.uniform(0.0, (frames + 1) * solo))
+        questions.append(at)
+        answers.append(int(rng.integers(0, 4)))
+    homes = {
+        int(session): int(rng.integers(num_devices))
+        for session in sessions
+        if rng.random() < 0.4
+    }
+    knobs = {
+        "router": router,
+        "num_devices": num_devices,
+        "stealing": stealing,
+        "admission": "residency" if residency else "backlog",
+        "depth": depth,
+        "priced": priced,
+        "grid": grid,
+        "streams": num_streams,
+    }
+    fleet = FleetScheduler(
+        plane,
+        SchedulerConfig(
+            deadline_s=3.0 * solo,
+            max_queue_depth=depth,
+            admission=knobs["admission"],
+        ),
+        FleetConfig(
+            num_devices=num_devices,
+            router=router,
+            interconnect=PCIE5_SWITCH if priced else FREE_INTERCONNECT,
+            seed=case,
+            migrate_backlog_s=(0.0, 1.0, 2.0, math.inf)[int(rng.integers(4))] * solo,
+            work_stealing=stealing,
+            steal_backlog_s=(0.0, 0.5, 2.0)[int(rng.integers(3))] * solo,
+        ),
+    )
+    arguments = {
+        "system": system,
+        "profiles": profiles,
+        "frame_arrivals": traces,
+        "question_arrivals": questions,
+        "answer_tokens": answers,
+        "home_devices": homes,
+    }
+    return knobs, fleet, arguments
+
+
+def _routing_digest(plan, result) -> str:
+    """sha256 of every routing decision: per-job devices and ready times
+    (as ``float.hex``), migrations, predicted sheds and placement."""
+    import hashlib
+
+    lines = []
+    for devices, ready in zip(plan.frame_device, plan.frame_ready, strict=True):
+        lines.append(repr([int(d) for d in devices.tolist()]))
+        lines.append(repr([float(t).hex() for t in ready.tolist()]))
+    lines.append(repr([int(d) for d in plan.question_device]))
+    lines.append(repr([float(t).hex() for t in plan.question_ready]))
+    lines.append(repr(result.migrations))
+    lines.append(repr(int(result.predicted_sheds)))
+    lines.append(repr(sorted(result.placement.items())))
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+class TestRoutingPlanPinned:
+    """Every routing decision of 48 seeded fleets, pinned by digest.
+
+    The goldens above hold a handful of sessions; these fleets cross every
+    router, device count, stealing, admission mirror, depth, link pricing
+    and home layout at up to 24 streams, with tied integer-grid arrivals,
+    so any change to the router's decisions or their order fails here.
+    """
+
+    DIGESTS = {
+        0: "49f36a03314779ac16190a58eb2f91fb20c57ab39d0b4e79ff6e7e233ea4c0cc",
+        1: "f15a9a26b20dd7646e0554c87a5634fbc479bdcf101f97f42e61f7d94160eb82",
+        2: "4d76bfe0092f145d02cd29d3733c5d0eba215c08c9077f9e0a9fdcc233fdd9bd",
+        3: "ed9feebfc5b1ded4d58b1cec499b6f8e204310fc82094fe91a46eb5a32108104",
+        4: "4534a283c11c98599a4aced782649feaacfbba0f9b6d8dcbaa2b04f28ea145f7",
+        5: "66f7f4654785f25285d121265ce583196a1a06c62c601090da1fec10ef9e069b",
+        6: "763af659ac42deefdb5ae7930b85948a324361ec7c1a53324c0188725330d463",
+        7: "76d5f8fc90cfd7b55c35bc3cafedbeb877792d31104b0210d185dcc2d66e2661",
+        8: "2772790ace6a9a7d4a3af76495375b858322d1b9f54057d76573f1723f5c7c97",
+        9: "370dcc622d54be8375d546ae08d8b66e8f13b7a0bf35d2b08d9fc75436f3f01b",
+        10: "97cccc3a230b92850b6ab682a49df0a53cdc9e840f5eb16ce11d6f57e575b1a3",
+        11: "d84e95869a068118a5af1c4b04a04e59865461214b21fda51326758177888b8a",
+        12: "7dcfa2b3e251cab8458d2adec664fbf548873b55b9f5e1fb3988b4a601be440f",
+        13: "9b5a092d086b8305cacbeceb70beb5eef62cbb8d6eca7417d9a38aa85c77ded5",
+        14: "fdfe7d8093bad813918da1c43dd4f85bf55d7763d4bef4c96fe4c286d21ffd6c",
+        15: "49987ac5c81b845c08576498d8cc2e73de3ead88c995de96c81a8677af205a4a",
+        16: "27e0fea23660424fa91d54f5fa99658c15f8d7a9294551ce766a68eab440b0bf",
+        17: "8b1208b96defe84fed9072b8a39690304a5cfc1c535437a6844fb4b3bb050ffb",
+        18: "2000dc9baee01908c83e88084101fdda88b50785012f2acf91c4f760de81fb4b",
+        19: "ea62ba12d59bd67049dfde83e1d5d300aa4575c036c35069b475bf8dbb41c6be",
+        20: "164afe98c3fefdbd8036132cd887f7df679fb9028113e50d286c8def9c4d38a0",
+        21: "c7f090eb01e10de71c6364581f9eef3307c65533bd2468fee905c82fe4423d87",
+        22: "a199ce259a5c9993369ab37b93e0417089eff834d367ca0d65fa225407759550",
+        23: "57d186d37c35b54bb7ecc3152f711c33326a98088fb15a79ab019710de02159f",
+        24: "76e60512a81bf5c3a99008e45b8e49e1bf20e8e68ac9aebbb7bbcd3347d62539",
+        25: "6d30f5d3350203bc99547379fdd98b83fd26896ddfed872eee9aa742c2b71dea",
+        26: "e9f81ccfc260fa0449245935422ebd3bb91cfb07cd13a11f5bfb43fece872c5b",
+        27: "18331f597234a0cc5e6c01a3ea0ba90aabc3e2b7a25769c494a4bf61c99c1a65",
+        28: "4986c5bc282e31bcb626703ad09a1eba19ccba875eaaaf693a4a9904b3c14fc4",
+        29: "a1b0a88f482a2ada974efc274f5afb9db0b6c2a4e313f8610fdf4f36bfa655a2",
+        30: "258c2644e12b172973234beda676b0fda020a9c2412aede7614654c6926d9c0e",
+        31: "f350b7969c5b3bb79ea353c0e848f92de333ca68cad025e8c2a5ace8c1cbc129",
+        32: "ba85b3ccd5b16f99ca1485760d7cc0c09b9c49e346d9daabfd693991fdd362c3",
+        33: "16fbae3d4968732f61bce715362ee25e7424fc9a4f2a563d7ea26325d60cb3a1",
+        34: "008cf332bd803262127d043d9309343e0e9bfe42f3301cf846867b7779f1cc2b",
+        35: "946d8e2bae70e32ada78c7b13a7e4fe50c3cc9e2020dc7db34291a079a85ee12",
+        36: "5b525236ecf9bac51dfa7de3b023331575858d0b8da751b52109f6b8f42066b9",
+        37: "4c24a9b6fe6e9ca501ffc784eaf7066dd337981b15901a9090427c717b3f9220",
+        38: "d16fb53d2a38680484c747c6e76b083ef482994fc6b2eac4ba24af0a20c4876a",
+        39: "76f93466f8613cb82227f0848452a94053a2d7b6ffb7e98e51fb85031a59abeb",
+        40: "a9e4966738be5dcfe4a68a83d9d48350b74a757ba30c277dabe278860e4a13a7",
+        41: "0d90febe2885220895329446888f03646f0c092f4b80c2bc4dcdbe45dd9a1400",
+        42: "d5e8e9604699d2d8b50b1f332449af8da1e652a282f18f8ea0faedeac13b8010",
+        43: "8514c114daf86867aa3488e1f2f9a2b4264e34b54f002307fc80fcca945fab82",
+        44: "8f2904d055ccdb0d30137e99ed10c68331fd69b332932c4d05c2f062839e41d9",
+        45: "3d4754ebe579fa9458dd3440335085b6de6bacab78d15a301d4b16ffaa09935b",
+        46: "7ff54ecfa676e396d27db3284b69e5952605b48ce5c471500e6932a15632fd46",
+        47: "3008cc47320744cd19d408741462c49253485b0e135ccfdf58dd005bd85725f3",
+    }
+
+    @pytest.mark.parametrize("case", range(48))
+    def test_routing_plan_is_unchanged(self, case):
+        knobs, fleet, arguments = _pinned_fleet(case)
+        result = fleet.run(**arguments)
+        profiles, traces, q_arrivals, _, answers = fleet.scheduler._validated_arguments(
+            arguments["profiles"],
+            arguments["frame_arrivals"],
+            arguments["question_arrivals"],
+            None,
+            arguments["answer_tokens"],
+        )
+        homes = fleet._validated_homes(arguments["home_devices"], profiles)
+        plan = fleet._route(arguments["system"], profiles, traces, q_arrivals, answers, homes)
+        assert _routing_digest(plan, result) == self.DIGESTS[case], knobs
