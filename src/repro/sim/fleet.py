@@ -10,9 +10,11 @@ a front-end router that *places* each session on a device as its first
 job arrives and — when enabled — re-homes sessions mid-run by work
 stealing.
 
-**Routing policies.**  The router processes job arrivals in event order
-(ties broken by the schedulers' ``(session_id, stream)`` event key) and
-routes each session at its first arrival:
+**Routing policies.**  Every arrival is known before routing starts, so
+the router sorts all jobs once by the schedulers' event key — arrival,
+then ``(session_id, stream)``, then position in the stream (a same-time
+question follows its frames) — walks them in that order, and routes each
+session (session ids must be distinct) at its first arrival:
 
 * ``round_robin`` — the k-th arriving session lands on device ``k % M``;
   placement depends only on the arrival order of sessions, never on the
@@ -37,7 +39,9 @@ fleet analogue of :meth:`~repro.hw.event.PreemptiveResource.backlog_s`,
 which property-pins it in the single-server case.  Jobs the device-side
 admission controller would shed (queue-depth drops, residency deferrals)
 are predicted at routing time and their work is credited back instead of
-accumulating forever.  (The previous estimator charged a session's whole
+accumulating forever.  Idleness and steal-victim backlogs read the
+device's horizon alone; finished jobs retire lazily, only where pending
+counts or queue contents are read.  (The previous estimator charged a session's whole
 solo work at first arrival and never released any of it, so
 ``least_loaded``/``power_of_two``/``kv_residency`` decisions drifted from
 the true device load as a run progressed.)
@@ -113,12 +117,6 @@ ROUTER_POLICIES = ("round_robin", "least_loaded", "power_of_two", "kv_residency"
 MIGRATE_PLACEMENT = "placement"
 MIGRATE_STEAL = "steal"
 MIGRATION_REASONS = (MIGRATE_PLACEMENT, MIGRATE_STEAL)
-
-# routing-pass event types, in same-timestamp processing order: job
-# arrivals route first, then idle devices steal
-_EV_JOB = 0
-_EV_IDLE = 1
-
 
 def validate_router_policy(router: str) -> str:
     """Return ``router`` or raise for a policy the fleet lacks."""
@@ -747,94 +745,90 @@ class FleetScheduler:
     ) -> _RoutingPlan:
         """Simulate the router: per-job placement and steals.
 
-        A two-priority event loop over estimated time: job arrivals route
-        (and feed the device estimators), and idle-device wakeups run the
-        steal check.  Ties at one timestamp process arrivals first, then
-        steals by device index — all deterministic.
+        One walk over every job, pre-sorted by the schedulers' event key
+        ``(arrival, session_id, stream, position in the stream)``: each job
+        routes (and feeds the device estimators) in turn.  Only idle-device
+        wakeups, which run the steal check, wait on a heap; one runs before
+        every job arriving strictly after it, so at one timestamp arrivals
+        route first, then steals by device index — all deterministic.
         """
         fleet = self.fleet
         config = self.config
         num_streams = len(profiles)
         num_devices = fleet.num_devices
         stealing = fleet.work_stealing and num_devices > 1
-        need_estimates = num_devices > 1 and (
-            fleet.router != "round_robin" or stealing
-        )
+        round_robin = fleet.router == "round_robin"
+        need_estimates = num_devices > 1 and (not round_robin or stealing)
         rng = (
             np.random.default_rng(fleet.seed)
             if num_devices > 1 and fleet.router == "power_of_two"
             else None
         )
+        # the admission mirror's constants, read once
+        depth_cap = None if config.max_queue_depth is None else config.max_queue_depth + 1
+        deadline_s = config.deadline_s if config.admission == "residency" else None
+        predicted_shed = self._predicted_shed
 
         link = InterconnectLink(fleet.interconnect)
         devices = [FleetDevice(d) for d in range(num_devices)]
         migrations: list[MigrationRecord] = []
-        plan = _RoutingPlan(
-            devices=devices,
-            link=link,
-            migrations=migrations,
-            current={},
-            frame_device=[
-                np.full(trace.size, -1, dtype=np.intp) for trace in traces
-            ],
-            frame_ready=[np.zeros(trace.size) for trace in traces],
-            question_device=[-1] * num_streams,
-            question_ready=[0.0] * num_streams,
-        )
-        current = plan.current
-        stream_of = {profiles[s].session_id: s for s in range(num_streams)}
+        sessions = [profile.session_id for profile in profiles]
+        stream_of = {session: s for s, session in enumerate(sessions)}
+        current: dict[int, int] = {}
         session_ready: dict[int, float] = {}
         last_move: dict[int, float] = {}
         rr_next = 0
+        predicted_sheds = 0
+        # per stream: device index per frame (-1 unrouted) and the shard
+        # transfer finish each frame's arrival clamps to (0.0 unclamped)
+        frame_device = [[-1] * trace.size for trace in traces]
+        frame_ready = [[0.0] * trace.size for trace in traces]
+        question_device = [-1] * num_streams
+        question_ready = [0.0] * num_streams
 
-        # per-stream job sequences: (arrival, kind, index), time-ordered
-        # with same-time questions after frames (the schedulers' order)
-        stream_jobs: list[list[tuple[float, str, int]]] = []
-        for s in range(num_streams):
-            entries = [
-                (float(t), FRAME_JOB, i) for i, t in enumerate(traces[s].tolist())
-            ]
-            at = q_arrivals[s]
-            if at is not None:
-                pos = int(np.searchsorted(traces[s], float(at), side="right"))
-                entries.insert(pos, (float(at), QUESTION_JOB, 0))
-            stream_jobs.append(entries)
+        # flat job columns, questions (index -1) first: a question's
+        # position is the count of its stream's frames at or before it, so
+        # a same-time question sorts behind those frames
+        asked = [s for s in range(num_streams) if q_arrivals[s] is not None]
+        sizes = [trace.size for trace in traces]
+        frame_stream = np.repeat(np.arange(num_streams), sizes)
+        frame_index = np.concatenate([np.arange(size) for size in sizes])
+        q_times = np.array([float(q_arrivals[s]) for s in asked])
+        q_position = [
+            int(np.searchsorted(traces[s], at, side="right"))
+            for s, at in zip(asked, q_times.tolist(), strict=True)
+        ]
+        times = np.concatenate([q_times, *traces])
+        stream = np.concatenate([np.asarray(asked, dtype=np.intp), frame_stream])
+        index = np.concatenate([np.full(len(asked), -1), frame_index])
+        position = np.concatenate([np.asarray(q_position, dtype=np.intp), frame_index])
+        order = np.lexsort((position, stream, np.asarray(sessions)[stream], times))
+
         # each routed stream's estimated solo work per job, priced once per
         # run: questions and generation tokens are charged at the frame rate
         # — the router needs a consistent load ranking across devices, not
         # an exact latency; the per-device schedulers price exactly
         solo_s = [
             self.plane.frame_step(system, [profile]).streams[0].total_s
-            if need_estimates and jobs
+            if need_estimates and (size or at is not None)
             else 0.0
-            for profile, jobs in zip(profiles, stream_jobs, strict=True)
+            for profile, size, at in zip(profiles, sizes, q_arrivals, strict=True)
         ]
 
+        # idle-device wakeups: (time, device, seq)
         seq = count()
-        heap: list[tuple] = []
-        for s in range(num_streams):
-            if stream_jobs[s]:
-                heappush(
-                    heap,
-                    (
-                        stream_jobs[s][0][0],
-                        _EV_JOB,
-                        (profiles[s].session_id, s),
-                        next(seq),
-                        (s, 0),
-                    ),
-                )
+        heap: list[tuple[float, int, int]] = []
 
         def wake_idle(now_s: float) -> None:
             for dev in devices:
-                if dev.backlog_s(now_s) <= 0.0:
-                    heappush(heap, (now_s, _EV_IDLE, (dev.index,), next(seq), dev.index))
+                if dev.busy_until_s <= now_s:  # backlog_s(now_s) <= 0.0
+                    heappush(heap, (now_s, dev.index, next(seq)))
 
         def ship(
             s: int, src: int, dst: int, now_s: float, reason: str, jobs_moved: int = 0
         ) -> float:
             """Move stream ``s``'s session to ``dst``; returns when its shards land."""
-            session = profiles[s].session_id
+            session = sessions[s]
             num_bytes = self.plane.session_shard_bytes(system, profiles[s]).total_bytes
             transfer = link.ship(
                 now_s,
@@ -864,14 +858,17 @@ class FleetScheduler:
             return transfer.finish_s
 
         def try_steal(thief: FleetDevice, now_s: float) -> None:
-            if thief.backlog_s(now_s) > 0.0:
+            # idleness and backlogs read the horizon alone: retiring
+            # finished jobs never moves it, and every read of pending
+            # counts or queue contents retires them first
+            if thief.busy_until_s > now_s:
                 return  # stale wakeup: work landed since this was queued
             victim = None
             victim_backlog = 0.0
             for dev in devices:
-                if dev.index == thief.index:
+                if dev is thief:
                     continue
-                backlog = dev.backlog_s(now_s)
+                backlog = max(0.0, dev.busy_until_s - now_s)
                 if victim is None or backlog > victim_backlog:
                     victim, victim_backlog = dev, backlog
             if victim is None or not victim_backlog > fleet.steal_backlog_s:
@@ -897,89 +894,67 @@ class FleetScheduler:
             for job in stolen:
                 thief.add_job(best, job.stream, job.kind, job.index, ready, job.work_s)
                 if job.kind == FRAME_JOB:
-                    plan.frame_device[job.stream][job.index] = thief.index
-                    plan.frame_ready[job.stream][job.index] = ready
+                    frame_device[job.stream][job.index] = thief.index
+                    frame_ready[job.stream][job.index] = ready
                 else:
-                    plan.question_device[job.stream] = thief.index
-                    plan.question_ready[job.stream] = ready
+                    question_device[job.stream] = thief.index
+                    question_ready[job.stream] = ready
             for dev in (victim, thief):
-                heappush(
-                    heap,
-                    (max(dev.busy_until_s, now_s), _EV_IDLE, (dev.index,), next(seq), dev.index),
-                )
+                heappush(heap, (max(dev.busy_until_s, now_s), dev.index, next(seq)))
             wake_idle(now_s)
 
-        while heap:
-            now_s, etype, _key, _seq, payload = heappop(heap)
-            if etype == _EV_JOB:
-                s, cursor = payload
-                arrival, kind, index = stream_jobs[s][cursor]
-                profile = profiles[s]
-                session = profile.session_id
-                d = current.get(session)
-                if d is None:
-                    home = homes.get(session)
-                    if num_devices == 1:
-                        d = 0
-                    else:
-                        d = self._choose(fleet, devices, rng, rr_next, arrival, home)
-                    if fleet.router == "round_robin":
-                        rr_next += 1
-                    current[session] = d
-                    if home is not None and d != home:
-                        ship(s, home, d, arrival, MIGRATE_PLACEMENT)
-                ready = session_ready.get(session, 0.0)
-                release = arrival if ready <= arrival else ready
-                if kind == FRAME_JOB:
-                    plan.frame_device[s][index] = d
-                    plan.frame_ready[s][index] = ready
+        for arrival, s, i in zip(
+            times[order].tolist(), stream[order].tolist(), index[order].tolist(), strict=True
+        ):
+            while heap and heap[0][0] < arrival:
+                now_s, d, _ = heappop(heap)
+                try_steal(devices[d], now_s)
+            session = sessions[s]
+            d = current.get(session)
+            if d is None:
+                home = homes.get(session)
+                if num_devices == 1:
+                    d = 0
                 else:
-                    plan.question_device[s] = d
-                    plan.question_ready[s] = ready
-                if need_estimates:
-                    solo = solo_s[s]
-                    work = solo * (1 + answers[s]) if kind == QUESTION_JOB else solo
-                    device = devices[d]
-                    if self._predicted_shed(config, device, session, work, now_s):
-                        plan.predicted_sheds += 1
-                    else:
-                        device.add_job(session, s, kind, index, release, work)
-                        if stealing:
-                            heappush(
-                                heap,
-                                (
-                                    device.busy_until_s,
-                                    _EV_IDLE,
-                                    (d,),
-                                    next(seq),
-                                    d,
-                                ),
-                            )
-                            wake_idle(now_s)
-                cursor += 1
-                if cursor < len(stream_jobs[s]):
-                    heappush(
-                        heap,
-                        (
-                            stream_jobs[s][cursor][0],
-                            _EV_JOB,
-                            (session, s),
-                            next(seq),
-                            (s, cursor),
-                        ),
-                    )
+                    d = self._choose(fleet, devices, rng, rr_next, arrival, home)
+                if round_robin:
+                    rr_next += 1
+                current[session] = d
+                if home is not None and d != home:
+                    ship(s, home, d, arrival, MIGRATE_PLACEMENT)
+            ready = session_ready.get(session, 0.0)
+            if i >= 0:
+                frame_device[s][i] = d
+                frame_ready[s][i] = ready
             else:
-                try_steal(devices[payload], now_s)
+                question_device[s] = d
+                question_ready[s] = ready
+            if need_estimates:
+                work = solo_s[s] if i >= 0 else solo_s[s] * (1 + answers[s])
+                device = devices[d]
+                if predicted_shed(device, session, work, arrival, depth_cap, deadline_s):
+                    predicted_sheds += 1
+                else:
+                    release = arrival if ready <= arrival else ready
+                    kind = FRAME_JOB if i >= 0 else QUESTION_JOB
+                    device.add_job(session, s, kind, i, release, work)
+                    if stealing:
+                        heappush(heap, (device.busy_until_s, d, next(seq)))
+                        wake_idle(arrival)
+        while heap:
+            now_s, d, _ = heappop(heap)
+            try_steal(devices[d], now_s)
 
         # idle sessions only need a home for their registration; they
         # consume round-robin slots after every arriving session, exactly
         # as the one-shot router ordered them (first arrival = inf)
+        idle_placement: dict[int, int] = {}
         idle_streams = sorted(
-            (s for s in range(num_streams) if not stream_jobs[s]),
-            key=lambda s: (profiles[s].session_id, s),
+            (s for s in range(num_streams) if not sizes[s] and q_arrivals[s] is None),
+            key=lambda s: (sessions[s], s),
         )
         for s in idle_streams:
-            session = profiles[s].session_id
+            session = sessions[s]
             home = homes.get(session)
             if num_devices == 1:
                 d = 0
@@ -987,11 +962,22 @@ class FleetScheduler:
                 d = home
             else:
                 d = rr_next % num_devices
-            if fleet.router == "round_robin" or home is None:
+            if round_robin or home is None:
                 rr_next += 1
             current[session] = d
-            plan.idle_placement[s] = d
-        return plan
+            idle_placement[s] = d
+        return _RoutingPlan(
+            devices=devices,
+            link=link,
+            migrations=migrations,
+            current=current,
+            frame_device=[np.array(row, dtype=np.intp) for row in frame_device],
+            frame_ready=[np.array(row, dtype=float) for row in frame_ready],
+            question_device=question_device,
+            question_ready=question_ready,
+            idle_placement=idle_placement,
+            predicted_sheds=predicted_sheds,
+        )
 
     # ------------------------------------------------------------------ #
     # routing internals
@@ -999,6 +985,16 @@ class FleetScheduler:
     def _validated_homes(
         self, home_devices: dict[int, int] | None, profiles: list[StreamProfile]
     ) -> dict[int, int]:
+        """``home_devices``, checked against the fleet's distinct session ids."""
+        session_ids = [profile.session_id for profile in profiles]
+        sessions = set(session_ids)
+        if len(sessions) != len(session_ids):
+            duplicate = next(s for s in session_ids if session_ids.count(s) > 1)
+            raise ValueError(
+                "a fleet requires a distinct StreamProfile.session_id per stream "
+                "(placement, homes and steals are keyed by session); "
+                f"session id {duplicate} appears more than once"
+            )
         if home_devices is None:
             return {}
         if not isinstance(home_devices, Mapping):
@@ -1006,7 +1002,6 @@ class FleetScheduler:
                 "home_devices must map session ids to device indices, "
                 f"got {type(home_devices).__name__}"
             )
-        sessions = {profile.session_id for profile in profiles}
         num_devices = self.fleet.num_devices
         for session, device in home_devices.items():
             if session not in sessions:
@@ -1061,11 +1056,12 @@ class FleetScheduler:
 
     @staticmethod
     def _predicted_shed(
-        config: SchedulerConfig,
         device: FleetDevice,
         session: int,
         work_s: float,
         now_s: float,
+        depth_cap: int | None,
+        deadline_s: float | None,
     ) -> bool:
         """Mirror the device admission controller on the router's estimate.
 
@@ -1076,24 +1072,17 @@ class FleetScheduler:
         (the session already has ``max_queue_depth + 1`` unfinished jobs
         here); residency deferrals mirror the deadline test coarsely,
         with the estimator's pending count standing in for the compute
-        backlog.  The per-device run still makes the real decision —
-        :attr:`FleetResult.predicted_sheds` vs :attr:`FleetResult.dropped`
-        audits the prediction.
+        backlog.  ``depth_cap`` is ``max_queue_depth + 1`` (``None``
+        unbounded); ``deadline_s`` is the deadline under residency
+        admission (``None`` otherwise).  The per-device run still makes
+        the real decision — :attr:`FleetResult.predicted_sheds` vs
+        :attr:`FleetResult.dropped` audits the prediction.
         """
         device.advance(now_s)
         pending = device.pending_jobs(session)
-        if (
-            config.max_queue_depth is not None
-            and pending >= config.max_queue_depth + 1
-        ):
+        if depth_cap is not None and pending >= depth_cap:
             return True
-        if (
-            config.admission == "residency"
-            and config.deadline_s is not None
-            and (pending + 1) * work_s > config.deadline_s
-        ):
-            return True
-        return False
+        return deadline_s is not None and (pending + 1) * work_s > deadline_s
 
     # ------------------------------------------------------------------ #
     # record adjustment

@@ -274,6 +274,28 @@ class TestValidation:
         with pytest.raises(ValueError, match=f"^{message}$"):
             fleet.run(edge["V-Rex8"], _profiles([10_000]), [[0.0]], home_devices=homes)
 
+    @pytest.mark.parametrize("num_devices", [1, 2, 3])
+    def test_repeated_session_id_rejected(self, edge, num_devices):
+        """Placement, homes and steals are keyed by session id, so two
+        streams sharing one used to merge: every steal shipped the later
+        stream's shards and moved both streams' jobs."""
+        profiles = [
+            StreamProfile(kv_len=kv, session_id=sid)
+            for kv, sid in ((20_000, 7), (50_000, 7), (30_000, 2))
+        ]
+        fleet = FleetScheduler(
+            BatchLatencyModel(),
+            SchedulerConfig(),
+            FleetConfig(
+                num_devices=num_devices,
+                router="least_loaded",
+                interconnect=PCIE5_SWITCH,
+                work_stealing=True,
+            ),
+        )
+        with pytest.raises(ValueError, match="session id 7 appears more than once"):
+            fleet.run(edge["V-Rex8"], profiles, [[0.0, 0.1]] * 3)
+
     def test_empty_fleet_rejected(self, edge):
         fleet = FleetScheduler(BatchLatencyModel(), SchedulerConfig(), FleetConfig())
         with pytest.raises(ValueError, match="at least one stream"):
@@ -402,6 +424,46 @@ class TestRouting:
             profiles[s].session_id: index % 2 for index, s in enumerate(order)
         }
         assert result.placement == expected
+
+    @pytest.mark.parametrize(
+        "router, num_devices, depth, placement, sheds",
+        [
+            ("round_robin", 3, None, {0: 0, 1: 1, 2: 2, 3: 0, 4: 1}, 0),
+            ("least_loaded", 2, 1, {0: 0, 1: 1, 2: 1, 3: 0, 4: 1}, 2),
+        ],
+    )
+    def test_same_time_arrivals_route_in_event_key_order(
+        self, edge, router, num_devices, depth, placement, sheds
+    ):
+        """Tied arrivals route by ``(session_id, stream)``, not list order,
+        and a question tied with its stream's last frame routes after it.
+
+        Every job but session 4's arrives at t=0, and the session ids do
+        not follow the stream order, so routing by stream alone deals the
+        sessions differently.  Stream 0 queues three frames and a
+        six-token question at t=0 on a depth-1 device: frames 0-1 are
+        admitted and frame 2 and the question are shed.  Routing the
+        question first would charge its seven-frame work instead, and
+        ``least_loaded`` would send session 4 elsewhere.
+        """
+        plane = BatchLatencyModel()
+        system = edge["V-Rex8"]
+        profiles = [StreamProfile(kv_len=30_000, session_id=sid) for sid in (2, 0, 1, 3, 4)]
+        solo = plane.frame_step(system, profiles[:1]).streams[0].total_s
+        fleet = FleetScheduler(
+            plane,
+            SchedulerConfig(max_queue_depth=depth),
+            FleetConfig(num_devices=num_devices, router=router),
+        )
+        result = fleet.run(
+            system,
+            profiles,
+            [[0.0, 0.0, 0.0], [0.0, 0.0], [0.0], [0.0, 0.0], [2.5 * solo]],
+            question_arrivals=[0.0, None, None, None, None],
+            answer_tokens=[6, 0, 0, 0, 0],
+        )
+        assert result.placement == placement
+        assert result.predicted_sheds == sheds
 
     def test_least_loaded_routes_on_live_backlog(self, edge):
         plane, system, profiles, traces, config = self._workload(edge)

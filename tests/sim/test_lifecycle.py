@@ -8,8 +8,9 @@
   computed one — served jobs start in arrival order (the slot's FIFO)
   and one stream's served intervals never overlap.
 * **No cyclic garbage** (:class:`TestNoCyclicGarbage`): a finished run,
-  single-device or fleet, is freed by reference counting alone; the
-  cyclic collector finds nothing once its result is dropped.
+  single-device or fleet (stealing and migrating too), is freed by
+  reference counting alone; the cyclic collector finds nothing once its
+  result is dropped.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.hw.interconnect import PCIE5_SWITCH
 from repro.sim.arrivals import BurstyArrivals, PoissonArrivals, rate_for_load
 from repro.sim.batched import BatchLatencyModel, StreamProfile
 from repro.sim.fleet import FleetConfig, FleetScheduler
@@ -88,6 +90,19 @@ class TestSlotLaw:
 
 
 class TestNoCyclicGarbage:
+    @staticmethod
+    def assert_no_cycles(run):
+        run()  # warm the plane's demand table and every lazy import
+        gc.collect()
+        gc.disable()
+        try:
+            result = run()
+            assert result.served
+            del result
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     @pytest.mark.parametrize("engine", ["reference", "array"])
     @pytest.mark.parametrize("compute", ["private", "timesliced"])
     @pytest.mark.parametrize("devices", [None, 2], ids=["serving", "fleet2"])
@@ -103,18 +118,40 @@ class TestNoCyclicGarbage:
             fleet = FleetConfig(num_devices=devices)
             scheduler = FleetScheduler(plane, config, fleet, engine=engine)
 
-        def run():
-            return scheduler.run(
+        self.assert_no_cycles(
+            lambda: scheduler.run(
                 system, profiles, traces, question_arrivals=[1.0] * 8, answer_tokens=2
             )
+        )
 
-        run()  # warm the plane's demand table and every lazy import
-        gc.collect()
-        gc.disable()
-        try:
-            result = run()
-            assert result.served
-            del result
-            assert gc.collect() == 0
-        finally:
-            gc.enable()
+    @pytest.mark.parametrize("engine", ["reference", "array"])
+    def test_stealing_fleet_leaves_no_cycles(self, system, engine):
+        """The router's estimator, steal and ship closures free themselves too."""
+        plane = BatchLatencyModel()
+        profiles = [StreamProfile(kv_len=10_000 + 3_000 * i, session_id=i) for i in range(8)]
+        solo = plane.frame_step(system, profiles[:1]).streams[0].total_s
+        traces = BurstyArrivals.for_mean_rate(rate_for_load(3.0, solo, 8)).generate(8, 8, seed=3)
+        fleet = FleetConfig(
+            num_devices=3,
+            router="kv_residency",
+            interconnect=PCIE5_SWITCH,
+            migrate_backlog_s=2.0 * solo,
+            work_stealing=True,
+        )
+        scheduler = FleetScheduler(
+            plane, SchedulerConfig(deadline_s=3.0 * solo, max_queue_depth=4), fleet, engine=engine
+        )
+
+        def run():
+            result = scheduler.run(
+                system,
+                profiles,
+                traces,
+                question_arrivals=[float(trace[-1]) for trace in traces],
+                answer_tokens=2,
+                home_devices={i: 0 for i in range(4)},
+            )
+            assert result.steal_count and result.placement_migration_count
+            return result
+
+        self.assert_no_cycles(run)
