@@ -41,10 +41,10 @@ admission controller would shed (queue-depth drops, residency deferrals)
 are predicted at routing time and their work is credited back instead of
 accumulating forever.  Idleness and steal-victim backlogs read the
 device's horizon alone; finished jobs retire lazily, only where pending
-counts or queue contents are read.  (The previous estimator charged a session's whole
-solo work at first arrival and never released any of it, so
-``least_loaded``/``power_of_two``/``kv_residency`` decisions drifted from
-the true device load as a run progressed.)
+counts or queue contents are read.  (The previous estimator charged a
+session's whole solo work at first arrival and never released any of it,
+so ``least_loaded``/``power_of_two``/``kv_residency`` decisions drifted
+from the true device load as a run progressed.)
 
 **Work stealing.**  With ``work_stealing`` on, a device that drains its
 estimated backlog pulls the deepest-queued session — the one with the
@@ -84,7 +84,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from heapq import heappop, heappush
 from itertools import count
 
@@ -373,10 +373,10 @@ class _RoutingPlan:
     question_device: list[int]
     question_ready: list[float]
     #: streams with no jobs at all, placed for registration only
-    idle_placement: dict[int, int] = field(default_factory=dict)
+    idle_placement: dict[int, int]
     #: jobs the router predicted the device admission controller would
     #: shed (their work was credited back, never charged)
-    predicted_sheds: int = 0
+    predicted_sheds: int
 
 
 class FleetResult(RecordViews):
@@ -779,16 +779,15 @@ class FleetScheduler:
         last_move: dict[int, float] = {}
         rr_next = 0
         predicted_sheds = 0
-        # per stream: device index per frame (-1 unrouted) and the shard
-        # transfer finish each frame's arrival clamps to (0.0 unclamped)
+        # the plan's per-job columns, Python lists until the walk ends
         frame_device = [[-1] * trace.size for trace in traces]
         frame_ready = [[0.0] * trace.size for trace in traces]
         question_device = [-1] * num_streams
         question_ready = [0.0] * num_streams
 
-        # flat job columns, questions (index -1) first: a question's
-        # position is the count of its stream's frames at or before it, so
-        # a same-time question sorts behind those frames
+        # flat job columns, a question as index -1: its position is the
+        # count of its stream's frames at or before it, so the sort, not
+        # the column layout, puts a same-time question behind those frames
         asked = [s for s in range(num_streams) if q_arrivals[s] is not None]
         sizes = [trace.size for trace in traces]
         frame_stream = np.repeat(np.arange(num_streams), sizes)
