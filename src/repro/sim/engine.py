@@ -91,6 +91,7 @@ from repro.sim.jobtable import (
     TL_COMPUTE,
     TL_DRE,
     TL_PCIE,
+    TL_RECORD,
     TL_VISION,
 )
 from repro.sim.energy import EnergyInputs
@@ -142,9 +143,8 @@ def _job_lifecycle(ctx: _RunContext, table: JobTable, server, stages: StageCore,
     session_ids = [profile.session_id for profile in ctx.profiles]
     num_streams = len(session_ids)
 
-    streams = table.stream.tolist()
-    kinds = table.kind.tolist()
-    indices = table.index.tolist()
+    streams = table.streams
+    kinds = table.kinds
     gen_base = table.gen_base
     arrival = table.arrival
     start = table.start
@@ -155,7 +155,8 @@ def _job_lifecycle(ctx: _RunContext, table: JobTable, server, stages: StageCore,
     pcie_wait = table.pcie_wait
     dre_wait = table.dre_wait
     record = table.records.append
-    tl_append = table.timeline_log.append
+    tl_pack = TL_RECORD.pack
+    tl_extend = table.timeline_log.extend
     # per-(stream, kind) stage columns, b = stream * 3 + kind
     stage_list = [stage_map[kind] for stage_map in priced for kind in KIND_NAMES]
     st_active = [stage.active for stage in stage_list]
@@ -275,7 +276,7 @@ def _job_lifecycle(ctx: _RunContext, table: JobTable, server, stages: StageCore,
                 chained = gen_base[s]
                 arrival[chained] = t
                 submit(chained, t)
-        elif kind == 2 and indices[job] < answers[s] - 1:
+        elif kind == 2 and job - gen_base[s] < answers[s] - 1:
             chained = job + 1
             arrival[chained] = t
             submit(chained, t)
@@ -288,12 +289,12 @@ def _job_lifecycle(ctx: _RunContext, table: JobTable, server, stages: StageCore,
             # one span on the shared lane per job; the round-robin slices of
             # concurrent jobs interleave inside their spans
             submit_s = stages.compute_submit_s[s]
-            tl_append((job, TL_COMPUTE, submit_s, stages.compute_finish_s[s] - submit_s))
+            tl_extend(tl_pack(job, TL_COMPUTE, submit_s, stages.compute_finish_s[s] - submit_s))
         prediction_s = stages.prediction_s[s]
         if st_on_dre[s * 3 + kinds[job]] and prediction_s > 0.0:
-            tl_append((job, TL_DRE, stages.prediction_end_s[s] - prediction_s, prediction_s))
+            tl_extend(tl_pack(job, TL_DRE, stages.prediction_end_s[s] - prediction_s, prediction_s))
         if stages.fetch_s[s] > 0.0:
-            tl_append((job, TL_PCIE, stages.transfer_start_s[s], stages.fetch_s[s]))
+            tl_extend(tl_pack(job, TL_PCIE, stages.transfer_start_s[s], stages.fetch_s[s]))
         return stages.finish_s[s]
 
     def fetch_split(s: int, t: float):
@@ -343,9 +344,8 @@ def run_array(ctx: _RunContext) -> ScheduleResult:
     table = JobTable(traces, question_arrivals, ctx.answers, session_ids, sanitize=sanitize)
     num_jobs = table.num_jobs
 
-    # static per-job columns as plain lists (C-speed integer indexing)
-    streams = table.stream.tolist()
-    kinds = table.kind.tolist()
+    streams = table.streams
+    kinds = table.kinds
     j_start = table.start
     j_pcie = table.pcie_wait
     j_dre = table.dre_wait
@@ -449,7 +449,8 @@ def run_array(ctx: _RunContext) -> ScheduleResult:
     dre_busy = 0.0
     link_busy = 0.0
 
-    tl_append = table.timeline_log.append
+    tl_pack = TL_RECORD.pack
+    tl_extend = table.timeline_log.extend
     now = 0.0
     events = 0
 
@@ -590,7 +591,7 @@ def run_array(ctx: _RunContext) -> ScheduleResult:
             prediction_s = st_pred[b]
             if timesliced:
                 if vision_s > 0.0:
-                    tl_append((job, TL_VISION, j_start[job], vision_s))
+                    tl_extend(tl_pack(job, TL_VISION, j_start[job], vision_s))
                 decision = ts_issued(
                     s, now, st_overlaps[b], st_on_dre[b], compute_s, prediction_s, fetch
                 )
@@ -623,11 +624,11 @@ def run_array(ctx: _RunContext) -> ScheduleResult:
                 request = now + prediction_s + compute_s
                 dre_wait = 0.0
             if vision_s > 0.0:
-                tl_append((job, TL_VISION, j_start[job], vision_s))
+                tl_extend(tl_pack(job, TL_VISION, j_start[job], vision_s))
             if compute_s > 0.0:
-                tl_append((job, TL_COMPUTE, now, compute_s))
+                tl_extend(tl_pack(job, TL_COMPUTE, now, compute_s))
             if st_on_dre[b] and prediction_s > 0.0:
-                tl_append((job, TL_DRE, now + dre_wait, prediction_s))
+                tl_extend(tl_pack(job, TL_DRE, now + dre_wait, prediction_s))
             if st_fetch[b] > 0.0:
                 j_tstart[job] = now
                 j_request[job] = request
@@ -660,7 +661,7 @@ def run_array(ctx: _RunContext) -> ScheduleResult:
                 link_free = fetch_end
                 link_busy += fetch
             j_pcie[job] = transfer_start - now
-            tl_append((job, TL_PCIE, transfer_start, fetch))
+            tl_extend(tl_pack(job, TL_PCIE, transfer_start, fetch))
             s = streams[job]
             b = s * 3 + kinds[job]
             start = j_tstart[job]

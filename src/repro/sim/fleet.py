@@ -84,7 +84,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import count
 
@@ -478,7 +478,8 @@ class FleetResult(RecordViews):
 
     @property
     def timeline(self) -> Timeline:
-        """All devices' timelines; resources prefixed ``d<i>:`` when M>1."""
+        """All devices' timelines; past one device, resources are prefixed
+        ``d<i>:`` and jobs named as :attr:`records` name them."""
         if len(self.devices) == 1:
             run = self.devices[0]
             return run.schedule.timeline if run.schedule is not None else Timeline()
@@ -486,9 +487,16 @@ class FleetResult(RecordViews):
         for run in self.devices:
             if run.schedule is None:
                 continue
-            prefix = f"d{run.device}:"
-            for task in run.schedule.timeline.tasks:
-                merged.tasks.append(replace(task, resource=prefix + task.resource))
+            table, local = run.schedule._table, run.schedule.columns
+            # fleet stream indices, and each frame's original index from its record
+            frames = local.kind == KIND_FRAME
+            ids = np.asarray(table.frame_base)[local.stream[frames]] + local.index[frames]
+            index = table.index.copy()
+            index[ids] = run.columns.index[frames]
+            stream = np.asarray(run.stream_indices)[table.stream]
+            merged.tasks += table.build_timeline(
+                run.schedule._timesliced, f"d{run.device}:", stream, index
+            ).tasks
         return merged
 
     def device_summaries(

@@ -6,12 +6,13 @@ integer id into one :class:`JobTable` and drive one job lifecycle over
 those ids (:func:`repro.sim.engine._job_lifecycle`).  There is no job
 object, no record row and no per-interval timeline object:
 
-* :class:`JobTable` — static per-job columns (stream, kind, index,
+* :class:`JobTable` — static per-job numpy columns (stream, kind, index,
   session) built once per run with every potential job pre-enumerated
   (frames and questions from the traces, generation jobs from the answer
-  budgets), per-job outcome columns the lifecycle fills by id, the ids in
-  record order, and a compact timeline log of ``(job, resource code,
-  start, duration)`` tuples;
+  budgets), per-job outcome buffers the lifecycle fills by id, the ids in
+  record order, and a timeline log of packed ``(job, resource code,
+  start, duration)`` records; finalizing drops the per-job buffers and
+  freezes the log as a numpy array, so a finished run keeps columns only;
 * :class:`RecordColumns` — a finished record set as sorted numpy columns:
   the one store behind every result (either engine's, or a fleet's
   merge), on which percentile/miss/drop statistics are computed directly
@@ -25,6 +26,9 @@ deadline-miss flag is derived in one place (:class:`RecordColumns`) as
 """
 
 from __future__ import annotations
+
+import struct
+from array import array
 
 import numpy as np
 
@@ -42,8 +46,12 @@ KIND_NAMES = ("frame", "question", "generation")
 ADM_ADMIT, ADM_EVICT, ADM_BACKLOG, ADM_DEFER = 0, 1, 2, 3
 ADMISSION_NAMES = ("admit", "evict", "backlog", "defer")
 
-#: Timeline resource codes of the compact log.
+#: Timeline resource codes of the packed log.
 TL_VISION, TL_COMPUTE, TL_DRE, TL_PCIE = 0, 1, 2, 3
+#: One packed timeline log record, ``(job, resource code, start, duration)``,
+#: and the numpy dtype a finished run's log is frozen as.
+TL_RECORD = struct.Struct("<qbdd")
+TL_DTYPE = np.dtype([("job", "<i8"), ("code", "i1"), ("start", "<f8"), ("duration", "<f8")])
 
 #: Sanitizer job lifecycle states (``JobTable._job_state`` values).
 ST_PENDING, ST_SUBMITTED, ST_BEGUN, ST_RECORDED = 0, 1, 2, 3
@@ -118,26 +126,28 @@ class JobTable:
         self.session = (
             np.asarray(session_ids, dtype=np.int64)[stream_col] if num_jobs else empty
         )
-        #: arrival times as a plain list (generation entries filled at run
+        #: arrival times (generation entries, NaN until then, filled at run
         #: time when their chain materializes)
-        self.arrival = arrival.tolist()
+        self.arrival = array("d", arrival.tobytes())
 
-        # per-job outcome columns, written by the run's job lifecycle; a job
+        #: stream and kind as lists, for the engines' per-event reads
+        self.streams = self.stream.tolist()
+        self.kinds = self.kind.tolist()
+
+        # per-job outcome buffers, written by the run's job lifecycle; a job
         # is recorded at most once, so finalize gathers them in record order
         n = self.num_jobs
-        self.start = [0.0] * n
-        self.finish = [0.0] * n
-        self.dropped = [False] * n
-        self.admission = [0] * n
-        self.pcie_wait = [0.0] * n
-        self.dre_wait = [0.0] * n
-        self.compute_wait = [0.0] * n
+        self.start, self.finish, self.pcie_wait, self.dre_wait, self.compute_wait = (
+            array("d", bytes(8 * n)) for _ in range(5)
+        )
+        self.dropped = bytearray(n)
+        self.admission = bytearray(n)
         #: recorded job ids, in record order
-        self.records: list[int] = []
+        self.records = array("q")
 
-        #: compact timeline log: ``(job_id, resource code, start, duration)``
-        #: in the order both engines append it
-        self.timeline_log: list[tuple[int, int, float, float]] = []
+        #: timeline log: one packed :data:`TL_RECORD` per interval, in the order
+        #: both engines append them (a :data:`TL_DTYPE` array once finalized)
+        self.timeline_log = bytearray()
 
         #: sanitizer-only per-job lifecycle state (``ST_*`` codes)
         self._job_state = bytearray(n) if self._sanitize else None
@@ -176,16 +186,21 @@ class JobTable:
     # ------------------------------------------------------------------ #
     def finalize(self, deadline_s: float | None) -> "RecordColumns":
         """Gather the recorded jobs' columns into sorted :class:`RecordColumns`."""
-        job = np.asarray(self.records, dtype=np.int64)
+        job = np.frombuffer(self.records, dtype=np.int64)
         arrival, start, finish, pcie, dre, cwait = (
-            np.asarray(column, dtype=float)[job]
+            np.frombuffer(column, dtype=float)[job]
             for column in (
                 self.arrival, self.start, self.finish,
                 self.pcie_wait, self.dre_wait, self.compute_wait,
             )
         )  # fmt: skip
-        dropped = np.asarray(self.dropped, dtype=bool)[job]
-        admission = np.asarray(self.admission, dtype=np.int64)[job]
+        dropped = np.frombuffer(self.dropped, dtype=bool)[job]
+        admission = np.frombuffer(self.admission, dtype=np.int8)[job].astype(np.int64)
+        # the run is over: freeze the log (a view, so its buffer can no
+        # longer grow) and drop the per-job run state
+        self.timeline_log = np.frombuffer(self.timeline_log, dtype=TL_DTYPE)
+        del self.arrival, self.start, self.finish, self.pcie_wait, self.dre_wait, self.compute_wait
+        del self.dropped, self.admission, self.records, self.streams, self.kinds, self._job_state
         if self._sanitize and len(job):
             self._san_check_columns(
                 job, arrival, start, finish, dropped, admission, pcie, dre, cwait
@@ -259,15 +274,18 @@ class JobTable:
                 f"but not marked dropped",
             )
 
-    def build_timeline(self, timesliced: bool) -> Timeline:
-        """Materialize the compact log as a full :class:`Timeline`."""
+    def build_timeline(self, timesliced: bool, prefix="", stream=None, index=None) -> Timeline:
+        """Materialize the finalized log as a full :class:`Timeline`.
+
+        Tasks name jobs by the per-job ``stream`` and ``index`` columns
+        (the table's own by default); ``prefix`` leads every resource.
+        """
         timeline = Timeline()
         add = timeline.add
-        stream = self.stream
-        session = self.session
-        kind = self.kind
-        index = self.index
-        for job, code, start, duration in self.timeline_log:
+        stream = self.stream if stream is None else stream
+        index = self.index if index is None else index
+        session, kind = self.session, self.kind
+        for job, code, start, duration in self.timeline_log.tolist():
             name = f"s{session[job]}/{KIND_NAMES[kind[job]]}{index[job]}"
             if code == TL_VISION:
                 resource = f"vision:s{stream[job]}"
@@ -277,7 +295,7 @@ class JobTable:
                 resource = "dre"
             else:
                 resource = "pcie"
-            add(name, resource, start, duration)
+            add(name, prefix + resource, start, duration)
         return timeline
 
 

@@ -83,6 +83,7 @@ from repro.sim.jobtable import (
     TL_COMPUTE,
     TL_DRE,
     TL_PCIE,
+    TL_RECORD,
     TL_VISION,
     JobTable,
     RecordColumns,
@@ -453,8 +454,8 @@ class ScheduleResult(RecordViews):
     Both engines hand over the run's sorted
     :class:`~repro.sim.jobtable.RecordColumns` — the store every statistic
     reads; dataclass rows are built on access — and the run's
-    :class:`~repro.sim.jobtable.JobTable`, whose compact log the
-    :attr:`timeline` is built from on first access.  The
+    finalized :class:`~repro.sim.jobtable.JobTable` (numpy columns and the
+    packed log :attr:`timeline` is built from on first access).  The
     engine-equivalence tests pin the two engines' columns equal, column
     by column.
     """
@@ -989,13 +990,14 @@ class ServingScheduler:
         )
         session_ids = [profile.session_id for profile in profiles]
         table = JobTable(ctx.traces, ctx.question_arrivals, ctx.answers, session_ids)
-        streams = table.stream.tolist()
-        kinds = table.kind.tolist()
+        streams = table.streams
+        kinds = table.kinds
         keys = [(session, stream) for stream, session in enumerate(session_ids)]
         start = table.start
         dre_wait = table.dre_wait
         pcie_wait = table.pcie_wait
-        tl_append = table.timeline_log.append
+        tl_pack = TL_RECORD.pack
+        tl_extend = table.timeline_log.extend
         # private compute, per job: (start_s, prediction_end_s, request_s, fetch_s)
         timing: list[tuple[float, float, float, float] | None] = [None] * table.num_jobs
         # time-sliced stages: the one stage core, by stream, and the job each holds
@@ -1036,7 +1038,7 @@ class ServingScheduler:
             stream = streams[job]
             fetch_s = job_fetch_s(job)
             if stage.vision_s > 0:
-                tl_append((job, TL_VISION, start[job], stage.vision_s))
+                tl_extend(tl_pack(job, TL_VISION, start[job], stage.vision_s))
             if timesliced:
                 staged[stream] = job
                 issue_stage(
@@ -1058,9 +1060,9 @@ class ServingScheduler:
             timing[job] = (start_s, prediction_end_s, request_s, fetch_s)
             dre_wait[job] = served_s - start_s
             if stage.compute_s > 0:
-                tl_append((job, TL_COMPUTE, start_s, stage.compute_s))
+                tl_extend(tl_pack(job, TL_COMPUTE, start_s, stage.compute_s))
             if stage.on_dre and stage.prediction_s > 0:
-                tl_append((job, TL_DRE, start_s + dre_wait[job], stage.prediction_s))
+                tl_extend(tl_pack(job, TL_DRE, start_s + dre_wait[job], stage.prediction_s))
             if stage.fetch_s > 0:
                 loop.schedule(
                     request_s, partial(request_link, job), priority=PRIO_LINK, key=keys[stream]
@@ -1077,7 +1079,7 @@ class ServingScheduler:
         def request_link(job: int) -> None:
             transfer = link.enqueue(loop.now_s, timing[job][3])
             pcie_wait[job] = transfer.wait_s
-            tl_append((job, TL_PCIE, transfer.start_s, transfer.service_s))
+            tl_extend(tl_pack(job, TL_PCIE, transfer.start_s, transfer.service_s))
             resolve(job, transfer.finish_s)
 
         def resolve(job: int, fetch_end_s: float | None) -> None:

@@ -1360,6 +1360,48 @@ class TestGoldenSteal:
         assert summary.p99_ms < one_shot.fleet_summary().p99_ms
 
 
+def assert_timeline_names_match_records(result):
+    """Every task of an M>1 timeline names its job as the records do.
+
+    A task ``d<i>:<resource>[:s<k>]`` named ``s<session>/<kind><index>``
+    must match a record of device ``i`` with that session, kind and
+    (original) index, and ``k`` must be that record's fleet stream index.
+    """
+    streams = {}
+    for run in result.devices:
+        if run.schedule is not None:
+            columns = run.columns
+            for stream, session, kind, index in zip(
+                columns.stream.tolist(), columns.session.tolist(),
+                columns.kind.tolist(), columns.index.tolist(),
+            ):  # fmt: skip
+                streams[(f"d{run.device}", f"s{session}/{KIND_NAMES[kind]}{index}")] = stream
+    labelled = 0
+    for task in result.timeline.tasks:
+        device, _, resource = task.resource.partition(":")
+        assert (device, task.name) in streams, task
+        label = resource.rpartition(":s")[2]
+        if ":s" in resource:
+            labelled += 1
+            assert int(label) == streams[(device, task.name)], task
+    assert labelled
+
+
+class TestFleetTimelineNames:
+    """An M>1 timeline names streams and frames in fleet terms."""
+
+    @pytest.mark.parametrize("engine", ["array", "reference"])
+    def test_stealing_fleet_names_jobs_as_its_records(self, edge, engine):
+        result, _ = TestWorkStealing()._imbalanced(edge, engine=engine, work_stealing=True)
+        assert result.steal_count
+        assert_timeline_names_match_records(result)
+
+    @pytest.mark.parametrize("case", [13, 17, 22, 38, 44])
+    def test_pinned_fleets_name_jobs_as_their_records(self, case):
+        _, fleet, arguments = _pinned_fleet(case)
+        assert_timeline_names_match_records(fleet.run(**arguments))
+
+
 def _pinned_fleet(case: int):
     """One seeded fleet of the pinned-plan grid: its scheduler and run arguments.
 

@@ -11,11 +11,17 @@
   single-device or fleet (stealing and migrating too), is freed by
   reference counting alone; the cyclic collector finds nothing once its
   result is dropped.
+* **Columns only** (:class:`TestFinishedRunKeepsColumns`): a finished run
+  retains its record columns, its job table's static columns and its
+  frozen timeline log — a few hundred bytes per record, no per-job
+  Python object.
 """
 
 from __future__ import annotations
 
 import gc
+import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
@@ -155,3 +161,54 @@ class TestNoCyclicGarbage:
             return result
 
         self.assert_no_cycles(run)
+
+
+class TestFinishedRunKeepsColumns:
+    #: bytes a finished ScheduleResult may retain per record
+    BUDGET_B = 300
+
+    @pytest.mark.parametrize("engine", ["reference", "array"])
+    @pytest.mark.parametrize(
+        ("compute", "streams"), [("private", 256), ("timesliced", 64)]
+    )
+    def test_retained_bytes_per_record(self, system, engine, compute, streams):
+        plane = BatchLatencyModel()
+        rng = np.random.default_rng(5)
+        profiles = [
+            StreamProfile(kv_len=int(rng.integers(10_000, 50_000)), session_id=i)
+            for i in range(streams)
+        ]
+        traces = PoissonArrivals(rate_hz=4.0).generate(streams, 64, seed=5)
+        scheduler = ServingScheduler(
+            plane, SchedulerConfig(compute=compute, max_queue_depth=4), engine=engine
+        )
+
+        def run():
+            return scheduler.run(
+                system,
+                profiles,
+                traces,
+                question_arrivals=[float(trace[-1]) for trace in traces],
+                answer_tokens=3,
+            )
+
+        run()  # warm the plane's demand table and every lazy import
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = run()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert result.dropped and result.served
+        per_record = retained / len(result.columns)
+        assert per_record <= self.BUDGET_B, f"{per_record:.0f} B retained per record"
+        table = result._table
+        per_job = [
+            name
+            for name, value in vars(table).items()
+            if isinstance(value, (list, array, bytearray)) and len(value) == table.num_jobs
+        ]
+        assert not per_job, f"finalized JobTable still holds per-job buffers {per_job}"
+        assert table.timeline_log.dtype.names == ("job", "code", "start", "duration")
