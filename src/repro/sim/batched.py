@@ -93,13 +93,14 @@ from repro.hw.memory.sharding import ShardedKVHierarchy, sharded_fetch_makespan
 from repro.sim.pipeline import (
     FRAME_STAGE,
     GENERATION_STAGE,
+    GPU_CLUSTERING_RATE,
     LatencyModel,
     MeasuredRetrieval,
     PredictionParts,
     gpu_sequential_fraction,
     overlap_rules,
 )
-from repro.sim.systems import SystemConfig
+from repro.sim.systems import GPU_SORT_RATE, SystemConfig, selection_overhead_s
 
 #: Event priorities shared by the serving scheduler and the batched plane's
 #: event-driven replays, so both produce bit-identical schedules at equal
@@ -115,6 +116,20 @@ COMPUTE_POLICIES = ("private", "timesliced")
 
 #: Default round-robin scheduling quantum of the time-sliced compute server.
 DEFAULT_QUANTUM_S = 1e-3
+
+#: Largest cache length a :class:`StreamProfile` accepts and largest question
+#: length a step prices.  Why every int64 value of :func:`_derive_demands` is
+#: exact: a query is q <= max(MAX_Q_LEN, tokens_per_frame, the default
+#: question length) and a cluster or top-k candidate count is <= MAX_KV_LEN
+#: (a policy occupancy is >= 1 and a profile bounds kv_len // its measured
+#: one), so each int64 value is at most q * MAX_KV_LEN * max(32 * kv_heads,
+#: heads) (the HCU, WTU and top-k element counts) or weight bytes per layer +
+#: MAX_KV_LEN * KV bytes per token (the DRAM and cache bytes); the plane
+#: rejects a model for which either reaches 2**63 (Llama-3-8B: 2**60 and
+#: 2**49), and below 2**63 the int64 -> float64 cast rounds half to even, as
+#: ``float(int)`` does.
+MAX_KV_LEN = 2**32
+MAX_Q_LEN = 2**20
 
 #: Bytes of one packed HC-table signature (one ``uint64`` word per cluster
 #: per KV head per layer) — the footprint the sharded memory plane charges
@@ -169,7 +184,12 @@ class StreamProfile:
     session_id: int = 0
 
     def __post_init__(self) -> None:
-        require_number("kv_len", self.kv_len, integer=True)
+        require_number("kv_len", self.kv_len, integer=True, maximum=MAX_KV_LEN)
+        if self.kv_len // self.measured.avg_tokens_per_cluster > MAX_KV_LEN:
+            raise ValueError(
+                f"kv_len // measured.avg_tokens_per_cluster (the cluster count) must be at "
+                f"most {MAX_KV_LEN}, got {self.kv_len} // {self.measured.avg_tokens_per_cluster}"
+            )
         require_number("session_id", self.session_id, integer=True)
         require_number("arrival_offset_s", self.arrival_offset_s, finite=True)
         for name in ("frame_ratio", "generation_ratio"):
@@ -207,14 +227,19 @@ class StreamProfile:
 
 
 def _broadcast_per_stream(
-    value, num_streams: int, name: str, allow_none_entries: bool = False
+    value,
+    num_streams: int,
+    name: str,
+    allow_none_entries: bool = False,
+    maximum: int | None = None,
 ) -> list[int | None]:
     """Broadcast a scalar count or validate a per-stream list of counts.
 
     The one boundary check of the plane's and the scheduler's per-stream
     counts: each is a non-negative ``int`` or ``np.integer``, never a
-    ``bool`` (zero is a count of zero), or — list entries only, where
-    ``allow_none_entries`` — ``None`` for a stream that skips the step.
+    ``bool`` (zero is a count of zero), at most ``maximum`` when given,
+    or — list entries only, where ``allow_none_entries`` — ``None`` for a
+    stream that skips the step.
     """
     scalar = isinstance(value, (int, np.integer)) or not isinstance(value, Iterable)
     entries = [value] if scalar else list(value)
@@ -227,9 +252,11 @@ def _broadcast_per_stream(
         if entry is None and allow_none_entries and not scalar:
             counts.append(None)
             continue
+        where = name if scalar else f"{name} of stream {stream}"
         if isinstance(entry, bool) or not isinstance(entry, (int, np.integer)) or entry < 0:
-            where = name if scalar else f"{name} of stream {stream}"
             raise ValueError(f"{where} must be a non-negative integer, got {entry!r}")
+        if maximum is not None and entry > maximum:
+            raise ValueError(f"{where} must be at most {maximum}, got {entry!r}")
         counts.append(int(entry))
     return counts * num_streams if scalar else counts
 
@@ -457,6 +484,182 @@ class _DemandEntry:
     def cold_time_s(self, num_bytes: float) -> float:
         """One channel's fetch of ``num_bytes`` demoted to the SSD tier."""
         return _channel_fetch_time_s(self.fetch_device, self.fetch_locality, num_bytes, True)
+
+
+def _derive_demands(
+    base: LatencyModel,
+    system: SystemConfig,
+    stage: str,
+    q_len: int,
+    ratio: float | None,
+    measured: MeasuredRetrieval,
+    kv_lens: list[int],
+) -> list[_DemandEntry]:
+    """:meth:`BatchLatencyModel._derive_demand` over a column of cache lengths.
+
+    Every other key field is shared, so each term of the scalar chain is a
+    constant or one numpy column, evaluated in the chain's order:
+    ``int(round(x))`` is ``np.rint``, ``//`` is ``np.floor_divide``, builtin
+    ``max`` is ``np.maximum``, integer products stay int64 and are cast
+    once as ``float(...)`` casts them (exact under :data:`MAX_KV_LEN`), so
+    every float equals the scalar one bit for bit.  ``layer_cost``,
+    ``kv_cache_bytes`` and the roofline's two times are elementwise and are
+    called on the columns themselves.
+    """
+    llm, model, policy = base.llm, base.llm.model, system.policy
+    device = base.device_for(system)
+    is_vrex = isinstance(device, VRexAccelerator)
+    dense = device.lxe if is_vrex else device.dense_engine
+    if max(kv_lens) > MAX_KV_LEN:  # a profile edited in place past its check
+        raise ValueError(f"kv_len must be at most {MAX_KV_LEN}, got {max(kv_lens)}")
+    kv = np.array(kv_lens, dtype=np.int64)
+    effective_ratio = policy.ratio(stage) if ratio is None else ratio
+    selected = np.rint(kv * effective_ratio).astype(np.int64)
+    cost = llm.layer_cost(q_len, selected, 1)
+    compute_layer_s = np.maximum(dense.compute_time_s(cost), dense.memory_time_s(cost))
+
+    # _prediction_parts: engine, dense FLOPs, serial seconds, overhead, on_dre
+    prediction = None
+    if policy.prediction != "none" and (stage != FRAME_STAGE or policy.prediction_in_prefill):
+        device_class = system.device_class
+        if policy.prediction == "resv":
+            avg = base._avg_tokens_per_cluster(system, measured)
+            clusters = np.maximum(np.floor_divide(kv, avg).astype(np.int64), 1)
+            dense_flops = llm.resv_hashbit_flops(q_len, 32) + llm.resv_score_flops(q_len, clusters)
+            rows = q_len * model.num_heads
+            if policy.prediction_on_dre and is_vrex:
+                hcu, wtu = device.hcu, device.wtu
+                bit_ops = (q_len * clusters * model.num_kv_heads * 32).astype(np.float64)
+                hcu_cycles = bit_ops / (hcu.core.hcu_bits_per_cycle * hcu.num_cores)
+                elements = (rows * clusters).astype(np.float64)
+                wtu_cycles = (elements + elements * measured.sort_fraction) / (
+                    wtu.core.wtu_elements_per_cycle * wtu.num_cores
+                )
+                serial_s = hcu_cycles / hcu.core.frequency_hz + wtu_cycles / wtu.core.frequency_hz
+                prediction = ("dense", dense_flops, serial_s, 0.0, True)
+            else:
+                clustering = (
+                    q_len * clusters * 32 * model.num_kv_heads / GPU_CLUSTERING_RATE[device_class]
+                    if policy.avg_tokens_per_cluster > 1
+                    else 0.0
+                )
+                sorting = rows * clusters / GPU_SORT_RATE[device_class]
+                overhead_s = selection_overhead_s(device_class)
+                prediction = ("dense", dense_flops, clustering + sorting, overhead_s, False)
+        else:
+            frame_level = policy.prediction == "topk_frame"
+            candidates = kv
+            if frame_level:
+                candidates = np.maximum(np.floor_divide(kv, max(model.tokens_per_frame, 1)), 1)
+            # topk_prediction_flops and topk_sort_elements
+            dense_flops = 2.0 * q_len * candidates * model.hidden_dim
+            sort_elements = (q_len * model.num_kv_heads * candidates).astype(np.float64)
+            serial_s = sort_elements / GPU_SORT_RATE[device_class]
+            overhead_s = selection_overhead_s(device_class, frame_level)
+            prediction = ("irregular", dense_flops, serial_s, overhead_s, False)
+    if prediction is not None:
+        engine, dense_flops, serial_s, overhead_s, on_dre = prediction
+        matrix = dense if engine == "dense" else device.irregular_engine
+        flops = KernelCost(dense_flops)
+        prediction_layer_s = (
+            np.maximum(matrix.compute_time_s(flops), matrix.memory_time_s(flops)) + serial_s
+        ) + overhead_s
+        dense_flops, serial_s = dense_flops.tolist(), serial_s.tolist()
+        prediction_layer_s = prediction_layer_s.tolist()
+
+    # _fetch_bytes_per_layer and the one-channel fetch's prices
+    fetch_bytes = np.zeros(kv.size)
+    if system.kv_offloaded:
+        stream_bytes = llm.kv_cache_bytes(kv, 1) * system.kv_bytes_scale
+        with np.errstate(divide="ignore", invalid="ignore"):
+            offloaded = np.maximum(0.0, 1.0 - system.kv_device_budget_bytes / stream_bytes)
+        offloaded = np.where(stream_bytes <= 0, 0.0, offloaded)
+        fetch_bytes = (
+            selected * offloaded * llm.kv_bytes_per_token_per_layer() * system.kv_bytes_scale
+        )
+    fetching = fetch_bytes > 0
+    if fetching.any():
+        from_ssd = system.device.offload_target == "ssd"
+        if is_vrex:
+            locality = base._contiguous_bytes(system, measured)
+            # the link efficiency reads the fetch's contiguity only
+            efficiency = device.kvmu.link_efficiency(KVFetchWork(0.0, locality, from_ssd))
+            ssd_sequential = device.kvmu.ssd_sequential_fraction()
+        else:
+            locality = ssd_sequential = gpu_sequential_fraction(effective_ratio)
+            efficiency = system.device.pcie_efficiency
+        link, ssd = device.link.config, device.ssd.config
+        pcie_occupancy = fetch_bytes / (link.bandwidth_gbps * 1e9 * efficiency)
+        service_s = np.where(
+            pcie_occupancy == 0.0,  # simlint: exact — transfer_time_s's zero-byte sentinel
+            0.0,
+            link.latency_us * 1e-6 + pcie_occupancy,
+        )
+        ssd_occupancy = np.zeros(kv.size)
+        if from_ssd:
+            sequential_bytes = fetch_bytes * ssd_sequential
+            ssd_occupancy = sequential_bytes / (ssd.sequential_read_gbps * 1e9) + (
+                fetch_bytes - sequential_bytes
+            ) / (ssd.random_read_gbps * 1e9)
+            service_s = np.maximum(service_s, ssd.read_latency_us * 1e-6 + ssd_occupancy)
+        service_s, pcie_occupancy = service_s.tolist(), pcie_occupancy.tolist()
+        ssd_occupancy = ssd_occupancy.tolist()
+
+    entries = []
+    for row, (kv_len, flops, dram_bytes, compute_s, per_layer_bytes) in enumerate(
+        zip(
+            kv_lens,
+            cost.flops.tolist(),
+            cost.dram_bytes.tolist(),
+            compute_layer_s.tolist(),
+            fetch_bytes.tolist(),
+            strict=True,
+        )
+    ):
+        parts, prediction_s = None, 0.0
+        if prediction is not None and kv_len != 0:
+            parts = PredictionParts(engine, dense_flops[row], serial_s[row], overhead_s, on_dre)
+            prediction_s = prediction_layer_s[row]
+        compute_cost = KernelCost(flops, dram_bytes)
+        if per_layer_bytes <= 0:
+            entries.append(_DemandEntry(compute_cost, parts, compute_s, prediction_s))
+            continue
+        entries.append(
+            _DemandEntry(
+                compute_cost,
+                parts,
+                compute_s,
+                prediction_s,
+                fetch_bytes=per_layer_bytes,
+                fetch_service_s=service_s[row],
+                pcie_occupancy_s=pcie_occupancy[row],
+                ssd_occupancy_s=ssd_occupancy[row],
+                fetch_device=device,
+                fetch_locality=locality,
+                from_ssd=from_ssd,
+            )
+        )
+    return entries
+
+
+def _fetch_layer_s(
+    entry: _DemandEntry, memory: ShardedKVHierarchy | None, session_id: int
+) -> float:
+    """One stream's per-layer fetch service at its session's live residency.
+
+    Without a memory plane it is the entry's single-channel fetch; with one,
+    the fetch fans out over the banks holding the session's warm shards
+    while the demoted remainder streams from the SSD tier (a fully-warm
+    single-bank split reproduces the single-channel price bit for bit).
+    """
+    if memory is not None and entry.fetch_bytes > 0:
+        return sharded_fetch_makespan(
+            entry.fetch_bytes,
+            memory.fetch_split(session_id),
+            entry.warm_time_s,
+            entry.cold_time_s,
+        )
+    return entry.fetch_service_s
 
 
 def contended_issue(
@@ -787,6 +990,16 @@ class BatchLatencyModel:
         self._demands: dict[SystemConfig, dict[tuple, _DemandEntry]] = {}
         self._num_demands = 0
         self._sanitize = sanitize_enabled()
+        llm = self.base.llm
+        model = llm.model
+        query = max(MAX_Q_LEN, model.tokens_per_frame, self.base.streaming.question_tokens)
+        if (
+            query * MAX_KV_LEN * max(32 * model.num_kv_heads, model.num_heads) >= 2**63
+            or llm.weight_bytes_per_layer() + MAX_KV_LEN * llm.kv_bytes_per_token() >= 2**63
+        ):
+            raise ValueError(
+                f"model {model.name!r} is too large to price exactly: see MAX_KV_LEN"
+            )
 
     # ------------------------------------------------------------------ #
     # public steps
@@ -823,7 +1036,11 @@ class BatchLatencyModel:
             q_lens: list[int | None] = [self.base.streaming.question_tokens] * len(profiles)
         else:
             q_lens = _broadcast_per_stream(
-                question_tokens, len(profiles), "question_tokens", allow_none_entries=True
+                question_tokens,
+                len(profiles),
+                "question_tokens",
+                allow_none_entries=True,
+                maximum=MAX_Q_LEN,
             )
         return self._batched_step(
             system,
@@ -980,9 +1197,11 @@ class BatchLatencyModel:
     ) -> _DemandEntry:
         """Derive one stream's per-layer demands (mirrors ``LatencyModel._step``).
 
-        The one derivation behind the demand table: run on a miss and, under
-        the sanitizer, again on every hit.  Every profile field it reads is
-        part of the key :meth:`_stream_demands` builds.
+        The scalar definition behind the demand table: misses are derived as
+        columns (:func:`_derive_demands`), and under the sanitizer every
+        column-derived row and every hit is compared with this.  Every
+        profile field it reads is part of the key :meth:`_stream_demands`
+        builds.
         """
         base = self.base
         device = base.device_for(system)
@@ -1038,16 +1257,17 @@ class BatchLatencyModel:
 
         The entry is ``None`` for a stream that skips the step.  Its key is
         read from the profile at every call and never stored on it, so a
-        profile edited in place simply looks up another entry.  Only the
-        fetch service depends on the memory plane: the fetch fans out over
-        the banks holding the session's warm shards while the demoted
-        remainder streams from the SSD tier (a fully-warm single-bank split
-        reproduces the entry's single-channel price bit for bit).
+        profile edited in place simply looks up another entry.  Hits are
+        served in one pass; the call's misses are then derived in one column
+        pass per group of keys that differ only in ``kv_len``.  Only the
+        fetch service depends on the memory plane (:func:`_fetch_layer_s`).
         """
         table = self._demands.get(system)
         if table is None:
             table = self._demands[system] = {}
-        demands: list[tuple[_DemandEntry | None, float]] = []
+        demands: list[tuple[_DemandEntry | None, float] | None] = []
+        # misses keyed by every key field but kv_len: kv_len -> the slots it fills
+        misses: dict[tuple, dict[int, list[int]]] = {}
         for profile, q_len in zip(profiles, q_lens, strict=True):
             if q_len is None or q_len <= 0:
                 demands.append((None, 0.0))
@@ -1063,7 +1283,22 @@ class BatchLatencyModel:
             )
             entry = table.get(key)
             if entry is None:
-                entry = self._derive_demand(system, profile, q_len, stage)
+                misses.setdefault(key[1:], {}).setdefault(key[0], []).append(len(demands))
+                demands.append(None)
+                continue
+            if self._sanitize:
+                self._cross_check(system, profile, key, entry, "hit")
+            demands.append((entry, _fetch_layer_s(entry, memory, profile.session_id)))
+        for group, rows in misses.items():
+            q_len, _, ratio = group[:3]
+            first = profiles[next(iter(rows.values()))[0]]
+            entries = _derive_demands(
+                self.base, system, stage, q_len, ratio, first.measured, list(rows)
+            )
+            for (kv_len, slots), entry in zip(rows.items(), entries, strict=True):
+                key = (kv_len, *group)
+                if self._sanitize:
+                    self._cross_check(system, profiles[slots[0]], key, entry, "miss")
                 if self._num_demands >= _DEMAND_TABLE_ENTRIES:
                     self._demands.clear()
                     table.clear()
@@ -1071,26 +1306,23 @@ class BatchLatencyModel:
                     self._num_demands = 0
                 table[key] = entry
                 self._num_demands += 1
-            elif self._sanitize:
-                fresh = self._derive_demand(system, profile, q_len, stage)
-                for slot in fields(_DemandEntry):
-                    if getattr(entry, slot.name) != getattr(fresh, slot.name):
-                        raise SanitizerError(
-                            PRICE_TABLE,
-                            f"demand-table hit for {system.name} {key} holds "
-                            f"{slot.name}={getattr(entry, slot.name)!r}, a fresh "
-                            f"derivation gives {getattr(fresh, slot.name)!r}",
-                        )
-            fetch_layer_s = entry.fetch_service_s
-            if memory is not None and entry.fetch_bytes > 0:
-                fetch_layer_s = sharded_fetch_makespan(
-                    entry.fetch_bytes,
-                    memory.fetch_split(profile.session_id),
-                    entry.warm_time_s,
-                    entry.cold_time_s,
-                )
-            demands.append((entry, fetch_layer_s))
+                for slot in slots:
+                    demands[slot] = (entry, _fetch_layer_s(entry, memory, profiles[slot].session_id))
         return demands
+
+    def _cross_check(
+        self, system: SystemConfig, profile: StreamProfile, key: tuple, entry, kind: str
+    ) -> None:
+        """Armed only: a table entry must equal a fresh scalar derivation."""
+        fresh = self._derive_demand(system, profile, key[1], key[2])
+        for slot in fields(_DemandEntry):
+            if getattr(entry, slot.name) != getattr(fresh, slot.name):
+                raise SanitizerError(
+                    PRICE_TABLE,
+                    f"demand-table {kind} for {system.name} {key} holds "
+                    f"{slot.name}={getattr(entry, slot.name)!r}, a fresh "
+                    f"derivation gives {getattr(fresh, slot.name)!r}",
+                )
 
     def _batched_oom(self, system: SystemConfig, profiles: Sequence[StreamProfile]) -> bool:
         """Fleet working set vs device memory, per-stream budgets applied."""

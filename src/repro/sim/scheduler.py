@@ -60,6 +60,7 @@ from repro.hw.memory.pcie import PCIeLinkQueue
 from repro.hw.memory.sharding import ShardedKVHierarchy, sharded_fetch_makespan
 from repro.sim.batched import (
     DEFAULT_QUANTUM_S,
+    MAX_Q_LEN,
     PRIO_ARRIVAL,
     PRIO_COMPLETE,
     PRIO_ISSUE,
@@ -783,7 +784,11 @@ class ServingScheduler:
             ] * num_streams
         else:
             q_tokens = _broadcast_per_stream(
-                question_tokens, num_streams, "question_tokens", allow_none_entries=True
+                question_tokens,
+                num_streams,
+                "question_tokens",
+                allow_none_entries=True,
+                maximum=MAX_Q_LEN,
             )
         answers = self.plane._per_stream_counts(
             answer_tokens, 0, num_streams, "answer_tokens"

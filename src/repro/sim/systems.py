@@ -73,6 +73,8 @@ class RetrievalPolicy:
             raise ValueError("generation_ratio must lie in (0, 1]")
         if self.prediction not in {"none", "topk_token", "topk_frame", "resv"}:
             raise ValueError(f"unknown prediction kind: {self.prediction}")
+        if not self.avg_tokens_per_cluster >= 1:
+            raise ValueError("avg_tokens_per_cluster must be at least 1")
 
     def ratio(self, stage: str) -> float:
         """Selection ratio for ``"frame"`` or ``"generation"``."""

@@ -11,6 +11,8 @@ from repro.hw.event import EventLoop, PreemptiveResource, ResourceQueue
 from repro.hw.memory.pcie import PCIE4_X16, PCIeLink, PCIeLinkQueue
 from repro.model.serving import SessionReport
 from repro.sim.batched import (
+    MAX_KV_LEN,
+    MAX_Q_LEN,
     PRIO_COMPLETE,
     PRIO_ISSUE,
     BatchLatencyModel,
@@ -435,6 +437,52 @@ class TestProfiles:
             profiles_from_reports(reports, kv_lens=(1_000,))
 
 
+class TestSizeBounds:
+    """Lengths past the exactly-priced range fail at the boundary, naming the argument."""
+
+    @pytest.mark.parametrize("kv_len", [MAX_KV_LEN + 1, 2**53 + 1, 2**70])
+    def test_oversized_cache_rejected(self, kv_len):
+        with pytest.raises(ValueError, match=rf"^kv_len must be in \[0, {MAX_KV_LEN}\]"):
+            StreamProfile(kv_len=kv_len)
+
+    def test_largest_cache_prices(self, plane, edge):
+        profile = StreamProfile(kv_len=MAX_KV_LEN)
+        assert plane.generation_step(edge["V-Rex8"], [profile]).total_s > 0.0
+
+    def test_oversized_cluster_count_rejected(self):
+        with pytest.raises(ValueError, match=r"^kv_len // measured.avg_tokens_per_cluster"):
+            StreamProfile(
+                kv_len=MAX_KV_LEN, measured=MeasuredRetrieval(avg_tokens_per_cluster=0.5)
+            )
+
+    @pytest.mark.parametrize(
+        "tokens, message",
+        [
+            (MAX_Q_LEN + 1, f"^question_tokens must be at most {MAX_Q_LEN}, got"),
+            ([25, 2**70], f"^question_tokens of stream 1 must be at most {MAX_Q_LEN}"),
+        ],
+    )
+    def test_oversized_question_rejected(self, plane, edge, tokens, message):
+        profiles = [StreamProfile(kv_len=1_000, session_id=i) for i in range(2)]
+        with pytest.raises(ValueError, match=message):
+            plane.question_step(edge["V-Rex8"], profiles, question_tokens=tokens)
+
+    def test_oversized_model_rejected(self):
+        from repro.config import ModelConfig
+        from repro.sim.workload import TransformerWorkload
+
+        wide = ModelConfig(hidden_dim=4096, num_heads=4096, num_kv_heads=4096)
+        with pytest.raises(ValueError, match="too large to price exactly"):
+            BatchLatencyModel(LatencyModel(llm=TransformerWorkload(wide)))
+
+    def test_sub_token_policy_occupancy_rejected(self, edge):
+        import dataclasses
+
+        policy = edge["V-Rex8"].policy
+        with pytest.raises(ValueError, match="^avg_tokens_per_cluster must be at least 1"):
+            dataclasses.replace(policy, avg_tokens_per_cluster=0)
+
+
 class TestScenarioEstimates:
     def test_zero_frames_zero_answers_prices_question_only(self, plane, edge):
         system = edge["V-Rex8"]
@@ -470,6 +518,19 @@ class _Counter:
         return self.wrapped(*args, **kwargs)
 
 
+class _Rows:
+    """Collects the rows a column derivation returns (no timing anywhere)."""
+
+    def __init__(self, wrapped):
+        self.wrapped = wrapped
+        self.entries = []
+
+    def __call__(self, *args, **kwargs):
+        entries = self.wrapped(*args, **kwargs)
+        self.entries.extend(entries)
+        return entries
+
+
 class TestDemandTable:
     """The cost of pricing follows distinct profile values, not calls."""
 
@@ -485,6 +546,7 @@ class TestDemandTable:
         monkeypatch.delenv("REPRO_SANITIZE", raising=False)
 
     def test_each_distinct_value_is_derived_exactly_once(self, edge, monkeypatch):
+        from repro.sim import batched
         from repro.sim.scheduler import ServingScheduler
 
         system = edge["V-Rex8"]
@@ -493,8 +555,8 @@ class TestDemandTable:
             StreamProfile(kv_len=kv_len, session_id=index) for index, kv_len in enumerate(kv_lens)
         ]
         plane = BatchLatencyModel()
-        derivations = _Counter(plane.base.llm.layer_cost)
-        monkeypatch.setattr(plane.base.llm, "layer_cost", derivations)
+        derivations = _Rows(batched._derive_demands)
+        monkeypatch.setattr(batched, "_derive_demands", derivations)
         for mode in self.STEP_MODES:
             plane.frame_step(system, profiles, **mode)
             plane.question_step(system, profiles, **mode)
@@ -502,29 +564,32 @@ class TestDemandTable:
             plane.scenario_estimates(system, profiles, **mode)
         # 8 values x {frame at 10 tokens, question at 25, generation at 1},
         # not one per stream per step (16 streams x 6 steps x 3 modes)
-        assert derivations.calls == 24
+        assert len(derivations.entries) == 24
 
         traces = [[0.0, 0.5]] * len(profiles)
         for _ in range(2):  # a second scheduler on the same plane derives nothing
             ServingScheduler(plane).run(
                 system, profiles, traces, question_arrivals=[1.0] * 16, answer_tokens=1
             )
-        assert derivations.calls == 24
+        assert len(derivations.entries) == 24
 
     def test_all_distinct_fleet_prices_one_fetch_per_fetching_demand(self, edge, monkeypatch):
         """The bypass case: a miss prices nothing an uncached derivation would not.
 
-        Without a memory plane only the single-channel fetch is priced — no
-        eager cold-tier (SSD) price rides along on the miss path.
+        Without a memory plane each fetching row carries its one single-channel
+        fetch price — no eager cold-tier (SSD) price rides along on the miss path.
         """
+        from repro.sim import batched
+
         system = edge["V-Rex8"]
         profiles = [
             StreamProfile(kv_len=10_000 + 777 * index, session_id=index) for index in range(64)
         ]
         plane = BatchLatencyModel()
-        device = plane.base.device_for(system)
-        fetches = _Counter(device.fetch_time_s)
-        monkeypatch.setattr(device, "fetch_time_s", fetches)
+        derivations = _Rows(batched._derive_demands)
+        monkeypatch.setattr(batched, "_derive_demands", derivations)
+        one_channel = _Counter(batched._channel_fetch_time_s)
+        monkeypatch.setattr(batched, "_channel_fetch_time_s", one_channel)
         steps = [
             plane.frame_step(system, profiles),
             plane.question_step(system, profiles),
@@ -532,7 +597,10 @@ class TestDemandTable:
         ]
         fetching = sum(row.fetch_bytes > 0 for step in steps for row in step.streams)
         assert fetching > 64
-        assert fetches.calls == fetching
+        priced = [entry for entry in derivations.entries if entry.fetch_bytes > 0]
+        assert len(priced) == fetching
+        assert all(entry.fetch_service_s > 0 for entry in priced)
+        assert one_channel.calls == 0  # the warm and cold pricers wait for a memory plane
 
     def test_results_survive_the_table_filling_past_its_bound(self, edge, monkeypatch):
         from repro.sim import batched

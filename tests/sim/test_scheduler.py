@@ -628,6 +628,7 @@ class TestInputValidation:
             ({"answer_tokens": [True]}, "^answer_tokens of stream 0 must be a non-negative"),
             ({"answer_tokens": 1.5}, "^answer_tokens must be a non-negative integer"),
             ({"question_tokens": [-4]}, "^question_tokens of stream 0 must be a non-negative"),
+            ({"question_tokens": [2**53 + 1]}, "^question_tokens of stream 0 must be at most"),
         ],
     )
     def test_per_stream_counts_share_the_plane_boundary(self, scheduler, edge, counts, message):
