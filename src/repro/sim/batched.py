@@ -1288,7 +1288,11 @@ class BatchLatencyModel:
                 continue
             if self._sanitize:
                 self._cross_check(system, profile, key, entry, "hit")
-            demands.append((entry, _fetch_layer_s(entry, memory, profile.session_id)))
+            # _fetch_layer_s's memory-free case, inline: hits are the hot path
+            fetch_layer_s = entry.fetch_service_s
+            if memory is not None and entry.fetch_bytes > 0:
+                fetch_layer_s = _fetch_layer_s(entry, memory, profile.session_id)
+            demands.append((entry, fetch_layer_s))
         for group, rows in misses.items():
             q_len, _, ratio = group[:3]
             first = profiles[next(iter(rows.values()))[0]]
@@ -1307,7 +1311,8 @@ class BatchLatencyModel:
                 table[key] = entry
                 self._num_demands += 1
                 for slot in slots:
-                    demands[slot] = (entry, _fetch_layer_s(entry, memory, profiles[slot].session_id))
+                    session_id = profiles[slot].session_id
+                    demands[slot] = (entry, _fetch_layer_s(entry, memory, session_id))
         return demands
 
     def _cross_check(

@@ -449,6 +449,12 @@ class TestSizeBounds:
         profile = StreamProfile(kv_len=MAX_KV_LEN)
         assert plane.generation_step(edge["V-Rex8"], [profile]).total_s > 0.0
 
+    def test_cache_edited_in_place_past_the_bound_rejected(self, edge):
+        profile = StreamProfile(kv_len=1_000)
+        profile.kv_len = 2**53 + 1
+        with pytest.raises(ValueError, match=rf"^kv_len must be at most {MAX_KV_LEN}"):
+            BatchLatencyModel().frame_step(edge["V-Rex8"], [profile])
+
     def test_oversized_cluster_count_rejected(self):
         with pytest.raises(ValueError, match=r"^kv_len // measured.avg_tokens_per_cluster"):
             StreamProfile(
