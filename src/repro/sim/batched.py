@@ -577,8 +577,7 @@ def _derive_demands(
         fetch_bytes = (
             selected * offloaded * llm.kv_bytes_per_token_per_layer() * system.kv_bytes_scale
         )
-    fetching = fetch_bytes > 0
-    if fetching.any():
+    if (fetch_bytes > 0).any():
         from_ssd = system.device.offload_target == "ssd"
         if is_vrex:
             locality = base._contiguous_bytes(system, measured)
