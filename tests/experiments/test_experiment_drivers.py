@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.devtools.sanitizer import ENV_VAR, sanitize_enabled
@@ -20,6 +22,21 @@ from repro.experiments import (
     sharded_memory,
     table03_area_power,
 )
+
+#: sha256 of each serving driver's ``main()`` stdout.  The same bytes are
+#: printed plain, armed (``REPRO_SANITIZE=1`` / ``--sanitize``) and under
+#: ``tests/float_order``; never re-pin to make a refactor pass.
+MAIN_STDOUT_SHA256 = {
+    "batched_serving": "e4c7575f7631c98910aff39af3ee010cc43155f7ef7bed2fbb67a4350dcb93a7",
+    "scheduled_serving": "422d745222daaaf07beaed782f8459c44029696362606bce55122e7e31b515a9",
+    "sharded_memory": "76b7ef0703902cd0b09ac14ed085933775176880eacc622f9c382e49a431649a",
+    "fleet_serving": "69d6b19a4c03144c22b5657fdfe4e0b4cc0cddb39c48f799d1280b2eb438ea36",
+    "energy_serving": "4b472fedc9268ec217cbc948eb222b59a559dbab33d702f268df1b4c100a35df",
+}
+
+
+def _stdout_sha256(out: str) -> str:
+    return hashlib.sha256(out.encode()).hexdigest()
 
 
 class TestFig04:
@@ -189,6 +206,7 @@ class TestBatchedServing:
         batched_serving.main()
         out = capsys.readouterr().out
         assert "Batched serving" in out and "mixed cache sizes" in out
+        assert _stdout_sha256(out) == MAIN_STDOUT_SHA256["batched_serving"]
 
 
 class TestScheduledServing:
@@ -288,12 +306,15 @@ class TestScheduledServing:
         scheduled_serving.main()
         out = capsys.readouterr().out
         assert "Scheduled serving" in out and "tail blow-up" in out
+        assert _stdout_sha256(out) == MAIN_STDOUT_SHA256["scheduled_serving"]
 
     def test_main_sanitize_flag_arms_sanitizer(self, capsys, monkeypatch):
         monkeypatch.setenv(ENV_VAR, "0")
         scheduled_serving.main(["--sanitize"])
         assert sanitize_enabled()
-        assert "Scheduled serving" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "Scheduled serving" in out
+        assert _stdout_sha256(out) == MAIN_STDOUT_SHA256["scheduled_serving"]
 
 
 class TestFleetServing:
@@ -339,6 +360,7 @@ class TestFleetServing:
         assert "Fleet serving" in out
         assert "one-shot vs work stealing" in out
         assert "work stealing on the stuck-at-home population" in out
+        assert _stdout_sha256(out) == MAIN_STDOUT_SHA256["fleet_serving"]
 
 
 class TestShardedMemory:
@@ -388,6 +410,7 @@ class TestShardedMemory:
         sharded_memory.main()
         out = capsys.readouterr().out
         assert "Sharded memory" in out and "best bounded point" in out
+        assert _stdout_sha256(out) == MAIN_STDOUT_SHA256["sharded_memory"]
 
 
 class TestEnergyServing:
@@ -432,6 +455,7 @@ class TestEnergyServing:
         assert "Admission showdown" in out
         assert "Per-resource energy" in out
         assert "undercuts residency" in out
+        assert _stdout_sha256(out) == MAIN_STDOUT_SHA256["energy_serving"]
 
 
 class TestTable03:
