@@ -6,6 +6,13 @@ or series the paper reports.  The benchmark harness under ``benchmarks/``
 wraps these drivers with pytest-benchmark so every figure/table can be
 regenerated with a single command (the index is the README section
 "Experiments, ablations and substitutions").
+
+Five further drivers are serving sweeps, not paper figures:
+``batched_serving``, ``scheduled_serving``, ``sharded_memory``,
+``fleet_serving`` and ``energy_serving``.  Each declares a base scenario
+plus the axes it varies, and all five run on the one private sweep runner
+in :mod:`repro.experiments._sweep` (scenario derivation, row lookup by key,
+table printing, and a ``main(argv)`` that takes ``--sanitize``).
 """
 
 from repro.experiments import (  # noqa: F401

@@ -15,43 +15,67 @@ pattern and fleet composition on the PCIe-bottlenecked edge systems:
 * **mixed cache sizes** — long-history streams pay more and queue longer;
 * **mixed retriever statistics** — streams whose measured occupancy is low
   fetch at poor link efficiency and hold the link longer.
+
+The sweep runs on the shared runner in :mod:`repro.experiments._sweep`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.analysis.reporting import format_table
-from repro.sim.batched import (
-    BatchLatencyModel,
-    StreamProfile,
-    aligned_arrivals,
-    staggered_arrivals,
+from repro.experiments import _sweep
+from repro.experiments._sweep import (
+    Scenario,
+    SweepResult,
+    format_rows,
+    grid,
+    named_system,
 )
+from repro.sim.batched import StreamProfile, aligned_arrivals, staggered_arrivals
 from repro.sim.pipeline import MeasuredRetrieval
-from repro.sim.systems import SystemConfig, edge_systems
-from repro.sim.workload import default_llm_workload
+from repro.sim.systems import SystemConfig
 
+KV_LEN = 40_000
 DEFAULT_STREAM_COUNTS = (1, 2, 4, 8)
 
+COLUMNS = (
+    ("streams", "streams"),
+    ("aligned fetch ms", "aligned_fetch_ms"),
+    ("staggered fetch ms", "staggered_fetch_ms"),
+    ("aligned fps", "aligned_fps"),
+    ("staggered fps", "staggered_fps"),
+    ("batched fps", "batched_fps"),
+)
+STREAM_COLUMNS = (
+    ("stream", "stream"),
+    ("kv_len", "kv_len"),
+    ("latency ms", "latency_ms"),
+    ("exposed fetch ms", "exposed_fetch_ms"),
+    ("PCIe wait ms", "pcie_wait_ms"),
+)
 
-@dataclass
-class BatchedServingResult:
-    """Sweep results for one system at one per-stream cache length."""
 
-    system: str
-    kv_len: int
-    stream_counts: tuple[int, ...]
-    #: num_streams -> mean per-stream exposed KV-fetch latency (ms).
-    aligned_exposed_fetch_ms: dict[int, float] = field(default_factory=dict)
-    staggered_exposed_fetch_ms: dict[int, float] = field(default_factory=dict)
-    #: num_streams -> fleet frame throughput (streams / s of makespan).
-    aligned_fps: dict[int, float] = field(default_factory=dict)
-    staggered_fps: dict[int, float] = field(default_factory=dict)
-    batched_fps: dict[int, float] = field(default_factory=dict)
-    #: per-stream rows of the heterogeneous scenarios at the largest fleet.
+@dataclass(kw_only=True)
+class BatchedServingResult(SweepResult):
+    """One row per fleet size, plus per-stream rows of the two
+    heterogeneous fleets at the largest size."""
+
+    key: tuple[str, ...] = ("streams",)
     mixed_cache_rows: list[dict] = field(default_factory=list)
     mixed_retriever_rows: list[dict] = field(default_factory=list)
+
+    @property
+    def stream_counts(self) -> tuple[int, ...]:
+        return tuple(row["streams"] for row in self.rows)
+
+    @property
+    def aligned_exposed_fetch_ms(self) -> dict[int, float]:
+        """num_streams -> mean per-stream exposed KV-fetch latency (ms)."""
+        return {row["streams"]: row["aligned_fetch_ms"] for row in self.rows}
+
+    @property
+    def staggered_exposed_fetch_ms(self) -> dict[int, float]:
+        return {row["streams"]: row["staggered_fetch_ms"] for row in self.rows}
 
     def contention_penalty(self, num_streams: int) -> float:
         """Aligned-vs-staggered exposed-fetch blow-up at a fleet size."""
@@ -97,84 +121,63 @@ def _mixed_retriever_profiles(kv_len: int, num_streams: int) -> list[StreamProfi
 
 def run(
     system: SystemConfig | None = None,
-    kv_len: int = 40_000,
     stream_counts=DEFAULT_STREAM_COUNTS,
 ) -> BatchedServingResult:
     """Sweep fleet sizes and arrival patterns for one system."""
-    if system is None:
-        system = edge_systems(default_llm_workload().model_bytes())["V-Rex8"]
-    plane = BatchLatencyModel()
-    result = BatchedServingResult(
-        system=system.name, kv_len=kv_len, stream_counts=tuple(stream_counts)
-    )
-    solo_latency = plane.frame_step(system, [StreamProfile(kv_len=kv_len)]).streams[0].total_s
-    for count in stream_counts:
-        aligned = [
-            StreamProfile(kv_len=kv_len, arrival_offset_s=offset, session_id=index)
-            for index, offset in enumerate(aligned_arrivals(count))
+    base = Scenario(system or named_system("V-Rex8"), (KV_LEN,))
+    plane, system = base.plane, base.system
+
+    def fleet(offsets) -> list[StreamProfile]:
+        return [
+            StreamProfile(kv_len=KV_LEN, arrival_offset_s=offset, session_id=index)
+            for index, offset in enumerate(offsets)
         ]
-        staggered = [
-            StreamProfile(kv_len=kv_len, arrival_offset_s=offset, session_id=index)
-            for index, offset in enumerate(staggered_arrivals(count, solo_latency))
-        ]
+
+    def point(count: int) -> dict:
+        aligned = fleet(aligned_arrivals(count))
         aligned_step = plane.frame_step(system, aligned)
-        staggered_step = plane.frame_step(system, staggered)
-        batched_step = plane.frame_step(system, aligned, contention=False)
-        result.aligned_exposed_fetch_ms[count] = aligned_step.mean_exposed_fetch_s * 1e3
-        result.staggered_exposed_fetch_ms[count] = staggered_step.mean_exposed_fetch_s * 1e3
-        result.aligned_fps[count] = aligned_step.fps
-        result.staggered_fps[count] = staggered_step.fps
-        result.batched_fps[count] = batched_step.fps
+        staggered_step = plane.frame_step(
+            system, fleet(staggered_arrivals(count, base.solo_latency_s))
+        )
+        return {
+            "streams": count,
+            "aligned_fetch_ms": aligned_step.mean_exposed_fetch_s * 1e3,
+            "staggered_fetch_ms": staggered_step.mean_exposed_fetch_s * 1e3,
+            "aligned_fps": aligned_step.fps,
+            "staggered_fps": staggered_step.fps,
+            "batched_fps": plane.frame_step(system, aligned, contention=False).fps,
+        }
 
-    largest = max(stream_counts)
-    for rows, profiles in (
-        (result.mixed_cache_rows, _mixed_cache_profiles(kv_len, largest)),
-        (result.mixed_retriever_rows, _mixed_retriever_profiles(kv_len, largest)),
-    ):
-        step = plane.frame_step(system, profiles)
-        for stream in step.streams:
-            rows.append(
-                {
-                    "stream": stream.session_id,
-                    "kv_len": stream.kv_len,
-                    "latency_ms": stream.total_ms,
-                    "exposed_fetch_ms": stream.exposed_fetch_s * 1e3,
-                    "pcie_wait_ms": stream.pcie_wait_s * 1e3,
-                }
-            )
-    return result
+    def stream_rows(profiles: list[StreamProfile]) -> list[dict]:
+        return [
+            {
+                "stream": stream.session_id,
+                "kv_len": stream.kv_len,
+                "latency_ms": stream.total_ms,
+                "exposed_fetch_ms": stream.exposed_fetch_s * 1e3,
+                "pcie_wait_ms": stream.pcie_wait_s * 1e3,
+            }
+            for stream in plane.frame_step(system, profiles).streams
+        ]
+
+    rows = grid(point, stream_counts=stream_counts)
+    largest = max(row["streams"] for row in rows)
+    return BatchedServingResult.of(
+        base,
+        rows,
+        mixed_cache_rows=stream_rows(_mixed_cache_profiles(KV_LEN, largest)),
+        mixed_retriever_rows=stream_rows(_mixed_retriever_profiles(KV_LEN, largest)),
+    )
 
 
-def main() -> dict[str, BatchedServingResult]:
-    """Print the sweep for the two edge systems the contention story needs."""
-    systems = edge_systems(default_llm_workload().model_bytes())
+def _report() -> dict[str, BatchedServingResult]:
     results: dict[str, BatchedServingResult] = {}
     for name in ("V-Rex8", "AGX + FlexGen"):
-        result = run(system=systems[name])
-        results[name] = result
-        rows = []
-        for count in result.stream_counts:
-            rows.append(
-                [
-                    count,
-                    result.aligned_exposed_fetch_ms[count],
-                    result.staggered_exposed_fetch_ms[count],
-                    result.aligned_fps[count],
-                    result.staggered_fps[count],
-                    result.batched_fps[count],
-                ]
-            )
+        result = results[name] = run(system=named_system(name))
         print(
-            format_table(
-                [
-                    "streams",
-                    "aligned fetch ms",
-                    "staggered fetch ms",
-                    "aligned fps",
-                    "staggered fps",
-                    "batched fps",
-                ],
-                rows,
+            format_rows(
+                COLUMNS,
+                result.rows,
                 title=f"Batched serving — {name}, {result.kv_len // 1000}K cache/stream",
             )
         )
@@ -183,28 +186,21 @@ def main() -> dict[str, BatchedServingResult]:
             f"  contention penalty at {largest} aligned streams: "
             f"{result.contention_penalty(largest):.2f}x exposed fetch"
         )
-        print(
-            format_table(
-                ["stream", "kv_len", "latency ms", "exposed fetch ms", "PCIe wait ms"],
-                [
-                    [r["stream"], r["kv_len"], r["latency_ms"], r["exposed_fetch_ms"], r["pcie_wait_ms"]]
-                    for r in result.mixed_cache_rows
-                ],
-                title=f"  mixed cache sizes ({largest} aligned streams)",
-            )
-        )
-        print(
-            format_table(
-                ["stream", "kv_len", "latency ms", "exposed fetch ms", "PCIe wait ms"],
-                [
-                    [r["stream"], r["kv_len"], r["latency_ms"], r["exposed_fetch_ms"], r["pcie_wait_ms"]]
-                    for r in result.mixed_retriever_rows
-                ],
-                title=f"  mixed retriever statistics ({largest} aligned streams)",
-            )
-        )
+        for label, rows in (
+            ("mixed cache sizes", result.mixed_cache_rows),
+            ("mixed retriever statistics", result.mixed_retriever_rows),
+        ):
+            print(format_rows(STREAM_COLUMNS, rows, title=f"  {label} ({largest} aligned streams)"))
         print()
     return results
+
+
+def main(argv: list[str] | None = None) -> dict[str, BatchedServingResult]:
+    """Print the sweep for the two edge systems the contention story needs.
+
+    ``--sanitize`` arms the runtime sanitizer for the whole sweep.
+    """
+    return _sweep.main(argv, _report)
 
 
 if __name__ == "__main__":

@@ -19,22 +19,27 @@ run prices its *energy* next to its latency percentiles.  Two sweeps:
   policy on J/query while staying within 10% of its p99.
 
 ``--sanitize`` arms the runtime sanitizer (energy-conservation checks
-included) for the whole sweep.
+included) for the whole sweep.  The sweeps run on the shared runner in
+:mod:`repro.experiments._sweep`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.analysis.energy import energy_rollup, format_energy_table
-from repro.analysis.reporting import format_table
-from repro.devtools.sanitizer import arm_from_argv
+from repro.experiments import _sweep
+from repro.experiments._sweep import (
+    Scenario,
+    SweepResult,
+    format_rows,
+    grid,
+    named_system,
+    percent,
+    schedule_row,
+)
 from repro.hw.memory.sharding import ShardedKVHierarchy
-from repro.sim.arrivals import BurstyArrivals, PoissonArrivals, rate_for_load
-from repro.sim.batched import BatchLatencyModel, StreamProfile
-from repro.sim.scheduler import SchedulerConfig, ServingScheduler
-from repro.sim.systems import SystemConfig, edge_systems, server_systems
-from repro.sim.workload import default_llm_workload
+from repro.hw.specs import GiB
 
 DEFAULT_LOAD_FACTORS = (0.4, 0.7, 0.9, 1.2)
 
@@ -42,84 +47,73 @@ DEFAULT_LOAD_FACTORS = (0.4, 0.7, 0.9, 1.2)
 SHOWDOWN_KV_LENS = (80_000, 80_000, 10_000, 10_000, 10_000, 10_000)
 SHOWDOWN_LOAD_FACTORS = (0.8, 1.0, 1.4)
 SHOWDOWN_BUDGET_J_PER_TOKEN = 8.0
-GiB = 1024.0**3
+
+LOAD_COLUMNS = (
+    ("load", "load"),
+    ("total J", "total_j", ".1f"),
+    ("idle J", "idle_j", ".1f"),
+    ("J/token", "j_per_token", ".3f"),
+    ("J/query", "j_per_query", ".3f"),
+    ("$/1M q", "usd_per_1m_queries", ".4f"),
+    ("link util %", percent("link_utilization"), ".1f"),
+    ("p99 ms", "p99_ms", ".1f"),
+)
+SHOWDOWN_COLUMNS = (
+    ("load", "load"),
+    ("admission", "admission"),
+    ("served", "served"),
+    ("deferred", "deferred"),
+    ("J/query", "j_per_query", ".3f"),
+    ("$/1M q", "usd_per_1m_queries", ".4f"),
+    ("p99 ms", "p99_ms", ".1f"),
+    ("miss %", percent("miss_rate"), ".1f"),
+)
 
 
-@dataclass
-class EnergyServingResult:
-    """Energy metrics of one system across load factors."""
-
-    system: str
-    kv_len: int
-    num_streams: int
-    frames_per_stream: int
-    solo_latency_s: float
-    #: one row per load factor: the flat ``energy_rollup`` plus latency.
-    rows: list[dict] = field(default_factory=list)
-
-    def row(self, load_factor: float) -> dict:
-        for row in self.rows:
-            if row["load"] == load_factor:
-                return row
-        raise KeyError(f"no row for load {load_factor}")
+def _energy_row(schedule) -> dict:
+    """One run's latency summary, its ``energy_rollup`` and its report."""
+    report = schedule.energy()
+    return {
+        **schedule_row(schedule),
+        **energy_rollup(report),
+        "served": schedule.served,
+        "deferred": schedule.deferred,
+        "report": report,
+    }
 
 
 def run_load_sweep(
-    system: SystemConfig | None = None,
-    kv_len: int = 40_000,
     num_streams: int = 8,
     frames_per_stream: int = 12,
     load_factors=DEFAULT_LOAD_FACTORS,
-    seed: int = 0,
-) -> EnergyServingResult:
-    """Price one system's serving energy across Poisson load factors."""
-    if system is None:
-        system = edge_systems(default_llm_workload().model_bytes())["V-Rex8"]
-    plane = BatchLatencyModel()
-    profiles = [
-        StreamProfile(kv_len=kv_len, session_id=index) for index in range(num_streams)
-    ]
-    solo = plane.frame_step(system, profiles[:1]).streams[0].total_s
-    scheduler = ServingScheduler(plane, SchedulerConfig(max_queue_depth=4))
-    result = EnergyServingResult(
-        system=system.name,
-        kv_len=kv_len,
-        num_streams=num_streams,
-        frames_per_stream=frames_per_stream,
-        solo_latency_s=solo,
+) -> SweepResult:
+    """Price one system's serving energy across Poisson load factors.
+
+    One row per load factor: the flat ``energy_rollup``, latency, the PCIe
+    link's utilization and the full report (``row["report"]``).
+    """
+    base = Scenario(
+        named_system("V-Rex8"), (40_000,) * num_streams, frames_per_stream, max_queue_depth=4
     )
-    for load in load_factors:
-        rate = rate_for_load(load, solo, num_streams)
-        traces = PoissonArrivals(rate_hz=rate).generate(
-            num_streams, frames_per_stream, seed=seed
-        )
-        schedule = scheduler.run(system, profiles, traces)
-        report = schedule.energy()
-        fleet = schedule.fleet_summary()
-        row = {"load": load, "p99_ms": fleet.p99_ms, "drop_rate": fleet.drop_rate}
-        row.update(energy_rollup(report))
-        link = [r for r in report.resources if r.name in ("pcie", "device")]
+
+    def point(load: float) -> dict:
+        row = {"load": load, **_energy_row(base.schedule(load))}
+        link = [r for r in row["report"].resources if r.name in ("pcie", "device")]
         row["link_utilization"] = link[0].utilization if link else 0.0
-        result.rows.append(row)
-    return result
+        return row
+
+    return SweepResult.of(base, grid(point, load_factors=load_factors))
 
 
-@dataclass
-class AdmissionShowdownResult:
-    """Energy-vs-residency admission, one pair of runs per load factor."""
+@dataclass(kw_only=True)
+class AdmissionShowdownResult(SweepResult):
+    """Energy-vs-residency admission, one pair of runs per load factor.
 
-    system: str
-    kv_lens: tuple[int, ...]
-    deadline_s: float
+    One row per (load, admission): J/query, p99, served/deferred.
+    """
+
     budget_j_per_token: float
-    #: one row per (load, admission): J/query, p99, served/deferred.
-    rows: list[dict] = field(default_factory=list)
-
-    def row(self, load_factor: float, admission: str) -> dict:
-        for row in self.rows:
-            if row["load"] == load_factor and row["admission"] == admission:
-                return row
-        raise KeyError(f"no row for load {load_factor}, admission {admission!r}")
+    key: tuple[str, ...] = ("load", "admission")
 
     def energy_wins(self, p99_slack: float = 1.1) -> list[float]:
         """Load factors where the energy policy undercuts residency on
@@ -137,106 +131,43 @@ class AdmissionShowdownResult:
         return wins
 
 
-def run_admission_showdown(
-    kv_lens=SHOWDOWN_KV_LENS,
-    load_factors=SHOWDOWN_LOAD_FACTORS,
-    frames_per_stream: int = 10,
-    budget_j_per_token: float = SHOWDOWN_BUDGET_J_PER_TOKEN,
-    deadline_multiple: float = 3.0,
-    max_queue_depth: int = 3,
-    bank_budget_bytes: float = 24.0 * GiB,
-    seed: int = 23,
-) -> AdmissionShowdownResult:
+def run_admission_showdown(load_factors=SHOWDOWN_LOAD_FACTORS) -> AdmissionShowdownResult:
     """Run the two admission policies over identical seeded traces.
 
-    Every run gets a fresh memory plane (admission decisions mutate shard
-    residency), so the two policies see identical initial state.  The
-    fleet is heterogeneous on purpose: with uniform streams the energy
-    policy degenerates into a deadline policy priced in joules
+    Every run partitions the fleet's shards into a fresh copy of the
+    plane's bank hierarchy, so the two policies see identical initial
+    state.  The fleet is heterogeneous on purpose: with uniform streams the
+    energy policy degenerates into a deadline policy priced in joules
     (``sojourn > (budget x tokens - io x fetch) / baseline``) and the two
     tie bit for bit.
     """
-    system = server_systems(default_llm_workload().model_bytes())["V-Rex48"]
-
-    def make_plane() -> BatchLatencyModel:
-        return BatchLatencyModel(
-            memory=ShardedKVHierarchy(
-                num_banks=2, bank_budget_bytes=bank_budget_bytes
-            )
-        )
-
-    profiles = [
-        StreamProfile(kv_len=kv, session_id=index)
-        for index, kv in enumerate(kv_lens)
-    ]
-    solo = make_plane().frame_step(system, profiles[:1]).streams[0].total_s
-    deadline = deadline_multiple * solo
-    result = AdmissionShowdownResult(
-        system=system.name,
-        kv_lens=tuple(kv_lens),
-        deadline_s=deadline,
-        budget_j_per_token=budget_j_per_token,
+    base = Scenario(
+        named_system("V-Rex48"),
+        SHOWDOWN_KV_LENS,
+        frames_per_stream=10,
+        deadline_multiple=3.0,
+        max_queue_depth=3,
+        seed=23,
+        memory=ShardedKVHierarchy(num_banks=2, bank_budget_bytes=24.0 * GiB),
     )
-    for load in load_factors:
-        rate = rate_for_load(load, solo, len(profiles))
-        traces = BurstyArrivals.for_mean_rate(rate).generate(
-            len(profiles), frames_per_stream, seed=seed
+
+    def point(load: float, admission: str) -> dict:
+        budget = SHOWDOWN_BUDGET_J_PER_TOKEN if admission == "energy" else None
+        schedule = base.schedule(
+            load, "bursty", admission=admission, energy_budget_j_per_token=budget
         )
-        for admission in ("residency", "energy"):
-            config = SchedulerConfig(
-                deadline_s=deadline,
-                max_queue_depth=max_queue_depth,
-                admission=admission,
-                energy_budget_j_per_token=(
-                    budget_j_per_token if admission == "energy" else None
-                ),
-            )
-            schedule = ServingScheduler(make_plane(), config).run(
-                system, profiles, traces
-            )
-            report = schedule.energy()
-            fleet = schedule.fleet_summary()
-            result.rows.append(
-                {
-                    "load": load,
-                    "admission": admission,
-                    "served": schedule.served,
-                    "deferred": schedule.deferred,
-                    "total_j": report.total_j,
-                    "j_per_token": report.j_per_token,
-                    "j_per_query": report.j_per_query,
-                    "usd_per_1m_queries": report.usd_per_1m_queries,
-                    "p99_ms": fleet.p99_ms,
-                    "miss_rate": fleet.deadline_miss_rate,
-                }
-            )
-    return result
+        return {"load": load, "admission": admission, **_energy_row(schedule)}
+
+    rows = grid(point, load_factors=load_factors, admission=("residency", "energy"))
+    return AdmissionShowdownResult.of(base, rows, budget_j_per_token=SHOWDOWN_BUDGET_J_PER_TOKEN)
 
 
-def main(argv: list[str] | None = None) -> dict:
-    """Print the energy plane's two sweeps.
-
-    ``--sanitize`` arms the runtime sanitizer for the whole sweep
-    (equivalent to launching under ``REPRO_SANITIZE=1``).
-    """
-    arm_from_argv(argv)
+def _report() -> dict:
     sweep = run_load_sweep()
     print(
-        format_table(
-            ["load", "total J", "idle J", "J/token", "J/query", "$/1M q", "link util %", "p99 ms"],
-            [
-                [
-                    row["load"],
-                    f"{row['total_j']:.1f}",
-                    f"{row['idle_j']:.1f}",
-                    f"{row['j_per_token']:.3f}",
-                    f"{row['j_per_query']:.3f}",
-                    f"{row['usd_per_1m_queries']:.4f}",
-                    f"{100.0 * row['link_utilization']:.1f}",
-                    f"{row['p99_ms']:.1f}",
-                ]
-                for row in sweep.rows
-            ],
+        format_rows(
+            LOAD_COLUMNS,
+            sweep.rows,
             title=(
                 f"Serving energy vs load — {sweep.system}, {sweep.num_streams} streams, "
                 f"{sweep.kv_len // 1000}K cache/stream, Poisson arrivals"
@@ -247,21 +178,9 @@ def main(argv: list[str] | None = None) -> dict:
 
     showdown = run_admission_showdown()
     print(
-        format_table(
-            ["load", "admission", "served", "deferred", "J/query", "$/1M q", "p99 ms", "miss %"],
-            [
-                [
-                    row["load"],
-                    row["admission"],
-                    row["served"],
-                    row["deferred"],
-                    f"{row['j_per_query']:.3f}",
-                    f"{row['usd_per_1m_queries']:.4f}",
-                    f"{row['p99_ms']:.1f}",
-                    f"{100.0 * row['miss_rate']:.1f}",
-                ]
-                for row in showdown.rows
-            ],
+        format_rows(
+            SHOWDOWN_COLUMNS,
+            showdown.rows,
             title=(
                 f"Admission showdown — {showdown.system}, caches "
                 f"{'/'.join(str(kv // 1000) + 'K' for kv in showdown.kv_lens)}, "
@@ -278,22 +197,23 @@ def main(argv: list[str] | None = None) -> dict:
     print()
 
     # one fully-itemized report at the heaviest load-sweep point
-    system = edge_systems(default_llm_workload().model_bytes())["V-Rex8"]
-    plane = BatchLatencyModel()
-    profiles = [StreamProfile(kv_len=40_000, session_id=i) for i in range(8)]
-    solo = plane.frame_step(system, profiles[:1]).streams[0].total_s
-    rate = rate_for_load(max(DEFAULT_LOAD_FACTORS), solo, 8)
-    traces = PoissonArrivals(rate_hz=rate).generate(8, 12, seed=0)
-    schedule = ServingScheduler(plane, SchedulerConfig(max_queue_depth=4)).run(
-        system, profiles, traces
-    )
+    heaviest = max(row["load"] for row in sweep.rows)
     print(
         format_energy_table(
-            schedule.energy(),
-            title=f"Per-resource energy — {system.name} at load {max(DEFAULT_LOAD_FACTORS)}",
+            sweep.row(heaviest)["report"],
+            title=f"Per-resource energy — {sweep.system} at load {heaviest}",
         )
     )
     return {"load_sweep": sweep, "showdown": showdown}
+
+
+def main(argv: list[str] | None = None) -> dict:
+    """Print the energy plane's two sweeps.
+
+    ``--sanitize`` arms the runtime sanitizer for the whole sweep
+    (equivalent to launching under ``REPRO_SANITIZE=1``).
+    """
+    return _sweep.main(argv, _report)
 
 
 if __name__ == "__main__":

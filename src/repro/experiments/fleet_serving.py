@@ -20,53 +20,63 @@ serving operator sizing a deployment actually wants:
 
 The M=1 rows are bit-identical to a plain
 :class:`~repro.sim.scheduler.ServingScheduler` run (the fleet guarantee),
-so the single-device column doubles as the baseline.
+so the single-device column doubles as the baseline.  The sweeps run on
+the shared runner in :mod:`repro.experiments._sweep`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.analysis.fleet import fleet_rollup
-from repro.analysis.reporting import format_table
-from repro.devtools.sanitizer import arm_from_argv
-from repro.hw.interconnect import PCIE5_SWITCH, InterconnectSpec
-from repro.sim.arrivals import PoissonArrivals, rate_for_load
-from repro.sim.batched import BatchLatencyModel, StreamProfile
+from repro.experiments import _sweep
+from repro.experiments._sweep import (
+    Scenario,
+    SweepResult,
+    format_rows,
+    grid,
+    named_system,
+    percent,
+)
+from repro.hw.interconnect import PCIE5_SWITCH
 from repro.sim.fleet import ROUTER_POLICIES, FleetConfig, FleetScheduler
-from repro.sim.scheduler import SchedulerConfig
-from repro.sim.systems import SystemConfig, edge_systems
-from repro.sim.workload import default_llm_workload
 
-DEFAULT_DEVICE_COUNTS = (1, 2, 4)
-DEFAULT_LOAD_FACTORS = (0.7, 1.2)
+DEVICE_COUNTS = (1, 2, 4)
+LOAD_FACTORS = (0.7, 1.2)
+
+SCALING_COLUMNS = (
+    ("load", "load"),
+    ("devices", lambda row: int(row["num_devices"])),
+    ("router", "router"),
+    ("p50 ms", "p50", ".2f"),
+    ("p99 ms", "p99", ".2f"),
+    ("miss %", percent("deadline_miss_rate"), ".1f"),
+    ("migr", lambda row: int(row["migrations"])),
+    ("imbal", "imbalance", ".2f"),
+)
+MIGRATION_COLUMNS = (
+    ("router", "router"),
+    (
+        "patience",
+        lambda row: "-" if row["router"] != "kv_residency" else f"{row['patience']:g}",
+    ),
+    ("mode", lambda row: "steal" if row["stealing"] else "one-shot"),
+    ("migrations", lambda row: int(row["migrations"])),
+    ("steals", lambda row: int(row["steals"])),
+    ("GB shipped", lambda row: row["interconnect_bytes"] / 1e9, ".2f"),
+    ("p50 ms", "p50", ".2f"),
+    ("p99 ms", "p99", ".2f"),
+    ("miss %", percent("deadline_miss_rate"), ".1f"),
+)
 
 
-@dataclass
-class FleetServingResult:
-    """Device-count × load × router sweep for one system."""
+@dataclass(kw_only=True)
+class FleetServingResult(SweepResult):
+    """Rows of ``fleet_rollup`` dicts, each with its ``load`` (and, in the
+    migration sweep, ``homed``, ``patience`` and ``stealing``)."""
 
-    system: str
-    kv_len: int
-    num_streams: int
-    frames_per_stream: int
-    solo_latency_s: float
-    deadline_s: float
-    interconnect: str
-    #: one row per (load, num_devices, router): fleet_rollup dict + keys
-    #: ``load`` and (migration sweep only) ``homed``.
-    rows: list[dict] = field(default_factory=list)
-
-    def row(self, load: float, num_devices: int, router: str) -> dict:
-        for row in self.rows:
-            if (
-                row["load"] == load
-                and row["num_devices"] == num_devices
-                and row["router"] == router
-            ):
-                return row
-        raise KeyError(f"no row for load {load}, {num_devices} device(s), {router!r}")
+    key: tuple[str, ...] = ("load", "num_devices", "router")
 
     def tail_collapse(self, load: float, router: str = "round_robin") -> float:
         """p99(M=1) / p99(max M) at one load — what the fleet buys."""
@@ -78,77 +88,44 @@ class FleetServingResult:
         return single / widest
 
 
-def run(
-    system: SystemConfig | None = None,
-    kv_len: int = 40_000,
-    num_streams: int = 12,
-    frames_per_stream: int = 10,
-    device_counts=DEFAULT_DEVICE_COUNTS,
-    load_factors=DEFAULT_LOAD_FACTORS,
-    routers=ROUTER_POLICIES,
-    interconnect: InterconnectSpec = PCIE5_SWITCH,
-    deadline_multiple: float = 3.0,
-    max_queue_depth: int | None = 6,
-    seed: int = 0,
-) -> FleetServingResult:
+def _scenario(num_streams: int, frames_per_stream: int) -> Scenario:
+    return Scenario(
+        named_system("V-Rex8"),
+        (40_000,) * num_streams,
+        frames_per_stream,
+        deadline_multiple=3.0,
+        max_queue_depth=6,
+    )
+
+
+def run() -> FleetServingResult:
     """Sweep device count × load × router at a fixed session population.
 
     Offered load is quoted against a *single* device (``load=1.2`` means
     one device would be 20% oversubscribed), so growing the fleet at a
     fixed load shows the tail collapsing toward the solo latency floor.
     """
-    if system is None:
-        system = edge_systems(default_llm_workload().model_bytes())["V-Rex8"]
-    plane = BatchLatencyModel()
-    profiles = [
-        StreamProfile(kv_len=kv_len, session_id=index) for index in range(num_streams)
-    ]
-    solo = plane.frame_step(system, profiles[:1]).streams[0].total_s
-    deadline = deadline_multiple * solo
-    config = SchedulerConfig(deadline_s=deadline, max_queue_depth=max_queue_depth)
-    result = FleetServingResult(
-        system=system.name,
-        kv_len=kv_len,
-        num_streams=num_streams,
-        frames_per_stream=frames_per_stream,
-        solo_latency_s=solo,
-        deadline_s=deadline,
-        interconnect=interconnect.name,
-    )
-    for load in load_factors:
-        rate = rate_for_load(load, solo, num_streams)
-        traces = PoissonArrivals(rate_hz=rate).generate(
-            num_streams, frames_per_stream, seed=seed
+    base = _scenario(12, 10)
+
+    def point(load: float, num_devices: int, router: str) -> dict:
+        fleet = FleetScheduler(
+            base.plane,
+            base.config(),
+            FleetConfig(
+                num_devices=num_devices, router=router, interconnect=PCIE5_SWITCH, seed=base.seed
+            ),
         )
-        for num_devices in device_counts:
-            for router in routers:
-                fleet = FleetScheduler(
-                    plane,
-                    config,
-                    FleetConfig(
-                        num_devices=num_devices,
-                        router=router,
-                        interconnect=interconnect,
-                        seed=seed,
-                    ),
-                )
-                row = fleet_rollup(fleet.run(system, profiles, traces))
-                row["load"] = load
-                result.rows.append(row)
-    return result
+        result = fleet.run(base.system, base.profiles, base.traces(load))
+        return {"load": load, **fleet_rollup(result)}
+
+    rows = grid(
+        point, load_factors=LOAD_FACTORS, device_counts=DEVICE_COUNTS, routers=ROUTER_POLICIES
+    )
+    return FleetServingResult.of(base, rows)
 
 
 def run_migration_sweep(
-    system: SystemConfig | None = None,
-    kv_len: int = 40_000,
-    num_streams: int = 12,
-    frames_per_stream: int = 10,
-    num_devices: int = 4,
-    load: float = 1.2,
-    interconnect: InterconnectSpec = PCIE5_SWITCH,
-    deadline_multiple: float = 3.0,
-    max_queue_depth: int | None = 6,
-    seed: int = 0,
+    num_streams: int = 12, frames_per_stream: int = 10, num_devices: int = 4
 ) -> FleetServingResult:
     """Price rebalancing a fleet whose sessions all live on device 0.
 
@@ -159,91 +136,53 @@ def run_migration_sweep(
     per-session work estimate), from infinite patience — zero bytes
     shipped, the whole population stuck queueing on device 0 — down to
     hair-trigger rebalancing.  The rows price that spectrum in shipped
-    shard bytes against tail latency.
+    shard bytes against tail latency, each one-shot and with work stealing.
     """
-    if system is None:
-        system = edge_systems(default_llm_workload().model_bytes())["V-Rex8"]
-    plane = BatchLatencyModel()
-    profiles = [
-        StreamProfile(kv_len=kv_len, session_id=index) for index in range(num_streams)
-    ]
-    solo = plane.frame_step(system, profiles[:1]).streams[0].total_s
-    deadline = deadline_multiple * solo
-    config = SchedulerConfig(deadline_s=deadline, max_queue_depth=max_queue_depth)
-    rate = rate_for_load(load, solo, num_streams)
-    traces = PoissonArrivals(rate_hz=rate).generate(
-        num_streams, frames_per_stream, seed=seed
-    )
-    homes = {profile.session_id: 0 for profile in profiles}
-    result = FleetServingResult(
-        system=system.name,
-        kv_len=kv_len,
-        num_streams=num_streams,
-        frames_per_stream=frames_per_stream,
-        solo_latency_s=solo,
-        deadline_s=deadline,
-        interconnect=interconnect.name,
-    )
-    session_work = solo * (frames_per_stream + 1)
-    points: list[tuple[str, float]] = [
-        (router, float("inf")) for router in ROUTER_POLICIES if router != "kv_residency"
-    ]
-    points += [("kv_residency", patience) for patience in (float("inf"), 4.0, 1.0)]
-    for router, patience in points:
-        for stealing in (False, True):
-            fleet = FleetScheduler(
-                plane,
-                config,
-                FleetConfig(
-                    num_devices=num_devices,
-                    router=router,
-                    interconnect=interconnect,
-                    seed=seed,
-                    migrate_backlog_s=patience * session_work,
-                    work_stealing=stealing,
-                ),
-            )
-            row = fleet_rollup(
-                fleet.run(system, profiles, traces, home_devices=homes)
-            )
-            row["load"] = load
-            row["homed"] = True
-            row["patience"] = patience
-            row["stealing"] = stealing
-            result.rows.append(row)
-    return result
+    base = _scenario(num_streams, frames_per_stream)
+    load = 1.2
+    homes = {profile.session_id: 0 for profile in base.profiles}
+    session_work = base.solo_latency_s * (frames_per_stream + 1)
+    patience_points = [
+        (router, math.inf) for router in ROUTER_POLICIES if router != "kv_residency"
+    ] + [("kv_residency", patience) for patience in (math.inf, 4.0, 1.0)]
+
+    def point(router_patience: tuple[str, float], stealing: bool) -> dict:
+        router, patience = router_patience
+        fleet = FleetScheduler(
+            base.plane,
+            base.config(),
+            FleetConfig(
+                num_devices=num_devices,
+                router=router,
+                interconnect=PCIE5_SWITCH,
+                seed=base.seed,
+                migrate_backlog_s=patience * session_work,
+                work_stealing=stealing,
+            ),
+        )
+        result = fleet.run(base.system, base.profiles, base.traces(load), home_devices=homes)
+        return {
+            **fleet_rollup(result),
+            "load": load,
+            "homed": True,
+            "patience": patience,
+            "stealing": stealing,
+        }
+
+    rows = grid(point, routers=patience_points, stealing=(False, True))
+    return FleetServingResult.of(base, rows, key=("router", "patience", "stealing"))
 
 
-def main(argv: list[str] | None = None) -> dict[str, FleetServingResult]:
-    """Print the device-count sweep and the migration-pricing sweep.
-
-    ``--sanitize`` arms the runtime sanitizer for the whole sweep: every
-    event loop, resource and shard plane in every run asserts its
-    invariants (equivalent to launching under ``REPRO_SANITIZE=1``).
-    """
-    arm_from_argv(argv)
+def _report() -> dict[str, FleetServingResult]:
     scaling = run()
-    rows = [
-        [
-            row["load"],
-            int(row["num_devices"]),
-            row["router"],
-            f"{row['p50']:.2f}",
-            f"{row['p99']:.2f}",
-            f"{100.0 * row['deadline_miss_rate']:.1f}",
-            int(row["migrations"]),
-            f"{row['imbalance']:.2f}",
-        ]
-        for row in scaling.rows
-    ]
     print(
-        format_table(
-            ["load", "devices", "router", "p50 ms", "p99 ms", "miss %", "migr", "imbal"],
-            rows,
+        format_rows(
+            SCALING_COLUMNS,
+            scaling.rows,
             title=(
                 f"Fleet serving — {scaling.system}, {scaling.num_streams} sessions, "
                 f"{scaling.kv_len // 1000}K cache/session, "
-                f"interconnect {scaling.interconnect}"
+                f"interconnect {PCIE5_SWITCH.name}"
             ),
         )
     )
@@ -255,54 +194,35 @@ def main(argv: list[str] | None = None) -> dict[str, FleetServingResult]:
     )
 
     migration = run_migration_sweep()
-    rows = [
-        [
-            row["router"],
-            "-" if row["router"] != "kv_residency" else f"{row['patience']:g}",
-            "steal" if row["stealing"] else "one-shot",
-            int(row["migrations"]),
-            int(row["steals"]),
-            f"{row['interconnect_bytes'] / 1e9:.2f}",
-            f"{row['p50']:.2f}",
-            f"{row['p99']:.2f}",
-            f"{100.0 * row['deadline_miss_rate']:.1f}",
-        ]
-        for row in migration.rows
-    ]
     print()
     print(
-        format_table(
-            [
-                "router",
-                "patience",
-                "mode",
-                "migrations",
-                "steals",
-                "GB shipped",
-                "p50 ms",
-                "p99 ms",
-                "miss %",
-            ],
-            rows,
+        format_rows(
+            MIGRATION_COLUMNS,
+            migration.rows,
             title=(
                 f"Migration pricing — all sessions homed on device 0, "
-                f"{migration.interconnect} interconnect, one-shot vs work stealing"
+                f"{PCIE5_SWITCH.name} interconnect, one-shot vs work stealing"
             ),
         )
     )
-    stuck = [
-        row
-        for row in migration.rows
-        if row["router"] == "kv_residency" and math.isinf(row["patience"])
-    ]
-    one_shot_p99 = next(r["p99"] for r in stuck if not r["stealing"])
-    steal_p99 = next(r["p99"] for r in stuck if r["stealing"])
+    one_shot_p99 = migration.row("kv_residency", math.inf, False)["p99"]
+    steal_p99 = migration.row("kv_residency", math.inf, True)["p99"]
     print(
         f"\nwork stealing on the stuck-at-home population "
         f"(kv_residency, infinite patience): p99 "
         f"{one_shot_p99:.2f} ms -> {steal_p99:.2f} ms"
     )
     return {"scaling": scaling, "migration": migration}
+
+
+def main(argv: list[str] | None = None) -> dict[str, FleetServingResult]:
+    """Print the device-count sweep and the migration-pricing sweep.
+
+    ``--sanitize`` arms the runtime sanitizer for the whole sweep: every
+    event loop, resource and shard plane in every run asserts its
+    invariants (equivalent to launching under ``REPRO_SANITIZE=1``).
+    """
+    return _sweep.main(argv, _report)
 
 
 if __name__ == "__main__":

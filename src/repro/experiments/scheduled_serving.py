@@ -14,56 +14,70 @@ and reports what a serving operator actually monitors:
 * **load factor** — the fleet's aggregate offered load relative to one
   stream's solo frame latency, swept toward saturation;
 * **latency distributions** — per-run fleet p50/p95/p99 sojourn times,
-  deadline-miss rate against a deadline of ``deadline_multiple`` solo
-  latencies, and the share of frames the backlog admission bound dropped;
+  deadline-miss rate against a deadline of two solo latencies, and the
+  share of frames the backlog admission bound dropped;
 * **compute contention** — :func:`run` prices the LXE/GPU under either
   compute policy, and :func:`run_quantum_sweep` sweeps the time-sliced
   server's scheduling quantum against offered load, bracketing each
   operating point between the private-compute floor and progressively
   coarser round-robin slicing.
+
+The sweeps run on the shared runner in :mod:`repro.experiments._sweep`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.analysis.reporting import format_table
-from repro.devtools.sanitizer import arm_from_argv
-from repro.sim.arrivals import (
-    BurstyArrivals,
-    DeterministicArrivals,
-    PoissonArrivals,
-    rate_for_load,
+from repro.experiments import _sweep
+from repro.experiments._sweep import (
+    PATTERNS,
+    Scenario,
+    SweepResult,
+    format_rows,
+    grid,
+    named_system,
+    percent,
+    require_axis,
+    schedule_row,
 )
-from repro.sim.batched import DEFAULT_QUANTUM_S, BatchLatencyModel, StreamProfile
-from repro.sim.scheduler import SchedulerConfig, ServingScheduler
-from repro.sim.systems import SystemConfig, edge_systems
-from repro.sim.workload import default_llm_workload
+from repro.sim.batched import DEFAULT_QUANTUM_S
+from repro.sim.systems import SystemConfig
 
 DEFAULT_LOAD_FACTORS = (0.4, 0.7, 0.9)
-PATTERNS = ("aligned", "staggered", "poisson", "bursty")
 DEFAULT_QUANTA_S = (4e-3, 1e-3, 2.5e-4)
+#: the arrival process behind each of ``PATTERNS``, all at one mean rate
+_arrival_traces = _sweep.arrival_traces
+
+PATTERN_COLUMNS = (
+    ("load", "load"),
+    ("pattern", "pattern"),
+    ("p50 ms", "p50_ms"),
+    ("p95 ms", "p95_ms"),
+    ("p99 ms", "p99_ms"),
+    ("miss %", percent("miss_rate")),
+    ("drop %", percent("drop_rate")),
+)
+QUANTUM_COLUMNS = (
+    ("load", "load"),
+    (
+        "quantum",
+        lambda row: "private" if row["quantum_s"] is None else f"{row['quantum_s'] * 1e3:g} ms",
+    ),
+    ("p50 ms", "p50_ms"),
+    ("p95 ms", "p95_ms"),
+    ("p99 ms", "p99_ms"),
+    ("miss %", percent("miss_rate")),
+    ("makespan s", "makespan_s"),
+)
 
 
-@dataclass
-class ScheduledServingResult:
-    """Sweep results for one system at one per-stream cache length."""
+@dataclass(kw_only=True)
+class ScheduledServingResult(SweepResult):
+    """One row per (load_factor, pattern): p50/p95/p99 ms, miss/drop rates."""
 
-    system: str
-    kv_len: int
-    num_streams: int
-    frames_per_stream: int
-    solo_latency_s: float
-    deadline_s: float
+    key: tuple[str, ...] = ("load", "pattern")
     compute: str = "private"
-    #: one row per (load_factor, pattern): p50/p95/p99 ms, miss/drop rates.
-    rows: list[dict] = field(default_factory=list)
-
-    def row(self, load_factor: float, pattern: str) -> dict:
-        for row in self.rows:
-            if row["load"] == load_factor and row["pattern"] == pattern:
-                return row
-        raise KeyError(f"no row for load {load_factor}, pattern {pattern!r}")
 
     def tail_blowup(self, load_factor: float, pattern: str) -> float:
         """p99 / p50 at one operating point (queueing-tail amplification)."""
@@ -73,207 +87,78 @@ class ScheduledServingResult:
         return row["p99_ms"] / row["p50_ms"]
 
 
-def _arrival_traces(
-    pattern: str, rate_hz: float, num_streams: int, frames: int, seed: int
-):
-    if pattern == "aligned":
-        process = DeterministicArrivals(period_s=1.0 / rate_hz)
-    elif pattern == "staggered":
-        process = DeterministicArrivals(
-            period_s=1.0 / rate_hz, spacing_s=1.0 / (rate_hz * num_streams)
-        )
-    elif pattern == "poisson":
-        process = PoissonArrivals(rate_hz=rate_hz)
-    elif pattern == "bursty":
-        process = BurstyArrivals.for_mean_rate(rate_hz)
-    else:
-        raise ValueError(f"unknown arrival pattern {pattern!r}")
-    return process.generate(num_streams, frames, seed=seed)
+def _scenario(system, kv_len, num_streams, frames_per_stream, max_queue_depth) -> Scenario:
+    return Scenario(
+        system or named_system("V-Rex8"),
+        (kv_len,) * num_streams,
+        frames_per_stream,
+        deadline_multiple=2.0,
+        max_queue_depth=max_queue_depth,
+    )
 
 
 def run(
     system: SystemConfig | None = None,
-    kv_len: int = 40_000,
     num_streams: int = 8,
     frames_per_stream: int = 12,
     load_factors=DEFAULT_LOAD_FACTORS,
-    deadline_multiple: float = 2.0,
     max_queue_depth: int | None = 4,
-    seed: int = 0,
     compute: str = "private",
-    quantum_s: float = DEFAULT_QUANTUM_S,
 ) -> ScheduledServingResult:
     """Sweep arrival patterns and load factors for one system."""
-    if system is None:
-        system = edge_systems(default_llm_workload().model_bytes())["V-Rex8"]
-    plane = BatchLatencyModel()
-    profiles = [
-        StreamProfile(kv_len=kv_len, session_id=index) for index in range(num_streams)
-    ]
-    solo = plane.frame_step(system, profiles[:1]).streams[0].total_s
-    deadline = deadline_multiple * solo
-    scheduler = ServingScheduler(
-        plane,
-        SchedulerConfig(
-            deadline_s=deadline,
-            max_queue_depth=max_queue_depth,
-            compute=compute,
-            quantum_s=quantum_s,
-        ),
-    )
-    result = ScheduledServingResult(
-        system=system.name,
-        kv_len=kv_len,
-        num_streams=num_streams,
-        frames_per_stream=frames_per_stream,
-        solo_latency_s=solo,
-        deadline_s=deadline,
-        compute=compute,
-    )
-    for load in load_factors:
-        rate = rate_for_load(load, solo, num_streams)
-        for pattern in PATTERNS:
-            traces = _arrival_traces(
-                pattern, rate, num_streams, frames_per_stream, seed
-            )
-            schedule = scheduler.run(system, profiles, traces)
-            fleet = schedule.fleet_summary()
-            result.rows.append(
-                {
-                    "load": load,
-                    "pattern": pattern,
-                    "p50_ms": fleet.p50_ms,
-                    "p95_ms": fleet.p95_ms,
-                    "p99_ms": fleet.p99_ms,
-                    "mean_ms": fleet.mean_ms,
-                    "miss_rate": fleet.deadline_miss_rate,
-                    "drop_rate": fleet.drop_rate,
-                    "makespan_s": schedule.makespan_s,
-                    "events": schedule.events_processed,
-                }
-            )
-    return result
+    base = _scenario(system, 40_000, num_streams, frames_per_stream, max_queue_depth)
 
+    def point(load: float, pattern: str) -> dict:
+        schedule = base.schedule(load, pattern, compute=compute)
+        return {"load": load, "pattern": pattern, **schedule_row(schedule)}
 
-@dataclass
-class QuantumSweepResult:
-    """Quantum × load sweep of the time-sliced compute server."""
-
-    system: str
-    kv_len: int
-    num_streams: int
-    frames_per_stream: int
-    pattern: str
-    solo_latency_s: float
-    deadline_s: float
-    #: one row per (load_factor, quantum); ``quantum_s is None`` marks the
-    #: private-compute baseline that lower-brackets every quantum.
-    rows: list[dict] = field(default_factory=list)
-
-    def row(self, load_factor: float, quantum_s: float | None) -> dict:
-        for row in self.rows:
-            if row["load"] == load_factor and row["quantum_s"] == quantum_s:
-                return row
-        raise KeyError(f"no row for load {load_factor}, quantum {quantum_s!r}")
+    rows = grid(point, load_factors=load_factors, patterns=PATTERNS)
+    return ScheduledServingResult.of(base, rows, compute=compute)
 
 
 def run_quantum_sweep(
     system: SystemConfig | None = None,
-    kv_len: int = 4_000,
     num_streams: int = 8,
     frames_per_stream: int = 10,
     load_factors=DEFAULT_LOAD_FACTORS,
     quanta_s=DEFAULT_QUANTA_S,
-    pattern: str = "poisson",
-    deadline_multiple: float = 2.0,
     max_queue_depth: int | None = 4,
-    seed: int = 0,
-) -> QuantumSweepResult:
+) -> SweepResult:
     """Sweep the round-robin quantum against offered load for one system.
 
-    Every operating point also runs the private-compute policy (the
+    One row per (load_factor, quantum) under Poisson arrivals.  Every
+    operating point also runs the private-compute policy (the
     ``quantum_s=None`` baseline row), whose makespan lower-brackets the
-    time-sliced runs at any quantum.  The default cache length is short on
-    purpose: with small caches the LXE/GPU — not the PCIe link — is the
+    time-sliced runs at any quantum.  The cache length (4K tokens) is short
+    on purpose: with small caches the LXE/GPU — not the PCIe link — is the
     contended resource, which is the regime where compute time-slicing
     shows (at 40K-token caches the fetch path hides compute entirely and
     every quantum row collapses onto the private baseline).
     """
-    if system is None:
-        system = edge_systems(default_llm_workload().model_bytes())["V-Rex8"]
-    plane = BatchLatencyModel()
-    profiles = [
-        StreamProfile(kv_len=kv_len, session_id=index) for index in range(num_streams)
-    ]
-    solo = plane.frame_step(system, profiles[:1]).streams[0].total_s
-    deadline = deadline_multiple * solo
-    result = QuantumSweepResult(
-        system=system.name,
-        kv_len=kv_len,
-        num_streams=num_streams,
-        frames_per_stream=frames_per_stream,
-        pattern=pattern,
-        solo_latency_s=solo,
-        deadline_s=deadline,
-    )
-    for load in load_factors:
-        rate = rate_for_load(load, solo, num_streams)
-        traces = _arrival_traces(pattern, rate, num_streams, frames_per_stream, seed)
-        for quantum in (None, *quanta_s):
-            config = SchedulerConfig(
-                deadline_s=deadline,
-                max_queue_depth=max_queue_depth,
-                compute="private" if quantum is None else "timesliced",
-                quantum_s=DEFAULT_QUANTUM_S if quantum is None else quantum,
-            )
-            schedule = ServingScheduler(plane, config).run(system, profiles, traces)
-            fleet = schedule.fleet_summary()
-            result.rows.append(
-                {
-                    "load": load,
-                    "quantum_s": quantum,
-                    "compute": config.compute,
-                    "p50_ms": fleet.p50_ms,
-                    "p95_ms": fleet.p95_ms,
-                    "p99_ms": fleet.p99_ms,
-                    "mean_ms": fleet.mean_ms,
-                    "miss_rate": fleet.deadline_miss_rate,
-                    "drop_rate": fleet.drop_rate,
-                    "makespan_s": schedule.makespan_s,
-                    "events": schedule.events_processed,
-                }
-            )
-    return result
+    base = _scenario(system, 4_000, num_streams, frames_per_stream, max_queue_depth)
+
+    def point(load: float, quantum: float | None) -> dict:
+        compute = "private" if quantum is None else "timesliced"
+        schedule = base.schedule(
+            load,
+            compute=compute,
+            quantum_s=DEFAULT_QUANTUM_S if quantum is None else quantum,
+        )
+        return {"load": load, "quantum_s": quantum, "compute": compute, **schedule_row(schedule)}
+
+    quanta = (None, *require_axis("quanta_s", quanta_s))
+    rows = grid(point, load_factors=load_factors, quanta_s=quanta)
+    return SweepResult.of(base, rows, key=("load", "quantum_s"))
 
 
-def main(argv: list[str] | None = None) -> dict[str, ScheduledServingResult]:
-    """Print the sweep for the two edge systems the contention story needs.
-
-    ``--sanitize`` arms the runtime sanitizer for the whole sweep
-    (equivalent to launching under ``REPRO_SANITIZE=1``).
-    """
-    arm_from_argv(argv)
-    systems = edge_systems(default_llm_workload().model_bytes())
+def _report() -> dict[str, ScheduledServingResult]:
     results: dict[str, ScheduledServingResult] = {}
     for name in ("V-Rex8", "AGX + FlexGen"):
-        result = run(system=systems[name])
-        results[name] = result
-        rows = [
-            [
-                row["load"],
-                row["pattern"],
-                row["p50_ms"],
-                row["p95_ms"],
-                row["p99_ms"],
-                100.0 * row["miss_rate"],
-                100.0 * row["drop_rate"],
-            ]
-            for row in result.rows
-        ]
+        result = results[name] = run(system=named_system(name))
         print(
-            format_table(
-                ["load", "pattern", "p50 ms", "p95 ms", "p99 ms", "miss %", "drop %"],
-                rows,
+            format_rows(
+                PATTERN_COLUMNS,
+                result.rows,
                 title=(
                     f"Scheduled serving — {name}, {result.num_streams} streams, "
                     f"{result.kv_len // 1000}K cache/stream, "
@@ -282,39 +167,33 @@ def main(argv: list[str] | None = None) -> dict[str, ScheduledServingResult]:
             )
         )
         heaviest = max(row["load"] for row in result.rows)
-        print(
-            f"  p99/p50 tail blow-up at load {heaviest}: "
-            f"aligned {result.tail_blowup(heaviest, 'aligned'):.2f}x vs "
-            f"staggered {result.tail_blowup(heaviest, 'staggered'):.2f}x vs "
-            f"poisson {result.tail_blowup(heaviest, 'poisson'):.2f}x vs "
-            f"bursty {result.tail_blowup(heaviest, 'bursty'):.2f}x"
+        blowups = " vs ".join(
+            f"{pattern} {result.tail_blowup(heaviest, pattern):.2f}x" for pattern in PATTERNS
         )
+        print(f"  p99/p50 tail blow-up at load {heaviest}: {blowups}")
         print()
 
     sweep = run_quantum_sweep()
-    rows = [
-        [
-            row["load"],
-            "private" if row["quantum_s"] is None else f"{row['quantum_s'] * 1e3:g} ms",
-            row["p50_ms"],
-            row["p95_ms"],
-            row["p99_ms"],
-            100.0 * row["miss_rate"],
-            row["makespan_s"],
-        ]
-        for row in sweep.rows
-    ]
     print(
-        format_table(
-            ["load", "quantum", "p50 ms", "p95 ms", "p99 ms", "miss %", "makespan s"],
-            rows,
+        format_rows(
+            QUANTUM_COLUMNS,
+            sweep.rows,
             title=(
                 f"Time-sliced compute — {sweep.system}, {sweep.num_streams} streams, "
-                f"{sweep.pattern} arrivals (private = lower bracket)"
+                "poisson arrivals (private = lower bracket)"
             ),
         )
     )
     return results
+
+
+def main(argv: list[str] | None = None) -> dict[str, ScheduledServingResult]:
+    """Print the sweep for the two edge systems the contention story needs.
+
+    ``--sanitize`` arms the runtime sanitizer for the whole sweep
+    (equivalent to launching under ``REPRO_SANITIZE=1``).
+    """
+    return _sweep.main(argv, _report)
 
 
 if __name__ == "__main__":

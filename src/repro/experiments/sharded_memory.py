@@ -20,169 +20,113 @@ Each operating point reports the latency distribution (p50/p95/p99),
 deadline-miss/drop/defer rates, eviction counts and the peak per-bank
 occupancy.  An unbounded single-bank baseline row reproduces the
 memory-less scheduler exactly (the degenerate configuration PR-pinned in
-``tests/sim/test_sharded_scheduler.py``).
+``tests/sim/test_sharded_scheduler.py``).  The sweep runs on the shared
+runner in :mod:`repro.experiments._sweep`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
-from repro.analysis.reporting import format_table
+from repro.experiments import _sweep
+from repro.experiments._sweep import (
+    Scenario,
+    SweepResult,
+    format_rows,
+    grid,
+    named_system,
+    percent,
+    require_axis,
+    schedule_row,
+)
 from repro.hw.memory.sharding import ShardedKVHierarchy
-from repro.sim.arrivals import BurstyArrivals, rate_for_load
-from repro.sim.batched import BatchLatencyModel, StreamProfile
-from repro.sim.scheduler import SchedulerConfig, ServingScheduler
-from repro.sim.systems import SystemConfig, server_systems
-from repro.sim.workload import default_llm_workload
-
-GiB = 1024.0**3
+from repro.hw.specs import GiB
+from repro.sim.batched import BatchLatencyModel
 
 DEFAULT_BANK_COUNTS = (1, 2, 4)
 ADMISSION_POLICIES = ("backlog", "residency")
+BANK_BUDGET_GIB = 4.5
+LOAD = 1.2
+
+COLUMNS = (
+    ("banks", lambda row: "∞" if not row["bounded"] else row["num_banks"]),
+    ("GiB/bank", lambda row: "∞" if not row["bounded"] else f"{row['bank_budget_gib']:g}"),
+    ("admission", "admission"),
+    ("p50 ms", "p50_ms"),
+    ("p95 ms", "p95_ms"),
+    ("p99 ms", "p99_ms"),
+    ("miss %", percent("miss_rate")),
+    ("drop %", percent("drop_rate")),
+    ("defers", "deferred"),
+    ("evicts", "evictions"),
+    ("peak GiB", "peak_bank_occupancy_gib"),
+)
 
 
-@dataclass
-class ShardedMemoryResult:
-    """Sweep results for one system at one per-stream cache length."""
+@dataclass(kw_only=True)
+class ShardedMemoryResult(SweepResult):
+    """One row per (num_banks, admission), plus the unbounded baseline."""
 
-    system: str
-    kv_len: int
-    num_streams: int
-    frames_per_stream: int
-    solo_latency_s: float
-    deadline_s: float
-    bank_budget_gib: float
-    #: one row per (num_banks, admission) plus the unbounded baseline
-    rows: list[dict] = field(default_factory=list)
+    key: tuple[str, ...] = ("num_banks", "admission", "bounded")
 
     def row(self, num_banks: int, admission: str, bounded: bool = True) -> dict:
-        for row in self.rows:
-            if (
-                row["num_banks"] == num_banks
-                and row["admission"] == admission
-                and row["bounded"] == bounded
-            ):
-                return row
-        raise KeyError(
-            f"no row for {num_banks} banks, admission {admission!r}, bounded={bounded}"
-        )
+        return super().row(num_banks, admission, bounded)
 
 
 def run(
-    system: SystemConfig | None = None,
-    kv_len: int = 40_000,
     num_streams: int = 6,
     frames_per_stream: int = 8,
     bank_counts=DEFAULT_BANK_COUNTS,
-    bank_budget_gib: float = 4.5,
-    load_factor: float = 1.2,
-    deadline_multiple: float = 2.0,
-    max_queue_depth: int | None = 3,
-    seed: int = 7,
 ) -> ShardedMemoryResult:
     """Sweep bank count and admission policy for one memory-bound fleet."""
-    if system is None:
-        system = server_systems(default_llm_workload().model_bytes())["V-Rex48"]
-    profiles = [
-        StreamProfile(kv_len=kv_len, session_id=index) for index in range(num_streams)
-    ]
-    solo_plane = BatchLatencyModel()
-    solo = solo_plane.frame_step(system, profiles[:1]).streams[0].total_s
-    deadline = deadline_multiple * solo
-    traces = BurstyArrivals.for_mean_rate(
-        rate_for_load(load_factor, solo, num_streams)
-    ).generate(num_streams, frames_per_stream, seed=seed)
-    result = ShardedMemoryResult(
-        system=system.name,
-        kv_len=kv_len,
-        num_streams=num_streams,
-        frames_per_stream=frames_per_stream,
-        solo_latency_s=solo,
-        deadline_s=deadline,
-        bank_budget_gib=bank_budget_gib,
+    base = Scenario(
+        named_system("V-Rex48"),
+        (40_000,) * num_streams,
+        frames_per_stream,
+        deadline_multiple=2.0,
+        max_queue_depth=3,
+        seed=7,
     )
-
-    def operating_point(num_banks: int, budget_bytes: float, bounded: bool) -> None:
-        plane = BatchLatencyModel(
-            memory=ShardedKVHierarchy(
-                num_banks=num_banks, bank_budget_bytes=budget_bytes
-            )
+    # the unbounded single bank first: the memory-less degenerate case
+    bounded = [(n, BANK_BUDGET_GIB) for n in require_axis("bank_counts", bank_counts)]
+    banks = [(1, math.inf), *bounded]
+    planes = {
+        point: BatchLatencyModel(
+            memory=ShardedKVHierarchy(num_banks=point[0], bank_budget_bytes=point[1] * GiB)
         )
-        for admission in ADMISSION_POLICIES:
-            config = SchedulerConfig(
-                deadline_s=deadline,
-                max_queue_depth=max_queue_depth,
-                admission=admission,
-            )
-            schedule = ServingScheduler(plane, config).run(system, profiles, traces)
-            fleet = schedule.fleet_summary()
-            peak = max(
-                (max(occ) for _, occ in schedule.bank_occupancy_trajectory),
-                default=0.0,
-            )
-            result.rows.append(
-                {
-                    "num_banks": num_banks,
-                    "bounded": bounded,
-                    "bank_budget_gib": budget_bytes / GiB,
-                    "admission": admission,
-                    "p50_ms": fleet.p50_ms,
-                    "p95_ms": fleet.p95_ms,
-                    "p99_ms": fleet.p99_ms,
-                    "mean_ms": fleet.mean_ms,
-                    "miss_rate": fleet.deadline_miss_rate,
-                    "drop_rate": fleet.drop_rate,
-                    "deferred": schedule.deferred,
-                    "evict_admissions": schedule.evict_admissions,
-                    "evictions": len(schedule.memory.evictions),
-                    "peak_bank_occupancy_gib": peak / GiB,
-                    "makespan_s": schedule.makespan_s,
-                    "events": schedule.events_processed,
-                }
-            )
+        for point in banks
+    }
 
-    # unbounded single-bank baseline: the memory-less degenerate case
-    operating_point(1, float("inf"), bounded=False)
-    for num_banks in bank_counts:
-        operating_point(num_banks, bank_budget_gib * GiB, bounded=True)
-    return result
+    def point(bank_point: tuple[int, float], admission: str) -> dict:
+        schedule = base.schedule(LOAD, "bursty", plane=planes[bank_point], admission=admission)
+        peak = max(
+            (max(occ) for _, occ in schedule.bank_occupancy_trajectory),
+            default=0.0,
+        )
+        num_banks, budget_gib = bank_point
+        return {
+            "num_banks": num_banks,
+            "bounded": not math.isinf(budget_gib),
+            "bank_budget_gib": budget_gib,
+            "admission": admission,
+            **schedule_row(schedule),
+            "deferred": schedule.deferred,
+            "evict_admissions": schedule.evict_admissions,
+            "evictions": len(schedule.memory.evictions),
+            "peak_bank_occupancy_gib": peak / GiB,
+        }
+
+    rows = grid(point, bank_counts=banks, admission=ADMISSION_POLICIES)
+    return ShardedMemoryResult.of(base, rows)
 
 
-def main() -> ShardedMemoryResult:
-    """Print the bank-count × admission sweep for the server deployment."""
+def _report() -> ShardedMemoryResult:
     result = run()
-    rows = [
-        [
-            "∞" if not row["bounded"] else row["num_banks"],
-            "∞" if not row["bounded"] else f"{row['bank_budget_gib']:g}",
-            row["admission"],
-            row["p50_ms"],
-            row["p95_ms"],
-            row["p99_ms"],
-            100.0 * row["miss_rate"],
-            100.0 * row["drop_rate"],
-            row["deferred"],
-            row["evictions"],
-            row["peak_bank_occupancy_gib"],
-        ]
-        for row in result.rows
-    ]
     print(
-        format_table(
-            [
-                "banks",
-                "GiB/bank",
-                "admission",
-                "p50 ms",
-                "p95 ms",
-                "p99 ms",
-                "miss %",
-                "drop %",
-                "defers",
-                "evicts",
-                "peak GiB",
-            ],
-            rows,
+        format_rows(
+            COLUMNS,
+            result.rows,
             title=(
                 f"Sharded memory — {result.system}, {result.num_streams} streams, "
                 f"{result.kv_len // 1000}K cache/stream, "
@@ -198,6 +142,14 @@ def main() -> ShardedMemoryResult:
         f"p99 {best['p99_ms']:.0f} ms"
     )
     return result
+
+
+def main(argv: list[str] | None = None) -> ShardedMemoryResult:
+    """Print the bank-count × admission sweep for the server deployment.
+
+    ``--sanitize`` arms the runtime sanitizer for the whole sweep.
+    """
+    return _sweep.main(argv, _report)
 
 
 if __name__ == "__main__":

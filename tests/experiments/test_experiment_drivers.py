@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import sys
 
 import pytest
 
@@ -456,6 +457,47 @@ class TestEnergyServing:
         assert "Per-resource energy" in out
         assert "undercuts residency" in out
         assert _stdout_sha256(out) == MAIN_STDOUT_SHA256["energy_serving"]
+
+
+class TestServingSweepCommandLine:
+    """``batched_serving`` and ``sharded_memory`` take ``--sanitize`` like the
+    other three serving drivers: passed as ``argv`` or on the command line
+    (``python -m repro.experiments.<driver> --sanitize``), it arms the
+    sanitizer, and the pinned bytes print armed."""
+
+    DRIVERS = {"batched_serving": batched_serving, "sharded_memory": sharded_memory}
+
+    @pytest.mark.parametrize("name", sorted(DRIVERS))
+    def test_sanitize_argument_arms(self, name, capsys, monkeypatch):
+        monkeypatch.setenv(ENV_VAR, "0")
+        self.DRIVERS[name].main(["--sanitize"])
+        assert sanitize_enabled()
+        assert _stdout_sha256(capsys.readouterr().out) == MAIN_STDOUT_SHA256[name]
+
+    @pytest.mark.parametrize("name", sorted(DRIVERS))
+    def test_sanitize_on_the_command_line_arms(self, name, capsys, monkeypatch):
+        monkeypatch.setenv(ENV_VAR, "0")
+        monkeypatch.setattr(sys, "argv", [name, "--sanitize"])
+        self.DRIVERS[name].main()
+        assert sanitize_enabled()
+        assert _stdout_sha256(capsys.readouterr().out) == MAIN_STDOUT_SHA256[name]
+
+
+class TestServingSweepBoundaries:
+    """A degenerate sweep is rejected when it is built, naming the argument."""
+
+    def test_empty_stream_counts(self):
+        with pytest.raises(ValueError, match="stream_counts"):
+            batched_serving.run(stream_counts=())
+
+    def test_empty_device_counts(self, monkeypatch):
+        monkeypatch.setattr(fleet_serving, "DEVICE_COUNTS", ())
+        with pytest.raises(ValueError, match="device_counts"):
+            fleet_serving.run()
+
+    def test_zero_frames_per_stream(self):
+        with pytest.raises(ValueError, match="frames_per_stream"):
+            scheduled_serving.run(frames_per_stream=0)
 
 
 class TestTable03:

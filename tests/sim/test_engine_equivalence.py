@@ -103,11 +103,18 @@ def _run_both(plane, config, system, profiles, traces, **kwargs):
     return reference, array
 
 
+def _system_names() -> list[str]:
+    model_bytes = default_llm_workload().model_bytes()
+    return sorted({**edge_systems(model_bytes), **server_systems(model_bytes)})
+
+
 class TestEngineEquivalenceProperty:
-    """Random fleets through both engines must match bit for bit."""
+    """Random fleets on all ten systems through both engines must match
+    bit for bit."""
 
     @settings(max_examples=20, deadline=None)
     @given(
+        system_name=st.sampled_from(_system_names()),
         seed=st.integers(min_value=0, max_value=2**31 - 1),
         num_streams=st.integers(min_value=1, max_value=5),
         frames=st.integers(min_value=0, max_value=6),
@@ -122,6 +129,8 @@ class TestEngineEquivalenceProperty:
     def test_random_configs_match(
         self,
         edge,
+        server,
+        system_name,
         seed,
         num_streams,
         frames,
@@ -134,7 +143,7 @@ class TestEngineEquivalenceProperty:
         answer_tokens,
     ):
         plane = BatchLatencyModel()
-        system = edge["V-Rex8"]
+        system = {**edge, **server}[system_name]
         rng = np.random.default_rng(seed)
         profiles = _fleet(
             [int(rng.integers(5_000, 45_000)) for _ in range(num_streams)]
