@@ -24,10 +24,14 @@ from repro.experiments import (
     table03_area_power,
 )
 
-#: sha256 of each serving driver's ``main()`` stdout.  The same bytes are
-#: printed plain, armed (``REPRO_SANITIZE=1`` / ``--sanitize``) and under
-#: ``tests/float_order``; never re-pin to make a refactor pass.
+#: sha256 of each serving driver's and of Figs. 13-15's ``main()`` stdout.
+#: The same bytes are printed plain, armed (``REPRO_SANITIZE=1`` /
+#: ``--sanitize``) and under ``tests/float_order``; never re-pin to make a
+#: refactor pass.
 MAIN_STDOUT_SHA256 = {
+    "fig13_latency_energy": "0fb361fc68fc5a3fe877b58ee8e77652534de28ea457ba37b8fdf1e6f5ad8f71",
+    "fig14_e2e_breakdown": "b1fa2c62e0776d7cb7a43107870b2be92b401acf653518329226f44432dfc837",
+    "fig15_throughput_oaken": "5e57779032a74f2cb100bb9dc6495a69773783d6b4ac36b7f9f2b5c93bbc3fd1",
     "batched_serving": "e4c7575f7631c98910aff39af3ee010cc43155f7ef7bed2fbb67a4350dcb93a7",
     "scheduled_serving": "422d745222daaaf07beaed782f8459c44029696362606bce55122e7e31b515a9",
     "sharded_memory": "76b7ef0703902cd0b09ac14ed085933775176880eacc622f9c382e49a431649a",
@@ -114,7 +118,9 @@ class TestFig13:
         monkeypatch.setenv(ENV_VAR, "0")
         fig13_latency_energy.main(["--sanitize"])
         assert sanitize_enabled()
-        assert "edge" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "edge" in out
+        assert _stdout_sha256(out) == MAIN_STDOUT_SHA256["fig13_latency_energy"]
 
 
 class TestFig14:
@@ -126,6 +132,11 @@ class TestFig14:
             if name != "V-Rex8":
                 assert all(v >= 1.0 for v in series.values())
 
+    def test_main_prints_pinned_bytes(self, capsys):
+        fig14_e2e_breakdown.main()
+        out = capsys.readouterr().out
+        assert _stdout_sha256(out) == MAIN_STDOUT_SHA256["fig14_e2e_breakdown"]
+
 
 class TestFig15:
     def test_oom_crossovers(self):
@@ -136,6 +147,11 @@ class TestFig15:
         assert all(fps > 0 for fps in result.fps["V-Rex8"].values())
         # Oaken's quantised cache survives longer than the FP16 cache.
         assert result.first_oom_length("Oaken") > result.first_oom_length("AGX Orin")
+
+    def test_main_prints_pinned_bytes(self, capsys):
+        fig15_throughput_oaken.main()
+        out = capsys.readouterr().out
+        assert _stdout_sha256(out) == MAIN_STDOUT_SHA256["fig15_throughput_oaken"]
 
 
 class TestFig16:
