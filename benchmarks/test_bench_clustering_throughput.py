@@ -60,11 +60,14 @@ class _Stream:
 def _clone_into_reference(table: HashClusterTable):
     """Materialise the engine state as a seed-style reference table."""
     reference = _seed.ReferenceTable(HEAD_DIM, N_BITS, table.hamming_threshold)
-    for entry in table.clusters:
-        clone = _seed._ReferenceCluster(
-            entry.cluster_index, entry.token_indices[0], entry.key_sum, entry.bit_votes
-        )
-        clone.token_indices = list(entry.token_indices)
+    store, lane = table._store, table._lane
+    members: list[list[int]] = [[] for _ in range(table.num_clusters)]
+    for token_id, cluster in zip(*table.assignments(), strict=True):
+        members[cluster].append(int(token_id))
+    for index, tokens in enumerate(members):
+        votes = (store._votes[lane, index] + store._counts[lane, index]) // 2
+        clone = _seed._ReferenceCluster(index, tokens[0], store._key_sums[lane, index], votes)
+        clone.token_indices = tokens
         reference.clusters.append(clone)
     reference.num_tokens = table.num_tokens
     return reference

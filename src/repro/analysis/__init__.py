@@ -17,7 +17,6 @@ from repro.analysis.fleet import (
     per_device_rows,
 )
 from repro.analysis.latency import (
-    deadline_miss_rate,
     format_bank_occupancy_table,
     format_latency_summary_table,
     format_schedule_record_table,
@@ -26,7 +25,6 @@ from repro.analysis.metrics import (
     REAL_TIME_FPS,
     fps_from_latency_ms,
     pearson_correlation,
-    speedup,
     speedup_range,
 )
 from repro.analysis.reporting import format_series, format_table
@@ -41,7 +39,6 @@ __all__ = [
     "REAL_TIME_FPS",
     "StageBreakdown",
     "batch_summary",
-    "deadline_miss_rate",
     "energy_rollup",
     "fleet_rollup",
     "format_bank_occupancy_table",
@@ -61,6 +58,5 @@ __all__ = [
     "retrieval_overhead_fractions",
     "retrieval_ratio_spread",
     "scenario_breakdowns",
-    "speedup",
     "speedup_range",
 ]

@@ -3,7 +3,7 @@
 The serving scheduler (:mod:`repro.sim.scheduler`) reports *distributions*
 — per-stream and fleet sojourn-time percentiles, deadline-miss rates and
 admission drop rates — rather than the single makespan the lockstep batched
-plane produces.  These helpers compute and format those quantities; like
+plane produces.  These helpers format those quantities; like
 the rest of :mod:`repro.analysis` they are duck-typed (any object exposing
 ``sojourn_s`` / ``dropped`` / ``deadline_missed`` rows works) so the module
 stays independent of the sim package.
@@ -11,21 +11,7 @@ stays independent of the sim package.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
-import numpy as np
-
 from repro.analysis.reporting import format_table
-
-
-def deadline_miss_rate(sojourn_times_s: Sequence[float], deadline_s: float) -> float:
-    """Fraction of served jobs whose sojourn exceeded the deadline."""
-    if deadline_s <= 0:
-        raise ValueError(f"deadline_s must be positive, got {deadline_s}")
-    values = np.asarray(sojourn_times_s, dtype=float)
-    if values.size == 0:
-        return 0.0
-    return int(np.count_nonzero(values > deadline_s)) / values.size
 
 
 def format_latency_summary_table(summaries, title: str | None = None) -> str:

@@ -15,13 +15,6 @@ def fps_from_latency_ms(latency_ms: float, batch: int = 1) -> float:
     return batch * 1000.0 / latency_ms
 
 
-def speedup(baseline_latency: float, optimized_latency: float) -> float:
-    """Latency ratio baseline / optimized."""
-    if optimized_latency <= 0:
-        return float("inf")
-    return baseline_latency / optimized_latency
-
-
 def speedup_range(speedups: dict[int, float]) -> tuple[float, float]:
     """(min, max) of a speedup series (how the paper quotes ranges like 2.2-7.3x)."""
     values = list(speedups.values())

@@ -119,14 +119,10 @@ class ModelConfig:
         per_layer = 2 * self.num_kv_heads * self.head_dim * self.dtype_bytes
         return per_layer * self.num_layers
 
-    def replace(self, **changes) -> "ModelConfig":
-        """Return a copy of this config with the given fields replaced."""
-        return dataclasses.replace(self, **changes)
-
 
 def toy_model_config(**overrides) -> ModelConfig:
     """Small model used by unit tests and functional experiments."""
-    return ModelConfig(name="toy").replace(**overrides) if overrides else ModelConfig(name="toy")
+    return dataclasses.replace(ModelConfig(name="toy"), **overrides)
 
 
 def llama3_8b_config() -> ModelConfig:
@@ -196,9 +192,6 @@ class ReSVConfig:
         if self.recent_window < 0:
             raise ValueError("recent_window must be non-negative")
 
-    def replace(self, **changes) -> "ReSVConfig":
-        return dataclasses.replace(self, **changes)
-
 
 @dataclass(frozen=True)
 class TopKConfig:
@@ -222,9 +215,6 @@ class TopKConfig:
             if not 0.0 < value <= 1.0:
                 raise ValueError(f"{name} must lie in (0, 1], got {value}")
 
-    def replace(self, **changes) -> "TopKConfig":
-        return dataclasses.replace(self, **changes)
-
 
 @dataclass(frozen=True)
 class StreamingConfig:
@@ -235,6 +225,3 @@ class StreamingConfig:
     answer_tokens: int = 39
     video_fps: float = 10.0
     batch_size: int = 1
-
-    def replace(self, **changes) -> "StreamingConfig":
-        return dataclasses.replace(self, **changes)

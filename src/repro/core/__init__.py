@@ -12,7 +12,7 @@ Public surface:
   points.
 """
 
-from repro.core.clustering import ClusterEntry, HashClusterLanes, HashClusterTable
+from repro.core.clustering import HashClusterLanes, HashClusterTable
 from repro.core.hashbit import (
     HashBitEncoder,
     cosine_similarity_matrix,
@@ -39,7 +39,6 @@ from repro.core.wicsum import (
 __all__ = [
     "FRAME_STAGE",
     "GENERATION_STAGE",
-    "ClusterEntry",
     "HashBitEncoder",
     "HashClusterLanes",
     "HashClusterTable",

@@ -46,7 +46,7 @@ class InfiniGenRetriever(KVRetriever):
         del layer
         cache_length = len(cache)
         if cache_length == 0:
-            return Selection.empty(cache.num_kv_heads)
+            return Selection.full(cache.num_kv_heads, 0)
         ratio = self._active_ratio()
         if ratio is None:
             return Selection.full(cache.num_kv_heads, cache_length)

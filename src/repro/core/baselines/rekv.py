@@ -43,7 +43,7 @@ class ReKVRetriever(KVRetriever):
         del layer
         cache_length = len(cache)
         if cache_length == 0:
-            return Selection.empty(cache.num_kv_heads)
+            return Selection.full(cache.num_kv_heads, 0)
         budget = budget_from_ratio(cache_length, self._active_ratio())
 
         frame_ids = cache.frame_ids

@@ -33,25 +33,12 @@ implements — instead of one Python round-trip per head.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from repro.core.hashbit import pack_bits_u64, popcount_u64, words_for_bits
-from repro.devtools.sanitizer import TABLE_CONSERVATION, SanitizerError
-from repro.devtools.sanitizer import resolve as _resolve_sanitize
+from repro.devtools.sanitizer import TABLE_CONSERVATION, SanitizerError, sanitize_enabled
 
 _MIN_CAPACITY = 16
-
-
-@dataclass
-class ClusterEntry:
-    """One row of the HC table (materialised view, kept for introspection)."""
-
-    cluster_index: int
-    token_indices: list[int] = field(default_factory=list)
-    key_sum: np.ndarray | None = None
-    bit_votes: np.ndarray | None = None
 
 
 def _grown(array: np.ndarray, axis: int, needed: int) -> np.ndarray:
@@ -97,7 +84,7 @@ class HashClusterLanes:
         self._token_ids = np.zeros((0,), dtype=np.int64)
         self._assignments = np.zeros((lanes, 0), dtype=np.int64)
         self._pack_pad = np.zeros((lanes, 64 * words), dtype=bool)
-        self._sanitize = _resolve_sanitize(None)
+        self._sanitize = sanitize_enabled()
 
     def table(self, lane: int) -> HashClusterTable:
         """The per-head handle of one lane."""
@@ -311,23 +298,6 @@ class HashClusterTable:
     @property
     def num_tokens(self) -> int:
         return self._store.num_tokens
-
-    @property
-    def clusters(self) -> list[ClusterEntry]:
-        """Materialised per-cluster rows (introspection/tests only)."""
-        store, lane, k = self._store, self._lane, self.num_clusters
-        members: list[list[int]] = [[] for _ in range(k)]
-        for token_id, cluster in zip(*self.assignments(), strict=True):
-            members[cluster].append(int(token_id))
-        return [
-            ClusterEntry(
-                cluster_index=index,
-                token_indices=members[index],
-                key_sum=store._key_sums[lane, index].copy(),
-                bit_votes=(store._votes[lane, index] + store._counts[lane, index]) // 2,
-            )
-            for index in range(k)
-        ]
 
     def update(
         self, keys: np.ndarray, hash_bits: np.ndarray, token_indices: np.ndarray

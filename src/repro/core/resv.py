@@ -152,17 +152,6 @@ class ReSVRetriever(KVRetriever):
         )
 
     # ------------------------------------------------------------------ #
-    # backward-compatible views of the per-session statistics
-    # ------------------------------------------------------------------ #
-    @property
-    def last_sort_fraction(self) -> float:
-        return self.stats.last_sort_fraction
-
-    @property
-    def last_clusters_considered(self) -> int:
-        return self.stats.last_clusters_considered
-
-    # ------------------------------------------------------------------ #
     # KVRetriever interface
     # ------------------------------------------------------------------ #
     def observe_keys(
@@ -182,7 +171,7 @@ class ReSVRetriever(KVRetriever):
         cache_length = len(cache)
         lanes = self.num_kv_heads
         if cache_length == 0:
-            return Selection.empty(lanes)
+            return Selection.full(lanes, 0)
 
         store = self._layers[layer]
         clusters_considered = sorted_elements = total_elements = 0

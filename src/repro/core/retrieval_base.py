@@ -49,13 +49,6 @@ class Selection:
         all_indices = np.arange(cache_length, dtype=np.int64)
         return cls(per_kv_head_indices=[all_indices.copy() for _ in range(num_kv_heads)])
 
-    @classmethod
-    def empty(cls, num_kv_heads: int) -> "Selection":
-        """Selection fetching nothing."""
-        return cls(
-            per_kv_head_indices=[np.zeros((0,), dtype=np.int64) for _ in range(num_kv_heads)]
-        )
-
 
 class KVRetriever(abc.ABC):
     """Abstract base class for KV cache retrieval algorithms."""

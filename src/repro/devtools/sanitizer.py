@@ -2,10 +2,10 @@
 
 The hypothesis suites *sample* the stack's conservation invariants; the
 sanitizer *asserts* them on every event of every run it is enabled for.
-Enable it with the environment variable ``REPRO_SANITIZE=1`` (every
-instrumented component also accepts an explicit ``sanitize=`` flag that
-overrides the environment), then run anything — the tier-1 suite, a
-golden run, a sweep.  Checks threaded through the stack:
+There is one switch: the environment variable ``REPRO_SANITIZE=1`` (or
+:func:`arm`, which sets it).  Every instrumented component reads it once,
+when it is constructed; then run anything — the tier-1 suite, a golden
+run, a sweep.  Checks threaded through the stack:
 
 * **event order** — :class:`~repro.hw.event.EventLoop` and
   :class:`~repro.hw.event.ArrayEventQueue` (and the fused dispatch loop
@@ -43,15 +43,12 @@ golden run, a sweep.  Checks threaded through the stack:
 * **table conservation** — :class:`~repro.core.clustering.HashClusterLanes`
   asserts after every update that each lane's live cluster counts sum to
   the tokens observed, that dead slots hold no counts, votes or key sums,
-  and that every live signature is the packed majority of its votes
-  (armed from the environment only: the store takes no ``sanitize=``
-  flag);
+  and that every live signature is the packed majority of its votes;
 * **price table** — :class:`~repro.sim.batched.BatchLatencyModel`
   re-derives every demand-table hit with the scalar code a miss runs and
   compares the two field by field, so an input added to the derivation
   but forgotten in the table key fails at the first hit, not as a
-  drifting golden (armed from the environment only, read once when the
-  plane is built).
+  drifting golden.
 
 Violations raise :class:`SanitizerError` — a structured error carrying a
 machine-readable check code and the tail of the event trace leading up
@@ -88,17 +85,12 @@ def sanitize_enabled() -> bool:
     return os.environ.get(ENV_VAR, "") not in ("", "0")
 
 
-def resolve(sanitize: bool | None) -> bool:
-    """An explicit ``sanitize=`` flag, falling back to the environment."""
-    return sanitize_enabled() if sanitize is None else bool(sanitize)
-
-
 def arm() -> None:
     """Arm the sanitizer for the rest of the process.
 
     Equivalent to launching under ``REPRO_SANITIZE=1``: every component
-    constructed afterwards with ``sanitize=None`` (the default) runs its
-    invariant checks.  Experiment drivers expose this as ``--sanitize``.
+    constructed afterwards runs its invariant checks.  Experiment drivers
+    expose this as ``--sanitize``.
     """
     os.environ[ENV_VAR] = "1"
 

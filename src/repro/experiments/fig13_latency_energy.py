@@ -14,19 +14,27 @@ from repro.analysis.metrics import speedup_range
 from repro.analysis.reporting import format_series, format_table
 from repro.devtools.sanitizer import arm_from_argv
 from repro.sim.pipeline import LatencyModel
-from repro.sim.runner import DEFAULT_KV_LENGTHS, ExperimentRunner, SweepResult
-from repro.sim.systems import edge_systems, server_systems
+from repro.sim.systems import DEFAULT_KV_LENGTHS, edge_systems, server_systems
 from repro.sim.workload import default_llm_workload
+
+#: ``(system, stage, batch)`` -> ``{kv_len: value}``: one sweep's series
+_Series = dict[tuple[str, str, int], dict[int, float]]
 
 
 @dataclass
 class Fig13Result:
-    """Sweeps and headline ranges for one platform (edge or server)."""
+    """Sweeps and headline ranges for one platform (edge or server).
+
+    ``latency_ms`` and ``efficiency_gops_w`` hold every swept series:
+    per-step latency and energy efficiency, keyed by ``(system, stage,
+    batch)``.
+    """
 
     platform: str
     baseline: str
     vrex: str
-    sweep: SweepResult
+    latency_ms: _Series
+    efficiency_gops_w: _Series
     frame_speedup_b1: dict[int, float] = field(default_factory=dict)
     frame_speedup_large_batch: dict[int, float] = field(default_factory=dict)
     tpot_speedup_b1: dict[int, float] = field(default_factory=dict)
@@ -59,6 +67,26 @@ def _gain_series(
     return {k: vrex_eff[k] / base_eff[k] for k in base_eff if base_eff[k] > 0}
 
 
+def _sweep(model: LatencyModel, systems: dict, kv_lengths, batches) -> tuple[_Series, _Series]:
+    """Latency and GOPS/W of a frame and a generation step at every
+    system x batch x KV length."""
+    latency: _Series = {}
+    efficiency: _Series = {}
+    for system in systems.values():
+        for batch in batches:
+            for kv_len in kv_lengths:
+                for step in (
+                    model.frame_step(system, kv_len, batch),
+                    model.generation_step(system, kv_len, batch),
+                ):
+                    key = (system.name, step.stage, batch)
+                    latency.setdefault(key, {})[step.kv_len] = step.total_ms
+                    efficiency.setdefault(key, {})[step.kv_len] = (
+                        model.step_efficiency_gops_w(system, step)
+                    )
+    return latency, efficiency
+
+
 def _platform_result(
     platform: str,
     systems: dict,
@@ -66,24 +94,30 @@ def _platform_result(
     vrex: str,
     large_batch: int,
     kv_lengths,
-    runner: ExperimentRunner,
+    model: LatencyModel,
 ) -> Fig13Result:
-    sweep = runner.sweep(systems, kv_lengths=kv_lengths, batches=(1, large_batch))
-    result = Fig13Result(platform=platform, baseline=baseline, vrex=vrex, sweep=sweep)
-    result.frame_speedup_b1 = sweep.speedup_over(baseline, vrex, "frame", 1)
-    result.frame_speedup_large_batch = sweep.speedup_over(baseline, vrex, "frame", large_batch)
-    result.tpot_speedup_b1 = sweep.speedup_over(baseline, vrex, "generation", 1)
-    base_eff = sweep.efficiency_series(baseline, "frame", 1)
-    vrex_eff = sweep.efficiency_series(vrex, "frame", 1)
-    result.energy_gain_frame_b1 = _gain_series(
-        vrex_eff, base_eff, f"{platform}/frame", baseline
+    latency, efficiency = _sweep(model, systems, kv_lengths, (1, large_batch))
+    result = Fig13Result(platform, baseline, vrex, latency, efficiency)
+
+    def speedup(stage: str, batch: int) -> dict[int, float]:
+        """kv_len -> latency speedup of V-Rex over the baseline."""
+        base = latency.get((baseline, stage, batch), {})
+        other = latency.get((vrex, stage, batch), {})
+        return {k: base[k] / other[k] for k in sorted(set(base) & set(other)) if other[k] > 0}
+
+    result.frame_speedup_b1 = speedup("frame", 1)
+    result.frame_speedup_large_batch = speedup("frame", large_batch)
+    result.tpot_speedup_b1 = speedup("generation", 1)
+    result.energy_gain_frame_b1, result.energy_gain_tpot_b1 = (
+        _gain_series(
+            efficiency.get((vrex, stage, 1), {}),
+            efficiency.get((baseline, stage, 1), {}),
+            f"{platform}/{stage}",
+            baseline,
+        )
+        for stage in ("frame", "generation")
     )
-    base_eff_g = sweep.efficiency_series(baseline, "generation", 1)
-    vrex_eff_g = sweep.efficiency_series(vrex, "generation", 1)
-    result.energy_gain_tpot_b1 = _gain_series(
-        vrex_eff_g, base_eff_g, f"{platform}/generation", baseline
-    )
-    result.vrex_frame_latency_ms = sweep.latency_series(vrex, "frame", 1)
+    result.vrex_frame_latency_ms = latency.get((vrex, "frame", 1), {})
     result.vrex_fps = {k: 1000.0 / v for k, v in result.vrex_frame_latency_ms.items() if v > 0}
     return result
 
@@ -91,13 +125,13 @@ def _platform_result(
 def run(kv_lengths=DEFAULT_KV_LENGTHS) -> dict[str, Fig13Result]:
     """Run both platform comparisons."""
     model_bytes = default_llm_workload().model_bytes()
-    runner = ExperimentRunner(LatencyModel())
+    model = LatencyModel()
     return {
         "edge": _platform_result(
-            "edge", edge_systems(model_bytes), "AGX + FlexGen", "V-Rex8", 4, kv_lengths, runner
+            "edge", edge_systems(model_bytes), "AGX + FlexGen", "V-Rex8", 4, kv_lengths, model
         ),
         "server": _platform_result(
-            "server", server_systems(model_bytes), "A100 + FlexGen", "V-Rex48", 8, kv_lengths, runner
+            "server", server_systems(model_bytes), "A100 + FlexGen", "V-Rex48", 8, kv_lengths, model
         ),
     }
 
@@ -107,12 +141,12 @@ def main(argv: list[str] | None = None) -> dict[str, Fig13Result]:
     arm_from_argv(argv)
     results = run()
     for platform, result in results.items():
-        systems = sorted({r.system for r in result.sweep.records})
-        kv_lengths = sorted({r.kv_len for r in result.sweep.records})
+        systems = sorted({system for system, _stage, _batch in result.latency_ms})
+        kv_lengths = sorted({k for series in result.latency_ms.values() for k in series})
         rows = []
         for system in systems:
-            frame = result.sweep.latency_series(system, "frame", 1)
-            tpot = result.sweep.latency_series(system, "generation", 1)
+            frame = result.latency_ms[(system, "frame", 1)]
+            tpot = result.latency_ms[(system, "generation", 1)]
             rows.append(
                 [system]
                 + [round(frame.get(k, float("nan")), 1) for k in kv_lengths]

@@ -12,8 +12,7 @@ from dataclasses import dataclass, field
 
 from repro.analysis.reporting import format_table
 from repro.sim.pipeline import LatencyModel, ScenarioResult
-from repro.sim.runner import DEFAULT_KV_LENGTHS
-from repro.sim.systems import edge_systems
+from repro.sim.systems import DEFAULT_KV_LENGTHS, edge_systems
 from repro.sim.workload import default_llm_workload
 
 

@@ -61,11 +61,3 @@ class VRexAccelerator:
     def fetch_time_s(self, work: KVFetchWork) -> float:
         """KVMU-managed fetch of selected KV entries."""
         return self.kvmu.fetch_time_s(work)
-
-    def offload_time_s(self, num_bytes: float) -> float:
-        """Streaming write-out of evicted KV entries (hidden behind compute)."""
-        return self.kvmu.offload_time_s(num_bytes)
-
-    def achieved_tflops(self, cost: KernelCost) -> float:
-        """Achieved throughput on a dense kernel."""
-        return self.lxe.achieved_tflops(cost)

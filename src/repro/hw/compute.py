@@ -12,16 +12,6 @@ class KernelCost:
     flops: float
     dram_bytes: float = 0.0
 
-    def __add__(self, other: "KernelCost") -> "KernelCost":
-        return KernelCost(self.flops + other.flops, self.dram_bytes + other.dram_bytes)
-
-    @property
-    def operational_intensity(self) -> float:
-        """FLOPs per DRAM byte."""
-        if self.dram_bytes == 0:
-            return float("inf")
-        return self.flops / self.dram_bytes
-
 
 class ComputeEngine:
     """Roofline execution model of a compute device or engine.
@@ -69,10 +59,3 @@ class ComputeEngine:
     def time_s(self, cost: KernelCost) -> float:
         """Roofline execution time of one kernel."""
         return max(self.compute_time_s(cost), self.memory_time_s(cost))
-
-    def achieved_tflops(self, cost: KernelCost) -> float:
-        """Effective throughput when executing ``cost``."""
-        duration = self.time_s(cost)
-        if duration == 0:
-            return 0.0
-        return cost.flops / duration / 1e12

@@ -101,14 +101,3 @@ class KVMUModel:
             )
 
         return sharded_fetch_makespan(work.total_bytes, split, warm, cold)
-
-    def offload_time_s(self, num_bytes: float) -> float:
-        """Seconds to stream newly evicted KV entries out (write path).
-
-        Offloading is sequential and streamed in the background; the KVMU
-        hides it behind compute, but the number is needed for bandwidth
-        accounting.
-        """
-        if num_bytes <= 0:
-            return 0.0
-        return self.link.transfer_time_s(num_bytes, efficiency=self.link.config.max_efficiency)

@@ -54,7 +54,7 @@ from repro.devtools.sanitizer import (
     RING_DISCIPLINE,
     EventTrace,
     SanitizerError,
-    resolve as _resolve_sanitize,
+    sanitize_enabled,
 )
 
 #: Bit layout of the packed event subkey: ``priority`` (high bits) over
@@ -116,11 +116,6 @@ class QueuedService:
     def finish_s(self) -> float:
         return self.start_s + self.service_s
 
-    @property
-    def sojourn_s(self) -> float:
-        """Total time in the system (wait + service)."""
-        return self.finish_s - self.arrival_s
-
 
 class ResourceQueue:
     """A first-come-first-served single-server queue.
@@ -135,11 +130,11 @@ class ResourceQueue:
     max/add.  Callers consume the returned :class:`QueuedService`.
     """
 
-    def __init__(self, name: str = "resource", sanitize: bool | None = None):
+    def __init__(self, name: str = "resource"):
         self.name = name
         self._free_at = 0.0
         self._busy_total_s = 0.0
-        self._sanitize = _resolve_sanitize(sanitize)
+        self._sanitize = sanitize_enabled()
         self._last_arrival = float("-inf")
 
     @property
@@ -182,7 +177,7 @@ class EventLoop:
     fleet-determined order, never in list order).
     """
 
-    def __init__(self, sanitize: bool | None = None):
+    def __init__(self):
         self._heap: list[tuple[float, int, tuple, int, Callable[[], None]]] = []
         self._seq = 0
         self.now_s = 0.0
@@ -190,7 +185,7 @@ class EventLoop:
         #: (:meth:`fast_forward`)
         self.events_processed = 0
         self._until_s: float | None = None
-        self._sanitize = _resolve_sanitize(sanitize)
+        self._sanitize = sanitize_enabled()
         self._trace = EventTrace() if self._sanitize else None
 
     def __len__(self) -> int:
@@ -458,20 +453,6 @@ class PreemptiveJob:
     def first_start_s(self) -> float | None:
         return self._core.first_start[self._index]
 
-    @property
-    def wait_s(self) -> float:
-        """Delay between arrival and the job's first time slice."""
-        if self.first_start_s is None:
-            raise ValueError("job has not started yet")
-        return self.first_start_s - self.arrival_s
-
-    @property
-    def sojourn_s(self) -> float:
-        """Arrival-to-completion time (service plus every preemption gap)."""
-        if self.finish_s is None:
-            raise ValueError("job has not finished yet")
-        return self.finish_s - self.arrival_s
-
 
 class PreemptiveResource:
     """A round-robin time-sliced single server (preemptive compute).
@@ -506,7 +487,6 @@ class PreemptiveResource:
         quantum_s: float = 1e-3,
         priority: int = 0,
         record: bool = False,
-        sanitize: bool | None = None,
     ):
         require_number("quantum_s", quantum_s, exclusive=True)
         self.loop = loop
@@ -514,7 +494,7 @@ class PreemptiveResource:
         self.quantum_s = float(quantum_s)
         self._priority = priority
         self.record = record
-        self._sanitize = _resolve_sanitize(sanitize)
+        self._sanitize = sanitize_enabled()
         self._core = RoundRobinCore(self.quantum_s)
         #: jobs running or ready, by core id
         self._inflight: dict[int, PreemptiveJob] = {}
@@ -640,7 +620,7 @@ class ArrayEventQueue:
         "_last",
     )
 
-    def __init__(self, policy: str = "heap", sanitize: bool | None = None):
+    def __init__(self, policy: str = "heap"):
         if policy not in self.POLICIES:
             raise ValueError(f"unknown policy {policy!r}; expected one of {self.POLICIES}")
         self.policy = policy
@@ -652,7 +632,7 @@ class ArrayEventQueue:
         self._lane_pos = 0
         #: events popped over the queue's lifetime
         self.popped = 0
-        self._sanitize = _resolve_sanitize(sanitize)
+        self._sanitize = sanitize_enabled()
         self._trace = EventTrace() if self._sanitize else None
         self._last = (float("-inf"), -(1 << 62))
 
@@ -744,7 +724,7 @@ class IndexRing:
 
     __slots__ = ("_next", "_head", "_tail", "_depth", "_sanitize", "_queued")
 
-    def __init__(self, capacity: int, lanes: int = 1, sanitize: bool | None = None):
+    def __init__(self, capacity: int, lanes: int = 1):
         if capacity < 0:
             raise ValueError(f"capacity must be non-negative, got {capacity}")
         if lanes < 1:
@@ -753,7 +733,7 @@ class IndexRing:
         self._head = [-1] * lanes
         self._tail = [-1] * lanes
         self._depth = [0] * lanes
-        self._sanitize = _resolve_sanitize(sanitize)
+        self._sanitize = sanitize_enabled()
         #: lane an index is queued on, or -1 (sanitized rings only)
         self._queued = [-1] * capacity if self._sanitize else None
 

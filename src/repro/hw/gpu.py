@@ -68,12 +68,3 @@ class GPUDevice:
         ssd = self.ssd.read_time_s(num_bytes, sequential_fraction=sequential_fraction)
         return max(pcie, ssd)
 
-    def offload_time_s(self, num_bytes: float) -> float:
-        """Time to push newly produced KV entries to the offload target."""
-        if num_bytes <= 0:
-            return 0.0
-        return self.link.transfer_time_s(num_bytes, efficiency=self.spec.pcie_efficiency)
-
-    def achieved_tflops(self, cost: KernelCost) -> float:
-        """Achieved throughput on a dense kernel."""
-        return self.dense_engine.achieved_tflops(cost)

@@ -122,10 +122,6 @@ class ShardTransfer:
     def finish_s(self) -> float:
         return self.service.finish_s
 
-    @property
-    def wait_s(self) -> float:
-        return self.service.wait_s
-
 
 class InterconnectLink(ResourceQueue):
     """The shared inter-device link serving shard migrations FCFS.
@@ -143,9 +139,8 @@ class InterconnectLink(ResourceQueue):
         self,
         spec: InterconnectSpec = FREE_INTERCONNECT,
         record: bool = True,
-        sanitize: bool | None = None,
     ):
-        super().__init__(name=f"interconnect:{spec.name}", sanitize=sanitize)
+        super().__init__(name=f"interconnect:{spec.name}")
         self.spec = spec
         self.record = record
         self.transfers: list[ShardTransfer] = []
@@ -199,15 +194,6 @@ class InterconnectLink(ResourceQueue):
             self.spec.active_power_w * self.busy_s()
             + self.spec.pj_per_byte * self.total_bytes * 1e-12
         )
-
-    def backlog_s(self, now_s: float) -> float:
-        """Transfer work still queued on the link at ``now_s`` (O(1)).
-
-        The FCFS analogue of :meth:`FleetDevice.backlog_s` — a steal
-        planner may poll it per decision to see how congested the fabric
-        already is before committing another migration.
-        """
-        return max(0.0, self._free_at - now_s)
 
     def assert_conserved(self) -> None:
         """Sanitizer check: accumulators telescope to the retained transfers.

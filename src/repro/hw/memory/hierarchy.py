@@ -58,10 +58,6 @@ class HierarchicalKVManager:
     _offloaded_before: int = 0
 
     @property
-    def num_tokens(self) -> int:
-        return self._num_tokens
-
-    @property
     def resident_tokens(self) -> int:
         return self._num_tokens - self._offloaded_before
 

@@ -80,10 +80,6 @@ class PCIeLink:
             return 0.0
         return self.config.latency_us * 1e-6 + occupancy
 
-    def power_w(self) -> float:
-        """Link power under full load (paper: ~3 W per lane)."""
-        return self.config.lanes * self.config.power_per_lane_w
-
 
 class PCIeLinkQueue(ResourceQueue):
     """A shared PCIe link serving concurrent streams' transfers FCFS.
@@ -94,6 +90,6 @@ class PCIeLinkQueue(ResourceQueue):
     the batched performance plane charges to aligned frame arrivals.
     """
 
-    def __init__(self, link: PCIeLink, sanitize: bool | None = None):
-        super().__init__(name=link.config.name, sanitize=sanitize)
+    def __init__(self, link: PCIeLink):
+        super().__init__(name=link.config.name)
         self.link = link

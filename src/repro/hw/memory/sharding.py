@@ -47,8 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.config import require_number
-from repro.devtools.sanitizer import SHARD_CONSERVATION, SanitizerError
-from repro.devtools.sanitizer import resolve as _resolve_sanitize
+from repro.devtools.sanitizer import SHARD_CONSERVATION, SanitizerError, sanitize_enabled
 
 
 @dataclass(frozen=True)
@@ -220,13 +219,12 @@ class ShardedKVHierarchy:
         self,
         num_banks: int = 1,
         bank_budget_bytes: float = math.inf,
-        sanitize: bool | None = None,
     ):
         require_number("num_banks", num_banks, minimum=1, integer=True)
         require_number("bank_budget_bytes", bank_budget_bytes, exclusive=True)
         self.num_banks = int(num_banks)
         self.bank_budget_bytes = float(bank_budget_bytes)
-        self._sanitize = _resolve_sanitize(sanitize)
+        self._sanitize = sanitize_enabled()
         #: hot-byte snapshot at registration; the hot tier must never move
         self._hot_at_register: dict[int, float] = {}
         self._shards: dict[int, _SessionShards] = {}
@@ -297,17 +295,9 @@ class ShardedKVHierarchy:
     # ------------------------------------------------------------------ #
     # inspection
     # ------------------------------------------------------------------ #
-    def hot_bytes(self, session_id: int) -> float:
-        """Device-DRAM-resident bytes (never touched by bank eviction)."""
-        return self._shard(session_id).hot_bytes
-
     def offchip_bytes(self, session_id: int) -> float:
         """Total off-chip bytes of a session (warm + cold)."""
         return self._shard(session_id).offchip_bytes
-
-    def warm_bytes(self, session_id: int) -> np.ndarray:
-        """Per-bank warm bytes of one session (a copy)."""
-        return np.array(self._shard(session_id).warm_bytes)
 
     def cold_bytes(self, session_id: int) -> float:
         """Bytes demoted to the SSD tier."""
@@ -323,10 +313,6 @@ class ShardedKVHierarchy:
         if shard.offchip_bytes <= 0.0:
             return 0.0
         return 1.0 - (1.0 - shard.cold_bytes / shard.offchip_bytes)
-
-    def bank_occupancy_bytes(self) -> np.ndarray:
-        """Current warm bytes per bank (a copy)."""
-        return np.array(self._occupancy)
 
     def occupancy_snapshot(self) -> tuple[float, ...]:
         """Current warm bytes per bank as a tuple of floats (what trajectories record)."""
@@ -587,6 +573,4 @@ class ShardedKVHierarchy:
     # ------------------------------------------------------------------ #
     def clone_empty(self) -> "ShardedKVHierarchy":
         """A fresh hierarchy with the same bank configuration, no sessions."""
-        return ShardedKVHierarchy(
-            self.num_banks, self.bank_budget_bytes, sanitize=self._sanitize
-        )
+        return ShardedKVHierarchy(self.num_banks, self.bank_budget_bytes)

@@ -9,7 +9,6 @@ parameters (Sec. VI-A): one core runs a 64x64 MAC-tree dot-product engine at
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 GiB = 1024**3
@@ -75,9 +74,6 @@ class DeviceSpec:
     dense_utilization: float = 0.40
     irregular_utilization: float = 0.05
     pcie_efficiency: float = 0.60
-
-    def replace(self, **changes) -> "DeviceSpec":
-        return dataclasses.replace(self, **changes)
 
     @property
     def memory_capacity_bytes(self) -> float:

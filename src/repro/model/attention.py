@@ -70,14 +70,6 @@ class AttentionStats:
     past_tokens: int
     selected_tokens_per_head: list[int] = field(default_factory=list)
 
-    @property
-    def retrieval_ratio(self) -> float:
-        """Average fraction of past tokens fetched across KV heads."""
-        if self.past_tokens == 0 or not self.selected_tokens_per_head:
-            return 1.0 if self.past_tokens == 0 else 0.0
-        mean_selected = float(np.mean(self.selected_tokens_per_head))
-        return mean_selected / self.past_tokens
-
 
 class MultiHeadAttention:
     """Grouped-query attention layer with an optional KV retrieval hook."""

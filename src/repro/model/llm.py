@@ -134,19 +134,9 @@ class StreamingVideoLLM:
         return self._default_state.cache
 
     @property
-    def retriever(self):
-        """Retriever attached to the default session."""
-        return self._default_state.retriever
-
-    @property
     def cache_length(self) -> int:
         """Number of tokens currently held in the default session's KV cache."""
         return len(self._default_state.cache)
-
-    @property
-    def next_position(self) -> int:
-        """Absolute position the next token will be assigned (default session)."""
-        return self._default_state.next_position
 
     def reset(self, state: LLMSessionState | None = None) -> None:
         """Clear a session's KV cache and position counter (weights are kept)."""

@@ -137,9 +137,6 @@ class SessionBatch:
         self.sessions.append(session)
         return session
 
-    def session(self, session_id: int) -> RetrievalSession:
-        return self.sessions[session_id]
-
     # ------------------------------------------------------------------ #
     # batched serving steps (round-robin across streams)
     # ------------------------------------------------------------------ #

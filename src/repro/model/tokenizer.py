@@ -31,10 +31,6 @@ class ToyTokenizer:
     def bos_id(self) -> int:
         return self.special_tokens["<bos>"]
 
-    @property
-    def eos_id(self) -> int:
-        return self.special_tokens["<eos>"]
-
     def _word_id(self, word: str) -> int:
         digest = hashlib.sha256(word.lower().encode("utf-8")).digest()
         bucket = int.from_bytes(digest[:8], "big") % self._word_space
@@ -51,5 +47,5 @@ class ToyTokenizer:
             else:
                 ids.append(self._word_id(word))
         if add_eos:
-            ids.append(self.eos_id)
+            ids.append(self.special_tokens["<eos>"])
         return np.asarray(ids, dtype=np.int64)

@@ -318,7 +318,7 @@ class StreamStepResult:
 
     ``total_s`` is measured from the stream's own arrival; the breakdown
     mirrors :class:`repro.sim.pipeline.StepResult` plus the queueing waits
-    (``pcie_wait_s`` / ``dre_wait_s``) the shared resources inflicted.
+    (``pcie_wait`` / ``dre_wait``) the shared resources inflicted.
     """
 
     session_id: int
@@ -340,10 +340,6 @@ class StreamStepResult:
     @property
     def pcie_wait_s(self) -> float:
         return self.breakdown.get("pcie_wait", 0.0)
-
-    @property
-    def dre_wait_s(self) -> float:
-        return self.breakdown.get("dre_wait", 0.0)
 
     @property
     def compute_wait_s(self) -> float:

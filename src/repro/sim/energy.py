@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.config import require_number
-from repro.devtools.sanitizer import ENERGY_CONSERVATION, SanitizerError, resolve
+from repro.devtools.sanitizer import ENERGY_CONSERVATION, SanitizerError, sanitize_enabled
 from repro.hw.energy import EnergyModel
 from repro.sim.jobtable import KIND_NAMES
 
@@ -155,18 +155,21 @@ class EnergyReport:
     def gops_per_w(self) -> float:
         return EnergyModel.efficiency_gops_per_w(self.flops, self.total_j)
 
-    def resource(self, name: str) -> ResourceEnergy:
-        for row in self.resources:
-            if row.name == name:
-                return row
-        raise KeyError(name)
-
 
 def _window_s(result) -> float:
     """Last activity instant of the run (dropped jobs included: a drop
     decision is still an event inside the window)."""
     finish = result.columns.finish
     return float(finish.max()) if finish.size else 0.0
+
+
+def _require_window(window_s, span_s: float) -> float:
+    """``window_s`` as a float, or a ``ValueError`` naming it when it is
+    negative, NaN or shorter than the run's span."""
+    window = require_number("window_s", float(window_s))
+    if window < span_s:
+        raise ValueError(f"window_s must cover the run's span of {span_s} s, got {window}")
+    return window
 
 
 def bank_occupancy_integral(
@@ -198,19 +201,18 @@ def schedule_energy(
     model: EnergyModel | None = None,
     window_s: float | None = None,
     name_prefix: str = "",
-    sanitize: bool | None = None,
 ) -> EnergyReport:
     """Price one finished schedule's energy from its residency accounting.
 
     ``window_s`` overrides the accounting window (a fleet rollup prices
     every device over the fleet-wide window, so a device idling after
-    its last local job still burns static power); it must not be shorter
-    than the run's own span.
+    its last local job still burns static power); a window shorter than
+    the run's own span raises ``ValueError``.
     """
     model = model or EnergyModel()
     device = inputs.device
-    window = _window_s(result) if window_s is None else float(window_s)
-    require_number("window_s", window)
+    span = _window_s(result)
+    window = span if window_s is None else _require_window(window_s, span)
 
     # served jobs' (tokens, flops, DRAM bytes, LXE busy) in sorted record
     # order, summed by a strict left fold (``np.add.accumulate``, not the
@@ -296,7 +298,7 @@ def schedule_energy(
         usd_per_kwh=model.usd_per_kwh,
         bank_byte_s=bank_occupancy_integral(trajectory, window),
     )
-    if resolve(sanitize):
+    if sanitize_enabled():
         assert_conserved(report)
     return report
 

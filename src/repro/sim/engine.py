@@ -341,7 +341,7 @@ def run_array(ctx: _RunContext) -> ScheduleResult:
     san_last = (float("-inf"), -(1 << 62))
 
     session_ids = [profile.session_id for profile in profiles]
-    table = JobTable(traces, question_arrivals, ctx.answers, session_ids, sanitize=sanitize)
+    table = JobTable(traces, question_arrivals, ctx.answers, session_ids)
     num_jobs = table.num_jobs
 
     streams = table.streams

@@ -181,11 +181,6 @@ class MigrationRecord:
     reason: str = MIGRATE_PLACEMENT
     jobs_moved: int = 0
 
-    @property
-    def wait_s(self) -> float:
-        """Queueing delay behind earlier migrations on the link."""
-        return self.start_s - self.decision_s
-
 
 class _EstimatedJob:
     """One routed job inside a device's virtual FCFS server."""
@@ -515,7 +510,7 @@ class FleetResult(RecordViews):
         labels = [{"scope": f"device {run.device}"} for run in self.devices]
         return _summarize(labels, columns, np.arange(bounds[-1]), bounds, percentiles)
 
-    def energy(self, model=None, window_s: float | None = None, sanitize=None):
+    def energy(self, model=None, window_s: float | None = None):
         """Fleet-wide per-resource energy rollup.
 
         Every active device is priced over the *fleet* window (a device
@@ -527,25 +522,28 @@ class FleetResult(RecordViews):
         delegates to the device report unchanged, preserving the M=1
         bit-exactness guarantee (the free interconnect contributes
         exactly nothing).  Devices that never received a session are not
-        charged — the fleet prices the serving run, not the rack.
+        charged — the fleet prices the serving run, not the rack.  A
+        ``window_s`` shorter than the fleet's own span (the last device's
+        last job, or the interconnect's last transfer) raises ``ValueError``.
         """
-        if len(self.devices) == 1 and self.devices[0].schedule is not None:
-            return self.devices[0].schedule.energy(model=model, window_s=window_s)
         from repro.sim.energy import (
             ResourceEnergy,
+            _require_window,
             _window_s,
             merge_reports,
             schedule_energy,
         )
 
         runs = [run for run in self.devices if run.schedule is not None]
-        window = window_s
-        if window is None:
-            window = self.interconnect.free_at_s  # transfers may outlast jobs
-            for run in runs:
-                span = _window_s(run.schedule)
-                if span > window:
-                    window = span
+        window = self.interconnect.free_at_s  # transfers may outlast jobs
+        for run in runs:
+            span = _window_s(run.schedule)
+            if span > window:
+                window = span
+        if window_s is not None:
+            window = _require_window(window_s, window)
+        if len(self.devices) == 1 and runs:
+            return runs[0].schedule.energy(model=model, window_s=window_s)
         reports = [
             schedule_energy(
                 run.schedule,
@@ -553,7 +551,6 @@ class FleetResult(RecordViews):
                 model=model,
                 window_s=window,
                 name_prefix=f"d{run.device}:",
-                sanitize=False,  # conservation is checked once, on the merge
             )
             for run in runs
         ]
@@ -569,9 +566,7 @@ class FleetResult(RecordViews):
         report = merge_reports(
             reports, extra_rows=(link_row,), system=self.system, window_s=window
         )
-        from repro.devtools.sanitizer import resolve
-
-        if resolve(sanitize):
+        if sanitize_enabled():
             from repro.sim.energy import assert_conserved
 
             assert_conserved(report)
@@ -604,10 +599,6 @@ class FleetScheduler:
     @property
     def config(self) -> SchedulerConfig:
         return self.scheduler.config
-
-    @property
-    def engine(self) -> str:
-        return self.scheduler.engine
 
     # ------------------------------------------------------------------ #
     # the run

@@ -32,8 +32,7 @@ from array import array
 
 import numpy as np
 
-from repro.devtools.sanitizer import JOB_STATE, SanitizerError
-from repro.devtools.sanitizer import resolve as _resolve_sanitize
+from repro.devtools.sanitizer import JOB_STATE, SanitizerError, sanitize_enabled
 from repro.hw.event import Timeline
 
 #: Integer job-kind codes; ``KIND_NAMES[code]`` is the public kind string
@@ -69,8 +68,8 @@ class JobTable:
     finishes; unrecorded ids simply never enter the record columns.
     """
 
-    def __init__(self, traces, question_arrivals, answers, session_ids, sanitize=None):
-        self._sanitize = _resolve_sanitize(sanitize)
+    def __init__(self, traces, question_arrivals, answers, session_ids):
+        self._sanitize = sanitize_enabled()
         num_streams = len(session_ids)
         self.num_streams = num_streams
         # fully vectorized layout: per stream its frames, then its question,

@@ -10,7 +10,6 @@ no-offload and Oaken baselines, and the Fig. 16 ablation points.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 from repro.hw.specs import A100, AGX_ORIN, VREX8, VREX48, DeviceSpec
@@ -92,9 +91,6 @@ class SystemConfig:
     kv_device_budget_bytes: float = 0.0
     kv_quant_bits: int = 16
     activation_reserve_bytes: float = 2.0 * GiB
-
-    def replace(self, **changes) -> "SystemConfig":
-        return dataclasses.replace(self, **changes)
 
     @property
     def device_class(self) -> str:
@@ -255,6 +251,10 @@ def resident_cache_system(device: DeviceSpec, quant_bits: int = 16, name: str | 
         kv_device_budget_bytes=device.memory_capacity_bytes,
         kv_quant_bits=quant_bits,
     )
+
+
+#: KV cache sequence lengths the Fig. 13-15 line-ups are swept over.
+DEFAULT_KV_LENGTHS = (1_000, 5_000, 10_000, 20_000, 40_000)
 
 
 def edge_systems(model_bytes: float) -> dict[str, SystemConfig]:

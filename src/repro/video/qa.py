@@ -34,10 +34,6 @@ class EpisodeResult:
     generation_retrieval_ratio: float
     peak_cache_bytes: int
 
-    @property
-    def accuracy(self) -> float:
-        return self.correct / self.total if self.total else 0.0
-
 
 @dataclass
 class MethodResult:

@@ -7,14 +7,12 @@ import pytest
 
 from repro.analysis.breakdown import StageBreakdown, retrieval_overhead_fractions, scenario_breakdowns
 from repro.analysis.latency import (
-    deadline_miss_rate,
     format_latency_summary_table,
     format_schedule_record_table,
 )
 from repro.analysis.metrics import (
     fps_from_latency_ms,
     pearson_correlation,
-    speedup,
     speedup_range,
 )
 from repro.analysis.reporting import format_series, format_table
@@ -30,8 +28,6 @@ class TestMetrics:
         assert fps_from_latency_ms(0.0) == 0.0
 
     def test_speedup(self):
-        assert speedup(10.0, 2.0) == 5.0
-        assert speedup(10.0, 0.0) == float("inf")
         assert speedup_range({1: 2.0, 2: 8.0, 3: 4.0}) == (2.0, 8.0)
         assert speedup_range({}) == (0.0, 0.0)
 
@@ -148,14 +144,6 @@ class TestBatchSummaryGating:
 
 
 class TestLatencyReporting:
-    def test_deadline_miss_rate(self):
-        values = [0.01, 0.02, 0.03, 0.04]
-        assert deadline_miss_rate(values, 0.025) == pytest.approx(0.5)
-        assert deadline_miss_rate([], 0.025) == 0.0
-        assert deadline_miss_rate(values, 1.0) == 0.0
-        with pytest.raises(ValueError):
-            deadline_miss_rate(values, 0.0)
-
     def test_summary_and_record_tables(self):
         from repro.sim.arrivals import PoissonArrivals
         from repro.sim.batched import BatchLatencyModel, StreamProfile

@@ -68,7 +68,7 @@ class TestSelection:
     def test_full_and_empty(self):
         full = Selection.full(2, 10)
         assert _counts(full) == [10, 10]
-        empty = Selection.empty(2)
+        empty = Selection.full(2, 0)
         assert _counts(empty) == [0, 0]
 
 

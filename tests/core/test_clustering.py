@@ -29,7 +29,7 @@ class TestHashClusterTable:
         assignments = table.update(keys, bits, np.array([0]))
         assert assignments.tolist() == [0]
         assert table.num_clusters == 1
-        assert len(table.clusters[0].token_indices) == 1
+        assert len(table.tokens_of([0])) == 1
 
     def test_identical_signatures_cluster_together(self, rng):
         table = _make_table()
@@ -38,7 +38,7 @@ class TestHashClusterTable:
         assignments = table.update(keys, bits, np.arange(3))
         assert len(set(assignments.tolist())) == 1
         assert table.num_clusters == 1
-        assert len(table.clusters[0].token_indices) == 3
+        assert len(table.tokens_of([0])) == 3
 
     def test_distant_signatures_form_separate_clusters(self, rng):
         table = _make_table(threshold=1)

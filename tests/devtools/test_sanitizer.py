@@ -28,7 +28,6 @@ from repro.devtools.sanitizer import (
     SanitizerError,
     arm,
     arm_from_argv,
-    resolve,
     sanitize_enabled,
 )
 from repro.hw.event import (
@@ -46,6 +45,12 @@ from repro.sim.jobtable import ADM_ADMIT, ADM_BACKLOG, JobTable
 GIB = 1024.0**3
 
 
+@pytest.fixture
+def armed(monkeypatch):
+    """Arm the sanitizer for the components a test constructs."""
+    monkeypatch.setenv(ENV_VAR, "1")
+
+
 def expect(code: str):
     return pytest.raises(SanitizerError, match=rf"\[{code}\]")
 
@@ -54,14 +59,10 @@ class TestEnvGating:
     def test_disabled_by_default(self, monkeypatch):
         monkeypatch.delenv(ENV_VAR, raising=False)
         assert not sanitize_enabled()
-        assert not resolve(None)
-        assert resolve(True)
 
     def test_env_enables(self, monkeypatch):
         monkeypatch.setenv(ENV_VAR, "1")
         assert sanitize_enabled()
-        assert resolve(None)
-        assert not resolve(False)
 
     def test_zero_means_off(self, monkeypatch):
         monkeypatch.setenv(ENV_VAR, "0")
@@ -94,9 +95,10 @@ class TestEnvGating:
         ring.push(0, 1)  # silent double-push corruption tolerated when off
 
 
+@pytest.mark.usefixtures("armed")
 class TestEventOrder:
     def test_event_loop_detects_past_pop(self):
-        loop = EventLoop(sanitize=True)
+        loop = EventLoop()
         loop.schedule(1.0, lambda: None)
         # corrupt the heap the way a bad tie-break would: an entry whose
         # time precedes the loop's clock once the first event has fired
@@ -105,7 +107,7 @@ class TestEventOrder:
             loop.run()
 
     def test_event_loop_error_carries_trace(self):
-        loop = EventLoop(sanitize=True)
+        loop = EventLoop()
         loop.schedule(1.0, lambda: None)
         loop._heap.append((0.5, 0, (), 99, lambda: None))
         with pytest.raises(SanitizerError) as info:
@@ -115,7 +117,7 @@ class TestEventOrder:
         assert "trace tail" in str(info.value)
 
     def test_array_queue_dynamic_order(self):
-        queue = ArrayEventQueue("heap", sanitize=True)
+        queue = ArrayEventQueue("heap")
         queue.push(1.0, 5)
         queue.pop()
         queue.push(0.5, 5)  # pushed into the past
@@ -123,16 +125,17 @@ class TestEventOrder:
             queue.pop()
 
     def test_array_queue_clean_run_passes(self):
-        queue = ArrayEventQueue("heap", sanitize=True)
+        queue = ArrayEventQueue("heap")
         queue.preload([0.5, 1.5], [1, 1], [0, 0])
         queue.push(1.0, 2)
         popped = [queue.pop()[0] for _ in range(3)]
         assert popped == [0.5, 1.0, 1.5]
 
 
+@pytest.mark.usefixtures("armed")
 class TestLaneOrder:
     def test_corrupted_static_lane(self):
-        queue = ArrayEventQueue("heap", sanitize=True)
+        queue = ArrayEventQueue("heap")
         queue.preload([0.5, 1.0], [1, 1], [0, 0])
         # corrupt the sorted lane in place (what a buggy preload would do)
         queue._lane_t[0], queue._lane_t[1] = 2.0, 0.5
@@ -141,31 +144,33 @@ class TestLaneOrder:
             queue.pop()
 
 
+@pytest.mark.usefixtures("armed")
 class TestRingDiscipline:
     def test_double_push_detected(self):
-        ring = IndexRing(4, 2, sanitize=True)
+        ring = IndexRing(4, 2)
         ring.push(0, 2)
         with expect(RING_DISCIPLINE):
             ring.push(1, 2)  # still queued on lane 0
 
     def test_repush_after_pop_is_legal(self):
-        ring = IndexRing(4, 1, sanitize=True)
+        ring = IndexRing(4, 1)
         ring.push(0, 2)
         assert ring.pop(0) == 2
         ring.push(0, 2)  # round-robin requeue
         assert ring.pop(0) == 2
 
     def test_index_bounds(self):
-        ring = IndexRing(4, 1, sanitize=True)
+        ring = IndexRing(4, 1)
         with expect(RING_DISCIPLINE):
             ring.push(0, 4)
 
     def test_lane_bounds(self):
-        ring = IndexRing(4, 2, sanitize=True)
+        ring = IndexRing(4, 2)
         with expect(RING_DISCIPLINE):
             ring.push(2, 0)
 
 
+@pytest.mark.usefixtures("armed")
 class TestResourceBalance:
     @staticmethod
     def _run_with_lifecycle(monkeypatch, engine_name, wrap):
@@ -230,29 +235,29 @@ class TestResourceBalance:
             self._run_with_lifecycle(monkeypatch, engine_name, wrap)
 
     def test_fcfs_arrival_order_enforced(self):
-        queue = ResourceQueue("dre", sanitize=True)
+        queue = ResourceQueue("dre")
         queue.enqueue(1.0, 0.1)
         with expect(RESOURCE_BALANCE):
             queue.enqueue(0.5, 0.1)
 
     def test_preemptive_server_undrained(self):
-        loop = EventLoop(sanitize=True)
-        server = PreemptiveResource(loop, quantum_s=1e-3, sanitize=True)
+        loop = EventLoop()
+        server = PreemptiveResource(loop, quantum_s=1e-3)
         server.submit(0.5)
         with expect(RESOURCE_BALANCE):
             server.assert_drained()  # loop never ran: job still in flight
 
     def test_preemptive_server_drains_after_run(self):
-        loop = EventLoop(sanitize=True)
-        server = PreemptiveResource(loop, quantum_s=1e-3, sanitize=True)
+        loop = EventLoop()
+        server = PreemptiveResource(loop, quantum_s=1e-3)
         server.submit(0.005)
         server.submit(0.003)
         loop.run()
         server.assert_drained()
 
     def test_preemptive_served_corruption_detected(self):
-        loop = EventLoop(sanitize=True)
-        server = PreemptiveResource(loop, quantum_s=1e-3, sanitize=True)
+        loop = EventLoop()
+        server = PreemptiveResource(loop, quantum_s=1e-3)
         job = server.submit(0.005)
         loop.run()
         server._core.served[job._index] = 0.004  # bookkeeping corrupted after the fact
@@ -260,8 +265,8 @@ class TestResourceBalance:
             server.assert_drained()
 
     def test_preemptive_busy_conservation_violation_detected(self):
-        loop = EventLoop(sanitize=True)
-        server = PreemptiveResource(loop, quantum_s=1e-3, sanitize=True)
+        loop = EventLoop()
+        server = PreemptiveResource(loop, quantum_s=1e-3)
         server.submit(0.005)
         server.submit(0.003)
         loop.run()
@@ -270,8 +275,8 @@ class TestResourceBalance:
             server.assert_drained()
 
     def test_recorded_job_history_is_checked_for_causality(self):
-        loop = EventLoop(sanitize=True)
-        server = PreemptiveResource(loop, quantum_s=1e-3, record=True, sanitize=True)
+        loop = EventLoop()
+        server = PreemptiveResource(loop, quantum_s=1e-3, record=True)
         job = server.submit(0.005)
         loop.run()
         server.assert_drained()
@@ -280,8 +285,8 @@ class TestResourceBalance:
             server.assert_drained()
 
     def test_preemptive_busy_conservation_checked_without_records(self):
-        loop = EventLoop(sanitize=True)
-        server = PreemptiveResource(loop, quantum_s=1e-3, record=False, sanitize=True)
+        loop = EventLoop()
+        server = PreemptiveResource(loop, quantum_s=1e-3, record=False)
         server.submit(0.005)
         loop.run()
         server.assert_drained()  # conservation holds with no job history
@@ -290,8 +295,8 @@ class TestResourceBalance:
             server.assert_drained()
 
     def test_preemptive_completion_count_mismatch_detected(self):
-        loop = EventLoop(sanitize=True)
-        server = PreemptiveResource(loop, quantum_s=1e-3, record=False, sanitize=True)
+        loop = EventLoop()
+        server = PreemptiveResource(loop, quantum_s=1e-3, record=False)
         server.submit(0.005)
         loop.run()
         server._core.completed -= 1  # a completion bypassed the counter
@@ -299,8 +304,8 @@ class TestResourceBalance:
             server.assert_drained()
 
     def test_fast_forwarded_slices_leave_one_trace_entry(self):
-        loop = EventLoop(sanitize=True)
-        server = PreemptiveResource(loop, quantum_s=1 / 64, sanitize=True)
+        loop = EventLoop()
+        server = PreemptiveResource(loop, quantum_s=1 / 64)
         server.submit(0.5, key=(0,))
         server.submit(0.5, key=(1,))
         loop.run(until_s=10.5 / 64)
@@ -340,30 +345,31 @@ class TestResourceBalance:
         assert any("fast-forwarded" in str(entry) for entry in info.value.trace)
 
 
+@pytest.mark.usefixtures("armed")
 class TestInterconnectConservation:
     def test_conserved_link_passes(self):
-        link = InterconnectLink(PCIE5_SWITCH, sanitize=True)
+        link = InterconnectLink(PCIE5_SWITCH)
         link.ship(0.0, 1e9, session_id=0, src_device=0, dst_device=1)
         link.ship(0.1, 2e9, session_id=1, src_device=0, dst_device=2)
         link.assert_conserved()
         assert link.num_transfers == 2
 
     def test_byte_accumulator_drift_detected(self):
-        link = InterconnectLink(PCIE5_SWITCH, sanitize=True)
+        link = InterconnectLink(PCIE5_SWITCH)
         link.ship(0.0, 1e9)
         link.total_bytes += 1.0  # bytes accounted outside ship()
         with expect(RESOURCE_BALANCE):
             link.assert_conserved()
 
     def test_busy_accumulator_drift_detected(self):
-        link = InterconnectLink(PCIE5_SWITCH, sanitize=True)
+        link = InterconnectLink(PCIE5_SWITCH)
         link.ship(0.0, 1e9)
         link._busy_total_s += 1e-9
         with expect(RESOURCE_BALANCE):
             link.assert_conserved()
 
     def test_retention_count_mismatch_detected(self):
-        link = InterconnectLink(PCIE5_SWITCH, sanitize=True)
+        link = InterconnectLink(PCIE5_SWITCH)
         transfer = link.ship(0.0, 1e9)
         link.transfers.append(transfer)  # duplicated retention entry
         with expect(RESOURCE_BALANCE):
@@ -376,10 +382,10 @@ def _table(frames=2, answers=1):
         question_arrivals=[0.5],
         answers=[answers],
         session_ids=[0],
-        sanitize=True,
     )
 
 
+@pytest.mark.usefixtures("armed")
 class TestJobState:
     def test_legal_lifecycle(self):
         table = _table()
@@ -475,9 +481,10 @@ class TestJobState:
             table.finalize(None)
 
 
+@pytest.mark.usefixtures("armed")
 class TestShardConservation:
     def test_clean_lifecycle_passes(self):
-        plane = ShardedKVHierarchy(num_banks=2, bank_budget_bytes=GIB, sanitize=True)
+        plane = ShardedKVHierarchy(num_banks=2, bank_budget_bytes=GIB)
         plane.register(0, offloaded_bytes=0.5 * GIB, hot_bytes=0.1 * GIB, num_clusters=8)
         plane.register(1, offloaded_bytes=1.5 * GIB, num_clusters=8)
         plane.register(2, offloaded_bytes=1.0 * GIB, num_clusters=8)
@@ -485,21 +492,21 @@ class TestShardConservation:
         plane.sanity_check()
 
     def test_occupancy_corruption_detected(self):
-        plane = ShardedKVHierarchy(num_banks=2, bank_budget_bytes=GIB, sanitize=True)
+        plane = ShardedKVHierarchy(num_banks=2, bank_budget_bytes=GIB)
         plane.register(0, offloaded_bytes=0.5 * GIB, num_clusters=4)
         plane._occupancy[0] += 1234.0  # bytes from nowhere
         with expect(SHARD_CONSERVATION):
             plane.sanity_check()
 
     def test_hot_tier_eviction_detected(self):
-        plane = ShardedKVHierarchy(num_banks=1, sanitize=True)
+        plane = ShardedKVHierarchy(num_banks=1)
         plane.register(0, offloaded_bytes=GIB, hot_bytes=0.25 * GIB)
         plane._shards[0].hot_bytes -= 1024.0  # hot shard "evicted"
         with expect(SHARD_CONSERVATION):
             plane.sanity_check()
 
     def test_negative_warm_bytes_detected(self):
-        plane = ShardedKVHierarchy(num_banks=2, bank_budget_bytes=GIB, sanitize=True)
+        plane = ShardedKVHierarchy(num_banks=2, bank_budget_bytes=GIB)
         plane.register(0, offloaded_bytes=0.5 * GIB, num_clusters=4)
         plane._shards[0].warm_bytes[1] = -1.0
         plane._occupancy[1] = -1.0  # keep occupancy consistent: warm must trip first
@@ -507,7 +514,7 @@ class TestShardConservation:
             plane.sanity_check()
 
     def test_warm_exceeding_home_detected(self):
-        plane = ShardedKVHierarchy(num_banks=2, bank_budget_bytes=GIB, sanitize=True)
+        plane = ShardedKVHierarchy(num_banks=2, bank_budget_bytes=GIB)
         plane.register(0, offloaded_bytes=0.5 * GIB, num_clusters=4)
         shard = plane._shards[0]
         shard.warm_bytes[0] = shard.home_bytes[0] + GIB
@@ -516,7 +523,7 @@ class TestShardConservation:
             plane.sanity_check()
 
     def test_register_checks_immediately(self, monkeypatch):
-        plane = ShardedKVHierarchy(num_banks=1, bank_budget_bytes=GIB, sanitize=True)
+        plane = ShardedKVHierarchy(num_banks=1, bank_budget_bytes=GIB)
         plane.register(0, offloaded_bytes=0.25 * GIB)
         plane._occupancy[0] = 2 * GIB  # over budget before the next register
         with expect(SHARD_CONSERVATION):
@@ -535,7 +542,7 @@ class TestShardConservation:
     )
     def test_resident_index_corruption_detected(self, corrupt):
         """Each bank's index must be its warm shards: members, bytes, order."""
-        plane = ShardedKVHierarchy(num_banks=2, bank_budget_bytes=GIB, sanitize=True)
+        plane = ShardedKVHierarchy(num_banks=2, bank_budget_bytes=GIB)
         plane.register(0, offloaded_bytes=0.5 * GIB, num_clusters=4)
         plane.register(1, offloaded_bytes=0.5 * GIB, num_clusters=4)
         plane.sanity_check()
@@ -545,10 +552,11 @@ class TestShardConservation:
         with expect(SHARD_CONSERVATION):  # and unprompted, after the next mutation
             plane.register(2, offloaded_bytes=1024.0)
 
-    def test_stale_promotion_plan_detected(self):
+    def test_stale_promotion_plan_detected(self, monkeypatch):
         """A stale plan is an API error, raised armed or not, before any mutation."""
-        for armed in (True, False):
-            plane = ShardedKVHierarchy(num_banks=1, bank_budget_bytes=GIB, sanitize=armed)
+        for armed in ("1", "0"):
+            monkeypatch.setenv(ENV_VAR, armed)
+            plane = ShardedKVHierarchy(num_banks=1, bank_budget_bytes=GIB)
             plane.register(0, offloaded_bytes=0.75 * GIB)
             plane.register(1, offloaded_bytes=0.75 * GIB)  # 0.5 GiB left cold
             plan = plane.plan_promotion(1)
@@ -564,7 +572,7 @@ class TestShardConservation:
 
 
 class TestTableConservation:
-    """The lane store arms itself from the environment (no ``sanitize=`` flag)."""
+    """The lane store arms itself from the environment, read at construction."""
 
     @pytest.fixture
     def store(self, monkeypatch):

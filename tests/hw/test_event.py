@@ -96,7 +96,7 @@ class TestZeroDuration:
         queue.enqueue(0.0, 1.0)
         passthrough = queue.enqueue(0.5, 0.0)
         assert passthrough.start_s == 0.5  # does not wait for the busy server
-        assert passthrough.sojourn_s == 0.0
+        assert passthrough.finish_s == passthrough.arrival_s
         assert queue.free_at_s == 1.0
 
     def test_zero_duration_timeline_tasks_are_recorded(self):
@@ -149,8 +149,8 @@ class TestPreemptiveResource:
         # slices alternate: A[0,1] B[1,2] A[2,3] B[3,4]
         assert jobs[0].finish_s == pytest.approx(3.0)
         assert jobs[1].finish_s == pytest.approx(4.0)
-        assert jobs[0].wait_s == 0.0
-        assert jobs[1].wait_s == pytest.approx(1.0)
+        assert jobs[0].first_start_s == 0.0
+        assert jobs[1].first_start_s == pytest.approx(1.0)
         assert server.busy_s() == pytest.approx(4.0)
 
     def test_completion_is_exact_no_accumulated_float_error(self):
@@ -193,8 +193,8 @@ class TestPreemptiveResource:
         n = len(works)
         for job in jobs:
             bound = n * job.work_s + (n - 1) * quantum_s
-            assert job.sojourn_s <= bound + 1e-12
-        assert max(job.sojourn_s / job.work_s for job in jobs) >= 1.0 - 1e-12
+            assert job.finish_s - job.arrival_s <= bound + 1e-12
+        assert max((job.finish_s - job.arrival_s) / job.work_s for job in jobs) >= 1.0 - 1e-12
 
     @given(
         works=st.lists(
@@ -301,7 +301,7 @@ class TestPreemptiveAccounting:
             assert b.first_start_s == a.first_start_s
             assert b.served_s == a.served_s
         assert bare.busy_s() == recorded.busy_s()
-        assert [j.sojourn_s for j in jobs_bare] == [j.sojourn_s for j in jobs_rec]
+        assert [j.arrival_s for j in jobs_bare] == [j.arrival_s for j in jobs_rec]
         assert len(recorded.jobs) == len(works)
         assert bare.jobs == []  # record=False retains no per-job history
         bare.assert_drained()  # accumulator checks still run without records

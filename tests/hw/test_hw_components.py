@@ -66,17 +66,6 @@ class TestComputeEngine:
         cost = KernelCost(flops=1e9, dram_bytes=1e9)
         assert engine.time_s(cost) == pytest.approx(0.01)
 
-    def test_kernel_cost_add(self):
-        total = KernelCost(1.0, 2.0) + KernelCost(3.0, 4.0)
-        assert total.flops == 4.0 and total.dram_bytes == 6.0
-        assert KernelCost(10.0, 2.0).operational_intensity == 5.0
-        assert KernelCost(10.0, 0.0).operational_intensity == float("inf")
-
-    def test_achieved_never_exceeds_sustained(self):
-        engine = ComputeEngine(peak_tflops=10, memory_bandwidth_gbps=100, utilization=0.5)
-        cost = KernelCost(flops=1e12, dram_bytes=1e9)
-        assert engine.achieved_tflops(cost) <= 5.0 + 1e-9
-
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             ComputeEngine(0, 100)
@@ -101,7 +90,6 @@ class TestMemoryModels:
         link = PCIeLink(PCIE3_X4)
         one_gb = link.transfer_time_s(4e9, efficiency=1.0)
         assert one_gb == pytest.approx(1.0, rel=0.01)
-        assert link.power_w() == pytest.approx(12.0)
 
     def test_pcie_invalid_efficiency(self):
         link = PCIeLink(PCIE3_X4)
@@ -158,11 +146,11 @@ class TestHierarchicalKVManager:
         )
         for chunk in chunks:
             manager.append(chunk)
-        assert manager.resident_tokens + manager.offloaded_tokens == manager.num_tokens
+        assert manager.resident_tokens + manager.offloaded_tokens == manager._num_tokens
         assert manager.resident_tokens <= max(budget_tokens, 0)
         assert (
             manager.resident_tokens * 10.0 + manager.offloaded_bytes()
-            == manager.num_tokens * 10.0
+            == manager._num_tokens * 10.0
         )
 
     # -------------------------------------------------------------- #
@@ -206,9 +194,9 @@ class TestHierarchicalKVManager:
             else:
                 manager.append(count)
             start += count
-        if manager.num_tokens == 0:
+        if manager._num_tokens == 0:
             return
-        request = rng.integers(0, manager.num_tokens, size=min(manager.num_tokens, 16))
+        request = rng.integers(0, manager._num_tokens, size=min(manager._num_tokens, 16))
         result = manager.fetch(request)
         offchip = np.unique(request)[np.unique(request) < manager.offloaded_tokens]
         groups = self._dict_grouping(cluster_of_token, offchip)
@@ -245,7 +233,7 @@ class TestHierarchicalKVManager:
             manager.append(-1)
         # integer-valued floats are accepted (the old int() cast behaviour)
         assert manager.append(2, cluster_ids=np.array([0.0, 1.0])) == 0
-        assert manager.num_tokens == 2
+        assert manager._num_tokens == 2
 
     def test_eviction_boundary_exact_budget(self):
         """A resident set exactly at the budget evicts nothing."""
@@ -326,11 +314,6 @@ class TestDREUnits:
         work = KVFetchWork(total_bytes=1e8, mean_contiguous_bytes=128 * 1024, from_ssd=True)
         assert clustered.fetch_time_s(work) < scattered.fetch_time_s(work)
         assert clustered.fetch_time_s(KVFetchWork(0.0, 1.0)) == 0.0
-
-    def test_kvmu_offload_is_streaming(self):
-        kvmu = KVMUModel(PCIeLink(PCIE3_X4))
-        assert kvmu.offload_time_s(1e6) > 0
-        assert kvmu.offload_time_s(0) == 0
 
 
 class TestDevices:
@@ -468,7 +451,7 @@ class TestResourceQueues:
         assert queue.name == PCIE3_X4.name and queue.link is link
         assert first.service_s == pytest.approx(service)
         assert second.wait_s == pytest.approx(service)
-        assert second.sojourn_s == pytest.approx(2 * service)
+        assert second.finish_s - second.arrival_s == pytest.approx(2 * service)
 
     def test_accelerator_fetch_queue(self):
         """The device's KVMU fetches over the device's own link and SSD, so

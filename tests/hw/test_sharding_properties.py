@@ -24,7 +24,8 @@ point values (they run under the dev/ci hypothesis profiles registered in
   sojourns) are invariant under permutation of the profile listing order;
 * **numpy's float order** — the plane keeps its per-bank bytes as Python
   floats, yet every derived tier view is bit-identical to numpy over the
-  public arrays, at every bank count (numpy sums pairwise from 8 terms);
+  warm shares as float64 arrays, at every bank count (numpy sums pairwise
+  from 8 terms);
 * **a stale plan is refused** — armed or not, before it mutates anything.
 """
 
@@ -38,6 +39,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.devtools.sanitizer import ENV_VAR
 from repro.hw.dre.kvmu import KVFetchWork, KVMUModel
 from repro.hw.memory.pcie import PCIE3_X4, PCIE4_X16, PCIeLink
 from repro.hw.memory.sharding import (
@@ -54,6 +56,16 @@ from repro.sim.systems import server_systems
 from repro.sim.workload import default_llm_workload
 
 GiB = 1024.0**3
+
+
+def warm_bytes(hierarchy: ShardedKVHierarchy, session_id: int) -> np.ndarray:
+    """Per-bank warm bytes of one session, as a fresh float64 array."""
+    return np.array(hierarchy._shard(session_id).warm_bytes)
+
+
+def bank_occupancy_bytes(hierarchy: ShardedKVHierarchy) -> np.ndarray:
+    """Warm bytes per bank, as a fresh float64 array."""
+    return np.array(hierarchy.occupancy_snapshot())
 
 session_specs = st.lists(
     st.tuples(
@@ -108,7 +120,7 @@ class TestShardConservation:
         _run_ops(hierarchy, ops, len(specs))
         for session_id, (offloaded, _hot, _clusters, hc) in enumerate(specs):
             offchip = offloaded + hc
-            warm = hierarchy.warm_bytes(session_id).sum()
+            warm = warm_bytes(hierarchy, session_id).sum()
             cold = hierarchy.cold_bytes(session_id)
             # the cold remainder snaps ulp-level float-sum residue to zero,
             # so conservation holds to that (relative) slack
@@ -127,8 +139,8 @@ class TestShardConservation:
         _run_ops(hierarchy, ops, len(specs))
         total = np.zeros(hierarchy.num_banks)
         for session_id in range(len(specs)):
-            total += hierarchy.warm_bytes(session_id)
-        occupancy = hierarchy.bank_occupancy_bytes()
+            total += warm_bytes(hierarchy, session_id)
+        occupancy = bank_occupancy_bytes(hierarchy)
         assert occupancy == pytest.approx(total, rel=1e-9, abs=1e-6)
         assert np.all(occupancy <= hierarchy.bank_budget_bytes * (1 + 1e-12) + 1e-6)
 
@@ -138,7 +150,7 @@ class TestShardConservation:
         hierarchy = _build(bank_config, specs)
         _run_ops(hierarchy, ops, len(specs))
         for session_id, (_offloaded, hot, _clusters, _hc) in enumerate(specs):
-            assert hierarchy.hot_bytes(session_id) == hot
+            assert hierarchy._shard(session_id).hot_bytes == hot
         for eviction in hierarchy.evictions:
             assert eviction.bytes > 0  # only warm bank shards are demoted
             assert 0 <= eviction.bank < hierarchy.num_banks
@@ -238,8 +250,8 @@ class _LastUseOracle:
     def expected_evictions(self, session_id, protected) -> list[EvictionRecord]:
         hierarchy = self.hierarchy
         exclude = set(protected) | {session_id}
-        warm = {sid: hierarchy.warm_bytes(sid) for sid in sorted(self.home)}
-        occupancy = hierarchy.bank_occupancy_bytes()
+        warm = {sid: warm_bytes(hierarchy, sid) for sid in sorted(self.home)}
+        occupancy = bank_occupancy_bytes(hierarchy)
         expected = []
         for bank in range(hierarchy.num_banks):
             home = self.home[session_id][bank]
@@ -314,17 +326,17 @@ class TestOneEvictionPlan:
                 continue
             expected = oracle.expected_evictions(session, protected)
             version = hierarchy.occupancy_version
-            occupancy = hierarchy.bank_occupancy_bytes()
-            warm = [hierarchy.warm_bytes(sid) for sid in sessions]
+            occupancy = bank_occupancy_bytes(hierarchy)
+            warm = [warm_bytes(hierarchy, sid) for sid in sessions]
             already = len(hierarchy.evictions)
 
             plan = hierarchy.plan_promotion(session, protected)
             # planning mutates nothing
             assert hierarchy.occupancy_version == version
             assert len(hierarchy.evictions) == already
-            assert np.array_equal(hierarchy.bank_occupancy_bytes(), occupancy)
+            assert np.array_equal(bank_occupancy_bytes(hierarchy), occupancy)
             for sid in sessions:
-                assert np.array_equal(hierarchy.warm_bytes(sid), warm[sid])
+                assert np.array_equal(warm_bytes(hierarchy, sid), warm[sid])
             # the plan names the oracle's victims, in the oracle's order
             planned = [
                 EvictionRecord(sid, bank, bytes_out)
@@ -343,7 +355,7 @@ class TestOneEvictionPlan:
             # applying does exactly what was planned
             assert hierarchy.apply_promotion(plan) == plan.promoted_bytes
             assert hierarchy.evictions[already:] == expected
-            gained = hierarchy.warm_bytes(session).sum() - warm[session].sum()
+            gained = warm_bytes(hierarchy, session).sum() - warm[session].sum()
             assert gained == pytest.approx(plan.promoted_bytes, rel=1e-9, abs=1e-3)
             hierarchy.sanity_check()
 
@@ -424,7 +436,7 @@ class TestOneEvictionPlan:
         assert large.plan_promotion(8, protected=(0,)).steps == steps
         assert best_plan_s(large) <= 5.0 * best_plan_s(small)
 
-    def test_reapplied_plan_is_refused_unarmed(self):
+    def test_reapplied_plan_is_refused_unarmed(self, monkeypatch):
         """Applying one plan twice must raise, not corrupt the plane.
 
         One 1 GiB bank: sessions 0 and 1 hold 0.75 GiB each, session 2
@@ -434,7 +446,8 @@ class TestOneEvictionPlan:
         warm of a 0.75 GiB home, the bank reporting 0.5 GiB — with nothing
         raised until a later ``sanity_check``.
         """
-        hierarchy = ShardedKVHierarchy(num_banks=1, bank_budget_bytes=GiB, sanitize=False)
+        monkeypatch.delenv(ENV_VAR, raising=False)
+        hierarchy = ShardedKVHierarchy(num_banks=1, bank_budget_bytes=GiB)
         hierarchy.register(0, 0.75 * GiB)
         hierarchy.register(1, 0.75 * GiB)
         hierarchy.register(2, 0.5 * GiB)
@@ -442,8 +455,8 @@ class TestOneEvictionPlan:
         assert hierarchy.apply_promotion(plan) == 0.5 * GiB
         state = (
             hierarchy.occupancy_version,
-            hierarchy.bank_occupancy_bytes().tolist(),
-            [hierarchy.warm_bytes(sid).tolist() for sid in range(3)],
+            bank_occupancy_bytes(hierarchy).tolist(),
+            [warm_bytes(hierarchy, sid).tolist() for sid in range(3)],
             list(hierarchy.evictions),
         )
         with pytest.raises(
@@ -454,8 +467,8 @@ class TestOneEvictionPlan:
             hierarchy.apply_promotion(plan)
         assert state == (
             hierarchy.occupancy_version,
-            hierarchy.bank_occupancy_bytes().tolist(),
-            [hierarchy.warm_bytes(sid).tolist() for sid in range(3)],
+            bank_occupancy_bytes(hierarchy).tolist(),
+            [warm_bytes(hierarchy, sid).tolist() for sid in range(3)],
             list(hierarchy.evictions),
         )
         assert state[2] == [[0.0], [0.75 * GiB], [0.0]]
@@ -509,7 +522,7 @@ class TestNumpyFloatOrder:
             else:
                 hierarchy.promote(index % registered)
             for session in range(registered):
-                warm = hierarchy.warm_bytes(session)
+                warm = warm_bytes(hierarchy, session)
                 offchip = hierarchy.offchip_bytes(session)
                 cold = offchip - float(np.sum(warm))
                 if cold <= offchip * _COLD_SNAP_REL:

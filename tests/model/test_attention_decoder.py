@@ -155,14 +155,6 @@ class TestMultiHeadAttention:
                 query_transform=np.eye(8),
             )
 
-    def test_attention_stats_ratio(self):
-        from repro.model.attention import AttentionStats
-
-        stats = AttentionStats(layer_index=0, past_tokens=10, selected_tokens_per_head=[5, 5])
-        assert stats.retrieval_ratio == pytest.approx(0.5)
-        empty = AttentionStats(layer_index=0, past_tokens=0)
-        assert empty.retrieval_ratio == 1.0
-
 
 class TestDecoderLayer:
     def test_forward_shapes_and_residual(self, rng):

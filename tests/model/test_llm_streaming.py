@@ -19,7 +19,7 @@ class TestStreamingVideoLLM:
         for frame_id, frame in enumerate(tiny_video.frames()[:3]):
             tiny_model.prefill_frame(frame, frame_id)
         assert tiny_model.cache_length == 12
-        assert tiny_model.next_position == 12
+        assert tiny_model.default_state.next_position == 12
 
     def test_forward_chunk_output_shape(self, tiny_model, rng):
         hidden, stats = tiny_model.forward_chunk(rng.normal(size=(5, 32)))
@@ -44,7 +44,7 @@ class TestStreamingVideoLLM:
         tiny_model.forward_chunk(rng.normal(size=(3, 32)))
         tiny_model.reset()
         assert tiny_model.cache_length == 0
-        assert tiny_model.next_position == 0
+        assert tiny_model.default_state.next_position == 0
 
     def test_deterministic_given_seed(self, tiny_model_config, rng):
         inputs = rng.normal(size=(4, 32))
@@ -175,7 +175,7 @@ class TestVisionAndTokenizer:
         tokenizer = ToyTokenizer(vocab_size=64)
         ids = tokenizer.encode("a b c d e f g h i j", add_eos=True)
         assert ids.max() < 64
-        assert ids[-1] == tokenizer.eos_id
+        assert ids[-1] == tokenizer.special_tokens["<eos>"]
 
     def test_tokenizer_vocab_too_small(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
-"""Reference retrievers the suite compares the package's retrievers against.
+"""Oracles the suite checks the package against: a reference retriever and
+a lookup into an energy report's per-resource rows.
 
 ``tests/`` is on ``sys.path`` (pytest prepends the directory of the root
 ``conftest.py``), so any test module can ``from oracles import ...``.
@@ -29,3 +30,11 @@ class FullRetriever(KVRetriever):
     def select(self, layer: int, queries: np.ndarray, cache: LayerKVCache) -> Selection:
         del layer, queries
         return Selection.full(cache.num_kv_heads, len(cache))
+
+
+def energy_row(report, name: str):
+    """The row of ``report.resources`` named ``name`` (``KeyError`` if absent)."""
+    for row in report.resources:
+        if row.name == name:
+            return row
+    raise KeyError(name)

@@ -267,7 +267,7 @@ class TestContention:
             edge["V-Rex8"], [StreamProfile(kv_len=40_000, session_id=i) for i in range(4)]
         )
         assert max(stream.pcie_wait_s for stream in step.streams) > 0.0
-        assert max(stream.dre_wait_s for stream in step.streams) > 0.0
+        assert max(stream.breakdown["dre_wait"] for stream in step.streams) > 0.0
         # FCFS: later aligned streams wait at least as long on the link
         waits = [stream.pcie_wait_s for stream in step.streams]
         assert waits == sorted(waits)

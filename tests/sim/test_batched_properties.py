@@ -169,7 +169,9 @@ class TestContentionInvariants:
             other = permuted[session_id]
             assert other.total_s == pytest.approx(row.total_s, abs=1e-12)
             assert other.pcie_wait_s == pytest.approx(row.pcie_wait_s, abs=1e-12)
-            assert other.dre_wait_s == pytest.approx(row.dre_wait_s, abs=1e-12)
+            assert other.breakdown.get("dre_wait", 0.0) == pytest.approx(
+                row.breakdown.get("dre_wait", 0.0), abs=1e-12
+            )
             assert other.exposed_fetch_s == pytest.approx(
                 row.exposed_fetch_s, abs=1e-12
             )

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 
 import pytest
+from oracles import energy_row
 
 from repro.hw.interconnect import FREE_INTERCONNECT, PCIE5_SWITCH
 from repro.hw.memory.sharding import ShardedKVHierarchy
@@ -34,7 +35,7 @@ from repro.sim.fleet import FleetConfig, FleetScheduler
 from repro.sim.scheduler import DEFER, SchedulerConfig, ServingScheduler
 from repro.sim.systems import edge_systems, server_systems
 from repro.sim.workload import default_llm_workload
-from repro.devtools.sanitizer import SanitizerError
+from repro.devtools.sanitizer import ENV_VAR, SanitizerError
 
 REL_TOL = 1e-9
 GiB = 1024.0**3
@@ -120,12 +121,12 @@ class TestDegenerateAnchor:
         names = [row.name for row in report.resources]
         assert names == ["lxe", "dre", "dram", "pcie", "ssd"]
         # PCIe/SSD are busy-only: no idle charge, full-load watts
-        assert report.resource("pcie").idle_j == 0.0
-        assert report.resource("ssd").idle_j == 0.0
-        assert report.resource("pcie").busy_power_w == pytest.approx(12.0)
-        assert report.resource("ssd").busy_power_w == pytest.approx(4.1)
+        assert energy_row(report, "pcie").idle_j == 0.0
+        assert energy_row(report, "ssd").idle_j == 0.0
+        assert energy_row(report, "pcie").busy_power_w == pytest.approx(12.0)
+        assert energy_row(report, "ssd").busy_power_w == pytest.approx(4.1)
         # LXE/DRE are always-on: busy + idle telescopes to power x window
-        lxe = report.resource("lxe")
+        lxe = energy_row(report, "lxe")
         assert lxe.busy_j + lxe.idle_j == pytest.approx(
             lxe.busy_power_w * report.window_s, rel=REL_TOL
         )
@@ -138,7 +139,7 @@ class TestDegenerateAnchor:
         )
         report = result.energy()
         assert [row.name for row in report.resources] == ["device"]
-        device = report.resource("device")
+        device = energy_row(report, "device")
         assert device.busy_power_w == system.device.power_w
         assert device.idle_j == 0.0  # charged busy for the whole window
 
@@ -202,7 +203,7 @@ class TestDemandTotalsAreALeftFold:
             served, tokens, flops, dram_bytes
         )
         if system_name == "V-Rex8":
-            assert report.resource("lxe").busy_s == lxe_busy
+            assert energy_row(report, "lxe").busy_s == lxe_busy
 
 
 class TestEngineEquivalence:
@@ -281,7 +282,7 @@ class TestGoldenEnergy:
         assert_conserved(report)
 
     @pytest.mark.parametrize("engine", ENGINES)
-    def test_steal_golden_j_per_query(self, edge, engine):
+    def test_steal_golden_j_per_query(self, edge, engine, monkeypatch):
         """The PR 9 steal golden (M=4, stuck-at-home, seed 17) with the
         interconnect's transfer energy itemized on its own row."""
         plane = BatchLatencyModel()
@@ -310,14 +311,15 @@ class TestGoldenEnergy:
             traces,
             home_devices={profile.session_id: 0 for profile in profiles},
         )
-        report = result.energy(sanitize=True)
+        monkeypatch.setenv(ENV_VAR, "1")
+        report = result.energy()
         expected = self.STEAL_EXPECTED
         assert report.total_j == pytest.approx(expected["total_j"], rel=1e-12)
         assert report.j_per_query == pytest.approx(
             expected["j_per_query"], rel=1e-12
         )
         assert report.window_s == pytest.approx(expected["window_s"], rel=1e-12)
-        link = report.resource(f"interconnect:{PCIE5_SWITCH.name}")
+        link = energy_row(report, f"interconnect:{PCIE5_SWITCH.name}")
         assert link.busy_j == pytest.approx(
             expected["interconnect_busy_j"], rel=1e-12
         )
@@ -395,6 +397,52 @@ class TestEnergyAdmission:
             empty.row(0.4, "energy")
 
 
+class TestShortWindowRejected:
+    """A ``window_s`` shorter than the run's own span raises ``ValueError``
+    at each entry point, armed or not, so no report prices busy seconds its
+    window cannot hold."""
+
+    @pytest.fixture(autouse=True)
+    def unarmed(self, monkeypatch):
+        monkeypatch.delenv(ENV_VAR, raising=False)
+
+    def test_schedule_energy(self, edge):
+        result = _contended_run(edge["V-Rex8"], "array")
+        span = result.energy().window_s
+        assert schedule_energy(result, result.energy_inputs, window_s=span).window_s == span
+        for window in (0.1 * span, 0.0):
+            with pytest.raises(ValueError, match="window_s"):
+                schedule_energy(result, result.energy_inputs, window_s=window)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_schedule_result_energy(self, edge, engine):
+        result = _contended_run(edge["V-Rex8"], engine)
+        span = result.energy().window_s
+        assert result.energy(window_s=2.0 * span).window_s == 2.0 * span
+        with pytest.raises(ValueError, match="window_s"):
+            result.energy(window_s=0.1 * span)
+
+    @pytest.mark.parametrize("num_devices", [1, 3])
+    def test_fleet_result_energy(self, edge, num_devices):
+        plane = BatchLatencyModel()
+        system = edge["V-Rex8"]
+        profiles = _profiles([40_000] * 6)
+        solo = plane.frame_step(system, profiles[:1]).streams[0].total_s
+        traces = PoissonArrivals(rate_hz=rate_for_load(1.2, solo, 6)).generate(
+            6, 5, seed=3
+        )
+        result = FleetScheduler(
+            plane,
+            SchedulerConfig(max_queue_depth=4),
+            FleetConfig(num_devices=num_devices, router="round_robin", interconnect=PCIE5_SWITCH),
+        ).run(system, profiles, traces, home_devices={p.session_id: 0 for p in profiles})
+        span = result.energy().window_s
+        assert span >= result.interconnect.free_at_s
+        assert result.energy(window_s=span).window_s == span
+        with pytest.raises(ValueError, match="window_s"):
+            result.energy(window_s=0.5 * span)
+
+
 class TestFleetEnergy:
     def test_single_device_fleet_delegates_bit_for_bit(self, edge):
         plane = BatchLatencyModel()
@@ -412,7 +460,7 @@ class TestFleetEnergy:
         assert fleet.energy().resources == single.energy().resources
         assert fleet.energy().total_j == single.energy().total_j
 
-    def test_multi_device_rollup_prefixes_and_prices_the_link(self, edge):
+    def test_multi_device_rollup_prefixes_and_prices_the_link(self, edge, monkeypatch):
         plane = BatchLatencyModel()
         system = edge["V-Rex8"]
         profiles = _profiles([40_000] * 6)
@@ -433,7 +481,8 @@ class TestFleetEnergy:
             traces,
             home_devices={profile.session_id: 0 for profile in profiles},
         )
-        report = result.energy(sanitize=True)
+        monkeypatch.setenv(ENV_VAR, "1")
+        report = result.energy()
         names = [row.name for row in report.resources]
         for device in range(3):
             assert f"d{device}:lxe" in names
@@ -443,9 +492,7 @@ class TestFleetEnergy:
         assert report.window_s >= result.makespan_s
         assert report.served == result.served
         if result.interconnect_bytes > 0:
-            assert report.resource(
-                f"interconnect:{PCIE5_SWITCH.name}"
-            ).busy_j > 0
+            assert energy_row(report, f"interconnect:{PCIE5_SWITCH.name}").busy_j > 0
 
     def test_merge_reports_conserves(self, edge):
         single = _contended_run(edge["V-Rex8"], "array")

@@ -74,7 +74,9 @@ class TestDegenerateEquivalence:
             record = result.jobs(stream_index=row.session_id)[0]
             assert record.sojourn_s == pytest.approx(row.total_s, rel=REL_TOL)
             assert record.pcie_wait_s == pytest.approx(row.pcie_wait_s, abs=1e-15)
-            assert record.dre_wait_s == pytest.approx(row.dre_wait_s, abs=1e-15)
+            assert record.dre_wait_s == pytest.approx(
+                row.breakdown.get("dre_wait", 0.0), abs=1e-15
+            )
         assert result.makespan_s == pytest.approx(step.total_s, rel=REL_TOL)
         assert result.oom == step.oom
 
@@ -357,7 +359,9 @@ class TestTimeslicedCompute:
             record = result.jobs(stream_index=row.session_id)[0]
             assert record.sojourn_s == pytest.approx(row.total_s, rel=REL_TOL)
             assert record.pcie_wait_s == pytest.approx(row.pcie_wait_s, abs=1e-15)
-            assert record.dre_wait_s == pytest.approx(row.dre_wait_s, abs=1e-15)
+            assert record.dre_wait_s == pytest.approx(
+                row.breakdown.get("dre_wait", 0.0), abs=1e-15
+            )
             assert record.compute_wait_s == pytest.approx(
                 row.compute_wait_s, abs=1e-15
             )

@@ -7,7 +7,6 @@ import pytest
 from repro.config import llama3_8b_config
 from repro.hw.specs import AGX_ORIN, VREX8
 from repro.sim.pipeline import LatencyModel
-from repro.sim.runner import ExperimentRunner
 from repro.sim.systems import (
     ablation_systems,
     edge_systems,
@@ -266,20 +265,3 @@ class TestExplicitZeroStages:
         default = latency_model.question_step(edge["AGX + FlexGen"], 20_000)
         assert default.total_s == pytest.approx(explicit.total_s)
 
-
-class TestRunner:
-    def test_sweep_produces_all_records(self, workload):
-        runner = ExperimentRunner()
-        systems = {"AGX + FlexGen": gpu_system(AGX_ORIN, flexgen_policy(), name="AGX + FlexGen")}
-        result = runner.sweep(systems, kv_lengths=(1_000, 5_000), batches=(1,))
-        assert len(result.records) == 4  # 2 lengths x 2 stages
-        series = result.latency_series("AGX + FlexGen", "frame", 1)
-        assert set(series) == {1_000, 5_000}
-
-    def test_speedup_helper(self, workload):
-        runner = ExperimentRunner()
-        systems = edge_systems(workload.model_bytes())
-        subset = {k: systems[k] for k in ("AGX + FlexGen", "V-Rex8")}
-        result = runner.sweep(subset, kv_lengths=(10_000,), batches=(1,))
-        speedups = result.speedup_over("AGX + FlexGen", "V-Rex8", "frame", 1)
-        assert speedups[10_000] > 1.0
