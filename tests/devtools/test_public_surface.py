@@ -85,22 +85,22 @@ def _is_public(name: str) -> bool:
     return not name.startswith("_")
 
 
-def _definitions(path: Path) -> list[tuple[str, str, bool]]:
-    """``(qualname, name, is_method)`` of every public top-level def/class."""
-    found: list[tuple[str, str, bool]] = []
+def _definitions(path: Path) -> list[tuple[str, str, bool, ast.AST]]:
+    """``(qualname, name, is_method, node)`` of every public top-level def/class."""
+    found: list[tuple[str, str, bool, ast.AST]] = []
     for node in ast.parse(path.read_text()).body:
         if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             continue
         if not _is_public(node.name):
             continue
-        found.append((node.name, node.name, False))
+        found.append((node.name, node.name, False, node))
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if not isinstance(item, ast.FunctionDef):
                     continue
                 if not _is_public(item.name) or item.name.startswith("visit_"):
                     continue
-                found.append((f"{node.name}.{item.name}", item.name, True))
+                found.append((f"{node.name}.{item.name}", item.name, True, item))
     return found
 
 
@@ -156,7 +156,7 @@ def unread_public_names() -> list[str]:
         if path.name == "__init__.py":
             continue
         module = path.relative_to(PACKAGE.parent).with_suffix("")
-        for qualname, name, is_method in _definitions(path):
+        for qualname, name, is_method, _node in _definitions(path):
             read = name in attributes or (not is_method and name in names)
             if not read:
                 unread.append(f"{'.'.join(module.parts)}.{qualname}")

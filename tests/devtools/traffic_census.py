@@ -66,35 +66,22 @@ def entry_points() -> list[list[str]]:
 def public_definitions() -> dict[tuple[str, int, str], str]:
     """``(file, first line, name)`` of each public def's code object -> qualname.
 
-    The static census's definitions: public top-level functions and the
-    public methods and properties of public top-level classes, less abstract
+    The static census's functions, methods and properties, less abstract
     methods, whose bodies never run by design.  A decorated function's code
     object starts at its first decorator.
     """
+    from test_public_surface import _definitions
+
     found = {}
     for path in sorted(PACKAGE.rglob("*.py")):
         module = ".".join(path.relative_to(PACKAGE.parent).with_suffix("").parts)
-
-        def add(node, qualname):
-            first = min([node.lineno] + [d.lineno for d in node.decorator_list])
-            found[(str(path), first, node.name)] = f"{module}.{qualname}"
-
-        for node in ast.parse(path.read_text()).body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+        for qualname, name, _is_method, node in _definitions(path):
+            if isinstance(node, ast.ClassDef) or any(
+                ast.unparse(d).endswith("abstractmethod") for d in node.decorator_list
+            ):
                 continue
-            if isinstance(node, ast.FunctionDef):
-                add(node, node.name)
-            elif isinstance(node, ast.ClassDef):
-                for item in node.body:
-                    if (
-                        isinstance(item, ast.FunctionDef)
-                        and not item.name.startswith("_")
-                        and not item.name.startswith("visit_")
-                        and not any(
-                            ast.unparse(d).endswith("abstractmethod") for d in item.decorator_list
-                        )
-                    ):
-                        add(item, f"{node.name}.{item.name}")
+            first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+            found[(str(path), first, name)] = f"{module}.{qualname}"
     return found
 
 
