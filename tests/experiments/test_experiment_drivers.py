@@ -23,6 +23,8 @@ from repro.experiments import (
     sharded_memory,
     table03_area_power,
 )
+from repro.sim.systems import edge_systems
+from repro.sim.workload import default_llm_workload
 
 #: sha256 of each serving driver's and of Figs. 13-15's ``main()`` stdout.
 #: The same bytes are printed plain, armed (``REPRO_SANITIZE=1`` /
@@ -73,6 +75,31 @@ class TestFig13:
         assert max(server.frame_speedup_large_batch.values()) > max(
             server.frame_speedup_b1.values()
         ) * 0.8
+
+    def test_sweep_covers_every_system_stage_and_batch(self, results):
+        edge = results["edge"]
+        systems = edge_systems(default_llm_workload().model_bytes())
+        keys = {
+            (name, stage, batch)
+            for name in systems
+            for stage in ("frame", "generation")
+            for batch in (1, 4)
+        }
+        assert set(edge.latency_ms) == keys
+        assert set(edge.efficiency_gops_w) == keys
+        for key in keys:
+            assert set(edge.latency_ms[key]) == {1_000, 10_000, 40_000}
+            assert set(edge.efficiency_gops_w[key]) == {1_000, 10_000, 40_000}
+
+    def test_speedups_are_latency_ratios(self, results):
+        edge = results["edge"]
+        base = edge.latency_ms[("AGX + FlexGen", "frame", 1)]
+        vrex = edge.latency_ms[("V-Rex8", "frame", 1)]
+        assert edge.frame_speedup_b1 == {k: base[k] / vrex[k] for k in base}
+        assert edge.frame_speedup_b1[10_000] > 1.0
+        tpot_base = edge.latency_ms[("AGX + FlexGen", "generation", 1)]
+        tpot_vrex = edge.latency_ms[("V-Rex8", "generation", 1)]
+        assert edge.tpot_speedup_b1 == {k: tpot_base[k] / tpot_vrex[k] for k in tpot_base}
 
     def test_speedup_grows_with_cache_initially(self, results):
         edge = results["edge"]

@@ -66,6 +66,13 @@ class TestComputeEngine:
         cost = KernelCost(flops=1e9, dram_bytes=1e9)
         assert engine.time_s(cost) == pytest.approx(0.01)
 
+    def test_time_never_beats_sustained_rates(self):
+        engine = ComputeEngine(peak_tflops=10, memory_bandwidth_gbps=100, utilization=0.5)
+        cost = KernelCost(flops=1e12, dram_bytes=1e9)
+        assert cost.flops / engine.time_s(cost) <= 5e12 * (1 + 1e-12)
+        assert cost.dram_bytes / engine.time_s(cost) <= 80e9 * (1 + 1e-12)
+        assert engine.time_s(cost) == max(engine.compute_time_s(cost), engine.memory_time_s(cost))
+
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             ComputeEngine(0, 100)

@@ -79,6 +79,18 @@ class TestInterconnectLink:
         assert second.service.wait_s == pytest.approx(0.8)
         assert second.finish_s == pytest.approx(2.0)
 
+    def test_free_at_tracks_the_queued_backlog(self):
+        """``free_at_s`` is where the queued backlog drains: the fleet's
+        energy window must cover it."""
+        spec = InterconnectSpec(name="test", bandwidth_gbps=1.0, latency_us=0.0, efficiency=1.0)
+        link = InterconnectLink(spec)
+        assert link.free_at_s == 0.0
+        link.ship(0.0, 1e9)  # 1 s service
+        link.ship(0.0, 1e9)  # queued behind: finishes at 2 s
+        assert link.free_at_s == pytest.approx(2.0)
+        link.ship(3.0, 0.0)  # an empty shard never holds the link
+        assert link.free_at_s == pytest.approx(2.0)
+
     def test_byte_and_busy_accounting(self):
         link = InterconnectLink(PCIE5_SWITCH)
         link.ship(0.0, 3e9, session_id=7, src_device=0, dst_device=1)
