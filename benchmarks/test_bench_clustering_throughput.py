@@ -57,28 +57,12 @@ class _Stream:
         return num_tokens // CHUNK * CHUNK / (time.perf_counter() - start)
 
 
-def _clone_into_reference(table: HashClusterTable):
-    """Materialise the engine state as a seed-style reference table."""
-    reference = _seed.ReferenceTable(HEAD_DIM, N_BITS, table.hamming_threshold)
-    store, lane = table._store, table._lane
-    members: list[list[int]] = [[] for _ in range(table.num_clusters)]
-    for token_id, cluster in zip(*table.assignments(), strict=True):
-        members[cluster].append(int(token_id))
-    for index, tokens in enumerate(members):
-        votes = (store._votes[lane, index] + store._counts[lane, index]) // 2
-        clone = _seed._ReferenceCluster(index, tokens[0], store._key_sums[lane, index], votes)
-        clone.token_indices = tokens
-        reference.clusters.append(clone)
-    reference.num_tokens = table.num_tokens
-    return reference
-
-
 def _speedup_at_20k() -> float:
     table = HashClusterTable(HEAD_DIM, N_BITS, HAMMING_THRESHOLD)
     stream = _Stream(seed=1)
     stream.feed(table, CACHE_TOKENS)
     engine_rate = stream.feed(table, MEASURE_TOKENS)
-    reference_rate = stream.feed(_clone_into_reference(table), MEASURE_TOKENS)
+    reference_rate = stream.feed(_seed.clone_into_reference(table), MEASURE_TOKENS)
     return engine_rate / reference_rate
 
 

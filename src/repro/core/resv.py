@@ -52,8 +52,6 @@ class RetrievalEngineStats:
     sorted_elements: int = 0
     total_elements: int = 0
     clusters_considered: int = 0
-    last_sort_fraction: float = 0.0
-    last_clusters_considered: int = 0
 
     @property
     def sort_fraction(self) -> float:
@@ -67,16 +65,12 @@ class RetrievalEngineStats:
         self.sorted_elements += sorted_elements
         self.total_elements += total_elements
         self.clusters_considered += clusters
-        self.last_sort_fraction = sorted_elements / total_elements if total_elements else 0.0
-        self.last_clusters_considered = clusters
 
     def reset(self) -> None:
         self.selects = 0
         self.sorted_elements = 0
         self.total_elements = 0
         self.clusters_considered = 0
-        self.last_sort_fraction = 0.0
-        self.last_clusters_considered = 0
 
 
 @dataclass

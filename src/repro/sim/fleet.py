@@ -510,10 +510,11 @@ class FleetResult(RecordViews):
         labels = [{"scope": f"device {run.device}"} for run in self.devices]
         return _summarize(labels, columns, np.arange(bounds[-1]), bounds, percentiles)
 
-    def energy(self, model=None, window_s: float | None = None):
+    def energy(self, model=None):
         """Fleet-wide per-resource energy rollup.
 
-        Every active device is priced over the *fleet* window (a device
+        Every active device is priced over the *fleet* window (the last
+        device's last job, or the interconnect's last transfer: a device
         idling after its last local job still burns static power), with
         rows prefixed ``d<i>:`` — the same namespacing as
         :attr:`timeline` — plus one row charging migration/steal
@@ -522,13 +523,12 @@ class FleetResult(RecordViews):
         delegates to the device report unchanged, preserving the M=1
         bit-exactness guarantee (the free interconnect contributes
         exactly nothing).  Devices that never received a session are not
-        charged — the fleet prices the serving run, not the rack.  A
-        ``window_s`` shorter than the fleet's own span (the last device's
-        last job, or the interconnect's last transfer) raises ``ValueError``.
+        charged — the fleet prices the serving run, not the rack.
         """
+        if len(self.devices) == 1 and self.devices[0].schedule is not None:
+            return self.devices[0].schedule.energy(model=model)
         from repro.sim.energy import (
             ResourceEnergy,
-            _require_window,
             _window_s,
             merge_reports,
             schedule_energy,
@@ -540,10 +540,6 @@ class FleetResult(RecordViews):
             span = _window_s(run.schedule)
             if span > window:
                 window = span
-        if window_s is not None:
-            window = _require_window(window_s, window)
-        if len(self.devices) == 1 and runs:
-            return runs[0].schedule.energy(model=model, window_s=window_s)
         reports = [
             schedule_energy(
                 run.schedule,

@@ -518,14 +518,13 @@ class ScheduleResult(RecordViews):
         ]
         return _summarize(labels, self.columns, rows, bounds, percentiles)
 
-    def energy(self, model=None, window_s: float | None = None):
+    def energy(self, model=None):
         """Per-resource busy/idle energy of this run.
 
         Returns an :class:`repro.sim.energy.EnergyReport` priced from
-        the run's residency accumulators and served-job demand totals;
-        ``window_s`` widens the accounting window (a fleet rollup prices
-        each device over the fleet-wide span).  Both engines retain the
-        same inputs, so the report is bit-identical across them.
+        the run's residency accumulators and served-job demand totals
+        over the run's own span.  Both engines retain the same inputs, so
+        the report is bit-identical across them.
         """
         if self.energy_inputs is None:
             raise ValueError(
@@ -533,9 +532,7 @@ class ScheduleResult(RecordViews):
             )
         from repro.sim.energy import schedule_energy
 
-        return schedule_energy(
-            self, self.energy_inputs, model=model, window_s=window_s
-        )
+        return schedule_energy(self, self.energy_inputs, model=model)
 
 
 @dataclass

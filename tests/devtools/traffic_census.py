@@ -1,6 +1,6 @@
 """Traffic census: every public function in ``src/repro`` that real traffic runs.
 
-    PYTHONPATH=src python tests/devtools/traffic_census.py [--jobs N]
+    PYTHONPATH=src python tests/devtools/traffic_census.py
 
 The static census (``test_public_surface.py``) asks whether a public name is
 *read* outside ``tests/``; this one asks whether its body *runs*.  It runs
@@ -25,7 +25,6 @@ an ``UNTRACED`` name did run.  The file name keeps pytest from collecting it.
 
 from __future__ import annotations
 
-import argparse
 import ast
 import json
 import os
@@ -41,6 +40,9 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parents[1]
 PACKAGE = ROOT / "src" / "repro"
 E2E_SECONDS = "0.2"
+JOBS = 2  # entry points run at once; each holds a whole workload in memory
+# a child loads this file without running its ``__main__`` block
+CHILD = "import runpy, sys; sys.exit(runpy.run_path(sys.argv[1])['_child'](*sys.argv[2:]))"
 
 
 def entry_points() -> list[list[str]]:
@@ -85,7 +87,7 @@ def public_definitions() -> dict[tuple[str, int, str], str]:
     return found
 
 
-def _child(out: str, kind: str, target: str, argv: list[str]) -> int:
+def _child(out: str, kind: str, target: str, *argv: str) -> int:
     """Run one entry point under the trace hook; write what it entered to ``out``."""
     prefix = str(PACKAGE) + os.sep
     entered: set[tuple[str, int, str]] = set()
@@ -129,29 +131,21 @@ def _run(entry: list[str], scratch: Path, index: int) -> tuple[list[str], int, s
         [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
     )
     done = subprocess.run(
-        [sys.executable, __file__, "--child", str(out), *entry],
+        [sys.executable, "-c", CHILD, __file__, str(out), *entry],
         cwd=ROOT, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
     )
     entered = {tuple(item) for item in json.loads(out.read_text())} if out.exists() else set()
     return entry, done.returncode, done.stderr, entered
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--jobs", type=int, default=2, help="entry points run at once")
-    parser.add_argument("--child", nargs=argparse.REMAINDER, help=argparse.SUPPRESS)
-    args = parser.parse_args(argv)
-    if args.child:
-        out, kind, target, *rest = args.child
-        return _child(out, kind, target, rest)
-
+def main() -> int:
     sys.path.insert(0, str(HERE))
     from test_public_surface import ALLOWED, UNTRACED
 
     entries = entry_points()
     entered: set = set()
     failed = []
-    with tempfile.TemporaryDirectory() as scratch, ThreadPoolExecutor(args.jobs) as pool:
+    with tempfile.TemporaryDirectory() as scratch, ThreadPoolExecutor(JOBS) as pool:
         runs = pool.map(_run, entries, [Path(scratch)] * len(entries), range(len(entries)))
         for entry, status, stderr, seen in runs:
             entered |= seen

@@ -398,32 +398,25 @@ class TestEnergyAdmission:
 
 
 class TestShortWindowRejected:
-    """A ``window_s`` shorter than the run's own span raises ``ValueError``
-    at each entry point, armed or not, so no report prices busy seconds its
-    window cannot hold."""
+    """A ``window_s`` shorter than the run's own span raises ``ValueError``,
+    armed or not, so no report prices busy seconds its window cannot hold;
+    the fleet rollup's own window covers every device and the link."""
 
     @pytest.fixture(autouse=True)
     def unarmed(self, monkeypatch):
         monkeypatch.delenv(ENV_VAR, raising=False)
 
-    def test_schedule_energy(self, edge):
-        result = _contended_run(edge["V-Rex8"], "array")
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_schedule_energy(self, edge, engine):
+        result = _contended_run(edge["V-Rex8"], engine)
         span = result.energy().window_s
-        assert schedule_energy(result, result.energy_inputs, window_s=span).window_s == span
+        for window in (span, 2.0 * span):
+            assert schedule_energy(result, result.energy_inputs, window_s=window).window_s == window
         for window in (0.1 * span, 0.0):
             with pytest.raises(ValueError, match="window_s"):
                 schedule_energy(result, result.energy_inputs, window_s=window)
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_schedule_result_energy(self, edge, engine):
-        result = _contended_run(edge["V-Rex8"], engine)
-        span = result.energy().window_s
-        assert result.energy(window_s=2.0 * span).window_s == 2.0 * span
-        with pytest.raises(ValueError, match="window_s"):
-            result.energy(window_s=0.1 * span)
-
-    @pytest.mark.parametrize("num_devices", [1, 3])
-    def test_fleet_result_energy(self, edge, num_devices):
+    def test_fleet_window_covers_every_device_and_the_link(self, edge):
         plane = BatchLatencyModel()
         system = edge["V-Rex8"]
         profiles = _profiles([40_000] * 6)
@@ -434,13 +427,13 @@ class TestShortWindowRejected:
         result = FleetScheduler(
             plane,
             SchedulerConfig(max_queue_depth=4),
-            FleetConfig(num_devices=num_devices, router="round_robin", interconnect=PCIE5_SWITCH),
+            FleetConfig(num_devices=3, router="round_robin", interconnect=PCIE5_SWITCH),
         ).run(system, profiles, traces, home_devices={p.session_id: 0 for p in profiles})
-        span = result.energy().window_s
-        assert span >= result.interconnect.free_at_s
-        assert result.energy(window_s=span).window_s == span
-        with pytest.raises(ValueError, match="window_s"):
-            result.energy(window_s=0.5 * span)
+        window = result.energy().window_s
+        assert window >= result.interconnect.free_at_s
+        for run in result.devices:
+            if run.schedule is not None:
+                assert window >= run.schedule.energy().window_s
 
 
 class TestFleetEnergy:
@@ -551,7 +544,7 @@ class TestConservationSanitizer:
         result = _contended_run(edge["V-Rex8"], "array")
         for hostile in (-1.0, float("nan")):  # NaN slid through ``window < 0``
             with pytest.raises(ValueError, match="^window_s must be non-negative"):
-                result.energy(window_s=hostile)
+                schedule_energy(result, result.energy_inputs, window_s=hostile)
 
     def test_missing_inputs_fail_loud(self, edge):
         result = _contended_run(edge["V-Rex8"], "array")

@@ -51,7 +51,9 @@ def contended(edge):
 @settings(max_examples=25)
 def test_report_non_negative_and_conserved(contended, window_scale):
     base = contended.energy()
-    report = contended.energy(window_s=base.window_s * window_scale)
+    report = schedule_energy(
+        contended, contended.energy_inputs, window_s=base.window_s * window_scale
+    )
     for row in report.resources:
         assert row.busy_j >= 0.0
         assert row.idle_j >= 0.0
@@ -67,7 +69,9 @@ def test_report_non_negative_and_conserved(contended, window_scale):
 def test_energy_additive_over_disjoint_windows(contended, delta):
     """E[0, W + delta] = E[0, W] + (always-on power) * delta."""
     base = contended.energy()
-    extended = contended.energy(window_s=base.window_s + delta)
+    extended = schedule_energy(
+        contended, contended.energy_inputs, window_s=base.window_s + delta
+    )
     always_on_w = sum(
         row.busy_power_w
         for row in base.resources
