@@ -40,6 +40,11 @@ SIM007    No call to the ``id`` builtin in ``sim``/``hw`` library modules:
           the identity of a mutable value is not a cache key (an object
           edited in place keeps its identity, a collected one hands it
           to a stranger); key caches on the values the result depends on.
+SIM008    No builtin ``sum()`` in ``sim``/``hw`` library modules: CPython
+          3.12 compensates a float ``sum`` (3.11 folds it left), so the
+          same run differs in its last bits across versions; fold floats
+          left from ``0.0`` (``reduce(add, values, 0.0)``), or annotate an
+          integer count ``# simlint: int-sum — <why>``.
 ========  ==============================================================
 
 Suppression syntax (checked per physical line via ``tokenize``, so
@@ -51,6 +56,7 @@ strings containing ``#`` never confuse it):
   by construction;
 * ``# simlint: ordered — <why>`` — SIM003-specific: the iteration order
   provably cannot feed event order;
+* ``# simlint: int-sum — <why>`` — SIM008-specific: the sum is over integers;
 * ``# simlint: skip-file`` — anywhere in the file: silence the file;
 * ``# simlint: file-ignore[SIM002]`` — silence listed rules file-wide.
 
@@ -103,6 +109,10 @@ RULES: dict[str, tuple[str, str]] = {
         "call to the id builtin (the identity of a mutable value is not a cache key)",
         "key on the values the result depends on",
     ),
+    "SIM008": (
+        "builtin sum() (CPython 3.12 compensates float sums, 3.11 does not)",
+        "fold left from 0.0 (reduce(add, values, 0.0)) or annotate '# simlint: int-sum — <why>'",
+    ),
 }
 
 #: wall-clock callables by dotted name (SIM002)
@@ -130,7 +140,7 @@ _WALLCLOCK = {
 _NP_RANDOM_OK = {"default_rng", "Generator", "SeedSequence", "BitGenerator", "PCG64"}
 
 _SUPPRESS_RE = re.compile(
-    r"simlint:\s*(ignore|exact|ordered|skip-file|file-ignore)"
+    r"simlint:\s*(ignore|exact|ordered|int-sum|skip-file|file-ignore)"
     r"(?:\[([A-Z0-9,\s]+)\])?"
 )
 
@@ -207,6 +217,8 @@ class _Suppressions:
                 self._add(line, {"SIM004"})
             elif kind == "ordered":
                 self._add(line, {"SIM003"})
+            elif kind == "int-sum":
+                self._add(line, {"SIM008"})
             else:  # ignore
                 self._add(line, codes)
 
@@ -375,7 +387,7 @@ class _Linter(ast.NodeVisitor):
             )
         )
 
-    # -- SIM001 / SIM002 / SIM005 / SIM007 (calls) --------------------- #
+    # -- SIM001 / SIM002 / SIM005 / SIM007 / SIM008 (calls) ------------ #
     def visit_Call(self, node: ast.Call) -> None:
         name = _dotted_name(node.func)
         if name:
@@ -385,6 +397,8 @@ class _Linter(ast.NodeVisitor):
             self._check_event_push(node, name)
             if name == "id":
                 self.report("SIM007", node, "")
+            elif name == "sum":
+                self.report("SIM008", node, "")
         self.generic_visit(node)
 
     def _check_rng(self, node: ast.Call, name: str) -> None:
@@ -533,7 +547,7 @@ def _print_rules() -> None:
         print(f"          fix: {hint}")
     print(
         "suppressions: '# simlint: ignore[CODE,...]', '# simlint: exact — why' "
-        "(SIM004), '# simlint: ordered — why' (SIM003), "
+        "(SIM004), '# simlint: ordered — why' (SIM003), '# simlint: int-sum — why' (SIM008), "
         "'# simlint: skip-file', '# simlint: file-ignore[CODE,...]'"
     )
 

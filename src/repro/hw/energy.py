@@ -11,6 +11,8 @@ collected nvidia-smi / tegrastats numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 from repro.hw.specs import DeviceSpec, VRexCoreConfig
 
@@ -60,10 +62,10 @@ class CoreAreaPower:
 
 def core_area_power() -> CoreAreaPower:
     """Aggregate Table III into core totals and DRE share."""
-    total_area = sum(c.area_mm2 for c in TABLE_III)
-    total_power = sum(c.power_mw for c in TABLE_III)
-    dre_area = sum(c.area_mm2 for c in TABLE_III if c.group == "DRE")
-    dre_power = sum(c.power_mw for c in TABLE_III if c.group == "DRE")
+    total_area = reduce(add, (c.area_mm2 for c in TABLE_III), 0.0)
+    total_power = reduce(add, (c.power_mw for c in TABLE_III), 0.0)
+    dre_area = reduce(add, (c.area_mm2 for c in TABLE_III if c.group == "DRE"), 0.0)
+    dre_power = reduce(add, (c.power_mw for c in TABLE_III if c.group == "DRE"), 0.0)
     return CoreAreaPower(total_area, total_power, dre_area, dre_power)
 
 
@@ -112,7 +114,7 @@ class EnergyModel:
     def group_power_w(self, num_cores: int, group: str) -> float:
         """Always-on power of one Table III group ("LXE" or "DRE") scaled
         to the deployment's core count."""
-        group_mw = sum(c.power_mw for c in TABLE_III if c.group == group)
+        group_mw = reduce(add, (c.power_mw for c in TABLE_III if c.group == group), 0.0)
         return group_mw / 1000.0 * num_cores
 
     def pcie_full_load_w(self, num_cores: int) -> float:

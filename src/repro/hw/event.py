@@ -89,12 +89,13 @@ def pack_subkey(priority: int, key_rank: int, seq: int) -> int:
     return (priority << SUBKEY_PRIO_SHIFT) | (key_rank << SUBKEY_RANK_SHIFT) | seq
 
 
-def fcfs_arrival(name: str, last_s: float, arrival_s: float) -> float:
+def fcfs_arrival(name: str, last_s: float, arrival_s: float, trace=None) -> float:
     """A sanitized FCFS server's arrival-order check; returns the new last arrival."""
     if arrival_s < last_s:
         raise SanitizerError(
             RESOURCE_BALANCE,
             f"resource {name!r}: FCFS arrival order violated ({arrival_s} after {last_s})",
+            trace,
         )
     return arrival_s
 

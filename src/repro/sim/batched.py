@@ -73,7 +73,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, fields
-from functools import partial
+from functools import partial, reduce
+from operator import add
 
 import numpy as np
 
@@ -407,7 +408,8 @@ class BatchStepResult:
     def mean_exposed_fetch_s(self) -> float:
         if not self.streams:
             return 0.0
-        return sum(stream.exposed_fetch_s for stream in self.streams) / len(self.streams)
+        total = reduce(add, (stream.exposed_fetch_s for stream in self.streams), 0.0)
+        return total / len(self.streams)
 
 
 @dataclass
@@ -1403,9 +1405,9 @@ class BatchLatencyModel:
             # streams).
             weight_bytes = base.llm.weight_bytes_per_layer()
             aggregate_cost = KernelCost(
-                sum(entry.compute_cost.flops for entry in active),
+                reduce(add, (entry.compute_cost.flops for entry in active), 0.0),
                 weight_bytes
-                + sum(entry.compute_cost.dram_bytes - weight_bytes for entry in active),
+                + reduce(add, (e.compute_cost.dram_bytes - weight_bytes for e in active), 0.0),
             )
             compute_layer = device.dense_time_s(aggregate_cost)
 
@@ -1414,14 +1416,14 @@ class BatchLatencyModel:
             # fixed selection overhead is paid once per batched invocation.
             parts_list = [entry.parts for entry in active if entry.parts is not None]
             if parts_list:
-                dense_cost = KernelCost(sum(parts.dense_flops for parts in parts_list))
+                dense_cost = KernelCost(reduce(add, (p.dense_flops for p in parts_list), 0.0))
                 if parts_list[0].engine == "dense":
                     matrix_time = device.dense_time_s(dense_cost)
                 else:
                     matrix_time = device.irregular_time_s(dense_cost)
                 prediction_layer = (
                     matrix_time
-                    + sum(parts.serial_s for parts in parts_list)
+                    + reduce(add, (parts.serial_s for parts in parts_list), 0.0)
                     + max(parts.overhead_s for parts in parts_list)
                 )
                 on_dre = parts_list[0].on_dre
@@ -1429,15 +1431,15 @@ class BatchLatencyModel:
             # KV fetch: one merged transfer per layer — the link request
             # latency (and SSD access latency) is paid once, each stream's
             # bytes move at that stream's achievable efficiency.
-            total_bytes = sum(entry.fetch_bytes for entry in active)
+            total_bytes = reduce(add, (entry.fetch_bytes for entry in active), 0.0)
             if total_bytes > 0:
                 link = device.link
-                pcie_time = link.config.latency_us * 1e-6 + sum(
-                    entry.pcie_occupancy_s for entry in active
+                pcie_time = link.config.latency_us * 1e-6 + reduce(
+                    add, (entry.pcie_occupancy_s for entry in active), 0.0
                 )
                 if system.device.offload_target == "ssd":
-                    ssd_time = device.ssd.config.read_latency_us * 1e-6 + sum(
-                        entry.ssd_occupancy_s for entry in active
+                    ssd_time = device.ssd.config.read_latency_us * 1e-6 + reduce(
+                        add, (entry.ssd_occupancy_s for entry in active), 0.0
                     )
                     fetch_layer = max(pcie_time, ssd_time)
                 else:
@@ -1462,8 +1464,8 @@ class BatchLatencyModel:
         vision_each = (
             base._vision_time(system, 1)[0] if include_vision else 0.0
         )
-        prediction_total = sum(
-            0.0 if entry is None else entry.prediction_layer_s for entry, _ in demands
+        prediction_total = reduce(
+            add, (0.0 if entry is None else entry.prediction_layer_s for entry, _ in demands), 0.0
         )
         streams = []
         for profile, (entry, stream_fetch) in zip(profiles, demands, strict=True):
@@ -1664,9 +1666,17 @@ class BatchLatencyModel:
             arrivals.append(profile.arrival_offset_s)
             finishes.append(profile.arrival_offset_s + total_s)
 
-        fleet = {key: sum(row.breakdown[key] for row in rows) for key in _CONTENDED_KEYS}
+        # per key a left fold from 0.0, the rows in order (a hot loop: plain
+        # loops over the breakdowns beat a generator per key)
+        breakdowns = [row.breakdown for row in rows]
+        fleet = {}
+        for key in _CONTENDED_KEYS:
+            total = 0.0
+            for breakdown in breakdowns:
+                total += breakdown[key]
+            fleet[key] = total
         if timesliced:
-            fleet["compute_wait"] = sum(row.compute_wait_s for row in rows)
+            fleet["compute_wait"] = reduce(add, (row.compute_wait_s for row in rows), 0.0)
             fleet["compute_busy"] = compute_server.busy_s()
         return BatchStepResult(
             system=system.name,

@@ -26,6 +26,10 @@ preallocated structures:
 * the time-sliced compute server is the :class:`~repro.hw.event.RoundRobinCore`
   that ``PreemptiveResource`` wraps, called directly: one ``C_SLICE`` heap
   entry per decision, the quantum expiries in between only counted;
+* likewise a private link request is granted at its issue event, counted
+  but never queued, when no ``C_LINK`` is queued and no later request can
+  precede it (:func:`_in_place_link_delays` bounds them) — on V-Rex, every
+  grant;
 * the shared DRE and PCIe link are each a single ``free_at`` float (the
   whole mutable state of a work-conserving FCFS server);
 * a stage's sharded fetch is priced once per distinct residency split:
@@ -41,17 +45,20 @@ time-sliced stages are the reference loop's own
 :class:`~repro.sim.batched.StageCore` (driven from heap codes instead of
 :class:`~repro.hw.event.EventLoop` callbacks), the server under them is
 the reference loop's own core (so both skip the same quantum expiries),
-and every queued event's ``seq`` is consumed at the same point the
-reference loop's ``EventLoop.schedule`` would consume it — so both
-engines produce the same event order, the same records, the same
-timelines and the same (logical) event counts.  The lifecycle consumes
-no ``seq`` itself: it asks its engine to schedule a job's issue event.
-The engine-equivalence tests pin this on random fleets.
+and an in-place link grant performs the reference loop's float operations
+in its order, at a point no other grant can come between.  Events keep the
+reference loop's ``(time, priority, key)`` order; a ``seq`` only breaks ties
+within one stream, whose private-compute events are queued one at a time,
+so an engine that queues fewer events (and so consumes fewer ``seq``
+values) pops the same order — both engines produce the same records, the
+same timelines and the same (logical) event counts.  The lifecycle consumes
+no ``seq`` itself: it asks its engine to schedule a job's issue event.  The
+engine-equivalence tests pin this on random fleets.
 
-``seq`` arithmetic uses raw integer adds against per-stream packed bases;
-a single run is limited to ``2**28`` scheduled events (the
-:data:`~repro.hw.event.SUBKEY_SEQ_BITS` budget), vastly beyond any
-practical run.
+``seq`` arithmetic uses raw integer adds against per-stream packed bases,
+so a run that could queue ``2**28`` events (the
+:data:`~repro.hw.event.SUBKEY_SEQ_BITS` budget) is rejected before it
+starts.
 """
 
 from __future__ import annotations
@@ -68,7 +75,14 @@ from repro.devtools.sanitizer import (
     SanitizerError,
     sanitize_enabled,
 )
-from repro.hw.event import ArrayEventQueue, IndexRing, RoundRobinCore, pack_subkey
+from repro.hw.event import (
+    MAX_SUBKEY_SEQ,
+    ArrayEventQueue,
+    IndexRing,
+    RoundRobinCore,
+    fcfs_arrival,
+    pack_subkey,
+)
 from repro.hw.memory.sharding import sharded_fetch_makespan
 from repro.sim.batched import (
     PRIO_ARRIVAL,
@@ -88,11 +102,6 @@ from repro.sim.jobtable import (
     ADM_EVICT,
     KIND_NAMES,
     JobTable,
-    TL_COMPUTE,
-    TL_DRE,
-    TL_PCIE,
-    TL_RECORD,
-    TL_VISION,
 )
 from repro.sim.energy import EnergyInputs
 from repro.sim.scheduler import (
@@ -123,8 +132,8 @@ def _job_lifecycle(ctx: _RunContext, table: JobTable, server, stages: StageCore,
     time-sliced stage core.
 
     Returns ``(submit, finish, resolved, fetch_split, close)``:
-    ``resolved(job, s)`` takes stage ``s``'s outcome for ``job`` (its three
-    waits, its compute/DRE/PCIe log entries) and returns the finish time
+    ``resolved(job, s)`` takes time-sliced stage ``s``'s outcome for ``job``
+    (its three waits and its timeline's sources) and returns the finish time
     the engine schedules; ``fetch_split(s, t)`` commits stream ``s``'s
     fetch on the memory plane and returns its residency split;
     ``close(trace)`` checks the slots drained and returns the run's
@@ -155,13 +164,10 @@ def _job_lifecycle(ctx: _RunContext, table: JobTable, server, stages: StageCore,
     pcie_wait = table.pcie_wait
     dre_wait = table.dre_wait
     record = table.records.append
-    tl_pack = TL_RECORD.pack
-    tl_extend = table.timeline_log.extend
     # per-(stream, kind) stage columns, b = stream * 3 + kind
     stage_list = [stage_map[kind] for stage_map in priced for kind in KIND_NAMES]
     st_active = [stage.active for stage in stage_list]
     st_vision = [stage.vision_s for stage in stage_list]
-    st_on_dre = [stage.on_dre for stage in stage_list]
 
     # stream pipeline slots: lane s of one ring, whose internals the
     # closures inline (a push or pop is two list stores); busy flags
@@ -285,16 +291,13 @@ def _job_lifecycle(ctx: _RunContext, table: JobTable, server, stages: StageCore,
         compute_wait[job] = stages.compute_wait_s[s]
         pcie_wait[job] = stages.pcie_wait_s[s]
         dre_wait[job] = stages.dre_wait_s[s]
-        if stages.compute_s[s] > 0.0:
-            # one span on the shared lane per job; the round-robin slices of
-            # concurrent jobs interleave inside their spans
-            submit_s = stages.compute_submit_s[s]
-            tl_extend(tl_pack(job, TL_COMPUTE, submit_s, stages.compute_finish_s[s] - submit_s))
-        prediction_s = stages.prediction_s[s]
-        if st_on_dre[s * 3 + kinds[job]] and prediction_s > 0.0:
-            tl_extend(tl_pack(job, TL_DRE, stages.prediction_end_s[s] - prediction_s, prediction_s))
-        if stages.fetch_s[s] > 0.0:
-            tl_extend(tl_pack(job, TL_PCIE, stages.transfer_start_s[s], stages.fetch_s[s]))
+        # the timeline's sources (one compute span per job on the shared lane)
+        table.compute_submit.append(stages.compute_submit_s[s])
+        table.compute_finish.append(stages.compute_finish_s[s])
+        table.prediction_end.append(stages.prediction_end_s[s])
+        table.transfer_start.append(stages.transfer_start_s[s])
+        table.fetch_s.append(stages.fetch_s[s])
+        table.stage_log.append(job << 1 | 1)
         return stages.finish_s[s]
 
     def fetch_split(s: int, t: float):
@@ -319,6 +322,25 @@ def _job_lifecycle(ctx: _RunContext, table: JobTable, server, stages: StageCore,
     return submit, finish, resolved, fetch_split, close
 
 
+def _in_place_link_delays(is_vrex: bool, priced) -> tuple[float, float]:
+    """``(dre, direct)``: a later private link request comes no earlier than
+    the FCFS DRE's ``free_at`` plus ``dre`` (V-Rex stages granted on the
+    DRE) or its issue plus ``direct`` (any other fetching stage; a serial
+    one requests at ``(issue + prediction) + compute``, which rounding keeps
+    at or above the issue plus the larger term, not always their sum)."""
+    dre = direct = float("inf")
+    for stage in (stage for stage_map in priced for stage in stage_map.values()):
+        if not stage.active or stage.fetch_s <= 0.0:
+            continue  # never requests the link
+        if is_vrex and stage.on_dre and stage.prediction_s > 0.0:
+            dre = min(dre, stage.prediction_s)
+        elif is_vrex or stage.overlaps:
+            direct = min(direct, stage.prediction_s)
+        else:
+            direct = min(direct, max(stage.prediction_s, stage.compute_s))
+    return dre, direct
+
+
 def run_array(ctx: _RunContext) -> ScheduleResult:
     """Simulate one validated run on the array engine."""
     cfg = ctx.config
@@ -341,7 +363,7 @@ def run_array(ctx: _RunContext) -> ScheduleResult:
     san_last = (float("-inf"), -(1 << 62))
 
     session_ids = [profile.session_id for profile in profiles]
-    table = JobTable(traces, question_arrivals, ctx.answers, session_ids)
+    table = JobTable(traces, question_arrivals, ctx.answers, session_ids, timesliced, priced)
     num_jobs = table.num_jobs
 
     streams = table.streams
@@ -429,11 +451,30 @@ def run_array(ctx: _RunContext) -> ScheduleResult:
     lane_job = queue._lane_payload
     lane_i = 0
     lane_n = len(lane_t)
+    # a queued event's seq is added raw to a packed base: refuse a run that
+    # could carry into the rank bits.  It queues at most the lane and 3 per
+    # job (issue, link, finish); time-sliced compute adds 2 dispatches and 2
+    # part slices per job, and a slice per quantum of priced work
+    bound = lane_n + 3 * num_jobs
+    if timesliced:
+        work = (np.asarray(st_pred) + np.asarray(st_compute))[table.stream * 3 + table.kind]
+        bound += 4 * num_jobs + int(np.ceil(work.sum() / quantum))
+    if bound > MAX_SUBKEY_SEQ:
+        raise ValueError(
+            f"run may queue {bound} events, beyond the array engine's budget of "
+            f"{MAX_SUBKEY_SEQ} per run; split it into smaller runs"
+        )
 
-    # per-job private-compute link timing
-    j_fetch = [0.0] * num_jobs
-    j_tstart = [0.0] * num_jobs  # private stage start
-    j_request = [0.0] * num_jobs  # private link-request time
+    # per-job private-compute link timing (also the timeline's sources)
+    if not timesliced:
+        j_fetch = table.fetch_s
+        j_request = table.request
+        j_transfer = table.transfer_start
+        dre_delay, direct_delay = _in_place_link_delays(is_vrex, priced)
+        link_name = ctx.device.link.config.name
+        link_last = float("-inf")  # sanitizer: the last link request granted
+        links_queued = 0
+    stage_log = table.stage_log.append if timesliced else None
 
     # preemptive compute server (timesliced mode): the shared core, plus
     # per server-job id its owning job and what it computes
@@ -449,8 +490,6 @@ def run_array(ctx: _RunContext) -> ScheduleResult:
     dre_busy = 0.0
     link_busy = 0.0
 
-    tl_pack = TL_RECORD.pack
-    tl_extend = table.timeline_log.extend
     now = 0.0
     events = 0
 
@@ -524,6 +563,36 @@ def run_array(ctx: _RunContext) -> ScheduleResult:
     )
 
     # ------------------------------------------------------------------ #
+    # private link grant: inline PCIeLinkQueue.enqueue + contended_latency
+    # ------------------------------------------------------------------ #
+    def grant_link(job: int, s: int, b: int, start: float, request: float, fetch: float) -> None:
+        """Grant the link request ``job`` makes at ``request`` (its stage issued at ``start``)."""
+        nonlocal link_free, link_busy, link_last, seq
+        if sanitize:
+            link_last = fcfs_arrival(link_name, link_last, request, trace)
+        if fetch == 0.0:  # simlint: exact — zero-byte sentinel, set literally
+            transfer_start = request
+            fetch_end = request
+        else:
+            transfer_start = request if request >= link_free else link_free
+            fetch_end = transfer_start + fetch
+            link_free = fetch_end
+            link_busy += fetch
+        j_pcie[job] = transfer_start - request
+        j_transfer[job] = transfer_start
+        compute_s = st_compute[b]
+        if is_vrex:
+            hidden = fetch_end - start
+            latency = compute_s if compute_s >= hidden else hidden
+        elif st_overlaps[b]:
+            fetch_effective = fetch_end - request
+            latency = st_pred[b] + (compute_s if compute_s >= fetch_effective else fetch_effective)
+        else:
+            latency = st_pred[b] + compute_s + (fetch_end - request)
+        heappush(entries, (start + latency, base_complete[s] + seq, (job << 3) | C_FINISH))
+        seq += 1
+
+    # ------------------------------------------------------------------ #
     # dispatch loop
     # ------------------------------------------------------------------ #
     server_slice_ended = server.slice_ended
@@ -586,12 +655,10 @@ def run_array(ctx: _RunContext) -> ScheduleResult:
                 fetch = st_fetch_sharded[b]
             else:
                 fetch = st_fetch[b]
-            vision_s = st_vision[b]
             compute_s = st_compute[b]
             prediction_s = st_pred[b]
             if timesliced:
-                if vision_s > 0.0:
-                    tl_extend(tl_pack(job, TL_VISION, j_start[job], vision_s))
+                stage_log(job << 1)
                 decision = ts_issued(
                     s, now, st_overlaps[b], st_on_dre[b], compute_s, prediction_s, fetch
                 )
@@ -603,42 +670,38 @@ def run_array(ctx: _RunContext) -> ScheduleResult:
                 ts_apply(job, s, decision)
                 continue
             # private compute: the DRE grant, then inline contended_issue
+            # (on V-Rex the request is the prediction's end)
             if is_vrex:
                 if st_on_dre[b] and prediction_s > 0.0:
                     served_at = now if now >= dre_free else dre_free
-                    dre_wait = served_at - now
-                    pend = served_at + prediction_s
-                    dre_free = pend
+                    j_dre[job] = served_at - now
+                    request = served_at + prediction_s
+                    dre_free = request
                     dre_busy += prediction_s
-                    j_dre[job] = dre_wait
                 else:
-                    pend = now + prediction_s
-                    dre_wait = 0.0
-                request = pend
+                    request = now + prediction_s
             elif st_overlaps[b]:
-                pend = now + prediction_s
-                request = pend
-                dre_wait = 0.0
+                request = now + prediction_s
             else:
-                pend = now + prediction_s
                 request = now + prediction_s + compute_s
-                dre_wait = 0.0
-            if vision_s > 0.0:
-                tl_extend(tl_pack(job, TL_VISION, j_start[job], vision_s))
-            if compute_s > 0.0:
-                tl_extend(tl_pack(job, TL_COMPUTE, now, compute_s))
-            if st_on_dre[b] and prediction_s > 0.0:
-                tl_extend(tl_pack(job, TL_DRE, now + dre_wait, prediction_s))
             if st_fetch[b] > 0.0:
-                j_tstart[job] = now
                 j_request[job] = request
                 j_fetch[job] = fetch
-                heappush(entries, (request, base_link[s] + seq, (job << 3) | C_LINK))
-                seq += 1
+                if links_queued or request >= now + direct_delay or request >= dre_free + dre_delay:
+                    links_queued += 1
+                    heappush(entries, (request, base_link[s] + seq, (job << 3) | C_LINK))
+                    seq += 1
+                else:
+                    # no later request can precede this one: grant it here,
+                    # as one processed event
+                    events += 1
+                    if sanitize:
+                        trace.note((request, base_link[s], f"job {job} link granted in place"))
+                    grant_link(job, s, b, now, request, fetch)
             else:
                 # inline contended_latency with no transfer
                 if is_vrex:
-                    hidden = pend - now
+                    hidden = request - now
                     latency = compute_s if compute_s >= hidden else hidden
                 else:
                     latency = prediction_s + compute_s
@@ -650,37 +713,10 @@ def run_array(ctx: _RunContext) -> ScheduleResult:
                 seq += 1
 
         elif code == C_LINK:
-            # private link grant: inline PCIeLinkQueue.enqueue + contended_latency
-            fetch = j_fetch[job]
-            if fetch == 0.0:  # simlint: exact — zero-byte sentinel, set literally
-                transfer_start = now
-                fetch_end = now
-            else:
-                transfer_start = now if now >= link_free else link_free
-                fetch_end = transfer_start + fetch
-                link_free = fetch_end
-                link_busy += fetch
-            j_pcie[job] = transfer_start - now
-            tl_extend(tl_pack(job, TL_PCIE, transfer_start, fetch))
+            links_queued -= 1
             s = streams[job]
             b = s * 3 + kinds[job]
-            start = j_tstart[job]
-            compute_s = st_compute[b]
-            if is_vrex:
-                hidden = fetch_end - start
-                latency = compute_s if compute_s >= hidden else hidden
-            elif st_overlaps[b]:
-                fetch_effective = fetch_end - j_request[job]
-                latency = st_pred[b] + (
-                    compute_s if compute_s >= fetch_effective else fetch_effective
-                )
-            else:
-                latency = st_pred[b] + compute_s + (fetch_end - j_request[job])
-            finish_s = start + latency
-            heappush(
-                entries, (finish_s, base_complete[s] + seq, (job << 3) | C_FINISH)
-            )
-            seq += 1
+            grant_link(job, s, b, j_start[job] + st_vision[b], now, j_fetch[job])
 
         elif code == C_FINISH:
             finish(job, now)
@@ -736,7 +772,6 @@ def run_array(ctx: _RunContext) -> ScheduleResult:
         bank_occupancy_trajectory=trajectory,
         columns=columns,
         table=table,
-        timesliced=timesliced,
         energy_inputs=EnergyInputs(
             device=ctx.system.device,
             priced=priced,

@@ -438,12 +438,16 @@ class FleetResult(RecordViews):
     @property
     def placement_migration_count(self) -> int:
         """Sessions placed off their home device at first arrival."""
-        return sum(1 for m in self.migrations if m.reason == MIGRATE_PLACEMENT)
+        return sum(  # simlint: int-sum — a count
+            1 for m in self.migrations if m.reason == MIGRATE_PLACEMENT
+        )
 
     @property
     def steal_count(self) -> int:
         """Sessions pulled by an idle device's work steal."""
-        return sum(1 for m in self.migrations if m.reason == MIGRATE_STEAL)
+        return sum(  # simlint: int-sum — a count
+            1 for m in self.migrations if m.reason == MIGRATE_STEAL
+        )
 
     @property
     def rebalance_count(self) -> int:
@@ -456,7 +460,7 @@ class FleetResult(RecordViews):
     @property
     def jobs_moved(self) -> int:
         """Queued job estimates re-homed by steals."""
-        return sum(m.jobs_moved for m in self.migrations)
+        return sum(m.jobs_moved for m in self.migrations)  # simlint: int-sum — job counts
 
     @property
     def interconnect_bytes(self) -> float:
@@ -465,7 +469,7 @@ class FleetResult(RecordViews):
 
     @property
     def events_processed(self) -> int:
-        return sum(
+        return sum(  # simlint: int-sum — event counts
             run.schedule.events_processed
             for run in self.devices
             if run.schedule is not None
@@ -489,9 +493,7 @@ class FleetResult(RecordViews):
             index = table.index.copy()
             index[ids] = run.columns.index[frames]
             stream = np.asarray(run.stream_indices)[table.stream]
-            merged.tasks += table.build_timeline(
-                run.schedule._timesliced, f"d{run.device}:", stream, index
-            ).tasks
+            merged.tasks += table.build_timeline(f"d{run.device}:", stream, index).tasks
         return merged
 
     def device_summaries(

@@ -10,9 +10,11 @@ object, no record row and no per-interval timeline object:
   session) built once per run with every potential job pre-enumerated
   (frames and questions from the traces, generation jobs from the answer
   budgets), per-job outcome buffers the lifecycle fills by id, the ids in
-  record order, and a timeline log of packed ``(job, resource code,
-  start, duration)`` records; finalizing drops the per-job buffers and
-  freezes the log as a numpy array, so a finished run keeps columns only;
+  record order, and the few per-job times its timeline is derived from;
+  finalizing drops the per-job buffers and freezes those sources as
+  numpy columns, so a finished run keeps columns only, and
+  :meth:`JobTable.build_timeline` rebuilds the intervals when they are
+  read;
 * :class:`RecordColumns` — a finished record set as sorted numpy columns:
   the one store behind every result (either engine's, or a fleet's
   merge), on which percentile/miss/drop statistics are computed directly
@@ -27,13 +29,13 @@ deadline-miss flag is derived in one place (:class:`RecordColumns`) as
 
 from __future__ import annotations
 
-import struct
 from array import array
 
 import numpy as np
 
 from repro.devtools.sanitizer import JOB_STATE, SanitizerError, sanitize_enabled
 from repro.hw.event import Timeline
+from repro.sim.batched import PRIO_ISSUE, PRIO_LINK
 
 #: Integer job-kind codes; ``KIND_NAMES[code]`` is the public kind string
 #: (:data:`repro.sim.scheduler.FRAME_JOB` etc.).
@@ -45,12 +47,8 @@ KIND_NAMES = ("frame", "question", "generation")
 ADM_ADMIT, ADM_EVICT, ADM_BACKLOG, ADM_DEFER = 0, 1, 2, 3
 ADMISSION_NAMES = ("admit", "evict", "backlog", "defer")
 
-#: Timeline resource codes of the packed log.
+#: Timeline resource codes, in the order one event logs a job's intervals.
 TL_VISION, TL_COMPUTE, TL_DRE, TL_PCIE = 0, 1, 2, 3
-#: One packed timeline log record, ``(job, resource code, start, duration)``,
-#: and the numpy dtype a finished run's log is frozen as.
-TL_RECORD = struct.Struct("<qbdd")
-TL_DTYPE = np.dtype([("job", "<i8"), ("code", "i1"), ("start", "<f8"), ("duration", "<f8")])
 
 #: Sanitizer job lifecycle states (``JobTable._job_state`` values).
 ST_PENDING, ST_SUBMITTED, ST_BEGUN, ST_RECORDED = 0, 1, 2, 3
@@ -68,8 +66,23 @@ class JobTable:
     finishes; unrecorded ids simply never enter the record columns.
     """
 
-    def __init__(self, traces, question_arrivals, answers, session_ids):
+    #: per compute policy (time-sliced?), the times a timeline needs beyond
+    #: ``start`` and ``dre_wait``: a link grant's request, start and fetch;
+    #: a time-sliced stage's compute submit and finish, prediction end, link
+    #: start and fetch (the order ``_intervals`` unpacks them in)
+    _SOURCES = {
+        False: ("request", "transfer_start", "fetch_s"),
+        True: ("compute_submit", "compute_finish", "prediction_end", "transfer_start", "fetch_s"),
+    }
+
+    def __init__(
+        self, traces, question_arrivals, answers, session_ids, timesliced=False, priced=None
+    ):
         self._sanitize = sanitize_enabled()
+        self.timesliced = timesliced
+        #: the run's per-stream ``{kind name: priced stage}`` maps (the
+        #: stage times a timeline derives the interval shapes from)
+        self.priced = priced
         num_streams = len(session_ids)
         self.num_streams = num_streams
         # fully vectorized layout: per stream its frames, then its question,
@@ -144,9 +157,13 @@ class JobTable:
         #: recorded job ids, in record order
         self.records = array("q")
 
-        #: timeline log: one packed :data:`TL_RECORD` per interval, in the order
-        #: both engines append them (a :data:`TL_DTYPE` array once finalized)
-        self.timeline_log = bytearray()
+        #: timeline sources (build_timeline derives the rest): per job under
+        #: private compute; under time-sliced compute one value per stage
+        #: resolve, and the order stage events came in (``job << 1`` at
+        #: issue, ``job << 1 | 1`` at resolve)
+        for name in self._SOURCES[timesliced]:
+            setattr(self, name, array("d") if timesliced else array("d", bytes(8 * n)))
+        self.stage_log = array("q")
 
         #: sanitizer-only per-job lifecycle state (``ST_*`` codes)
         self._job_state = bytearray(n) if self._sanitize else None
@@ -195,11 +212,20 @@ class JobTable:
         )  # fmt: skip
         dropped = np.frombuffer(self.dropped, dtype=bool)[job]
         admission = np.frombuffer(self.admission, dtype=np.int8)[job].astype(np.int64)
-        # the run is over: freeze the log (a view, so its buffer can no
-        # longer grow) and drop the per-job run state
-        self.timeline_log = np.frombuffer(self.timeline_log, dtype=TL_DTYPE)
+        # the run is over: keep, per served job in record order, the times
+        # its timeline is derived from, and drop the per-job run state
+        served = ~dropped
+        source = {"job": job[served], "start": start[served], "dre_wait": dre[served]}
+        for name in self._SOURCES[self.timesliced]:
+            column = np.frombuffer(getattr(self, name))
+            source[name] = column.copy() if self.timesliced else column[source["job"]]
+            delattr(self, name)
+        if self.timesliced:
+            source["stage_log"] = np.array(self.stage_log, dtype=np.int64)
+        self.timeline_source = source
         del self.arrival, self.start, self.finish, self.pcie_wait, self.dre_wait, self.compute_wait
         del self.dropped, self.admission, self.records, self.streams, self.kinds, self._job_state
+        del self.stage_log
         if self._sanitize and len(job):
             self._san_check_columns(
                 job, arrival, start, finish, dropped, admission, pcie, dre, cwait
@@ -273,29 +299,86 @@ class JobTable:
                 f"but not marked dropped",
             )
 
-    def build_timeline(self, timesliced: bool, prefix="", stream=None, index=None) -> Timeline:
-        """Materialize the finalized log as a full :class:`Timeline`.
+    def build_timeline(self, prefix="", stream=None, index=None) -> Timeline:
+        """Derive the finalized run's intervals as a full :class:`Timeline`.
 
         Tasks name jobs by the per-job ``stream`` and ``index`` columns
         (the table's own by default); ``prefix`` leads every resource.
         """
+        job, code, start, duration = self._intervals()
         timeline = Timeline()
         add = timeline.add
         stream = self.stream if stream is None else stream
         index = self.index if index is None else index
         session, kind = self.session, self.kind
-        for job, code, start, duration in self.timeline_log.tolist():
-            name = f"s{session[job]}/{KIND_NAMES[kind[job]]}{index[job]}"
-            if code == TL_VISION:
-                resource = f"vision:s{stream[job]}"
-            elif code == TL_COMPUTE:
-                resource = "compute" if timesliced else f"compute:s{stream[job]}"
-            elif code == TL_DRE:
-                resource = "dre"
-            else:
-                resource = "pcie"
-            add(name, prefix + resource, start, duration)
+        # by TL_* code; a template without a field ignores the stream
+        compute = "compute" if self.timesliced else "compute:s{}"
+        resources = ("vision:s{}", compute, "dre", "pcie")
+        for j, c, t, d in zip(job.tolist(), code.tolist(), start.tolist(), duration.tolist()):
+            resource = prefix + resources[c].format(stream[j])
+            add(f"s{session[j]}/{KIND_NAMES[kind[j]]}{index[j]}", resource, t, d)
         return timeline
+
+    def _intervals(self):
+        """Every interval as ``(job, code, start, duration)`` columns, in run order.
+
+        That is the order the engines meet stage events in: a time-sliced
+        run logs it (``stage_log``; a resolve holds all but vision).  A
+        private run may grant a link ahead of events before the grant, so
+        its issue and link events sort by their key, ``(time, priority,
+        (session id, stream))`` — unique, as a stream has one job in flight
+        — with same-stream ties at zero-duration instants in record order.
+        """
+        src = self.timeline_source
+        job = src["job"]  # the served jobs; positions below index their record order
+        per_stage = [
+            (s.active, s.on_dre and s.prediction_s > 0.0, s.vision_s, s.compute_s, s.prediction_s,
+             s.fetch_s) for stage_map in self.priced for s in map(stage_map.get, KIND_NAMES)
+        ]  # fmt: skip
+        active, dre, vision, compute, prediction, priced_fetch = (
+            np.array(per_stage, dtype=float).reshape(-1, 6)[self.stream[job] * 3 + self.kind[job]].T
+        )
+        start = src["start"]
+        if self.timesliced:
+            position = np.zeros(self.num_jobs, dtype=np.int64)
+            position[job] = np.arange(len(job))
+            log = position[src["stage_log"] >> 1] << 1 | (src["stage_log"] & 1)
+            # each served job resolves once: move its values from log order to its position
+            submit, finish, predicted, transfer, fetch = (np.empty(len(job)) for _ in range(5))
+            for column, name in zip((submit, finish, predicted, transfer, fetch), self._SOURCES[True]):
+                column[(log >> 1)[(log & 1) == 1]] = src[name]
+            compute_span = (submit, finish - submit)
+            dre_span = (predicted - prediction, prediction)
+            link_shown = fetch > 0.0
+        else:
+            issued = np.flatnonzero(active > 0.0)
+            linked = issued[priced_fetch[issued] > 0.0]
+            log = np.concatenate((issued << 1, linked << 1 | 1))
+            at, link = log >> 1, log & 1
+            issue_at = start + vision
+            time = np.where(link, src["request"][at], issue_at[at])
+            priority = np.where(link, PRIO_LINK, PRIO_ISSUE)
+            log = log[np.lexsort((at, self.stream[job[at]], self.session[job[at]], priority, time))]
+            compute_span = (issue_at, compute)
+            dre_span = (issue_at + src["dre_wait"], prediction)
+            link_shown = np.ones(len(job), dtype=bool)
+            transfer, fetch = src["transfer_start"], src["fetch_s"]
+        # (code, the event logging it: 0 issue / 1 resolve or link, shown, start, duration)
+        groups = (
+            (TL_VISION, 0, vision > 0.0, start, vision),
+            (TL_COMPUTE, int(self.timesliced), compute > 0.0, *compute_span),
+            (TL_DRE, int(self.timesliced), dre > 0.0, *dre_span),
+            (TL_PCIE, 1, link_shown, transfer, fetch),
+        )
+        at, event = log >> 1, log & 1
+        columns = []
+        for code, at_event, shown, start_of, duration_of in groups:
+            entry = np.flatnonzero((event == at_event) & shown[at])
+            row = at[entry]
+            columns.append((entry, np.full(len(row), code), row, start_of[row], duration_of[row]))
+        entry, code, row, start, duration = (np.concatenate(c) for c in zip(*columns))
+        order = np.lexsort((code, entry))
+        return job[row[order]], code[order], start[order], duration[order]
 
 
 class RecordColumns:

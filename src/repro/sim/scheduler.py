@@ -38,10 +38,11 @@ misses), not a single makespan.
 * **admission control** drops frames when a stream's backlog exceeds
   ``max_queue_depth`` (upload throttling), or when the residency / energy
   policy's one rule (:func:`admission_decision`) defers them;
-* every run logs a full :class:`repro.hw.event.Timeline` (per-stream
-  compute lanes plus the shared ``dre`` and ``pcie`` resources) and
-  records every job, from which :class:`ScheduleResult` reports exact
-  per-stream and fleet sojourn-time percentiles and deadline-miss rates.
+* every run records every job, from which :class:`ScheduleResult`
+  reports exact per-stream and fleet sojourn-time percentiles and
+  deadline-miss rates, and keeps the few per-job times its full
+  :class:`repro.hw.event.Timeline` (per-stream compute lanes plus the
+  shared ``dre`` and ``pcie`` resources) is derived from when read.
 """
 
 from __future__ import annotations
@@ -81,11 +82,6 @@ from repro.sim.jobtable import (
     ADMISSION_NAMES,
     KIND_GENERATION,
     KIND_NAMES,
-    TL_COMPUTE,
-    TL_DRE,
-    TL_PCIE,
-    TL_RECORD,
-    TL_VISION,
     JobTable,
     RecordColumns,
 )
@@ -455,8 +451,8 @@ class ScheduleResult(RecordViews):
     Both engines hand over the run's sorted
     :class:`~repro.sim.jobtable.RecordColumns` — the store every statistic
     reads; dataclass rows are built on access — and the run's
-    finalized :class:`~repro.sim.jobtable.JobTable` (numpy columns and the
-    packed log :attr:`timeline` is built from on first access).  The
+    finalized :class:`~repro.sim.jobtable.JobTable` (numpy columns, among
+    them the sources :attr:`timeline` is derived from on first access).  The
     engine-equivalence tests pin the two engines' columns equal, column
     by column.
     """
@@ -472,7 +468,6 @@ class ScheduleResult(RecordViews):
         memory: ShardedKVHierarchy | None = None,
         bank_occupancy_trajectory: list[tuple[float, tuple[float, ...]]] | None = None,
         table: JobTable | None = None,
-        timesliced: bool = False,
         energy_inputs=None,
     ):
         self.system = system
@@ -492,12 +487,11 @@ class ScheduleResult(RecordViews):
         #: the run's sorted record columns (the store behind every view)
         self.columns = columns
         self._table = table
-        self._timesliced = timesliced
 
     @cached_property
     def timeline(self) -> Timeline:
         """The run's full resource :class:`~repro.hw.event.Timeline`."""
-        return self._table.build_timeline(self._timesliced)
+        return self._table.build_timeline()
 
     def stream_summaries(
         self, percentiles: Sequence[float] = DEFAULT_PERCENTILES, kind: str | None = None
@@ -991,15 +985,14 @@ class ServingScheduler:
             loop, "compute", quantum_s=cfg.quantum_s, priority=PRIO_COMPLETE
         )
         session_ids = [profile.session_id for profile in profiles]
-        table = JobTable(ctx.traces, ctx.question_arrivals, ctx.answers, session_ids)
+        table = JobTable(
+            ctx.traces, ctx.question_arrivals, ctx.answers, session_ids, timesliced, priced
+        )
         streams = table.streams
         kinds = table.kinds
         keys = [(session, stream) for stream, session in enumerate(session_ids)]
-        start = table.start
         dre_wait = table.dre_wait
         pcie_wait = table.pcie_wait
-        tl_pack = TL_RECORD.pack
-        tl_extend = table.timeline_log.extend
         # private compute, per job: (start_s, prediction_end_s, request_s, fetch_s)
         timing: list[tuple[float, float, float, float] | None] = [None] * table.num_jobs
         # time-sliced stages: the one stage core, by stream, and the job each holds
@@ -1039,9 +1032,8 @@ class ServingScheduler:
             stage = stage_of(job)
             stream = streams[job]
             fetch_s = job_fetch_s(job)
-            if stage.vision_s > 0:
-                tl_extend(tl_pack(job, TL_VISION, start[job], stage.vision_s))
             if timesliced:
+                table.stage_log.append(job << 1)
                 staged[stream] = job
                 issue_stage(
                     stream,
@@ -1061,10 +1053,6 @@ class ServingScheduler:
             )
             timing[job] = (start_s, prediction_end_s, request_s, fetch_s)
             dre_wait[job] = served_s - start_s
-            if stage.compute_s > 0:
-                tl_extend(tl_pack(job, TL_COMPUTE, start_s, stage.compute_s))
-            if stage.on_dre and stage.prediction_s > 0:
-                tl_extend(tl_pack(job, TL_DRE, start_s + dre_wait[job], stage.prediction_s))
             if stage.fetch_s > 0:
                 loop.schedule(
                     request_s, partial(request_link, job), priority=PRIO_LINK, key=keys[stream]
@@ -1081,7 +1069,9 @@ class ServingScheduler:
         def request_link(job: int) -> None:
             transfer = link.enqueue(loop.now_s, timing[job][3])
             pcie_wait[job] = transfer.wait_s
-            tl_extend(tl_pack(job, TL_PCIE, transfer.start_s, transfer.service_s))
+            table.request[job] = transfer.arrival_s
+            table.transfer_start[job] = transfer.start_s
+            table.fetch_s[job] = transfer.service_s
             resolve(job, transfer.finish_s)
 
         def resolve(job: int, fetch_end_s: float | None) -> None:
@@ -1126,7 +1116,6 @@ class ServingScheduler:
             memory=memory,
             bank_occupancy_trajectory=trajectory,
             table=table,
-            timesliced=timesliced,
             energy_inputs=EnergyInputs(
                 device=system.device,
                 priced=priced,

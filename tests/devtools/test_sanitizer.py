@@ -234,6 +234,37 @@ class TestResourceBalance:
         with expect(JOB_STATE):
             self._run_with_lifecycle(monkeypatch, engine_name, wrap)
 
+    def test_in_place_link_grant_past_the_bound_detected(self, monkeypatch):
+        """The array engine checks every private link grant's FCFS order,
+        queued or granted in place: in-place grants forced past the bound
+        on a run whose stages request the link after unequal delays (serial
+        frames, overlapped generation tokens) reach the link out of order."""
+        from repro.sim import engine
+        from repro.sim.arrivals import PoissonArrivals, rate_for_load
+        from repro.sim.batched import BatchLatencyModel, StreamProfile
+        from repro.sim.scheduler import ServingScheduler
+        from repro.sim.systems import edge_systems
+        from repro.sim.workload import default_llm_workload
+
+        system = edge_systems(default_llm_workload().model_bytes())["AGX + FlexGen"]
+        profiles = [StreamProfile(kv_len=10_000 + 7_000 * i, session_id=i) for i in range(6)]
+        plane = BatchLatencyModel()
+        solo = plane.frame_step(system, profiles[:1]).streams[0].total_s
+        traces = PoissonArrivals(rate_for_load(1.2, solo, 6)).generate(6, 6, seed=4)
+        questions = [0.7 * float(trace[-1]) for trace in traces]
+        monkeypatch.setenv(ENV_VAR, "1")
+        scheduler = ServingScheduler(plane, engine="array")
+
+        def run():
+            scheduler.run(system, profiles, traces, question_arrivals=questions, answer_tokens=3)
+
+        run()  # the honest bound grants in FCFS order
+        monkeypatch.setattr(engine, "_in_place_link_delays", lambda *_: (np.inf, np.inf))
+        with pytest.raises(SanitizerError, match="FCFS arrival order violated") as info:
+            run()
+        assert info.value.code == RESOURCE_BALANCE
+        assert any("granted in place" in str(entry) for entry in info.value.trace)
+
     def test_fcfs_arrival_order_enforced(self):
         queue = ResourceQueue("dre")
         queue.enqueue(1.0, 0.1)

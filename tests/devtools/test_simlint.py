@@ -241,6 +241,33 @@ class TestSIM007:
         assert codes("key = id(profile)  # simlint: ignore[SIM007]\n") == []
 
 
+# --------------------------------------------------------------------- #
+# SIM008 — builtin sum
+# --------------------------------------------------------------------- #
+class TestSIM008:
+    def test_float_sum_fires_in_sim_and_hw(self):
+        source = "total = sum(row.wait_s for row in rows)\n"
+        assert codes(source, SIM_PATH) == ["SIM008"]
+        assert codes(source, HW_PATH) == ["SIM008"]
+
+    def test_location_and_hint(self):
+        (finding,) = lint("x = 1\ntotal = 1.0 + sum(parts)\n")
+        assert (finding.line, finding.col) == (2, 15)
+        assert "0.0" in finding.hint
+
+    def test_left_fold_and_other_scopes_are_clean(self):
+        assert codes("total = reduce(add, (row.wait_s for row in rows), 0.0)\n") == []
+        assert codes("total = np.sum(column) + column.sum()\n") == []
+        for path in (NEUTRAL_PATH, TEST_PATH, BENCH_PATH, ANALYSIS_PATH):
+            assert codes("total = sum(rows)\n", path) == []
+
+    def test_annotated_integer_sum_is_silent(self):
+        source = "moved = sum(m.jobs for m in migrations)  # simlint: int-sum — job counts\n"
+        assert codes(source) == []
+        multiline = "n = sum(  # simlint: int-sum — a count\n    1 for m in migrations\n)\n"
+        assert codes(multiline) == []
+
+
 class TestSuppressionsAndCLI:
     def test_skip_file(self):
         source = "# simlint: skip-file\nimport numpy as np\nnp.random.seed(1)\n"
@@ -288,5 +315,5 @@ class TestSuppressionsAndCLI:
         capsys.readouterr()
         assert main(["--rules"]) == 0
         out = capsys.readouterr().out
-        for code in ("SIM001", "SIM002", "SIM003", "SIM004", "SIM005", "SIM006", "SIM007"):
+        for code in ("SIM001", "SIM002", "SIM003", "SIM004", "SIM005", "SIM006", "SIM007", "SIM008"):
             assert code in out

@@ -337,3 +337,168 @@ class TestLatencyColumnEquivalence:
         column_sojourns = columns.sojourn_s()[served]
         list_sojourns = [r.sojourn_s for r in result.records if not r.dropped]
         assert column_sojourns.tolist() == list_sojourns
+
+
+def _event_order(timeline, table):
+    """A private run's timeline as ``(job name, event)`` groups, in order.
+
+    Vision, compute and DRE tasks belong to a job's issue event, a PCIe task
+    to its link grant; consecutive tasks of one event form one group.
+    """
+    groups = []
+    for task in timeline.tasks:
+        group = (task.name, "link" if task.resource == "pcie" else "issue")
+        if not groups or groups[-1] != group:
+            groups.append(group)
+    return groups
+
+
+def _run_recording_reference_order(plane, config, system, profiles, traces, monkeypatch, **kwargs):
+    """Run the reference loop, noting the order its issue and link callbacks fire in."""
+    from repro.hw.event import EventLoop
+
+    fired = []
+    schedule = EventLoop.schedule
+
+    def recording(self, time_s, callback, priority=0, key=()):
+        name = getattr(getattr(callback, "func", None), "__name__", None)
+        if name in ("issue", "request_link"):
+            job, inner = callback.args[0], callback
+            event = "issue" if name == "issue" else "link"
+
+            def callback():
+                fired.append((job, event))
+                inner()
+
+        schedule(self, time_s, callback, priority, key)
+
+    monkeypatch.setattr(EventLoop, "schedule", recording)
+    result = ServingScheduler(plane, config, engine="reference").run(
+        system, profiles, traces, **kwargs
+    )
+    monkeypatch.setattr(EventLoop, "schedule", schedule)
+    table = result._table
+    name = lambda job: (  # noqa: E731 — the timeline's job name
+        f"s{table.session[job]}/{('frame', 'question', 'generation')[table.kind[job]]}"
+        f"{table.index[job]}"
+    )
+    return result, [(name(job), event) for job, event in fired]
+
+
+class TestInPlaceLinkGrants:
+    """Private link requests that no later request can precede are granted
+    at their issue event: fewer queued events, the same run.  The timeline
+    of such a run is derived, so it is checked against the order the
+    reference loop's issue and link callbacks actually fired in."""
+
+    @staticmethod
+    def _fleet_run(plane, system, monkeypatch, seed=4, streams=6):
+        from repro.sim import engine
+
+        profiles = _fleet([10_000 + 7_000 * i for i in range(streams)])
+        solo = BatchLatencyModel().frame_step(system, profiles[:1]).streams[0].total_s
+        traces = PoissonArrivals(rate_hz=rate_for_load(1.2, solo, streams)).generate(
+            streams, 6, seed=seed
+        )
+        kwargs = {
+            "question_arrivals": [0.7 * float(trace[-1]) for trace in traces],
+            "answer_tokens": 3,
+        }
+        config = SchedulerConfig(deadline_s=3.0 * solo, max_queue_depth=3)
+        links = []
+        heappush = engine.heappush
+
+        def counted_push(heap, entry):
+            if entry[2] & 7 == engine.C_LINK:
+                links.append(entry)
+            heappush(heap, entry)
+
+        monkeypatch.setattr(engine, "heappush", counted_push)
+        array = ServingScheduler(plane(), config, engine="array").run(
+            system, profiles, traces, **kwargs
+        )
+        monkeypatch.setattr(engine, "heappush", heappush)
+        reference, fired = _run_recording_reference_order(
+            plane(), config, system, profiles, traces, monkeypatch, **kwargs
+        )
+        assert_runs_identical(reference, array)
+        groups = _event_order(array.timeline, array._table)
+        assert groups == [group for group in fired if group in set(groups)]
+        grants = sum(1 for task in array.timeline.tasks if task.resource == "pcie")
+        return len(links), grants
+
+    @pytest.mark.parametrize("banks", [0, 2], ids=["no-memory", "2-banks"])
+    def test_vrex_queues_no_link_event(self, edge, banks, monkeypatch):
+        plane = (
+            (lambda: BatchLatencyModel(
+                memory=ShardedKVHierarchy(num_banks=2, bank_budget_bytes=4.5 * 2**30)
+            ))
+            if banks
+            else BatchLatencyModel
+        )  # fmt: skip
+        queued, grants = self._fleet_run(plane, edge["V-Rex8"], monkeypatch)
+        assert grants > 0
+        assert queued == 0
+
+    def test_stage_off_the_dre_blocks_some_grants(self, edge, monkeypatch):
+        """A V-Rex question stage whose prediction skips the DRE requests
+        the link at its issue plus its prediction, which bounds every
+        other grant: both paths run, and the engines still agree."""
+        priced = ServingScheduler._priced_stages
+
+        def questions_off_the_dre(self, *args):
+            stages = priced(self, *args)
+            for stream, stage_map in enumerate(stages):
+                stage_map["question"].on_dre = stream % 2 == 1
+            return stages
+
+        monkeypatch.setattr(ServingScheduler, "_priced_stages", questions_off_the_dre)
+        queued, grants = self._fleet_run(BatchLatencyModel, edge["V-Rex8"], monkeypatch)
+        assert 0 < queued < grants
+
+    def test_gpu_baseline_queues_every_grant(self, edge, monkeypatch):
+        queued, grants = self._fleet_run(BatchLatencyModel, edge["AGX + InfiniGen"], monkeypatch)
+        assert queued == grants > 0
+
+    def test_zero_duration_instants_keep_event_order(self, edge, monkeypatch):
+        """Zero-vision text chains behind frames that end at their vision:
+        a frame's vision and the next job's issue intervals share one
+        ``(time, priority, stream)`` key, and record order breaks the tie.
+
+        A zero-duration job's completion lands below the subkey just
+        popped, which the armed array engine reports as a pop-order fault,
+        so this run is unarmed; the reference loop's order is the oracle.
+        """
+        from repro.devtools.sanitizer import ENV_VAR
+
+        monkeypatch.delenv(ENV_VAR, raising=False)
+        priced = ServingScheduler._priced_stages
+
+        def frames_end_at_their_vision(self, *args):
+            stages = priced(self, *args)
+            for stage_map in stages:
+                frame = stage_map["frame"]
+                frame.compute_s = frame.prediction_s = frame.fetch_s = 0.0
+                frame.fetch_bytes_layer = 0.0
+            return stages
+
+        monkeypatch.setattr(ServingScheduler, "_priced_stages", frames_end_at_their_vision)
+        system = edge["V-Rex8"]
+        profiles = _fleet([20_000, 30_000, 40_000])
+        traces = [[0.0, 0.0], [0.0], []]  # the last stream is a text chain alone
+        kwargs = {"question_arrivals": [0.0, 0.0, 0.0], "answer_tokens": [2, 3, 2]}
+        config = SchedulerConfig()
+        array = ServingScheduler(BatchLatencyModel(), config, engine="array").run(
+            system, profiles, traces, **kwargs
+        )
+        reference, fired = _run_recording_reference_order(
+            BatchLatencyModel(), config, system, profiles, traces, monkeypatch, **kwargs
+        )
+        assert_runs_identical(reference, array)
+        groups = _event_order(array.timeline, array._table)
+        assert groups == [group for group in fired if group in set(groups)]
+        # a frame's vision and a question's compute at one instant, one stream
+        tasks = array.timeline.tasks
+        vision_end = {t.name: t.start_s + t.duration_s for t in tasks if t.resource.startswith("vision")}
+        question = next(t for t in tasks if t.name == "s0/question0")
+        assert question.start_s in vision_end.values()

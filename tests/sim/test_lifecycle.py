@@ -211,4 +211,13 @@ class TestFinishedRunKeepsColumns:
             if isinstance(value, (list, array, bytearray)) and len(value) == table.num_jobs
         ]
         assert not per_job, f"finalized JobTable still holds per-job buffers {per_job}"
-        assert table.timeline_log.dtype.names == ("job", "code", "start", "duration")
+        # the timeline is derived from numpy columns over the served jobs
+        per_mode = (
+            ("compute_submit", "compute_finish", "prediction_end", "stage_log")
+            if compute == "timesliced"
+            else ("request",)
+        )
+        sources = table.timeline_source
+        assert set(sources) == {"job", "start", "dre_wait", "transfer_start", "fetch_s", *per_mode}
+        assert all(isinstance(column, np.ndarray) for column in sources.values())
+        assert len(sources["job"]) == result.served

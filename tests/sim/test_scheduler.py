@@ -641,6 +641,37 @@ class TestInputValidation:
                 edge["V-Rex8"], _fleet([10_000]), [[0.0]], question_arrivals=[0.0], **counts
             )
 
+    @pytest.mark.parametrize("compute", ["private", "timesliced"])
+    def test_run_past_the_array_seq_budget_rejected(self, plane, edge, compute, monkeypatch):
+        """Each queued event's seq is added raw to a packed ``(priority,
+        rank)`` base: a run that could queue more events than the budget
+        is refused before it starts, never reordered by a carry."""
+        from repro.sim import engine
+
+        scheduler = ServingScheduler(plane, SchedulerConfig(compute=compute, quantum_s=1e-3))
+        traces = [[0.0, 0.1, 0.2], [0.05, 0.15, 0.25]]  # 6 arrivals, 6 jobs
+
+        def run():
+            return scheduler.run(edge["V-Rex8"], _fleet([10_000, 20_000]), traces)
+
+        monkeypatch.setattr(engine, "MAX_SUBKEY_SEQ", 20)
+        with pytest.raises(ValueError, match=r"may queue \d+ events, beyond .* budget of 20"):
+            run()
+        bound = int(str(pytest.raises(ValueError, run).value).split()[3])
+        if compute == "private":
+            assert bound == 6 + 3 * 6  # the arrivals, then issue, link and finish per job
+        pushes = []
+        heappush = engine.heappush
+        monkeypatch.setattr(
+            engine, "heappush", lambda heap, entry: (pushes.append(entry), heappush(heap, entry))
+        )
+        monkeypatch.setattr(engine, "MAX_SUBKEY_SEQ", bound)  # just enough
+        assert run().served == 6
+        assert 6 + len(pushes) <= bound  # every seq the run took is within it
+        monkeypatch.setattr(engine, "MAX_SUBKEY_SEQ", bound - 1)
+        with pytest.raises(ValueError, match=f"may queue {bound} events"):
+            run()
+
     def test_empty_traces_yield_empty_result(self, scheduler, edge):
         result = scheduler.run(edge["V-Rex8"], _fleet([10_000]), [[]])
         assert result.records == []
