@@ -28,8 +28,7 @@ preallocated structures:
   entry per decision, the quantum expiries in between only counted;
 * likewise a private link request is granted at its issue event, counted
   but never queued, when no ``C_LINK`` is queued and no later request can
-  precede it (:func:`_in_place_link_delays` bounds them) — on V-Rex, every
-  grant;
+  precede it (:func:`_in_place_link_delays`) — on V-Rex, every grant;
 * the shared DRE and PCIe link are each a single ``free_at`` float (the
   whole mutable state of a work-conserving FCFS server);
 * a stage's sharded fetch is priced once per distinct residency split:
@@ -323,11 +322,16 @@ def _job_lifecycle(ctx: _RunContext, table: JobTable, server, stages: StageCore,
 
 
 def _in_place_link_delays(is_vrex: bool, priced) -> tuple[float, float]:
-    """``(dre, direct)``: a later private link request comes no earlier than
-    the FCFS DRE's ``free_at`` plus ``dre`` (V-Rex stages granted on the
-    DRE) or its issue plus ``direct`` (any other fetching stage; a serial
-    one requests at ``(issue + prediction) + compute``, which rounding keeps
-    at or above the issue plus the larger term, not always their sum)."""
+    """``(dre, direct)``: the least issue-to-link-request delays of a private run.
+
+    A later request comes no earlier than the FCFS DRE's ``free_at`` plus
+    ``dre`` (V-Rex stages granted on the DRE) or than its issue, at or after
+    ``now``, plus ``direct`` (every other fetching stage; a serial one
+    requests at ``(issue + prediction) + compute``, never below the issue
+    plus the larger term after rounding), so a request below both precedes
+    it.  (The DRE bound blocks a job granted on the DRE only when rounding
+    absorbs ``dre`` into ``free_at``: then a later request could tie it.)
+    """
     dre = direct = float("inf")
     for stage in (stage for stage_map in priced for stage in stage_map.values()):
         if not stage.active or stage.fetch_s <= 0.0:

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from repro.hw.memory.sharding import ShardedKVHierarchy
 from repro.sim.arrivals import BurstyArrivals, PoissonArrivals, rate_for_load
 from repro.sim.batched import BatchLatencyModel, StreamProfile
-from repro.sim.jobtable import RecordColumns
+from repro.sim.jobtable import KIND_NAMES, RecordColumns
 from repro.sim.scheduler import SchedulerConfig, ServingScheduler
 from repro.sim.systems import edge_systems, server_systems
 from repro.sim.workload import default_llm_workload
@@ -175,6 +175,14 @@ class TestEngineEquivalenceProperty:
             plane, config, system, profiles, traces, **kwargs
         )
         assert_runs_identical(reference, array)
+        if compute == "private":
+            # a private timeline's order is derived: check it against the
+            # order the reference loop's issue and link callbacks fired in
+            _, fired = _run_recording_reference_order(
+                plane, config, system, profiles, traces, **kwargs
+            )
+            groups = _event_order(array.timeline)
+            assert groups == [group for group in fired if group in set(groups)]
 
 
 class TestEngineEquivalenceMemoryPlane:
@@ -339,7 +347,7 @@ class TestLatencyColumnEquivalence:
         assert column_sojourns.tolist() == list_sojourns
 
 
-def _event_order(timeline, table):
+def _event_order(timeline):
     """A private run's timeline as ``(job name, event)`` groups, in order.
 
     Vision, compute and DRE tasks belong to a job's issue event, a PCIe task
@@ -353,7 +361,7 @@ def _event_order(timeline, table):
     return groups
 
 
-def _run_recording_reference_order(plane, config, system, profiles, traces, monkeypatch, **kwargs):
+def _run_recording_reference_order(plane, config, system, profiles, traces, **kwargs):
     """Run the reference loop, noting the order its issue and link callbacks fire in."""
     from repro.hw.event import EventLoop
 
@@ -372,17 +380,29 @@ def _run_recording_reference_order(plane, config, system, profiles, traces, monk
 
         schedule(self, time_s, callback, priority, key)
 
-    monkeypatch.setattr(EventLoop, "schedule", recording)
-    result = ServingScheduler(plane, config, engine="reference").run(
-        system, profiles, traces, **kwargs
-    )
-    monkeypatch.setattr(EventLoop, "schedule", schedule)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(EventLoop, "schedule", recording)
+        result = ServingScheduler(plane, config, engine="reference").run(
+            system, profiles, traces, **kwargs
+        )
     table = result._table
-    name = lambda job: (  # noqa: E731 — the timeline's job name
-        f"s{table.session[job]}/{('frame', 'question', 'generation')[table.kind[job]]}"
-        f"{table.index[job]}"
-    )
-    return result, [(name(job), event) for job, event in fired]
+    return result, [
+        (f"s{table.session[job]}/{KIND_NAMES[table.kind[job]]}{table.index[job]}", event)
+        for job, event in fired
+    ]
+
+
+def _patch_stages(monkeypatch, patch):
+    """Let ``patch(stream, stage_map)`` edit every run's priced stages."""
+    priced = ServingScheduler._priced_stages
+
+    def patched(self, *args):
+        stages = priced(self, *args)
+        for stream, stage_map in enumerate(stages):
+            patch(stream, stage_map)
+        return stages
+
+    monkeypatch.setattr(ServingScheduler, "_priced_stages", patched)
 
 
 class TestInPlaceLinkGrants:
@@ -392,19 +412,12 @@ class TestInPlaceLinkGrants:
     reference loop's issue and link callbacks actually fired in."""
 
     @staticmethod
-    def _fleet_run(plane, system, monkeypatch, seed=4, streams=6):
+    def _run(monkeypatch, system, profiles, traces, plane=BatchLatencyModel, config=None, **kwargs):
+        """Both engines, checked equal and against the reference's event
+        order; returns ``(queued link events, link grants)``."""
         from repro.sim import engine
 
-        profiles = _fleet([10_000 + 7_000 * i for i in range(streams)])
-        solo = BatchLatencyModel().frame_step(system, profiles[:1]).streams[0].total_s
-        traces = PoissonArrivals(rate_hz=rate_for_load(1.2, solo, streams)).generate(
-            streams, 6, seed=seed
-        )
-        kwargs = {
-            "question_arrivals": [0.7 * float(trace[-1]) for trace in traces],
-            "answer_tokens": 3,
-        }
-        config = SchedulerConfig(deadline_s=3.0 * solo, max_queue_depth=3)
+        config = config or SchedulerConfig()
         links = []
         heappush = engine.heappush
 
@@ -419,13 +432,26 @@ class TestInPlaceLinkGrants:
         )
         monkeypatch.setattr(engine, "heappush", heappush)
         reference, fired = _run_recording_reference_order(
-            plane(), config, system, profiles, traces, monkeypatch, **kwargs
+            plane(), config, system, profiles, traces, **kwargs
         )
         assert_runs_identical(reference, array)
-        groups = _event_order(array.timeline, array._table)
+        groups = _event_order(array.timeline)
         assert groups == [group for group in fired if group in set(groups)]
         grants = sum(1 for task in array.timeline.tasks if task.resource == "pcie")
         return len(links), grants
+
+    def _fleet_run(self, monkeypatch, system, plane=BatchLatencyModel, streams=6):
+        profiles = _fleet([10_000 + 7_000 * i for i in range(streams)])
+        solo = BatchLatencyModel().frame_step(system, profiles[:1]).streams[0].total_s
+        traces = PoissonArrivals(rate_hz=rate_for_load(1.2, solo, streams)).generate(
+            streams, 6, seed=4
+        )
+        return self._run(
+            monkeypatch, system, profiles, traces, plane,
+            SchedulerConfig(deadline_s=3.0 * solo, max_queue_depth=3),
+            question_arrivals=[0.7 * float(trace[-1]) for trace in traces],
+            answer_tokens=3,
+        )  # fmt: skip
 
     @pytest.mark.parametrize("banks", [0, 2], ids=["no-memory", "2-banks"])
     def test_vrex_queues_no_link_event(self, edge, banks, monkeypatch):
@@ -436,7 +462,7 @@ class TestInPlaceLinkGrants:
             if banks
             else BatchLatencyModel
         )  # fmt: skip
-        queued, grants = self._fleet_run(plane, edge["V-Rex8"], monkeypatch)
+        queued, grants = self._fleet_run(monkeypatch, edge["V-Rex8"], plane)
         assert grants > 0
         assert queued == 0
 
@@ -444,20 +470,84 @@ class TestInPlaceLinkGrants:
         """A V-Rex question stage whose prediction skips the DRE requests
         the link at its issue plus its prediction, which bounds every
         other grant: both paths run, and the engines still agree."""
-        priced = ServingScheduler._priced_stages
 
-        def questions_off_the_dre(self, *args):
-            stages = priced(self, *args)
-            for stream, stage_map in enumerate(stages):
-                stage_map["question"].on_dre = stream % 2 == 1
-            return stages
+        def odd_questions_off_the_dre(stream, stage_map):
+            stage_map["question"].on_dre = stream % 2 == 1
 
-        monkeypatch.setattr(ServingScheduler, "_priced_stages", questions_off_the_dre)
-        queued, grants = self._fleet_run(BatchLatencyModel, edge["V-Rex8"], monkeypatch)
+        _patch_stages(monkeypatch, odd_questions_off_the_dre)
+        queued, grants = self._fleet_run(monkeypatch, edge["V-Rex8"])
         assert 0 < queued < grants
 
-    def test_gpu_baseline_queues_every_grant(self, edge, monkeypatch):
-        queued, grants = self._fleet_run(BatchLatencyModel, edge["AGX + InfiniGen"], monkeypatch)
+    def test_queued_link_blocks_an_in_place_grant(self, edge, monkeypatch):
+        """Questions on the DRE (1 ms predictions) under a 3 ms bound set
+        by generation tokens off it: four aligned questions grant 2 links
+        in place and queue the requests at 3 and 4 ms; a fifth issued at
+        2.5 ms requests at 5 ms, under its bound, yet waits behind them."""
+
+        def questions_on_generations_off(stream, stage_map):
+            stage_map["question"].prediction_s = 1e-3
+            stage_map["question"].on_dre = True
+            stage_map["generation"].prediction_s = 3e-3
+            stage_map["generation"].on_dre = False
+
+        _patch_stages(monkeypatch, questions_on_generations_off)
+        traces = [[]] * 5
+        questions = [0.0, 0.0, 0.0, 0.0, 2.5e-3]
+        queued, grants = self._run(
+            monkeypatch, edge["V-Rex8"], _fleet([40_000] * 5), traces, question_arrivals=questions
+        )
+        assert (queued, grants) == (3, 5)
+
+    def test_same_instant_issues_precede_links(self, edge, monkeypatch):
+        """Stages off the DRE with no prediction request the link at their
+        issue: aligned questions meet every issue before any link grant."""
+
+        def requests_at_issue(stream, stage_map):
+            for stage in stage_map.values():
+                stage.on_dre = False
+                stage.prediction_s = 0.0
+
+        _patch_stages(monkeypatch, requests_at_issue)
+        queued, grants = self._run(
+            monkeypatch, edge["V-Rex8"], _fleet([40_000] * 3), [[]] * 3,
+            question_arrivals=[0.0] * 3,
+        )  # fmt: skip
+        assert queued == grants == 3
+
+    def test_absorbed_dre_predictions_queue_their_links(self, edge, monkeypatch):
+        """Near 2**41 s a 1 us DRE prediction rounds away: a question holding
+        the DRE and two frames behind it all request the link at the DRE's
+        ``free_at``, a tie the reference loop breaks by stream rank.  The
+        DRE bound sees ``free_at + 1 us == free_at`` and queues them."""
+
+        def absorbed_frames(stream, stage_map):
+            frame, question = stage_map["frame"], stage_map["question"]
+            frame.vision_s, frame.prediction_s, frame.on_dre = 0.0, 1e-6, True
+            question.prediction_s, question.on_dre = 2e-3, True
+            frame.fetch_s = question.fetch_s = 1e-3
+
+        _patch_stages(monkeypatch, absorbed_frames)
+        start = 2.0**41
+        ulp = np.spacing(start)
+        traces = [[start + 3 * ulp], [start + 2 * ulp], []]  # rank 0 issues last
+        queued, grants = self._run(
+            monkeypatch, edge["V-Rex8"], _fleet([40_000] * 3), traces,
+            question_arrivals=[None, None, start],
+        )  # fmt: skip
+        assert queued == grants == 3
+
+    @pytest.mark.parametrize("system_name", ["AGX + InfiniGen", "AGX + FlexGen"])
+    def test_gpu_baseline_queues_every_grant(self, edge, system_name, monkeypatch):
+        """A GPU stage's own delay is at least the bound, so no grant is in
+        place — also on FlexGen once its generation tokens (no prediction)
+        stop fetching and the serial frames and questions set the bound."""
+        if system_name == "AGX + FlexGen":
+
+            def generations_fetch_nothing(stream, stage_map):
+                stage_map["generation"].fetch_s = 0.0
+
+            _patch_stages(monkeypatch, generations_fetch_nothing)
+        queued, grants = self._fleet_run(monkeypatch, edge[system_name])
         assert queued == grants > 0
 
     def test_zero_duration_instants_keep_event_order(self, edge, monkeypatch):
@@ -472,33 +562,24 @@ class TestInPlaceLinkGrants:
         from repro.devtools.sanitizer import ENV_VAR
 
         monkeypatch.delenv(ENV_VAR, raising=False)
-        priced = ServingScheduler._priced_stages
 
-        def frames_end_at_their_vision(self, *args):
-            stages = priced(self, *args)
-            for stage_map in stages:
-                frame = stage_map["frame"]
-                frame.compute_s = frame.prediction_s = frame.fetch_s = 0.0
-                frame.fetch_bytes_layer = 0.0
-            return stages
+        def frames_end_at_their_vision(stream, stage_map):
+            frame = stage_map["frame"]
+            frame.compute_s = frame.prediction_s = frame.fetch_s = 0.0
+            frame.fetch_bytes_layer = 0.0
 
-        monkeypatch.setattr(ServingScheduler, "_priced_stages", frames_end_at_their_vision)
+        _patch_stages(monkeypatch, frames_end_at_their_vision)
         system = edge["V-Rex8"]
         profiles = _fleet([20_000, 30_000, 40_000])
         traces = [[0.0, 0.0], [0.0], []]  # the last stream is a text chain alone
-        kwargs = {"question_arrivals": [0.0, 0.0, 0.0], "answer_tokens": [2, 3, 2]}
-        config = SchedulerConfig()
-        array = ServingScheduler(BatchLatencyModel(), config, engine="array").run(
-            system, profiles, traces, **kwargs
-        )
-        reference, fired = _run_recording_reference_order(
-            BatchLatencyModel(), config, system, profiles, traces, monkeypatch, **kwargs
-        )
-        assert_runs_identical(reference, array)
-        groups = _event_order(array.timeline, array._table)
-        assert groups == [group for group in fired if group in set(groups)]
+        self._run(
+            monkeypatch, system, profiles, traces,
+            question_arrivals=[0.0, 0.0, 0.0], answer_tokens=[2, 3, 2],
+        )  # fmt: skip
         # a frame's vision and a question's compute at one instant, one stream
-        tasks = array.timeline.tasks
-        vision_end = {t.name: t.start_s + t.duration_s for t in tasks if t.resource.startswith("vision")}
+        tasks = ServingScheduler(BatchLatencyModel()).run(
+            system, profiles, traces, question_arrivals=[0.0, 0.0, 0.0], answer_tokens=[2, 3, 2]
+        ).timeline.tasks
+        vision_end = {t.start_s + t.duration_s for t in tasks if t.resource.startswith("vision")}
         question = next(t for t in tasks if t.name == "s0/question0")
-        assert question.start_s in vision_end.values()
+        assert question.start_s in vision_end
