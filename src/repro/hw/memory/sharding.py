@@ -27,8 +27,11 @@ least-recently-used sessions' per-bank shards when a later promotion needs
 the space.  Recency is a last-use stamp taken at registration and at every
 touch, so shard placement — and every admission decision derived from it —
 is a function of the fleet and its fetch history, never of the caller's
-listing order.  Each bank keeps a **resident index**: the sessions warm in
-it, stamp-ordered, so a promotion walks its victims, not the fleet.
+listing order.  One **recency index** lists the sessions warm in any bank,
+least recently used first: a touch moves one entry, a promotion files the
+promoted session once, at its own last-use position, and a bank's eviction
+order is the index filtered by that bank's warm bytes — so a promotion
+walks the warm sessions, never the cold ones.
 
 The degenerate configuration (``num_banks=1`` with the default unbounded
 budget) keeps every session fully warm in one bank; the fetch makespan of
@@ -41,7 +44,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Container
 from dataclasses import dataclass
 
 import numpy as np
@@ -230,9 +233,9 @@ class ShardedKVHierarchy:
         self._shards: dict[int, _SessionShards] = {}
         #: last-use stamps handed out so far; the stamp is the one encoding of recency
         self._clock = 0
-        #: per-bank resident index: the ``(last_use, session_id, warm bytes)`` of every
-        #: session warm in the bank, least recently used first, for planning to walk
-        self._residents: list[list[tuple[int, int, float]]] = [[] for _ in range(self.num_banks)]
+        #: recency index: the ``(last_use, session_id, shards)`` of every session
+        #: warm in any bank, least recently used first, for planning to walk
+        self._recency: list[tuple[int, int, _SessionShards]] = []
         self._occupancy = [0.0] * self.num_banks
         self.evictions: list[EvictionRecord] = []
         #: bumped on every occupancy mutation (registration, promotion,
@@ -266,20 +269,20 @@ class ShardedKVHierarchy:
         occupancy = self._occupancy
         self._clock += 1
         warm = []
-        for bank, (residents, home_in_bank) in enumerate(zip(self._residents, home, strict=True)):
+        for bank, home_in_bank in enumerate(home):
             warm_in_bank = min(home_in_bank, max(self.bank_budget_bytes - occupancy[bank], 0.0))
             occupancy[bank] += warm_in_bank
             warm.append(warm_in_bank)
-            if warm_in_bank > 0.0:
-                residents.append((self._clock, session_id, warm_in_bank))
         self.occupancy_version += 1
-        self._shards[session_id] = _SessionShards(
+        shard = self._shards[session_id] = _SessionShards(
             hot_bytes=float(hot_bytes),
             offchip_bytes=float(offchip),
             home_bytes=home,
             warm_bytes=warm,
             last_use=self._clock,
         )
+        if max(warm) > 0.0:
+            self._recency.append((self._clock, session_id, shard))
         if self._sanitize:
             self._hot_at_register[session_id] = float(hot_bytes)
             self.sanity_check()
@@ -366,18 +369,18 @@ class ShardedKVHierarchy:
     def touch(self, session_id: int) -> None:
         """Mark a session most-recently-used (eviction prefers older ones)."""
         shard = self._shard(session_id)
-        stale = (shard.last_use,)
+        stale = shard.last_use
         self._clock += 1
         shard.last_use = self._clock
-        # a session is in a bank's resident index iff it is warm there
-        # (``0.0``, not ``0``: comparing a float with an int is slower)
-        for residents, warm in zip(self._residents, shard.warm_bytes):
-            if warm > 0.0:
-                del residents[bisect_left(residents, stale)]
-                residents.append((self._clock, session_id, warm))
+        # a session is in the recency index iff it is warm in some bank
+        recency = self._recency
+        at = bisect_left(recency, (stale,))
+        if at < len(recency) and recency[at][0] == stale:
+            del recency[at]
+            recency.append((self._clock, session_id, shard))
 
     def plan_promotion(
-        self, session_id: int, protected: Iterable[int] = ()
+        self, session_id: int, protected: Container[int] = ()
     ) -> PromotionPlan:
         """Price pulling a session's cold shards back into their home banks.
 
@@ -394,10 +397,9 @@ class ShardedKVHierarchy:
         home = shard.home_bytes
         warm = shard.warm_bytes
         occupancy = self._occupancy
-        exclude: set[int] = set()
         promoted = 0.0
         steps = []
-        for bank, residents in enumerate(self._residents):
+        for bank in range(self.num_banks):
             need = home[bank] - warm[bank]
             if need <= home[bank] * _COLD_SNAP_REL:
                 continue  # home-warm within float slack: nothing to promote
@@ -405,9 +407,10 @@ class ShardedKVHierarchy:
             freed = 0.0
             victims: list[tuple[int, float]] = []
             if headroom < need:
-                exclude = exclude or {session_id, *protected}  # built once, if ever
-                for _, sid, bytes_out in residents:
-                    if sid in exclude:
+                # the bank's residents: the recency index filtered by its warm bytes
+                for _, sid, resident in self._recency:
+                    bytes_out = resident.warm_bytes[bank]
+                    if bytes_out <= 0.0 or sid == session_id or sid in protected:
                         continue
                     victims.append((sid, bytes_out))
                     freed += bytes_out
@@ -436,39 +439,39 @@ class ShardedKVHierarchy:
                 f"occupancy version {plan.occupancy_version}, applied at "
                 f"{self.occupancy_version}"
             )
-        shard = self._shards[plan.session_id]
+        shards = self._shards
+        shard = shards[plan.session_id]
         occupancy = self._occupancy
+        recency = self._recency
         for bank, gain, victims in plan.steps:
             self.occupancy_version += 1
-            residents = self._residents[bank]
             for sid, bytes_out in victims:
-                victim = self._shards[sid]
+                victim = shards[sid]
                 victim.warm_bytes[bank] = 0.0
                 victim.invalidate()
-                del residents[bisect_left(residents, (victim.last_use,))]
+                if max(victim.warm_bytes) <= 0.0:  # cold in every bank now
+                    del recency[bisect_left(recency, (victim.last_use,))]
                 occupancy[bank] -= bytes_out
                 self.evictions.append(EvictionRecord(sid, bank, bytes_out))
             shard.warm_bytes[bank] += gain
             shard.invalidate()
             occupancy[bank] += gain
-            # an untouched session enters the bank at its own last-use
-            # position, between older and newer residents — not at the end
-            at = bisect_left(residents, (shard.last_use,))
-            entry = (shard.last_use, plan.session_id, shard.warm_bytes[bank])
-            if at < len(residents) and residents[at][1] == plan.session_id:
-                residents[at] = entry
-            else:
-                residents.insert(at, entry)
+        if plan.steps:
+            # a session warm nowhere until now enters at its own last-use
+            # position (an untouched one between older and newer entries)
+            at = bisect_left(recency, (shard.last_use,))
+            if at == len(recency) or recency[at][1] != plan.session_id:
+                recency.insert(at, (shard.last_use, plan.session_id, shard))
         if self._sanitize:
             self.sanity_check()
         return plan.promoted_bytes
 
-    def promote(self, session_id: int, protected: Iterable[int] = ()) -> float:
+    def promote(self, session_id: int, protected: Container[int] = ()) -> float:
         """Plan and apply a promotion in one step; returns the promoted bytes."""
         return self.apply_promotion(self.plan_promotion(session_id, protected))
 
     def commit_fetch(
-        self, session_id: int, protected: Iterable[int] = ()
+        self, session_id: int, protected: Container[int] = ()
     ) -> ShardSplit:
         """Record one fetch: returns the split it was served at, then warms it.
 
@@ -498,8 +501,8 @@ class ShardedKVHierarchy:
           eviction must never touch device DRAM;
         * bank occupancy equals the per-session warm sums (to float
           accumulation slack) and respects the bank budget;
-        * every bank's resident index lists exactly the sessions warm in it,
-          with their exact warm bytes, in last-use order.
+        * the recency index lists exactly the sessions warm in some bank,
+          with their current last-use stamps, in last-use order.
 
         Raises :class:`~repro.devtools.sanitizer.SanitizerError` with code
         ``shard-conservation`` on the first violated invariant.
@@ -555,18 +558,20 @@ class ShardedKVHierarchy:
                 f"bank {bank} occupancy {occupancy[bank]} exceeds budget "
                 f"{self.bank_budget_bytes}",
             )
-        for bank, residents in enumerate(self._residents):
-            warm_in_bank = sorted(
-                (shard.last_use, sid, shard.warm_bytes[bank])
-                for sid, shard in self._shards.items()
-                if shard.warm_bytes[bank] > 0
+        indexed = [
+            (stamp, sid, shard is self._shards.get(sid)) for stamp, sid, shard in self._recency
+        ]
+        warm_anywhere = sorted(
+            (shard.last_use, sid, True)
+            for sid, shard in self._shards.items()
+            if max(shard.warm_bytes) > 0
+        )
+        if indexed != warm_anywhere:
+            raise SanitizerError(
+                SHARD_CONSERVATION,
+                f"recency index {indexed} is not the sessions warm in some bank as "
+                f"(last_use, session, own shards) in last-use order {warm_anywhere}",
             )
-            if residents != warm_in_bank:
-                raise SanitizerError(
-                    SHARD_CONSERVATION,
-                    f"bank {bank} resident index {residents} is not its warm shards "
-                    f"as (last_use, session, bytes) in last-use order {warm_in_bank}",
-                )
 
     # ------------------------------------------------------------------ #
     # lifecycle

@@ -26,9 +26,11 @@ preallocated structures:
 * the time-sliced compute server is the :class:`~repro.hw.event.RoundRobinCore`
   that ``PreemptiveResource`` wraps, called directly: one ``C_SLICE`` heap
   entry per decision, the quantum expiries in between only counted;
-* likewise a private link request is granted at its issue event, counted
-  but never queued, when no ``C_LINK`` is queued and no later request can
-  precede it (:func:`_in_place_link_delays`) — on V-Rex, every grant;
+* likewise a link request known at its issue event — every private one,
+  and a time-sliced V-Rex stage's (the prediction's end) — is granted
+  there, counted but never queued, when no link event is queued and no
+  later request can precede it (:func:`_in_place_link_delays`): on V-Rex,
+  every grant;
 * the shared DRE and PCIe link are each a single ``free_at`` float (the
   whole mutable state of a work-conserving FCFS server);
 * a stage's sharded fetch is priced once per distinct residency split:
@@ -47,12 +49,14 @@ the reference loop's own core (so both skip the same quantum expiries),
 and an in-place link grant performs the reference loop's float operations
 in its order, at a point no other grant can come between.  Events keep the
 reference loop's ``(time, priority, key)`` order; a ``seq`` only breaks ties
-within one stream, whose private-compute events are queued one at a time,
-so an engine that queues fewer events (and so consumes fewer ``seq``
+within one stream, which never holds two events of one priority at one
+time, so an engine that queues fewer events (and so consumes fewer ``seq``
 values) pops the same order — both engines produce the same records, the
-same timelines and the same (logical) event counts.  The lifecycle consumes
-no ``seq`` itself: it asks its engine to schedule a job's issue event.  The
-engine-equivalence tests pin this on random fleets.
+same timelines and the same (logical) event counts.  (A time-sliced stage
+granted in place whose compute ends first resolves at its request, where
+the reference loop's link event is: one uncounted ``C_RESOLVE``.)  The
+lifecycle consumes no ``seq`` itself: it asks its engine to schedule a
+job's issue event.  The engine-equivalence tests pin this on random fleets.
 
 ``seq`` arithmetic uses raw integer adds against per-stream packed bases,
 so a run that could queue ``2**28`` events (the
@@ -113,7 +117,7 @@ from repro.sim.scheduler import (
 
 #: Event-type codes packed into the low payload bits (``payload >> 3`` is
 #: the job id; ``C_SLICE`` carries none — the server core knows who runs).
-C_ISSUE, C_LINK, C_FINISH, C_SLICE, C_TSLINK = 0, 1, 2, 3, 4
+C_ISSUE, C_LINK, C_FINISH, C_SLICE, C_TSLINK, C_RESOLVE = 0, 1, 2, 3, 4, 5
 
 
 def _job_lifecycle(ctx: _RunContext, table: JobTable, server, stages: StageCore, schedule_issue):
@@ -321,8 +325,8 @@ def _job_lifecycle(ctx: _RunContext, table: JobTable, server, stages: StageCore,
     return submit, finish, resolved, fetch_split, close
 
 
-def _in_place_link_delays(is_vrex: bool, priced) -> tuple[float, float]:
-    """``(dre, direct)``: the least issue-to-link-request delays of a private run.
+def _in_place_link_delays(is_vrex: bool, timesliced: bool, priced) -> tuple[float, float]:
+    """``(dre, direct)``: the least issue-to-link-request delays of a run.
 
     A later request comes no earlier than the FCFS DRE's ``free_at`` plus
     ``dre`` (V-Rex stages granted on the DRE) or than its issue, at or after
@@ -331,11 +335,15 @@ def _in_place_link_delays(is_vrex: bool, priced) -> tuple[float, float]:
     plus the larger term after rounding), so a request below both precedes
     it.  (The DRE bound blocks a job granted on the DRE only when rounding
     absorbs ``dre`` into ``free_at``: then a later request could tie it.)
+    A time-sliced GPU stage requests the link when the shared server ends
+    its work, which no delay bounds: ``-inf`` grants nothing in place.
     """
+    if timesliced and not is_vrex:
+        return float("-inf"), float("-inf")
     dre = direct = float("inf")
     for stage in (stage for stage_map in priced for stage in stage_map.values()):
-        if not stage.active or stage.fetch_s <= 0.0:
-            continue  # never requests the link
+        if not stage.active or (stage.fetch_s <= 0.0 and stage.fetch_bytes_layer <= 0.0):
+            continue  # never requests the link (a sharded fetch prices its bytes)
         if is_vrex and stage.on_dre and stage.prediction_s > 0.0:
             dre = min(dre, stage.prediction_s)
         elif is_vrex or stage.overlaps:
@@ -474,10 +482,10 @@ def run_array(ctx: _RunContext) -> ScheduleResult:
         j_fetch = table.fetch_s
         j_request = table.request
         j_transfer = table.transfer_start
-        dre_delay, direct_delay = _in_place_link_delays(is_vrex, priced)
-        link_name = ctx.device.link.config.name
-        link_last = float("-inf")  # sanitizer: the last link request granted
-        links_queued = 0
+    dre_delay, direct_delay = _in_place_link_delays(is_vrex, timesliced, priced)
+    link_name = ctx.device.link.config.name
+    link_last = float("-inf")  # sanitizer: the last link request granted
+    links_queued = 0
     stage_log = table.stage_log.append if timesliced else None
 
     # preemptive compute server (timesliced mode): the shared core, plus
@@ -539,9 +547,10 @@ def run_array(ctx: _RunContext) -> ScheduleResult:
     ts_compute = stages.compute_s
     ts_prediction = stages.prediction_s
     ts_fetch = stages.fetch_s
+    ts_request = stages.request_s
 
     def ts_apply(job: int, s: int, decision: int) -> None:
-        nonlocal seq
+        nonlocal seq, links_queued
         if decision == TS_FINISH:  # always alone: the stage asks for nothing more
             heappush(entries, (resolved(job, s), base_complete[s] + seq, (job << 3) | C_FINISH))
             seq += 1
@@ -551,8 +560,20 @@ def run_array(ctx: _RunContext) -> ScheduleResult:
         elif decision & TS_COMPUTE:
             server_submit(job, 1, ts_compute[s])
         if decision & TS_LINK:
-            heappush(entries, (stages.request_s[s], base_link[s] + seq, (job << 3) | C_TSLINK))
+            links_queued += 1
+            heappush(entries, (ts_request[s], base_link[s] + seq, (job << 3) | C_TSLINK))
             seq += 1
+
+    def ts_grant_link(s: int, request: float) -> int:
+        """Grant stage ``s``'s link request, made at ``request``; returns the stage's decision."""
+        nonlocal link_free, link_busy, link_last
+        if sanitize:
+            link_last = fcfs_arrival(link_name, link_last, request, trace)
+        fetch = ts_fetch[s]
+        transfer_start = request if request >= link_free else link_free
+        link_free = transfer_start + fetch
+        link_busy += fetch
+        return ts_link_granted(s, transfer_start)
 
     # ------------------------------------------------------------------ #
     # the job lifecycle; its one hook queues a job's issue event
@@ -671,6 +692,19 @@ def run_array(ctx: _RunContext) -> ScheduleResult:
                     dre_free = served_at + prediction_s
                     dre_busy += prediction_s
                     decision = ts_prediction_done(s, now, dre_free, served_at - now)
+                if decision & TS_LINK and not links_queued:
+                    request = ts_request[s]
+                    if request < now + direct_delay and request < dre_free + dre_delay:
+                        # a V-Rex request is the prediction's end, known here: grant
+                        # it now, as one processed event, after the compute's submit
+                        ts_apply(job, s, decision ^ TS_LINK)
+                        events += 1
+                        if sanitize:
+                            trace.note((request, base_link[s], f"job {job} link granted in place"))
+                        if ts_grant_link(s, request):  # no compute: done, resolved at the request
+                            heappush(entries, (request, base_link[s] + seq, (job << 3) | C_RESOLVE))
+                            seq += 1
+                        continue
                 ts_apply(job, s, decision)
                 continue
             # private compute: the DRE grant, then inline contended_issue
@@ -744,22 +778,28 @@ def run_array(ctx: _RunContext) -> ScheduleResult:
                     decision = ts_compute_done(s, now)
                 else:
                     decision = ts_prediction_done(s, now, now)
-                if decision:
+                if decision == TS_FINISH and ts_fetch[s] > 0.0 and ts_request[s] >= now:
+                    # granted in place, its compute ended first (or with it):
+                    # resolve it at its request, the reference loop's link event
+                    heappush(entries, (ts_request[s], base_link[s] + seq, (owner << 3) | C_RESOLVE))
+                    seq += 1
+                elif decision:
                     ts_apply(owner, s, decision)
             elif skipped:
                 events += skipped
                 if sanitize:
                     trace.note((now + quantum, last, f"{skipped} slices fast-forwarded"))
 
-        else:  # C_TSLINK: timesliced link grant
+        elif code == C_TSLINK:  # timesliced link grant
+            links_queued -= 1
             s = streams[job]
-            fetch = ts_fetch[s]
-            transfer_start = now if now >= link_free else link_free
-            link_free = transfer_start + fetch
-            link_busy += fetch
-            decision = ts_link_granted(s, transfer_start)
+            decision = ts_grant_link(s, now)
             if decision:
                 ts_apply(job, s, decision)
+
+        else:  # C_RESOLVE: a stage granted in place, resolved at its request
+            events -= 1  # counted as the link event at its grant
+            ts_apply(job, streams[job], TS_FINISH)
 
     if sanitize:
         # end-of-run drain: the preemptive server's work served and conserved

@@ -48,7 +48,7 @@ misses), not a single makespan.
 from __future__ import annotations
 
 import numbers
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Container, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property, partial
 
@@ -597,7 +597,7 @@ def admission_decision(
     session: int,
     backlog_jobs: int,
     compute_backlog_s: float,
-    protected: Iterable[int],
+    protected: Container[int],
 ) -> str:
     """Admit, evict-then-admit or defer one arriving job: the one rule.
 

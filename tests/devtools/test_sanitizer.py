@@ -265,6 +265,45 @@ class TestResourceBalance:
         assert info.value.code == RESOURCE_BALANCE
         assert any("granted in place" in str(entry) for entry in info.value.trace)
 
+    def test_timesliced_in_place_link_grant_past_the_bound_detected(self, monkeypatch):
+        """Time-sliced V-Rex link grants are checked the same way.  Six
+        aligned frames queue their predictions on the DRE; a question off
+        the DRE, issued while they wait, requests the link ahead of the
+        last of them, so in-place grants forced past the bound (the honest
+        one queues those frames' requests) reach the link out of order."""
+        from repro.sim import engine
+        from repro.sim.batched import BatchLatencyModel, StreamProfile
+        from repro.sim.scheduler import SchedulerConfig, ServingScheduler
+        from repro.sim.systems import edge_systems
+        from repro.sim.workload import default_llm_workload
+
+        priced = ServingScheduler._priced_stages
+
+        def question_off_the_dre(self, *args):
+            stages = priced(self, *args)
+            stages[-1]["question"].on_dre = False
+            return stages
+
+        monkeypatch.setattr(ServingScheduler, "_priced_stages", question_off_the_dre)
+        system = edge_systems(default_llm_workload().model_bytes())["V-Rex8"]
+        profiles = [StreamProfile(kv_len=40_000, session_id=i) for i in range(7)]
+        traces = [[0.0]] * 6 + [[]]
+        questions = [None] * 6 + [0.013]  # the frames issue at ~12 ms, after vision
+        monkeypatch.setenv(ENV_VAR, "1")
+        scheduler = ServingScheduler(
+            BatchLatencyModel(), SchedulerConfig(compute="timesliced"), engine="array"
+        )
+
+        def run():
+            scheduler.run(system, profiles, traces, question_arrivals=questions)
+
+        run()  # the honest bound grants in FCFS order
+        monkeypatch.setattr(engine, "_in_place_link_delays", lambda *_: (np.inf, np.inf))
+        with pytest.raises(SanitizerError, match="FCFS arrival order violated") as info:
+            run()
+        assert info.value.code == RESOURCE_BALANCE
+        assert any("granted in place" in str(entry) for entry in info.value.trace)
+
     def test_fcfs_arrival_order_enforced(self):
         queue = ResourceQueue("dre")
         queue.enqueue(1.0, 0.1)
@@ -563,25 +602,31 @@ class TestShardConservation:
     @pytest.mark.parametrize(
         "corrupt",
         [
-            pytest.param(lambda index: index.pop(), id="resident-dropped"),
-            pytest.param(lambda index: index.append((9, 7, 1024.0)), id="evicted-kept"),
+            pytest.param(lambda plane: plane._recency.pop(), id="resident-dropped"),
             pytest.param(
-                lambda index: index.__setitem__(0, (*index[0][:2], 1.0)), id="stale-bytes"
+                # session 2 registered cold: it is warm in no bank
+                lambda plane: plane._recency.append((3, 2, plane._shards[2])), id="evicted-kept"
             ),
-            pytest.param(lambda index: index.reverse(), id="out-of-last-use-order"),
+            pytest.param(
+                lambda plane: plane._recency.__setitem__(0, (0, *plane._recency[0][1:])),
+                id="stale-stamp",
+            ),
+            pytest.param(lambda plane: plane._recency.reverse(), id="out-of-last-use-order"),
         ],
     )
     def test_resident_index_corruption_detected(self, corrupt):
-        """Each bank's index must be its warm shards: members, bytes, order."""
-        plane = ShardedKVHierarchy(num_banks=2, bank_budget_bytes=GIB)
+        """The recency index must be the sessions warm in some bank, each at
+        its current last-use stamp, in last-use order."""
+        plane = ShardedKVHierarchy(num_banks=2, bank_budget_bytes=0.5 * GIB)
         plane.register(0, offloaded_bytes=0.5 * GIB, num_clusters=4)
         plane.register(1, offloaded_bytes=0.5 * GIB, num_clusters=4)
+        plane.register(2, offloaded_bytes=0.5 * GIB, num_clusters=4)  # the banks are full
         plane.sanity_check()
-        corrupt(plane._residents[1])
+        corrupt(plane)
         with expect(SHARD_CONSERVATION):
             plane.sanity_check()
         with expect(SHARD_CONSERVATION):  # and unprompted, after the next mutation
-            plane.register(2, offloaded_bytes=1024.0)
+            plane.register(3, offloaded_bytes=1024.0)
 
     def test_stale_promotion_plan_detected(self, monkeypatch):
         """A stale plan is an API error, raised armed or not, before any mutation."""

@@ -13,8 +13,9 @@ point values (they run under the dev/ci hypothesis profiles registered in
 * **one eviction plan** — ``plan_promotion`` is pure, ``apply_promotion``
   does what the plan says, and victims leave in least-recently-used order
   (checked against a brute-force last-use-clock oracle that scans every
-  session — the plane itself walks a per-bank resident index, whose cost
-  must not grow with the sessions that are cold in the bank);
+  session — the plane itself walks one recency index of the sessions warm
+  in any bank, filtered by the bank's warm bytes, whose cost must not grow
+  with the sessions that are cold);
 * **bank parallelism only helps** — for cluster-aligned layouts (bank
   count divides the cluster count) the fetch makespan is monotone
   non-increasing in the number of banks, and the single-bank split prices
@@ -222,11 +223,12 @@ class _LastUseOracle:
     Tracks its own last-use clock beside the hierarchy and derives each
     promotion's demotions by brute force: every bank's warm unprotected
     sessions sorted by ``(last_used, session_id)``, taken until the
-    promotion fits.  The plane never scans its sessions — each bank keeps
-    an index of its residents in last-use order — so agreement here is
-    the proof that the index *is* this scan: same members, same bytes,
-    same order, including a session promoted without a touch, which must
-    be filed between older and newer residents rather than at the end.
+    promotion fits.  The plane never scans its sessions — it keeps one
+    index of the sessions warm in any bank in last-use order and filters
+    it by the bank — so agreement here is the proof that the filtered
+    index *is* this scan: same members, same bytes, same order, including
+    a session promoted without a touch, which must be filed between older
+    and newer entries rather than at the end.
     """
 
     def __init__(self, hierarchy: ShardedKVHierarchy, specs):
@@ -247,6 +249,13 @@ class _LastUseOracle:
         self.last_used[session_id] = self.clock
         self.clock += 1
 
+    def lru_order(self, bank: int) -> list[int]:
+        """The sessions warm in ``bank``, least recently used first."""
+        return sorted(
+            (sid for sid in self.home if self.hierarchy._shard(sid).warm_bytes[bank] > 0),
+            key=lambda sid: (self.last_used[sid], sid),
+        )
+
     def expected_evictions(self, session_id, protected) -> list[EvictionRecord]:
         hierarchy = self.hierarchy
         exclude = set(protected) | {session_id}
@@ -259,10 +268,7 @@ class _LastUseOracle:
             if need <= home * _COLD_SNAP_REL:
                 continue
             headroom = hierarchy.bank_budget_bytes - occupancy[bank]
-            candidates = sorted(
-                (sid for sid in warm if sid not in exclude and warm[sid][bank] > 0),
-                key=lambda sid: (self.last_used[sid], sid),
-            )
+            candidates = [sid for sid in self.lru_order(bank) if sid not in exclude]
             freed = 0.0
             victims = []
             for sid in candidates:
@@ -275,32 +281,36 @@ class _LastUseOracle:
         return expected
 
 
+#: bounded banks under a random use history (touch / plan-and-apply / commit)
+_use_histories = dict(
+    num_banks=st.integers(min_value=1, max_value=8),
+    # banks hold several mean-sized shards: promotions need several
+    # victims, and a promoted-but-untouched session lands mid-bank
+    budget_shards=st.floats(min_value=0.5, max_value=8.0),
+    specs=st.lists(
+        st.tuples(
+            st.floats(min_value=1e6, max_value=1e9),  # offloaded
+            st.just(0.0),  # hot
+            st.integers(min_value=1, max_value=64),  # clusters
+            st.floats(min_value=0.0, max_value=1e6),  # hc tables
+        ),
+        min_size=3,
+        max_size=24,
+    ),
+    ops=st.lists(
+        st.tuples(
+            st.sampled_from(["touch", "promote", "commit"]),
+            st.integers(0, 23),
+            st.frozensets(st.integers(0, 23), max_size=3),
+        ),
+        min_size=8,
+        max_size=40,
+    ),
+)
+
+
 class TestOneEvictionPlan:
-    @given(
-        num_banks=st.integers(min_value=1, max_value=8),
-        # banks hold several mean-sized shards: promotions need several
-        # victims, and a promoted-but-untouched session lands mid-bank
-        budget_shards=st.floats(min_value=0.5, max_value=8.0),
-        specs=st.lists(
-            st.tuples(
-                st.floats(min_value=1e6, max_value=1e9),  # offloaded
-                st.just(0.0),  # hot
-                st.integers(min_value=1, max_value=64),  # clusters
-                st.floats(min_value=0.0, max_value=1e6),  # hc tables
-            ),
-            min_size=3,
-            max_size=24,
-        ),
-        ops=st.lists(
-            st.tuples(
-                st.sampled_from(["touch", "promote", "commit"]),
-                st.integers(0, 23),
-                st.frozensets(st.integers(0, 23), max_size=3),
-            ),
-            min_size=8,
-            max_size=40,
-        ),
-    )
+    @given(**_use_histories)
     def test_plans_are_pure_and_victims_leave_in_lru_order(
         self, num_banks, budget_shards, specs, ops
     ):
@@ -358,6 +368,37 @@ class TestOneEvictionPlan:
             gained = warm_bytes(hierarchy, session).sum() - warm[session].sum()
             assert gained == pytest.approx(plan.promoted_bytes, rel=1e-9, abs=1e-3)
             hierarchy.sanity_check()
+
+    @given(**_use_histories)
+    def test_recency_index_per_bank_is_the_oracle_lru_order(
+        self, num_banks, budget_shards, specs, ops
+    ):
+        """The one recency index, filtered by a bank's warm bytes, is the
+        order the oracle's scan walks that bank in — after registration and
+        after every touch, promotion and fetch commit."""
+        mean_shard = sum(spec[0] + spec[3] for spec in specs) / (len(specs) * num_banks)
+        hierarchy = _build((num_banks, budget_shards * mean_shard), specs)
+        oracle = _LastUseOracle(hierarchy, specs)
+
+        def assert_index_is_the_scan():
+            for bank in range(num_banks):
+                filtered = [
+                    sid for _, sid, shard in hierarchy._recency if shard.warm_bytes[bank] > 0
+                ]
+                assert filtered == oracle.lru_order(bank), bank
+
+        assert_index_is_the_scan()
+        for op, index, protected in ops:
+            session = index % len(specs)
+            if op == "promote":
+                hierarchy.promote(session, protected)
+            else:
+                oracle.use(session)  # a touch, or commit_fetch's touch
+                if op == "touch":
+                    hierarchy.touch(session)
+                else:
+                    hierarchy.commit_fetch(session, protected=protected)
+            assert_index_is_the_scan()
 
     def test_untouched_promotion_is_filed_between_older_and_newer_residents(self):
         """The admission path: a session promoted *before* it is touched.

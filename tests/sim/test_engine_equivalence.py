@@ -175,14 +175,13 @@ class TestEngineEquivalenceProperty:
             plane, config, system, profiles, traces, **kwargs
         )
         assert_runs_identical(reference, array)
-        if compute == "private":
-            # a private timeline's order is derived: check it against the
-            # order the reference loop's issue and link callbacks fired in
-            _, fired = _run_recording_reference_order(
-                plane, config, system, profiles, traces, **kwargs
-            )
-            groups = _event_order(array.timeline)
-            assert groups == [group for group in fired if group in set(groups)]
+        # a timeline's order is derived: check it against the order the
+        # reference loop's issue and link (or stage resolve) callbacks fired in
+        _, fired = _run_recording_reference_order(
+            plane, config, system, profiles, traces, **kwargs
+        )
+        groups = _event_order(array.timeline, compute == "timesliced")
+        assert groups == [group for group in fired if group in set(groups)]
 
 
 class TestEngineEquivalenceMemoryPlane:
@@ -347,23 +346,34 @@ class TestLatencyColumnEquivalence:
         assert column_sojourns.tolist() == list_sojourns
 
 
-def _event_order(timeline):
-    """A private run's timeline as ``(job name, event)`` groups, in order.
+def _event_order(timeline, timesliced):
+    """A run's timeline as ``(job name, event)`` groups, in order.
 
-    Vision, compute and DRE tasks belong to a job's issue event, a PCIe task
-    to its link grant; consecutive tasks of one event form one group.
+    A vision task belongs to a job's issue event.  Under private compute so
+    do its compute and DRE tasks, and a PCIe task belongs to its link grant;
+    under time-sliced compute the compute, DRE and PCIe tasks belong to the
+    stage's resolve.  Consecutive tasks of one event form one group.
     """
     groups = []
     for task in timeline.tasks:
-        group = (task.name, "link" if task.resource == "pcie" else "issue")
+        if task.resource.startswith("vision"):
+            event = "issue"
+        elif timesliced:
+            event = "resolve"
+        else:
+            event = "link" if task.resource == "pcie" else "issue"
+        group = (task.name, event)
         if not groups or groups[-1] != group:
             groups.append(group)
     return groups
 
 
 def _run_recording_reference_order(plane, config, system, profiles, traces, **kwargs):
-    """Run the reference loop, noting the order its issue and link callbacks fire in."""
+    """Run the reference loop, noting the order its issue and link callbacks
+    fire in, and (time-sliced) the order its stages resolve in."""
     from repro.hw.event import EventLoop
+    from repro.sim import scheduler
+    from repro.sim.batched import StageDriver
 
     fired = []
     schedule = EventLoop.schedule
@@ -380,16 +390,35 @@ def _run_recording_reference_order(plane, config, system, profiles, traces, **kw
 
         schedule(self, time_s, callback, priority, key)
 
+    class RecordingDriver(StageDriver):
+        """Notes each stage resolve, by stream, before the lifecycle takes it."""
+
+        __slots__ = ()
+
+        def __init__(self, core, loop, server, dre, link, on_finish):
+            def resolved(stream):
+                fired.append((stream, "resolve"))
+                on_finish(stream)
+
+            super().__init__(core, loop, server, dre, link, resolved)
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(EventLoop, "schedule", recording)
+        patch.setattr(scheduler, "StageDriver", RecordingDriver)
         result = ServingScheduler(plane, config, engine="reference").run(
             system, profiles, traces, **kwargs
         )
     table = result._table
-    return result, [
-        (f"s{table.session[job]}/{KIND_NAMES[table.kind[job]]}{table.index[job]}", event)
-        for job, event in fired
-    ]
+    staged = {}  # stream -> the job its last issue started
+    named = []
+    for ident, event in fired:
+        if event == "resolve":
+            job = staged[ident]
+        else:
+            job = staged[table.stream[ident]] = ident
+        name = f"s{table.session[job]}/{KIND_NAMES[table.kind[job]]}{table.index[job]}"
+        named.append((name, event))
+    return result, named
 
 
 def _patch_stages(monkeypatch, patch):
@@ -406,10 +435,11 @@ def _patch_stages(monkeypatch, patch):
 
 
 class TestInPlaceLinkGrants:
-    """Private link requests that no later request can precede are granted
-    at their issue event: fewer queued events, the same run.  The timeline
-    of such a run is derived, so it is checked against the order the
-    reference loop's issue and link callbacks actually fired in."""
+    """Link requests known at their issue event — private ones, and a
+    time-sliced V-Rex stage's — that no later request can precede are
+    granted there: fewer queued events, the same run.  The timeline of such
+    a run is derived, so it is checked against the order the reference
+    loop's issue and link (time-sliced: stage resolve) callbacks fired in."""
 
     @staticmethod
     def _run(monkeypatch, system, profiles, traces, plane=BatchLatencyModel, config=None, **kwargs):
@@ -422,7 +452,7 @@ class TestInPlaceLinkGrants:
         heappush = engine.heappush
 
         def counted_push(heap, entry):
-            if entry[2] & 7 == engine.C_LINK:
+            if entry[2] & 7 in (engine.C_LINK, engine.C_TSLINK):
                 links.append(entry)
             heappush(heap, entry)
 
@@ -435,12 +465,14 @@ class TestInPlaceLinkGrants:
             plane(), config, system, profiles, traces, **kwargs
         )
         assert_runs_identical(reference, array)
-        groups = _event_order(array.timeline)
+        groups = _event_order(array.timeline, config.compute == "timesliced")
         assert groups == [group for group in fired if group in set(groups)]
         grants = sum(1 for task in array.timeline.tasks if task.resource == "pcie")
         return len(links), grants
 
-    def _fleet_run(self, monkeypatch, system, plane=BatchLatencyModel, streams=6):
+    def _fleet_run(
+        self, monkeypatch, system, plane=BatchLatencyModel, streams=6, compute="private"
+    ):
         profiles = _fleet([10_000 + 7_000 * i for i in range(streams)])
         solo = BatchLatencyModel().frame_step(system, profiles[:1]).streams[0].total_s
         traces = PoissonArrivals(rate_hz=rate_for_load(1.2, solo, streams)).generate(
@@ -448,13 +480,14 @@ class TestInPlaceLinkGrants:
         )
         return self._run(
             monkeypatch, system, profiles, traces, plane,
-            SchedulerConfig(deadline_s=3.0 * solo, max_queue_depth=3),
+            SchedulerConfig(deadline_s=3.0 * solo, max_queue_depth=3, compute=compute),
             question_arrivals=[0.7 * float(trace[-1]) for trace in traces],
             answer_tokens=3,
         )  # fmt: skip
 
+    @pytest.mark.parametrize("compute", ["private", "timesliced"])
     @pytest.mark.parametrize("banks", [0, 2], ids=["no-memory", "2-banks"])
-    def test_vrex_queues_no_link_event(self, edge, banks, monkeypatch):
+    def test_vrex_queues_no_link_event(self, edge, banks, compute, monkeypatch):
         plane = (
             (lambda: BatchLatencyModel(
                 memory=ShardedKVHierarchy(num_banks=2, bank_budget_bytes=4.5 * 2**30)
@@ -462,7 +495,7 @@ class TestInPlaceLinkGrants:
             if banks
             else BatchLatencyModel
         )  # fmt: skip
-        queued, grants = self._fleet_run(monkeypatch, edge["V-Rex8"], plane)
+        queued, grants = self._fleet_run(monkeypatch, edge["V-Rex8"], plane, compute=compute)
         assert grants > 0
         assert queued == 0
 
@@ -478,11 +511,13 @@ class TestInPlaceLinkGrants:
         queued, grants = self._fleet_run(monkeypatch, edge["V-Rex8"])
         assert 0 < queued < grants
 
-    def test_queued_link_blocks_an_in_place_grant(self, edge, monkeypatch):
+    @pytest.mark.parametrize("compute", ["private", "timesliced"])
+    def test_queued_link_blocks_an_in_place_grant(self, edge, compute, monkeypatch):
         """Questions on the DRE (1 ms predictions) under a 3 ms bound set
         by generation tokens off it: four aligned questions grant 2 links
         in place and queue the requests at 3 and 4 ms; a fifth issued at
-        2.5 ms requests at 5 ms, under its bound, yet waits behind them."""
+        2.5 ms requests at 5 ms, under its bound, yet waits behind them
+        (time-sliced too: a V-Rex request is its prediction's end)."""
 
         def questions_on_generations_off(stream, stage_map):
             stage_map["question"].prediction_s = 1e-3
@@ -494,8 +529,9 @@ class TestInPlaceLinkGrants:
         traces = [[]] * 5
         questions = [0.0, 0.0, 0.0, 0.0, 2.5e-3]
         queued, grants = self._run(
-            monkeypatch, edge["V-Rex8"], _fleet([40_000] * 5), traces, question_arrivals=questions
-        )
+            monkeypatch, edge["V-Rex8"], _fleet([40_000] * 5), traces,
+            config=SchedulerConfig(compute=compute), question_arrivals=questions,
+        )  # fmt: skip
         assert (queued, grants) == (3, 5)
 
     def test_same_instant_issues_precede_links(self, edge, monkeypatch):
@@ -514,11 +550,22 @@ class TestInPlaceLinkGrants:
         )  # fmt: skip
         assert queued == grants == 3
 
-    def test_absorbed_dre_predictions_queue_their_links(self, edge, monkeypatch):
+    @pytest.mark.parametrize("compute", ["private", "timesliced"])
+    def test_absorbed_dre_predictions_queue_their_links(self, edge, compute, monkeypatch):
         """Near 2**41 s a 1 us DRE prediction rounds away: a question holding
         the DRE and two frames behind it all request the link at the DRE's
         ``free_at``, a tie the reference loop breaks by stream rank.  The
-        DRE bound sees ``free_at + 1 us == free_at`` and queues them."""
+        DRE bound sees ``free_at + 1 us == free_at`` and queues them.
+
+        Time-sliced, a slice end that rounds to the current instant lands
+        below the subkey just popped, which the armed array engine reports
+        as a pop-order fault with or without in-place grants, so that run is
+        unarmed; the reference loop's order is the oracle.
+        """
+        from repro.devtools.sanitizer import ENV_VAR
+
+        if compute == "timesliced":
+            monkeypatch.delenv(ENV_VAR, raising=False)
 
         def absorbed_frames(stream, stage_map):
             frame, question = stage_map["frame"], stage_map["question"]
@@ -532,23 +579,87 @@ class TestInPlaceLinkGrants:
         traces = [[start + 3 * ulp], [start + 2 * ulp], []]  # rank 0 issues last
         queued, grants = self._run(
             monkeypatch, edge["V-Rex8"], _fleet([40_000] * 3), traces,
-            question_arrivals=[None, None, start],
+            config=SchedulerConfig(compute=compute), question_arrivals=[None, None, start],
         )  # fmt: skip
         assert queued == grants == 3
 
+    @pytest.mark.parametrize("compute", ["private", "timesliced"])
     @pytest.mark.parametrize("system_name", ["AGX + InfiniGen", "AGX + FlexGen"])
-    def test_gpu_baseline_queues_every_grant(self, edge, system_name, monkeypatch):
+    def test_gpu_baseline_queues_every_grant(self, edge, system_name, compute, monkeypatch):
         """A GPU stage's own delay is at least the bound, so no grant is in
         place — also on FlexGen once its generation tokens (no prediction)
-        stop fetching and the serial frames and questions set the bound."""
+        stop fetching and the serial frames and questions set the bound.
+        A time-sliced GPU stage requests the link when the shared server
+        ends its prediction (or, serial, its compute), which no bound covers."""
         if system_name == "AGX + FlexGen":
 
             def generations_fetch_nothing(stream, stage_map):
                 stage_map["generation"].fetch_s = 0.0
 
             _patch_stages(monkeypatch, generations_fetch_nothing)
-        queued, grants = self._fleet_run(monkeypatch, edge[system_name])
+        queued, grants = self._fleet_run(monkeypatch, edge[system_name], compute=compute)
         assert queued == grants > 0
+
+    def test_dre_backlog_puts_the_link_request_after_the_compute(self, edge, monkeypatch):
+        """Three aligned questions queue 20 ms predictions on the DRE beside
+        2 ms of compute each, so each has its compute done before its link
+        request.  The array engine granted that request in place, at the
+        issue, yet resolves the stage at the request, as the reference
+        loop's link event does — after three frames issue at the end of
+        their 12 ms vision, not at the compute's end before them."""
+
+        def slow_predictions(stream, stage_map):
+            question = stage_map["question"]
+            question.on_dre, question.prediction_s, question.compute_s = True, 2e-2, 2e-3
+
+        _patch_stages(monkeypatch, slow_predictions)
+        config = SchedulerConfig(compute="timesliced")
+        run = (edge["V-Rex8"], _fleet([40_000] * 6), [[]] * 3 + [[0.0]] * 3)
+        questions = [0.0] * 3 + [None] * 3
+        queued, grants = self._run(monkeypatch, *run, config=config, question_arrivals=questions)
+        assert (queued, grants) == (0, 6)
+        tasks = ServingScheduler(BatchLatencyModel(), config).run(
+            *run, question_arrivals=questions
+        ).timeline.tasks
+        compute_end = {t.name: t.start_s + t.duration_s for t in tasks if t.resource == "compute"}
+        vision_end = max(t.start_s + t.duration_s for t in tasks if t.resource.startswith("vision"))
+        for task in tasks:
+            if task.resource == "pcie" and "question" in task.name:
+                assert compute_end[task.name] < vision_end < task.start_s
+
+    def test_stage_without_compute_resolves_at_its_request(self, edge, monkeypatch):
+        """A time-sliced V-Rex frame with no compute is done at its issue
+        and its link is granted there, in place: the stage still resolves
+        at its request, where the reference loop's link event is, after the
+        issues and vision ends that come between."""
+
+        def frames_without_compute(stream, stage_map):
+            stage_map["frame"].compute_s = 0.0
+
+        _patch_stages(monkeypatch, frames_without_compute)
+        queued, grants = self._run(
+            monkeypatch, edge["V-Rex8"], _fleet([40_000] * 3), [[0.0, 0.01], [0.0], [0.004]],
+            config=SchedulerConfig(compute="timesliced"),
+        )  # fmt: skip
+        assert (queued, grants) == (0, 4)
+
+    def test_compute_ending_at_the_request_resolves_after_that_instant(self, edge, monkeypatch):
+        """A time-sliced V-Rex question whose 2 ms compute ends exactly when
+        its 2 ms DRE prediction does: the reference loop takes the compute's
+        end first (a completion outranks a link event) and resolves the
+        stage at the link event, after a frame that issues at that instant."""
+
+        def equal_spans(stream, stage_map):
+            question, frame = stage_map["question"], stage_map["frame"]
+            question.on_dre, question.prediction_s, question.compute_s = True, 2e-3, 2e-3
+            frame.vision_s = 1e-3  # a frame arriving at 1 ms issues at 2 ms
+
+        _patch_stages(monkeypatch, equal_spans)
+        queued, grants = self._run(
+            monkeypatch, edge["V-Rex8"], _fleet([40_000] * 2), [[], [1e-3]],
+            config=SchedulerConfig(compute="timesliced"), question_arrivals=[0.0, None],
+        )  # fmt: skip
+        assert (queued, grants) == (0, 2)
 
     def test_zero_duration_instants_keep_event_order(self, edge, monkeypatch):
         """Zero-vision text chains behind frames that end at their vision:
