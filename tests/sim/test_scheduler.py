@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from repro.hw.memory.sharding import ShardedKVHierarchy
 from repro.sim.arrivals import (
     BurstyArrivals,
     DeterministicArrivals,
@@ -507,6 +509,72 @@ class TestGoldenRegression:
         )
         assert fleet.drop_rate == pytest.approx(expected["drop_rate"], rel=1e-12)
         assert result.makespan_s == pytest.approx(expected["makespan_s"], rel=1e-12)
+
+
+def _priced_rows(result):
+    """Every priced field of a run, one tuple per (stream, kind) in
+    ``b = stream * 3 + kind`` order.  A sharded fetch's two channel pricers
+    are read as their price of the stage's per-layer fetch bytes."""
+    for stage_map in result.energy_inputs.priced:
+        for kind in (FRAME_JOB, QUESTION_JOB, GENERATION_JOB):
+            s = stage_map[kind]
+            warm = cold = None
+            if s.warm_time_s is not None:
+                warm = s.warm_time_s(s.fetch_bytes_layer)
+                cold = s.cold_time_s(s.fetch_bytes_layer)
+            yield (
+                s.active, s.on_dre, s.overlaps, s.vision_s, s.compute_s, s.prediction_s,
+                s.fetch_s, s.fetch_bytes_layer, warm, cold, s.solo_warm_s, s.solo_cold_s,
+                s.tokens, s.flops, s.dram_bytes, s.solo_s,
+            )  # fmt: skip
+
+
+class TestPricedStagesPinned:
+    """sha256 of every value a run prices per (stream, kind), before any
+    job runs: ten systems, with and without a 2-bank memory plane, default
+    and per-stream question lengths.  A change to how the priced table is
+    built or stored must leave the digest unmoved; never re-pin it."""
+
+    KV_LENS = (0, 1, 10_000, 40_000, 60_000, 250_000)
+    #: per stream: ``None`` and ``0`` skip the question
+    QUESTION_TOKENS = (25, None, 0, 1, 300, 7)
+
+    @classmethod
+    def _profiles(cls):
+        measured = MeasuredRetrieval(sort_fraction=0.21, avg_tokens_per_cluster=16.5)
+        return [
+            StreamProfile(kv_len=kv, session_id=10 - i, measured=measured, frame_ratio=0.45)
+            if i % 2
+            else StreamProfile(kv_len=kv, session_id=10 - i)
+            for i, kv in enumerate(cls.KV_LENS)
+        ]
+
+    def test_priced_values_over_ten_systems(self, model_bytes):
+        systems = {**edge_systems(model_bytes), **server_systems(model_bytes)}
+        profiles = self._profiles()
+        digest = hashlib.sha256()
+        rows = 0
+        for name, system in systems.items():
+            for banks in (0, 2):
+                memory = (
+                    ShardedKVHierarchy(num_banks=2, bank_budget_bytes=4.5 * 2**30)
+                    if banks
+                    else None
+                )
+                for q_tokens in (None, list(self.QUESTION_TOKENS)):
+                    result = ServingScheduler(BatchLatencyModel(memory=memory)).run(
+                        system, profiles, [[]] * len(profiles), question_tokens=q_tokens
+                    )
+                    for b, row in enumerate(_priced_rows(result)):
+                        digest.update(repr((name, banks, q_tokens is None, b)).encode())
+                        for value in row:
+                            text = value.hex() if isinstance(value, float) else repr(value)
+                            digest.update(f"{type(value).__name__}:{text};".encode())
+                        rows += 1
+        assert (digest.hexdigest(), rows) == (
+            "974f6595ab54703054ac566ce91890438d30b6e206ff11bb17523dc83718f544",
+            10 * 2 * 2 * 3 * len(self.KV_LENS),
+        )
 
 
 class TestAdmissionControl:
