@@ -42,7 +42,6 @@ import numpy as np
 from repro.config import require_number
 from repro.devtools.sanitizer import ENERGY_CONSERVATION, SanitizerError, sanitize_enabled
 from repro.hw.energy import EnergyModel
-from repro.sim.jobtable import KIND_NAMES
 
 #: Joules per kilowatt-hour, for the $/1M-queries conversion.
 J_PER_KWH = 3.6e6
@@ -52,15 +51,15 @@ J_PER_KWH = 3.6e6
 class EnergyInputs:
     """What a scheduler run must retain for energy accounting.
 
-    ``priced`` is the run's per-(stream, kind) demand table (the same
-    object both engines scheduled from); ``dre_busy_s`` and
+    ``stages`` is the run's :class:`~repro.sim.scheduler.StageTable` (the
+    same object both engines scheduled from); ``dre_busy_s`` and
     ``link_busy_s`` are the in-run O(1) busy accumulators, captured in
     grant order — both engines dispatch the identical event sequence, so
     the sums are bit-identical across them.
     """
 
     device: object  # DeviceSpec
-    priced: list  # list[dict[str, _PricedStage]]
+    stages: object  # StageTable
     dre_busy_s: float = 0.0
     link_busy_s: float = 0.0
 
@@ -216,17 +215,17 @@ def schedule_energy(
 
     # served jobs' (tokens, flops, DRAM bytes, LXE busy) in sorted record
     # order, summed by a strict left fold (``np.add.accumulate``, not the
-    # pairwise ``np.sum``): equal columns give bit-identical sums
-    demands = []  # per (stream, kind code)
-    for stages in inputs.priced:
-        for kind in KIND_NAMES:
-            s = stages[kind]
-            busy = s.vision_s + s.compute_s + (0.0 if s.on_dre else s.prediction_s)
-            demands.append((s.tokens, s.flops, s.dram_bytes, busy) if s.active else (0,) * 4)
+    # pairwise ``np.sum``): equal columns give bit-identical sums; a row
+    # a stream skips is all zeros
+    stages = inputs.stages
+    busy = (
+        np.asarray(stages.vision_s) + stages.compute_s
+        + np.where(stages.on_dre, 0.0, stages.prediction_s)
+    )  # fmt: skip
+    demands = np.column_stack((stages.tokens, stages.flops, stages.dram_bytes, busy))
     columns = result.columns
     served_mask = ~columns.dropped
-    code = columns.stream[served_mask] * len(KIND_NAMES) + columns.kind[served_mask]
-    jobs = np.array(demands, dtype=float)[code]
+    jobs = demands[columns.stream[served_mask] * 3 + columns.kind[served_mask]]
     totals = np.add.accumulate(np.vstack((np.zeros(4), jobs)))[-1]
     tokens, flops, dram_bytes, lxe_busy = totals.tolist()
 

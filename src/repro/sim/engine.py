@@ -33,6 +33,10 @@ preallocated structures:
   every grant;
 * the shared DRE and PCIe link are each a single ``free_at`` float (the
   whole mutable state of a work-conserving FCFS server);
+* a job's demands are row ``b = stream * 3 + kind`` of the run's one
+  :class:`~repro.sim.scheduler.StageTable`, whose column lists the engine
+  binds once and indexes per event — the same table the reference loop,
+  the lifecycle, the timeline and the energy post-pass read;
 * a stage's sharded fetch is priced once per distinct residency split:
   ``C_ISSUE`` keeps the stage's last split and its makespan and reuses it
   while the split is value-equal — steady state in memory-bound runs,
@@ -99,13 +103,7 @@ from repro.sim.batched import (
     TS_PREDICT,
     StageCore,
 )
-from repro.sim.jobtable import (
-    ADM_BACKLOG,
-    ADM_DEFER,
-    ADM_EVICT,
-    KIND_NAMES,
-    JobTable,
-)
+from repro.sim.jobtable import ADM_BACKLOG, ADM_DEFER, ADM_EVICT, JobTable
 from repro.sim.energy import EnergyInputs
 from repro.sim.scheduler import (
     DEFER,
@@ -120,7 +118,9 @@ from repro.sim.scheduler import (
 C_ISSUE, C_LINK, C_FINISH, C_SLICE, C_TSLINK, C_RESOLVE = 0, 1, 2, 3, 4, 5
 
 
-def _job_lifecycle(ctx: _RunContext, table: JobTable, server, stages: StageCore, schedule_issue):
+def _job_lifecycle(
+    ctx: _RunContext, table: JobTable, server, stage_core: StageCore, schedule_issue
+):
     """The one job lifecycle of a run, over ``table``'s job ids.
 
     A submitted job passes the depth bound and the admission rule, then
@@ -131,8 +131,9 @@ def _job_lifecycle(ctx: _RunContext, table: JobTable, server, stages: StageCore,
     ``schedule_issue(job, t)``, at the end of its vision time.  Finishing
     records it, passes the slot to the next queued job and chains the next
     generation job by id.  ``server`` (anything with ``backlog_s()``) is the
-    compute backlog admission reads; ``stages`` is the engine's
-    time-sliced stage core.
+    compute backlog admission reads; ``stage_core`` is the engine's
+    time-sliced stage core.  A job's demands are row ``b = stream * 3 +
+    kind`` of the run's :class:`~repro.sim.scheduler.StageTable`.
 
     Returns ``(submit, finish, resolved, fetch_split, close)``:
     ``resolved(job, s)`` takes time-sliced stage ``s``'s outcome for ``job``
@@ -146,7 +147,7 @@ def _job_lifecycle(ctx: _RunContext, table: JobTable, server, stages: StageCore,
     collector.
     """
     cfg = ctx.config
-    priced = ctx.priced
+    stages = ctx.stages
     memory = ctx.memory
     answers = ctx.answers
     max_depth = cfg.max_queue_depth
@@ -167,10 +168,8 @@ def _job_lifecycle(ctx: _RunContext, table: JobTable, server, stages: StageCore,
     pcie_wait = table.pcie_wait
     dre_wait = table.dre_wait
     record = table.records.append
-    # per-(stream, kind) stage columns, b = stream * 3 + kind
-    stage_list = [stage_map[kind] for stage_map in priced for kind in KIND_NAMES]
-    st_active = [stage.active for stage in stage_list]
-    st_vision = [stage.vision_s for stage in stage_list]
+    st_active = stages.active
+    st_vision = stages.vision_s
 
     # stream pipeline slots: lane s of one ring, whose internals the
     # closures inline (a push or pop is two list stores); busy flags
@@ -221,7 +220,8 @@ def _job_lifecycle(ctx: _RunContext, table: JobTable, server, stages: StageCore,
         if admission_rule:
             decision = admission_decision(
                 ctx,
-                priced[s][KIND_NAMES[kinds[job]]],
+                stages,
+                s * 3 + kinds[job],
                 session_ids[s],
                 ring_depth[s] + (1 if held else 0),
                 server.backlog_s(),
@@ -291,17 +291,17 @@ def _job_lifecycle(ctx: _RunContext, table: JobTable, server, stages: StageCore,
             submit(chained, t)
 
     def resolved(job: int, s: int) -> float:
-        compute_wait[job] = stages.compute_wait_s[s]
-        pcie_wait[job] = stages.pcie_wait_s[s]
-        dre_wait[job] = stages.dre_wait_s[s]
+        compute_wait[job] = stage_core.compute_wait_s[s]
+        pcie_wait[job] = stage_core.pcie_wait_s[s]
+        dre_wait[job] = stage_core.dre_wait_s[s]
         # the timeline's sources (one compute span per job on the shared lane)
-        table.compute_submit.append(stages.compute_submit_s[s])
-        table.compute_finish.append(stages.compute_finish_s[s])
-        table.prediction_end.append(stages.prediction_end_s[s])
-        table.transfer_start.append(stages.transfer_start_s[s])
-        table.fetch_s.append(stages.fetch_s[s])
+        table.compute_submit.append(stage_core.compute_submit_s[s])
+        table.compute_finish.append(stage_core.compute_finish_s[s])
+        table.prediction_end.append(stage_core.prediction_end_s[s])
+        table.transfer_start.append(stage_core.transfer_start_s[s])
+        table.fetch_s.append(stage_core.fetch_s[s])
         table.stage_log.append(job << 1 | 1)
-        return stages.finish_s[s]
+        return stage_core.finish_s[s]
 
     def fetch_split(s: int, t: float):
         split = memory.commit_fetch(session_ids[s], protected=busy)
@@ -325,7 +325,7 @@ def _job_lifecycle(ctx: _RunContext, table: JobTable, server, stages: StageCore,
     return submit, finish, resolved, fetch_split, close
 
 
-def _in_place_link_delays(is_vrex: bool, timesliced: bool, priced) -> tuple[float, float]:
+def _in_place_link_delays(is_vrex: bool, timesliced: bool, stages) -> tuple[float, float]:
     """``(dre, direct)``: the least issue-to-link-request delays of a run.
 
     A later request comes no earlier than the FCFS DRE's ``free_at`` plus
@@ -341,15 +341,19 @@ def _in_place_link_delays(is_vrex: bool, timesliced: bool, priced) -> tuple[floa
     if timesliced and not is_vrex:
         return float("-inf"), float("-inf")
     dre = direct = float("inf")
-    for stage in (stage for stage_map in priced for stage in stage_map.values()):
-        if not stage.active or (stage.fetch_s <= 0.0 and stage.fetch_bytes_layer <= 0.0):
+    rows = zip(
+        stages.active, stages.fetch_s, stages.demand, stages.on_dre, stages.overlaps,
+        stages.prediction_s, stages.compute_s,
+    )  # fmt: skip
+    for active, fetch_s, demand, on_dre, overlaps, prediction_s, compute_s in rows:
+        if not active or (fetch_s <= 0.0 and demand is None):
             continue  # never requests the link (a sharded fetch prices its bytes)
-        if is_vrex and stage.on_dre and stage.prediction_s > 0.0:
-            dre = min(dre, stage.prediction_s)
-        elif is_vrex or stage.overlaps:
-            direct = min(direct, stage.prediction_s)
+        if is_vrex and on_dre and prediction_s > 0.0:
+            dre = min(dre, prediction_s)
+        elif is_vrex or overlaps:
+            direct = min(direct, prediction_s)
         else:
-            direct = min(direct, max(stage.prediction_s, stage.compute_s))
+            direct = min(direct, max(prediction_s, compute_s))
     return dre, direct
 
 
@@ -363,7 +367,7 @@ def run_array(ctx: _RunContext) -> ScheduleResult:
     memory = ctx.memory
     is_vrex = ctx.is_vrex
     num_layers = ctx.num_layers
-    priced = ctx.priced
+    stages = ctx.stages
     timesliced = cfg.compute == "timesliced"
     quantum = cfg.quantum_s
 
@@ -375,7 +379,7 @@ def run_array(ctx: _RunContext) -> ScheduleResult:
     san_last = (float("-inf"), -(1 << 62))
 
     session_ids = [profile.session_id for profile in profiles]
-    table = JobTable(traces, question_arrivals, ctx.answers, session_ids, timesliced, priced)
+    table = JobTable(traces, question_arrivals, ctx.answers, session_ids, timesliced, stages)
     num_jobs = table.num_jobs
 
     streams = table.streams
@@ -384,31 +388,17 @@ def run_array(ctx: _RunContext) -> ScheduleResult:
     j_pcie = table.pcie_wait
     j_dre = table.dre_wait
 
-    # flattened per-(stream, kind) stage columns, b = stream * 3 + kind
-    st_on_dre: list = []
-    st_overlaps: list = []
-    st_vision: list = []
-    st_compute: list = []
-    st_pred: list = []
-    st_fetch: list = []
-    st_fbytes: list = []
-    st_warm: list = []
-    st_cold: list = []
-    for stage_map in priced:
-        for kind_name in KIND_NAMES:
-            stage = stage_map[kind_name]
-            st_on_dre.append(stage.on_dre)
-            st_overlaps.append(stage.overlaps)
-            st_vision.append(stage.vision_s)
-            st_compute.append(stage.compute_s)
-            st_pred.append(stage.prediction_s)
-            st_fetch.append(stage.fetch_s)
-            st_fbytes.append(stage.fetch_bytes_layer)
-            st_warm.append(stage.warm_time_s)
-            st_cold.append(stage.cold_time_s)
+    # the stage table's columns, b = stream * 3 + kind
+    st_on_dre = stages.on_dre
+    st_overlaps = stages.overlaps
+    st_vision = stages.vision_s
+    st_compute = stages.compute_s
+    st_pred = stages.prediction_s
+    st_fetch = stages.fetch_s
+    st_demand = stages.demand
     # per stage: the split its last sharded fetch saw, and that fetch's price
-    st_split: list = [None] * len(st_fbytes)
-    st_fetch_sharded = [0.0] * len(st_fbytes)
+    st_split: list = [None] * len(st_demand)
+    st_fetch_sharded = [0.0] * len(st_demand)
 
     # packed subkey bases: rank of (session_id, stream) in the run's sorted
     # key set makes integer subkey order == the EventLoop's tuple order
@@ -482,7 +472,7 @@ def run_array(ctx: _RunContext) -> ScheduleResult:
         j_fetch = table.fetch_s
         j_request = table.request
         j_transfer = table.transfer_start
-    dre_delay, direct_delay = _in_place_link_delays(is_vrex, timesliced, priced)
+    dre_delay, direct_delay = _in_place_link_delays(is_vrex, timesliced, stages)
     link_name = ctx.device.link.config.name
     link_last = float("-inf")  # sanitizer: the last link request granted
     links_queued = 0
@@ -539,15 +529,15 @@ def run_array(ctx: _RunContext) -> ScheduleResult:
     # codes (the DRE is granted at C_ISSUE, the link at C_TSLINK); the
     # other decisions are applied here, in bit order
     # ------------------------------------------------------------------ #
-    stages = StageCore(is_vrex, num_streams)
-    ts_issued = stages.issued
-    ts_prediction_done = stages.prediction_done
-    ts_compute_done = stages.compute_done
-    ts_link_granted = stages.link_granted
-    ts_compute = stages.compute_s
-    ts_prediction = stages.prediction_s
-    ts_fetch = stages.fetch_s
-    ts_request = stages.request_s
+    stage_core = StageCore(is_vrex, num_streams)
+    ts_issued = stage_core.issued
+    ts_prediction_done = stage_core.prediction_done
+    ts_compute_done = stage_core.compute_done
+    ts_link_granted = stage_core.link_granted
+    ts_compute = stage_core.compute_s
+    ts_prediction = stage_core.prediction_s
+    ts_fetch = stage_core.fetch_s
+    ts_request = stage_core.request_s
 
     def ts_apply(job: int, s: int, decision: int) -> None:
         nonlocal seq, links_queued
@@ -584,7 +574,7 @@ def run_array(ctx: _RunContext) -> ScheduleResult:
         seq += 1
 
     submit, finish, resolved, fetch_split, close = _job_lifecycle(
-        ctx, table, server, stages, schedule_issue
+        ctx, table, server, stage_core, schedule_issue
     )
 
     # ------------------------------------------------------------------ #
@@ -669,12 +659,15 @@ def run_array(ctx: _RunContext) -> ScheduleResult:
             b = s * 3 + kinds[job]
             # per-job fetch at the session's current residency, re-priced
             # only when the split moved (equal fractions price equal fetches)
-            if memory is not None and st_fbytes[b] > 0.0:
+            demand = st_demand[b]
+            if demand is not None:
                 split = fetch_split(s, now)
                 if split != st_split[b]:
                     st_split[b] = split
                     st_fetch_sharded[b] = (
-                        sharded_fetch_makespan(st_fbytes[b], split, st_warm[b], st_cold[b])
+                        sharded_fetch_makespan(
+                            demand.fetch_bytes, split, demand.warm_time_s, demand.cold_time_s
+                        )
                         * num_layers
                     )
                 fetch = st_fetch_sharded[b]
@@ -818,7 +811,7 @@ def run_array(ctx: _RunContext) -> ScheduleResult:
         table=table,
         energy_inputs=EnergyInputs(
             device=ctx.system.device,
-            priced=priced,
+            stages=stages,
             dre_busy_s=dre_busy,
             link_busy_s=link_busy,
         ),

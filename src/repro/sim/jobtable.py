@@ -76,13 +76,13 @@ class JobTable:
     }
 
     def __init__(
-        self, traces, question_arrivals, answers, session_ids, timesliced=False, priced=None
+        self, traces, question_arrivals, answers, session_ids, timesliced=False, stages=None
     ):
         self._sanitize = sanitize_enabled()
         self.timesliced = timesliced
-        #: the run's per-stream ``{kind name: priced stage}`` maps (the
-        #: stage times a timeline derives the interval shapes from)
-        self.priced = priced
+        #: the run's :class:`~repro.sim.scheduler.StageTable` (the stage
+        #: times a timeline derives the interval shapes from)
+        self.stages = stages
         num_streams = len(session_ids)
         self.num_streams = num_streams
         # fully vectorized layout: per stream its frames, then its question,
@@ -331,13 +331,14 @@ class JobTable:
         """
         src = self.timeline_source
         job = src["job"]  # the served jobs; positions below index their record order
-        per_stage = [
-            (s.active, s.on_dre and s.prediction_s > 0.0, s.vision_s, s.compute_s, s.prediction_s,
-             s.fetch_s) for stage_map in self.priced for s in map(stage_map.get, KIND_NAMES)
-        ]  # fmt: skip
-        active, dre, vision, compute, prediction, priced_fetch = (
-            np.array(per_stage, dtype=float).reshape(-1, 6)[self.stream[job] * 3 + self.kind[job]].T
-        )
+        stages = self.stages
+        b = self.stream[job] * 3 + self.kind[job]
+        active, on_dre, vision, compute, prediction, priced_fetch = (
+            np.asarray(column)[b]
+            for column in (stages.active, stages.on_dre, stages.vision_s, stages.compute_s,
+                           stages.prediction_s, stages.fetch_s)
+        )  # fmt: skip
+        dre = on_dre & (prediction > 0.0)
         start = src["start"]
         if self.timesliced:
             position = np.zeros(self.num_jobs, dtype=np.int64)
@@ -351,7 +352,7 @@ class JobTable:
             dre_span = (predicted - prediction, prediction)
             link_shown = fetch > 0.0
         else:
-            issued = np.flatnonzero(active > 0.0)
+            issued = np.flatnonzero(active)
             linked = issued[priced_fetch[issued] > 0.0]
             log = np.concatenate((issued << 1, linked << 1 | 1))
             at, link = log >> 1, log & 1
@@ -367,7 +368,7 @@ class JobTable:
         groups = (
             (TL_VISION, 0, vision > 0.0, start, vision),
             (TL_COMPUTE, int(self.timesliced), compute > 0.0, *compute_span),
-            (TL_DRE, int(self.timesliced), dre > 0.0, *dre_span),
+            (TL_DRE, int(self.timesliced), dre, *dre_span),
             (TL_PCIE, 1, link_shown, transfer, fetch),
         )
         at, event = log >> 1, log & 1

@@ -21,7 +21,9 @@ misses), not a single makespan.
   (:func:`repro.sim.engine._job_lifecycle`);
 * each job's demands are read once per stream and stage from the plane's
   demand table (:meth:`BatchLatencyModel._stream_demands`) — exactly the
-  pricing the contended batched plane uses;
+  pricing the contended batched plane uses — into one :class:`StageTable`
+  of per-(stream, kind) columns that both engines, the timeline and the
+  energy post-pass read;
 * ReSV prediction jobs serialize FCFS on the shared DRE and KV-fetch
   transfers on the shared PCIe link
   (:class:`repro.hw.memory.pcie.PCIeLinkQueue`), through the *same*
@@ -186,6 +188,11 @@ class SchedulerConfig:
                 "admission='energy' requires an energy_budget_j_per_token"
             )
         if self.energy_budget_j_per_token is not None:
+            if self.admission != "energy":
+                raise ValueError(
+                    "energy_budget_j_per_token is read only by admission='energy', "
+                    f"not admission={self.admission!r}"
+                )
             require_number(
                 "energy_budget_j_per_token", self.energy_budget_j_per_token, exclusive=True
             )
@@ -529,48 +536,53 @@ class ScheduleResult(RecordViews):
         return schedule_energy(self, self.energy_inputs, model=model)
 
 
-@dataclass
-class _PricedStage:
-    """One stream's per-job demands for one job kind, priced once.
+class StageTable:
+    """Every stream's per-job demands, priced once, one list per field.
 
-    ``fetch_s`` carries the fetch priced at the stream's *registration*
-    residency; with a memory plane the per-job fetch is re-priced at issue
-    time from the session's current shard split via ``fetch_bytes_layer``
-    and the warm/cold channel pricers.  ``solo_warm_s`` / ``solo_cold_s``
+    Row ``b = stream * 3 + kind`` (the kind codes of
+    :data:`~repro.sim.jobtable.KIND_NAMES`) holds one stream's demands for
+    one job kind; a kind the stream skips is an inactive row of zeros.  The
+    engines index the columns once per event, so they are plain lists;
+    vectorized readers take ``np.asarray`` of the columns they read.
+
+    ``fetch_s`` is the fetch priced at the stream's *registration*
+    residency.  With a memory plane the per-job fetch is re-priced at issue
+    time from the session's current shard split through ``demand``: the
+    row's demand-table entry, whose per-layer ``fetch_bytes`` and
+    ``warm_time_s`` / ``cold_time_s`` channel pricers
+    :func:`~repro.hw.memory.sharding.sharded_fetch_makespan` reads (``None``
+    when the stage has no sharded fetch).  ``solo_warm_s`` / ``solo_cold_s``
     bracket the job's no-queueing latency between a fully-promoted and a
-    fully-demoted shard set — the admission controller's estimate inputs.
+    fully-demoted shard set — the residency admission's estimate inputs.
 
     ``tokens`` / ``flops`` / ``dram_bytes`` are the job's useful-work and
-    traffic totals (vision included for frames), consumed by the energy
-    plane's post-pass; ``solo_s`` is the no-queueing latency at the
-    registration residency, the energy admission policy's sojourn
-    primitive.
+    traffic totals (vision included for frames), read by the energy
+    post-pass; ``solo_s`` is the no-queueing latency at the registration
+    residency, the energy admission policy's sojourn primitive.
     """
 
-    active: bool
-    on_dre: bool
-    overlaps: bool
-    vision_s: float
-    compute_s: float
-    prediction_s: float
-    fetch_s: float
-    fetch_bytes_layer: float = 0.0
-    warm_time_s: object = None
-    cold_time_s: object = None
-    solo_warm_s: float = 0.0
-    solo_cold_s: float = 0.0
-    tokens: int = 0
-    flops: float = 0.0
-    dram_bytes: float = 0.0
-    solo_s: float = 0.0
+    __slots__ = (
+        "active", "on_dre", "overlaps", "vision_s", "compute_s", "prediction_s", "fetch_s",
+        "demand", "solo_warm_s", "solo_cold_s", "tokens", "flops", "dram_bytes", "solo_s",
+    )  # fmt: skip
+
+    def __init__(self, rows: int):
+        for name in self.__slots__:  # all zeros; flags, entries and counts retyped below
+            setattr(self, name, [0.0] * rows)
+        self.active = [False] * rows
+        self.on_dre = [False] * rows
+        self.overlaps = [False] * rows
+        self.demand = [None] * rows
+        self.tokens = [0] * rows
 
 
 @dataclass
 class _RunContext:
     """One validated, fully priced scheduler run, ready for an engine.
 
-    Both engines consume the same context, so any divergence between them
-    is an event-mechanics bug, never a pricing one.
+    Both engines consume the same context — ``stages`` is the run's one
+    :class:`StageTable` — so any divergence between them is an
+    event-mechanics bug, never a pricing one.
     """
 
     plane: BatchLatencyModel
@@ -584,7 +596,7 @@ class _RunContext:
     is_vrex: bool
     num_layers: int
     memory: ShardedKVHierarchy | None
-    priced: list[dict[str, _PricedStage]]
+    stages: StageTable
     #: run-constant baseline / IO power rates the energy policy's
     #: marginal-J/token estimate charges
     baseline_w: float = 0.0
@@ -593,7 +605,8 @@ class _RunContext:
 
 def admission_decision(
     ctx: _RunContext,
-    stage: _PricedStage,
+    stages: StageTable,
+    b: int,
     session: int,
     backlog_jobs: int,
     compute_backlog_s: float,
@@ -601,8 +614,9 @@ def admission_decision(
 ) -> str:
     """Admit, evict-then-admit or defer one arriving job: the one rule.
 
-    Both engines call this from ``submit`` under ``admission="residency"``
-    or ``"energy"`` with their own reads of the queue state:
+    The job's demands are row ``b`` of ``stages``.  Both engines call this
+    from ``submit`` under ``admission="residency"`` or ``"energy"`` with
+    their own reads of the queue state:
     ``backlog_jobs`` is the stream's own backlog (queued plus in flight),
     ``compute_backlog_s`` the shared compute backlog the job would join
     (timesliced policy only, else 0) and ``protected`` the sessions with a
@@ -621,28 +635,31 @@ def admission_decision(
     the full-load IO power over its fetch, per useful token, and defers
     above ``energy_budget_j_per_token``.
 
-    A job with nothing to estimate (inactive stage; no off-chip fetch
-    bytes, resp. no tokens) always admits.
+    A job with nothing to estimate (inactive row; no sharded fetch,
+    resp. no tokens) always admits.
     """
     cfg = ctx.config
-    if not stage.active:
+    if not stages.active[b]:
         return ADMIT
     if cfg.admission == "energy":
-        if stage.tokens <= 0:
+        tokens = stages.tokens[b]
+        if tokens <= 0:
             return ADMIT
-        sojourn = backlog_jobs * stage.solo_s + compute_backlog_s + stage.solo_s
-        marginal = (ctx.baseline_w * sojourn + ctx.io_w * stage.fetch_s) / stage.tokens
+        solo = stages.solo_s[b]
+        sojourn = backlog_jobs * solo + compute_backlog_s + solo
+        marginal = (ctx.baseline_w * sojourn + ctx.io_w * stages.fetch_s[b]) / tokens
         return DEFER if marginal > cfg.energy_budget_j_per_token else ADMIT
-    if stage.fetch_bytes_layer <= 0:
+    if stages.demand[b] is None:
         return ADMIT
     memory = ctx.memory
+    warm = stages.solo_warm_s[b]
     cold_frac = memory.cold_fraction(session)
-    own = stage.solo_warm_s + cold_frac * (stage.solo_cold_s - stage.solo_warm_s)
-    estimate = backlog_jobs * stage.solo_warm_s + compute_backlog_s + own
+    own = warm + cold_frac * (stages.solo_cold_s[b] - warm)
+    estimate = backlog_jobs * warm + compute_backlog_s + own
     if estimate <= cfg.deadline_s:
         return ADMIT
     if cold_frac > 0.0:
-        warm_estimate = (backlog_jobs + 1) * stage.solo_warm_s + compute_backlog_s
+        warm_estimate = (backlog_jobs + 1) * warm + compute_backlog_s
         if warm_estimate > cfg.deadline_s:
             return DEFER  # not even a full promotion would save it
         plan = memory.plan_promotion(session, protected)
@@ -824,9 +841,6 @@ class ServingScheduler:
         device = base.device_for(system)
         is_vrex = isinstance(device, VRexAccelerator)
         num_layers = base.llm.model.num_layers
-        vision_each, vision_cost = base._vision_time(system, 1)
-        frame_overlaps = system.policy.overlap_fetch  # FRAME_STAGE rule
-
         memory = self.plane._memory_for(system, profiles)
         if self.config.admission == "residency" and memory is None:
             raise ValueError(
@@ -842,17 +856,7 @@ class ServingScheduler:
             baseline_w = spec.power_w
             io_w = 0.0
 
-        priced = self._priced_stages(
-            system,
-            profiles,
-            q_tokens,
-            memory,
-            is_vrex,
-            num_layers,
-            vision_each,
-            vision_cost,
-            frame_overlaps,
-        )
+        stages = self._priced_stages(system, profiles, q_tokens, memory, is_vrex, num_layers)
         ctx = _RunContext(
             plane=self.plane,
             config=self.config,
@@ -865,7 +869,7 @@ class ServingScheduler:
             is_vrex=is_vrex,
             num_layers=num_layers,
             memory=memory,
-            priced=priced,
+            stages=stages,
             baseline_w=baseline_w,
             io_w=io_w,
         )
@@ -886,81 +890,60 @@ class ServingScheduler:
         memory: ShardedKVHierarchy | None,
         is_vrex: bool,
         num_layers: int,
-        vision_each: float,
-        vision_cost,
-        frame_overlaps: bool,
-    ) -> list[dict[str, _PricedStage]]:
+    ) -> StageTable:
+        """The run's stage table, one pass per job kind off the plane's demand table."""
         plane = self.plane
-
-        def price(q_lens, stage: str, vision_s: float, overlaps: bool, vision_work=None) -> list[_PricedStage]:
-            """One job kind's priced stage per stream, off the plane's demand table."""
+        num_streams = len(profiles)
+        vision_each, vision_cost = plane.base._vision_time(system, 1)
+        frame_overlaps = system.policy.overlap_fetch  # FRAME_STAGE rule
+        stages = StageTable(3 * num_streams)
+        jobs = (  # per kind code: (q_lens, stage, vision_s, overlaps, vision work)
+            ([plane.base.llm.model.tokens_per_frame] * num_streams, FRAME_STAGE, vision_each,
+             frame_overlaps, vision_cost),
+            (q_tokens, FRAME_STAGE, 0.0, frame_overlaps, None),
+            ([1] * num_streams, GENERATION_STAGE, 0.0, True, None),
+        )  # fmt: skip
+        for kind, (q_lens, stage, vision_s, overlaps, vision_work) in enumerate(jobs):
             demands = plane._stream_demands(system, profiles, q_lens, stage, memory)
-            stages = []
-            for profile, (entry, fetch_layer), q_len in zip(profiles, demands, q_lens, strict=True):
+            stages.overlaps[kind::3] = [overlaps] * num_streams
+            rows = zip(range(kind, 3 * num_streams, 3), profiles, demands, q_lens, strict=True)
+            for b, profile, (entry, fetch_layer), q_len in rows:
                 if entry is None:
-                    stages.append(_PricedStage(False, False, overlaps, 0.0, 0.0, 0.0, 0.0))
                     continue
                 compute_s = entry.compute_layer_s * num_layers
                 prediction_s = entry.prediction_layer_s * num_layers
+                fetch_s = fetch_layer * num_layers
                 flops = entry.compute_cost.flops * num_layers
                 dram_bytes = entry.compute_cost.dram_bytes * num_layers
                 if vision_work is not None:
                     flops += vision_work.flops
                     dram_bytes += vision_work.dram_bytes
-                priced_stage = _PricedStage(
-                    active=True,
-                    on_dre=entry.on_dre,
-                    overlaps=overlaps,
-                    vision_s=vision_s,
-                    compute_s=compute_s,
-                    prediction_s=prediction_s,
-                    fetch_s=fetch_layer * num_layers,
-                    tokens=int(q_len),
-                    flops=flops,
-                    dram_bytes=dram_bytes,
-                )
+                stages.active[b] = True
+                stages.on_dre[b] = entry.on_dre
+                stages.vision_s[b] = vision_s
+                stages.compute_s[b] = compute_s
+                stages.prediction_s[b] = prediction_s
+                stages.fetch_s[b] = fetch_s
+                stages.tokens[b] = int(q_len)
+                stages.flops[b] = flops
+                stages.dram_bytes[b] = dram_bytes
                 # the admission controller's no-queueing estimates: waits are
                 # estimated separately from the backlog the job would join
-                priced_stage.solo_s = vision_s + overlap_latency(
-                    is_vrex, overlaps, compute_s, prediction_s, priced_stage.fetch_s
-                )
+                solo = [(stages.solo_s, fetch_s)]
                 if memory is not None and entry.fetch_bytes > 0:
-                    priced_stage.fetch_bytes_layer = entry.fetch_bytes
-                    priced_stage.warm_time_s = entry.warm_time_s
-                    priced_stage.cold_time_s = entry.cold_time_s
-                    warm_fetch = (
-                        sharded_fetch_makespan(
-                            entry.fetch_bytes,
-                            memory.home_split(profile.session_id),
-                            entry.warm_time_s,
-                            entry.cold_time_s,
-                        )
-                        * num_layers
+                    stages.demand[b] = entry
+                    home = memory.home_split(profile.session_id)
+                    warm, cold = entry.warm_time_s, entry.cold_time_s
+                    solo.append(
+                        (stages.solo_warm_s,
+                         sharded_fetch_makespan(entry.fetch_bytes, home, warm, cold) * num_layers)
+                    )  # fmt: skip
+                    solo.append((stages.solo_cold_s, cold(entry.fetch_bytes) * num_layers))
+                for column, fetch in solo:
+                    column[b] = vision_s + overlap_latency(
+                        is_vrex, overlaps, compute_s, prediction_s, fetch
                     )
-                    cold_fetch = entry.cold_time_s(entry.fetch_bytes) * num_layers
-                    priced_stage.solo_warm_s = vision_s + overlap_latency(
-                        is_vrex, overlaps, compute_s, prediction_s, warm_fetch
-                    )
-                    priced_stage.solo_cold_s = vision_s + overlap_latency(
-                        is_vrex, overlaps, compute_s, prediction_s, cold_fetch
-                    )
-                stages.append(priced_stage)
-            return stages
-
-        num_streams = len(profiles)
-        frames = price(
-            [plane.base.llm.model.tokens_per_frame] * num_streams,
-            FRAME_STAGE,
-            vision_each,
-            frame_overlaps,
-            vision_work=vision_cost,
-        )
-        questions = price(q_tokens, FRAME_STAGE, 0.0, frame_overlaps)
-        generations = price([1] * num_streams, GENERATION_STAGE, 0.0, True)
-        return [
-            {FRAME_JOB: frame, QUESTION_JOB: question, GENERATION_JOB: generation}
-            for frame, question, generation in zip(frames, questions, generations, strict=True)
-        ]
+        return stages
 
     # ------------------------------------------------------------------ #
     # the reference engine (executable spec of the event mechanics)
@@ -974,7 +957,7 @@ class ServingScheduler:
         is_vrex = ctx.is_vrex
         num_layers = ctx.num_layers
         memory = ctx.memory
-        priced = ctx.priced
+        stages = ctx.stages
         num_streams = len(profiles)
 
         loop = EventLoop()
@@ -986,7 +969,7 @@ class ServingScheduler:
         )
         session_ids = [profile.session_id for profile in profiles]
         table = JobTable(
-            ctx.traces, ctx.question_arrivals, ctx.answers, session_ids, timesliced, priced
+            ctx.traces, ctx.question_arrivals, ctx.answers, session_ids, timesliced, stages
         )
         streams = table.streams
         kinds = table.kinds
@@ -996,64 +979,57 @@ class ServingScheduler:
         # private compute, per job: (start_s, prediction_end_s, request_s, fetch_s)
         timing: list[tuple[float, float, float, float] | None] = [None] * table.num_jobs
         # time-sliced stages: the one stage core, by stream, and the job each holds
-        stages = StageCore(is_vrex, num_streams)
+        stage_core = StageCore(is_vrex, num_streams)
         staged = [-1] * num_streams
 
         def schedule_issue(job: int, t: float) -> None:
             loop.schedule(t, partial(issue, job), priority=PRIO_ISSUE, key=keys[streams[job]])
 
         submit, finish, resolved, fetch_split, close = _job_lifecycle(
-            ctx, table, compute_server, stages, schedule_issue
+            ctx, table, compute_server, stage_core, schedule_issue
         )
 
-        def stage_of(job: int) -> _PricedStage:
-            return priced[streams[job]][KIND_NAMES[kinds[job]]]
-
-        def job_fetch_s(job: int) -> float:
+        def job_fetch_s(job: int, b: int) -> float:
             """Fetch time of one job at its session's *current* residency.
 
             Commits the fetch (the session becomes most-recently-used and
             its cold shards promote back into their home banks), and prices
             the fan-out across banks plus the cold SSD stream.  Without a
-            memory plane this is the priced stage fetch unchanged.
+            memory plane this is the row's priced fetch unchanged.
             """
-            stage = stage_of(job)
-            if memory is None or stage.fetch_bytes_layer <= 0:
-                return stage.fetch_s
+            demand = stages.demand[b]
+            if demand is None:
+                return stages.fetch_s[b]
             split = fetch_split(streams[job], loop.now_s)
             return (
                 sharded_fetch_makespan(
-                    stage.fetch_bytes_layer, split, stage.warm_time_s, stage.cold_time_s
+                    demand.fetch_bytes, split, demand.warm_time_s, demand.cold_time_s
                 )
                 * num_layers
             )
 
         def issue(job: int) -> None:
-            stage = stage_of(job)
             stream = streams[job]
-            fetch_s = job_fetch_s(job)
+            b = stream * 3 + kinds[job]
+            fetch_s = job_fetch_s(job, b)
+            overlaps, on_dre = stages.overlaps[b], stages.on_dre[b]
+            compute_s, prediction_s = stages.compute_s[b], stages.prediction_s[b]
             if timesliced:
                 table.stage_log.append(job << 1)
                 staged[stream] = job
                 issue_stage(
-                    stream,
-                    keys[stream],
-                    stage.overlaps,
-                    stage.on_dre,
-                    stage.compute_s,
-                    stage.prediction_s,
-                    fetch_s,
+                    stream, keys[stream], overlaps, on_dre, compute_s, prediction_s, fetch_s
                 )
                 return
             start_s = served_s = loop.now_s
-            if is_vrex and stage.on_dre and stage.prediction_s > 0:
-                served_s = dre.enqueue(start_s, stage.prediction_s).start_s
+            if is_vrex and on_dre and prediction_s > 0:
+                served_s = dre.enqueue(start_s, prediction_s).start_s
             prediction_end_s, request_s = contended_issue(
-                is_vrex, stage.overlaps, start_s, served_s, stage.compute_s, stage.prediction_s
+                is_vrex, overlaps, start_s, served_s, compute_s, prediction_s
             )
             timing[job] = (start_s, prediction_end_s, request_s, fetch_s)
             dre_wait[job] = served_s - start_s
-            if stage.fetch_s > 0:
+            if stages.fetch_s[b] > 0:
                 loop.schedule(
                     request_s, partial(request_link, job), priority=PRIO_LINK, key=keys[stream]
                 )
@@ -1064,7 +1040,7 @@ class ServingScheduler:
             job = staged[stream]
             schedule_finish(job, resolved(job, stream))
 
-        issue_stage = StageDriver(stages, loop, compute_server, dre, link, stage_resolved).issue
+        issue_stage = StageDriver(stage_core, loop, compute_server, dre, link, stage_resolved).issue
 
         def request_link(job: int) -> None:
             transfer = link.enqueue(loop.now_s, timing[job][3])
@@ -1075,10 +1051,10 @@ class ServingScheduler:
             resolve(job, transfer.finish_s)
 
         def resolve(job: int, fetch_end_s: float | None) -> None:
-            stage = stage_of(job)
+            b = streams[job] * 3 + kinds[job]
             start_s, prediction_end_s, request_s, _ = timing[job]
             latency, _, _ = contended_latency(
-                is_vrex, stage.overlaps, start_s, stage.compute_s, stage.prediction_s,
+                is_vrex, stages.overlaps[b], start_s, stages.compute_s[b], stages.prediction_s[b],
                 prediction_end_s, request_s, fetch_end_s,
             )
             schedule_finish(job, start_s + latency)
@@ -1118,7 +1094,7 @@ class ServingScheduler:
             table=table,
             energy_inputs=EnergyInputs(
                 device=system.device,
-                priced=priced,
+                stages=stages,
                 dre_busy_s=dre.busy_s(),
                 link_busy_s=link.busy_s(),
             ),

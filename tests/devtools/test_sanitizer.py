@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from oracles import patch_stages
 
 from repro.core.clustering import HashClusterLanes
 from repro.core.hashbit import HashBitEncoder
@@ -277,14 +278,7 @@ class TestResourceBalance:
         from repro.sim.systems import edge_systems
         from repro.sim.workload import default_llm_workload
 
-        priced = ServingScheduler._priced_stages
-
-        def question_off_the_dre(self, *args):
-            stages = priced(self, *args)
-            stages[-1]["question"].on_dre = False
-            return stages
-
-        monkeypatch.setattr(ServingScheduler, "_priced_stages", question_off_the_dre)
+        patch_stages(monkeypatch, question={"on_dre": False})  # only the last stream asks one
         system = edge_systems(default_llm_workload().model_bytes())["V-Rex8"]
         profiles = [StreamProfile(kv_len=40_000, session_id=i) for i in range(7)]
         traces = [[0.0]] * 6 + [[]]

@@ -1,5 +1,6 @@
-"""Oracles the suite checks the package against: a reference retriever and
-a lookup into an energy report's per-resource rows.
+"""Oracles the suite checks the package against — a reference retriever and
+a lookup into an energy report's per-resource rows — and the one way a test
+edits a scheduler run's priced stage table.
 
 ``tests/`` is on ``sys.path`` (pytest prepends the directory of the root
 ``conftest.py``), so any test module can ``from oracles import ...``.
@@ -38,3 +39,28 @@ def energy_row(report, name: str):
         if row.name == name:
             return row
     raise KeyError(name)
+
+
+def patch_stages(monkeypatch, **kinds):
+    """Let every scheduler run's priced stage table take new column values.
+
+    ``kind={field: value}`` sets column ``field`` of the
+    :class:`~repro.sim.scheduler.StageTable` on every stream's row of job
+    kind ``kind`` (``frame``, ``question`` or ``generation``); a callable
+    value is called with the stream index.
+    """
+    from repro.sim.jobtable import KIND_NAMES
+    from repro.sim.scheduler import ServingScheduler
+
+    priced = ServingScheduler._priced_stages
+
+    def patched(self, *args):
+        stages = priced(self, *args)
+        for kind, fields in kinds.items():
+            for field, value in fields.items():
+                column = getattr(stages, field)
+                for stream, b in enumerate(range(KIND_NAMES.index(kind), len(column), 3)):
+                    column[b] = value(stream) if callable(value) else value
+        return stages
+
+    monkeypatch.setattr(ServingScheduler, "_priced_stages", patched)

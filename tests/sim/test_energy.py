@@ -32,6 +32,7 @@ from repro.sim.arrivals import BurstyArrivals, PoissonArrivals, rate_for_load
 from repro.sim.batched import BatchLatencyModel, StreamProfile
 from repro.sim.energy import assert_conserved, merge_reports, schedule_energy
 from repro.sim.fleet import FleetConfig, FleetScheduler
+from repro.sim.jobtable import KIND_NAMES
 from repro.sim.scheduler import DEFER, SchedulerConfig, ServingScheduler
 from repro.sim.systems import edge_systems, server_systems
 from repro.sim.workload import default_llm_workload
@@ -181,19 +182,20 @@ class TestDemandTotalsAreALeftFold:
             answer_tokens=3,
         )
         served, tokens, flops, dram_bytes, lxe_busy = 0, 0.0, 0.0, 0.0, 0.0
+        stages = result.energy_inputs.stages
         for record in result.records:
             if record.dropped:
                 continue
             served += 1
-            stage = result.energy_inputs.priced[record.stream_index][record.kind]
-            if not stage.active:
+            b = record.stream_index * 3 + KIND_NAMES.index(record.kind)
+            if not stages.active[b]:
                 continue
-            tokens += stage.tokens
-            flops += stage.flops
-            dram_bytes += stage.dram_bytes
-            busy = stage.vision_s + stage.compute_s
-            if not stage.on_dre:
-                busy += stage.prediction_s
+            tokens += stages.tokens[b]
+            flops += stages.flops[b]
+            dram_bytes += stages.dram_bytes[b]
+            busy = stages.vision_s[b] + stages.compute_s[b]
+            if not stages.on_dre[b]:
+                busy += stages.prediction_s[b]
             lxe_busy += busy
         report = result.energy()
         assert result.dropped > 0 and {r.kind for r in result.records} == {
@@ -335,6 +337,14 @@ class TestEnergyAdmission:
     def test_energy_admission_requires_budget(self):
         with pytest.raises(ValueError, match="energy_budget_j_per_token"):
             SchedulerConfig(admission="energy")
+
+    @pytest.mark.parametrize("admission", ["backlog", "residency"])
+    def test_budget_without_energy_admission_rejected(self, admission):
+        """A budget no admission rule reads fails at construction, never ignored."""
+        with pytest.raises(ValueError, match="energy_budget_j_per_token"):
+            SchedulerConfig(
+                deadline_s=1.0, admission=admission, energy_budget_j_per_token=1.0
+            )
 
     def test_budget_must_be_positive(self):
         with pytest.raises(ValueError, match="positive"):
@@ -507,7 +517,7 @@ class TestConservationSanitizer:
         inputs = result.energy_inputs
         broken = type(inputs)(
             device=inputs.device,
-            priced=inputs.priced,
+            stages=inputs.stages,
             dre_busy_s=inputs.dre_busy_s,
             link_busy_s=inputs.link_busy_s,
         )

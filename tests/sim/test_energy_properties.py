@@ -94,7 +94,7 @@ def test_busy_energy_monotone_in_busy_time(contended, scale):
     inputs = contended.energy_inputs
     scaled = EnergyInputs(
         device=inputs.device,
-        priced=inputs.priced,
+        stages=inputs.stages,
         dre_busy_s=inputs.dre_busy_s * scale,
         link_busy_s=inputs.link_busy_s * scale,
     )

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import patch_stages
 
 from repro.hw.memory.sharding import ShardedKVHierarchy
 from repro.sim.arrivals import BurstyArrivals, PoissonArrivals, rate_for_load
@@ -421,19 +422,6 @@ def _run_recording_reference_order(plane, config, system, profiles, traces, **kw
     return result, named
 
 
-def _patch_stages(monkeypatch, patch):
-    """Let ``patch(stream, stage_map)`` edit every run's priced stages."""
-    priced = ServingScheduler._priced_stages
-
-    def patched(self, *args):
-        stages = priced(self, *args)
-        for stream, stage_map in enumerate(stages):
-            patch(stream, stage_map)
-        return stages
-
-    monkeypatch.setattr(ServingScheduler, "_priced_stages", patched)
-
-
 class TestInPlaceLinkGrants:
     """Link requests known at their issue event — private ones, and a
     time-sliced V-Rex stage's — that no later request can precede are
@@ -504,10 +492,7 @@ class TestInPlaceLinkGrants:
         the link at its issue plus its prediction, which bounds every
         other grant: both paths run, and the engines still agree."""
 
-        def odd_questions_off_the_dre(stream, stage_map):
-            stage_map["question"].on_dre = stream % 2 == 1
-
-        _patch_stages(monkeypatch, odd_questions_off_the_dre)
+        patch_stages(monkeypatch, question={"on_dre": lambda stream: stream % 2 == 1})
         queued, grants = self._fleet_run(monkeypatch, edge["V-Rex8"])
         assert 0 < queued < grants
 
@@ -519,13 +504,11 @@ class TestInPlaceLinkGrants:
         2.5 ms requests at 5 ms, under its bound, yet waits behind them
         (time-sliced too: a V-Rex request is its prediction's end)."""
 
-        def questions_on_generations_off(stream, stage_map):
-            stage_map["question"].prediction_s = 1e-3
-            stage_map["question"].on_dre = True
-            stage_map["generation"].prediction_s = 3e-3
-            stage_map["generation"].on_dre = False
-
-        _patch_stages(monkeypatch, questions_on_generations_off)
+        patch_stages(
+            monkeypatch,
+            question={"prediction_s": 1e-3, "on_dre": True},
+            generation={"prediction_s": 3e-3, "on_dre": False},
+        )
         traces = [[]] * 5
         questions = [0.0, 0.0, 0.0, 0.0, 2.5e-3]
         queued, grants = self._run(
@@ -538,12 +521,8 @@ class TestInPlaceLinkGrants:
         """Stages off the DRE with no prediction request the link at their
         issue: aligned questions meet every issue before any link grant."""
 
-        def requests_at_issue(stream, stage_map):
-            for stage in stage_map.values():
-                stage.on_dre = False
-                stage.prediction_s = 0.0
-
-        _patch_stages(monkeypatch, requests_at_issue)
+        off = {"on_dre": False, "prediction_s": 0.0}
+        patch_stages(monkeypatch, frame=off, question=off, generation=off)
         queued, grants = self._run(
             monkeypatch, edge["V-Rex8"], _fleet([40_000] * 3), [[]] * 3,
             question_arrivals=[0.0] * 3,
@@ -567,13 +546,11 @@ class TestInPlaceLinkGrants:
         if compute == "timesliced":
             monkeypatch.delenv(ENV_VAR, raising=False)
 
-        def absorbed_frames(stream, stage_map):
-            frame, question = stage_map["frame"], stage_map["question"]
-            frame.vision_s, frame.prediction_s, frame.on_dre = 0.0, 1e-6, True
-            question.prediction_s, question.on_dre = 2e-3, True
-            frame.fetch_s = question.fetch_s = 1e-3
-
-        _patch_stages(monkeypatch, absorbed_frames)
+        patch_stages(
+            monkeypatch,
+            frame={"vision_s": 0.0, "prediction_s": 1e-6, "on_dre": True, "fetch_s": 1e-3},
+            question={"prediction_s": 2e-3, "on_dre": True, "fetch_s": 1e-3},
+        )
         start = 2.0**41
         ulp = np.spacing(start)
         traces = [[start + 3 * ulp], [start + 2 * ulp], []]  # rank 0 issues last
@@ -592,11 +569,7 @@ class TestInPlaceLinkGrants:
         A time-sliced GPU stage requests the link when the shared server
         ends its prediction (or, serial, its compute), which no bound covers."""
         if system_name == "AGX + FlexGen":
-
-            def generations_fetch_nothing(stream, stage_map):
-                stage_map["generation"].fetch_s = 0.0
-
-            _patch_stages(monkeypatch, generations_fetch_nothing)
+            patch_stages(monkeypatch, generation={"fetch_s": 0.0})
         queued, grants = self._fleet_run(monkeypatch, edge[system_name], compute=compute)
         assert queued == grants > 0
 
@@ -608,11 +581,9 @@ class TestInPlaceLinkGrants:
         loop's link event does — after three frames issue at the end of
         their 12 ms vision, not at the compute's end before them."""
 
-        def slow_predictions(stream, stage_map):
-            question = stage_map["question"]
-            question.on_dre, question.prediction_s, question.compute_s = True, 2e-2, 2e-3
-
-        _patch_stages(monkeypatch, slow_predictions)
+        patch_stages(
+            monkeypatch, question={"on_dre": True, "prediction_s": 2e-2, "compute_s": 2e-3}
+        )
         config = SchedulerConfig(compute="timesliced")
         run = (edge["V-Rex8"], _fleet([40_000] * 6), [[]] * 3 + [[0.0]] * 3)
         questions = [0.0] * 3 + [None] * 3
@@ -633,10 +604,7 @@ class TestInPlaceLinkGrants:
         at its request, where the reference loop's link event is, after the
         issues and vision ends that come between."""
 
-        def frames_without_compute(stream, stage_map):
-            stage_map["frame"].compute_s = 0.0
-
-        _patch_stages(monkeypatch, frames_without_compute)
+        patch_stages(monkeypatch, frame={"compute_s": 0.0})
         queued, grants = self._run(
             monkeypatch, edge["V-Rex8"], _fleet([40_000] * 3), [[0.0, 0.01], [0.0], [0.004]],
             config=SchedulerConfig(compute="timesliced"),
@@ -649,12 +617,11 @@ class TestInPlaceLinkGrants:
         end first (a completion outranks a link event) and resolves the
         stage at the link event, after a frame that issues at that instant."""
 
-        def equal_spans(stream, stage_map):
-            question, frame = stage_map["question"], stage_map["frame"]
-            question.on_dre, question.prediction_s, question.compute_s = True, 2e-3, 2e-3
-            frame.vision_s = 1e-3  # a frame arriving at 1 ms issues at 2 ms
-
-        _patch_stages(monkeypatch, equal_spans)
+        patch_stages(
+            monkeypatch,
+            question={"on_dre": True, "prediction_s": 2e-3, "compute_s": 2e-3},
+            frame={"vision_s": 1e-3},  # a frame arriving at 1 ms issues at 2 ms
+        )
         queued, grants = self._run(
             monkeypatch, edge["V-Rex8"], _fleet([40_000] * 2), [[], [1e-3]],
             config=SchedulerConfig(compute="timesliced"), question_arrivals=[0.0, None],
@@ -674,12 +641,10 @@ class TestInPlaceLinkGrants:
 
         monkeypatch.delenv(ENV_VAR, raising=False)
 
-        def frames_end_at_their_vision(stream, stage_map):
-            frame = stage_map["frame"]
-            frame.compute_s = frame.prediction_s = frame.fetch_s = 0.0
-            frame.fetch_bytes_layer = 0.0
-
-        _patch_stages(monkeypatch, frames_end_at_their_vision)
+        patch_stages(
+            monkeypatch,
+            frame={"compute_s": 0.0, "prediction_s": 0.0, "fetch_s": 0.0, "demand": None},
+        )
         system = edge["V-Rex8"]
         profiles = _fleet([20_000, 30_000, 40_000])
         traces = [[0.0, 0.0], [0.0], []]  # the last stream is a text chain alone

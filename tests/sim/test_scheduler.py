@@ -515,18 +515,18 @@ def _priced_rows(result):
     """Every priced field of a run, one tuple per (stream, kind) in
     ``b = stream * 3 + kind`` order.  A sharded fetch's two channel pricers
     are read as their price of the stage's per-layer fetch bytes."""
-    for stage_map in result.energy_inputs.priced:
-        for kind in (FRAME_JOB, QUESTION_JOB, GENERATION_JOB):
-            s = stage_map[kind]
-            warm = cold = None
-            if s.warm_time_s is not None:
-                warm = s.warm_time_s(s.fetch_bytes_layer)
-                cold = s.cold_time_s(s.fetch_bytes_layer)
-            yield (
-                s.active, s.on_dre, s.overlaps, s.vision_s, s.compute_s, s.prediction_s,
-                s.fetch_s, s.fetch_bytes_layer, warm, cold, s.solo_warm_s, s.solo_cold_s,
-                s.tokens, s.flops, s.dram_bytes, s.solo_s,
-            )  # fmt: skip
+    stages = result.energy_inputs.stages
+    for b, demand in enumerate(stages.demand):
+        fetch_bytes, warm, cold = 0.0, None, None
+        if demand is not None:
+            fetch_bytes = demand.fetch_bytes
+            warm, cold = demand.warm_time_s(fetch_bytes), demand.cold_time_s(fetch_bytes)
+        yield (
+            stages.active[b], stages.on_dre[b], stages.overlaps[b], stages.vision_s[b],
+            stages.compute_s[b], stages.prediction_s[b], stages.fetch_s[b], fetch_bytes, warm,
+            cold, stages.solo_warm_s[b], stages.solo_cold_s[b], stages.tokens[b],
+            stages.flops[b], stages.dram_bytes[b], stages.solo_s[b],
+        )  # fmt: skip
 
 
 class TestPricedStagesPinned:

@@ -35,7 +35,7 @@ from repro.sim.scheduler import (
     EVICT,
     SchedulerConfig,
     ServingScheduler,
-    _PricedStage,
+    StageTable,
     admission_decision,
 )
 from repro.sim.systems import edge_systems, server_systems
@@ -516,7 +516,8 @@ class TestAdmissionDecisionOracle:
         return memory
 
     @staticmethod
-    def _stage(**overrides) -> _PricedStage:
+    def _stage(**overrides) -> StageTable:
+        """A one-row stage table; its ``demand`` stands for a fetching entry."""
         fields = dict(
             active=True,
             on_dre=True,
@@ -525,14 +526,17 @@ class TestAdmissionDecisionOracle:
             compute_s=0.5,
             prediction_s=0.1,
             fetch_s=0.5,
-            fetch_bytes_layer=1.0,
+            demand=SimpleNamespace(fetch_bytes=1.0),
             solo_warm_s=1.0,
             solo_cold_s=3.0,
             tokens=10,
             solo_s=2.0,
         )
         fields.update(overrides)
-        return _PricedStage(**fields)
+        stages = StageTable(1)
+        for name, value in fields.items():
+            getattr(stages, name)[0] = value
+        return stages
 
     def _decide(self, memory, deadline_s, session=1, protected=(), stage=None):
         ctx = SimpleNamespace(
@@ -542,6 +546,7 @@ class TestAdmissionDecisionOracle:
         return admission_decision(
             ctx,
             stage or self._stage(),
+            0,
             session,
             self.BACKLOG_JOBS,
             self.COMPUTE_BACKLOG_S,
@@ -593,7 +598,7 @@ class TestAdmissionDecisionOracle:
         assert memory.evictions == []
 
     @pytest.mark.parametrize(
-        "overrides", [{"active": False}, {"fetch_bytes_layer": 0.0}]
+        "overrides", [{"active": False}, {"demand": None}]
     )
     def test_nothing_to_estimate_always_admits(self, overrides):
         memory = self._memory()
@@ -616,6 +621,7 @@ class TestAdmissionDecisionOracle:
             return admission_decision(
                 ctx,
                 self._stage(**overrides),
+                0,
                 1,
                 self.BACKLOG_JOBS,
                 self.COMPUTE_BACKLOG_S,
