@@ -48,7 +48,6 @@ def contended(edge):
 
 
 @given(window_scale=st.floats(min_value=1.0, max_value=100.0))
-@settings(max_examples=25)
 def test_report_non_negative_and_conserved(contended, window_scale):
     base = contended.energy()
     report = schedule_energy(
@@ -65,7 +64,6 @@ def test_report_non_negative_and_conserved(contended, window_scale):
 
 
 @given(delta=st.floats(min_value=0.0, max_value=1e4))
-@settings(max_examples=25)
 def test_energy_additive_over_disjoint_windows(contended, delta):
     """E[0, W + delta] = E[0, W] + (always-on power) * delta."""
     base = contended.energy()
@@ -88,7 +86,6 @@ def test_energy_additive_over_disjoint_windows(contended, delta):
 
 
 @given(scale=st.floats(min_value=0.0, max_value=1.0))
-@settings(max_examples=25)
 def test_busy_energy_monotone_in_busy_time(contended, scale):
     """Scaling the link/DRE residency down never raises busy energy."""
     inputs = contended.energy_inputs
