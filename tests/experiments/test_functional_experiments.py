@@ -1,15 +1,32 @@
 """Tests for the functional-plane experiments (Fig. 7, 19, 20, Table II).
 
 These run the real numpy substrate, so they use reduced episode counts; the
-assertions target the paper's qualitative claims rather than exact numbers.
+assertions target the paper's qualitative claims.  ``RESULT_SHA256`` also
+pins the ``repr`` of each driver's result at those sizes, so a refactor of
+the model, session or evaluation harness that moves one number fails here.
 """
 
 from __future__ import annotations
+
+import hashlib
 
 import pytest
 
 from repro.experiments import fig07_similarity, fig19_resv_ablation, fig20_retrieval_ratio, table02_accuracy
 from repro.video.coin import CoinTask
+
+#: sha256 of ``repr(result)`` of each driver's ``run()`` at the sizes below;
+#: never re-pin these to make a refactor pass.
+RESULT_SHA256 = {
+    "fig07": "b2aa463418df3f3c32523cdccfd4f7e75d2420021f288a34aab178688111a5e9",
+    "fig19": "6100ff8ea0cda986bf1aba7a8b1a0657db5c30af3877da2e961ca5ea9cd04239",
+    "fig20": "54e25031440aed88f3565282851156c23abbd69c81b860322194e48f7983b790",
+    "table02": "d57ab2000e5717f1017a329bae798619b54ebcf329b5e3715ed2b67b83a1ad18",
+}
+
+
+def _digest(result) -> str:
+    return hashlib.sha256(repr(result).encode()).hexdigest()
 
 
 class TestFig07:
@@ -18,6 +35,7 @@ class TestFig07:
         assert result.adjacent_cosine_mean > 0.5
         assert result.correlation > 0.5
         assert result.cosine_matrix.shape == result.hamming_matrix.shape
+        assert _digest(result) == RESULT_SHA256["fig07"]
 
 
 class TestFig20:
@@ -39,6 +57,9 @@ class TestFig20:
         lo, hi = result.ratio_spread("InfiniGenP")
         assert hi - lo < 0.1
 
+    def test_result_is_pinned(self, result):
+        assert _digest(result) == RESULT_SHA256["fig20"]
+
 
 @pytest.mark.slow
 class TestFig19:
@@ -49,6 +70,7 @@ class TestFig19:
         # Accuracy stays in a sane range for every configuration.
         for accuracy in result.accuracy.values():
             assert 0.0 <= accuracy <= 1.0
+        assert _digest(result) == RESULT_SHA256["fig19"]
 
 
 @pytest.mark.slow
@@ -73,3 +95,6 @@ class TestTable02:
         assert result.average_generation_ratio("ReSV") < 0.10
         assert result.average_frame_ratio("InfiniGen") == pytest.approx(1.0)
         assert 0.4 < result.average_frame_ratio("InfiniGenP") < 0.6
+
+    def test_result_is_pinned(self, result):
+        assert _digest(result) == RESULT_SHA256["table02"]
