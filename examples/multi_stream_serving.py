@@ -50,7 +50,7 @@ def main(num_streams: int = 4) -> None:
         ReSVConfig(hamming_threshold=7, wicsum_ratio=0.3, recent_window=8),
         use_early_exit=True,  # bucketised WTU walk -> meaningful sort fractions
     )
-    batch = SessionBatch(model, retriever=engine, num_sessions=num_streams)
+    batch = SessionBatch(model, retriever_factory=engine.spawn, num_sessions=num_streams)
     print(
         f"Serving {num_streams} concurrent streams through one engine "
         f"({config.num_layers} layers, {config.num_kv_heads} KV heads, "
@@ -72,7 +72,8 @@ def main(num_streams: int = 4) -> None:
             )
         )
         streams.append(list(video.frames()))
-    batch.run_streams(streams)
+    # a round-robin serving loop: stream i's frame k arrives at tick k
+    batch.run_arrivals(streams, [range(len(frames)) for frames in streams])
 
     questions = [rng.normal(size=(5, config.hidden_dim)) for _ in range(num_streams)]
     batch.ask_all(questions)

@@ -18,10 +18,9 @@ from repro.video.coin import CoinBenchmark, CoinBenchmarkConfig, CoinTask
 from repro.video.qa import QA_ATTN_MIX, QA_FFN_MIX, QA_IDENTITY_BIAS, default_qa_model_config
 
 
-def run_session(model, benchmark, episode) -> None:
-    """Stream one episode and answer its questions."""
-    model.reset()
-    session = StreamingSession(model)
+def run_session(model, benchmark, episode, retriever=None) -> None:
+    """Stream one episode through a fresh session and answer its questions."""
+    session = StreamingSession(model, retriever)
     for frame_id, frame in enumerate(episode.frames):
         session.process_frame(frame, frame_id=frame_id)
 
@@ -37,8 +36,8 @@ def run_session(model, benchmark, episode) -> None:
 
     stats = session.stats
     print(
-        f"    cache: {session.model.cache_length} tokens "
-        f"({session.model.kv_cache_bytes() / 1024:.0f} KiB), "
+        f"    cache: {session.cache_length} tokens "
+        f"({session.kv_cache_bytes() / 1024:.0f} KiB), "
         f"retrieval ratio frame/generation: "
         f"{100 * stats.retrieval_ratio(FRAME_STAGE):.1f}% / "
         f"{100 * stats.retrieval_ratio(GENERATION_STAGE):.1f}%"
@@ -67,10 +66,12 @@ def main() -> None:
     run_session(model, benchmark, episode)
 
     print("\n[2] ReSV dynamic KV cache retrieval (hash-bit clustering + WiCSum)")
-    model.attach_retriever(
-        ReSVRetriever(config.num_layers, config.num_kv_heads, config.head_dim, ReSVConfig())
+    run_session(
+        model,
+        benchmark,
+        episode,
+        ReSVRetriever(config.num_layers, config.num_kv_heads, config.head_dim, ReSVConfig()),
     )
-    run_session(model, benchmark, episode)
 
 
 if __name__ == "__main__":

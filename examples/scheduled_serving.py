@@ -51,7 +51,7 @@ def main(num_streams: int = 4) -> None:
         ReSVConfig(hamming_threshold=7, wicsum_ratio=0.3, recent_window=8),
         use_early_exit=True,
     )
-    batch = SessionBatch(model, retriever=engine, num_sessions=num_streams)
+    batch = SessionBatch(model, retriever_factory=engine.spawn, num_sessions=num_streams)
 
     # Functional plane: admit frames in Poisson arrival order (one trace per
     # stream, seed-deterministic), then ask one question per stream.

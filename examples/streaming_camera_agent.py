@@ -47,8 +47,8 @@ def main() -> None:
         model_config.head_dim,
         ReSVConfig(n_hyperplanes=16, hamming_threshold=4, wicsum_ratio=0.4),
     )
-    model = StreamingVideoLLM(model_config, seed=0, retriever=retriever)
-    session = StreamingSession(model)
+    model = StreamingVideoLLM(model_config, seed=0)
+    session = StreamingSession(model, retriever)
     memory = HierarchicalKVManager(
         bytes_per_token=model_config.kv_bytes_per_token(),
         device_budget_bytes=DEVICE_KV_BUDGET_BYTES,
@@ -72,7 +72,7 @@ def main() -> None:
         stats = session.stats
         print(
             f"turn {turn}: asked {question_ids.size} tokens, generated {answer_hidden.shape[0]} tokens | "
-            f"cache {model.cache_length} tokens, "
+            f"cache {session.cache_length} tokens, "
             f"frame-stage retrieval ratio {100 * stats.retrieval_ratio(FRAME_STAGE):.1f}%"
         )
 
@@ -81,7 +81,7 @@ def main() -> None:
          for layer in range(model_config.num_layers)
          for head in range(model_config.num_kv_heads)]
     )
-    print(f"\nReSV clustered {model.cache_length} cached tokens into ~{clusters:.0f} clusters per head "
+    print(f"\nReSV clustered {session.cache_length} cached tokens into ~{clusters:.0f} clusters per head "
           f"({retriever.mean_tokens_per_cluster():.1f} tokens/cluster on average).")
     print(f"Hierarchical memory: {memory.resident_tokens} tokens resident, "
           f"{memory.offloaded_tokens} offloaded.")

@@ -1,6 +1,6 @@
 """Aggregation and reporting over multi-stream serving sessions.
 
-These helpers consume the per-stream :class:`repro.model.serving.SessionReport`
+These helpers consume the per-stream :class:`repro.model.streaming.SessionReport`
 rows a :class:`repro.model.serving.SessionBatch` produces and turn them into
 the quantities the experiments report: fleet-wide retrieval ratios, WiCSum
 sort fractions and HC-table occupancy — the statistics that used to live

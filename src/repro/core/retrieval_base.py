@@ -83,7 +83,8 @@ class KVRetriever(abc.ABC):
     def spawn(self) -> "KVRetriever":
         """Fresh retriever with the same configuration but no session state.
 
-        Used by :class:`repro.model.serving.SessionBatch` to give every
+        A prototype's ``spawn`` is the ``retriever_factory`` a
+        :class:`repro.model.serving.SessionBatch` takes to give every
         stream its own retrieval state while sharing one engine.  The
         default clones the instance and resets it; retrievers with heavy
         shared components (e.g. ReSV's hash encoder) override this.

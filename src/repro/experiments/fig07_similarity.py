@@ -63,10 +63,11 @@ def run(
         ffn_mix=QA_FFN_MIX,
         query_transform=benchmark.query_transform,
     )
+    state = model.new_session_state()
     for frame_id, frame in enumerate(episode.frames[:num_frames]):
-        model.prefill_frame(frame, frame_id)
+        model.prefill_frame(frame, frame_id, state)
 
-    keys = model.cache.layer(layer).keys[kv_head]
+    keys = state.cache.layer(layer).keys[kv_head]
     tokens_per_frame = model_config.tokens_per_frame
     adjacent = []
     for start in range(0, keys.shape[0] - 2 * tokens_per_frame + 1, tokens_per_frame):

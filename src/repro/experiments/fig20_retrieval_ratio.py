@@ -67,18 +67,17 @@ def run(num_steps: int = 8, seed: int = 0, wicsum_ratio: float = 0.3) -> Fig20Re
         "InfiniGenP": make_infinigen_p,
         "ReKV": make_rekv,
     }
+    model = StreamingVideoLLM(
+        model_config,
+        seed=seed,
+        identity_bias=QA_IDENTITY_BIAS,
+        attn_mix=QA_ATTN_MIX,
+        ffn_mix=QA_FFN_MIX,
+        query_transform=benchmark.query_transform,
+    )
     result = Fig20Result()
     for name, factory in methods.items():
-        model = StreamingVideoLLM(
-            model_config,
-            seed=seed,
-            identity_bias=QA_IDENTITY_BIAS,
-            attn_mix=QA_ATTN_MIX,
-            ffn_mix=QA_FFN_MIX,
-            query_transform=benchmark.query_transform,
-            retriever=factory(),
-        )
-        session = StreamingSession(model)
+        session = StreamingSession(model, factory())
         for frame_id, frame in enumerate(episode.frames):
             session.process_frame(frame, frame_id=frame_id)
         for probe in episode.probes:

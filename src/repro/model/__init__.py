@@ -7,6 +7,11 @@ frames stream in, a vision tower + MLP projector that turn frames into
 visual tokens, and a streaming engine that performs the *iterative prefill*
 stage (one prefill per arriving frame) followed by question answering.
 
+The model holds weights only.  Each stream's mutable state (KV cache,
+position counter, retriever) lives in exactly one place: the
+:class:`StreamingSession` that owns it; a :class:`SessionBatch` serves many
+sessions on one model.
+
 The substrate is intentionally small and deterministic so the retrieval
 algorithms in :mod:`repro.core` can be exercised with real attention math
 at test speed, while the performance-plane simulator in :mod:`repro.sim`
@@ -23,8 +28,8 @@ from repro.model.decoder import DecoderLayer, FeedForward, RMSNorm
 from repro.model.kvcache import KVCache, LayerKVCache
 from repro.model.llm import LLMSessionState, StreamingVideoLLM
 from repro.model.rope import RotaryEmbedding
-from repro.model.serving import RetrievalSession, SessionBatch, SessionReport
-from repro.model.streaming import StreamingSession, StreamStats
+from repro.model.serving import SessionBatch
+from repro.model.streaming import SessionReport, StreamingSession, StreamStats
 from repro.model.tokenizer import ToyTokenizer
 from repro.model.vision import MLPProjector, VisionTower
 
@@ -37,7 +42,6 @@ __all__ = [
     "MLPProjector",
     "MultiHeadAttention",
     "RMSNorm",
-    "RetrievalSession",
     "RotaryEmbedding",
     "SessionBatch",
     "SessionReport",

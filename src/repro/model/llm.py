@@ -1,12 +1,12 @@
 """The streaming video LLM backbone (numpy functional substrate).
 
-The model separates **weights** (shared, read-only after construction) from
-**session state** (KV cache, position counter, retriever state): a single
-:class:`StreamingVideoLLM` can therefore serve many concurrent streams,
-each represented by a :class:`LLMSessionState` created via
-:meth:`StreamingVideoLLM.new_session_state`.  Every forward method accepts
-an optional ``state``; omitting it uses the model's built-in default
-session, which keeps the original single-stream API working unchanged.
+A :class:`StreamingVideoLLM` holds **weights** only (read-only after
+construction), so one model serves any number of concurrent streams.  A
+stream's mutable state (KV cache, position counter, retriever) is an
+:class:`LLMSessionState` from :meth:`StreamingVideoLLM.new_session_state`;
+every forward method takes it as a required ``state`` argument.  The
+:class:`repro.model.streaming.StreamingSession` that owns a stream builds
+its state and threads it through.
 """
 
 from __future__ import annotations
@@ -30,15 +30,6 @@ class LLMSessionState:
     retriever: object | None = None
     next_position: int = 0
 
-    def reset(self, config: ModelConfig) -> None:
-        """Clear the KV cache and position counter; reset the retriever."""
-        self.cache = KVCache(
-            config.num_layers, config.num_kv_heads, config.head_dim, config.dtype_bytes
-        )
-        self.next_position = 0
-        if self.retriever is not None:
-            self.retriever.reset()
-
 
 class StreamingVideoLLM:
     """Decoder-only transformer processing interleaved visual and text tokens.
@@ -60,11 +51,6 @@ class StreamingVideoLLM:
         projections.  A non-zero value makes content injected into token
         embeddings linearly recoverable at the output, which the synthetic
         COIN QA task relies on; zero gives a fully random transformer.
-    retriever:
-        Optional KV cache retrieval algorithm applied to every layer (see
-        :mod:`repro.core`).  ``None`` means full attention over the cache.
-        The retriever is attached to the model's *default* session; extra
-        sessions get their own via :meth:`new_session_state`.
     """
 
     def __init__(
@@ -72,7 +58,6 @@ class StreamingVideoLLM:
         config: ModelConfig,
         seed: int = 0,
         identity_bias: float = 1.0,
-        retriever=None,
         attn_mix: float = 0.5,
         ffn_mix: float = 0.5,
         query_transform: np.ndarray | None = None,
@@ -105,13 +90,14 @@ class StreamingVideoLLM:
         self.lm_head = rng.normal(
             0.0, 1.0 / np.sqrt(config.hidden_dim), size=(config.hidden_dim, config.vocab_size)
         )
-        self._default_state = self.new_session_state(retriever)
 
-    # ------------------------------------------------------------------ #
-    # state management
-    # ------------------------------------------------------------------ #
     def new_session_state(self, retriever=None) -> LLMSessionState:
-        """Create fresh per-stream state (empty KV cache, position 0)."""
+        """Create fresh per-stream state (empty KV cache, position 0).
+
+        ``retriever`` is the KV cache retrieval algorithm applied to every
+        layer of this stream (see :mod:`repro.core`); ``None`` means full
+        attention over the cache.
+        """
         cache = KVCache(
             self.config.num_layers,
             self.config.num_kv_heads,
@@ -119,32 +105,6 @@ class StreamingVideoLLM:
             self.config.dtype_bytes,
         )
         return LLMSessionState(cache=cache, retriever=retriever)
-
-    def _resolve_state(self, state: LLMSessionState | None) -> LLMSessionState:
-        return state if state is not None else self._default_state
-
-    @property
-    def default_state(self) -> LLMSessionState:
-        """The model's built-in single-stream session state."""
-        return self._default_state
-
-    @property
-    def cache(self) -> KVCache:
-        """KV cache of the default session."""
-        return self._default_state.cache
-
-    @property
-    def cache_length(self) -> int:
-        """Number of tokens currently held in the default session's KV cache."""
-        return len(self._default_state.cache)
-
-    def reset(self, state: LLMSessionState | None = None) -> None:
-        """Clear a session's KV cache and position counter (weights are kept)."""
-        self._resolve_state(state).reset(self.config)
-
-    def attach_retriever(self, retriever, state: LLMSessionState | None = None) -> None:
-        """Attach (or detach, with ``None``) a KV cache retrieval algorithm."""
-        self._resolve_state(state).retriever = retriever
 
     # ------------------------------------------------------------------ #
     # forward passes
@@ -159,9 +119,9 @@ class StreamingVideoLLM:
     def forward_chunk(
         self,
         embeddings: np.ndarray,
+        state: LLMSessionState,
         kind: TokenKind = TokenKind.TEXT,
         frame_id: int = -1,
-        state: LLMSessionState | None = None,
     ) -> tuple[np.ndarray, list[AttentionStats]]:
         """Run one chunk of already-embedded tokens through all layers.
 
@@ -170,9 +130,9 @@ class StreamingVideoLLM:
         stage (a single token) are built from.
 
         Returns the final hidden states ``(chunk, hidden_dim)`` and the
-        per-layer attention statistics.
+        per-layer attention statistics; ``state`` is the stream's cache,
+        position counter and retriever, advanced in place.
         """
-        session = self._resolve_state(state)
         hidden = np.asarray(embeddings, dtype=np.float64)
         if hidden.ndim != 2 or hidden.shape[1] != self.config.hidden_dim:
             raise ValueError(
@@ -180,41 +140,41 @@ class StreamingVideoLLM:
                 f"got {hidden.shape}"
             )
         chunk = hidden.shape[0]
-        positions = np.arange(session.next_position, session.next_position + chunk)
+        positions = np.arange(state.next_position, state.next_position + chunk)
         stats: list[AttentionStats] = []
         for layer_index, layer in enumerate(self.layers):
             hidden, layer_stats = layer.forward(
                 hidden,
-                session.cache.layer(layer_index),
+                state.cache.layer(layer_index),
                 positions,
                 layer_index,
-                retriever=session.retriever,
+                retriever=state.retriever,
                 frame_id=frame_id,
             )
             stats.append(layer_stats)
-        session.cache.record_block(frame_id, kind, session.next_position, chunk)
-        session.next_position += chunk
+        state.cache.record_block(frame_id, kind, state.next_position, chunk)
+        state.next_position += chunk
         return hidden, stats
 
     def prefill_frame(
         self,
         frame_embeddings: np.ndarray,
         frame_id: int,
-        state: LLMSessionState | None = None,
+        state: LLMSessionState,
     ) -> tuple[np.ndarray, list[AttentionStats]]:
         """Iterative-prefill one video frame's visual tokens."""
         return self.forward_chunk(
-            frame_embeddings, kind=TokenKind.VISUAL, frame_id=frame_id, state=state
+            frame_embeddings, state, kind=TokenKind.VISUAL, frame_id=frame_id
         )
 
     def prefill_text(
-        self, token_embeddings: np.ndarray, state: LLMSessionState | None = None
+        self, token_embeddings: np.ndarray, state: LLMSessionState
     ) -> tuple[np.ndarray, list[AttentionStats]]:
         """Prefill question (or other text) tokens."""
-        return self.forward_chunk(token_embeddings, kind=TokenKind.TEXT, frame_id=-1, state=state)
+        return self.forward_chunk(token_embeddings, state)
 
     def decode_step(
-        self, token_embedding: np.ndarray, state: LLMSessionState | None = None
+        self, token_embedding: np.ndarray, state: LLMSessionState
     ) -> tuple[np.ndarray, list[AttentionStats]]:
         """Generation-stage step for a single token embedding."""
         token_embedding = np.asarray(token_embedding, dtype=np.float64)
@@ -222,15 +182,8 @@ class StreamingVideoLLM:
             token_embedding = token_embedding[None, :]
         if token_embedding.shape[0] != 1:
             raise ValueError("decode_step processes exactly one token")
-        return self.forward_chunk(token_embedding, kind=TokenKind.TEXT, frame_id=-1, state=state)
+        return self.forward_chunk(token_embedding, state)
 
     def logits(self, hidden: np.ndarray) -> np.ndarray:
         """Project (normalised) hidden states to vocabulary logits."""
         return self.final_norm(np.asarray(hidden, dtype=np.float64)) @ self.lm_head
-
-    # ------------------------------------------------------------------ #
-    # memory accounting
-    # ------------------------------------------------------------------ #
-    def kv_cache_bytes(self, state: LLMSessionState | None = None) -> int:
-        """Current KV cache size of a session in model-precision bytes."""
-        return self._resolve_state(state).cache.memory_bytes()

@@ -1,11 +1,15 @@
 """Streaming session orchestration: iterative prefill + generation.
 
-A :class:`StreamingSession` drives the substrate model the way the paper's
+A :class:`StreamingSession` is one user's stream and the only owner of its
+state: it builds a private KV cache, position counter and retriever binding
+on the shared, weights-only model, and drives it the way the paper's
 workload does (Fig. 2/3): video frames arrive one by one and are prefilled
 into the KV cache; at some point a user question arrives, its tokens are
 prefilled, and answer tokens are generated autoregressively.  The session
 records retrieval statistics per stage, layer and head — these feed
-Table II (retrieval ratios) and Fig. 20 (per-layer / per-head ratios).
+Table II (retrieval ratios) and Fig. 20 (per-layer / per-head ratios) — and
+summarises them, with its retriever's engine statistics, in a
+:class:`SessionReport`.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.config import require_number
 from repro.model.llm import StreamingVideoLLM
 
 FRAME_STAGE = "frame"
@@ -94,19 +99,39 @@ class StreamStats:
         return max(self.cache_bytes) if self.cache_bytes else 0
 
 
-class StreamingSession:
-    """Drives a :class:`StreamingVideoLLM` through a streaming workload.
+@dataclass
+class SessionReport:
+    """Per-stream summary of one serving session."""
 
-    By default the session operates on the model's built-in single-stream
-    state (the original API).  Passing an explicit
-    :class:`repro.model.llm.LLMSessionState` binds the session to that
-    state instead, which is how :class:`repro.model.serving.SessionBatch`
-    runs many independent streams through one set of weights.
+    session_id: int
+    frames_processed: int
+    questions_asked: int
+    tokens_generated: int
+    cache_tokens: int
+    cache_bytes: int
+    frame_retrieval_ratio: float
+    generation_retrieval_ratio: float
+    sort_fraction: float = 0.0
+    clusters_considered: int = 0
+    wicsum_score_elements: int = 0
+    num_clusters: int = 0
+    mean_tokens_per_cluster: float = 0.0
+    table_bytes: int = 0
+
+
+class StreamingSession:
+    """Drives a :class:`StreamingVideoLLM` through one stream's workload.
+
+    The session builds its own :class:`repro.model.llm.LLMSessionState`
+    (empty KV cache, position 0, ``retriever`` bound to every layer, or
+    full attention when ``None``), so any number of sessions can share one
+    model; :class:`repro.model.serving.SessionBatch` serves many of them.
     """
 
-    def __init__(self, model: StreamingVideoLLM, state=None):
+    def __init__(self, model: StreamingVideoLLM, retriever=None, session_id: int = 0):
         self.model = model
-        self.state = state if state is not None else model.default_state
+        self.session_id = session_id
+        self.state = model.new_session_state(retriever)
         self.stats = StreamStats()
 
     @property
@@ -121,7 +146,7 @@ class StreamingSession:
 
     def kv_cache_bytes(self) -> int:
         """KV cache footprint of this session in model-precision bytes."""
-        return self.model.kv_cache_bytes(self.state)
+        return self.state.cache.memory_bytes()
 
     def _set_stage(self, stage: str) -> None:
         """Tell the attached retriever which stage we are in (if it cares)."""
@@ -155,7 +180,8 @@ class StreamingSession:
         embedding if omitted).  Returns the final hidden state of each
         generated position, shape ``(num_tokens, hidden_dim)``.
         """
-        if num_tokens <= 0:
+        require_number("num_tokens", num_tokens, integer=True)
+        if num_tokens == 0:
             return np.zeros((0, self.model.config.hidden_dim))
         if start_embedding is None:
             start_embedding = self.model.embedding[1]  # BOS row of the toy vocabulary
@@ -173,3 +199,30 @@ class StreamingSession:
             next_id = int(np.argmax(logits[0]))
             current = self.model.embedding[next_id]
         return np.stack(outputs, axis=0)
+
+    def report(self) -> SessionReport:
+        """Summarise this stream's retrieval behaviour."""
+        stats = self.stats
+        report = SessionReport(
+            session_id=self.session_id,
+            frames_processed=stats.frames_processed,
+            questions_asked=stats.questions_asked,
+            tokens_generated=stats.tokens_generated,
+            cache_tokens=self.cache_length,
+            cache_bytes=self.kv_cache_bytes(),
+            frame_retrieval_ratio=stats.retrieval_ratio(FRAME_STAGE),
+            generation_retrieval_ratio=stats.retrieval_ratio(GENERATION_STAGE),
+        )
+        retriever = self.retriever
+        engine_stats = getattr(retriever, "stats", None)
+        if engine_stats is not None:
+            report.sort_fraction = engine_stats.sort_fraction
+            report.clusters_considered = engine_stats.clusters_considered
+            report.wicsum_score_elements = engine_stats.total_elements
+        occupancy_fn = getattr(retriever, "occupancy", None)
+        if occupancy_fn is not None:
+            occupancy = occupancy_fn()
+            report.num_clusters = occupancy.num_clusters
+            report.mean_tokens_per_cluster = occupancy.mean_tokens_per_cluster
+            report.table_bytes = occupancy.table_bytes
+        return report

@@ -11,7 +11,7 @@ lengths and retrieval ratios — and whose frame arrivals may collide on the
 shared link.
 
 :class:`BatchLatencyModel` consumes per-stream :class:`StreamProfile` rows
-(built from :class:`repro.model.serving.SessionReport` via
+(built from :class:`repro.model.streaming.SessionReport` via
 :func:`profiles_from_reports`) and prices a serving step in two modes,
 chosen per call (every step method takes ``contention`` and ``compute``):
 

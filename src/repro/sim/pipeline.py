@@ -131,7 +131,7 @@ class MeasuredRetrieval:
 
     @classmethod
     def from_session_report(cls, report) -> "MeasuredRetrieval":
-        """Build from a :class:`repro.model.serving.SessionReport`.
+        """Build from a :class:`repro.model.streaming.SessionReport`.
 
         Published averages are used only where the session genuinely has no
         data (no WiCSum scoring performed / no clusters formed); a measured

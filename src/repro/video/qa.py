@@ -1,8 +1,8 @@
 """Accuracy evaluation harness for the synthetic COIN benchmark.
 
-The harness streams an episode's frames through a
+The harness streams an episode's frames through a fresh
 :class:`repro.model.streaming.StreamingSession` (with whatever retrieval
-algorithm is attached to the model), asks the episode's questions, decodes
+algorithm the method under test supplies), asks the episode's questions, decodes
 the answers from the model's final hidden states, and reports top-1 accuracy
 together with the frame-stage and generation-stage retrieval ratios — the
 quantities Table II of the paper compares across methods.
@@ -95,14 +95,12 @@ def default_qa_model_config(hidden_dim: int = 128, tokens_per_frame: int = 8) ->
 
 
 def evaluate_episode(
-    model: StreamingVideoLLM,
+    session: StreamingSession,
     episode: CoinEpisode,
     benchmark: CoinBenchmark,
     answer_tokens: int = 2,
 ) -> EpisodeResult:
-    """Stream one episode through the model and score its probes."""
-    model.reset()
-    session = StreamingSession(model)
+    """Stream one episode through a fresh session and score its probes."""
     for frame_id, frame in enumerate(episode.frames):
         session.process_frame(frame, frame_id=frame_id)
 
@@ -165,12 +163,14 @@ def evaluate_method(
         query_transform=benchmark.query_transform,
     )
     retriever = retriever_factory(model_config) if retriever_factory is not None else None
-    model.attach_retriever(retriever)
 
     result = MethodResult(method=method_name, task=task)
     for episode_index in range(num_episodes):
         episode = benchmark.generate_episode(task, seed=seed * 1000 + episode_index)
+        if retriever is not None:
+            retriever.reset()
+        session = StreamingSession(model, retriever)
         result.episodes.append(
-            evaluate_episode(model, episode, benchmark, answer_tokens=answer_tokens)
+            evaluate_episode(session, episode, benchmark, answer_tokens=answer_tokens)
         )
     return result

@@ -55,7 +55,7 @@ class TestBatchSummaryGating:
 
     @staticmethod
     def _active_report(session_id=0, sort_fraction=0.2, occupancy=16.0):
-        from repro.model.serving import SessionReport
+        from repro.model.streaming import SessionReport
 
         return SessionReport(
             session_id=session_id,
@@ -76,7 +76,7 @@ class TestBatchSummaryGating:
 
     @staticmethod
     def _idle_report(session_id=9):
-        from repro.model.serving import SessionReport
+        from repro.model.streaming import SessionReport
 
         return SessionReport(
             session_id=session_id,

@@ -52,8 +52,9 @@ ALLOWED: dict[str, str] = {
 #: too).  The census fails on an entry here that did run.
 UNTRACED: dict[str, str] = {
     "repro.core.retrieval_base.KVRetriever.spawn": (
-        "the clone-and-reset default SessionBatch uses for a retriever that does not "
-        "override spawn (ReSVRetriever does)"
+        "the clone-and-reset default behind a SessionBatch retriever_factory of "
+        "prototype.spawn for a retriever that does not override it (ReSVRetriever does); "
+        "no entry point serves a batch of baseline retrievers"
     ),
     "repro.devtools.differential.diff_records": (
         "the engines' record diff (ROADMAP item 6); runs when two record sequences differ"

@@ -61,7 +61,6 @@ class TestFig20:
         assert _digest(result) == RESULT_SHA256["fig20"]
 
 
-@pytest.mark.slow
 class TestFig19:
     def test_ablation_shape(self):
         result = fig19_resv_ablation.run(num_episodes=1, tasks=(CoinTask.RETRIEVAL_AT_FRAME,))
@@ -73,7 +72,6 @@ class TestFig19:
         assert _digest(result) == RESULT_SHA256["fig19"]
 
 
-@pytest.mark.slow
 class TestTable02:
     @pytest.fixture(scope="class")
     def result(self):

@@ -50,61 +50,55 @@ class TestStreamingWithReSV:
         retriever = ReSVRetriever(
             config.num_layers, config.num_kv_heads, config.head_dim, ReSVConfig(wicsum_ratio=0.3)
         )
-        model.attach_retriever(retriever)
         episode = benchmark.generate_episode(CoinTask.RETRIEVAL_AT_FRAME, seed=0)
-        result = evaluate_episode(model, episode, benchmark, answer_tokens=1)
+        session = StreamingSession(model, retriever)
+        result = evaluate_episode(session, episode, benchmark, answer_tokens=1)
         assert result.frame_retrieval_ratio < 0.9
         assert result.generation_retrieval_ratio < 0.3
         assert result.total == len(episode.probes)
-        model.attach_retriever(None)
 
     def test_vanilla_answers_needle_questions(self, qa_setup):
         config, benchmark, model = qa_setup
-        model.attach_retriever(None)
         correct = total = 0
         for seed in range(3):
             episode = benchmark.generate_episode(CoinTask.RETRIEVAL_AT_FRAME, seed=seed)
-            result = evaluate_episode(model, episode, benchmark, answer_tokens=0)
+            result = evaluate_episode(
+                StreamingSession(model), episode, benchmark, answer_tokens=0
+            )
             correct += result.correct
             total += result.total
         assert correct / total >= 0.5
 
     def test_cache_grows_linearly_with_frames(self, qa_setup):
         config, benchmark, model = qa_setup
-        model.attach_retriever(None)
-        model.reset()
         session = StreamingSession(model)
         episode = benchmark.generate_episode(CoinTask.RETRIEVAL_AT_FRAME, seed=1)
         sizes = []
         for frame_id, frame in enumerate(episode.frames[:4]):
             session.process_frame(frame, frame_id=frame_id)
-            sizes.append(model.kv_cache_bytes())
+            sizes.append(session.kv_cache_bytes())
         deltas = np.diff(sizes)
         assert np.all(deltas == deltas[0])
 
     def test_multi_turn_queries_preserve_context(self, qa_setup):
         """Second question about an earlier step still answers correctly."""
         config, benchmark, model = qa_setup
-        model.attach_retriever(None)
         episode = benchmark.generate_episode(CoinTask.STEP_PROC, seed=4)
-        result = evaluate_episode(model, episode, benchmark, answer_tokens=1)
+        result = evaluate_episode(StreamingSession(model), episode, benchmark, answer_tokens=1)
         assert result.total == 2
         assert result.correct >= 1
 
     def test_stage_stats_cover_both_stages(self, qa_setup):
         config, benchmark, model = qa_setup
         retriever = ReSVRetriever(config.num_layers, config.num_kv_heads, config.head_dim)
-        model.attach_retriever(retriever)
         episode = benchmark.generate_episode(CoinTask.NEXT_STEP, seed=2)
-        model.reset()
-        session = StreamingSession(model)
+        session = StreamingSession(model, retriever)
         for frame_id, frame in enumerate(episode.frames):
             session.process_frame(frame, frame_id=frame_id)
         session.ask(episode.probes[0].question_embeddings)
         session.generate(2)
         stages = {record.stage for record in session.stats.records}
         assert stages == {FRAME_STAGE, GENERATION_STAGE}
-        model.attach_retriever(None)
 
 
 class TestVisionPath:
@@ -122,5 +116,5 @@ class TestVisionPath:
         for frame_id, frame in enumerate(generate_raw_frames(3, image_size=vision_config.image_size)):
             visual_tokens = projector.project(tower.encode(frame))
             session.process_frame(visual_tokens, frame_id=frame_id)
-        assert model.cache_length == 3 * vision_config.output_tokens
+        assert session.cache_length == 3 * vision_config.output_tokens
         assert session.stats.frames_processed == 3

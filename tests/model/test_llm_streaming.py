@@ -16,56 +16,61 @@ from repro.model.vision import MLPProjector, VisionTower
 
 class TestStreamingVideoLLM:
     def test_prefill_grows_cache(self, tiny_model, tiny_video):
+        state = tiny_model.new_session_state()
         for frame_id, frame in enumerate(tiny_video.frames()[:3]):
-            tiny_model.prefill_frame(frame, frame_id)
-        assert tiny_model.cache_length == 12
-        assert tiny_model.default_state.next_position == 12
+            tiny_model.prefill_frame(frame, frame_id, state)
+        assert len(state.cache) == 12
+        assert state.next_position == 12
 
     def test_forward_chunk_output_shape(self, tiny_model, rng):
-        hidden, stats = tiny_model.forward_chunk(rng.normal(size=(5, 32)))
+        hidden, stats = tiny_model.forward_chunk(
+            rng.normal(size=(5, 32)), tiny_model.new_session_state()
+        )
         assert hidden.shape == (5, 32)
         assert len(stats) == tiny_model.config.num_layers
 
     def test_decode_step_single_token(self, tiny_model, rng):
-        tiny_model.forward_chunk(rng.normal(size=(3, 32)))
-        hidden, _ = tiny_model.decode_step(rng.normal(size=(32,)))
+        state = tiny_model.new_session_state()
+        tiny_model.forward_chunk(rng.normal(size=(3, 32)), state)
+        hidden, _ = tiny_model.decode_step(rng.normal(size=(32,)), state)
         assert hidden.shape == (1, 32)
-        assert tiny_model.cache_length == 4
+        assert len(state.cache) == 4
 
     def test_decode_step_rejects_multiple_tokens(self, tiny_model, rng):
         with pytest.raises(ValueError):
-            tiny_model.decode_step(rng.normal(size=(2, 32)))
+            tiny_model.decode_step(rng.normal(size=(2, 32)), tiny_model.new_session_state())
 
     def test_wrong_embedding_width_rejected(self, tiny_model, rng):
         with pytest.raises(ValueError):
-            tiny_model.forward_chunk(rng.normal(size=(3, 16)))
+            tiny_model.forward_chunk(rng.normal(size=(3, 16)), tiny_model.new_session_state())
 
-    def test_reset_clears_cache_and_positions(self, tiny_model, rng):
-        tiny_model.forward_chunk(rng.normal(size=(3, 32)))
-        tiny_model.reset()
-        assert tiny_model.cache_length == 0
-        assert tiny_model.default_state.next_position == 0
+    def test_new_session_state_starts_empty(self, tiny_model, rng):
+        used = tiny_model.new_session_state()
+        tiny_model.forward_chunk(rng.normal(size=(3, 32)), used)
+        fresh = tiny_model.new_session_state()
+        assert len(fresh.cache) == 0
+        assert fresh.next_position == 0
+        assert len(used.cache) == 3
 
     def test_deterministic_given_seed(self, tiny_model_config, rng):
         inputs = rng.normal(size=(4, 32))
-        a = StreamingVideoLLM(tiny_model_config, seed=7).forward_chunk(inputs)[0]
-        b = StreamingVideoLLM(tiny_model_config, seed=7).forward_chunk(inputs)[0]
+        a_model = StreamingVideoLLM(tiny_model_config, seed=7)
+        b_model = StreamingVideoLLM(tiny_model_config, seed=7)
+        a = a_model.forward_chunk(inputs, a_model.new_session_state())[0]
+        b = b_model.forward_chunk(inputs, b_model.new_session_state())[0]
         np.testing.assert_allclose(a, b)
 
     def test_logits_shape(self, tiny_model, rng):
-        hidden, _ = tiny_model.forward_chunk(rng.normal(size=(2, 32)))
+        hidden, _ = tiny_model.forward_chunk(
+            rng.normal(size=(2, 32)), tiny_model.new_session_state()
+        )
         assert tiny_model.logits(hidden).shape == (2, tiny_model.config.vocab_size)
 
     def test_embed_tokens_validation(self, tiny_model):
         with pytest.raises(ValueError):
             tiny_model.embed_tokens(np.array([99999]))
 
-    def test_kv_cache_bytes_grow(self, tiny_model, rng):
-        assert tiny_model.kv_cache_bytes() == 0
-        tiny_model.forward_chunk(rng.normal(size=(4, 32)))
-        assert tiny_model.kv_cache_bytes() > 0
-
-    def test_retriever_receives_callbacks(self, tiny_model_config, tiny_video):
+    def test_retriever_receives_callbacks(self, tiny_model, tiny_model_config, tiny_video):
         retriever = FullRetriever()
         calls = {"observe": 0, "select": 0}
         original_observe, original_select = retriever.observe_keys, retriever.select
@@ -79,9 +84,9 @@ class TestStreamingVideoLLM:
             return original_select(*args, **kwargs)
 
         retriever.observe_keys, retriever.select = observe, select
-        model = StreamingVideoLLM(tiny_model_config, seed=0, retriever=retriever)
-        model.prefill_frame(tiny_video.frames()[0], 0)
-        model.prefill_frame(tiny_video.frames()[1], 1)
+        state = tiny_model.new_session_state(retriever)
+        tiny_model.prefill_frame(tiny_video.frames()[0], 0, state)
+        tiny_model.prefill_frame(tiny_video.frames()[1], 1, state)
         assert calls["observe"] == 2 * tiny_model_config.num_layers
         # Selection only happens once there is a non-empty past.
         assert calls["select"] == tiny_model_config.num_layers
@@ -102,9 +107,14 @@ class TestStreamingSession:
         assert 0.0 < stats.retrieval_ratio(FRAME_STAGE) <= 1.0
         assert 0.0 < stats.retrieval_ratio(GENERATION_STAGE) <= 1.0
 
-    def test_per_layer_and_per_head_ratios(self, tiny_model_config, tiny_video):
-        model = StreamingVideoLLM(tiny_model_config, seed=0, retriever=FullRetriever())
-        session = StreamingSession(model)
+    def test_kv_cache_bytes_grow(self, tiny_model, rng):
+        session = StreamingSession(tiny_model)
+        assert session.kv_cache_bytes() == 0
+        session.process_frame(rng.normal(size=(4, 32)))
+        assert session.kv_cache_bytes() > 0
+
+    def test_per_layer_and_per_head_ratios(self, tiny_model, tiny_model_config, tiny_video):
+        session = StreamingSession(tiny_model, FullRetriever())
         for frame in tiny_video.frames()[:3]:
             session.process_frame(frame)
         per_layer = session.stats.retrieval_ratio_per_layer(FRAME_STAGE)
@@ -113,10 +123,9 @@ class TestStreamingSession:
         assert set(per_head) == set(range(tiny_model_config.num_kv_heads))
         assert all(v == pytest.approx(1.0) for v in per_layer.values())
 
-    def test_stage_propagates_to_retriever(self, tiny_model_config, tiny_video, rng):
+    def test_stage_propagates_to_retriever(self, tiny_model, tiny_video):
         retriever = make_infinigen()
-        model = StreamingVideoLLM(tiny_model_config, seed=0, retriever=retriever)
-        session = StreamingSession(model)
+        session = StreamingSession(tiny_model, retriever)
         session.process_frame(tiny_video.frames()[0])
         assert retriever.stage == FRAME_STAGE
         session.generate(1)
@@ -126,6 +135,14 @@ class TestStreamingSession:
         session = StreamingSession(tiny_model)
         out = session.generate(0)
         assert out.shape == (0, 32)
+
+    @pytest.mark.parametrize("count", [-2, 2.5, True])
+    def test_generate_rejects_invalid_counts(self, tiny_model, count):
+        """A negative count used to generate nothing, silently."""
+        session = StreamingSession(tiny_model)
+        with pytest.raises(ValueError, match="num_tokens"):
+            session.generate(count)
+        assert session.stats.tokens_generated == 0
 
     def test_generate_returns_hidden_states(self, tiny_model, tiny_video):
         session = StreamingSession(tiny_model)

@@ -1,4 +1,4 @@
-"""Tests for the multi-stream serving layer (RetrievalSession/SessionBatch)."""
+"""Tests for the multi-stream serving layer (StreamingSession/SessionBatch)."""
 
 from __future__ import annotations
 
@@ -8,13 +8,21 @@ import pytest
 from repro.config import ReSVConfig
 from repro.core.baselines import make_rekv
 from repro.core.resv import ReSVRetriever
-from repro.model.serving import RetrievalSession, SessionBatch
+from repro.core.retrieval_base import KVRetriever
+from repro.model.kvcache import KVCache
+from repro.model.llm import LLMSessionState, StreamingVideoLLM
+from repro.model.serving import SessionBatch
 from repro.model.streaming import StreamingSession
 
 
 def _frames(rng, count, tokens, hidden, drift=0.05):
     base = rng.normal(size=(tokens, hidden))
     return [base + drift * rng.normal(size=base.shape) for _ in range(count)]
+
+
+def _ticks(streams):
+    """Round-robin arrivals: frame ``k`` of every stream arrives at tick ``k``."""
+    return [range(len(frames)) for frames in streams]
 
 
 def _resv_for(config):
@@ -26,40 +34,72 @@ def _resv_for(config):
     )
 
 
-class TestRetrievalSession:
-    def test_private_state_leaves_default_session_untouched(self, tiny_model, rng):
-        session = RetrievalSession(tiny_model, retriever=None, session_id=0)
-        for frame in _frames(rng, 3, 4, tiny_model.config.hidden_dim):
-            session.process_frame(frame)
-        assert session.cache_length == 12
-        assert tiny_model.cache_length == 0  # default single-stream state untouched
+def _batch(model, config, num_sessions):
+    return SessionBatch(
+        model, retriever_factory=_resv_for(config).spawn, num_sessions=num_sessions
+    )
 
-    def test_matches_single_stream_session(self, tiny_model_config, rng):
-        """A RetrievalSession must produce the same outputs as the old API."""
-        from repro.model.llm import StreamingVideoLLM
 
-        frames = _frames(rng, 4, 4, tiny_model_config.hidden_dim)
-        question = rng.normal(size=(3, tiny_model_config.hidden_dim))
+def _reachable(root):
+    """Every object reachable from ``root`` through attributes and containers,
+    keyed by its access path (each object once, at its first path)."""
+    seen: set[int] = set()
+    found: dict[str, object] = {}
+    stack = [("model", root)]
+    while stack:
+        path, obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        found[path] = obj
+        if isinstance(obj, dict):
+            stack.extend((f"{path}[{key!r}]", value) for key, value in obj.items())
+        elif isinstance(obj, (list, tuple)):
+            stack.extend((f"{path}[{index}]", value) for index, value in enumerate(obj))
+        elif hasattr(obj, "__dict__") and not isinstance(obj, type):
+            stack.extend((f"{path}.{name}", value) for name, value in vars(obj).items())
+    return found
 
-        single_model = StreamingVideoLLM(tiny_model_config, seed=0)
-        single_model.attach_retriever(_resv_for(tiny_model_config))
-        single = StreamingSession(single_model)
 
-        batch_model = StreamingVideoLLM(tiny_model_config, seed=0)
-        batched = RetrievalSession(batch_model, _resv_for(tiny_model_config))
+def _snapshot(model):
+    """Bytes of every array and the repr of every scalar reachable from ``model``."""
+    snapshot = {}
+    for path, obj in _reachable(model).items():
+        if isinstance(obj, np.ndarray):
+            snapshot[path] = (obj.dtype.str, obj.shape, obj.tobytes())
+        elif isinstance(obj, (bool, int, float, complex, str, bytes, np.generic)) or obj is None:
+            snapshot[path] = repr(obj)
+    return snapshot
 
-        for frame_id, frame in enumerate(frames):
-            out_single = single.process_frame(frame, frame_id=frame_id)
-            out_batched = batched.process_frame(frame, frame_id=frame_id)
-            np.testing.assert_allclose(out_single, out_batched)
-        np.testing.assert_allclose(single.ask(question), batched.ask(question))
-        np.testing.assert_allclose(single.generate(2), batched.generate(2))
-        assert single.stats.retrieval_ratio("frame") == pytest.approx(
-            batched.stats.retrieval_ratio("frame")
+
+class TestModelIsWeightsOnly:
+    def test_full_batch_pass_leaves_the_model_byte_identical(self, tiny_model_config, rng):
+        """Frames, questions and generation on many streams write only to
+        the sessions: the shared model holds weights and nothing else."""
+        hidden = tiny_model_config.hidden_dim
+        model = StreamingVideoLLM(tiny_model_config, seed=0)
+        before = _snapshot(model)
+        assert sum(isinstance(value, tuple) for value in before.values()) > 10  # the weights
+
+        batch = _batch(model, tiny_model_config, 3)
+        streams = [_frames(rng, count, 4, hidden) for count in (3, 1, 2)]
+        batch.run_arrivals(streams, [[0.0, 0.4, 0.9], [0.2], [0.1, 0.5]])
+        batch.ask_all([rng.normal(size=(2, hidden)), None, rng.normal(size=(3, hidden))])
+        batch.generate_all([2, None, 1])
+        reports = batch.reports()
+        assert [r.frames_processed for r in reports] == [3, 1, 2]
+        assert [r.tokens_generated for r in reports] == [2, 0, 1]
+
+        assert _snapshot(model) == before
+        reachable = _reachable(model).values()
+        assert not any(
+            isinstance(obj, (KVCache, LLMSessionState, KVRetriever)) for obj in reachable
         )
 
+
+class TestSessionReport:
     def test_report_carries_engine_statistics(self, tiny_model, tiny_model_config, rng):
-        session = RetrievalSession(tiny_model, _resv_for(tiny_model_config))
+        session = StreamingSession(tiny_model, _resv_for(tiny_model_config))
         for frame in _frames(rng, 4, 4, tiny_model_config.hidden_dim):
             session.process_frame(frame)
         report = session.report()
@@ -73,17 +113,20 @@ class TestRetrievalSession:
 
 
 class TestSessionBatch:
-    def test_rejects_prototype_and_factory(self, tiny_model, tiny_model_config):
-        with pytest.raises(ValueError):
-            SessionBatch(
-                tiny_model,
-                retriever=_resv_for(tiny_model_config),
-                retriever_factory=lambda: _resv_for(tiny_model_config),
-            )
+    @pytest.mark.parametrize("num_sessions", [-3, 2.5, True])
+    def test_rejects_invalid_num_sessions(self, tiny_model, num_sessions):
+        """-3 used to build no session, silently; 2.5 died inside range()."""
+        with pytest.raises(ValueError, match="num_sessions"):
+            SessionBatch(tiny_model, num_sessions=num_sessions)
+
+    def test_without_factory_streams_use_full_attention(self, tiny_model, rng):
+        batch = SessionBatch(tiny_model, num_sessions=2)
+        assert [session.retriever for session in batch.sessions] == [None, None]
+        assert batch.add_session().session_id == 2
 
     def test_spawned_retrievers_share_encoder_not_state(self, tiny_model, tiny_model_config, rng):
         prototype = _resv_for(tiny_model_config)
-        batch = SessionBatch(tiny_model, retriever=prototype, num_sessions=3)
+        batch = SessionBatch(tiny_model, retriever_factory=prototype.spawn, num_sessions=3)
         assert len(batch) == 3
         retrievers = [session.retriever for session in batch.sessions]
         assert all(r is not prototype for r in retrievers)
@@ -98,59 +141,38 @@ class TestSessionBatch:
         """Serving other streams must not change a stream's outputs."""
         frames = _frames(rng, 3, 4, tiny_model_config.hidden_dim)
         other = _frames(np.random.default_rng(99), 3, 4, tiny_model_config.hidden_dim, drift=0.5)
+        question = rng.normal(size=(2, tiny_model_config.hidden_dim))
 
-        solo = RetrievalSession(tiny_model, _resv_for(tiny_model_config))
-        solo_out = [solo.process_frame(f, frame_id=i) for i, f in enumerate(frames)]
+        solo = StreamingSession(tiny_model, _resv_for(tiny_model_config))
+        for frame in frames:
+            solo.process_frame(frame)
 
-        batch = SessionBatch(
-            tiny_model, retriever=_resv_for(tiny_model_config), num_sessions=2
-        )
-        batched_out = []
-        for i, (frame, other_frame) in enumerate(zip(frames, other, strict=True)):
-            outputs = batch.process_frames([frame, other_frame], frame_id=i)
-            batched_out.append(outputs[0])
-        for expected, actual in zip(solo_out, batched_out, strict=True):
-            np.testing.assert_allclose(expected, actual)
+        batch = _batch(tiny_model, tiny_model_config, 2)
+        batch.run_arrivals([frames, other], _ticks([frames, other]))
+        np.testing.assert_array_equal(solo.ask(question), batch.ask_all([question, None])[0])
+        assert solo.report() == batch.reports()[0]
 
-    def test_round_robin_with_stalled_stream(self, tiny_model, tiny_model_config, rng):
-        batch = SessionBatch(
-            tiny_model, retriever=_resv_for(tiny_model_config), num_sessions=2
-        )
+    def test_run_arrivals_with_idle_stream(self, tiny_model, tiny_model_config, rng):
+        batch = _batch(tiny_model, tiny_model_config, 2)
         frame = rng.normal(size=(4, tiny_model_config.hidden_dim))
-        outputs = batch.process_frames([frame, None])
-        assert outputs[0] is not None and outputs[1] is None
+        assert batch.run_arrivals([[frame], []], [[0.0], []]) == [(0.0, 0, 0)]
         assert batch.sessions[0].cache_length == 4
         assert batch.sessions[1].cache_length == 0
-        with pytest.raises(ValueError):
-            batch.process_frames([frame])
 
-    def test_run_streams_stalled_tick_does_not_end_stream(self, tiny_model, tiny_model_config, rng):
-        """A stream yielding None (stalled tick) must keep running."""
+    def test_run_arrivals_drains_unequal_lengths(self, tiny_model, tiny_model_config, rng):
         hidden = tiny_model_config.hidden_dim
-        batch = SessionBatch(
-            tiny_model, retriever=_resv_for(tiny_model_config), num_sessions=1
-        )
-        frames = _frames(rng, 2, 4, hidden)
-        batch.run_streams([[frames[0], None, frames[1]]])
-        assert batch.sessions[0].stats.frames_processed == 2
-
-    def test_run_streams_drains_unequal_lengths(self, tiny_model, tiny_model_config, rng):
-        hidden = tiny_model_config.hidden_dim
-        batch = SessionBatch(
-            tiny_model, retriever=_resv_for(tiny_model_config), num_sessions=2
-        )
-        batch.run_streams([_frames(rng, 5, 4, hidden), _frames(rng, 2, 4, hidden)])
+        batch = _batch(tiny_model, tiny_model_config, 2)
+        streams = [_frames(rng, 5, 4, hidden), _frames(rng, 2, 4, hidden)]
+        batch.run_arrivals(streams, _ticks(streams))
         assert batch.sessions[0].stats.frames_processed == 5
         assert batch.sessions[1].stats.frames_processed == 2
         assert sum(session.cache_length for session in batch.sessions) == (5 + 2) * 4
 
     def test_reports_and_generation(self, tiny_model, tiny_model_config, rng):
         hidden = tiny_model_config.hidden_dim
-        batch = SessionBatch(
-            tiny_model, retriever=_resv_for(tiny_model_config), num_sessions=4
-        )
+        batch = _batch(tiny_model, tiny_model_config, 4)
         streams = [_frames(np.random.default_rng(s), 3, 4, hidden) for s in range(4)]
-        batch.run_streams(streams)
+        batch.run_arrivals(streams, _ticks(streams))
         batch.ask_all([rng.normal(size=(2, hidden))] * 4)
         batch.generate_all(2)
         reports = batch.reports()
@@ -165,10 +187,9 @@ class TestSessionBatch:
     def test_generate_all_per_stream_counts(self, tiny_model, tiny_model_config, rng):
         """Only streams that asked a question generate (and record) tokens."""
         hidden = tiny_model_config.hidden_dim
-        batch = SessionBatch(
-            tiny_model, retriever=_resv_for(tiny_model_config), num_sessions=3
-        )
-        batch.run_streams([_frames(rng, 2, 4, hidden)] * 3)
+        batch = _batch(tiny_model, tiny_model_config, 3)
+        streams = [_frames(rng, 2, 4, hidden)] * 3
+        batch.run_arrivals(streams, _ticks(streams))
         batch.ask_all([rng.normal(size=(2, hidden)), None, rng.normal(size=(2, hidden))])
         outputs = batch.generate_all([3, None, 0])
         assert outputs[0].shape == (3, hidden)
@@ -182,28 +203,41 @@ class TestSessionBatch:
 
     def test_generate_all_scalar_unchanged(self, tiny_model, tiny_model_config, rng):
         hidden = tiny_model_config.hidden_dim
-        batch = SessionBatch(
-            tiny_model, retriever=_resv_for(tiny_model_config), num_sessions=2
-        )
-        batch.run_streams([_frames(rng, 2, 4, hidden)] * 2)
+        batch = _batch(tiny_model, tiny_model_config, 2)
+        streams = [_frames(rng, 2, 4, hidden)] * 2
+        batch.run_arrivals(streams, _ticks(streams))
         outputs = batch.generate_all(2)
         assert all(out.shape == (2, hidden) for out in outputs)
         assert [r.tokens_generated for r in batch.reports()] == [2, 2]
 
     def test_generate_all_length_validation(self, tiny_model, tiny_model_config):
-        batch = SessionBatch(
-            tiny_model, retriever=_resv_for(tiny_model_config), num_sessions=2
-        )
+        batch = _batch(tiny_model, tiny_model_config, 2)
         with pytest.raises(ValueError):
             batch.generate_all([1])
+
+    @pytest.mark.parametrize(
+        ("counts", "name"),
+        [
+            ([-2, 1], r"num_tokens\[0\]"),
+            ([1, -2], r"num_tokens\[1\]"),
+            ([1, 2.5], r"num_tokens\[1\]"),
+            (-2, "num_tokens"),
+        ],
+        ids=["first", "second", "fraction", "scalar"],
+    )
+    def test_generate_all_rejects_invalid_counts(self, tiny_model, tiny_model_config, counts, name):
+        """A negative count used to generate nothing, silently; every count
+        is checked before any stream generates."""
+        batch = _batch(tiny_model, tiny_model_config, 2)
+        with pytest.raises(ValueError, match=name):
+            batch.generate_all(counts)
+        assert [r.tokens_generated for r in batch.reports()] == [0, 0]
 
     def test_run_arrivals_processes_in_global_arrival_order(
         self, tiny_model, tiny_model_config, rng
     ):
         hidden = tiny_model_config.hidden_dim
-        batch = SessionBatch(
-            tiny_model, retriever=_resv_for(tiny_model_config), num_sessions=2
-        )
+        batch = _batch(tiny_model, tiny_model_config, 2)
         streams = [_frames(rng, 2, 4, hidden), _frames(rng, 3, 4, hidden)]
         schedule = batch.run_arrivals(streams, [[0.5, 2.0], [0.0, 0.5, 1.0]])
         assert schedule == [
@@ -216,26 +250,16 @@ class TestSessionBatch:
         assert batch.sessions[0].stats.frames_processed == 2
         assert batch.sessions[1].stats.frames_processed == 3
 
-    def test_run_arrivals_matches_round_robin_per_stream_state(
-        self, tiny_model_config, rng
-    ):
+    def test_admission_order_does_not_change_per_stream_state(self, tiny_model_config, rng):
         """State isolation: admission order across streams cannot change
         any single stream's cache or statistics."""
-        from repro.model.llm import StreamingVideoLLM
-
         hidden = tiny_model_config.hidden_dim
         streams = [_frames(rng, 3, 4, hidden), _frames(rng, 3, 4, hidden)]
 
-        tick_model = StreamingVideoLLM(tiny_model_config, seed=0)
-        ticked = SessionBatch(
-            tick_model, retriever=_resv_for(tiny_model_config), num_sessions=2
-        )
-        ticked.run_streams([list(frames) for frames in streams])
+        ticked = _batch(StreamingVideoLLM(tiny_model_config, seed=0), tiny_model_config, 2)
+        ticked.run_arrivals(streams, _ticks(streams))
 
-        arrival_model = StreamingVideoLLM(tiny_model_config, seed=0)
-        arrived = SessionBatch(
-            arrival_model, retriever=_resv_for(tiny_model_config), num_sessions=2
-        )
+        arrived = _batch(StreamingVideoLLM(tiny_model_config, seed=0), tiny_model_config, 2)
         arrived.run_arrivals(streams, [[0.0, 0.1, 0.2], [1.0, 1.1, 1.2]])
 
         for tick_report, arrival_report in zip(ticked.reports(), arrived.reports(), strict=True):
@@ -243,9 +267,7 @@ class TestSessionBatch:
 
     def test_run_arrivals_validation(self, tiny_model, tiny_model_config, rng):
         hidden = tiny_model_config.hidden_dim
-        batch = SessionBatch(
-            tiny_model, retriever=_resv_for(tiny_model_config), num_sessions=2
-        )
+        batch = _batch(tiny_model, tiny_model_config, 2)
         frames = _frames(rng, 2, 4, hidden)
         with pytest.raises(ValueError):
             batch.run_arrivals([frames], [[0.0, 1.0]])
@@ -269,9 +291,7 @@ class TestSessionBatch:
         self, tiny_model, tiny_model_config, rng, arrivals
     ):
         """NaN compares false both ways, so it slipped past the nondecreasing check."""
-        batch = SessionBatch(
-            tiny_model, retriever=_resv_for(tiny_model_config), num_sessions=2
-        )
+        batch = _batch(tiny_model, tiny_model_config, 2)
         frames = _frames(rng, 3, 4, tiny_model_config.hidden_dim)
         with pytest.raises(ValueError, match="stream [01] must be finite"):
             batch.run_arrivals([frames, frames], arrivals)
@@ -279,12 +299,12 @@ class TestSessionBatch:
         assert all(report.frames_processed == 0 for report in batch.reports())
 
     def test_baseline_retrievers_spawn_per_session(self, tiny_model, rng):
-        batch = SessionBatch(tiny_model, retriever=make_rekv(), num_sessions=2)
+        batch = SessionBatch(tiny_model, retriever_factory=make_rekv().spawn, num_sessions=2)
         retrievers = [session.retriever for session in batch.sessions]
         assert retrievers[0] is not retrievers[1]
         assert all(r.name == "rekv" for r in retrievers)
         frame = rng.normal(size=(4, tiny_model.config.hidden_dim))
-        batch.process_frames([frame, frame])
+        batch.run_arrivals([[frame], [frame]], [[0.0], [0.0]])
         assert batch.sessions[0].cache_length == 4
 
 
@@ -293,10 +313,9 @@ class TestAnalysisIntegration:
         from repro.analysis import batch_summary, format_session_table, retrieval_ratio_spread
 
         hidden = tiny_model_config.hidden_dim
-        batch = SessionBatch(
-            tiny_model, retriever=_resv_for(tiny_model_config), num_sessions=2
-        )
-        batch.run_streams([_frames(rng, 3, 4, hidden), _frames(rng, 4, 4, hidden)])
+        batch = _batch(tiny_model, tiny_model_config, 2)
+        streams = [_frames(rng, 3, 4, hidden), _frames(rng, 4, 4, hidden)]
+        batch.run_arrivals(streams, _ticks(streams))
         reports = batch.reports()
         summary = batch_summary(reports)
         assert summary["num_sessions"] == 2
@@ -318,7 +337,7 @@ class TestAnalysisIntegration:
         from repro.sim.pipeline import LatencyModel, MeasuredRetrieval
         from repro.sim.systems import EARLY_EXIT_SORT_FRACTION
 
-        session = RetrievalSession(tiny_model, _resv_for(tiny_model_config))
+        session = StreamingSession(tiny_model, _resv_for(tiny_model_config))
         for frame in _frames(rng, 4, 4, tiny_model_config.hidden_dim):
             session.process_frame(frame)
         report = session.report()

@@ -9,7 +9,7 @@ import pytest
 
 from repro.hw.event import EventLoop, PreemptiveResource, ResourceQueue
 from repro.hw.memory.pcie import PCIE4_X16, PCIeLink, PCIeLinkQueue
-from repro.model.serving import SessionReport
+from repro.model.streaming import SessionReport
 from repro.sim.batched import (
     MAX_KV_LEN,
     MAX_Q_LEN,
