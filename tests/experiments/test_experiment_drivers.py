@@ -31,9 +31,14 @@ from repro.sim.workload import default_llm_workload
 #: ``--sanitize``) and under ``tests/float_order``; never re-pin to make a
 #: refactor pass.
 MAIN_STDOUT_SHA256 = {
+    "fig04_motivation": "831e911b7a5dce3b931af2782101a97e4ffda77bcfe95df41db21c3baae8344a",
     "fig13_latency_energy": "0fb361fc68fc5a3fe877b58ee8e77652534de28ea457ba37b8fdf1e6f5ad8f71",
     "fig14_e2e_breakdown": "b1fa2c62e0776d7cb7a43107870b2be92b401acf653518329226f44432dfc837",
     "fig15_throughput_oaken": "5e57779032a74f2cb100bb9dc6495a69773783d6b4ac36b7f9f2b5c93bbc3fd1",
+    "fig16_ablation_hw": "de09595da0ae205659abdc42c3fa89fad51217ea27d2c304d13ac0357f9330e4",
+    "fig17_bandwidth": "015d8d8f6f569ae5cf3599fe886a42ba23884aba10578f016f120ca59f2af080",
+    "fig18_roofline": "82c1a69d60a0fa9dbca86060a562c00441792d62069a0ceeaf1a2f7ebff64c90",
+    "table03_area_power": "639ba766abac2c8e1a56fc1aa8da825ac61dca95b3ac23b7f4791ad8407262fd",
     "batched_serving": "e4c7575f7631c98910aff39af3ee010cc43155f7ef7bed2fbb67a4350dcb93a7",
     "scheduled_serving": "422d745222daaaf07beaed782f8459c44029696362606bce55122e7e31b515a9",
     "sharded_memory": "76b7ef0703902cd0b09ac14ed085933775176880eacc622f9c382e49a431649a",
@@ -55,6 +60,11 @@ class TestFig04:
         assert prefill == sorted(prefill)
         assert prefill[-1] > 60.0
         assert result.overhead_40k["retrieval"] > 0.5
+
+    def test_main_prints_pinned_bytes(self, capsys):
+        fig04_motivation.main()
+        out = capsys.readouterr().out
+        assert _stdout_sha256(out) == MAIN_STDOUT_SHA256["fig04_motivation"]
 
 
 class TestFig13:
@@ -194,6 +204,11 @@ class TestFig16:
         assert resv.prediction_fraction > 0.2
         assert kvpu.prediction_fraction < 0.05
 
+    def test_main_prints_pinned_bytes(self, capsys):
+        fig16_ablation_hw.main()
+        out = capsys.readouterr().out
+        assert _stdout_sha256(out) == MAIN_STDOUT_SHA256["fig16_ablation_hw"]
+
 
 class TestFig17:
     def test_overlap_properties(self):
@@ -202,6 +217,11 @@ class TestFig17:
         assert result.retrieval_bandwidth_fraction < 0.05
         assert result.retrieval_duration_fraction > 0.5
         assert "KV Retrieval" in result.traces and "Attention" in result.traces
+
+    def test_main_prints_pinned_bytes(self, capsys):
+        fig17_bandwidth.main()
+        out = capsys.readouterr().out
+        assert _stdout_sha256(out) == MAIN_STDOUT_SHA256["fig17_bandwidth"]
 
 
 class TestFig18:
@@ -218,7 +238,14 @@ class TestFig18:
         monkeypatch.setenv(ENV_VAR, "0")
         fig18_roofline.main(["--sanitize"])
         assert sanitize_enabled()
-        assert "V-Rex8" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "V-Rex8" in out
+        assert _stdout_sha256(out) == MAIN_STDOUT_SHA256["fig18_roofline"]
+
+    def test_main_prints_pinned_bytes(self, capsys):
+        fig18_roofline.main([])
+        out = capsys.readouterr().out
+        assert _stdout_sha256(out) == MAIN_STDOUT_SHA256["fig18_roofline"]
 
 
 class TestBatchedServing:
@@ -556,9 +583,10 @@ class TestTable03:
         assert result.vrex48_system_power_w < result.a100_power_w
 
     def test_main_prints(self, capsys):
-        table03_area_power.main()
+        table03_area_power.main([])
         out = capsys.readouterr().out
         assert "Table III" in out and "DPE" in out
+        assert _stdout_sha256(out) == MAIN_STDOUT_SHA256["table03_area_power"]
 
     def test_main_sanitize_flag_arms_sanitizer(self, capsys, monkeypatch):
         monkeypatch.setenv(ENV_VAR, "0")

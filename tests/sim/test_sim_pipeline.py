@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
+from dataclasses import fields
+
 import pytest
 
 from repro.config import llama3_8b_config
 from repro.hw.specs import AGX_ORIN, VREX8
-from repro.sim.pipeline import LatencyModel
+from repro.sim.pipeline import LatencyModel, StepResult
 from repro.sim.systems import (
+    DEFAULT_KV_LENGTHS,
     ablation_systems,
     edge_systems,
     flexgen_policy,
@@ -265,3 +269,52 @@ class TestExplicitZeroStages:
         default = latency_model.question_step(edge["AGX + FlexGen"], 20_000)
         assert default.total_s == pytest.approx(explicit.total_s)
 
+
+
+def _hex(value) -> str:
+    """A float as ``float.hex``, anything else as ``repr``, each typed."""
+    if isinstance(value, float):
+        return f"float:{value.hex()}"
+    return f"{type(value).__name__}:{value!r}"
+
+
+class TestLatencyModelPinned:
+    """Every step and layer timeline ``LatencyModel`` prices, bit for bit.
+
+    One sha256 over the float-hex of every :class:`StepResult` field and
+    breakdown value of a frame, a default question, an empty
+    (``question_tokens=0``) question and a generation step, and of every
+    ``layer_timeline`` task, over every system of the edge, server,
+    ablation and throughput line-ups x ``DEFAULT_KV_LENGTHS`` plus 0, 1
+    and 777 tokens x batch 1, 4 and 16.  Any change to how the model
+    derives a layer's compute, prediction or fetch fails here.  Never
+    re-pin: a failing digest is a behaviour change.
+    """
+
+    DIGEST = "4080:30ebdf038d05fdcf836d9317c9dfe42001d3306f522a37a357e2da76d273e99b"
+
+    def test_every_step_and_timeline_is_unchanged(self, workload):
+        model = LatencyModel()
+        model_bytes = workload.model_bytes()
+        line_ups = (edge_systems, server_systems, ablation_systems, throughput_systems)
+        step_fields = [f for f in fields(StepResult) if f.name != "breakdown"]
+        lines = []
+        for line_up in line_ups:
+            for name, system in line_up(model_bytes).items():
+                for kv_len in (*DEFAULT_KV_LENGTHS, 0, 1, 777):
+                    for batch in (1, 4, 16):
+                        steps = (
+                            model.frame_step(system, kv_len, batch),
+                            model.question_step(system, kv_len, batch),
+                            model.question_step(system, kv_len, batch, question_tokens=0),
+                            model.generation_step(system, kv_len, batch),
+                        )
+                        lines.append(f"{name} {kv_len} {batch}")
+                        for step in steps:
+                            values = [getattr(step, f.name) for f in step_fields]
+                            values += [v for item in step.breakdown.items() for v in item]
+                            lines.append(" ".join(map(_hex, values)))
+                        for task in model.layer_timeline(system, kv_len, batch).tasks:
+                            lines.append(" ".join(_hex(getattr(task, f.name)) for f in fields(task)))
+        digest = f"{len(lines)}:" + hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == self.DIGEST
