@@ -199,10 +199,11 @@ class EventLoop:
         priority: int = 0,
         key: tuple = (),
     ) -> None:
-        """Enqueue ``callback`` to fire at ``time_s``."""
-        if time_s < self.now_s:
+        """Enqueue ``callback`` to fire at ``time_s`` (``inf`` is legal, NaN is not)."""
+        if not time_s >= self.now_s:  # also False for NaN, which no comparison orders
             raise ValueError(
-                f"cannot schedule an event at {time_s} before the current time {self.now_s}"
+                f"cannot schedule an event at {time_s}, not at or after the current "
+                f"time {self.now_s}"
             )
         heapq.heappush(self._heap, (time_s, priority, key, self._seq, callback))
         self._seq += 1

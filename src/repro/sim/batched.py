@@ -98,6 +98,7 @@ from repro.sim.pipeline import (
     LatencyModel,
     MeasuredRetrieval,
     PredictionParts,
+    _DemandEntry,
     gpu_sequential_fraction,
     overlap_rules,
 )
@@ -264,17 +265,14 @@ def _broadcast_per_stream(
 
 def aligned_arrivals(num_streams: int) -> list[float]:
     """All streams' frames arrive at the same instant (worst-case collision)."""
-    if num_streams < 1:
-        raise ValueError(f"num_streams must be at least 1, got {num_streams}")
+    require_number("num_streams", num_streams, 1, integer=True)
     return [0.0] * num_streams
 
 
 def staggered_arrivals(num_streams: int, spacing_s: float) -> list[float]:
     """Frame arrivals spread ``spacing_s`` apart (admission-controlled phase)."""
-    if num_streams < 1:
-        raise ValueError(f"num_streams must be at least 1, got {num_streams}")
-    if spacing_s < 0:
-        raise ValueError("spacing_s must be non-negative")
+    require_number("num_streams", num_streams, 1, integer=True)
+    require_number("spacing_s", spacing_s, finite=True)
     return [index * spacing_s for index in range(num_streams)]
 
 
@@ -438,52 +436,6 @@ class StreamScenarioEstimate:
 _DEMAND_TABLE_ENTRIES = 1 << 16
 
 
-def _channel_fetch_time_s(device, locality: float, num_bytes: float, from_ssd: bool) -> float:
-    """Single-channel fetch time: the KVMU on V-Rex, a plain DMA on a GPU."""
-    if isinstance(device, VRexAccelerator):
-        return device.fetch_time_s(KVFetchWork(num_bytes, locality, from_ssd=from_ssd))
-    return device.fetch_time_s(num_bytes, from_ssd=from_ssd, sequential_fraction=locality)
-
-
-@dataclass(frozen=True, slots=True)
-class _DemandEntry:
-    """Per-layer resource demands of one stream (batch-1 granularity).
-
-    One immutable row of :class:`BatchLatencyModel`'s demand table: the part
-    of a stream's demand that does not depend on the memory plane's live
-    residency, and nothing of the profile it was derived from.
-    """
-
-    compute_cost: KernelCost
-    parts: PredictionParts | None
-    compute_layer_s: float  # device.dense_time_s(compute_cost)
-    prediction_layer_s: float  # base._price_prediction_parts(system, parts)
-    fetch_bytes: float = 0.0
-    fetch_service_s: float = 0.0  # single-channel fetch (incl. link/SSD latency)
-    pcie_occupancy_s: float = 0.0  # bytes-on-the-wire time, no request latency
-    ssd_occupancy_s: float = 0.0  # SSD media time, no access latency
-    # the one-channel fetch pricer behind warm_time_s/cold_time_s (None when
-    # the stream fetches nothing): KVMU chunk bytes on V-Rex, the sequential
-    # fraction on a GPU
-    fetch_device: object = None
-    fetch_locality: float = 0.0
-    from_ssd: bool = False
-
-    @property
-    def on_dre(self) -> bool:
-        return self.parts is not None and self.parts.on_dre
-
-    def warm_time_s(self, num_bytes: float) -> float:
-        """One channel's fetch of ``num_bytes`` from the offload target."""
-        return _channel_fetch_time_s(
-            self.fetch_device, self.fetch_locality, num_bytes, self.from_ssd
-        )
-
-    def cold_time_s(self, num_bytes: float) -> float:
-        """One channel's fetch of ``num_bytes`` demoted to the SSD tier."""
-        return _channel_fetch_time_s(self.fetch_device, self.fetch_locality, num_bytes, True)
-
-
 def _derive_demands(
     base: LatencyModel,
     system: SystemConfig,
@@ -493,7 +445,7 @@ def _derive_demands(
     measured: MeasuredRetrieval,
     kv_lens: list[int],
 ) -> list[_DemandEntry]:
-    """:meth:`BatchLatencyModel._derive_demand` over a column of cache lengths.
+    """:meth:`LatencyModel._layer_demand` at ``batch=1`` over a column of cache lengths.
 
     Every other key field is shared, so each term of the scalar chain is a
     constant or one numpy column, evaluated in the chain's order:
@@ -565,7 +517,7 @@ def _derive_demands(
         dense_flops, serial_s = dense_flops.tolist(), serial_s.tolist()
         prediction_layer_s = prediction_layer_s.tolist()
 
-    # _fetch_bytes_per_layer and the one-channel fetch's prices
+    # the selected-but-offloaded bytes and the one-channel fetch's prices
     fetch_bytes = np.zeros(kv.size)
     if system.kv_offloaded:
         stream_bytes = llm.kv_cache_bytes(kv, 1) * system.kv_bytes_scale
@@ -1189,59 +1141,6 @@ class BatchLatencyModel:
             )
         return memory
 
-    def _derive_demand(
-        self, system: SystemConfig, profile: StreamProfile, q_len: int, stage: str
-    ) -> _DemandEntry:
-        """Derive one stream's per-layer demands (mirrors ``LatencyModel._step``).
-
-        The scalar definition behind the demand table: misses are derived as
-        columns (:func:`_derive_demands`), and under the sanitizer every
-        column-derived row and every hit is compared with this.  Every
-        profile field it reads is part of the key :meth:`_stream_demands`
-        builds.
-        """
-        base = self.base
-        device = base.device_for(system)
-        ratio = profile.ratio_override(stage)
-        selected = base._selected_tokens(system, profile.kv_len, stage, ratio=ratio)
-        compute_cost = base.llm.layer_cost(q_len, selected, 1)
-        parts = base._prediction_parts(
-            system, q_len, profile.kv_len, stage, measured=profile.measured
-        )
-        compute_layer_s = device.dense_time_s(compute_cost)
-        prediction_layer_s = base._price_prediction_parts(system, parts)
-        per_layer_bytes = base._fetch_bytes_per_layer(
-            system, profile.kv_len, stage, 1, ratio=ratio
-        )
-        if per_layer_bytes <= 0:
-            return _DemandEntry(compute_cost, parts, compute_layer_s, prediction_layer_s)
-        from_ssd = system.device.offload_target == "ssd"
-        if isinstance(device, VRexAccelerator):
-            locality = base._contiguous_bytes(system, profile.measured)
-            efficiency = device.kvmu.link_efficiency(
-                KVFetchWork(per_layer_bytes, locality, from_ssd=from_ssd)
-            )
-            ssd_sequential = device.kvmu.ssd_sequential_fraction()
-        else:
-            effective_ratio = system.policy.ratio(stage) if ratio is None else ratio
-            locality = ssd_sequential = gpu_sequential_fraction(effective_ratio)
-            efficiency = system.device.pcie_efficiency
-        return _DemandEntry(
-            compute_cost,
-            parts,
-            compute_layer_s,
-            prediction_layer_s,
-            fetch_bytes=per_layer_bytes,
-            fetch_service_s=_channel_fetch_time_s(device, locality, per_layer_bytes, from_ssd),
-            pcie_occupancy_s=device.link.occupancy_s(per_layer_bytes, efficiency),
-            ssd_occupancy_s=device.ssd.read_occupancy_s(per_layer_bytes, ssd_sequential)
-            if from_ssd
-            else 0.0,
-            fetch_device=device,
-            fetch_locality=locality,
-            from_ssd=from_ssd,
-        )
-
     def _stream_demands(
         self,
         system: SystemConfig,
@@ -1316,7 +1215,11 @@ class BatchLatencyModel:
         self, system: SystemConfig, profile: StreamProfile, key: tuple, entry, kind: str
     ) -> None:
         """Armed only: a table entry must equal a fresh scalar derivation."""
-        fresh = self._derive_demand(system, profile, key[1], key[2])
+        q_len, stage = key[1], key[2]
+        ratio = profile.ratio_override(stage)
+        fresh = self.base._layer_demand(
+            system, profile.kv_len, q_len, stage, measured=profile.measured, ratio=ratio
+        )
         for slot in fields(_DemandEntry):
             if getattr(entry, slot.name) != getattr(fresh, slot.name):
                 raise SanitizerError(

@@ -36,7 +36,7 @@ preallocated structures:
 * a job's demands are row ``b = stream * 3 + kind`` of the run's one
   :class:`~repro.sim.scheduler.StageTable`, whose column lists the engine
   binds once and indexes per event — the same table the reference loop,
-  the lifecycle, the timeline and the energy post-pass read;
+  the lifecycle, the interval view and the energy post-pass read;
 * a stage's sharded fetch is priced once per distinct residency split:
   ``C_ISSUE`` keeps the stage's last split and its makespan and reuses it
   while the split is value-equal — steady state in memory-bound runs,
@@ -56,7 +56,7 @@ reference loop's ``(time, priority, key)`` order; a ``seq`` only breaks ties
 within one stream, which never holds two events of one priority at one
 time, so an engine that queues fewer events (and so consumes fewer ``seq``
 values) pops the same order — both engines produce the same records, the
-same timelines and the same (logical) event counts.  (A time-sliced stage
+same intervals and the same (logical) event counts.  (A time-sliced stage
 granted in place whose compute ends first resolves at its request, where
 the reference loop's link event is: one uncounted ``C_RESOLVE``.)  The
 lifecycle consumes no ``seq`` itself: it asks its engine to schedule a
@@ -137,7 +137,7 @@ def _job_lifecycle(
 
     Returns ``(submit, finish, resolved, fetch_split, close)``:
     ``resolved(job, s)`` takes time-sliced stage ``s``'s outcome for ``job``
-    (its three waits and its timeline's sources) and returns the finish time
+    (its three waits and its intervals' sources) and returns the finish time
     the engine schedules; ``fetch_split(s, t)`` commits stream ``s``'s
     fetch on the memory plane and returns its residency split;
     ``close(trace)`` checks the slots drained and returns the run's
@@ -294,7 +294,7 @@ def _job_lifecycle(
         compute_wait[job] = stage_core.compute_wait_s[s]
         pcie_wait[job] = stage_core.pcie_wait_s[s]
         dre_wait[job] = stage_core.dre_wait_s[s]
-        # the timeline's sources (one compute span per job on the shared lane)
+        # the intervals' sources (one compute span per job on the shared lane)
         table.compute_submit.append(stage_core.compute_submit_s[s])
         table.compute_finish.append(stage_core.compute_finish_s[s])
         table.prediction_end.append(stage_core.prediction_end_s[s])
@@ -467,7 +467,7 @@ def run_array(ctx: _RunContext) -> ScheduleResult:
             f"{MAX_SUBKEY_SEQ} per run; split it into smaller runs"
         )
 
-    # per-job private-compute link timing (also the timeline's sources)
+    # per-job private-compute link timing (also the intervals' sources)
     if not timesliced:
         j_fetch = table.fetch_s
         j_request = table.request

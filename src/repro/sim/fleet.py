@@ -74,7 +74,7 @@ migration delay is charged to the migrated session's latency, not hidden.
 routes every session to device 0 with no migration, no clamping, no RNG
 draw and no work estimation — the one device run *is* a plain
 :class:`~repro.sim.scheduler.ServingScheduler` run, bit for bit (records,
-timeline, summaries, event count), under both engines and regardless of
+intervals, summaries, event count), under both engines and regardless of
 the steal knobs (with one device there is never a distinct victim).  The
 fleet equivalence suite pins it.
 """
@@ -92,7 +92,6 @@ import numpy as np
 
 from repro.config import require_choice, require_number
 from repro.devtools.sanitizer import sanitize_enabled
-from repro.hw.event import Timeline
 from repro.hw.interconnect import FREE_INTERCONNECT, InterconnectLink, InterconnectSpec
 from repro.sim.batched import BatchLatencyModel, StreamProfile
 from repro.sim.jobtable import KIND_FRAME, KIND_QUESTION, RecordColumns
@@ -475,27 +474,6 @@ class FleetResult(RecordViews):
             if run.schedule is not None
         )
 
-    @property
-    def timeline(self) -> Timeline:
-        """All devices' timelines; past one device, resources are prefixed
-        ``d<i>:`` and jobs named as :attr:`records` name them."""
-        if len(self.devices) == 1:
-            run = self.devices[0]
-            return run.schedule.timeline if run.schedule is not None else Timeline()
-        merged = Timeline()
-        for run in self.devices:
-            if run.schedule is None:
-                continue
-            table, local = run.schedule._table, run.schedule.columns
-            # fleet stream indices, and each frame's original index from its record
-            frames = local.kind == KIND_FRAME
-            ids = np.asarray(table.frame_base)[local.stream[frames]] + local.index[frames]
-            index = table.index.copy()
-            index[ids] = run.columns.index[frames]
-            stream = np.asarray(run.stream_indices)[table.stream]
-            merged.tasks += table.build_timeline(f"d{run.device}:", stream, index).tasks
-        return merged
-
     def device_summaries(
         self, percentiles: Sequence[float] = DEFAULT_PERCENTILES
     ) -> list[LatencySummary]:
@@ -518,8 +496,7 @@ class FleetResult(RecordViews):
         Every active device is priced over the *fleet* window (the last
         device's last job, or the interconnect's last transfer: a device
         idling after its last local job still burns static power), with
-        rows prefixed ``d<i>:`` — the same namespacing as
-        :attr:`timeline` — plus one row charging migration/steal
+        rows prefixed ``d<i>:`` plus one row charging migration/steal
         transfers to the interconnect (active link power over its busy
         seconds plus per-byte switching energy).  With one device this
         delegates to the device report unchanged, preserving the M=1

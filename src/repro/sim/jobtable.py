@@ -4,17 +4,18 @@ Both scheduler engines (:mod:`repro.sim.scheduler`'s reference loop and
 :mod:`repro.sim.engine`'s array engine) name a unit of work by a dense
 integer id into one :class:`JobTable` and drive one job lifecycle over
 those ids (:func:`repro.sim.engine._job_lifecycle`).  There is no job
-object, no record row and no per-interval timeline object:
+object, no record row and no per-interval object:
 
 * :class:`JobTable` — static per-job numpy columns (stream, kind, index,
   session) built once per run with every potential job pre-enumerated
   (frames and questions from the traces, generation jobs from the answer
   budgets), per-job outcome buffers the lifecycle fills by id, the ids in
-  record order, and the few per-job times its timeline is derived from;
-  finalizing drops the per-job buffers and freezes those sources as
+  record order, and the few per-job times its intervals are derived
+  from; finalizing drops the per-job buffers and freezes those sources as
   numpy columns, so a finished run keeps columns only, and
-  :meth:`JobTable.build_timeline` rebuilds the intervals when they are
-  read;
+  :meth:`JobTable._intervals` derives every interval from them as
+  ``(job, resource code, start, duration)`` columns — the run's one
+  interval view;
 * :class:`RecordColumns` — a finished record set as sorted numpy columns:
   the one store behind every result (either engine's, or a fleet's
   merge), on which percentile/miss/drop statistics are computed directly
@@ -34,7 +35,6 @@ from array import array
 import numpy as np
 
 from repro.devtools.sanitizer import JOB_STATE, SanitizerError, sanitize_enabled
-from repro.hw.event import Timeline
 from repro.sim.batched import PRIO_ISSUE, PRIO_LINK
 
 #: Integer job-kind codes; ``KIND_NAMES[code]`` is the public kind string
@@ -47,7 +47,7 @@ KIND_NAMES = ("frame", "question", "generation")
 ADM_ADMIT, ADM_EVICT, ADM_BACKLOG, ADM_DEFER = 0, 1, 2, 3
 ADMISSION_NAMES = ("admit", "evict", "backlog", "defer")
 
-#: Timeline resource codes, in the order one event logs a job's intervals.
+#: Interval resource codes, in the order one event logs a job's intervals.
 TL_VISION, TL_COMPUTE, TL_DRE, TL_PCIE = 0, 1, 2, 3
 
 #: Sanitizer job lifecycle states (``JobTable._job_state`` values).
@@ -66,7 +66,7 @@ class JobTable:
     finishes; unrecorded ids simply never enter the record columns.
     """
 
-    #: per compute policy (time-sliced?), the times a timeline needs beyond
+    #: per compute policy (time-sliced?), the times the intervals need beyond
     #: ``start`` and ``dre_wait``: a link grant's request, start and fetch;
     #: a time-sliced stage's compute submit and finish, prediction end, link
     #: start and fetch (the order ``_intervals`` unpacks them in)
@@ -81,7 +81,7 @@ class JobTable:
         self._sanitize = sanitize_enabled()
         self.timesliced = timesliced
         #: the run's :class:`~repro.sim.scheduler.StageTable` (the stage
-        #: times a timeline derives the interval shapes from)
+        #: times the interval shapes are derived from)
         self.stages = stages
         num_streams = len(session_ids)
         self.num_streams = num_streams
@@ -157,7 +157,7 @@ class JobTable:
         #: recorded job ids, in record order
         self.records = array("q")
 
-        #: timeline sources (build_timeline derives the rest): per job under
+        #: interval sources (_intervals derives the rest): per job under
         #: private compute; under time-sliced compute one value per stage
         #: resolve, and the order stage events came in (``job << 1`` at
         #: issue, ``job << 1 | 1`` at resolve)
@@ -213,7 +213,7 @@ class JobTable:
         dropped = np.frombuffer(self.dropped, dtype=bool)[job]
         admission = np.frombuffer(self.admission, dtype=np.int8)[job].astype(np.int64)
         # the run is over: keep, per served job in record order, the times
-        # its timeline is derived from, and drop the per-job run state
+        # its intervals are derived from, and drop the per-job run state
         served = ~dropped
         source = {"job": job[served], "start": start[served], "dre_wait": dre[served]}
         for name in self._SOURCES[self.timesliced]:
@@ -298,26 +298,6 @@ class JobTable:
                 f"{ADMISSION_NAMES[int(admission[undropped_rejects.argmax()])]} "
                 f"but not marked dropped",
             )
-
-    def build_timeline(self, prefix="", stream=None, index=None) -> Timeline:
-        """Derive the finalized run's intervals as a full :class:`Timeline`.
-
-        Tasks name jobs by the per-job ``stream`` and ``index`` columns
-        (the table's own by default); ``prefix`` leads every resource.
-        """
-        job, code, start, duration = self._intervals()
-        timeline = Timeline()
-        add = timeline.add
-        stream = self.stream if stream is None else stream
-        index = self.index if index is None else index
-        session, kind = self.session, self.kind
-        # by TL_* code; a template without a field ignores the stream
-        compute = "compute" if self.timesliced else "compute:s{}"
-        resources = ("vision:s{}", compute, "dre", "pcie")
-        for j, c, t, d in zip(job.tolist(), code.tolist(), start.tolist(), duration.tolist()):
-            resource = prefix + resources[c].format(stream[j])
-            add(f"s{session[j]}/{KIND_NAMES[kind[j]]}{index[j]}", resource, t, d)
-        return timeline
 
     def _intervals(self):
         """Every interval as ``(job, code, start, duration)`` columns, in run order.

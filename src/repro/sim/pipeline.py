@@ -13,7 +13,10 @@ length and batch size it assembles the per-layer timeline of
 
 into per-frame latency, time-per-output-token, end-to-end scenario latency
 and the associated energy — the quantities behind Fig. 4, 13, 14, 15, 16,
-17 and 18.
+17 and 18.  A layer's three demands are derived in one place,
+:meth:`LatencyModel._layer_demand`, which the steps, the Fig. 17 layer
+timeline and the batched plane's demand table
+(:mod:`repro.sim.batched`) all read.
 """
 
 from __future__ import annotations
@@ -166,6 +169,54 @@ class PredictionParts:
     on_dre: bool
 
 
+def _channel_fetch_time_s(device, locality: float, num_bytes: float, from_ssd: bool) -> float:
+    """Single-channel fetch time: the KVMU on V-Rex, a plain DMA on a GPU."""
+    if isinstance(device, VRexAccelerator):
+        return device.fetch_time_s(KVFetchWork(num_bytes, locality, from_ssd=from_ssd))
+    return device.fetch_time_s(num_bytes, from_ssd=from_ssd, sequential_fraction=locality)
+
+
+@dataclass(frozen=True, slots=True)
+class _DemandEntry:
+    """One layer's compute, prediction and fetch demand (:meth:`LatencyModel._layer_demand`).
+
+    Derived for ``batch`` identical streams (``parts`` stays one stream's);
+    the batched plane's demand table holds the batch-1 rows, one immutable
+    row per stream: the part of its demand that does not depend on the
+    memory plane's live residency, and nothing of the profile it was
+    derived from.
+    """
+
+    compute_cost: KernelCost
+    parts: PredictionParts | None
+    compute_layer_s: float  # device.dense_time_s(compute_cost)
+    prediction_layer_s: float  # parts priced on their engine, plus serial and overhead
+    fetch_bytes: float = 0.0
+    fetch_service_s: float = 0.0  # single-channel fetch (incl. link/SSD latency)
+    pcie_occupancy_s: float = 0.0  # bytes-on-the-wire time, no request latency
+    ssd_occupancy_s: float = 0.0  # SSD media time, no access latency
+    # the one-channel fetch pricer behind warm_time_s/cold_time_s (None when
+    # the stream fetches nothing): KVMU chunk bytes on V-Rex, the sequential
+    # fraction on a GPU
+    fetch_device: object = None
+    fetch_locality: float = 0.0
+    from_ssd: bool = False
+
+    @property
+    def on_dre(self) -> bool:
+        return self.parts is not None and self.parts.on_dre
+
+    def warm_time_s(self, num_bytes: float) -> float:
+        """One channel's fetch of ``num_bytes`` from the offload target."""
+        return _channel_fetch_time_s(
+            self.fetch_device, self.fetch_locality, num_bytes, self.from_ssd
+        )
+
+    def cold_time_s(self, num_bytes: float) -> float:
+        """One channel's fetch of ``num_bytes`` demoted to the SSD tier."""
+        return _channel_fetch_time_s(self.fetch_device, self.fetch_locality, num_bytes, True)
+
+
 @dataclass
 class StepResult:
     """Latency and accounting of one pipeline step (one frame or one token)."""
@@ -305,54 +356,6 @@ class LatencyModel:
             measured = self.measured
         return measured.avg_tokens_per_cluster
 
-    def _fetch_bytes_per_layer(
-        self,
-        system: SystemConfig,
-        kv_len: int,
-        stage: str,
-        batch: int,
-        ratio: float | None = None,
-    ) -> float:
-        """Per-layer bytes of the selected-but-offloaded tokens."""
-        selected = self._selected_tokens(system, kv_len, stage, ratio=ratio)
-        off_fraction = self.offloaded_fraction(system, kv_len, batch)
-        return (
-            selected
-            * off_fraction
-            * self.llm.kv_bytes_per_token_per_layer()
-            * system.kv_bytes_scale
-            * batch
-        )
-
-    def _fetch(
-        self,
-        system: SystemConfig,
-        kv_len: int,
-        stage: str,
-        batch: int,
-        measured: MeasuredRetrieval | None = None,
-        ratio: float | None = None,
-    ):
-        """Per-layer fetch bytes and time for the selected-but-offloaded tokens."""
-        effective_ratio = system.policy.ratio(stage) if ratio is None else ratio
-        per_layer_bytes = self._fetch_bytes_per_layer(system, kv_len, stage, batch, ratio=ratio)
-        if per_layer_bytes <= 0:
-            return 0.0, 0.0
-        device = self.device_for(system)
-        from_ssd = system.device.offload_target == "ssd"
-        if isinstance(device, VRexAccelerator):
-            work = KVFetchWork(
-                total_bytes=per_layer_bytes,
-                mean_contiguous_bytes=self._contiguous_bytes(system, measured),
-                from_ssd=from_ssd,
-            )
-            return per_layer_bytes, device.fetch_time_s(work)
-        return per_layer_bytes, device.fetch_time_s(
-            per_layer_bytes,
-            from_ssd=from_ssd,
-            sequential_fraction=gpu_sequential_fraction(effective_ratio),
-        )
-
     def _contiguous_bytes(
         self, system: SystemConfig, measured: MeasuredRetrieval | None = None
     ) -> float:
@@ -442,34 +445,73 @@ class LatencyModel:
             on_dre=False,
         )
 
-    def _price_prediction_parts(
-        self, system: SystemConfig, parts: PredictionParts | None, batch: int = 1
-    ) -> float:
-        """Per-layer prediction time of ``batch`` identical streams' parts."""
-        if parts is None:
-            return 0.0
-        device = self.device_for(system)
-        cost = KernelCost(parts.dense_flops * batch)
-        if parts.engine == "dense":
-            matrix_time = device.dense_time_s(cost)
-        else:
-            matrix_time = device.irregular_time_s(cost)
-        return matrix_time + parts.serial_s * batch + parts.overhead_s
-
-    def _prediction(
+    def _layer_demand(
         self,
         system: SystemConfig,
-        q_len: int,
         kv_len: int,
+        q_len: int,
         stage: str,
-        batch: int,
+        batch: int = 1,
         measured: MeasuredRetrieval | None = None,
-    ) -> tuple[float, bool]:
-        """Per-layer KV-prediction time and whether it runs on the DRE."""
+        ratio: float | None = None,
+    ) -> _DemandEntry:
+        """One layer's compute, prediction and fetch demand of ``batch`` streams.
+
+        The one derivation every pricer reads: :meth:`_step`,
+        :meth:`layer_timeline`, and the batched plane's demand table at
+        ``batch=1``, per stream (its column pass mirrors this, and armed
+        runs compare the two).  ``measured`` and ``ratio`` override the
+        model's calibration and the policy's retrieval ratio.
+        """
+        device = self.device_for(system)
+        selected = self._selected_tokens(system, kv_len, stage, ratio=ratio)
+        compute_cost = self.llm.layer_cost(q_len, selected, batch)
+        compute_layer_s = device.dense_time_s(compute_cost)
         parts = self._prediction_parts(system, q_len, kv_len, stage, measured=measured)
-        if parts is None:
-            return 0.0, False
-        return self._price_prediction_parts(system, parts, batch), parts.on_dre
+        prediction_layer_s = 0.0
+        if parts is not None:
+            cost = KernelCost(parts.dense_flops * batch)
+            if parts.engine == "dense":
+                matrix_time = device.dense_time_s(cost)
+            else:
+                matrix_time = device.irregular_time_s(cost)
+            prediction_layer_s = matrix_time + parts.serial_s * batch + parts.overhead_s
+        # the selected-but-offloaded tokens' bytes
+        per_layer_bytes = (
+            selected
+            * self.offloaded_fraction(system, kv_len, batch)
+            * self.llm.kv_bytes_per_token_per_layer()
+            * system.kv_bytes_scale
+            * batch
+        )
+        if per_layer_bytes <= 0:
+            return _DemandEntry(compute_cost, parts, compute_layer_s, prediction_layer_s)
+        from_ssd = system.device.offload_target == "ssd"
+        if isinstance(device, VRexAccelerator):
+            locality = self._contiguous_bytes(system, measured)
+            efficiency = device.kvmu.link_efficiency(
+                KVFetchWork(per_layer_bytes, locality, from_ssd=from_ssd)
+            )
+            ssd_sequential = device.kvmu.ssd_sequential_fraction()
+        else:
+            effective_ratio = system.policy.ratio(stage) if ratio is None else ratio
+            locality = ssd_sequential = gpu_sequential_fraction(effective_ratio)
+            efficiency = system.device.pcie_efficiency
+        return _DemandEntry(
+            compute_cost,
+            parts,
+            compute_layer_s,
+            prediction_layer_s,
+            fetch_bytes=per_layer_bytes,
+            fetch_service_s=_channel_fetch_time_s(device, locality, per_layer_bytes, from_ssd),
+            pcie_occupancy_s=device.link.occupancy_s(per_layer_bytes, efficiency),
+            ssd_occupancy_s=device.ssd.read_occupancy_s(per_layer_bytes, ssd_sequential)
+            if from_ssd
+            else 0.0,
+            fetch_device=device,
+            fetch_locality=locality,
+            from_ssd=from_ssd,
+        )
 
     def _vision_time(self, system: SystemConfig, batch: int) -> tuple[float, KernelCost]:
         cost = self.vision.frame_cost(batch)
@@ -511,12 +553,11 @@ class LatencyModel:
                 },
                 oom=oom,
             )
-        selected = self._selected_tokens(system, kv_len, stage)
-        layer_cost = self.llm.layer_cost(q_len, selected, batch)
-        device = self.device_for(system)
-        compute_layer = device.dense_time_s(layer_cost)
-        prediction_layer, on_dre = self._prediction(system, q_len, kv_len, stage, batch)
-        fetch_bytes_layer, fetch_layer = self._fetch(system, kv_len, stage, batch)
+        demand = self._layer_demand(system, kv_len, q_len, stage, batch)
+        layer_cost = demand.compute_cost
+        compute_layer = demand.compute_layer_s
+        prediction_layer = demand.prediction_layer_s
+        fetch_layer = demand.fetch_service_s
 
         layer_latency, exposed_prediction, exposed_fetch = overlap_rules(
             system, stage, compute_layer, prediction_layer, fetch_layer
@@ -541,11 +582,11 @@ class LatencyModel:
             "kv_fetch": fetch_total,
             "kv_prediction_raw": prediction_layer * num_layers,
             "kv_fetch_raw": fetch_layer * num_layers,
-            "prediction_on_dre": float(on_dre),
+            "prediction_on_dre": float(demand.on_dre),
         }
         dense_flops = layer_cost.flops * num_layers + vision_cost.flops
         dram_bytes = layer_cost.dram_bytes * num_layers + vision_cost.dram_bytes
-        pcie_bytes = fetch_bytes_layer * num_layers
+        pcie_bytes = demand.fetch_bytes * num_layers
         pcie_busy = fetch_layer * num_layers
         return StepResult(
             system=system.name,
@@ -664,8 +705,9 @@ class LatencyModel:
         qkv_t = device.dense_time_s(qkv_cost)
         attn_t = device.dense_time_s(attn_cost)
         ffn_t = device.dense_time_s(ffn_cost)
-        prediction_t, _ = self._prediction(system, q_len, kv_len, FRAME_STAGE, batch)
-        fetch_bytes, fetch_t = self._fetch(system, kv_len, FRAME_STAGE, batch)
+        demand = self._layer_demand(system, kv_len, q_len, FRAME_STAGE, batch)
+        prediction_t = demand.prediction_layer_s
+        fetch_bytes, fetch_t = demand.fetch_bytes, demand.fetch_service_s
 
         timeline = Timeline()
         bandwidth = system.device.memory_bandwidth_gbps

@@ -22,8 +22,8 @@ misses), not a single makespan.
 * each job's demands are read once per stream and stage from the plane's
   demand table (:meth:`BatchLatencyModel._stream_demands`) — exactly the
   pricing the contended batched plane uses — into one :class:`StageTable`
-  of per-(stream, kind) columns that both engines, the timeline and the
-  energy post-pass read;
+  of per-(stream, kind) columns that both engines, the interval view and
+  the energy post-pass read;
 * ReSV prediction jobs serialize FCFS on the shared DRE and KV-fetch
   transfers on the shared PCIe link
   (:class:`repro.hw.memory.pcie.PCIeLinkQueue`), through the *same*
@@ -42,9 +42,10 @@ misses), not a single makespan.
   policy's one rule (:func:`admission_decision`) defers them;
 * every run records every job, from which :class:`ScheduleResult`
   reports exact per-stream and fleet sojourn-time percentiles and
-  deadline-miss rates, and keeps the few per-job times its full
-  :class:`repro.hw.event.Timeline` (per-stream compute lanes plus the
-  shared ``dre`` and ``pcie`` resources) is derived from when read.
+  deadline-miss rates, and keeps the few per-job times its intervals
+  (per-stream compute lanes plus the shared ``dre`` and ``pcie``
+  resources) are derived from, as columns
+  (:meth:`repro.sim.jobtable.JobTable._intervals`).
 """
 
 from __future__ import annotations
@@ -52,13 +53,13 @@ from __future__ import annotations
 import numbers
 from collections.abc import Container, Iterator, Sequence
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 
 import numpy as np
 
 from repro.config import require_choice, require_number
 from repro.hw.accelerator import VRexAccelerator
-from repro.hw.event import EventLoop, PreemptiveResource, ResourceQueue, Timeline
+from repro.hw.event import EventLoop, PreemptiveResource, ResourceQueue
 from repro.hw.memory.pcie import PCIeLinkQueue
 from repro.hw.memory.sharding import ShardedKVHierarchy, sharded_fetch_makespan
 from repro.sim.batched import (
@@ -459,7 +460,7 @@ class ScheduleResult(RecordViews):
     :class:`~repro.sim.jobtable.RecordColumns` — the store every statistic
     reads; dataclass rows are built on access — and the run's
     finalized :class:`~repro.sim.jobtable.JobTable` (numpy columns, among
-    them the sources :attr:`timeline` is derived from on first access).  The
+    them the sources of the run's interval columns).  The
     engine-equivalence tests pin the two engines' columns equal, column
     by column.
     """
@@ -494,11 +495,6 @@ class ScheduleResult(RecordViews):
         #: the run's sorted record columns (the store behind every view)
         self.columns = columns
         self._table = table
-
-    @cached_property
-    def timeline(self) -> Timeline:
-        """The run's full resource :class:`~repro.hw.event.Timeline`."""
-        return self._table.build_timeline()
 
     def stream_summaries(
         self, percentiles: Sequence[float] = DEFAULT_PERCENTILES, kind: str | None = None

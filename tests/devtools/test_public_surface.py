@@ -37,14 +37,6 @@ ALLOWED: dict[str, str] = {
         "the KVMU's cluster-wise fetch layout (paper Sec. V-C); tests/hw pin its transfer "
         "grouping, and examples/streaming_camera_agent.py drives the same manager"
     ),
-    "repro.sim.scheduler.ScheduleResult.timeline": (
-        "the run's activity timeline; kept until ROADMAP item 2 decides how a run is "
-        "exported to a trace viewer"
-    ),
-    "repro.sim.fleet.FleetResult.timeline": (
-        "the fleet's merged activity timeline; kept with ScheduleResult.timeline until "
-        "ROADMAP item 2 decides it"
-    ),
 }
 
 #: Names ``traffic_census.py`` may find never entered although something
@@ -74,10 +66,6 @@ UNTRACED: dict[str, str] = {
     ),
     "repro.hw.event.PreemptiveResource.backlog_s": (
         "the reference engine's admission reads it under time-sliced compute"
-    ),
-    "repro.sim.jobtable.JobTable.build_timeline": (
-        "materializes a run's timeline; kept with ScheduleResult.timeline until ROADMAP "
-        "item 2 decides it"
     ),
 }
 

@@ -77,6 +77,17 @@ class TestEventLoopSemantics:
         with pytest.raises(ValueError):
             loop.schedule(0.5, lambda: None)
 
+    def test_scheduling_at_nan_raises(self):
+        """A NaN time would fire at ``now_s = nan``, after which no past time
+        compares as past; it is rejected like one.  ``inf`` stays legal."""
+        loop = EventLoop()
+        with pytest.raises(ValueError, match="nan"):
+            loop.schedule(float("nan"), lambda: None)
+        assert len(loop) == 0
+        loop.schedule(float("inf"), lambda: None)
+        assert loop.run() == 1
+        assert loop.now_s == float("inf")
+
     def test_events_scheduled_at_now_during_callback_fire(self):
         loop = EventLoop()
         fired = []

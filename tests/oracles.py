@@ -1,6 +1,7 @@
-"""Oracles the suite checks the package against — a reference retriever and
-a lookup into an energy report's per-resource rows — and the one way a test
-edits a scheduler run's priced stage table.
+"""Oracles the suite checks the package against — a reference retriever, a
+lookup into an energy report's per-resource rows and a scheduler run's
+intervals as named tasks — and the one way a test edits a scheduler run's
+priced stage table.
 
 ``tests/`` is on ``sys.path`` (pytest prepends the directory of the root
 ``conftest.py``), so any test module can ``from oracles import ...``.
@@ -39,6 +40,38 @@ def energy_row(report, name: str):
         if row.name == name:
             return row
     raise KeyError(name)
+
+
+def run_intervals(result):
+    """A scheduler run's intervals as named tasks, in run order.
+
+    Each row of the job table's interval columns (``JobTable._intervals``)
+    becomes a :class:`~repro.hw.event.TimelineTask` named
+    ``s<session>/<kind><index>`` on ``vision:s<stream>``, ``compute:s<stream>``
+    (one shared ``compute`` under time-sliced compute), ``dre`` or ``pcie``.
+    """
+    from repro.hw.event import TimelineTask
+    from repro.sim.jobtable import KIND_NAMES
+
+    table = result._table
+    job, code, start, duration = table._intervals()
+    resources = ("vision:s{}", "compute" if table.timesliced else "compute:s{}", "dre", "pcie")
+    return [
+        TimelineTask(
+            f"s{table.session[j]}/{KIND_NAMES[table.kind[j]]}{table.index[j]}",
+            resources[c].format(table.stream[j]),
+            t,
+            d,
+        )
+        for j, c, t, d in zip(job.tolist(), code.tolist(), start.tolist(), duration.tolist())
+    ]
+
+
+def assert_intervals_equal(a, b):
+    """Two scheduler runs' interval columns are equal, dtype and all."""
+    for column_a, column_b in zip(a._table._intervals(), b._table._intervals(), strict=True):
+        assert column_a.dtype == column_b.dtype
+        assert np.array_equal(column_a, column_b)
 
 
 def patch_stages(monkeypatch, **kinds):

@@ -159,6 +159,28 @@ class TestValidation:
         with pytest.raises(ValueError):
             aligned_arrivals(0)
 
+    @pytest.mark.parametrize(
+        ("call", "argument"),
+        [
+            (lambda: aligned_arrivals(2.5), "num_streams"),
+            (lambda: aligned_arrivals(True), "num_streams"),
+            (lambda: staggered_arrivals(2.5, 1.0), "num_streams"),
+            (lambda: staggered_arrivals(2, float("nan")), "spacing_s"),
+            (lambda: staggered_arrivals(3, float("inf")), "spacing_s"),
+        ],
+        ids=["aligned-2.5", "aligned-True", "staggered-2.5", "nan", "inf"],
+    )
+    def test_arrival_helpers_name_a_bad_argument(self, call, argument):
+        """A fractional or boolean count and a NaN or infinite spacing raise a
+        ``ValueError`` naming the argument, not a ``TypeError`` from inside
+        the list they would build, one stream, or NaN arrivals."""
+        with pytest.raises(ValueError, match=argument):
+            call()
+
+    def test_arrival_helpers_take_numpy_integers(self):
+        assert aligned_arrivals(np.int64(2)) == [0.0, 0.0]
+        assert staggered_arrivals(np.int64(3), 0.5) == [0.0, 0.5, 1.0]
+
     def test_rate_for_load_validation(self):
         assert rate_for_load(0.5, 2.0, num_streams=4) == pytest.approx(0.0625)
         with pytest.raises(ValueError):

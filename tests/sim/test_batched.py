@@ -585,7 +585,7 @@ class TestDemandTable:
         Without a memory plane each fetching row carries its one single-channel
         fetch price — no eager cold-tier (SSD) price rides along on the miss path.
         """
-        from repro.sim import batched
+        from repro.sim import batched, pipeline
 
         system = edge["V-Rex8"]
         profiles = [
@@ -594,8 +594,9 @@ class TestDemandTable:
         plane = BatchLatencyModel()
         derivations = _Rows(batched._derive_demands)
         monkeypatch.setattr(batched, "_derive_demands", derivations)
-        one_channel = _Counter(batched._channel_fetch_time_s)
-        monkeypatch.setattr(batched, "_channel_fetch_time_s", one_channel)
+        # the name a demand entry's warm and cold pricers resolve
+        one_channel = _Counter(pipeline._channel_fetch_time_s)
+        monkeypatch.setattr(pipeline, "_channel_fetch_time_s", one_channel)
         steps = [
             plane.frame_step(system, profiles),
             plane.question_step(system, profiles),

@@ -393,8 +393,8 @@ class TestLoneStageHasOneLatency:
         self, system_name, on_dre, compute_s, prediction_s, fetch_s, quantum_s, start_s
     ):
         from repro.hw.compute import KernelCost
-        from repro.sim.batched import _DemandEntry, contended_issue, contended_latency
-        from repro.sim.pipeline import FRAME_STAGE, PredictionParts, overlap_latency
+        from repro.sim.batched import contended_issue, contended_latency
+        from repro.sim.pipeline import FRAME_STAGE, PredictionParts, _DemandEntry, overlap_latency
 
         system = EDGE[system_name]
         is_vrex = system.device.kind == "vrex"

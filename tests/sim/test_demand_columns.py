@@ -1,6 +1,6 @@
 """The demand table, pinned bit for bit.
 
-Every field of every :class:`~repro.sim.batched._DemandEntry` the batched
+Every field of every :class:`~repro.sim.pipeline._DemandEntry` the batched
 plane derives — for the ten Fig. 13 systems plus variants that reach every
 derivation branch, three job kinds and a cache-length set that covers the
 ``edge_overload`` benchmark population and the table's edges — is hashed
@@ -8,7 +8,7 @@ as ``float.hex`` / ``repr`` in key order.  A change to *how* misses are
 derived (the whole chain from selected tokens to the fetch occupancies)
 must leave the digest unmoved; a hypothesis property cross-checks random
 cache-length columns against the scalar definition,
-``BatchLatencyModel._derive_demand``, entry by entry.
+``LatencyModel._layer_demand``, entry by entry.
 """
 
 from __future__ import annotations
@@ -193,7 +193,14 @@ def test_table_entries_equal_a_fresh_scalar_derivation(name, variant, job, kv_le
     ]
     demands = plane._stream_demands(system, profiles, [q_len] * len(profiles), stage, None)
     for profile, (entry, fetch_layer_s) in zip(profiles, demands, strict=True):
-        fresh = plane._derive_demand(system, profile, q_len, stage)
+        fresh = plane.base._layer_demand(
+            system,
+            profile.kv_len,
+            q_len,
+            stage,
+            measured=profile.measured,
+            ratio=profile.ratio_override(stage),
+        )
         assert entry == fresh
         assert fetch_layer_s == fresh.fetch_service_s
         assert [type(getattr(entry, f.name)) for f in dataclasses.fields(entry)] == [

@@ -2,11 +2,12 @@
 
 The struct-of-arrays engine (:mod:`repro.sim.engine`) must be a *bit-exact*
 replacement for the reference closure loop in :mod:`repro.sim.scheduler` —
-same records, same event count, same timelines, same occupancy trajectory —
-for every configuration the scheduler accepts.  These tests drive both
-engines over hypothesis-generated fleets and over the memory-plane
-configurations, comparing full outputs with ``==`` (the records and
-timeline tasks are frozen dataclasses, so equality is field-exact).
+same records, same event count, same interval columns, same occupancy
+trajectory — for every configuration the scheduler accepts.  These tests
+drive both engines over hypothesis-generated fleets and over the
+memory-plane configurations, comparing full outputs with ``==`` (records
+are frozen dataclasses and columns compare dtype and values, so equality
+is field-exact).
 ``TestCostFollowsDecisions`` counts what the shared round-robin core
 saves both engines: queue traffic per decision, not per quantum.
 """
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import patch_stages
+from oracles import assert_intervals_equal, patch_stages, run_intervals
 
 from repro.hw.memory.sharding import ShardedKVHierarchy
 from repro.sim.arrivals import BurstyArrivals, PoissonArrivals, rate_for_load
@@ -79,7 +80,7 @@ def assert_runs_identical(reference, array):
         arr_column = getattr(array.columns, name)
         assert arr_column.dtype == ref_column.dtype, name
         assert np.array_equal(arr_column, ref_column), name
-    assert array.timeline.tasks == reference.timeline.tasks
+    assert_intervals_equal(array, reference)
     assert array.bank_occupancy_trajectory == reference.bank_occupancy_trajectory
     assert_summaries_equal(array.fleet_summary(), reference.fleet_summary())
     ref_streams = reference.stream_summaries()
@@ -176,12 +177,12 @@ class TestEngineEquivalenceProperty:
             plane, config, system, profiles, traces, **kwargs
         )
         assert_runs_identical(reference, array)
-        # a timeline's order is derived: check it against the order the
+        # the intervals' order is derived: check it against the order the
         # reference loop's issue and link (or stage resolve) callbacks fired in
         _, fired = _run_recording_reference_order(
             plane, config, system, profiles, traces, **kwargs
         )
-        groups = _event_order(array.timeline, compute == "timesliced")
+        groups = _event_order(run_intervals(array), compute == "timesliced")
         assert groups == [group for group in fired if group in set(groups)]
 
 
@@ -347,8 +348,8 @@ class TestLatencyColumnEquivalence:
         assert column_sojourns.tolist() == list_sojourns
 
 
-def _event_order(timeline, timesliced):
-    """A run's timeline as ``(job name, event)`` groups, in order.
+def _event_order(tasks, timesliced):
+    """A run's interval tasks as ``(job name, event)`` groups, in order.
 
     A vision task belongs to a job's issue event.  Under private compute so
     do its compute and DRE tasks, and a PCIe task belongs to its link grant;
@@ -356,7 +357,7 @@ def _event_order(timeline, timesliced):
     stage's resolve.  Consecutive tasks of one event form one group.
     """
     groups = []
-    for task in timeline.tasks:
+    for task in tasks:
         if task.resource.startswith("vision"):
             event = "issue"
         elif timesliced:
@@ -425,8 +426,8 @@ def _run_recording_reference_order(plane, config, system, profiles, traces, **kw
 class TestInPlaceLinkGrants:
     """Link requests known at their issue event — private ones, and a
     time-sliced V-Rex stage's — that no later request can precede are
-    granted there: fewer queued events, the same run.  The timeline of such
-    a run is derived, so it is checked against the order the reference
+    granted there: fewer queued events, the same run.  The intervals of such
+    a run are derived, so their order is checked against the order the reference
     loop's issue and link (time-sliced: stage resolve) callbacks fired in."""
 
     @staticmethod
@@ -453,9 +454,10 @@ class TestInPlaceLinkGrants:
             plane(), config, system, profiles, traces, **kwargs
         )
         assert_runs_identical(reference, array)
-        groups = _event_order(array.timeline, config.compute == "timesliced")
+        tasks = run_intervals(array)
+        groups = _event_order(tasks, config.compute == "timesliced")
         assert groups == [group for group in fired if group in set(groups)]
-        grants = sum(1 for task in array.timeline.tasks if task.resource == "pcie")
+        grants = sum(1 for task in tasks if task.resource == "pcie")
         return len(links), grants
 
     def _fleet_run(
@@ -589,9 +591,9 @@ class TestInPlaceLinkGrants:
         questions = [0.0] * 3 + [None] * 3
         queued, grants = self._run(monkeypatch, *run, config=config, question_arrivals=questions)
         assert (queued, grants) == (0, 6)
-        tasks = ServingScheduler(BatchLatencyModel(), config).run(
-            *run, question_arrivals=questions
-        ).timeline.tasks
+        tasks = run_intervals(
+            ServingScheduler(BatchLatencyModel(), config).run(*run, question_arrivals=questions)
+        )
         compute_end = {t.name: t.start_s + t.duration_s for t in tasks if t.resource == "compute"}
         vision_end = max(t.start_s + t.duration_s for t in tasks if t.resource.startswith("vision"))
         for task in tasks:
@@ -653,9 +655,11 @@ class TestInPlaceLinkGrants:
             question_arrivals=[0.0, 0.0, 0.0], answer_tokens=[2, 3, 2],
         )  # fmt: skip
         # a frame's vision and a question's compute at one instant, one stream
-        tasks = ServingScheduler(BatchLatencyModel()).run(
-            system, profiles, traces, question_arrivals=[0.0, 0.0, 0.0], answer_tokens=[2, 3, 2]
-        ).timeline.tasks
+        tasks = run_intervals(
+            ServingScheduler(BatchLatencyModel()).run(
+                system, profiles, traces, question_arrivals=[0.0, 0.0, 0.0], answer_tokens=[2, 3, 2]
+            )
+        )
         vision_end = {t.start_s + t.duration_s for t in tasks if t.resource.startswith("vision")}
         question = next(t for t in tasks if t.name == "s0/question0")
         assert question.start_s in vision_end

@@ -5,7 +5,7 @@ verified superset:
 
 * **degenerate case** — a single-device fleet over the free interconnect
   reproduces a plain :class:`ServingScheduler` run *bit for bit* (records,
-  timeline tasks, summaries, event count) across hypothesis-generated
+  interval columns, summaries, event count) across hypothesis-generated
   workloads, admission configs, both engines AND the steal knobs
   (stealing must be provably inert with nowhere to steal from);
 * **backlog accounting** — :meth:`FleetDevice.backlog_s` is property-
@@ -38,6 +38,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import assert_intervals_equal
 
 from repro.hw.event import EventLoop, PreemptiveResource
 from repro.hw.memory.sharding import ShardedKVHierarchy
@@ -102,7 +103,7 @@ def assert_fleet_matches_schedule(fleet_result, schedule):
         fleet_result.records, schedule.records, strict=True
     ):
         assert fleet_record == record
-    assert fleet_result.timeline.tasks == schedule.timeline.tasks
+    assert_intervals_equal(fleet_result.devices[0].schedule, schedule)
     assert_summaries_equal(fleet_result.fleet_summary(), schedule.fleet_summary())
     assert fleet_result.served == schedule.served
     assert fleet_result.dropped == schedule.dropped
@@ -204,22 +205,6 @@ class TestSingleDeviceBitExact:
         )
         assert_fleet_matches_schedule(fleet, schedule)
         assert fleet.placement == {0: 0, 1: 0}
-
-    def test_single_device_timeline_is_the_device_timeline(self, edge):
-        plane = BatchLatencyModel()
-        system = edge["V-Rex8"]
-        profiles = _profiles([20_000])
-        traces = PoissonArrivals(rate_hz=4.0).generate(1, 4, seed=5)
-        fleet = FleetScheduler(plane, SchedulerConfig(), FleetConfig()).run(
-            system, profiles, traces
-        )
-        # no d0: prefixes — the device timeline is returned verbatim
-        assert all(
-            not task.resource.startswith("d0:")
-            for task in fleet.timeline.tasks
-        )
-        assert fleet.devices[0].schedule is not None
-        assert fleet.timeline is fleet.devices[0].schedule.timeline
 
 
 class TestValidation:
@@ -748,11 +733,6 @@ class TestGoldenFleet:
         # no stealing configured: every migration is placement
         assert result.placement_migration_count == result.migration_count
         assert result.steal_count == 0
-        # every task in the merged timeline is device-prefixed
-        assert all(
-            task.resource.partition(":")[0] in {"d0", "d1", "d2", "d3"}
-            for task in result.timeline.tasks
-        )
 
 
 class TestBacklogAccounting:
@@ -1358,48 +1338,6 @@ class TestGoldenSteal:
             expected["one_shot_p99_ms"], rel=1e-12
         )
         assert summary.p99_ms < one_shot.fleet_summary().p99_ms
-
-
-def assert_timeline_names_match_records(result):
-    """Every task of an M>1 timeline names its job as the records do.
-
-    A task ``d<i>:<resource>[:s<k>]`` named ``s<session>/<kind><index>``
-    must match a record of device ``i`` with that session, kind and
-    (original) index, and ``k`` must be that record's fleet stream index.
-    """
-    streams = {}
-    for run in result.devices:
-        if run.schedule is not None:
-            columns = run.columns
-            for stream, session, kind, index in zip(
-                columns.stream.tolist(), columns.session.tolist(),
-                columns.kind.tolist(), columns.index.tolist(),
-            ):  # fmt: skip
-                streams[(f"d{run.device}", f"s{session}/{KIND_NAMES[kind]}{index}")] = stream
-    labelled = 0
-    for task in result.timeline.tasks:
-        device, _, resource = task.resource.partition(":")
-        assert (device, task.name) in streams, task
-        label = resource.rpartition(":s")[2]
-        if ":s" in resource:
-            labelled += 1
-            assert int(label) == streams[(device, task.name)], task
-    assert labelled
-
-
-class TestFleetTimelineNames:
-    """An M>1 timeline names streams and frames in fleet terms."""
-
-    @pytest.mark.parametrize("engine", ["array", "reference"])
-    def test_stealing_fleet_names_jobs_as_its_records(self, edge, engine):
-        result, _ = TestWorkStealing()._imbalanced(edge, engine=engine, work_stealing=True)
-        assert result.steal_count
-        assert_timeline_names_match_records(result)
-
-    @pytest.mark.parametrize("case", [13, 17, 22, 38, 44])
-    def test_pinned_fleets_name_jobs_as_their_records(self, case):
-        _, fleet, arguments = _pinned_fleet(case)
-        assert_timeline_names_match_records(fleet.run(**arguments))
 
 
 def _pinned_fleet(case: int):

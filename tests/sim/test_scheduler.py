@@ -7,7 +7,9 @@ import math
 
 import numpy as np
 import pytest
+from oracles import run_intervals
 
+from repro.hw.event import Timeline
 from repro.hw.memory.sharding import ShardedKVHierarchy
 from repro.sim.arrivals import (
     BurstyArrivals,
@@ -216,14 +218,13 @@ class TestEventDynamics:
         system = edge["V-Rex8"]
         profiles = _fleet([40_000, 40_000])
         result = scheduler.run(system, profiles, [[0.0, 0.5], [0.0, 0.5]])
-        assert result.timeline.busy_time_s("pcie") > 0.0
-        assert result.timeline.busy_time_s("dre") > 0.0
-        assert result.timeline.busy_time_s("compute:s0") > 0.0
-        assert result.timeline.makespan_s <= max(
-            record.finish_s for record in result.records
-        ) + 1e-12
+        timeline = Timeline(run_intervals(result))
+        assert timeline.busy_time_s("pcie") > 0.0
+        assert timeline.busy_time_s("dre") > 0.0
+        assert timeline.busy_time_s("compute:s0") > 0.0
+        assert timeline.makespan_s <= max(record.finish_s for record in result.records) + 1e-12
         # the shared link never serves two transfers at once
-        pcie_tasks = result.timeline.tasks_on("pcie")
+        pcie_tasks = timeline.tasks_on("pcie")
         for earlier, later in zip(pcie_tasks, pcie_tasks[1:], strict=False):
             assert later.start_s >= earlier.end_s - 1e-12
 
@@ -417,9 +418,9 @@ class TestTimeslicedCompute:
         system = edge["V-Rex8"]
         profiles = _fleet([40_000, 40_000])
         scheduler = ServingScheduler(plane, SchedulerConfig(compute="timesliced"))
-        result = scheduler.run(system, profiles, [[0.0], [0.0]])
-        assert result.timeline.busy_time_s("compute") > 0.0
-        assert result.timeline.busy_time_s("pcie") > 0.0
+        timeline = Timeline(run_intervals(scheduler.run(system, profiles, [[0.0], [0.0]])))
+        assert timeline.busy_time_s("compute") > 0.0
+        assert timeline.busy_time_s("pcie") > 0.0
 
     def test_deterministic_given_same_traces(self, plane, edge):
         system = edge["V-Rex8"]

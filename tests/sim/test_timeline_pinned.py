@@ -1,13 +1,14 @@
-"""Every timeline task of a seeded fleet, pinned bit for bit.
+"""Every interval of a seeded fleet, pinned bit for bit.
 
 One seeded fleet of 12 streams — Poisson frames, a question on most
 streams and a short answer chain — runs on both engines, private and
 time-sliced compute, without a memory plane and on two residency-admitted
-banks, plus once through an M = 1 :class:`FleetScheduler` (whose
-timeline is the device's own, so it shares that run's pin).  Each run's
-timeline is hashed task by task, in order, as
+banks, plus once through an M = 1 :class:`FleetScheduler` (whose one
+device run shares that run's pin).  Each run's interval columns
+(``JobTable._intervals``, named by ``oracles.run_intervals``) are hashed
+row by row, in order, as
 ``(name, resource, start_s.hex(), duration_s.hex(), bandwidth_gbps)``,
-so any change to how a run logs or rebuilds its intervals — a moved
+so any change to how a run logs or derives its intervals — a moved
 float, a renamed resource, a reordered task — fails here.  Never re-pin:
 a failing case is a behaviour change.
 """
@@ -18,6 +19,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from oracles import run_intervals
 
 from repro.hw.memory.sharding import ShardedKVHierarchy
 from repro.sim.arrivals import PoissonArrivals, rate_for_load
@@ -71,10 +73,10 @@ def _config(solo: float, compute: str, banks: bool) -> SchedulerConfig:
     )
 
 
-def _digest(timeline) -> str:
+def _digest(result) -> str:
     lines = [
         repr((t.name, t.resource, t.start_s.hex(), t.duration_s.hex(), t.bandwidth_gbps))
-        for t in timeline.tasks
+        for t in run_intervals(result)
     ]
     return f"{len(lines)}:" + hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
@@ -101,7 +103,7 @@ def test_schedule_timeline_is_unchanged(engine, compute, banks):
         question_arrivals=arguments["question_arrivals"],
         answer_tokens=arguments["answer_tokens"],
     )
-    assert _digest(result.timeline) == DIGESTS[(compute, banks)]
+    assert _digest(result) == DIGESTS[(compute, banks)]
 
 
 def test_single_device_fleet_timeline_is_the_device_timeline():
@@ -110,4 +112,4 @@ def test_single_device_fleet_timeline_is_the_device_timeline():
         plane, _config(solo, "timesliced", True), FleetConfig(num_devices=1)
     )
     result = fleet.run(**arguments)
-    assert _digest(result.timeline) == DIGESTS[("timesliced", True)]
+    assert _digest(result.devices[0].schedule) == DIGESTS[("timesliced", True)]
