@@ -95,6 +95,8 @@ from repro.sim.pipeline import (
     FRAME_STAGE,
     GENERATION_STAGE,
     GPU_CLUSTERING_RATE,
+    MAX_KV_LEN,
+    MAX_Q_LEN,
     LatencyModel,
     MeasuredRetrieval,
     PredictionParts,
@@ -119,19 +121,16 @@ COMPUTE_POLICIES = ("private", "timesliced")
 #: Default round-robin scheduling quantum of the time-sliced compute server.
 DEFAULT_QUANTUM_S = 1e-3
 
-#: Largest cache length a :class:`StreamProfile` accepts and largest question
-#: length a step prices.  Why every int64 value of :func:`_derive_demands` is
-#: exact: a query is q <= max(MAX_Q_LEN, tokens_per_frame, the default
-#: question length) and a cluster or top-k candidate count is <= MAX_KV_LEN
-#: (a policy occupancy is >= 1 and a profile bounds kv_len // its measured
-#: one), so each int64 value is at most q * MAX_KV_LEN * max(32 * kv_heads,
-#: heads) (the HCU, WTU and top-k element counts) or weight bytes per layer +
-#: MAX_KV_LEN * KV bytes per token (the DRAM and cache bytes); the plane
-#: rejects a model for which either reaches 2**63 (Llama-3-8B: 2**60 and
-#: 2**49), and below 2**63 the int64 -> float64 cast rounds half to even, as
-#: ``float(int)`` does.
-MAX_KV_LEN = 2**32
-MAX_Q_LEN = 2**20
+# Why every int64 value of :func:`_derive_demands` is exact under the
+# pricers' MAX_KV_LEN and MAX_Q_LEN (:mod:`repro.sim.pipeline`): a query is
+# q <= max(MAX_Q_LEN, tokens_per_frame, the default question length) and a
+# cluster or top-k candidate count is <= MAX_KV_LEN (a policy occupancy is
+# >= 1 and a profile bounds kv_len // its measured one), so each int64 value
+# is at most q * MAX_KV_LEN * max(32 * kv_heads, heads) (the HCU, WTU and
+# top-k element counts) or weight bytes per layer + MAX_KV_LEN * KV bytes
+# per token (the DRAM and cache bytes); the plane rejects a model for which
+# either reaches 2**63 (Llama-3-8B: 2**60 and 2**49), and below 2**63 the
+# int64 -> float64 cast rounds half to even, as ``float(int)`` does.
 
 #: Bytes of one packed HC-table signature (one ``uint64`` word per cluster
 #: per KV head per layer) — the footprint the sharded memory plane charges

@@ -197,7 +197,6 @@ def bank_occupancy_integral(
 def schedule_energy(
     result,
     inputs: EnergyInputs,
-    model: EnergyModel | None = None,
     window_s: float | None = None,
     name_prefix: str = "",
 ) -> EnergyReport:
@@ -208,7 +207,7 @@ def schedule_energy(
     its last local job still burns static power); a window shorter than
     the run's own span raises ``ValueError``.
     """
-    model = model or EnergyModel()
+    model = EnergyModel()
     device = inputs.device
     span = _window_s(result)
     window = span if window_s is None else _require_window(window_s, span)

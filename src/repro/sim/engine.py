@@ -1,17 +1,20 @@
 """The scheduler's job lifecycle, and its struct-of-arrays fast engine.
 
-:func:`_job_lifecycle` is the one job lifecycle of the serving scheduler —
-submit (depth bound, admission, the stream's pipeline slot), shed, begin,
-finish (record, release, chain the next generation job) and the
-time-sliced stage bookkeeping — written once over the run's
-:class:`~repro.sim.jobtable.JobTable` ids.  Both engines drive it; each
-keeps only its event substrate.  The reference loop
-(``ServingScheduler._run_reference``, :mod:`repro.sim.scheduler`) drives
-it from :class:`~repro.hw.event.EventLoop` callbacks over
-``ResourceQueue`` / ``PCIeLinkQueue`` / ``PreemptiveResource``;
-:func:`run_array`, built for 1k–10k-stream fleets, replaces every
-per-event closure and server object with integers moving through
-preallocated structures:
+:func:`_job_lifecycle` owns everything both engines do the same way,
+written once over the run's :class:`~repro.sim.jobtable.JobTable` ids: it
+builds the table; it runs submit (depth bound, admission, the stream's
+pipeline slot), shed, begin, finish (record, release, chain the next
+generation job) and the time-sliced stage bookkeeping; it commits and
+prices a job's sharded fetch at the session's live residency, once per
+distinct split of each priced row; and it assembles the run's
+:class:`~repro.sim.scheduler.ScheduleResult` with its energy inputs.  Each
+engine keeps only its event substrate and its own end-of-run server drain.
+The reference loop (``ServingScheduler._run_reference``,
+:mod:`repro.sim.scheduler`) drives the lifecycle from
+:class:`~repro.hw.event.EventLoop` callbacks over ``ResourceQueue`` /
+``PCIeLinkQueue`` / ``PreemptiveResource``; :func:`run_array`, built for
+1k–10k-stream fleets, replaces every per-event closure and server object
+with integers moving through preallocated structures:
 
 * events live in an :class:`~repro.hw.event.ArrayEventQueue` as
   ``(time, packed subkey, payload)`` — the whole ``(priority, key, seq)``
@@ -37,10 +40,6 @@ preallocated structures:
   :class:`~repro.sim.scheduler.StageTable`, whose column lists the engine
   binds once and indexes per event — the same table the reference loop,
   the lifecycle, the interval view and the energy post-pass read;
-* a stage's sharded fetch is priced once per distinct residency split:
-  ``C_ISSUE`` keeps the stage's last split and its makespan and reuses it
-  while the split is value-equal — steady state in memory-bound runs,
-  whose splits rarely move between a stage's fetches.
 
 **Bit-exactness contract.**  The engine replays the reference loop's
 float operations in the identical order: DRE/link starts are
@@ -75,8 +74,6 @@ from heapq import heappop, heappush
 import numpy as np
 
 from repro.devtools.sanitizer import (
-    EVENT_ORDER,
-    LANE_ORDER,
     RESOURCE_BALANCE,
     EventTrace,
     SanitizerError,
@@ -118,15 +115,13 @@ from repro.sim.scheduler import (
 C_ISSUE, C_LINK, C_FINISH, C_SLICE, C_TSLINK, C_RESOLVE = 0, 1, 2, 3, 4, 5
 
 
-def _job_lifecycle(
-    ctx: _RunContext, table: JobTable, server, stage_core: StageCore, schedule_issue
-):
-    """The one job lifecycle of a run, over ``table``'s job ids.
+def _job_lifecycle(ctx: _RunContext, server, stage_core: StageCore, schedule_issue):
+    """The one job lifecycle of a run, over its :class:`JobTable`'s job ids.
 
-    A submitted job passes the depth bound and the admission rule, then
-    takes its stream's pipeline slot — lane ``s`` of one
-    :class:`~repro.hw.event.IndexRing` plus a busy flag — or queues on it.
-    It begins once the slot is its own: an inactive stage finishes at
+    Builds the run's table.  A submitted job passes the depth bound and the
+    admission rule, then takes its stream's pipeline slot — lane ``s`` of
+    one :class:`~repro.hw.event.IndexRing` plus a busy flag — or queues on
+    it.  It begins once the slot is its own: an inactive stage finishes at
     once, an active one is handed to the engine's one hook,
     ``schedule_issue(job, t)``, at the end of its vision time.  Finishing
     records it, passes the slot to the next queued job and chains the next
@@ -135,26 +130,33 @@ def _job_lifecycle(
     time-sliced stage core.  A job's demands are row ``b = stream * 3 +
     kind`` of the run's :class:`~repro.sim.scheduler.StageTable`.
 
-    Returns ``(submit, finish, resolved, fetch_split, close)``:
+    Returns ``(table, submit, finish, resolved, sharded_fetch_s, close)``:
     ``resolved(job, s)`` takes time-sliced stage ``s``'s outcome for ``job``
     (its three waits and its intervals' sources) and returns the finish time
-    the engine schedules; ``fetch_split(s, t)`` commits stream ``s``'s
-    fetch on the memory plane and returns its residency split;
-    ``close(trace)`` checks the slots drained and returns the run's
-    ``(columns, occupancy trajectory)``.  ``close`` also drops ``begin``,
-    the one reference cycle the closures form (submit → begin → finish →
-    submit), so a finished run is freed by refcount, never by the cyclic
-    collector.
+    the engine schedules; ``sharded_fetch_s(s, b, t)`` commits stream
+    ``s``'s fetch on the memory plane (the session becomes most recently
+    used, its cold shards promote home) and returns row ``b``'s fetch at
+    that residency, re-priced only when the row's split moved (equal
+    fractions price equal fetches: steady state in memory-bound runs);
+    ``close(trace, events, dre_busy_s, link_busy_s)`` checks the slots
+    drained and returns the run's :class:`ScheduleResult`, with its
+    :class:`~repro.sim.energy.EnergyInputs` from the engine's shared-server
+    busy seconds.  ``close`` also drops ``begin``, the one reference cycle
+    the closures form (submit → begin → finish → submit), so a finished
+    run is freed by refcount, never by the cyclic collector.
     """
     cfg = ctx.config
     stages = ctx.stages
     memory = ctx.memory
     answers = ctx.answers
+    num_layers = ctx.num_layers
     max_depth = cfg.max_queue_depth
     admission_rule = cfg.admission != "backlog"
     sanitize = sanitize_enabled()
     session_ids = [profile.session_id for profile in ctx.profiles]
     num_streams = len(session_ids)
+    timesliced = cfg.compute == "timesliced"
+    table = JobTable(ctx.traces, ctx.question_arrivals, answers, session_ids, timesliced, stages)
 
     streams = table.streams
     kinds = table.kinds
@@ -170,6 +172,10 @@ def _job_lifecycle(
     record = table.records.append
     st_active = stages.active
     st_vision = stages.vision_s
+    st_demand = stages.demand
+    # per row: the split its last sharded fetch saw, and that fetch's price
+    st_split: list = [None] * len(st_demand)
+    st_fetch_sharded = [0.0] * len(st_demand)
 
     # stream pipeline slots: lane s of one ring, whose internals the
     # closures inline (a push or pop is two list stores); busy flags
@@ -303,12 +309,20 @@ def _job_lifecycle(
         table.stage_log.append(job << 1 | 1)
         return stage_core.finish_s[s]
 
-    def fetch_split(s: int, t: float):
+    def sharded_fetch_s(s: int, b: int, t: float) -> float:
         split = memory.commit_fetch(session_ids[s], protected=busy)
         note_occupancy(t)
-        return split
+        if split != st_split[b]:
+            st_split[b] = split
+            demand = st_demand[b]
+            warm, cold = demand.warm_time_s, demand.cold_time_s
+            makespan = sharded_fetch_makespan(demand.fetch_bytes, split, warm, cold)
+            st_fetch_sharded[b] = makespan * num_layers
+        return st_fetch_sharded[b]
 
-    def close(trace: EventTrace | None):
+    def close(
+        trace: EventTrace | None, events: int, dre_busy_s: float, link_busy_s: float
+    ) -> ScheduleResult:
         nonlocal begin
         if sanitize and (any(slot_busy) or any(ring_depth)):
             # end-of-run drain: no slot still held, no job still queued
@@ -320,9 +334,15 @@ def _job_lifecycle(
                 trace,
             )
         begin = None
-        return table.finalize(cfg.deadline_s), trajectory
+        columns = table.finalize(cfg.deadline_s)
+        return ScheduleResult(
+            system=ctx.system.name, config=cfg, num_streams=num_streams, columns=columns,
+            events_processed=events, oom=ctx.plane._batched_oom(ctx.system, ctx.profiles),
+            memory=memory, bank_occupancy_trajectory=trajectory, table=table,
+            energy_inputs=EnergyInputs(ctx.system.device, stages, dre_busy_s, link_busy_s),
+        )  # fmt: skip
 
-    return submit, finish, resolved, fetch_split, close
+    return table, submit, finish, resolved, sharded_fetch_s, close
 
 
 def _in_place_link_delays(is_vrex: bool, timesliced: bool, stages) -> tuple[float, float]:
@@ -364,24 +384,29 @@ def run_array(ctx: _RunContext) -> ScheduleResult:
     num_streams = len(profiles)
     traces = ctx.traces
     question_arrivals = ctx.question_arrivals
-    memory = ctx.memory
     is_vrex = ctx.is_vrex
-    num_layers = ctx.num_layers
     stages = ctx.stages
     timesliced = cfg.compute == "timesliced"
     quantum = cfg.quantum_s
-
-    # sanitizer state: the engine inlines its queue internals, so the order
-    # checks are inlined here too (one predictable branch per event when
-    # disabled)
     sanitize = sanitize_enabled()
-    trace = EventTrace() if sanitize else None
-    san_last = (float("-inf"), -(1 << 62))
 
-    session_ids = [profile.session_id for profile in profiles]
-    table = JobTable(traces, question_arrivals, ctx.answers, session_ids, timesliced, stages)
+    # preemptive compute server (timesliced mode): the shared core, plus
+    # per server-job id its owning job and what it computes
+    # (``job << 1 | kind``, kind 0 = prediction, 1 = compute)
+    server = RoundRobinCore(quantum)
+    server_owner: list[int] = []
+    stage_core = StageCore(is_vrex, num_streams)
+
+    def schedule_issue(job: int, t: float) -> None:
+        """The lifecycle's one hook: queue ``job``'s issue event at ``t``."""
+        nonlocal seq
+        heappush(entries, (t, base_issue[streams[job]] + seq, (job << 3) | C_ISSUE))
+        seq += 1
+
+    table, submit, finish, resolved, sharded_fetch_s, close = _job_lifecycle(
+        ctx, server, stage_core, schedule_issue
+    )
     num_jobs = table.num_jobs
-
     streams = table.streams
     kinds = table.kinds
     j_start = table.start
@@ -396,12 +421,10 @@ def run_array(ctx: _RunContext) -> ScheduleResult:
     st_pred = stages.prediction_s
     st_fetch = stages.fetch_s
     st_demand = stages.demand
-    # per stage: the split its last sharded fetch saw, and that fetch's price
-    st_split: list = [None] * len(st_demand)
-    st_fetch_sharded = [0.0] * len(st_demand)
 
     # packed subkey bases: rank of (session_id, stream) in the run's sorted
     # key set makes integer subkey order == the EventLoop's tuple order
+    session_ids = [profile.session_id for profile in profiles]
     keys = sorted((session_ids[s], s) for s in range(num_streams))
     rank_of = {key: rank for rank, key in enumerate(keys)}
     base_complete = [0] * num_streams
@@ -448,6 +471,9 @@ def run_array(ctx: _RunContext) -> ScheduleResult:
             np.concatenate(lane_job_parts),
         )
     entries = queue._entries
+    # the queue's own sanitizer: its pop-order check and event trace
+    check_order = queue._check_order
+    trace = queue._trace
     lane_t = queue._lane_t
     lane_sub = queue._lane_sub
     lane_job = queue._lane_payload
@@ -478,12 +504,6 @@ def run_array(ctx: _RunContext) -> ScheduleResult:
     links_queued = 0
     stage_log = table.stage_log.append if timesliced else None
 
-    # preemptive compute server (timesliced mode): the shared core, plus
-    # per server-job id its owning job and what it computes
-    # (``job << 1 | kind``, kind 0 = prediction, 1 = compute)
-    server = RoundRobinCore(quantum)
-    server_owner: list[int] = []
-
     # shared FCFS servers: their whole mutable state is one float each,
     # plus a busy-seconds accumulator feeding the energy plane (added in
     # grant order, matching ResourceQueue._busy_total_s bit for bit)
@@ -494,20 +514,6 @@ def run_array(ctx: _RunContext) -> ScheduleResult:
 
     now = 0.0
     events = 0
-
-    def san_pop(t: float, sub: int, static: bool) -> None:
-        """Sanitizer: the merged pop stream must be monotone in (t, sub)."""
-        nonlocal san_last
-        if (t, sub) < san_last:
-            raise SanitizerError(
-                LANE_ORDER if static else EVENT_ORDER,
-                f"array engine popped ({t}, {sub}) from the "
-                f"{'static lane' if static else 'heap'} after {san_last} "
-                f"(non-monotone pop order)",
-                trace,
-            )
-        san_last = (t, sub)
-        trace.note((t, sub, "lane" if static else "heap"))
 
     # ------------------------------------------------------------------ #
     # preemptive server: the core's transitions, one heap entry per
@@ -529,7 +535,6 @@ def run_array(ctx: _RunContext) -> ScheduleResult:
     # codes (the DRE is granted at C_ISSUE, the link at C_TSLINK); the
     # other decisions are applied here, in bit order
     # ------------------------------------------------------------------ #
-    stage_core = StageCore(is_vrex, num_streams)
     ts_issued = stage_core.issued
     ts_prediction_done = stage_core.prediction_done
     ts_compute_done = stage_core.compute_done
@@ -564,18 +569,6 @@ def run_array(ctx: _RunContext) -> ScheduleResult:
         link_free = transfer_start + fetch
         link_busy += fetch
         return ts_link_granted(s, transfer_start)
-
-    # ------------------------------------------------------------------ #
-    # the job lifecycle; its one hook queues a job's issue event
-    # ------------------------------------------------------------------ #
-    def schedule_issue(job: int, t: float) -> None:
-        nonlocal seq
-        heappush(entries, (t, base_issue[streams[job]] + seq, (job << 3) | C_ISSUE))
-        seq += 1
-
-    submit, finish, resolved, fetch_split, close = _job_lifecycle(
-        ctx, table, server, stage_core, schedule_issue
-    )
 
     # ------------------------------------------------------------------ #
     # private link grant: inline PCIeLinkQueue.enqueue + contended_latency
@@ -625,12 +618,12 @@ def run_array(ctx: _RunContext) -> ScheduleResult:
                     now = next_t
                     payload = top[2]
                     if sanitize:
-                        san_pop(next_t, top[1], False)
+                        check_order(next_t, top[1], False)
                 else:
                     now = this_t
                     events += 1
                     if sanitize:
-                        san_pop(this_t, lane_sub[lane_i], True)
+                        check_order(this_t, lane_sub[lane_i], True)
                     submit(lane_job[lane_i] >> 3, now)
                     lane_i += 1
                     continue
@@ -638,7 +631,7 @@ def run_array(ctx: _RunContext) -> ScheduleResult:
                 now = lane_t[lane_i]
                 events += 1
                 if sanitize:
-                    san_pop(now, lane_sub[lane_i], True)
+                    check_order(now, lane_sub[lane_i], True)
                 submit(lane_job[lane_i] >> 3, now)
                 lane_i += 1
                 continue
@@ -647,7 +640,7 @@ def run_array(ctx: _RunContext) -> ScheduleResult:
             now = top[0]
             payload = top[2]
             if sanitize:
-                san_pop(now, top[1], False)
+                check_order(now, top[1], False)
         else:
             break
         events += 1
@@ -657,22 +650,11 @@ def run_array(ctx: _RunContext) -> ScheduleResult:
         if code == C_ISSUE:
             s = streams[job]
             b = s * 3 + kinds[job]
-            # per-job fetch at the session's current residency, re-priced
-            # only when the split moved (equal fractions price equal fetches)
-            demand = st_demand[b]
-            if demand is not None:
-                split = fetch_split(s, now)
-                if split != st_split[b]:
-                    st_split[b] = split
-                    st_fetch_sharded[b] = (
-                        sharded_fetch_makespan(
-                            demand.fetch_bytes, split, demand.warm_time_s, demand.cold_time_s
-                        )
-                        * num_layers
-                    )
-                fetch = st_fetch_sharded[b]
-            else:
+            # per-job fetch at the session's current residency
+            if st_demand[b] is None:
                 fetch = st_fetch[b]
+            else:
+                fetch = sharded_fetch_s(s, b, now)
             compute_s = st_compute[b]
             prediction_s = st_pred[b]
             if timesliced:
@@ -798,21 +780,4 @@ def run_array(ctx: _RunContext) -> ScheduleResult:
         # end-of-run drain: the preemptive server's work served and conserved
         server.assert_drained("array engine's preemptive server", trace)
     queue._lane_pos = lane_i
-    columns, trajectory = close(trace)
-    return ScheduleResult(
-        system=ctx.system.name,
-        config=cfg,
-        num_streams=num_streams,
-        events_processed=events,
-        oom=ctx.plane._batched_oom(ctx.system, profiles),
-        memory=memory,
-        bank_occupancy_trajectory=trajectory,
-        columns=columns,
-        table=table,
-        energy_inputs=EnergyInputs(
-            device=ctx.system.device,
-            stages=stages,
-            dre_busy_s=dre_busy,
-            link_busy_s=link_busy,
-        ),
-    )
+    return close(trace, events, dre_busy, link_busy)

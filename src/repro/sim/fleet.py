@@ -490,7 +490,7 @@ class FleetResult(RecordViews):
         labels = [{"scope": f"device {run.device}"} for run in self.devices]
         return _summarize(labels, columns, np.arange(bounds[-1]), bounds, percentiles)
 
-    def energy(self, model=None):
+    def energy(self):
         """Fleet-wide per-resource energy rollup.
 
         Every active device is priced over the *fleet* window (the last
@@ -505,7 +505,7 @@ class FleetResult(RecordViews):
         charged — the fleet prices the serving run, not the rack.
         """
         if len(self.devices) == 1 and self.devices[0].schedule is not None:
-            return self.devices[0].schedule.energy(model=model)
+            return self.devices[0].schedule.energy()
         from repro.sim.energy import (
             ResourceEnergy,
             _window_s,
@@ -523,7 +523,6 @@ class FleetResult(RecordViews):
             schedule_energy(
                 run.schedule,
                 run.schedule.energy_inputs,
-                model=model,
                 window_s=window,
                 name_prefix=f"d{run.device}:",
             )

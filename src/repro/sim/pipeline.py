@@ -44,6 +44,20 @@ from repro.sim.workload import TransformerWorkload, VisionWorkload, default_llm_
 FRAME_STAGE = "frame"
 GENERATION_STAGE = "generation"
 
+#: Largest cache length and largest question length a pricer accepts: every
+#: :class:`LatencyModel` step, a :class:`~repro.sim.batched.StreamProfile`
+#: and a scheduler run check them (:mod:`repro.sim.batched` says why they
+#: keep its int64 demand columns exact).
+MAX_KV_LEN = 2**32
+MAX_Q_LEN = 2**20
+
+
+def _require_sizes(kv_len: int, batch: int) -> None:
+    """Raise a ``ValueError`` naming ``kv_len`` or ``batch`` unless both are valid sizes."""
+    require_number("kv_len", kv_len, integer=True, maximum=MAX_KV_LEN)
+    require_number("batch", batch, 1, integer=True)
+
+
 #: Rate (bit-operations per second) at which a GPU executes the
 #: data-dependent Hamming-distance clustering loop of ReSV; the sequential,
 #: conditional structure keeps it far below the GPU's arithmetic peak
@@ -306,6 +320,7 @@ class LatencyModel:
     # ------------------------------------------------------------------ #
     def resident_bytes(self, system: SystemConfig, kv_len: int, batch: int) -> float:
         """Device-memory working set (weights + resident KV + reserve)."""
+        _require_sizes(kv_len, batch)
         cache_bytes = self.llm.kv_cache_bytes(kv_len, batch) * system.kv_bytes_scale
         if system.kv_offloaded:
             resident_cache = min(cache_bytes, system.kv_device_budget_bytes * batch)
@@ -319,6 +334,7 @@ class LatencyModel:
 
     def offloaded_fraction(self, system: SystemConfig, kv_len: int, batch: int) -> float:
         """Fraction of the (per-stream) KV cache that lives off-device."""
+        _require_sizes(kv_len, batch)
         if not system.kv_offloaded:
             return 0.0
         per_stream_bytes = self.llm.kv_cache_bytes(kv_len, 1) * system.kv_bytes_scale
@@ -530,8 +546,9 @@ class LatencyModel:
         stage: str,
         include_vision: bool,
     ) -> StepResult:
+        require_number("question_tokens", q_len, integer=True, maximum=MAX_Q_LEN)
         policy = system.policy
-        oom = self.is_oom(system, kv_len, batch)
+        oom = self.is_oom(system, kv_len, batch)  # checks kv_len and batch first
         if q_len <= 0:
             # An empty stage (e.g. ``question_tokens=0``) prefills no tokens,
             # triggers no prediction and fetches nothing.
@@ -651,6 +668,8 @@ class LatencyModel:
         """
         frames = self.streaming.frames_per_query if frames is None else frames
         answer_tokens = self.streaming.answer_tokens if answer_tokens is None else answer_tokens
+        require_number("frames", frames, integer=True)
+        require_number("answer_tokens", answer_tokens, integer=True)
         frame = self.frame_step(system, kv_len, batch)
         question = self.question_step(system, kv_len, batch)
         generation = self.generation_step(system, kv_len, batch)
@@ -687,6 +706,7 @@ class LatencyModel:
     # ------------------------------------------------------------------ #
     def layer_timeline(self, system: SystemConfig, kv_len: int, batch: int = 1) -> Timeline:
         """Activity timeline of one decoder layer during frame processing."""
+        _require_sizes(kv_len, batch)
         q_len = self.llm.model.tokens_per_frame
         selected = self._selected_tokens(system, kv_len, FRAME_STAGE)
         device = self.device_for(system)

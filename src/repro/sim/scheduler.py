@@ -16,9 +16,12 @@ misses), not a single makespan.
   ids of one :class:`repro.sim.jobtable.JobTable` — and a stream's jobs
   are serialized on its own pipeline slot (a frame holds the stream until
   its finish time emerges from the shared queues, later frames wait
-  behind it); submit, admission, the slots, begin, finish and generation
-  chaining are one lifecycle both engines drive
-  (:func:`repro.sim.engine._job_lifecycle`);
+  behind it).  One lifecycle, :func:`repro.sim.engine._job_lifecycle`,
+  builds the table, runs submit, admission, the slots, begin, finish and
+  generation chaining, re-prices each sharded fetch at the session's live
+  residency and assembles the :class:`ScheduleResult`; each engine
+  (``_run_reference`` here, :func:`repro.sim.engine.run_array`) keeps
+  only its event substrate;
 * each job's demands are read once per stream and stage from the plane's
   demand table (:meth:`BatchLatencyModel._stream_demands`) — exactly the
   pricing the contended batched plane uses — into one :class:`StageTable`
@@ -78,7 +81,6 @@ from repro.sim.batched import (
     contended_latency,
     validate_compute_policy,
 )
-from repro.sim.energy import EnergyInputs
 from repro.sim.jobtable import (
     ADM_DEFER,
     ADM_EVICT,
@@ -486,7 +488,8 @@ class ScheduleResult(RecordViews):
         #: evolved per-run memory plane (None when the plane has no memory)
         self.memory = memory
         #: retained pricing/residency inputs of the energy plane
-        #: (:class:`repro.sim.energy.EnergyInputs`; None on legacy paths)
+        #: (:class:`repro.sim.energy.EnergyInputs`; every engine run sets
+        #: them, a result built from bare record columns has None)
         self.energy_inputs = energy_inputs
         #: ``(time_s, per-bank warm bytes)`` at every occupancy change
         self.bank_occupancy_trajectory = (
@@ -515,7 +518,7 @@ class ScheduleResult(RecordViews):
         ]
         return _summarize(labels, self.columns, rows, bounds, percentiles)
 
-    def energy(self, model=None):
+    def energy(self):
         """Per-resource busy/idle energy of this run.
 
         Returns an :class:`repro.sim.energy.EnergyReport` priced from
@@ -529,7 +532,7 @@ class ScheduleResult(RecordViews):
             )
         from repro.sim.energy import schedule_energy
 
-        return schedule_energy(self, self.energy_inputs, model=model)
+        return schedule_energy(self, self.energy_inputs)
 
 
 class StageTable:
@@ -948,13 +951,9 @@ class ServingScheduler:
         from repro.sim.engine import _job_lifecycle  # deferred: the engine imports us
 
         cfg = ctx.config
-        system = ctx.system
-        profiles = ctx.profiles
         is_vrex = ctx.is_vrex
-        num_layers = ctx.num_layers
-        memory = ctx.memory
         stages = ctx.stages
-        num_streams = len(profiles)
+        num_streams = len(ctx.profiles)
 
         loop = EventLoop()
         dre = ResourceQueue("dre")
@@ -963,17 +962,6 @@ class ServingScheduler:
         compute_server = PreemptiveResource(
             loop, "compute", quantum_s=cfg.quantum_s, priority=PRIO_COMPLETE
         )
-        session_ids = [profile.session_id for profile in profiles]
-        table = JobTable(
-            ctx.traces, ctx.question_arrivals, ctx.answers, session_ids, timesliced, stages
-        )
-        streams = table.streams
-        kinds = table.kinds
-        keys = [(session, stream) for stream, session in enumerate(session_ids)]
-        dre_wait = table.dre_wait
-        pcie_wait = table.pcie_wait
-        # private compute, per job: (start_s, prediction_end_s, request_s, fetch_s)
-        timing: list[tuple[float, float, float, float] | None] = [None] * table.num_jobs
         # time-sliced stages: the one stage core, by stream, and the job each holds
         stage_core = StageCore(is_vrex, num_streams)
         staged = [-1] * num_streams
@@ -981,33 +969,23 @@ class ServingScheduler:
         def schedule_issue(job: int, t: float) -> None:
             loop.schedule(t, partial(issue, job), priority=PRIO_ISSUE, key=keys[streams[job]])
 
-        submit, finish, resolved, fetch_split, close = _job_lifecycle(
-            ctx, table, compute_server, stage_core, schedule_issue
+        table, submit, finish, resolved, sharded_fetch_s, close = _job_lifecycle(
+            ctx, compute_server, stage_core, schedule_issue
         )
-
-        def job_fetch_s(job: int, b: int) -> float:
-            """Fetch time of one job at its session's *current* residency.
-
-            Commits the fetch (the session becomes most-recently-used and
-            its cold shards promote back into their home banks), and prices
-            the fan-out across banks plus the cold SSD stream.  Without a
-            memory plane this is the row's priced fetch unchanged.
-            """
-            demand = stages.demand[b]
-            if demand is None:
-                return stages.fetch_s[b]
-            split = fetch_split(streams[job], loop.now_s)
-            return (
-                sharded_fetch_makespan(
-                    demand.fetch_bytes, split, demand.warm_time_s, demand.cold_time_s
-                )
-                * num_layers
-            )
+        streams = table.streams
+        kinds = table.kinds
+        keys = [(profile.session_id, stream) for stream, profile in enumerate(ctx.profiles)]
+        # private compute, per job: (start_s, prediction_end_s, request_s, fetch_s)
+        timing: list[tuple[float, float, float, float] | None] = [None] * table.num_jobs
 
         def issue(job: int) -> None:
             stream = streams[job]
             b = stream * 3 + kinds[job]
-            fetch_s = job_fetch_s(job, b)
+            # per-job fetch at the session's current residency
+            if stages.demand[b] is None:
+                fetch_s = stages.fetch_s[b]
+            else:
+                fetch_s = sharded_fetch_s(stream, b, loop.now_s)
             overlaps, on_dre = stages.overlaps[b], stages.on_dre[b]
             compute_s, prediction_s = stages.compute_s[b], stages.prediction_s[b]
             if timesliced:
@@ -1024,7 +1002,7 @@ class ServingScheduler:
                 is_vrex, overlaps, start_s, served_s, compute_s, prediction_s
             )
             timing[job] = (start_s, prediction_end_s, request_s, fetch_s)
-            dre_wait[job] = served_s - start_s
+            table.dre_wait[job] = served_s - start_s
             if stages.fetch_s[b] > 0:
                 loop.schedule(
                     request_s, partial(request_link, job), priority=PRIO_LINK, key=keys[stream]
@@ -1040,7 +1018,7 @@ class ServingScheduler:
 
         def request_link(job: int) -> None:
             transfer = link.enqueue(loop.now_s, timing[job][3])
-            pcie_wait[job] = transfer.wait_s
+            table.pcie_wait[job] = transfer.wait_s
             table.request[job] = transfer.arrival_s
             table.transfer_start[job] = transfer.start_s
             table.fetch_s[job] = transfer.service_s
@@ -1077,21 +1055,4 @@ class ServingScheduler:
         if loop._sanitize:
             # end-of-run drain: the preemptive server served every job to completion
             compute_server.assert_drained()
-        columns, trajectory = close(loop._trace)
-        return ScheduleResult(
-            system=system.name,
-            config=cfg,
-            num_streams=num_streams,
-            columns=columns,
-            events_processed=loop.events_processed,
-            oom=self.plane._batched_oom(system, profiles),
-            memory=memory,
-            bank_occupancy_trajectory=trajectory,
-            table=table,
-            energy_inputs=EnergyInputs(
-                device=system.device,
-                stages=stages,
-                dre_busy_s=dre.busy_s(),
-                link_busy_s=link.busy_s(),
-            ),
-        )
+        return close(loop._trace, loop.events_processed, dre.busy_s(), link.busy_s())

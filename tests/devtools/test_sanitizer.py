@@ -186,10 +186,10 @@ class TestResourceBalance:
 
         lifecycle = engine._job_lifecycle
 
-        def wrapped(ctx, table, server, stages, schedule_issue):
+        def wrapped(ctx, server, stage_core, schedule_issue):
             finish_wrapper, hook = wrap(schedule_issue)
-            submit, finish, *rest = lifecycle(ctx, table, server, stages, hook)
-            return (submit, finish_wrapper(finish), *rest)
+            table, submit, finish, *rest = lifecycle(ctx, server, stage_core, hook)
+            return (table, submit, finish_wrapper(finish), *rest)
 
         monkeypatch.setattr(engine, "_job_lifecycle", wrapped)
         monkeypatch.setenv(ENV_VAR, "1")

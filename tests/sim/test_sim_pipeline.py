@@ -9,7 +9,7 @@ import pytest
 
 from repro.config import llama3_8b_config
 from repro.hw.specs import AGX_ORIN, VREX8
-from repro.sim.pipeline import LatencyModel, StepResult
+from repro.sim.pipeline import MAX_KV_LEN, MAX_Q_LEN, LatencyModel, StepResult
 from repro.sim.systems import (
     DEFAULT_KV_LENGTHS,
     ablation_systems,
@@ -268,6 +268,52 @@ class TestExplicitZeroStages:
         explicit = latency_model.question_step(edge["AGX + FlexGen"], 20_000, question_tokens=25)
         default = latency_model.question_step(edge["AGX + FlexGen"], 20_000)
         assert default.total_s == pytest.approx(explicit.total_s)
+
+
+class TestHostileSizes:
+    """Every pricer rejects an invalid size at its boundary, naming the argument."""
+
+    @pytest.mark.parametrize(
+        ("kwargs", "message"),
+        [
+            ({"kv_len": -5}, r"^kv_len must be in \[0, 4294967296\], got -5"),
+            ({"kv_len": MAX_KV_LEN + 1}, r"^kv_len must be in \[0, 4294967296\]"),
+            ({"kv_len": 2.5}, r"^kv_len must be an integer, got 2.5"),
+            ({"kv_len": True}, r"^kv_len must be an integer, got True"),
+            ({"kv_len": float("nan")}, r"^kv_len must be an integer, got nan"),
+            ({"batch": 0}, r"^batch must be at least 1, got 0"),
+            ({"batch": -2}, r"^batch must be at least 1, got -2"),
+            ({"batch": 1.5}, r"^batch must be an integer, got 1.5"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "price",
+        [
+            "frame_step", "question_step", "generation_step", "e2e_scenario",
+            "layer_timeline", "resident_bytes", "is_oom", "offloaded_fraction",
+        ],
+    )  # fmt: skip
+    def test_sizes(self, latency_model, edge, price, kwargs, message):
+        sizes = {"kv_len": 20_000, "batch": 1, **kwargs}
+        with pytest.raises(ValueError, match=message):
+            getattr(latency_model, price)(edge["AGX + FlexGen"], **sizes)
+
+    @pytest.mark.parametrize("tokens", [-3, MAX_Q_LEN + 1, 2.0])
+    def test_question_tokens(self, latency_model, edge, tokens):
+        with pytest.raises(ValueError, match=r"^question_tokens must be"):
+            latency_model.question_step(edge["V-Rex8"], 20_000, question_tokens=tokens)
+
+    @pytest.mark.parametrize("name", ["frames", "answer_tokens"])
+    @pytest.mark.parametrize("count", [-1, 1.5])
+    def test_scenario_counts(self, latency_model, edge, name, count):
+        with pytest.raises(ValueError, match=rf"^{name} must be"):
+            latency_model.e2e_scenario(edge["V-Rex8"], 20_000, **{name: count})
+
+    def test_bounds_are_priced(self, latency_model, edge):
+        system = edge["V-Rex8"]
+        assert latency_model.frame_step(system, 0).total_s > 0.0
+        assert latency_model.question_step(system, 0, question_tokens=MAX_Q_LEN).total_s > 0.0
+        assert not latency_model.is_oom(system, MAX_KV_LEN, 1)  # offloaded past its budget
 
 
 
