@@ -20,6 +20,8 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.hw.accelerator import VRexAccelerator
+from repro.hw.dre.kvmu import KVFetchWork
 from repro.sim.batched import BatchLatencyModel, StreamProfile
 from repro.sim.pipeline import FRAME_STAGE, GENERATION_STAGE, MeasuredRetrieval
 from repro.sim.systems import (
@@ -174,6 +176,52 @@ class TestDemandTablePinned:
             "b8e15adeeea7f5f6c635cfc1514d3c2d5bdb40fac1dc58f4047edd08ad527f42",
             len(variants) * 2 * 3 * len(SAMPLE),
         )
+
+
+#: cache lengths the fetch law runs over: the empty and one-token caches,
+#: the edge_overload population's range and the int32/int64 boundary
+FETCH_LAW_KV_LENS = [
+    0, 1, 2, 1_000, 10_000, 25_000, 40_000, 60_000, 120_000, 2**20, 2**24, 2**31, 2**32,
+]
+
+
+def _link_prices(device, system, entry) -> tuple[float, float]:
+    """The link efficiency and SSD sequential fraction an entry's fetch runs at."""
+    if isinstance(device, VRexAccelerator):
+        work = KVFetchWork(entry.fetch_bytes, entry.fetch_locality, entry.from_ssd)
+        return device.kvmu.link_efficiency(work), device.kvmu.ssd_sequential_fraction()
+    return system.device.pcie_efficiency, entry.fetch_locality
+
+
+def test_fetching_entries_price_their_fetch_as_hw_does():
+    """The fetch law: a fetching entry's prices are hw/'s one-channel prices.
+
+    The column pass prices the link and the SSD inline; this ties every
+    fetching entry's service time to its own ``warm_time_s`` (the pricer the
+    sharded fetch re-prices with) and its occupancies to ``PCIeLink`` /
+    ``SSDModel`` at the entry's efficiency and sequential fraction.
+    """
+    fetching = 0
+    for system in SYSTEMS.values():
+        plane = BatchLatencyModel()
+        device = plane.base.device_for(system)
+        profiles = [StreamProfile(kv_len=k, session_id=i) for i, k in enumerate(FETCH_LAW_KV_LENS)]
+        for q_len, stage in _jobs(plane):
+            demands = plane._stream_demands(system, profiles, [q_len] * len(profiles), stage, None)
+            for entry, _ in demands:
+                if entry.fetch_bytes <= 0:
+                    continue
+                fetching += 1
+                efficiency, sequential = _link_prices(device, system, entry)
+                assert entry.fetch_service_s == entry.warm_time_s(entry.fetch_bytes)
+                assert entry.pcie_occupancy_s == device.link.occupancy_s(
+                    entry.fetch_bytes, efficiency
+                )
+                ssd_occupancy_s = 0.0
+                if entry.from_ssd:
+                    ssd_occupancy_s = device.ssd.read_occupancy_s(entry.fetch_bytes, sequential)
+                assert entry.ssd_occupancy_s == ssd_occupancy_s
+    assert fetching == 466  # 17 systems x 3 jobs x 13 lengths, minus those fetching nothing
 
 
 @given(
