@@ -45,8 +45,8 @@ run, a sweep.  Checks threaded through the stack:
   the tokens observed, that dead slots hold no counts, votes or key sums,
   and that every live signature is the packed majority of its votes;
 * **price table** — :class:`~repro.sim.batched.BatchLatencyModel`
-  re-derives every demand-table hit with the scalar code a miss runs and
-  compares the two field by field, so an input added to the derivation
+  re-derives every demand-table hit as a column of one through the
+  derivation a miss runs and compares the two field by field, so an input added to the derivation
   but forgotten in the table key fails at the first hit, not as a
   drifting golden.
 

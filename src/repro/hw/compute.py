@@ -1,8 +1,26 @@
-"""Generic kernel cost accounting and roofline-style timing."""
+"""Generic kernel cost accounting and roofline-style timing.
+
+The formulas here and in :mod:`repro.hw.dre` and
+:mod:`repro.sim.workload` take a count either as a Python ``int`` or as an
+int64 numpy column, which the demand derivation prices elementwise; the
+two helpers below keep a column's arithmetic the scalar's.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
+
+
+def _at_least_one(count):
+    """``max(count, 1)``, elementwise on an int64 column."""
+    return np.maximum(count, 1) if isinstance(count, np.ndarray) else max(count, 1)
+
+
+def _as_float(count):
+    """``float(count)``, elementwise on an int64 column (both round half to even)."""
+    return count.astype(np.float64) if isinstance(count, np.ndarray) else float(count)
 
 
 @dataclass(frozen=True)

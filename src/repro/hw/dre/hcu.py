@@ -10,12 +10,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.hw.compute import _as_float, _at_least_one
 from repro.hw.specs import VRexCoreConfig
 
 
 @dataclass(frozen=True)
 class HCUWork:
-    """One clustering invocation: new tokens against existing clusters."""
+    """One clustering invocation: new tokens against existing clusters.
+
+    ``num_clusters`` may be an int64 column: the work and its times are
+    then columns, element for element the scalar values.
+    """
 
     new_tokens: int
     num_clusters: int
@@ -25,8 +30,8 @@ class HCUWork:
     @property
     def bit_operations(self) -> float:
         """XOR + popcount bit operations required."""
-        comparisons = self.new_tokens * max(self.num_clusters, 1) * self.kv_heads
-        return float(comparisons * self.n_bits)
+        comparisons = self.new_tokens * _at_least_one(self.num_clusters) * self.kv_heads
+        return _as_float(comparisons * self.n_bits)
 
 
 class HCUModel:

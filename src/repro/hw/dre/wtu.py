@@ -13,12 +13,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.hw.compute import _as_float
 from repro.hw.specs import VRexCoreConfig
 
 
 @dataclass(frozen=True)
 class WTUWork:
-    """One thresholding invocation over a ``rows x clusters`` score matrix."""
+    """One thresholding invocation over a ``rows x clusters`` score matrix.
+
+    ``clusters`` may be an int64 column: the work and its times are then
+    columns, element for element the scalar values.
+    """
 
     rows: int
     clusters: int
@@ -32,13 +37,13 @@ class WTUWork:
     @property
     def preprocess_elements(self) -> float:
         """Elements touched by the weighted-sum / min-max preprocess pass."""
-        return float(self.rows * self.clusters)
+        return _as_float(self.rows * self.clusters)
 
     @property
     def selection_elements(self) -> float:
         """Elements actually bucket-sorted during token selection."""
         fraction = self.sort_fraction if self.early_exit else 1.0
-        return float(self.rows * self.clusters) * fraction
+        return _as_float(self.rows * self.clusters) * fraction
 
 
 class WTUModel:

@@ -82,7 +82,6 @@ from repro.config import require_choice, require_number
 from repro.devtools.sanitizer import PRICE_TABLE, SanitizerError, sanitize_enabled
 from repro.hw.accelerator import VRexAccelerator
 from repro.hw.compute import KernelCost
-from repro.hw.dre.kvmu import KVFetchWork
 from repro.hw.event import (
     EventLoop,
     PreemptiveResource,
@@ -94,17 +93,14 @@ from repro.hw.memory.sharding import ShardedKVHierarchy, sharded_fetch_makespan
 from repro.sim.pipeline import (
     FRAME_STAGE,
     GENERATION_STAGE,
-    GPU_CLUSTERING_RATE,
     MAX_KV_LEN,
     MAX_Q_LEN,
     LatencyModel,
     MeasuredRetrieval,
-    PredictionParts,
     _DemandEntry,
-    gpu_sequential_fraction,
     overlap_rules,
 )
-from repro.sim.systems import GPU_SORT_RATE, SystemConfig, selection_overhead_s
+from repro.sim.systems import SystemConfig
 
 #: Event priorities shared by the serving scheduler and the batched plane's
 #: event-driven replays, so both produce bit-identical schedules at equal
@@ -120,17 +116,6 @@ COMPUTE_POLICIES = ("private", "timesliced")
 
 #: Default round-robin scheduling quantum of the time-sliced compute server.
 DEFAULT_QUANTUM_S = 1e-3
-
-# Why every int64 value of :func:`_derive_demands` is exact under the
-# pricers' MAX_KV_LEN and MAX_Q_LEN (:mod:`repro.sim.pipeline`): a query is
-# q <= max(MAX_Q_LEN, tokens_per_frame, the default question length) and a
-# cluster or top-k candidate count is <= MAX_KV_LEN (a policy occupancy is
-# >= 1 and a profile bounds kv_len // its measured one), so each int64 value
-# is at most q * MAX_KV_LEN * max(32 * kv_heads, heads) (the HCU, WTU and
-# top-k element counts) or weight bytes per layer + MAX_KV_LEN * KV bytes
-# per token (the DRAM and cache bytes); the plane rejects a model for which
-# either reaches 2**63 (Llama-3-8B: 2**60 and 2**49), and below 2**63 the
-# int64 -> float64 cast rounds half to even, as ``float(int)`` does.
 
 #: Bytes of one packed HC-table signature (one ``uint64`` word per cluster
 #: per KV head per layer) — the footprint the sharded memory plane charges
@@ -433,161 +418,6 @@ class StreamScenarioEstimate:
 #: on a miss only): ~0.7 KB each, so a long-lived plane pricing ever-new
 #: cache lengths stays within a few tens of MB.
 _DEMAND_TABLE_ENTRIES = 1 << 16
-
-
-def _derive_demands(
-    base: LatencyModel,
-    system: SystemConfig,
-    stage: str,
-    q_len: int,
-    ratio: float | None,
-    measured: MeasuredRetrieval,
-    kv_lens: list[int],
-) -> list[_DemandEntry]:
-    """:meth:`LatencyModel._layer_demand` at ``batch=1`` over a column of cache lengths.
-
-    Every other key field is shared, so each term of the scalar chain is a
-    constant or one numpy column, evaluated in the chain's order:
-    ``int(round(x))`` is ``np.rint``, ``//`` is ``np.floor_divide``, builtin
-    ``max`` is ``np.maximum``, integer products stay int64 and are cast
-    once as ``float(...)`` casts them (exact under :data:`MAX_KV_LEN`), so
-    every float equals the scalar one bit for bit.  ``layer_cost``,
-    ``kv_cache_bytes`` and the roofline's two times are elementwise and are
-    called on the columns themselves.
-    """
-    llm, model, policy = base.llm, base.llm.model, system.policy
-    device = base.device_for(system)
-    is_vrex = isinstance(device, VRexAccelerator)
-    dense = device.lxe if is_vrex else device.dense_engine
-    if max(kv_lens) > MAX_KV_LEN:  # a profile edited in place past its check
-        raise ValueError(f"kv_len must be at most {MAX_KV_LEN}, got {max(kv_lens)}")
-    kv = np.array(kv_lens, dtype=np.int64)
-    effective_ratio = policy.ratio(stage) if ratio is None else ratio
-    selected = np.rint(kv * effective_ratio).astype(np.int64)
-    cost = llm.layer_cost(q_len, selected, 1)
-    compute_layer_s = np.maximum(dense.compute_time_s(cost), dense.memory_time_s(cost))
-
-    # _prediction_parts: engine, dense FLOPs, serial seconds, overhead, on_dre
-    prediction = None
-    if policy.prediction != "none" and (stage != FRAME_STAGE or policy.prediction_in_prefill):
-        device_class = system.device_class
-        if policy.prediction == "resv":
-            avg = base._avg_tokens_per_cluster(system, measured)
-            clusters = np.maximum(np.floor_divide(kv, avg).astype(np.int64), 1)
-            dense_flops = llm.resv_hashbit_flops(q_len, 32) + llm.resv_score_flops(q_len, clusters)
-            rows = q_len * model.num_heads
-            if policy.prediction_on_dre and is_vrex:
-                hcu, wtu = device.hcu, device.wtu
-                bit_ops = (q_len * clusters * model.num_kv_heads * 32).astype(np.float64)
-                hcu_cycles = bit_ops / (hcu.core.hcu_bits_per_cycle * hcu.num_cores)
-                elements = (rows * clusters).astype(np.float64)
-                wtu_cycles = (elements + elements * measured.sort_fraction) / (
-                    wtu.core.wtu_elements_per_cycle * wtu.num_cores
-                )
-                serial_s = hcu_cycles / hcu.core.frequency_hz + wtu_cycles / wtu.core.frequency_hz
-                prediction = ("dense", dense_flops, serial_s, 0.0, True)
-            else:
-                clustering = (
-                    q_len * clusters * 32 * model.num_kv_heads / GPU_CLUSTERING_RATE[device_class]
-                    if policy.avg_tokens_per_cluster > 1
-                    else 0.0
-                )
-                sorting = rows * clusters / GPU_SORT_RATE[device_class]
-                overhead_s = selection_overhead_s(device_class)
-                prediction = ("dense", dense_flops, clustering + sorting, overhead_s, False)
-        else:
-            frame_level = policy.prediction == "topk_frame"
-            candidates = kv
-            if frame_level:
-                candidates = np.maximum(np.floor_divide(kv, max(model.tokens_per_frame, 1)), 1)
-            # topk_prediction_flops and topk_sort_elements
-            dense_flops = 2.0 * q_len * candidates * model.hidden_dim
-            sort_elements = (q_len * model.num_kv_heads * candidates).astype(np.float64)
-            serial_s = sort_elements / GPU_SORT_RATE[device_class]
-            overhead_s = selection_overhead_s(device_class, frame_level)
-            prediction = ("irregular", dense_flops, serial_s, overhead_s, False)
-    if prediction is not None:
-        engine, dense_flops, serial_s, overhead_s, on_dre = prediction
-        matrix = dense if engine == "dense" else device.irregular_engine
-        flops = KernelCost(dense_flops)
-        prediction_layer_s = (
-            np.maximum(matrix.compute_time_s(flops), matrix.memory_time_s(flops)) + serial_s
-        ) + overhead_s
-        dense_flops, serial_s = dense_flops.tolist(), serial_s.tolist()
-        prediction_layer_s = prediction_layer_s.tolist()
-
-    # the selected-but-offloaded bytes and the one-channel fetch's prices
-    fetch_bytes = np.zeros(kv.size)
-    if system.kv_offloaded:
-        stream_bytes = llm.kv_cache_bytes(kv, 1) * system.kv_bytes_scale
-        with np.errstate(divide="ignore", invalid="ignore"):
-            offloaded = np.maximum(0.0, 1.0 - system.kv_device_budget_bytes / stream_bytes)
-        offloaded = np.where(stream_bytes <= 0, 0.0, offloaded)
-        fetch_bytes = (
-            selected * offloaded * llm.kv_bytes_per_token_per_layer() * system.kv_bytes_scale
-        )
-    if (fetch_bytes > 0).any():
-        from_ssd = system.device.offload_target == "ssd"
-        if is_vrex:
-            locality = base._contiguous_bytes(system, measured)
-            # the link efficiency reads the fetch's contiguity only
-            efficiency = device.kvmu.link_efficiency(KVFetchWork(0.0, locality, from_ssd))
-            ssd_sequential = device.kvmu.ssd_sequential_fraction()
-        else:
-            locality = ssd_sequential = gpu_sequential_fraction(effective_ratio)
-            efficiency = system.device.pcie_efficiency
-        link, ssd = device.link.config, device.ssd.config
-        pcie_occupancy = fetch_bytes / (link.bandwidth_gbps * 1e9 * efficiency)
-        service_s = np.where(
-            pcie_occupancy == 0.0,  # simlint: exact — transfer_time_s's zero-byte sentinel
-            0.0,
-            link.latency_us * 1e-6 + pcie_occupancy,
-        )
-        ssd_occupancy = np.zeros(kv.size)
-        if from_ssd:
-            sequential_bytes = fetch_bytes * ssd_sequential
-            ssd_occupancy = sequential_bytes / (ssd.sequential_read_gbps * 1e9) + (
-                fetch_bytes - sequential_bytes
-            ) / (ssd.random_read_gbps * 1e9)
-            service_s = np.maximum(service_s, ssd.read_latency_us * 1e-6 + ssd_occupancy)
-        service_s, pcie_occupancy = service_s.tolist(), pcie_occupancy.tolist()
-        ssd_occupancy = ssd_occupancy.tolist()
-
-    entries = []
-    for row, (kv_len, flops, dram_bytes, compute_s, per_layer_bytes) in enumerate(
-        zip(
-            kv_lens,
-            cost.flops.tolist(),
-            cost.dram_bytes.tolist(),
-            compute_layer_s.tolist(),
-            fetch_bytes.tolist(),
-            strict=True,
-        )
-    ):
-        parts, prediction_s = None, 0.0
-        if prediction is not None and kv_len != 0:
-            parts = PredictionParts(engine, dense_flops[row], serial_s[row], overhead_s, on_dre)
-            prediction_s = prediction_layer_s[row]
-        compute_cost = KernelCost(flops, dram_bytes)
-        if per_layer_bytes <= 0:
-            entries.append(_DemandEntry(compute_cost, parts, compute_s, prediction_s))
-            continue
-        entries.append(
-            _DemandEntry(
-                compute_cost,
-                parts,
-                compute_s,
-                prediction_s,
-                fetch_bytes=per_layer_bytes,
-                fetch_service_s=service_s[row],
-                pcie_occupancy_s=pcie_occupancy[row],
-                ssd_occupancy_s=ssd_occupancy[row],
-                fetch_device=device,
-                fetch_locality=locality,
-                from_ssd=from_ssd,
-            )
-        )
-    return entries
 
 
 def _fetch_layer_s(
@@ -938,16 +768,6 @@ class BatchLatencyModel:
         self._demands: dict[SystemConfig, dict[tuple, _DemandEntry]] = {}
         self._num_demands = 0
         self._sanitize = sanitize_enabled()
-        llm = self.base.llm
-        model = llm.model
-        query = max(MAX_Q_LEN, model.tokens_per_frame, self.base.streaming.question_tokens)
-        if (
-            query * MAX_KV_LEN * max(32 * model.num_kv_heads, model.num_heads) >= 2**63
-            or llm.weight_bytes_per_layer() + MAX_KV_LEN * llm.kv_bytes_per_token() >= 2**63
-        ):
-            raise ValueError(
-                f"model {model.name!r} is too large to price exactly: see MAX_KV_LEN"
-            )
 
     # ------------------------------------------------------------------ #
     # public steps
@@ -1182,7 +1002,7 @@ class BatchLatencyModel:
                 demands.append(None)
                 continue
             if self._sanitize:
-                self._cross_check(system, profile, key, entry, "hit")
+                self._cross_check(system, profile, key, entry)
             # _fetch_layer_s's memory-free case, inline: hits are the hot path
             fetch_layer_s = entry.fetch_service_s
             if memory is not None and entry.fetch_bytes > 0:
@@ -1191,13 +1011,11 @@ class BatchLatencyModel:
         for group, rows in misses.items():
             q_len, _, ratio = group[:3]
             first = profiles[next(iter(rows.values()))[0]]
-            entries = _derive_demands(
-                self.base, system, stage, q_len, ratio, first.measured, list(rows)
+            entries = self.base._layer_demands(
+                system, list(rows), q_len, stage, measured=first.measured, ratio=ratio
             )
             for (kv_len, slots), entry in zip(rows.items(), entries, strict=True):
                 key = (kv_len, *group)
-                if self._sanitize:
-                    self._cross_check(system, profiles[slots[0]], key, entry, "miss")
                 if self._num_demands >= _DEMAND_TABLE_ENTRIES:
                     self._demands.clear()
                     table.clear()
@@ -1211,19 +1029,23 @@ class BatchLatencyModel:
         return demands
 
     def _cross_check(
-        self, system: SystemConfig, profile: StreamProfile, key: tuple, entry, kind: str
+        self, system: SystemConfig, profile: StreamProfile, key: tuple, entry
     ) -> None:
-        """Armed only: a table entry must equal a fresh scalar derivation."""
+        """Armed only: a table hit must equal a fresh derivation of its profile.
+
+        A derivation input the key forgets makes two profiles share an entry
+        that only one of them derives.
+        """
         q_len, stage = key[1], key[2]
         ratio = profile.ratio_override(stage)
-        fresh = self.base._layer_demand(
-            system, profile.kv_len, q_len, stage, measured=profile.measured, ratio=ratio
+        (fresh,) = self.base._layer_demands(
+            system, [profile.kv_len], q_len, stage, measured=profile.measured, ratio=ratio
         )
         for slot in fields(_DemandEntry):
             if getattr(entry, slot.name) != getattr(fresh, slot.name):
                 raise SanitizerError(
                     PRICE_TABLE,
-                    f"demand-table {kind} for {system.name} {key} holds "
+                    f"demand-table hit for {system.name} {key} holds "
                     f"{slot.name}={getattr(entry, slot.name)!r}, a fresh "
                     f"derivation gives {getattr(fresh, slot.name)!r}",
                 )

@@ -14,14 +14,18 @@ length and batch size it assembles the per-layer timeline of
 into per-frame latency, time-per-output-token, end-to-end scenario latency
 and the associated energy — the quantities behind Fig. 4, 13, 14, 15, 16,
 17 and 18.  A layer's three demands are derived in one place,
-:meth:`LatencyModel._layer_demand`, which the steps, the Fig. 17 layer
-timeline and the batched plane's demand table
-(:mod:`repro.sim.batched`) all read.
+:meth:`LatencyModel._layer_demands`, over a column of cache lengths: the
+steps and the Fig. 17 layer timeline read a column of one, the batched
+plane's demand table (:mod:`repro.sim.batched`) one column per group of
+misses.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from repro.config import StreamingConfig, require_number
 from repro.hw.accelerator import VRexAccelerator
@@ -46,8 +50,8 @@ GENERATION_STAGE = "generation"
 
 #: Largest cache length and largest question length a pricer accepts: every
 #: :class:`LatencyModel` step, a :class:`~repro.sim.batched.StreamProfile`
-#: and a scheduler run check them (:mod:`repro.sim.batched` says why they
-#: keep its int64 demand columns exact).
+#: and a scheduler run check them (``LatencyModel._layer_demands`` says why
+#: they keep its int64 demand columns exact).
 MAX_KV_LEN = 2**32
 MAX_Q_LEN = 2**20
 
@@ -192,7 +196,7 @@ def _channel_fetch_time_s(device, locality: float, num_bytes: float, from_ssd: b
 
 @dataclass(frozen=True, slots=True)
 class _DemandEntry:
-    """One layer's compute, prediction and fetch demand (:meth:`LatencyModel._layer_demand`).
+    """One layer's compute, prediction and fetch demand: a row of :meth:`LatencyModel._layer_demands`.
 
     Derived for ``batch`` identical streams (``parts`` stays one stream's);
     the batched plane's demand table holds the batch-1 rows, one immutable
@@ -299,6 +303,16 @@ class LatencyModel:
         self.measured = measured or MeasuredRetrieval()
         self.energy = EnergyModel()
         self._devices: dict[str, object] = {}
+        model = self.llm.model
+        query = max(MAX_Q_LEN, model.tokens_per_frame, self.streaming.question_tokens)
+        if (  # the int64 bounds of _layer_demands' columns
+            query * MAX_KV_LEN * max(32 * model.num_kv_heads, model.num_heads) >= 2**63
+            or self.llm.weight_bytes_per_layer() + MAX_KV_LEN * self.llm.kv_bytes_per_token()
+            >= 2**63
+        ):
+            raise ValueError(
+                f"model {model.name!r} is too large to price exactly: see MAX_KV_LEN"
+            )
 
     # ------------------------------------------------------------------ #
     # device construction
@@ -332,28 +346,9 @@ class LatencyModel:
         """Whether the working set exceeds device memory (Fig. 15)."""
         return self.resident_bytes(system, kv_len, batch) > system.device.memory_capacity_bytes
 
-    def offloaded_fraction(self, system: SystemConfig, kv_len: int, batch: int) -> float:
-        """Fraction of the (per-stream) KV cache that lives off-device."""
-        _require_sizes(kv_len, batch)
-        if not system.kv_offloaded:
-            return 0.0
-        per_stream_bytes = self.llm.kv_cache_bytes(kv_len, 1) * system.kv_bytes_scale
-        if per_stream_bytes <= 0:
-            return 0.0
-        budget = system.kv_device_budget_bytes
-        del batch  # the budget is already expressed per stream
-        return max(0.0, 1.0 - budget / per_stream_bytes)
-
     # ------------------------------------------------------------------ #
     # pipeline components
     # ------------------------------------------------------------------ #
-    def _selected_tokens(
-        self, system: SystemConfig, kv_len: int, stage: str, ratio: float | None = None
-    ) -> int:
-        if ratio is None:
-            ratio = system.policy.ratio(stage)
-        return int(round(kv_len * ratio))
-
     def _avg_tokens_per_cluster(
         self, system: SystemConfig, measured: MeasuredRetrieval | None = None
     ) -> float:
@@ -383,151 +378,186 @@ class LatencyModel:
             )
         return self.llm.kv_bytes_per_token_per_layer()
 
-    def _prediction_parts(
+    # Why every int64 value of :meth:`_layer_demands` is exact under the
+    # pricers' MAX_KV_LEN and MAX_Q_LEN: a query is q <= max(MAX_Q_LEN,
+    # tokens_per_frame, the default question length) and a cluster or top-k
+    # candidate count is <= MAX_KV_LEN (a policy occupancy is >= 1 and a
+    # profile bounds kv_len // its measured one), so each int64 value is at
+    # most q * MAX_KV_LEN * max(32 * kv_heads, heads) (the HCU, WTU and top-k
+    # element counts) or weight bytes per layer + MAX_KV_LEN * KV bytes per
+    # token (the DRAM and cache bytes); ``__init__`` rejects a model for
+    # which either reaches 2**63 (Llama-3-8B: 2**60 and 2**49), and below
+    # 2**63 the int64 -> float64 cast rounds half to even, as ``float(int)``
+    # does.  ``batch`` multiplies floats only.
+    def _layer_demands(
         self,
         system: SystemConfig,
-        q_len: int,
-        kv_len: int,
-        stage: str,
-        measured: MeasuredRetrieval | None = None,
-    ) -> PredictionParts | None:
-        """One stream's per-layer KV-prediction demand (``None`` if no prediction)."""
-        policy = system.policy
-        if policy.prediction == "none" or kv_len == 0 or q_len <= 0:
-            return None
-        if stage == FRAME_STAGE and not policy.prediction_in_prefill:
-            return None
-        device = self.device_for(system)
-        device_class = system.device_class
-        if measured is None:
-            measured = self.measured
-
-        if policy.prediction == "resv":
-            num_clusters = max(
-                int(kv_len // self._avg_tokens_per_cluster(system, measured)), 1
-            )
-            hashbit_flops = self.llm.resv_hashbit_flops(q_len, 32)
-            score_flops = self.llm.resv_score_flops(q_len, num_clusters)
-            wicsum_rows = q_len * self.llm.model.num_heads
-            if policy.prediction_on_dre and isinstance(device, VRexAccelerator):
-                dre_time = device.prediction_time_s(
-                    HCUWork(
-                        new_tokens=q_len,
-                        num_clusters=num_clusters,
-                        n_bits=32,
-                        kv_heads=self.llm.model.num_kv_heads,
-                    ),
-                    WTUWork(
-                        rows=wicsum_rows,
-                        clusters=num_clusters,
-                        sort_fraction=measured.sort_fraction,
-                    ),
-                )
-                return PredictionParts(
-                    engine="dense",
-                    dense_flops=hashbit_flops + score_flops,
-                    serial_s=dre_time,
-                    overhead_s=0.0,
-                    on_dre=True,
-                )
-            # ReSV executed entirely on a GPU (the Fig. 16 AGX+ReSV point):
-            # the matrix pieces run as dense kernels, but the conditional
-            # clustering loop and the per-row threshold sort crawl.  With
-            # clustering disabled (Fig. 19 ablation) there is no Hamming
-            # clustering loop at all.
-            clustering_bit_ops = q_len * num_clusters * 32 * self.llm.model.num_kv_heads
-            clustering = (
-                clustering_bit_ops / GPU_CLUSTERING_RATE[device_class]
-                if policy.avg_tokens_per_cluster > 1
-                else 0.0
-            )
-            sorting = wicsum_rows * num_clusters / GPU_SORT_RATE[device_class]
-            return PredictionParts(
-                engine="dense",
-                dense_flops=hashbit_flops + score_flops,
-                serial_s=clustering + sorting,
-                overhead_s=selection_overhead_s(device_class),
-                on_dre=False,
-            )
-
-        frame_level = policy.prediction == "topk_frame"
-        score_flops = self.llm.topk_prediction_flops(q_len, kv_len, frame_level=frame_level)
-        sort_elements = self.llm.topk_sort_elements(q_len, kv_len, frame_level=frame_level)
-        return PredictionParts(
-            engine="irregular",
-            dense_flops=score_flops,
-            serial_s=sort_elements / GPU_SORT_RATE[device_class],
-            overhead_s=selection_overhead_s(device_class, frame_level),
-            on_dre=False,
-        )
-
-    def _layer_demand(
-        self,
-        system: SystemConfig,
-        kv_len: int,
+        kv_lens: Sequence[int],
         q_len: int,
         stage: str,
         batch: int = 1,
         measured: MeasuredRetrieval | None = None,
         ratio: float | None = None,
-    ) -> _DemandEntry:
-        """One layer's compute, prediction and fetch demand of ``batch`` streams.
+    ) -> list[_DemandEntry]:
+        """One layer's compute, prediction and fetch demand of ``batch`` streams, per cache length.
 
-        The one derivation every pricer reads: :meth:`_step`,
-        :meth:`layer_timeline`, and the batched plane's demand table at
-        ``batch=1``, per stream (its column pass mirrors this, and armed
-        runs compare the two).  ``measured`` and ``ratio`` override the
-        model's calibration and the policy's retrieval ratio.
+        The one derivation every pricer reads: :meth:`_step` and
+        :meth:`layer_timeline` take the row of a column of one, the batched
+        plane's demand table one column per group of keys that differ only
+        in ``kv_len``.  ``measured`` and ``ratio`` override the model's
+        calibration and the policy's retrieval ratio.  Every other input is
+        shared, so each term is a constant or one numpy column and a row
+        depends on its own cache length only: ``int(round(x))`` is
+        ``np.rint``, ``//`` is ``np.floor_divide``, ``max`` is
+        ``np.maximum``, integer products stay int64 and are cast once as
+        ``float(...)`` casts them.  The workload, roofline and DRE formulas
+        are called on the columns; the link and SSD prices, scalar in
+        ``hw/``, are inlined and equal ``fetch_device``'s bit for bit.
         """
+        llm, model, policy = self.llm, self.llm.model, system.policy
+        if measured is None:
+            measured = self.measured
         device = self.device_for(system)
-        selected = self._selected_tokens(system, kv_len, stage, ratio=ratio)
-        compute_cost = self.llm.layer_cost(q_len, selected, batch)
-        compute_layer_s = device.dense_time_s(compute_cost)
-        parts = self._prediction_parts(system, q_len, kv_len, stage, measured=measured)
-        prediction_layer_s = 0.0
-        if parts is not None:
-            cost = KernelCost(parts.dense_flops * batch)
-            if parts.engine == "dense":
-                matrix_time = device.dense_time_s(cost)
+        is_vrex = isinstance(device, VRexAccelerator)
+        dense = device.lxe if is_vrex else device.dense_engine
+        if max(kv_lens) > MAX_KV_LEN:  # a profile edited in place past its check
+            raise ValueError(f"kv_len must be at most {MAX_KV_LEN}, got {max(kv_lens)}")
+        kv = np.array(kv_lens, dtype=np.int64)
+        effective_ratio = policy.ratio(stage) if ratio is None else ratio
+        selected = np.rint(kv * effective_ratio).astype(np.int64)
+        cost = llm.layer_cost(q_len, selected, batch)
+        compute_layer_s = np.maximum(dense.compute_time_s(cost), dense.memory_time_s(cost))
+
+        # the prediction parts: engine, dense FLOPs, serial seconds, overhead, on_dre
+        prediction = None
+        if (
+            policy.prediction != "none"
+            and q_len > 0
+            and (stage != FRAME_STAGE or policy.prediction_in_prefill)
+        ):
+            device_class = system.device_class
+            if policy.prediction == "resv":
+                avg = self._avg_tokens_per_cluster(system, measured)
+                clusters = np.maximum(np.floor_divide(kv, avg).astype(np.int64), 1)
+                dense_flops = llm.resv_hashbit_flops(q_len, 32) + llm.resv_score_flops(
+                    q_len, clusters
+                )
+                rows = q_len * model.num_heads
+                if policy.prediction_on_dre and is_vrex:
+                    serial_s = device.prediction_time_s(
+                        HCUWork(q_len, clusters, n_bits=32, kv_heads=model.num_kv_heads),
+                        WTUWork(rows, clusters, sort_fraction=measured.sort_fraction),
+                    )
+                    prediction = ("dense", dense_flops, serial_s, 0.0, True)
+                else:
+                    # ReSV executed entirely on a GPU (the Fig. 16 AGX+ReSV
+                    # point): the matrix pieces run as dense kernels, but the
+                    # conditional clustering loop and the per-row threshold
+                    # sort crawl.  With clustering disabled (Fig. 19 ablation)
+                    # there is no Hamming clustering loop at all.
+                    clustering = (
+                        q_len * clusters * 32 * model.num_kv_heads / GPU_CLUSTERING_RATE[device_class]
+                        if policy.avg_tokens_per_cluster > 1
+                        else 0.0
+                    )
+                    sorting = rows * clusters / GPU_SORT_RATE[device_class]
+                    overhead_s = selection_overhead_s(device_class)
+                    prediction = ("dense", dense_flops, clustering + sorting, overhead_s, False)
             else:
-                matrix_time = device.irregular_time_s(cost)
-            prediction_layer_s = matrix_time + parts.serial_s * batch + parts.overhead_s
-        # the selected-but-offloaded tokens' bytes
-        per_layer_bytes = (
-            selected
-            * self.offloaded_fraction(system, kv_len, batch)
-            * self.llm.kv_bytes_per_token_per_layer()
-            * system.kv_bytes_scale
-            * batch
-        )
-        if per_layer_bytes <= 0:
-            return _DemandEntry(compute_cost, parts, compute_layer_s, prediction_layer_s)
-        from_ssd = system.device.offload_target == "ssd"
-        if isinstance(device, VRexAccelerator):
-            locality = self._contiguous_bytes(system, measured)
-            efficiency = device.kvmu.link_efficiency(
-                KVFetchWork(per_layer_bytes, locality, from_ssd=from_ssd)
+                frame_level = policy.prediction == "topk_frame"
+                dense_flops = llm.topk_prediction_flops(q_len, kv, frame_level=frame_level)
+                sort_elements = llm.topk_sort_elements(q_len, kv, frame_level=frame_level)
+                serial_s = sort_elements / GPU_SORT_RATE[device_class]
+                overhead_s = selection_overhead_s(device_class, frame_level)
+                prediction = ("irregular", dense_flops, serial_s, overhead_s, False)
+        if prediction is not None:
+            engine, dense_flops, serial_s, overhead_s, on_dre = prediction
+            matrix = dense if engine == "dense" else device.irregular_engine
+            flops = KernelCost(dense_flops * batch)
+            prediction_layer_s = (
+                np.maximum(matrix.compute_time_s(flops), matrix.memory_time_s(flops))
+                + serial_s * batch
+            ) + overhead_s
+            dense_flops, serial_s = dense_flops.tolist(), serial_s.tolist()
+            prediction_layer_s = prediction_layer_s.tolist()
+
+        # the selected-but-offloaded tokens' bytes and the one-channel fetch's prices
+        fetch_bytes = np.zeros(kv.size)
+        if system.kv_offloaded:
+            stream_bytes = llm.kv_cache_bytes(kv, 1) * system.kv_bytes_scale
+            with np.errstate(divide="ignore", invalid="ignore"):
+                offloaded = np.maximum(0.0, 1.0 - system.kv_device_budget_bytes / stream_bytes)
+            offloaded = np.where(stream_bytes <= 0, 0.0, offloaded)
+            fetch_bytes = (
+                selected
+                * offloaded
+                * llm.kv_bytes_per_token_per_layer()
+                * system.kv_bytes_scale
+                * batch
             )
-            ssd_sequential = device.kvmu.ssd_sequential_fraction()
-        else:
-            effective_ratio = system.policy.ratio(stage) if ratio is None else ratio
-            locality = ssd_sequential = gpu_sequential_fraction(effective_ratio)
-            efficiency = system.device.pcie_efficiency
-        return _DemandEntry(
-            compute_cost,
-            parts,
-            compute_layer_s,
-            prediction_layer_s,
-            fetch_bytes=per_layer_bytes,
-            fetch_service_s=_channel_fetch_time_s(device, locality, per_layer_bytes, from_ssd),
-            pcie_occupancy_s=device.link.occupancy_s(per_layer_bytes, efficiency),
-            ssd_occupancy_s=device.ssd.read_occupancy_s(per_layer_bytes, ssd_sequential)
-            if from_ssd
-            else 0.0,
-            fetch_device=device,
-            fetch_locality=locality,
-            from_ssd=from_ssd,
-        )
+        if (fetch_bytes > 0).any():
+            from_ssd = system.device.offload_target == "ssd"
+            if is_vrex:
+                locality = self._contiguous_bytes(system, measured)
+                # the link efficiency reads the fetch's contiguity only
+                efficiency = device.kvmu.link_efficiency(KVFetchWork(0.0, locality, from_ssd))
+                ssd_sequential = device.kvmu.ssd_sequential_fraction()
+            else:
+                locality = ssd_sequential = gpu_sequential_fraction(effective_ratio)
+                efficiency = system.device.pcie_efficiency
+            # PCIeLink.occupancy_s / transfer_time_s and SSDModel.read_occupancy_s
+            link, ssd = device.link.config, device.ssd.config
+            pcie_occupancy = fetch_bytes / (link.bandwidth_gbps * 1e9 * efficiency)
+            service_s = np.where(
+                pcie_occupancy == 0.0,  # simlint: exact — transfer_time_s's zero-byte sentinel
+                0.0,
+                link.latency_us * 1e-6 + pcie_occupancy,
+            )
+            ssd_occupancy = np.zeros(kv.size)
+            if from_ssd:
+                sequential_bytes = fetch_bytes * ssd_sequential
+                ssd_occupancy = sequential_bytes / (ssd.sequential_read_gbps * 1e9) + (
+                    fetch_bytes - sequential_bytes
+                ) / (ssd.random_read_gbps * 1e9)
+                service_s = np.maximum(service_s, ssd.read_latency_us * 1e-6 + ssd_occupancy)
+            service_s, pcie_occupancy = service_s.tolist(), pcie_occupancy.tolist()
+            ssd_occupancy = ssd_occupancy.tolist()
+
+        entries = []
+        for row, (kv_len, flops, dram_bytes, compute_s, per_layer_bytes) in enumerate(
+            zip(
+                kv_lens,
+                cost.flops.tolist(),
+                cost.dram_bytes.tolist(),
+                compute_layer_s.tolist(),
+                fetch_bytes.tolist(),
+                strict=True,
+            )
+        ):
+            parts, prediction_s = None, 0.0
+            if prediction is not None and kv_len != 0:
+                parts = PredictionParts(engine, dense_flops[row], serial_s[row], overhead_s, on_dre)
+                prediction_s = prediction_layer_s[row]
+            compute_cost = KernelCost(flops, dram_bytes)
+            if per_layer_bytes <= 0:
+                entries.append(_DemandEntry(compute_cost, parts, compute_s, prediction_s))
+                continue
+            entries.append(
+                _DemandEntry(
+                    compute_cost,
+                    parts,
+                    compute_s,
+                    prediction_s,
+                    fetch_bytes=per_layer_bytes,
+                    fetch_service_s=service_s[row],
+                    pcie_occupancy_s=pcie_occupancy[row],
+                    ssd_occupancy_s=ssd_occupancy[row],
+                    fetch_device=device,
+                    fetch_locality=locality,
+                    from_ssd=from_ssd,
+                )
+            )
+        return entries
 
     def _vision_time(self, system: SystemConfig, batch: int) -> tuple[float, KernelCost]:
         cost = self.vision.frame_cost(batch)
@@ -570,7 +600,7 @@ class LatencyModel:
                 },
                 oom=oom,
             )
-        demand = self._layer_demand(system, kv_len, q_len, stage, batch)
+        (demand,) = self._layer_demands(system, [kv_len], q_len, stage, batch)
         layer_cost = demand.compute_cost
         compute_layer = demand.compute_layer_s
         prediction_layer = demand.prediction_layer_s
@@ -708,7 +738,7 @@ class LatencyModel:
         """Activity timeline of one decoder layer during frame processing."""
         _require_sizes(kv_len, batch)
         q_len = self.llm.model.tokens_per_frame
-        selected = self._selected_tokens(system, kv_len, FRAME_STAGE)
+        selected = int(round(kv_len * system.policy.ratio(FRAME_STAGE)))
         device = self.device_for(system)
         qkv_cost = KernelCost(
             (self.llm.qkv_flops(q_len)) * batch,
@@ -725,7 +755,7 @@ class LatencyModel:
         qkv_t = device.dense_time_s(qkv_cost)
         attn_t = device.dense_time_s(attn_cost)
         ffn_t = device.dense_time_s(ffn_cost)
-        demand = self._layer_demand(system, kv_len, q_len, FRAME_STAGE, batch)
+        (demand,) = self._layer_demands(system, [kv_len], q_len, FRAME_STAGE, batch)
         prediction_t = demand.prediction_layer_s
         fetch_bytes, fetch_t = demand.fetch_bytes, demand.fetch_service_s
 

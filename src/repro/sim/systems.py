@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.config import require_number
 from repro.hw.specs import A100, AGX_ORIN, VREX8, VREX48, DeviceSpec
 
 GiB = 1024**3
@@ -201,9 +202,11 @@ def vrex_kv_budget_bytes(device: DeviceSpec, model_bytes: float, max_batch: int)
     and splits what is left across the maximum number of concurrent streams
     the deployment targets (batch 4 on the edge, batch 8 on the server).
     """
+    require_number("max_batch", max_batch, 1, integer=True)
+    require_number("model_bytes", model_bytes, finite=True)
     reserve = 4.0 * GiB if device.pcie_bandwidth_gbps <= 8.0 else 8.0 * GiB
     available = max(device.memory_capacity_bytes - model_bytes - reserve, 0.0)
-    return available / max(max_batch, 1)
+    return available / max_batch
 
 
 # ---------------------------------------------------------------------- #

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.config import ModelConfig, VisionConfig, llama3_8b_config
-from repro.hw.compute import KernelCost
+from repro.hw.compute import KernelCost, _as_float, _at_least_one
 
 GiB = 1024**3
 
@@ -116,22 +116,22 @@ class TransformerWorkload:
 
         Token-level selection (InfiniGen/InfiniGenP) scores every cached
         key against every query token; frame-level selection (ReKV) scores
-        one representative per frame.
+        one representative per frame.  ``kv_len`` may be an int64 column.
         """
         candidates = kv_len
         if frame_level:
             tokens_per_frame = tokens_per_frame or self.model.tokens_per_frame
-            candidates = max(kv_len // max(tokens_per_frame, 1), 1)
+            candidates = _at_least_one(kv_len // max(tokens_per_frame, 1))
         return 2.0 * q_len * candidates * self.model.hidden_dim
 
     def topk_sort_elements(self, q_len: int, kv_len: int, frame_level: bool = False,
                            tokens_per_frame: int | None = None) -> float:
-        """Per-layer number of elements the top-k sort has to handle."""
+        """Per-layer number of elements the top-k sort has to handle (``kv_len`` may be a column)."""
         candidates = kv_len
         if frame_level:
             tokens_per_frame = tokens_per_frame or self.model.tokens_per_frame
-            candidates = max(kv_len // max(tokens_per_frame, 1), 1)
-        return float(q_len * self.model.num_kv_heads * candidates)
+            candidates = _at_least_one(kv_len // max(tokens_per_frame, 1))
+        return _as_float(q_len * self.model.num_kv_heads * candidates)
 
     def resv_hashbit_flops(self, new_tokens: int, n_hyperplanes: int) -> float:
         """Per-layer hyperplane-projection FLOPs of hash-bit generation (on LXE)."""

@@ -726,31 +726,6 @@ class TestPriceTable:
         with expect(PRICE_TABLE):
             self.steps(armed)
 
-    def test_perturbed_column_derivation_detected_at_the_miss(self, monkeypatch):
-        import dataclasses
-
-        from repro.sim import batched
-        from repro.sim.batched import BatchLatencyModel
-
-        derive = batched._derive_demands
-
-        def perturbed(*args, **kwargs):
-            # as if a column term drifted from the scalar chain in its last bit
-            entries = derive(*args, **kwargs)
-            last = entries[-1]
-            entries[-1] = dataclasses.replace(
-                last, compute_layer_s=np.nextafter(last.compute_layer_s, np.inf)
-            )
-            return entries
-
-        monkeypatch.setattr(batched, "_derive_demands", perturbed)
-        monkeypatch.delenv(ENV_VAR, raising=False)
-        self.steps(BatchLatencyModel())  # perturbed, but nobody is looking
-        monkeypatch.setenv(ENV_VAR, "1")
-        # the armed plane's first step finds every row missing: it raises there
-        with pytest.raises(SanitizerError, match=r"\[price-table\] demand-table miss"):
-            self.steps(BatchLatencyModel())
-
 
 class TestSanitizedRunEquivalence:
     """REPRO_SANITIZE=1 must not change a single bit of any run."""

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.hw.accelerator import VRexAccelerator
@@ -20,6 +20,7 @@ from repro.hw.memory.pcie import PCIE3_X4, PCIE4_X16, PCIeLink, PCIeLinkQueue
 from repro.hw.memory.ssd import SSDModel
 from repro.hw.roofline import attainable_tflops
 from repro.hw.specs import A100, AGX_ORIN, VREX8, VREX48, VRexCoreConfig, table_i_rows
+from repro.sim.workload import default_llm_workload
 
 
 class TestSpecs:
@@ -321,6 +322,80 @@ class TestDREUnits:
         work = KVFetchWork(total_bytes=1e8, mean_contiguous_bytes=128 * 1024, from_ssd=True)
         assert clustered.fetch_time_s(work) < scattered.fetch_time_s(work)
         assert clustered.fetch_time_s(KVFetchWork(0.0, 1.0)) == 0.0
+
+
+class TestModelsOnColumns:
+    """The DRE and top-k formulas on an int64 column: the scalar call, element by element.
+
+    The demand derivation prices a whole column of cache lengths through these
+    formulas; each element must equal the scalar value bit for bit.  The
+    bounds keep every int64 product below 2**63, as the pricers' size checks do.
+    """
+
+    @given(
+        new_tokens=st.integers(1, 2**20),
+        rows=st.integers(1, 2**27),
+        clusters=st.lists(st.integers(0, 2**32), max_size=12),
+        kv_heads=st.integers(1, 32),
+        sort_fraction=st.floats(0.0, 1.0),
+        early_exit=st.booleans(),
+        spec=st.sampled_from([VREX8, VREX48]),
+    )
+    @example(1, 1, [], 1, 0.0, True, VREX8)
+    @example(2**20, 2**27, [2**32], 32, 1.0, False, VREX48)
+    def test_dre_work_and_times(
+        self, new_tokens, rows, clusters, kv_heads, sort_fraction, early_exit, spec
+    ):
+        accel = VRexAccelerator(spec)
+        counts = [0, 1, *clusters]  # 0 reaches the HCU's max(num_clusters, 1) floor
+        column = np.array(counts, dtype=np.int64)
+        hcu = HCUWork(new_tokens, column, n_bits=32, kv_heads=kv_heads)
+        wtu = WTUWork(rows, column, sort_fraction=sort_fraction, early_exit=early_exit)
+        values = {
+            "bit_operations": hcu.bit_operations,
+            "hcu_cycles": accel.hcu.cycles(hcu),
+            "hcu_time_s": accel.hcu.time_s(hcu),
+            "preprocess_elements": wtu.preprocess_elements,
+            "selection_elements": wtu.selection_elements,
+            "wtu_cycles": accel.wtu.cycles(wtu),
+            "wtu_time_s": accel.wtu.time_s(wtu),
+            "prediction_time_s": accel.prediction_time_s(hcu, wtu),
+        }
+        for index, count in enumerate(counts):
+            hcu1 = HCUWork(new_tokens, count, n_bits=32, kv_heads=kv_heads)
+            wtu1 = WTUWork(rows, count, sort_fraction=sort_fraction, early_exit=early_exit)
+            scalar = {
+                "bit_operations": hcu1.bit_operations,
+                "hcu_cycles": accel.hcu.cycles(hcu1),
+                "hcu_time_s": accel.hcu.time_s(hcu1),
+                "preprocess_elements": wtu1.preprocess_elements,
+                "selection_elements": wtu1.selection_elements,
+                "wtu_cycles": accel.wtu.cycles(wtu1),
+                "wtu_time_s": accel.wtu.time_s(wtu1),
+                "prediction_time_s": accel.prediction_time_s(hcu1, wtu1),
+            }
+            for name, value in scalar.items():
+                assert type(value) is float, name
+                assert values[name].tolist()[index] == value, (name, count)
+
+    @given(
+        q_len=st.integers(1, 2**20),
+        kv_lens=st.lists(st.integers(0, 2**32), max_size=12),
+        frame_level=st.booleans(),
+        tokens_per_frame=st.one_of(st.none(), st.integers(0, 4096)),
+    )
+    def test_topk_work(self, q_len, kv_lens, frame_level, tokens_per_frame):
+        llm = default_llm_workload()
+        lens = [0, 1, *kv_lens]  # 0 reaches the frame-level max(candidates, 1) floor
+        column = np.array(lens, dtype=np.int64)
+        flops = llm.topk_prediction_flops(q_len, column, frame_level, tokens_per_frame)
+        elements = llm.topk_sort_elements(q_len, column, frame_level, tokens_per_frame)
+        for index, kv_len in enumerate(lens):
+            flops1 = llm.topk_prediction_flops(q_len, kv_len, frame_level, tokens_per_frame)
+            elements1 = llm.topk_sort_elements(q_len, kv_len, frame_level, tokens_per_frame)
+            assert type(flops1) is float and type(elements1) is float
+            assert flops.tolist()[index] == flops1
+            assert elements.tolist()[index] == elements1
 
 
 class TestDevices:

@@ -479,7 +479,7 @@ class TestSizeBounds:
 
         wide = ModelConfig(hidden_dim=4096, num_heads=4096, num_kv_heads=4096)
         with pytest.raises(ValueError, match="too large to price exactly"):
-            BatchLatencyModel(LatencyModel(llm=TransformerWorkload(wide)))
+            LatencyModel(llm=TransformerWorkload(wide))
 
     def test_sub_token_policy_occupancy_rejected(self, edge):
         import dataclasses
@@ -552,7 +552,6 @@ class TestDemandTable:
         monkeypatch.delenv("REPRO_SANITIZE", raising=False)
 
     def test_each_distinct_value_is_derived_exactly_once(self, edge, monkeypatch):
-        from repro.sim import batched
         from repro.sim.scheduler import ServingScheduler
 
         system = edge["V-Rex8"]
@@ -561,8 +560,8 @@ class TestDemandTable:
             StreamProfile(kv_len=kv_len, session_id=index) for index, kv_len in enumerate(kv_lens)
         ]
         plane = BatchLatencyModel()
-        derivations = _Rows(batched._derive_demands)
-        monkeypatch.setattr(batched, "_derive_demands", derivations)
+        derivations = _Rows(plane.base._layer_demands)
+        monkeypatch.setattr(plane.base, "_layer_demands", derivations)
         for mode in self.STEP_MODES:
             plane.frame_step(system, profiles, **mode)
             plane.question_step(system, profiles, **mode)
@@ -585,15 +584,15 @@ class TestDemandTable:
         Without a memory plane each fetching row carries its one single-channel
         fetch price — no eager cold-tier (SSD) price rides along on the miss path.
         """
-        from repro.sim import batched, pipeline
+        from repro.sim import pipeline
 
         system = edge["V-Rex8"]
         profiles = [
             StreamProfile(kv_len=10_000 + 777 * index, session_id=index) for index in range(64)
         ]
         plane = BatchLatencyModel()
-        derivations = _Rows(batched._derive_demands)
-        monkeypatch.setattr(batched, "_derive_demands", derivations)
+        derivations = _Rows(plane.base._layer_demands)
+        monkeypatch.setattr(plane.base, "_layer_demands", derivations)
         # the name a demand entry's warm and cold pricers resolve
         one_channel = _Counter(pipeline._channel_fetch_time_s)
         monkeypatch.setattr(pipeline, "_channel_fetch_time_s", one_channel)

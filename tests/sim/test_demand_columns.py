@@ -6,9 +6,10 @@ derivation branch, three job kinds and a cache-length set that covers the
 ``edge_overload`` benchmark population and the table's edges — is hashed
 as ``float.hex`` / ``repr`` in key order.  A change to *how* misses are
 derived (the whole chain from selected tokens to the fetch occupancies)
-must leave the digest unmoved; a hypothesis property cross-checks random
-cache-length columns against the scalar definition,
-``LatencyModel._layer_demand``, entry by entry.
+must leave the digest unmoved.  Two laws hold beside it: a row of
+``LatencyModel._layer_demands`` depends on its own cache length only (a
+hypothesis property over random columns), and every fetching entry prices
+its fetch as ``hw/``'s link and SSD models do.
 """
 
 from __future__ import annotations
@@ -228,29 +229,26 @@ def test_fetching_entries_price_their_fetch_as_hw_does():
     name=st.sampled_from(sorted(SYSTEMS)),
     variant=st.sampled_from(sorted(MEASURED)),
     job=st.integers(0, 2),
+    batch=st.sampled_from([1, 4, 16]),
     kv_lens=st.lists(
         st.one_of(st.integers(0, 120_000), st.integers(0, KV_LEN_BOUND)), min_size=1, max_size=24
     ),
 )
-def test_table_entries_equal_a_fresh_scalar_derivation(name, variant, job, kv_lens):
+def test_a_row_depends_on_its_own_cache_length_only(name, variant, job, batch, kv_lens):
+    """Row independence: row i of a column is the column of ``kv_lens[i]`` alone."""
     system = SYSTEMS[name]
     plane = BatchLatencyModel()
     q_len, stage = _jobs(plane)[job]
-    profiles = [
-        StreamProfile(kv_len=k, session_id=i, **MEASURED[variant]) for i, k in enumerate(kv_lens)
-    ]
-    demands = plane._stream_demands(system, profiles, [q_len] * len(profiles), stage, None)
-    for profile, (entry, fetch_layer_s) in zip(profiles, demands, strict=True):
-        fresh = plane.base._layer_demand(
-            system,
-            profile.kv_len,
-            q_len,
-            stage,
-            measured=profile.measured,
-            ratio=profile.ratio_override(stage),
+    profile = StreamProfile(kv_len=0, **MEASURED[variant])
+    measured, ratio = profile.measured, profile.ratio_override(stage)
+    column = plane.base._layer_demands(
+        system, kv_lens, q_len, stage, batch, measured=measured, ratio=ratio
+    )
+    for kv_len, entry in zip(kv_lens, column, strict=True):
+        (alone,) = plane.base._layer_demands(
+            system, [kv_len], q_len, stage, batch, measured=measured, ratio=ratio
         )
-        assert entry == fresh
-        assert fetch_layer_s == fresh.fetch_service_s
+        assert entry == alone
         assert [type(getattr(entry, f.name)) for f in dataclasses.fields(entry)] == [
-            type(getattr(fresh, f.name)) for f in dataclasses.fields(fresh)
+            type(getattr(alone, f.name)) for f in dataclasses.fields(alone)
         ]

@@ -24,6 +24,7 @@ from repro.sim.systems import (
     server_systems,
     throughput_systems,
     vrex_kv_budget_bytes,
+    vrex_system,
 )
 from repro.sim.workload import TransformerWorkload, default_llm_workload, default_vision_workload
 
@@ -116,6 +117,25 @@ class TestSystemConfigs:
         budget = vrex_kv_budget_bytes(VREX8, workload.model_bytes(), max_batch=4)
         assert 0 < budget < VREX8.memory_capacity_bytes
 
+    @pytest.mark.parametrize(
+        ("kwargs", "message"),
+        [
+            ({"max_batch": 0}, r"^max_batch must be at least 1, got 0"),
+            ({"max_batch": -1}, r"^max_batch must be at least 1, got -1"),
+            ({"max_batch": True}, r"^max_batch must be an integer, got True"),
+            ({"max_batch": 2.5}, r"^max_batch must be an integer, got 2.5"),
+            ({"model_bytes": -1.0}, r"^model_bytes must be finite and non-negative, got -1.0"),
+            ({"model_bytes": float("nan")}, r"^model_bytes must be finite and non-negative"),
+            ({"model_bytes": float("inf")}, r"^model_bytes must be finite and non-negative"),
+        ],
+    )
+    def test_vrex_budget_rejects_hostile_sizes(self, workload, kwargs, message):
+        sizes = {"model_bytes": workload.model_bytes(), "max_batch": 4, **kwargs}
+        with pytest.raises(ValueError, match=message):
+            vrex_kv_budget_bytes(VREX8, **sizes)
+        with pytest.raises(ValueError, match=message):
+            vrex_system(VREX8, **sizes)
+
     def test_line_ups_complete(self, workload):
         model_bytes = workload.model_bytes()
         assert set(edge_systems(model_bytes)) == {
@@ -193,12 +213,16 @@ class TestLatencyPipeline:
         assert step.breakdown["kv_prediction"] < 0.01 * step.total_s
         assert step.breakdown["prediction_on_dre"] == 1.0
 
-    def test_offloaded_fraction_bounds(self, latency_model, edge):
-        assert latency_model.offloaded_fraction(edge["AGX + FlexGen"], 10_000, 1) == 1.0
-        vrex_small = latency_model.offloaded_fraction(edge["V-Rex8"], 1_000, 1)
-        vrex_large = latency_model.offloaded_fraction(edge["V-Rex8"], 40_000, 1)
-        assert vrex_small == 0.0
-        assert 0.0 < vrex_large < 1.0
+    def test_offloaded_share_bounds(self, latency_model, workload, edge):
+        """A fully offloaded cache fetches every selected byte, a V-Rex budget part of them."""
+        per_token = workload.kv_bytes_per_token_per_layer()
+        (flexgen,) = latency_model._layer_demands(edge["AGX + FlexGen"], [10_000], 1, "generation")
+        assert flexgen.fetch_bytes == 10_000 * per_token  # FlexGen selects the whole cache
+        vrex = edge["V-Rex8"]
+        small, large = latency_model._layer_demands(vrex, [1_000, 40_000], 1, "generation")
+        assert small.fetch_bytes == 0.0
+        selected = round(40_000 * vrex.policy.ratio("generation"))
+        assert 0.0 < large.fetch_bytes < selected * per_token
 
     def test_oom_detection(self, latency_model, workload):
         systems = throughput_systems(workload.model_bytes())
@@ -290,7 +314,7 @@ class TestHostileSizes:
         "price",
         [
             "frame_step", "question_step", "generation_step", "e2e_scenario",
-            "layer_timeline", "resident_bytes", "is_oom", "offloaded_fraction",
+            "layer_timeline", "resident_bytes", "is_oom",
         ],
     )  # fmt: skip
     def test_sizes(self, latency_model, edge, price, kwargs, message):
