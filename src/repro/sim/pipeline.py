@@ -196,7 +196,7 @@ def _channel_fetch_time_s(device, locality: float, num_bytes: float, from_ssd: b
 
 @dataclass(frozen=True, slots=True)
 class _DemandEntry:
-    """One layer's compute, prediction and fetch demand: a row of :meth:`LatencyModel._layer_demands`.
+    """One layer's compute, prediction and fetch demand: a row of ``_layer_demands``.
 
     Derived for ``batch`` identical streams (``parts`` stays one stream's);
     the batched plane's demand table holds the batch-1 rows, one immutable
@@ -455,8 +455,9 @@ class LatencyModel:
                     # conditional clustering loop and the per-row threshold
                     # sort crawl.  With clustering disabled (Fig. 19 ablation)
                     # there is no Hamming clustering loop at all.
+                    bit_ops = q_len * clusters * 32 * model.num_kv_heads
                     clustering = (
-                        q_len * clusters * 32 * model.num_kv_heads / GPU_CLUSTERING_RATE[device_class]
+                        bit_ops / GPU_CLUSTERING_RATE[device_class]
                         if policy.avg_tokens_per_cluster > 1
                         else 0.0
                     )

@@ -126,7 +126,7 @@ class TransformerWorkload:
 
     def topk_sort_elements(self, q_len: int, kv_len: int, frame_level: bool = False,
                            tokens_per_frame: int | None = None) -> float:
-        """Per-layer number of elements the top-k sort has to handle (``kv_len`` may be a column)."""
+        """Per-layer number of elements the top-k sort handles (``kv_len`` may be a column)."""
         candidates = kv_len
         if frame_level:
             tokens_per_frame = tokens_per_frame or self.model.tokens_per_frame
