@@ -67,6 +67,11 @@ UNTRACED: dict[str, str] = {
     "repro.hw.event.PreemptiveResource.backlog_s": (
         "the reference engine's admission reads it under time-sliced compute"
     ),
+    "repro.hw.gpu.GPUDevice.fetch_time_s": (
+        "a GPU demand entry's one-channel pricer (warm_time_s / cold_time_s); the demand "
+        "derivation inlines the single-channel price, so only a GPU system under a memory "
+        "plane enters it, which no entry point runs; the fetch law test calls it per entry"
+    ),
 }
 
 
