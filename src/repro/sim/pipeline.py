@@ -48,18 +48,24 @@ from repro.sim.workload import TransformerWorkload, VisionWorkload, default_llm_
 FRAME_STAGE = "frame"
 GENERATION_STAGE = "generation"
 
-#: Largest cache length and largest question length a pricer accepts: every
+#: Largest cache length, question length and batch a pricer accepts: every
 #: :class:`LatencyModel` step, a :class:`~repro.sim.batched.StreamProfile`
 #: and a scheduler run check them (``LatencyModel._layer_demands`` says why
 #: they keep its int64 demand columns exact).
 MAX_KV_LEN = 2**32
 MAX_Q_LEN = 2**20
+MAX_BATCH = 2**16
 
 
 def _require_sizes(kv_len: int, batch: int) -> None:
     """Raise a ``ValueError`` naming ``kv_len`` or ``batch`` unless both are valid sizes."""
     require_number("kv_len", kv_len, integer=True, maximum=MAX_KV_LEN)
-    require_number("batch", batch, 1, integer=True)
+    require_number("batch", batch, 1, integer=True, maximum=MAX_BATCH)
+
+
+def _selected_tokens(kv_lens, ratio: float):
+    """Tokens a ratio selects per cache length (``np.rint`` rounds half to even, as ``round``)."""
+    return np.rint(np.multiply(kv_lens, ratio)).astype(np.int64)
 
 
 #: Rate (bit-operations per second) at which a GPU executes the
@@ -305,10 +311,12 @@ class LatencyModel:
         self._devices: dict[str, object] = {}
         model = self.llm.model
         query = max(MAX_Q_LEN, model.tokens_per_frame, self.streaming.question_tokens)
+        per_token = max(
+            self.llm.kv_bytes_per_token(), self.llm.kv_bytes_per_token_per_layer() * MAX_BATCH
+        )
         if (  # the int64 bounds of _layer_demands' columns
             query * MAX_KV_LEN * max(32 * model.num_kv_heads, model.num_heads) >= 2**63
-            or self.llm.weight_bytes_per_layer() + MAX_KV_LEN * self.llm.kv_bytes_per_token()
-            >= 2**63
+            or self.llm.weight_bytes_per_layer() + MAX_KV_LEN * per_token >= 2**63
         ):
             raise ValueError(
                 f"model {model.name!r} is too large to price exactly: see MAX_KV_LEN"
@@ -346,6 +354,25 @@ class LatencyModel:
         """Whether the working set exceeds device memory (Fig. 15)."""
         return self.resident_bytes(system, kv_len, batch) > system.device.memory_capacity_bytes
 
+    def offloaded_fraction(self, system: SystemConfig, kv_len, batch: int):
+        """Fraction of the (per-stream) KV cache that lives off-device.
+
+        ``kv_len`` is a cache length, or the demand derivation's int64 column
+        of them (bounded there), priced element by element.
+        """
+        column = isinstance(kv_len, np.ndarray)
+        if not column:
+            _require_sizes(kv_len, batch)
+        kv = kv_len if column else np.array([kv_len], dtype=np.int64)
+        del batch  # the budget is already expressed per stream
+        shares = np.zeros(kv.size)
+        if system.kv_offloaded:
+            per_stream_bytes = self.llm.kv_cache_bytes(kv, 1) * system.kv_bytes_scale
+            with np.errstate(divide="ignore", invalid="ignore"):
+                shares = np.maximum(0.0, 1.0 - system.kv_device_budget_bytes / per_stream_bytes)
+            shares = np.where(per_stream_bytes <= 0, 0.0, shares)
+        return shares if column else shares.item()
+
     # ------------------------------------------------------------------ #
     # pipeline components
     # ------------------------------------------------------------------ #
@@ -379,16 +406,18 @@ class LatencyModel:
         return self.llm.kv_bytes_per_token_per_layer()
 
     # Why every int64 value of :meth:`_layer_demands` is exact under the
-    # pricers' MAX_KV_LEN and MAX_Q_LEN: a query is q <= max(MAX_Q_LEN,
-    # tokens_per_frame, the default question length) and a cluster or top-k
-    # candidate count is <= MAX_KV_LEN (a policy occupancy is >= 1 and a
-    # profile bounds kv_len // its measured one), so each int64 value is at
-    # most q * MAX_KV_LEN * max(32 * kv_heads, heads) (the HCU, WTU and top-k
-    # element counts) or weight bytes per layer + MAX_KV_LEN * KV bytes per
-    # token (the DRAM and cache bytes); ``__init__`` rejects a model for
-    # which either reaches 2**63 (Llama-3-8B: 2**60 and 2**49), and below
-    # 2**63 the int64 -> float64 cast rounds half to even, as ``float(int)``
-    # does.  ``batch`` multiplies floats only.
+    # pricers' MAX_KV_LEN, MAX_Q_LEN and MAX_BATCH: a query is q <=
+    # max(MAX_Q_LEN, tokens_per_frame, the default question length) and a
+    # cluster or top-k candidate count is <= MAX_KV_LEN (a policy occupancy
+    # is >= 1 and a profile bounds kv_len // its measured one), so each int64
+    # value is at most q * MAX_KV_LEN * max(32 * kv_heads, heads) (the HCU,
+    # WTU and top-k element counts), MAX_KV_LEN * KV bytes per token (a
+    # stream's cache bytes) or weight bytes per layer + MAX_KV_LEN * KV bytes
+    # per token per layer * MAX_BATCH (``layer_cost``'s DRAM bytes: its KV
+    # read is the one int product with ``batch``; every other ``* batch``
+    # multiplies a float).  ``__init__`` rejects a model for which one
+    # reaches 2**63 (Llama-3-8B: 2**60, 2**49 and 2**60), and below 2**63 the
+    # int64 -> float64 cast rounds half to even, as ``float(int)`` does.
     def _layer_demands(
         self,
         system: SystemConfig,
@@ -424,7 +453,7 @@ class LatencyModel:
             raise ValueError(f"kv_len must be at most {MAX_KV_LEN}, got {max(kv_lens)}")
         kv = np.array(kv_lens, dtype=np.int64)
         effective_ratio = policy.ratio(stage) if ratio is None else ratio
-        selected = np.rint(kv * effective_ratio).astype(np.int64)
+        selected = _selected_tokens(kv, effective_ratio)
         cost = llm.layer_cost(q_len, selected, batch)
         compute_layer_s = np.maximum(dense.compute_time_s(cost), dense.memory_time_s(cost))
 
@@ -483,19 +512,13 @@ class LatencyModel:
             prediction_layer_s = prediction_layer_s.tolist()
 
         # the selected-but-offloaded tokens' bytes and the one-channel fetch's prices
-        fetch_bytes = np.zeros(kv.size)
-        if system.kv_offloaded:
-            stream_bytes = llm.kv_cache_bytes(kv, 1) * system.kv_bytes_scale
-            with np.errstate(divide="ignore", invalid="ignore"):
-                offloaded = np.maximum(0.0, 1.0 - system.kv_device_budget_bytes / stream_bytes)
-            offloaded = np.where(stream_bytes <= 0, 0.0, offloaded)
-            fetch_bytes = (
-                selected
-                * offloaded
-                * llm.kv_bytes_per_token_per_layer()
-                * system.kv_bytes_scale
-                * batch
-            )
+        fetch_bytes = (
+            selected
+            * self.offloaded_fraction(system, kv, batch)
+            * llm.kv_bytes_per_token_per_layer()
+            * system.kv_bytes_scale
+            * batch
+        )
         if (fetch_bytes > 0).any():
             from_ssd = system.device.offload_target == "ssd"
             if is_vrex:
@@ -739,7 +762,7 @@ class LatencyModel:
         """Activity timeline of one decoder layer during frame processing."""
         _require_sizes(kv_len, batch)
         q_len = self.llm.model.tokens_per_frame
-        selected = int(round(kv_len * system.policy.ratio(FRAME_STAGE)))
+        selected = int(_selected_tokens(kv_len, system.policy.ratio(FRAME_STAGE)))
         device = self.device_for(system)
         qkv_cost = KernelCost(
             (self.llm.qkv_flops(q_len)) * batch,

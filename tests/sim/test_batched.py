@@ -473,13 +473,20 @@ class TestSizeBounds:
         with pytest.raises(ValueError, match=message):
             plane.question_step(edge["V-Rex8"], profiles, question_tokens=tokens)
 
-    def test_oversized_model_rejected(self):
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            {"hidden_dim": 4096, "num_heads": 4096, "num_kv_heads": 4096},  # element counts
+            # 64 KiB of KV per token per layer: MAX_BATCH streams' KV read reaches 2**64 bytes
+            {"hidden_dim": 16384, "num_heads": 32, "num_kv_heads": 32},
+        ],
+    )
+    def test_oversized_model_rejected(self, shape):
         from repro.config import ModelConfig
         from repro.sim.workload import TransformerWorkload
 
-        wide = ModelConfig(hidden_dim=4096, num_heads=4096, num_kv_heads=4096)
         with pytest.raises(ValueError, match="too large to price exactly"):
-            LatencyModel(llm=TransformerWorkload(wide))
+            LatencyModel(llm=TransformerWorkload(ModelConfig(**shape)))
 
     def test_sub_token_policy_occupancy_rejected(self, edge):
         import dataclasses

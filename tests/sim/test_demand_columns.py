@@ -6,10 +6,10 @@ derivation branch, three job kinds and a cache-length set that covers the
 ``edge_overload`` benchmark population and the table's edges — is hashed
 as ``float.hex`` / ``repr`` in key order.  A change to *how* misses are
 derived (the whole chain from selected tokens to the fetch occupancies)
-must leave the digest unmoved.  Two laws hold beside it: a row of
-``LatencyModel._layer_demands`` depends on its own cache length only (a
-hypothesis property over random columns), and every fetching entry prices
-its fetch as ``hw/``'s link and SSD models do.
+must leave the digest unmoved.  Two laws hold beside it: the plane's entry
+for a stream is ``LatencyModel._layer_demands`` over that stream's cache
+length alone (a hypothesis property over random profile columns), and every
+fetching entry prices its fetch as ``hw/``'s link and SSD models do.
 """
 
 from __future__ import annotations
@@ -209,10 +209,11 @@ def test_fetching_entries_price_their_fetch_as_hw_does():
         profiles = [StreamProfile(kv_len=k, session_id=i) for i, k in enumerate(FETCH_LAW_KV_LENS)]
         for q_len, stage in _jobs(plane):
             demands = plane._stream_demands(system, profiles, [q_len] * len(profiles), stage, None)
-            for entry, _ in demands:
+            for entry, fetch_layer_s in demands:
                 if entry.fetch_bytes <= 0:
                     continue
                 fetching += 1
+                assert fetch_layer_s == entry.fetch_service_s
                 efficiency, sequential = _link_prices(device, system, entry)
                 assert entry.fetch_service_s == entry.warm_time_s(entry.fetch_bytes)
                 assert entry.pcie_occupancy_s == device.link.occupancy_s(
@@ -229,26 +230,30 @@ def test_fetching_entries_price_their_fetch_as_hw_does():
     name=st.sampled_from(sorted(SYSTEMS)),
     variant=st.sampled_from(sorted(MEASURED)),
     job=st.integers(0, 2),
-    batch=st.sampled_from([1, 4, 16]),
     kv_lens=st.lists(
         st.one_of(st.integers(0, 120_000), st.integers(0, KV_LEN_BOUND)), min_size=1, max_size=24
     ),
 )
-def test_a_row_depends_on_its_own_cache_length_only(name, variant, job, batch, kv_lens):
-    """Row independence: row i of a column is the column of ``kv_lens[i]`` alone."""
+def test_a_row_depends_on_its_own_cache_length_only(name, variant, job, kv_lens):
+    """Row independence: the plane's entry for a stream is the column of its ``kv_len`` alone."""
     system = SYSTEMS[name]
     plane = BatchLatencyModel()
     q_len, stage = _jobs(plane)[job]
-    profile = StreamProfile(kv_len=0, **MEASURED[variant])
-    measured, ratio = profile.measured, profile.ratio_override(stage)
-    column = plane.base._layer_demands(
-        system, kv_lens, q_len, stage, batch, measured=measured, ratio=ratio
-    )
-    for kv_len, entry in zip(kv_lens, column, strict=True):
+    profiles = [
+        StreamProfile(kv_len=k, session_id=i, **MEASURED[variant]) for i, k in enumerate(kv_lens)
+    ]
+    demands = plane._stream_demands(system, profiles, [q_len] * len(profiles), stage, None)
+    for profile, (entry, fetch_layer_s) in zip(profiles, demands, strict=True):
         (alone,) = plane.base._layer_demands(
-            system, [kv_len], q_len, stage, batch, measured=measured, ratio=ratio
+            system,
+            [profile.kv_len],
+            q_len,
+            stage,
+            measured=profile.measured,
+            ratio=profile.ratio_override(stage),
         )
         assert entry == alone
+        assert fetch_layer_s == entry.fetch_service_s
         assert [type(getattr(entry, f.name)) for f in dataclasses.fields(entry)] == [
             type(getattr(alone, f.name)) for f in dataclasses.fields(alone)
         ]

@@ -9,7 +9,15 @@ import pytest
 
 from repro.config import llama3_8b_config
 from repro.hw.specs import AGX_ORIN, VREX8
-from repro.sim.pipeline import MAX_KV_LEN, MAX_Q_LEN, LatencyModel, StepResult
+from repro.sim.pipeline import (
+    FRAME_STAGE,
+    GENERATION_STAGE,
+    MAX_BATCH,
+    MAX_KV_LEN,
+    MAX_Q_LEN,
+    LatencyModel,
+    StepResult,
+)
 from repro.sim.systems import (
     DEFAULT_KV_LENGTHS,
     ablation_systems,
@@ -213,16 +221,12 @@ class TestLatencyPipeline:
         assert step.breakdown["kv_prediction"] < 0.01 * step.total_s
         assert step.breakdown["prediction_on_dre"] == 1.0
 
-    def test_offloaded_share_bounds(self, latency_model, workload, edge):
-        """A fully offloaded cache fetches every selected byte, a V-Rex budget part of them."""
-        per_token = workload.kv_bytes_per_token_per_layer()
-        (flexgen,) = latency_model._layer_demands(edge["AGX + FlexGen"], [10_000], 1, "generation")
-        assert flexgen.fetch_bytes == 10_000 * per_token  # FlexGen selects the whole cache
-        vrex = edge["V-Rex8"]
-        small, large = latency_model._layer_demands(vrex, [1_000, 40_000], 1, "generation")
-        assert small.fetch_bytes == 0.0
-        selected = round(40_000 * vrex.policy.ratio("generation"))
-        assert 0.0 < large.fetch_bytes < selected * per_token
+    def test_offloaded_fraction_bounds(self, latency_model, edge):
+        assert latency_model.offloaded_fraction(edge["AGX + FlexGen"], 10_000, 1) == 1.0
+        vrex_small = latency_model.offloaded_fraction(edge["V-Rex8"], 1_000, 1)
+        vrex_large = latency_model.offloaded_fraction(edge["V-Rex8"], 40_000, 1)
+        assert vrex_small == 0.0
+        assert 0.0 < vrex_large < 1.0
 
     def test_oom_detection(self, latency_model, workload):
         systems = throughput_systems(workload.model_bytes())
@@ -305,16 +309,19 @@ class TestHostileSizes:
             ({"kv_len": 2.5}, r"^kv_len must be an integer, got 2.5"),
             ({"kv_len": True}, r"^kv_len must be an integer, got True"),
             ({"kv_len": float("nan")}, r"^kv_len must be an integer, got nan"),
-            ({"batch": 0}, r"^batch must be at least 1, got 0"),
-            ({"batch": -2}, r"^batch must be at least 1, got -2"),
+            ({"batch": 0}, r"^batch must be in \[1, 65536\], got 0"),
+            ({"batch": -2}, r"^batch must be in \[1, 65536\], got -2"),
             ({"batch": 1.5}, r"^batch must be an integer, got 1.5"),
+            ({"batch": MAX_BATCH + 1}, r"^batch must be in \[1, 65536\], got 65537"),
+            ({"batch": 2**19}, r"^batch must be in \[1, 65536\], got 524288"),
+            ({"batch": 2**63}, r"^batch must be in \[1, 65536\], got 9223372036854775808"),
         ],
     )
     @pytest.mark.parametrize(
         "price",
         [
             "frame_step", "question_step", "generation_step", "e2e_scenario",
-            "layer_timeline", "resident_bytes", "is_oom",
+            "layer_timeline", "resident_bytes", "is_oom", "offloaded_fraction",
         ],
     )  # fmt: skip
     def test_sizes(self, latency_model, edge, price, kwargs, message):
@@ -338,6 +345,18 @@ class TestHostileSizes:
         assert latency_model.frame_step(system, 0).total_s > 0.0
         assert latency_model.question_step(system, 0, question_tokens=MAX_Q_LEN).total_s > 0.0
         assert not latency_model.is_oom(system, MAX_KV_LEN, 1)  # offloaded past its budget
+
+    @pytest.mark.parametrize("price", ["frame_step", "generation_step"])
+    def test_largest_sizes_price_exactly(self, latency_model, workload, edge, price):
+        """At MAX_KV_LEN and MAX_BATCH FlexGen's DRAM bytes equal Python's int arithmetic."""
+        system = edge["AGX + FlexGen"]  # selects the whole cache
+        assert system.policy.ratio(FRAME_STAGE) == system.policy.ratio(GENERATION_STAGE) == 1.0
+        step = getattr(latency_model, price)(system, MAX_KV_LEN, MAX_BATCH)
+        q_len = workload.model.tokens_per_frame if price == "frame_step" else 1
+        layer = workload.layer_cost(q_len, MAX_KV_LEN, MAX_BATCH)  # Python ints
+        vision = default_vision_workload().frame_cost(MAX_BATCH).dram_bytes
+        expected = layer.dram_bytes * workload.model.num_layers
+        assert step.dram_bytes == expected + (vision if price == "frame_step" else 0.0)
 
 
 
